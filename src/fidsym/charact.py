@@ -36,12 +36,22 @@ class CertificateFailure:
     rank: int
 
 
-def numerical_rank(a: DensityOperator) -> int:
-    w = eig_hermitian(a.matrix).eigenvalues
+def spectral_rank(w: np.ndarray) -> int:
+    """Numerical rank from non-increasing eigenvalues: how many exceed
+    RANK_TOL times the largest, or 0 when the largest is at most CERT_TOL."""
     top = float(w[0])
     if top <= CERT_TOL:
         return 0
     return int(np.count_nonzero(w > RANK_TOL * top))
+
+
+def is_projection_spectrum(w: np.ndarray, trace: float) -> bool:
+    """Rank one with trace 1, from the eigenvalues and trace of an operator."""
+    return spectral_rank(w) == 1 and abs(trace - 1.0) <= TRACE_TOL
+
+
+def numerical_rank(a: DensityOperator) -> int:
+    return spectral_rank(eig_hermitian(a.matrix).eigenvalues)
 
 
 def rank_one_certificate(a: DensityOperator) -> OrthogonalCertificate | CertificateFailure:
@@ -70,7 +80,7 @@ def is_rank_one(a: DensityOperator) -> bool:
 
 def is_rank_one_projection(a: DensityOperator) -> bool:
     """Rank one with trace 1; equivalently rank one with F(A,A) = 1."""
-    return is_rank_one(a) and abs(a.trace - 1.0) <= TRACE_TOL
+    return is_projection_spectrum(eig_hermitian(a.matrix).eigenvalues, a.trace)
 
 
 def _sample_minorants(a: DensityOperator, samples: int, rng: np.random.Generator) -> np.ndarray:

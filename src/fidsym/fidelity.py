@@ -10,14 +10,15 @@ import numpy as np
 
 from .matcore import (
     DensityOperator,
+    DimensionMismatch,
     PureState,
-    _sqrt_eigs,
     check_same_dim,
-    eig_hermitian,
-    sqrtm_psd,
+    eigh_stack,
+    hermitize_stack,
+    sqrt_eigs,
+    sqrtm_stack,
 )
 
-NUM_TOL = 1e-12
 SYM_TOL = 1e-8
 CROSS_TOL = 1e-8
 ORDER_TOL = 1e-8
@@ -28,38 +29,40 @@ class BadM(ValueError):
     """Partial-fidelity index m out of range."""
 
 
-def _fid_eigs(a: DensityOperator, b: DensityOperator) -> np.ndarray:
-    """Non-increasing eigenvalues of (A^{1/2} B A^{1/2})^{1/2}, clipped at 0."""
-    check_same_dim(a, b)
-    ra = sqrtm_psd(a.matrix)
-    core = ra @ b.matrix @ ra
-    return _sqrt_eigs(eig_hermitian(core).eigenvalues)
+def fidelity_stack(a: np.ndarray, b: np.ndarray, m: int | None = None) -> np.ndarray:
+    """F(A_k, B_k) for each pair of two (n, d, d) stacks of PSD matrices.
+
+    With ``m``, the partial fidelity instead: the sum of the m largest
+    eigenvalues (with multiplicity) of (A^{1/2} B A^{1/2})^{1/2}.
+    """
+    if m is not None and not 1 <= m <= a.shape[-1]:
+        raise BadM(f"m = {m} out of range 1..{a.shape[-1]}")
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"dimension mismatch: stacks {a.shape} vs {b.shape}")
+    ra = sqrtm_stack(a)
+    core = ra @ np.ascontiguousarray(b, dtype=complex) @ ra
+    w, _ = eigh_stack(hermitize_stack(core))
+    return sqrt_eigs(w)[:, :m].sum(axis=-1)
 
 
 def fidelity(a: DensityOperator, b: DensityOperator) -> float:
     """Fidelity F(A,B); symmetric in its arguments and zero iff A, B are
     mutually orthogonal."""
-    value = float(np.sum(_fid_eigs(a, b)))
-    return 0.0 if -NUM_TOL <= value < 0.0 else value
+    check_same_dim(a, b)
+    return float(fidelity_stack(a.matrix[None], b.matrix[None])[0])
 
 
 def partial_fidelity(a: DensityOperator, b: DensityOperator, m: int) -> float:
     """Sum of the m largest eigenvalues (with multiplicity) of
     (A^{1/2} B A^{1/2})^{1/2}; equals fidelity(A, B) at m = dim."""
-    if not 1 <= m <= a.dim:
-        raise BadM(f"m = {m} out of range 1..{a.dim}")
-    eigs = _fid_eigs(a, b)
-    value = float(np.sum(eigs[:m]))
-    return 0.0 if -NUM_TOL <= value < 0.0 else value
+    check_same_dim(a, b)
+    return float(fidelity_stack(a.matrix[None], b.matrix[None], m)[0])
 
 
 def fidelity_pure(p: PureState, q: PureState) -> float:
     """Fidelity of two pure states: |<x, y>|, the square root of the
     transition probability tr PQ."""
-    if p.dim != q.dim:
-        from .matcore import DimensionMismatch
-
-        raise DimensionMismatch(f"dimension mismatch: {p.dim} vs {q.dim}")
+    check_same_dim(p, q)
     return float(abs(np.vdot(p.amplitudes, q.amplitudes)))
 
 

@@ -3,6 +3,9 @@
 Validated matrix types (Hermitian matrices, density operators, pure states),
 spectral decomposition with a fixed eigenvalue ordering, and PSD square roots.
 All downstream modules build on these primitives.
+
+The numerics are stack-first: they take (n, d, d) arrays, and the per-matrix
+functions are their n = 1 case, with the same bits.
 """
 from __future__ import annotations
 
@@ -46,18 +49,38 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def hermitize(m: np.ndarray) -> np.ndarray:
-    """Return the exactly symmetrized matrix (M + M*)/2.
+def _stack(m) -> np.ndarray:
+    """An (n, d, d) stack of square matrices as a contiguous complex array."""
+    m = np.ascontiguousarray(m, dtype=complex)
+    if m.ndim != 3 or m.shape[1] != m.shape[2]:
+        raise ValueError(f"expected an (n, d, d) stack of square matrices, got shape {m.shape}")
+    return m
 
-    The diagonal imaginary parts come out exactly zero, so Hermiticity is an
-    invariant of the result, not a hope.
-    """
+
+def _one(m) -> np.ndarray:
+    """A single square matrix as a stack of one."""
     m = np.ascontiguousarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    return m[None]
+
+
+def hermitize_stack(m: np.ndarray) -> np.ndarray:
+    """(M + M*)/2 for every matrix of an (n, d, d) stack.
+
+    The diagonal imaginary parts come out exactly zero, so Hermiticity is an
+    invariant of the result, not a hope. A second application returns the
+    same bits. Raises ValueError if any entry is not finite.
+    """
+    m = _stack(m)
     if not np.all(np.isfinite(m.view(float))):
         raise ValueError("matrix entries must be finite")
-    return _freeze((m + m.conj().T) / 2)
+    return (m + m.conj().swapaxes(-1, -2)) / 2
+
+
+def hermitize(m: np.ndarray) -> np.ndarray:
+    """Return the exactly symmetrized matrix (M + M*)/2; see hermitize_stack."""
+    return _freeze(hermitize_stack(_one(m))[0])
 
 
 def check_same_dim(a, b) -> int:
@@ -148,40 +171,65 @@ def basis_state(dim: int, i: int) -> PureState:
     return PureState(amplitudes=_freeze(v))
 
 
+def eigh_stack(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigensystems of an (n, d, d) stack of Hermitian matrices.
+
+    Returns eigenvalues (n, d), non-increasing along each row (ties kept in
+    solver order), and the matching orthonormal columns (n, d, d), both
+    C-contiguous. ``h`` must already be hermitized.
+    """
+    try:
+        w, v = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
+        raise SolverFailure(str(exc)) from exc
+    return np.ascontiguousarray(w[:, ::-1]), np.ascontiguousarray(v[:, :, ::-1])
+
+
+def _rebuild(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """V diag(w) V* for each row of a stack."""
+    return (v * w[:, None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def _densities(w: np.ndarray, v: np.ndarray) -> list[DensityOperator]:
+    """The hermitized V diag(w) V* of each row, with trace sum(w)."""
+    matrices = hermitize_stack(_rebuild(w, v))
+    traces = w.sum(axis=-1)
+    return [DensityOperator(matrix=_freeze(m), trace=float(t)) for m, t in zip(matrices, traces)]
+
+
 def eig_hermitian(m: np.ndarray) -> Spectrum:
     """Spectral decomposition of a Hermitian matrix.
 
     Eigenvalues are returned in non-increasing order (ties kept in solver
     order); eigenvectors are the matching orthonormal columns.
     """
-    m = hermitize(m)
-    try:
-        w, v = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise SolverFailure(str(exc)) from exc
-    return Spectrum(eigenvalues=_freeze(w[::-1]), eigenvectors=_freeze(v[:, ::-1]))
+    w, v = eigh_stack(hermitize_stack(_one(m)))
+    return Spectrum(eigenvalues=_freeze(w[0]), eigenvectors=_freeze(v[0]))
+
+
+def validate_stack(m: np.ndarray) -> list[DensityOperator]:
+    """Validate every matrix of an (n, d, d) stack as a density operator.
+
+    Eigenvalues in [-PSD_TOL*||M||, 0) are clipped to zero and the matrix is
+    reassembled; anything more negative raises NotPositive.
+    """
+    h = hermitize_stack(m)
+    w, v = eigh_stack(h)
+    scale = np.maximum(np.linalg.norm(h, axis=(-2, -1)), 1.0)
+    low = w[:, -1]
+    negative = low < -PSD_TOL * scale
+    if np.any(negative):
+        raise NotPositive(f"eigenvalue {low[negative][0]:.3e} below tolerance band")
+    return _densities(np.clip(w, 0.0, None), v)
 
 
 def validate_density(m: np.ndarray, require_unit_trace: bool = False) -> DensityOperator:
-    """Validate a matrix as a density operator.
-
-    Eigenvalues in [-PSD_TOL*||M||, 0) are clipped to zero and the matrix is
-    reassembled; anything more negative raises NotPositive. With
-    ``require_unit_trace`` the (post-clip) trace must be 1 within TRACE_TOL.
-    """
-    m = hermitize(m)
-    spec = eig_hermitian(m)
-    scale = max(np.linalg.norm(m), 1.0)
-    w = spec.eigenvalues
-    if np.min(w) < -PSD_TOL * scale:
-        raise NotPositive(f"eigenvalue {np.min(w):.3e} below tolerance band")
-    w = np.clip(w, 0.0, None)
-    v = spec.eigenvectors
-    rebuilt = hermitize((v * w) @ v.conj().T)
-    trace = float(np.sum(w))
-    if require_unit_trace and abs(trace - 1.0) > TRACE_TOL:
-        raise NotNormalized(f"trace {trace} is not 1 within {TRACE_TOL}")
-    return DensityOperator(matrix=rebuilt, trace=trace)
+    """Validate a matrix as a density operator; see validate_stack. With
+    ``require_unit_trace`` the (post-clip) trace must be 1 within TRACE_TOL."""
+    a = validate_stack(_one(m))[0]
+    if require_unit_trace and abs(a.trace - 1.0) > TRACE_TOL:
+        raise NotNormalized(f"trace {a.trace} is not 1 within {TRACE_TOL}")
+    return a
 
 
 # eigenvalues this far below the largest are rounding noise of
@@ -189,26 +237,30 @@ def validate_density(m: np.ndarray, require_unit_trace: bool = False) -> Density
 EIG_FLOOR = 1e-14
 
 
-def _sqrt_eigs(w: np.ndarray) -> np.ndarray:
+def sqrt_eigs(w: np.ndarray) -> np.ndarray:
+    """Square roots of rows of non-increasing eigenvalues, clipped at zero;
+    entries below EIG_FLOOR times their row's largest are taken as zero."""
     w = np.clip(w, 0.0, None)
-    if w[0] > 0.0:
-        w[w < EIG_FLOOR * w[0]] = 0.0
+    w[w < EIG_FLOOR * w[:, :1]] = 0.0
     return np.sqrt(w)
 
 
-def sqrt_psd(a: DensityOperator) -> DensityOperator:
-    """Positive square root of a PSD operator, via eigendecomposition with
-    clipping at zero."""
-    spec = eig_hermitian(a.matrix)
-    w = _sqrt_eigs(spec.eigenvalues)
-    v = spec.eigenvectors
-    root = hermitize((v * w) @ v.conj().T)
-    return DensityOperator(matrix=root, trace=float(np.sum(w)))
+def _sqrt_system(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    w, v = eigh_stack(hermitize_stack(m))
+    return sqrt_eigs(w), v
+
+
+def sqrtm_stack(m: np.ndarray) -> np.ndarray:
+    """Positive square root of every PSD matrix of an (n, d, d) stack, via
+    eigendecomposition with clipping at zero."""
+    return _rebuild(*_sqrt_system(m))
 
 
 def sqrtm_psd(m: np.ndarray) -> np.ndarray:
-    """Square root of a PSD matrix given as a raw array (internal fast path)."""
-    spec = eig_hermitian(m)
-    w = _sqrt_eigs(spec.eigenvalues)
-    v = spec.eigenvectors
-    return (v * w) @ v.conj().T
+    """Square root of a PSD matrix given as a raw array; see sqrtm_stack."""
+    return sqrtm_stack(_one(m))[0]
+
+
+def sqrt_psd(a: DensityOperator) -> DensityOperator:
+    """Positive square root of a PSD operator, hermitized, with its trace."""
+    return _densities(*_sqrt_system(_one(a.matrix)))[0]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matcore import DensityOperator, PureState, hermitize, pure_state, validate_density
+from .matcore import DensityOperator, PureState, pure_state, validate_density
 
 
 def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -21,6 +21,23 @@ def random_pure_state(rng: np.random.Generator, dim: int) -> PureState:
     return pure_state(v)
 
 
+def draw_density(
+    rng: np.random.Generator,
+    dim: int,
+    rank: int | None = None,
+    trace: float | None = None,
+) -> np.ndarray:
+    """The unvalidated matrix of random_density: GG* for a Gaussian G of the
+    given rank (drawn uniformly from 1..dim if None), rescaled to ``trace``."""
+    if rank is None:
+        rank = int(rng.integers(1, dim + 1))
+    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    a = g @ g.conj().T
+    if trace is not None:
+        a = a * (trace / np.trace(a).real)
+    return a
+
+
 def random_density(
     rng: np.random.Generator,
     dim: int,
@@ -29,18 +46,7 @@ def random_density(
 ) -> DensityOperator:
     """Wishart-style PSD operator GG* of the given rank, rescaled to the
     target trace (default: trace left as drawn, unit if ``trace=1.0``)."""
-    if rank is None:
-        rank = int(rng.integers(1, dim + 1))
-    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
-    a = g @ g.conj().T
-    if trace is not None:
-        a = a * (trace / np.trace(a).real)
-    return validate_density(a)
-
-
-def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return hermitize(z)
+    return validate_density(draw_density(rng, dim, rank, trace))
 
 
 def orthogonal_pure_pair(rng: np.random.Generator, dim: int) -> tuple[PureState, PureState]:

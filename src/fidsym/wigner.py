@@ -135,10 +135,11 @@ def _superposition_projection(dim: int, i: int, j: int, phase: complex = 1.0) ->
 
 def _extract_state(image: DensityOperator) -> Optional[PureState]:
     """Phase-canonical unit vector of a rank-one projection image, or None if
-    the image is not one."""
-    if not charact.is_rank_one_projection(image):
-        return None
+    the image is not one. One eigendecomposition gives both the rank test and
+    the vector."""
     spec = eig_hermitian(image.matrix)
+    if not charact.is_projection_spectrum(spec.eigenvalues, image.trace):
+        return None
     return pure_state(spec.eigenvectors[:, 0])
 
 
