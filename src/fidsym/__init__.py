@@ -11,7 +11,6 @@ from .matcore import (
     Spectrum,
     eig_hermitian,
     pure_state,
-    sqrt_psd,
     validate_density,
 )
 from .fidelity import fidelity, fidelity_pure, is_leq, is_orthogonal, partial_fidelity

@@ -10,11 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fidelity import ORDER_TOL
-from .matcore import DensityOperator, TRACE_TOL, eig_hermitian, sqrtm_psd
-
-RANK_TOL = 1e-8  # relative to the largest eigenvalue
-CERT_TOL = 1e-12
+from .matcore import DensityOperator, eig_hermitian, sqrtm_psd
+from .tolerances import CERT_TOL, ORDER_TOL, RANK_TOL, TRACE_TOL
 
 
 class ZeroOperator(ValueError):
@@ -63,10 +60,10 @@ def rank_one_certificate(a: DensityOperator) -> OrthogonalCertificate | Certific
     """
     if a.trace <= CERT_TOL:
         raise ZeroOperator("certificate requires a nonzero operator")
-    rank = numerical_rank(a)
+    spec = eig_hermitian(a.matrix)
+    rank = spectral_rank(spec.eigenvalues)
     if rank != 1:
         return CertificateFailure(rank=rank)
-    spec = eig_hermitian(a.matrix)
     witnesses = []
     for i in range(1, a.dim):
         v = spec.eigenvectors[:, i]

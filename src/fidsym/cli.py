@@ -3,8 +3,9 @@ classification, and the theorem harness, with JSON in and JSON out.
 
 Matrix files: {"dim": d, "re": [[...]], "im": [[...]]} (row-major, entry
 (i,j) = re[i][j] + i*im[i][j]). Map specs: {"kind": ..., "dim": ...,
-"params": {...}}. Reports record the tool version, seed, and tolerances so a
-rerun reproduces them byte for byte.
+"params": {...}}. Reports record the tool version, seed, and the whole
+tolerance table in effect (fidsym.tolerances, with --tol as certify_tol), so
+a rerun reproduces them byte for byte.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from typing import Any
 
 import numpy as np
 
-from . import __version__, charact, mapzoo, matcore, wigner
+from . import __version__, mapzoo, tolerances, wigner
 from .fidelity import BadM, fidelity as fidelity_value, partial_fidelity
 from .matcore import DensityOperator, MatcoreError, validate_density
 from .mapzoo import AssertionFailure, BadSpec, ClassificationReport, MapSpec
@@ -80,20 +81,6 @@ def load_map_spec(path: str) -> MapSpec:
         raise InputError(f"{path}: bad map spec: {exc}") from exc
 
 
-def tolerances_in_effect() -> dict[str, float]:
-    return {
-        "psd_tol": matcore.PSD_TOL,
-        "eig_tol": matcore.EIG_TOL,
-        "trace_tol": matcore.TRACE_TOL,
-        "rank_tol": charact.RANK_TOL,
-        "probe_tol": wigner.PROBE_TOL,
-        "phase_fix_tol": wigner.PHASE_FIX_TOL,
-        "certify_tol": wigner.CERTIFY_TOL,
-        "unitary_tol": wigner.UNITARY_TOL,
-        "classify_tol": mapzoo.CLASSIFY_TOL,
-    }
-
-
 def reconstruction_to_dict(report: ReconstructionReport) -> dict[str, Any]:
     out: dict[str, Any] = {
         "status": report.status,
@@ -125,8 +112,9 @@ def classification_to_dict(report: ClassificationReport) -> dict[str, Any]:
 
 def write_report(path: str, payload: dict[str, Any]) -> None:
     """Write JSON atomically (temp file then rename) so a crash never leaves
-    a half-written report."""
-    payload = {"tool_version": __version__, "tolerances": tolerances_in_effect(), **payload}
+    a half-written report. ``payload`` may replace the default tolerance
+    table with the one its command used."""
+    payload = {"tool_version": __version__, "tolerances": tolerances.table(), **payload}
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -161,6 +149,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     write_report(args.out, {"seed": args.seed, "map": {"kind": spec.kind, "dim": spec.dim},
+                            "tolerances": {**tolerances.table(), "certify_tol": args.tol},
                             "report": reconstruction_to_dict(report)})
     return EXIT_OK if report.certified else EXIT_REJECTED
 
@@ -203,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reconstruct", help="reconstruct the symmetry behind a map spec")
     p.add_argument("--map", required=True, help="map spec JSON file")
-    p.add_argument("--tol", type=float, default=wigner.CERTIFY_TOL)
+    p.add_argument("--tol", type=float, default=tolerances.CERTIFY_TOL)
     p.add_argument("--trials", type=int, default=64, help="verification trials")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="report JSON output path")

@@ -18,11 +18,7 @@ from .matcore import (
     sqrt_eigs,
     sqrtm_stack,
 )
-
-SYM_TOL = 1e-8
-CROSS_TOL = 1e-8
-ORDER_TOL = 1e-8
-ORTH_TOL = 1e-8
+from .tolerances import ORDER_TOL, ORTH_TOL
 
 
 class BadM(ValueError):

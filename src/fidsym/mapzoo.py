@@ -30,8 +30,8 @@ from .wigner import (
     reconstruct,
     symmetry_oracle,
 )
+from .tolerances import CLASSIFY_TOL, UNITARY_TOL
 
-CLASSIFY_TOL = 1e-6
 # classify_map scores its trials in stacks of at most this many matrix
 # entries per side (n * d^2): 16 pairs at d = 8, all 200 default trials at
 # d = 2. Doubling it saves about 4% of a d <= 8 classification but costs
@@ -79,7 +79,7 @@ def _unitary_from_params(spec: MapSpec, seed: int) -> np.ndarray:
         u = haar_unitary(rng, spec.dim)
     if u.shape != (spec.dim, spec.dim):
         raise BadSpec(f"unitary shape {u.shape} does not match dim {spec.dim}")
-    if np.linalg.norm(u.conj().T @ u - np.eye(spec.dim)) > 1e-9:
+    if np.linalg.norm(u.conj().T @ u - np.eye(spec.dim)) > UNITARY_TOL:
         raise BadSpec("matrix is not unitary")
     return u
 
@@ -192,6 +192,8 @@ def classify_map(oracle: DensityMapOracle, trials: int = 200, seed: int = 0) -> 
     """
     if trials < 1:
         raise BadSpec(f"trials must be >= 1, got {trials}")
+    if oracle.dim < 2:
+        raise BadSpec("classification needs dim >= 2 (no orthogonal pure pair exists at dim 1)")
     rng = np.random.default_rng(seed)
     d = oracle.dim
     size = max(1, TRIAL_STACK_ENTRIES // (d * d))

@@ -13,14 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Tolerances. All relative where a norm is available; double precision with
-# d <= 64 leaves at least five digits of headroom.
-PSD_TOL = 1e-10
-EIG_TOL = 1e-9
-SQRT_TOL = 1e-8
-UNIT_TOL = 1e-10
-PHASE_TOL = 1e-12
-TRACE_TOL = 1e-9
+from .tolerances import EIG_FLOOR, PHASE_TOL, PSD_TOL, TRACE_TOL
 
 
 class MatcoreError(Exception):
@@ -190,13 +183,6 @@ def _rebuild(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (v * w[:, None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def _densities(w: np.ndarray, v: np.ndarray) -> list[DensityOperator]:
-    """The hermitized V diag(w) V* of each row, with trace sum(w)."""
-    matrices = hermitize_stack(_rebuild(w, v))
-    traces = w.sum(axis=-1)
-    return [DensityOperator(matrix=_freeze(m), trace=float(t)) for m, t in zip(matrices, traces)]
-
-
 def eig_hermitian(m: np.ndarray) -> Spectrum:
     """Spectral decomposition of a Hermitian matrix.
 
@@ -220,7 +206,10 @@ def validate_stack(m: np.ndarray) -> list[DensityOperator]:
     negative = low < -PSD_TOL * scale
     if np.any(negative):
         raise NotPositive(f"eigenvalue {low[negative][0]:.3e} below tolerance band")
-    return _densities(np.clip(w, 0.0, None), v)
+    w = np.clip(w, 0.0, None)
+    matrices = hermitize_stack(_rebuild(w, v))
+    return [DensityOperator(matrix=_freeze(m), trace=float(t))
+            for m, t in zip(matrices, w.sum(axis=-1))]
 
 
 def validate_density(m: np.ndarray, require_unit_trace: bool = False) -> DensityOperator:
@@ -232,11 +221,6 @@ def validate_density(m: np.ndarray, require_unit_trace: bool = False) -> Density
     return a
 
 
-# eigenvalues this far below the largest are rounding noise of
-# rank-deficient inputs; sqrt would amplify them to ~1e-8
-EIG_FLOOR = 1e-14
-
-
 def sqrt_eigs(w: np.ndarray) -> np.ndarray:
     """Square roots of rows of non-increasing eigenvalues, clipped at zero;
     entries below EIG_FLOOR times their row's largest are taken as zero."""
@@ -245,22 +229,14 @@ def sqrt_eigs(w: np.ndarray) -> np.ndarray:
     return np.sqrt(w)
 
 
-def _sqrt_system(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    w, v = eigh_stack(hermitize_stack(m))
-    return sqrt_eigs(w), v
-
-
 def sqrtm_stack(m: np.ndarray) -> np.ndarray:
     """Positive square root of every PSD matrix of an (n, d, d) stack, via
     eigendecomposition with clipping at zero."""
-    return _rebuild(*_sqrt_system(m))
+    w, v = eigh_stack(hermitize_stack(m))
+    return _rebuild(sqrt_eigs(w), v)
 
 
 def sqrtm_psd(m: np.ndarray) -> np.ndarray:
     """Square root of a PSD matrix given as a raw array; see sqrtm_stack."""
     return sqrtm_stack(_one(m))[0]
 
-
-def sqrt_psd(a: DensityOperator) -> DensityOperator:
-    """Positive square root of a PSD operator, hermitized, with its trace."""
-    return _densities(*_sqrt_system(_one(a.matrix)))[0]

@@ -1,0 +1,40 @@
+"""Every numerical tolerance of fidsym, defined once.
+
+The library modules import their tolerances from here, and every CLI report
+writes this table under lower-case names, so a report states the tolerances
+that produced it. Double precision with d <= 64 leaves at least five digits
+of headroom under each of them.
+"""
+from __future__ import annotations
+
+# eigenvalues down to -PSD_TOL * max(||M||, 1) are rounding of a PSD matrix and are clipped to 0
+PSD_TOL = 1e-10
+# a trace within TRACE_TOL of 1 is a unit trace
+TRACE_TOL = 1e-9
+# vector components of modulus at most PHASE_TOL are zero (phase pivot, zero vector)
+PHASE_TOL = 1e-12
+# eigenvalues below EIG_FLOOR times the largest are rounding noise; sqrt would amplify them to ~1e-8
+EIG_FLOOR = 1e-14
+# eigenvalues above RANK_TOL times the largest count toward the numerical rank
+RANK_TOL = 1e-8
+# an operator whose trace or largest eigenvalue is at most CERT_TOL is numerically zero
+CERT_TOL = 1e-12
+# B - A may dip ORDER_TOL * (1 + ||B - A||) below zero and still count as A <= B
+ORDER_TOL = 1e-8
+# ||AB|| at most ORTH_TOL * (1 + ||A|| ||B||) counts as AB = 0
+ORTH_TOL = 1e-8
+# a probe image's transition probability may miss 0 or 1 by PROBE_TOL
+PROBE_TOL = 1e-7
+# a phase-fixing overlap or column norm may miss its exact value by PHASE_FIX_TOL
+PHASE_FIX_TOL = 1e-7
+# a verification residual ||phi(A) - U A U*|| may reach CERTIFY_TOL * (1 + ||A||); reconstruct's default
+CERTIFY_TOL = 1e-7
+# ||U*U - 1||_F at most UNITARY_TOL makes U unitary (reconstructed or given in a map spec)
+UNITARY_TOL = 1e-9
+# the largest |F(phi A, phi B) - F(A, B)| a fidelity-preserving map may show
+CLASSIFY_TOL = 1e-6
+
+
+def table() -> dict[str, float]:
+    """The tolerances by lower-case name, as written into reports."""
+    return {name.lower(): value for name, value in globals().items() if name.isupper()}

@@ -19,18 +19,14 @@ import numpy as np
 from . import charact
 from .matcore import (
     DensityOperator,
-    DimensionMismatch,
     PureState,
+    check_same_dim,
     eig_hermitian,
     hermitize,
     pure_state,
 )
 from .sampling import random_density
-
-PROBE_TOL = 1e-7
-PHASE_FIX_TOL = 1e-7
-CERTIFY_TOL = 1e-7
-UNITARY_TOL = 1e-9
+from .tolerances import CERTIFY_TOL, PHASE_FIX_TOL, PROBE_TOL, UNITARY_TOL
 
 UNITARY = "unitary"
 ANTIUNITARY = "antiunitary"
@@ -80,8 +76,7 @@ class ReconstructionReport:
 
 def apply_symmetry(s: SymmetryOperator, a: DensityOperator) -> DensityOperator:
     """U A U* or U conj(A) U*; preserves trace and spectrum."""
-    if s.dim != a.dim:
-        raise DimensionMismatch(f"dimension mismatch: {s.dim} vs {a.dim}")
+    check_same_dim(s, a)
     m = a.matrix.conj() if s.parity == ANTIUNITARY else a.matrix
     return DensityOperator.from_psd(s.u @ m @ s.u.conj().T)
 
@@ -99,8 +94,7 @@ def symmetry_distance(s1: SymmetryOperator, s2: SymmetryOperator) -> float:
     (2d - 2|tr U2* U1|)^{1/2}, whose cancellation floors the result near
     sqrt(d * eps) instead of 0.
     """
-    if s1.dim != s2.dim:
-        raise DimensionMismatch(f"dimension mismatch: {s1.dim} vs {s2.dim}")
+    check_same_dim(s1, s2)
     if s1.parity != s2.parity:
         return math.inf
     t = np.trace(s2.u.conj().T @ s1.u)
@@ -126,11 +120,12 @@ def extend_normalized(oracle_norm: DensityMapOracle) -> DensityMapOracle:
     return DensityMapOracle(dim=oracle_norm.dim, evaluate=evaluate)
 
 
-def _superposition_projection(dim: int, i: int, j: int, phase: complex = 1.0) -> DensityOperator:
+def _superposition(dim: int, i: int, j: int, phase: complex = 1.0) -> np.ndarray:
+    """(e_i + phase e_j)/sqrt(2)."""
     v = np.zeros(dim, dtype=complex)
     v[i] = 1.0 / math.sqrt(2.0)
     v[j] = phase / math.sqrt(2.0)
-    return DensityOperator.from_psd(np.outer(v, v.conj()))
+    return v
 
 
 def _extract_state(image: DensityOperator) -> Optional[PureState]:
@@ -141,6 +136,15 @@ def _extract_state(image: DensityOperator) -> Optional[PureState]:
     if not charact.is_projection_spectrum(spec.eigenvalues, image.trace):
         return None
     return pure_state(spec.eigenvectors[:, 0])
+
+
+class _Rejected(Exception):
+    """A stage of reconstruct rejected the map with ``status``."""
+
+    def __init__(self, status: str, margin: float = 0.0):
+        super().__init__(status)
+        self.status = status
+        self.margin = margin
 
 
 def reconstruct(
@@ -159,100 +163,89 @@ def reconstruct(
     d = oracle.dim
     probes = 0
 
-    def fail(status: str, margin: float = 0.0) -> ReconstructionReport:
+    def probe(v: np.ndarray, status: str) -> np.ndarray:
+        """Amplitudes of the image of |v><v|; rejects with ``status`` unless
+        the image is a rank-one projection."""
+        nonlocal probes
+        image = oracle.evaluate(DensityOperator.from_psd(np.outer(v, v.conj())))
+        probes += 1
+        state = _extract_state(image)
+        if state is None:
+            raise _Rejected(status)
+        return state.amplitudes
+
+    try:
+        # (1) Basis probes: images must be rank-one projections with the same
+        # pairwise transition probabilities as the inputs (zero).
+        f = [probe(e, STATUS_FAILED_PROJECTION_PROBE) for e in np.eye(d, dtype=complex)]
+        for i in range(d):
+            for j in range(i + 1, d):
+                if abs(np.vdot(f[i], f[j])) ** 2 > PROBE_TOL:
+                    raise _Rejected(STATUS_FAILED_PROJECTION_PROBE)
+
+        # (2) Phase fixing: pin each column's phase relative to the first
+        # through the images of (e_1 + e_j)/sqrt(2).
+        g = [f[0]]
+        for j in range(1, d):
+            y = probe(_superposition(d, 0, j), STATUS_FAILED_PHASE)
+            c = np.vdot(g[0], y)
+            if abs(abs(c) - 1.0 / math.sqrt(2.0)) > PHASE_FIX_TOL:
+                raise _Rejected(STATUS_FAILED_PHASE)
+            y = y * (c.conjugate() / abs(c))
+            gj = math.sqrt(2.0) * y - g[0]
+            if abs(np.linalg.norm(gj) - 1.0) > PHASE_FIX_TOL:
+                raise _Rejected(STATUS_FAILED_PHASE)
+            if abs(abs(np.vdot(gj, f[j])) - 1.0) > PHASE_FIX_TOL:
+                raise _Rejected(STATUS_FAILED_PHASE)
+            g.append(gj)
+
+        # (3) Cross checks on pairs not involving the first basis vector.
+        if d >= 3:
+            rng = np.random.default_rng(seed)
+            pairs = [(j, k) for j in range(1, d) for k in range(j + 1, d)]
+            if len(pairs) > 2 * d:
+                idx = rng.choice(len(pairs), size=2 * d, replace=False)
+                pairs = [pairs[i] for i in sorted(idx)]
+            for j, k in pairs:
+                y = probe(_superposition(d, j, k), STATUS_FAILED_PHASE)
+                target = (g[j] + g[k]) / math.sqrt(2.0)
+                if abs(np.vdot(target, y)) ** 2 < 1.0 - PROBE_TOL:
+                    raise _Rejected(STATUS_FAILED_PHASE)
+
+        # (4) Parity from the i-superposition (e_1 + i e_2)/sqrt(2).
+        parity = UNITARY
+        margin = 0.0
+        if d >= 2:
+            w = probe(_superposition(d, 0, 1, phase=1j), STATUS_FAILED_PARITY)
+            h_u = (g[0] + 1j * g[1]) / math.sqrt(2.0)
+            h_a = (g[0] - 1j * g[1]) / math.sqrt(2.0)
+            ov_u = abs(np.vdot(h_u, w)) ** 2
+            ov_a = abs(np.vdot(h_a, w)) ** 2
+            if max(ov_u, ov_a) < 1.0 - PROBE_TOL:
+                raise _Rejected(STATUS_FAILED_PARITY, margin=ov_u - ov_a)
+            parity = UNITARY if ov_u >= ov_a else ANTIUNITARY
+            margin = abs(ov_u - ov_a)
+        # d = 1: the two parities coincide on 1x1 matrices; unitary by convention.
+
+        # (5) Assemble U with columns g_i and verify unitarity.
+        u = np.column_stack(g)
+        if np.linalg.norm(u.conj().T @ u - np.eye(d)) > UNITARY_TOL:
+            raise _Rejected(STATUS_FAILED_PHASE, margin=margin)
+    except _Rejected as rejection:
         return ReconstructionReport(
             symmetry=None,
             residual_max=math.inf,
             probes_used=probes,
             verification_trials=0,
-            parity_margin=margin,
-            status=status,
+            parity_margin=rejection.margin,
+            status=rejection.status,
         )
-
-    # (1) Basis probes: images must be rank-one projections with the same
-    # pairwise transition probabilities as the inputs (zero).
-    f = []
-    for i in range(d):
-        e = np.zeros(d, dtype=complex)
-        e[i] = 1.0
-        image = oracle.evaluate(DensityOperator.from_psd(np.outer(e, e.conj())))
-        probes += 1
-        state = _extract_state(image)
-        if state is None:
-            return fail(STATUS_FAILED_PROJECTION_PROBE)
-        f.append(state.amplitudes)
-    for i in range(d):
-        for j in range(i + 1, d):
-            if abs(np.vdot(f[i], f[j])) ** 2 > PROBE_TOL:
-                return fail(STATUS_FAILED_PROJECTION_PROBE)
-
-    # (2) Phase fixing: pin each column's phase relative to the first through
-    # the images of (e_1 + e_j)/sqrt(2).
-    g = [f[0]]
-    for j in range(1, d):
-        image = oracle.evaluate(_superposition_projection(d, 0, j))
-        probes += 1
-        state = _extract_state(image)
-        if state is None:
-            return fail(STATUS_FAILED_PHASE)
-        y = state.amplitudes
-        c = np.vdot(g[0], y)
-        if abs(abs(c) - 1.0 / math.sqrt(2.0)) > PHASE_FIX_TOL:
-            return fail(STATUS_FAILED_PHASE)
-        y = y * (c.conjugate() / abs(c))
-        gj = math.sqrt(2.0) * y - g[0]
-        if abs(np.linalg.norm(gj) - 1.0) > PHASE_FIX_TOL:
-            return fail(STATUS_FAILED_PHASE)
-        if abs(abs(np.vdot(gj, f[j])) - 1.0) > PHASE_FIX_TOL:
-            return fail(STATUS_FAILED_PHASE)
-        g.append(gj)
-
-    # (3) Cross checks on pairs not involving the first basis vector.
-    if d >= 3:
-        rng = np.random.default_rng(seed)
-        pairs = [(j, k) for j in range(1, d) for k in range(j + 1, d)]
-        if len(pairs) > 2 * d:
-            idx = rng.choice(len(pairs), size=2 * d, replace=False)
-            pairs = [pairs[i] for i in sorted(idx)]
-        for j, k in pairs:
-            image = oracle.evaluate(_superposition_projection(d, j, k))
-            probes += 1
-            state = _extract_state(image)
-            if state is None:
-                return fail(STATUS_FAILED_PHASE)
-            target = (g[j] + g[k]) / math.sqrt(2.0)
-            if abs(np.vdot(target, state.amplitudes)) ** 2 < 1.0 - PROBE_TOL:
-                return fail(STATUS_FAILED_PHASE)
-
-    # (4) Parity from the i-superposition (e_1 + i e_2)/sqrt(2).
-    parity = UNITARY
-    margin = 0.0
-    if d >= 2:
-        image = oracle.evaluate(_superposition_projection(d, 0, 1, phase=1j))
-        probes += 1
-        state = _extract_state(image)
-        if state is None:
-            return fail(STATUS_FAILED_PARITY)
-        w = state.amplitudes
-        h_u = (g[0] + 1j * g[1]) / math.sqrt(2.0)
-        h_a = (g[0] - 1j * g[1]) / math.sqrt(2.0)
-        ov_u = abs(np.vdot(h_u, w)) ** 2
-        ov_a = abs(np.vdot(h_a, w)) ** 2
-        if max(ov_u, ov_a) < 1.0 - PROBE_TOL:
-            return fail(STATUS_FAILED_PARITY, margin=ov_u - ov_a)
-        parity = UNITARY if ov_u >= ov_a else ANTIUNITARY
-        margin = abs(ov_u - ov_a)
-    # d = 1: the two parities coincide on 1x1 matrices; unitary by convention.
-
-    # (5) Assemble U with columns g_i and verify unitarity.
-    u = np.column_stack(g)
-    if np.linalg.norm(u.conj().T @ u - np.eye(d)) > UNITARY_TOL:
-        return fail(STATUS_FAILED_PHASE, margin=margin)
     symmetry = SymmetryOperator(parity=parity, u=u)
 
     # (6) Verification on random density operators of mixed rank and trace.
     rng = np.random.default_rng(seed + 1)
     residual_max = 0.0
+    status = STATUS_CERTIFIED
     for _ in range(verification_trials):
         a = random_density(rng, d, trace=float(rng.uniform(0.0, 2.0)) or 1.0)
         expected = apply_symmetry(symmetry, a)
@@ -261,19 +254,13 @@ def reconstruct(
         res = float(np.linalg.norm(got.matrix - expected.matrix))
         residual_max = max(residual_max, res)
         if res > certify_tol * (1.0 + np.linalg.norm(a.matrix)):
-            return ReconstructionReport(
-                symmetry=symmetry,
-                residual_max=residual_max,
-                probes_used=probes,
-                verification_trials=verification_trials,
-                parity_margin=margin,
-                status=STATUS_FAILED_VERIFICATION,
-            )
+            status = STATUS_FAILED_VERIFICATION
+            break
     return ReconstructionReport(
         symmetry=symmetry,
         residual_max=residual_max,
         probes_used=probes,
         verification_trials=verification_trials,
         parity_margin=margin,
-        status=STATUS_CERTIFIED,
+        status=status,
     )

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fidsym import tolerances
 from fidsym.cli import load_matrix, main, matrix_to_dict
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -80,6 +81,44 @@ def test_reconstruct_non_preserving_exits_2(capsys, tmp_path):
     assert code == 2
     report = json.loads(out_file.read_text())
     assert report["report"]["status"] != "certified"
+
+
+def test_reconstruct_report_records_tol(capsys, tmp_path):
+    out_file = tmp_path / "r.json"
+    code, _, _ = run_cli(
+        ["reconstruct", "--map", FIXTURES / "transpose_d2.json", "--tol", "1e-3",
+         "--out", out_file],
+        capsys,
+    )
+    assert code == 0
+    report = json.loads(out_file.read_text())
+    assert report["tolerances"] == {**tolerances.table(), "certify_tol": 0.001}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["classify", "--map", FIXTURES / "depolarizing_p05_d2.json", "--trials", 10],
+        ["verify", "--dim", 2, "--trials", 10],
+        ["reconstruct", "--map", FIXTURES / "transpose_d2.json"],
+    ],
+)
+def test_report_writes_tolerance_table(args, capsys, tmp_path):
+    out_file = tmp_path / "out.json"
+    run_cli(args + ["--out", out_file], capsys)
+    written = json.loads(out_file.read_text())["tolerances"]
+    assert written == tolerances.table()
+    assert written["certify_tol"] == tolerances.CERTIFY_TOL == 1e-7
+
+
+def test_classify_dim_one_is_an_input_error(capsys, tmp_path):
+    spec = tmp_path / "identity_d1.json"
+    spec.write_text(json.dumps({"kind": "identity", "dim": 1}))
+    out_file = tmp_path / "c.json"
+    code, _, err = run_cli(["classify", "--map", spec, "--out", out_file], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "dim >= 2" in err
+    assert not out_file.exists()
 
 
 def test_classify_depolarizing(capsys, tmp_path):

@@ -129,3 +129,9 @@ def test_verify_theorem_d2():
 def test_verify_theorem_rejects_d1():
     with pytest.raises(BadSpec):
         verify_theorem(1)
+
+
+def test_classify_needs_dim_two():
+    # no orthogonal pure pair exists at dim 1
+    with pytest.raises(BadSpec, match="dim >= 2"):
+        classify_map(make_map(MapSpec(kind="identity", dim=1)))

@@ -1,0 +1,39 @@
+"""The tolerance table: defined in one module, every entry read by the code."""
+import ast
+import re
+from pathlib import Path
+
+import fidsym
+from fidsym import tolerances
+
+SRC = Path(fidsym.__file__).parent
+
+
+def other_modules():
+    return [p for p in sorted(SRC.glob("*.py")) if p.name != "tolerances.py"]
+
+
+def test_table_holds_every_tolerance_once():
+    table = tolerances.table()
+    assert len(table) == 13
+    for name, value in table.items():
+        assert getattr(tolerances, name.upper()) == value
+        assert 0.0 < value < 1e-5
+
+
+def test_no_tolerance_defined_outside_the_table():
+    definition = re.compile(r"^[A-Z_]+_(TOL|FLOOR) = ", re.MULTILINE)
+    for path in other_modules():
+        assert not definition.search(path.read_text()), path.name
+
+
+def test_every_tolerance_is_read_by_the_code():
+    read = set()
+    for path in other_modules():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = [name.upper() for name in tolerances.table() if name.upper() not in read]
+    assert unread == []

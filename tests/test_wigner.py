@@ -5,13 +5,20 @@ import math
 import numpy as np
 import pytest
 
+from fidsym.charact import numerical_rank
 from fidsym.fidelity import fidelity
-from fidsym.matcore import DensityOperator, validate_density
+from fidsym.mapzoo import MapSpec, make_map
+from fidsym.matcore import DensityOperator, DimensionMismatch, validate_density
 from fidsym.sampling import haar_unitary, random_density, random_pure_state
 from fidsym.wigner import (
     ANTIUNITARY,
     UNITARY,
     DensityMapOracle,
+    STATUS_CERTIFIED,
+    STATUS_FAILED_PARITY,
+    STATUS_FAILED_PHASE,
+    STATUS_FAILED_PROJECTION_PROBE,
+    STATUS_FAILED_VERIFICATION,
     SymmetryOperator,
     apply_symmetry,
     extend_normalized,
@@ -170,8 +177,6 @@ def test_extend_normalized_feeds_reconstruct():
 
 
 def test_non_preserving_oracles_never_certify():
-    from fidsym.mapzoo import MapSpec, make_map
-
     for kind, params in [
         ("depolarizing", {"p": 0.5}),
         ("dephase", {}),
@@ -180,3 +185,68 @@ def test_non_preserving_oracles_never_certify():
         oracle = make_map(MapSpec(kind=kind, dim=3, params=params))
         report = reconstruct(oracle)
         assert not report.certified
+
+
+def parity_breaking_oracle(d):
+    """Identity, except that the parity probe (e_1 + i e_2)/sqrt(2) goes to
+    the basis projection e_1, which overlaps both parity hypotheses by 1/2."""
+    v = np.zeros(d, dtype=complex)
+    v[0], v[1] = 1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0)
+    probe = np.outer(v, v.conj())
+    e1 = validate_density(np.diag([1.0] + [0.0] * (d - 1)))
+    return DensityMapOracle(
+        dim=d, evaluate=lambda a: e1 if np.allclose(a.matrix, probe) else a
+    )
+
+
+def rank_one_identity_oracle(d):
+    """Identity on rank-one inputs, transpose on the rest: every probe
+    passes, and the first verification trial of rank >= 2 fails."""
+    return DensityMapOracle(
+        dim=d,
+        evaluate=lambda a: a if numerical_rank(a) == 1 else DensityOperator.from_psd(a.matrix.T),
+    )
+
+
+# (oracle, status, probes_used, parity_margin) at d = 3. Probe budget:
+# 3 basis + 2 phase-fixing + 1 cross check + 1 parity + 64 verification.
+STATUS_CASES = {
+    "certified": (identity_oracle, STATUS_CERTIFIED, 71, 1.0),
+    "depolarizing": (
+        lambda d: make_map(MapSpec(kind="depolarizing", dim=d, params={"p": 0.5})),
+        STATUS_FAILED_PROJECTION_PROBE, 1, 0.0,
+    ),
+    "dephase": (
+        lambda d: make_map(MapSpec(kind="dephase", dim=d)), STATUS_FAILED_PHASE, 4, 0.0,
+    ),
+    "parity": (parity_breaking_oracle, STATUS_FAILED_PARITY, 7, 0.0),
+    "verification": (rank_one_identity_oracle, STATUS_FAILED_VERIFICATION, 8, 1.0),
+}
+
+
+@pytest.mark.parametrize("case", STATUS_CASES)
+def test_reconstruct_status_probes_and_margin(case):
+    make_oracle, status, probes, margin = STATUS_CASES[case]
+    report = reconstruct(make_oracle(3))
+    assert report.status == status
+    assert report.certified == (status == STATUS_CERTIFIED)
+    assert report.probes_used == probes
+    assert report.parity_margin == margin
+    if status in (STATUS_CERTIFIED, STATUS_FAILED_VERIFICATION):
+        assert report.symmetry.parity == UNITARY
+        assert report.verification_trials == 64
+        bound = 1e-10 if status == STATUS_CERTIFIED else 1e-7
+        assert (report.residual_max <= bound) == (status == STATUS_CERTIFIED)
+    else:
+        assert report.symmetry is None
+        assert report.verification_trials == 0
+        assert report.residual_max == math.inf
+
+
+def test_dimension_mismatch_raises():
+    s = SymmetryOperator(parity=UNITARY, u=np.eye(2, dtype=complex))
+    t = SymmetryOperator(parity=UNITARY, u=np.eye(3, dtype=complex))
+    with pytest.raises(DimensionMismatch, match="dimension mismatch: 2 vs 3"):
+        apply_symmetry(s, validate_density(np.eye(3)))
+    with pytest.raises(DimensionMismatch, match="dimension mismatch: 2 vs 3"):
+        symmetry_distance(s, t)
