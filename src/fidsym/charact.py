@@ -10,8 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fidelity import leq_stack
 from .matcore import DensityOperator, eig_hermitian, sqrtm_psd
-from .tolerances import CERT_TOL, ORDER_TOL, RANK_TOL, TRACE_TOL
+from .tolerances import CERT_TOL, RANK_TOL, TRACE_TOL
 
 
 class ZeroOperator(ValueError):
@@ -100,21 +101,14 @@ def order_totality_probe(a: DensityOperator, samples: int = 200, seed: int = 0) 
 
     True for rank-one A (every minorant is a sub-multiple); for rank >= 2 an
     incomparable pair is found with overwhelming probability at default
-    sample counts.
+    sample counts. As D <= E implies tr D <= tr E, the samples are totally
+    ordered exactly when each lies below its successor in trace order.
     """
+    if samples < 2:
+        raise ValueError(f"probe needs samples >= 2, got {samples}")
     if a.trace <= CERT_TOL:
         raise ZeroOperator("probe requires a nonzero operator")
     rng = np.random.default_rng(seed)
     mins = _sample_minorants(a, samples, rng)
-    ii, jj = np.triu_indices(samples, k=1)
-    chunk = 4096
-    for start in range(0, ii.size, chunk):
-        i = ii[start : start + chunk]
-        j = jj[start : start + chunk]
-        diff = mins[i] - mins[j]
-        tol = ORDER_TOL * (1.0 + np.linalg.norm(diff, axis=(1, 2)))
-        w = np.linalg.eigvalsh(diff)
-        comparable = (w[:, 0] >= -tol) | (w[:, -1] <= tol)
-        if not np.all(comparable):
-            return False
-    return True
+    mins = mins[np.argsort(np.trace(mins, axis1=1, axis2=2).real, kind="stable")]
+    return bool(np.all(leq_stack(mins[:-1], mins[1:])))

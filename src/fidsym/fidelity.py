@@ -62,12 +62,16 @@ def fidelity_pure(p: PureState, q: PureState) -> float:
     return float(abs(np.vdot(p.amplitudes, q.amplitudes)))
 
 
+def leq_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Operator order A_k <= B_k for two (n, d, d) stacks, decided spectrally on B_k - A_k."""
+    diff = b - a
+    return np.linalg.eigvalsh(diff)[:, 0] >= -ORDER_TOL * (1.0 + np.linalg.norm(diff, axis=(-2, -1)))
+
+
 def is_leq(a: DensityOperator, b: DensityOperator) -> bool:
-    """Operator order A <= B, decided spectrally on B - A."""
+    """Operator order A <= B; the n = 1 case of leq_stack."""
     check_same_dim(a, b)
-    diff = b.matrix - a.matrix
-    w_min = float(np.linalg.eigvalsh(diff)[0])
-    return w_min >= -ORDER_TOL * (1.0 + np.linalg.norm(diff))
+    return bool(leq_stack(a.matrix[None], b.matrix[None])[0])
 
 
 def is_orthogonal(a: DensityOperator, b: DensityOperator) -> bool:

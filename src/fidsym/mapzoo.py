@@ -68,17 +68,23 @@ class ClassificationReport:
     reconstruction: Optional[ReconstructionReport]
 
 
+def _matrix_param(spec: MapSpec, re_key: str, im_key: str) -> np.ndarray:
+    """params[re_key] + i params[im_key] (default 0); BadSpec unless both are dim x dim."""
+    zero = np.zeros((spec.dim, spec.dim))
+    re = np.asarray(spec.params[re_key], dtype=float)
+    im = np.asarray(spec.params.get(im_key, zero), dtype=float)
+    if re.shape != zero.shape or im.shape != zero.shape:
+        raise BadSpec(f"{re_key}/{im_key} grids do not match dim {spec.dim}")
+    return re + 1j * im
+
+
 def _unitary_from_params(spec: MapSpec, seed: int) -> np.ndarray:
     params = spec.params
     if "re" in params:
-        u = np.asarray(params["re"], dtype=float) + 1j * np.asarray(
-            params.get("im", np.zeros((spec.dim, spec.dim))), dtype=float
-        )
+        u = _matrix_param(spec, "re", "im")
     else:
         rng = np.random.default_rng(int(params.get("seed", seed)))
         u = haar_unitary(rng, spec.dim)
-    if u.shape != (spec.dim, spec.dim):
-        raise BadSpec(f"unitary shape {u.shape} does not match dim {spec.dim}")
     if np.linalg.norm(u.conj().T @ u - np.eye(spec.dim)) > UNITARY_TOL:
         raise BadSpec("matrix is not unitary")
     return u
@@ -118,11 +124,8 @@ def make_map(spec: MapSpec, seed: int = 0) -> DensityMapOracle:
         if not 0.0 <= p <= 1.0:
             raise BadSpec(f"mix p = {p} out of [0, 1]")
         if "sigma_re" in spec.params:
-            sigma = validate_density(
-                np.asarray(spec.params["sigma_re"], dtype=float)
-                + 1j * np.asarray(spec.params.get("sigma_im", np.zeros((d, d))), dtype=float),
-                require_unit_trace=True,
-            )
+            sigma = validate_density(_matrix_param(spec, "sigma_re", "sigma_im"),
+                                     require_unit_trace=True)
         else:
             rng = np.random.default_rng(int(spec.params.get("seed", seed)))
             sigma = random_density(rng, d, trace=1.0)

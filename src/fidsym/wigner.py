@@ -46,6 +46,10 @@ class DensityMapOracle:
     dim: int
     evaluate: Callable[[DensityOperator], DensityOperator]
 
+    def __post_init__(self) -> None:
+        if self.dim < 1:
+            raise ValueError(f"oracle dim must be >= 1, got {self.dim}")
+
 
 @dataclass(frozen=True)
 class SymmetryOperator:
@@ -160,6 +164,10 @@ def reconstruct(
     phase fixing, one i-superposition for parity, plus cross checks at d >= 3
     and the verification trials.
     """
+    if not (math.isfinite(certify_tol) and certify_tol >= 0.0):
+        raise ValueError(f"certify_tol must be finite and >= 0, got {certify_tol}")
+    if verification_trials < 1:
+        raise ValueError(f"verification_trials must be >= 1, got {verification_trials}")
     d = oracle.dim
     probes = 0
 

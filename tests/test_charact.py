@@ -7,6 +7,7 @@ from fidsym.charact import (
     CertificateFailure,
     OrthogonalCertificate,
     ZeroOperator,
+    _sample_minorants,
     is_rank_one,
     is_rank_one_projection,
     numerical_rank,
@@ -15,7 +16,8 @@ from fidsym.charact import (
 )
 from fidsym.fidelity import fidelity, is_orthogonal
 from fidsym.matcore import basis_state, pure_state, validate_density
-from fidsym.sampling import random_density
+from fidsym.sampling import haar_unitary, random_density
+from fidsym.tolerances import ORDER_TOL
 
 
 def test_certificate_for_basis_projection():
@@ -128,3 +130,39 @@ def test_probe_consistency_with_rank():
         if order_totality_probe(a, samples=200, seed=t) == is_rank_one(a):
             agree += 1
     assert agree / trials >= 0.99
+
+
+@pytest.mark.parametrize("samples", [0, 1])
+def test_probe_needs_two_samples(samples):
+    with pytest.raises(ValueError, match="samples >= 2"):
+        order_totality_probe(validate_density(np.diag([0.5, 0.5])), samples=samples)
+
+
+def all_pairs_probe(a, samples=200, seed=0):
+    """Reference: the same minorants, every pair of them comparable in one
+    direction or the other."""
+    mins = _sample_minorants(a, samples, np.random.default_rng(seed))
+    ii, jj = np.triu_indices(samples, k=1)
+    diff = mins[ii] - mins[jj]
+    tol = ORDER_TOL * (1.0 + np.linalg.norm(diff, axis=(1, 2)))
+    w = np.linalg.eigvalsh(diff)
+    return bool(np.all((w[:, 0] >= -tol) | (w[:, -1] <= tol)))
+
+
+def test_probe_matches_all_pairs_scan():
+    rng = np.random.default_rng(123)
+    for t in range(60):
+        d = int(rng.integers(2, 5))
+        a = random_density(rng, d, rank=int(rng.integers(1, d + 1)))
+        assert order_totality_probe(a, samples=200, seed=t) == all_pairs_probe(a, 200, t)
+
+
+@pytest.mark.parametrize("eps", [1e-14, 1e-12, 1e-11, 1e-10, 1e-8, 1e-6, 1e-4])
+def test_probe_matches_all_pairs_scan_near_rank_one(eps):
+    """Spectrum (1, eps, ...): the neighbour chain and the all-pairs scan
+    must flip from totally ordered to not at the same eps."""
+    rng = np.random.default_rng(int(-np.log10(eps)))
+    for d in (2, 3, 4):
+        u = haar_unitary(rng, d)
+        a = validate_density((u * np.array([1.0] + [eps] * (d - 1))) @ u.conj().T)
+        assert order_totality_probe(a, seed=d) == all_pairs_probe(a, seed=d)

@@ -121,6 +121,30 @@ def test_classify_dim_one_is_an_input_error(capsys, tmp_path):
     assert not out_file.exists()
 
 
+def test_classify_mix_sigma_of_wrong_shape_is_an_input_error(capsys, tmp_path):
+    spec = tmp_path / "mix_d2.json"
+    spec.write_text(json.dumps({"kind": "mix", "dim": 2,
+                                "params": {"p": 0.5, "sigma_re": [[1.0]], "sigma_im": [[0.0]]}}))
+    out_file = tmp_path / "c.json"
+    code, _, err = run_cli(["classify", "--map", spec, "--out", out_file], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "grids do not match dim 2" in err
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("option", [["--tol", "nan"], ["--tol", "-1"], ["--tol", "inf"],
+                                    ["--trials", "0"]])
+def test_reconstruct_bad_parameter_is_an_input_error(option, capsys, tmp_path):
+    out_file = tmp_path / "r.json"
+    code, _, err = run_cli(
+        ["reconstruct", "--map", FIXTURES / "transpose_d2.json", *option, "--out", out_file],
+        capsys,
+    )
+    assert code == 1
+    assert err.startswith("error:")
+    assert not out_file.exists()
+
+
 def test_classify_depolarizing(capsys, tmp_path):
     out_file = tmp_path / "c.json"
     code, _, _ = run_cli(

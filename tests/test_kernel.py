@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fidsym import mapzoo
-from fidsym.fidelity import BadM, fidelity, fidelity_stack, partial_fidelity
+from fidsym.fidelity import BadM, fidelity, fidelity_stack, is_leq, leq_stack, partial_fidelity
 from fidsym.mapzoo import ALL_KINDS, MapSpec, classify_map, make_map, zoo_specs
 from fidsym.matcore import (
     DimensionMismatch,
@@ -186,3 +186,21 @@ def test_non_psd_member_raises_not_positive():
     m[1] = np.diag([1.0, 0.5, 0.0, -0.2])
     with pytest.raises(NotPositive):
         validate_stack(m)
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_leq_stack_rows_equal_is_leq(d):
+    """Random pairs, nested pairs A <= A + B, and pairs a factor 1 + 1e-9 or
+    1 + 1e-6 apart, in both orders."""
+    rng = np.random.default_rng(d)
+    ops = [random_density(rng, d) for _ in range(6)]
+    pairs = []
+    for x, y in zip(ops, ops[1:]):
+        for big in (validate_density(x.matrix + y.matrix),
+                    validate_density(x.matrix * (1 + 1e-9)),
+                    validate_density(x.matrix * (1 + 1e-6)), y):
+            pairs += [(x, big), (big, x)]
+    got = leq_stack(np.stack([a.matrix for a, _ in pairs]), np.stack([b.matrix for _, b in pairs]))
+    expected = [is_leq(a, b) for a, b in pairs]
+    assert got.tolist() == expected
+    assert any(expected) and not all(expected)

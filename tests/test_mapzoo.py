@@ -135,3 +135,24 @@ def test_classify_needs_dim_two():
     # no orthogonal pure pair exists at dim 1
     with pytest.raises(BadSpec, match="dim >= 2"):
         classify_map(make_map(MapSpec(kind="identity", dim=1)))
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("mix", {"sigma_re": [[1.0]], "sigma_im": [[0.0]]}),
+    ("mix", {"sigma_re": (np.eye(3) / 3).tolist(), "sigma_im": np.zeros((3, 3)).tolist()}),
+    ("mix", {"sigma_re": (np.eye(2) / 2).tolist(), "sigma_im": [[0.0]]}),
+    ("unitary", {"re": [[1.0]]}),
+    ("antiunitary", {"re": np.eye(2).tolist(), "im": [[0.0]]}),
+])
+def test_matrix_params_must_be_dim_by_dim(kind, params):
+    with pytest.raises(BadSpec, match="grids do not match dim 2"):
+        make_map(MapSpec(kind=kind, dim=2, params=params))
+
+
+def test_matrix_params_of_the_right_shape():
+    sigma = np.diag([0.75, 0.25])
+    oracle = make_map(MapSpec(kind="mix", dim=2, params={"p": 1.0, "sigma_re": sigma.tolist()}))
+    assert np.array_equal(oracle.evaluate(validate_density(np.eye(2) / 2)).matrix, sigma)
+    u = make_map(MapSpec(kind="unitary", dim=2, params={"re": [[0, 1], [1, 0]]}))
+    assert np.array_equal(u.evaluate(validate_density(np.diag([1.0, 0.0]))).matrix,
+                          np.diag([0.0, 1.0]))

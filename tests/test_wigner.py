@@ -250,3 +250,28 @@ def test_dimension_mismatch_raises():
         apply_symmetry(s, validate_density(np.eye(3)))
     with pytest.raises(DimensionMismatch, match="dimension mismatch: 2 vs 3"):
         symmetry_distance(s, t)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"certify_tol": math.nan},
+    {"certify_tol": -1e-7},
+    {"certify_tol": math.inf},
+    {"verification_trials": 0},
+    {"verification_trials": -1},
+])
+def test_reconstruct_rejects_bad_parameters_before_probing(kwargs):
+    """Unchecked, a NaN or infinite tolerance certifies a map that fails
+    verification, a negative one rejects every map, and a trial count below
+    one certifies with no trial run."""
+    calls = []
+    inner = rank_one_identity_oracle(3)
+    oracle = DensityMapOracle(dim=3, evaluate=lambda a: calls.append(a) or inner.evaluate(a))
+    with pytest.raises(ValueError, match="certify_tol|verification_trials"):
+        reconstruct(oracle, **kwargs)
+    assert calls == []
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_oracle_needs_positive_dim(dim):
+    with pytest.raises(ValueError, match="dim must be >= 1"):
+        DensityMapOracle(dim=dim, evaluate=lambda a: a)
