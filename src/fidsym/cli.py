@@ -3,7 +3,8 @@ classification, and the theorem harness, with JSON in and JSON out.
 
 Matrix files: {"dim": d, "re": [[...]], "im": [[...]]} (row-major, entry
 (i,j) = re[i][j] + i*im[i][j]). Map specs: {"kind": ..., "dim": ...,
-"params": {...}}. Reports record the tool version, seed, and the whole
+"params": {...}} (the params of each kind: mapzoo.KIND_PARAMS); any other
+key is an input error. Reports record the tool version, seed, and the whole
 tolerance table in effect (fidsym.tolerances, with --tol as certify_tol), so
 a rerun reproduces them byte for byte.
 """
@@ -19,9 +20,9 @@ from typing import Any
 import numpy as np
 
 from . import __version__, mapzoo, tolerances, wigner
-from .fidelity import BadM, fidelity as fidelity_value, partial_fidelity
+from .fidelity import fidelity as fidelity_value, partial_fidelity
 from .matcore import DensityOperator, MatcoreError, validate_density
-from .mapzoo import AssertionFailure, BadSpec, ClassificationReport, MapSpec
+from .mapzoo import AssertionFailure, BadSpec, ClassificationReport, MapSpec, json_grid, json_number
 from .wigner import ReconstructionReport
 
 EXIT_OK = 0
@@ -33,21 +34,25 @@ class InputError(ValueError):
     """Malformed file or command-line input."""
 
 
-def load_matrix(path: str) -> np.ndarray:
+def read_json(path: str, keys: tuple[str, ...]) -> dict[str, Any]:
+    """The JSON object in ``path``; InputError if the file cannot be read or
+    does not hold an object whose keys are among ``keys``."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise InputError(f"{path}: {exc}") from exc
+    if not isinstance(data, dict) or not set(data) <= set(keys):
+        raise InputError(f"{path}: expected a JSON object with keys among {keys}")
+    return data
+
+
+def load_matrix(path: str) -> np.ndarray:
+    data = read_json(path, ("dim", "re", "im"))
     try:
-        dim = int(data["dim"])
-        re = np.asarray(data["re"], dtype=float)
-        im = np.asarray(data.get("im", np.zeros((dim, dim))), dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{path}: bad matrix file: {exc}") from exc
-    if re.shape != (dim, dim) or im.shape != (dim, dim):
-        raise InputError(f"{path}: grids do not match dim {dim}")
-    return re + 1j * im
+        return json_grid(data, json_number(data, "dim", integer=True), "re", "im")
+    except (KeyError, BadSpec) as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def matrix_to_dict(m: np.ndarray) -> dict[str, Any]:
@@ -66,18 +71,14 @@ def load_density(path: str) -> DensityOperator:
 
 
 def load_map_spec(path: str) -> MapSpec:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    data = read_json(path, ("kind", "dim", "params"))
     try:
         return MapSpec(
             kind=str(data["kind"]),
-            dim=int(data["dim"]),
-            params=dict(data.get("params", {})),
+            dim=json_number(data, "dim", integer=True),
+            params=data.get("params", {}),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, BadSpec) as exc:
         raise InputError(f"{path}: bad map spec: {exc}") from exc
 
 
@@ -219,7 +220,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, BadSpec, MatcoreError, BadM, ValueError) as exc:
+    except ValueError as exc:  # InputError, BadSpec, BadM and MatcoreError are all ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -7,8 +7,9 @@ a concrete witness pair. verify_theorem runs the whole dichotomy.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Mapping, Optional
 
 import numpy as np
 
@@ -38,9 +39,19 @@ from .tolerances import CLASSIFY_TOL, UNITARY_TOL
 # another 1% of peak memory.
 TRIAL_STACK_ENTRIES = 1024
 
+# The params each kind reads; make_map rejects any other key, such as a typo "P".
+KIND_PARAMS = {
+    "identity": (),
+    "unitary": ("re", "im", "seed"),
+    "antiunitary": ("re", "im", "seed"),
+    "transpose": (),
+    "depolarizing": ("p",),
+    "mix": ("p", "sigma_re", "sigma_im", "seed"),
+    "dephase": (),
+    "spectral_scramble": (),
+}
+ALL_KINDS = tuple(KIND_PARAMS)
 PRESERVING_KINDS = ("identity", "unitary", "antiunitary", "transpose")
-NONPRESERVING_KINDS = ("depolarizing", "mix", "dephase", "spectral_scramble")
-ALL_KINDS = PRESERVING_KINDS + NONPRESERVING_KINDS
 
 
 class BadSpec(ValueError):
@@ -68,39 +79,56 @@ class ClassificationReport:
     reconstruction: Optional[ReconstructionReport]
 
 
-def _matrix_param(spec: MapSpec, re_key: str, im_key: str) -> np.ndarray:
-    """params[re_key] + i params[im_key] (default 0); BadSpec unless both are dim x dim."""
-    zero = np.zeros((spec.dim, spec.dim))
-    re = np.asarray(spec.params[re_key], dtype=float)
-    im = np.asarray(spec.params.get(im_key, zero), dtype=float)
-    if re.shape != zero.shape or im.shape != zero.shape:
-        raise BadSpec(f"{re_key}/{im_key} grids do not match dim {spec.dim}")
+def json_number(data: Mapping[str, Any], key: str, default: Any = None,
+                integer: bool = False) -> Any:
+    """data[key] (``default`` if absent, KeyError if there is none) as a float,
+    or as an int with ``integer``; BadSpec for null, a bool, a string or a list,
+    and with ``integer`` for a number that is not integral."""
+    value = data[key] if default is None else data.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise BadSpec(f"{key} must be a number, got {value!r}")
+    if integer and not (isinstance(value, numbers.Integral) or float(value).is_integer()):
+        raise BadSpec(f"{key} must be an integer, got {value!r}")
+    return int(value) if integer else float(value)
+
+
+def json_grid(data: Mapping[str, Any], dim: int, re_key: str, im_key: str) -> np.ndarray:
+    """data[re_key] + i data[im_key] (default 0), the one parser of re/im grids;
+    BadSpec unless both are dim x dim grids of finite numbers."""
+    try:
+        re = np.asarray(data[re_key])
+        im = np.asarray(data[im_key]) if im_key in data else np.zeros_like(re, dtype=float)
+    except (KeyError, ValueError) as exc:  # no re grid, or rows of unequal length
+        raise BadSpec(f"cannot read {re_key}/{im_key} grids: {exc!r}") from exc
+    if re.shape != (dim, dim) or im.shape != (dim, dim):
+        raise BadSpec(f"{re_key}/{im_key} grids do not match dim {dim}")
+    if not all(g.dtype.kind in "if" and np.isfinite(g).all() for g in (re, im)):
+        raise BadSpec(f"{re_key}/{im_key} grids must hold finite numbers")
     return re + 1j * im
 
 
-def _unitary_from_params(spec: MapSpec, seed: int) -> np.ndarray:
-    params = spec.params
-    if "re" in params:
-        u = _matrix_param(spec, "re", "im")
-    else:
-        rng = np.random.default_rng(int(params.get("seed", seed)))
-        u = haar_unitary(rng, spec.dim)
-    if np.linalg.norm(u.conj().T @ u - np.eye(spec.dim)) > UNITARY_TOL:
-        raise BadSpec("matrix is not unitary")
-    return u
-
-
 def make_map(spec: MapSpec, seed: int = 0) -> DensityMapOracle:
-    """Build a deterministic oracle from a map specification."""
-    d = spec.dim
+    """Build a deterministic oracle from a map specification; BadSpec for a
+    bad dim, kind or param, or a params key the kind does not read."""
+    d = json_number({"dim": spec.dim}, "dim", integer=True)
     if d < 1:
         raise BadSpec(f"dim must be positive, got {d}")
-    kind = spec.kind
+    kind, params = spec.kind, spec.params
+    if kind not in KIND_PARAMS:
+        raise BadSpec(f"unknown map kind {kind!r}")
+    if not isinstance(params, dict) or not set(params) <= set(KIND_PARAMS[kind]):
+        raise BadSpec(f"{kind} params must be an object with keys among {KIND_PARAMS[kind]}")
 
     if kind == "identity":
         return DensityMapOracle(dim=d, evaluate=lambda a: a)
     if kind in (UNITARY, ANTIUNITARY):
-        u = _unitary_from_params(spec, seed)
+        if "re" in params or "im" in params:
+            u = json_grid(params, d, "re", "im")
+        else:
+            rng = np.random.default_rng(json_number(params, "seed", seed, integer=True))
+            u = haar_unitary(rng, d)
+        if np.linalg.norm(u.conj().T @ u - np.eye(d)) > UNITARY_TOL:
+            raise BadSpec("matrix is not unitary")
         return symmetry_oracle(SymmetryOperator(parity=kind, u=u))
     if kind == "transpose":
         return DensityMapOracle(
@@ -108,7 +136,7 @@ def make_map(spec: MapSpec, seed: int = 0) -> DensityMapOracle:
             evaluate=lambda a: DensityOperator.from_psd(a.matrix.T),
         )
     if kind == "depolarizing":
-        p = float(spec.params.get("p", 0.0))
+        p = json_number(params, "p", 0.0)
         if not 0.0 <= p <= 1.0:
             raise BadSpec(f"depolarizing p = {p} out of [0, 1]")
         eye = np.eye(d)
@@ -120,14 +148,14 @@ def make_map(spec: MapSpec, seed: int = 0) -> DensityMapOracle:
 
         return DensityMapOracle(dim=d, evaluate=depolarize)
     if kind == "mix":
-        p = float(spec.params.get("p", 0.5))
+        p = json_number(params, "p", 0.5)
         if not 0.0 <= p <= 1.0:
             raise BadSpec(f"mix p = {p} out of [0, 1]")
-        if "sigma_re" in spec.params:
-            sigma = validate_density(_matrix_param(spec, "sigma_re", "sigma_im"),
+        if "sigma_re" in params or "sigma_im" in params:
+            sigma = validate_density(json_grid(params, d, "sigma_re", "sigma_im"),
                                      require_unit_trace=True)
         else:
-            rng = np.random.default_rng(int(spec.params.get("seed", seed)))
+            rng = np.random.default_rng(json_number(params, "seed", seed, integer=True))
             sigma = random_density(rng, d, trace=1.0)
 
         def mix(a: DensityOperator) -> DensityOperator:
@@ -141,13 +169,13 @@ def make_map(spec: MapSpec, seed: int = 0) -> DensityMapOracle:
             dim=d,
             evaluate=lambda a: DensityOperator.from_psd(np.diag(np.diag(a.matrix))),
         )
-    if kind == "spectral_scramble":
-        def scramble(a: DensityOperator) -> DensityOperator:
-            w = np.clip(eig_hermitian(a.matrix).eigenvalues, 0.0, None)
-            return DensityOperator.from_psd(np.diag(w.astype(complex)))
 
-        return DensityMapOracle(dim=d, evaluate=scramble)
-    raise BadSpec(f"unknown map kind {kind!r}")
+    # spectral_scramble, the last kind in KIND_PARAMS
+    def scramble(a: DensityOperator) -> DensityOperator:
+        w = np.clip(eig_hermitian(a.matrix).eigenvalues, 0.0, None)
+        return DensityOperator.from_psd(np.diag(w.astype(complex)))
+
+    return DensityMapOracle(dim=d, evaluate=scramble)
 
 
 def _trial_pairs(
@@ -223,16 +251,9 @@ def classify_map(oracle: DensityMapOracle, trials: int = 200, seed: int = 0) -> 
 
 
 def zoo_specs(dim: int) -> list[MapSpec]:
-    return [
-        MapSpec(kind="identity", dim=dim),
-        MapSpec(kind="unitary", dim=dim),
-        MapSpec(kind="antiunitary", dim=dim),
-        MapSpec(kind="transpose", dim=dim),
-        MapSpec(kind="depolarizing", dim=dim, params={"p": 0.5}),
-        MapSpec(kind="mix", dim=dim, params={"p": 0.5}),
-        MapSpec(kind="dephase", dim=dim),
-        MapSpec(kind="spectral_scramble", dim=dim),
-    ]
+    """Every kind with its default params, except p = 0.5 where the kind reads p."""
+    return [MapSpec(kind, dim, {"p": 0.5} if "p" in KIND_PARAMS[kind] else {})
+            for kind in ALL_KINDS]
 
 
 def verify_theorem(dim: int, trials: int = 200, seed: int = 0) -> dict[str, Any]:

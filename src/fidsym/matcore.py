@@ -16,8 +16,8 @@ import numpy as np
 from .tolerances import EIG_FLOOR, PHASE_TOL, PSD_TOL, TRACE_TOL
 
 
-class MatcoreError(Exception):
-    """Base class for validation and solver errors."""
+class MatcoreError(ValueError):
+    """Base class for validation and solver errors (bad input to the numerics)."""
 
 
 class SolverFailure(MatcoreError):
@@ -156,12 +156,6 @@ def pure_state(v: np.ndarray) -> PureState:
     if n <= PHASE_TOL:
         raise ValueError("cannot normalize the zero vector")
     return PureState(amplitudes=_freeze(normalize_phase(v / n)))
-
-
-def basis_state(dim: int, i: int) -> PureState:
-    v = np.zeros(dim, dtype=complex)
-    v[i] = 1.0
-    return PureState(amplitudes=_freeze(v))
 
 
 def eigh_stack(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -15,17 +15,17 @@ from fidsym.charact import (
     rank_one_certificate,
 )
 from fidsym.fidelity import fidelity, is_orthogonal
-from fidsym.matcore import basis_state, pure_state, validate_density
+from fidsym.matcore import pure_state, validate_density
 from fidsym.sampling import haar_unitary, random_density
 from fidsym.tolerances import ORDER_TOL
 
 
 def test_certificate_for_basis_projection():
-    p = basis_state(2, 0).projection()
+    p = pure_state(np.eye(2)[0]).projection()
     cert = rank_one_certificate(p)
     assert isinstance(cert, OrthogonalCertificate)
     assert len(cert.witnesses) == 1
-    assert np.allclose(cert.witnesses[0].matrix, basis_state(2, 1).projection().matrix)
+    assert np.allclose(cert.witnesses[0].matrix, pure_state(np.eye(2)[1]).projection().matrix)
 
 
 def test_certificate_fails_on_full_rank():
@@ -58,7 +58,7 @@ def test_is_rank_one_examples():
 
 
 def test_is_rank_one_projection_examples():
-    p = basis_state(2, 0).projection()
+    p = pure_state(np.eye(2)[0]).projection()
     assert is_rank_one_projection(p)
     assert not is_rank_one_projection(validate_density(0.5 * p.matrix))
     assert not is_rank_one_projection(validate_density(np.diag([0.5, 0.5])))
@@ -99,7 +99,7 @@ def test_certificate_soundness_random():
 
 
 def test_probe_rank_one_true():
-    assert order_totality_probe(basis_state(2, 0).projection(), samples=100, seed=0)
+    assert order_totality_probe(pure_state(np.eye(2)[0]).projection(), samples=100, seed=0)
 
 
 def test_probe_full_rank_false():
@@ -109,7 +109,7 @@ def test_probe_full_rank_false():
 
 
 def test_probe_scaling_irrelevant():
-    p = basis_state(2, 0).projection()
+    p = pure_state(np.eye(2)[0]).projection()
     scaled = validate_density(3.0 * p.matrix)
     assert order_totality_probe(scaled, samples=100, seed=1)
 

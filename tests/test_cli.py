@@ -132,6 +132,52 @@ def test_classify_mix_sigma_of_wrong_shape_is_an_input_error(capsys, tmp_path):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("spec", [
+    {"kind": "depolarizing", "dim": 2, "params": {"p": None}},
+    {"kind": "depolarizing", "dim": 2, "params": {"p": [0.5]}},
+    {"kind": "depolarizing", "dim": 2, "params": {"p": True}},
+    {"kind": "mix", "dim": 2, "params": {"p": 0.5, "seed": None}},
+    {"kind": "unitary", "dim": 2, "params": {"seed": 1.7}},
+    {"kind": "identity", "dim": 2.9},
+    {"kind": "identity", "dim": "2"},
+    {"kind": "depolarizing", "dim": 2, "params": {"P": 0.5}},
+    {"kind": "transpose", "dim": 2, "params": {"p": 0.5}},
+    {"kind": "unitary", "dim": 2, "params": {"sigma_re": [[1, 0], [0, 1]]}},
+    {"kind": "mix", "dim": 2, "params": {"re": [[1, 0], [0, 1]]}},
+    {"kind": "unitary", "dim": 2, "params": {"re": [[1, 0], [0, "1"]]}},
+    {"kind": "depolarizing", "dim": 2, "param": {"p": 0.5}},
+    {"kind": "depolarizing", "dim": 2, "params": [["p", 0.5]]},
+    {"dim": 2},
+    [{"kind": "identity", "dim": 2}],
+])
+def test_classify_bad_spec_is_an_input_error(spec, capsys, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    out_file = tmp_path / "c.json"
+    code, _, err = run_cli(["classify", "--map", path, "--trials", 10, "--out", out_file], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("matrix", [
+    {"dim": 2.5, "re": [[0.5, 0.0], [0.0, 0.5]]},
+    {"dim": "2", "re": [[0.5, 0.0], [0.0, 0.5]]},
+    {"re": [[0.5, 0.0], [0.0, 0.5]]},
+    {"dim": 2, "re": [[0.5, 0.0], [0.0, None]]},
+    {"dim": 2, "re": [[0.5, 0.0], [0.0]]},
+    {"dim": 2, "re": [[0.5, 0.0], [0.0, 0.5]], "imag": [[0.0, 0.1], [-0.1, 0.0]]},
+    [[0.5, 0.0], [0.0, 0.5]],
+])
+def test_fidelity_bad_matrix_file_is_an_input_error(matrix, capsys, tmp_path):
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(matrix))
+    code, out, err = run_cli(["fidelity", "--a", path, "--b", FIXTURES / "diag_05_05.json"],
+                             capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {path}:") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("option", [["--tol", "nan"], ["--tol", "-1"], ["--tol", "inf"],
                                     ["--trials", "0"]])
 def test_reconstruct_bad_parameter_is_an_input_error(option, capsys, tmp_path):

@@ -11,7 +11,7 @@ from fidsym.fidelity import (
     is_orthogonal,
     partial_fidelity,
 )
-from fidsym.matcore import DimensionMismatch, basis_state, pure_state, validate_density
+from fidsym.matcore import DimensionMismatch, pure_state, validate_density
 from fidsym.sampling import haar_unitary, random_density, random_pure_state
 
 
@@ -38,8 +38,8 @@ def test_commuting_diagonal_example():
 
 
 def test_orthogonal_projections_zero():
-    p = basis_state(2, 0).projection()
-    q = basis_state(2, 1).projection()
+    p = pure_state(np.eye(2)[0]).projection()
+    q = pure_state(np.eye(2)[1]).projection()
     assert fidelity(p, q) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -61,8 +61,8 @@ def test_partial_fidelity_full_equals_fidelity():
 
 
 def test_partial_fidelity_zero_on_orthogonal():
-    p = basis_state(2, 0).projection()
-    q = basis_state(2, 1).projection()
+    p = pure_state(np.eye(2)[0]).projection()
+    q = pure_state(np.eye(2)[1]).projection()
     assert partial_fidelity(p, q, 1) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -75,7 +75,7 @@ def test_partial_fidelity_bad_m():
 
 
 def test_pure_fidelity_overlap():
-    x = basis_state(2, 0)
+    x = pure_state(np.eye(2)[0])
     y = pure_state([1.0, 1.0])
     assert fidelity_pure(x, y) == pytest.approx(1 / np.sqrt(2))
 
@@ -83,7 +83,7 @@ def test_pure_fidelity_overlap():
 def test_pure_fidelity_extremes():
     x = pure_state([1.0, 1j])
     assert fidelity_pure(x, x) == pytest.approx(1.0)
-    assert fidelity_pure(basis_state(2, 0), basis_state(2, 1)) == pytest.approx(0.0)
+    assert fidelity_pure(pure_state(np.eye(2)[0]), pure_state(np.eye(2)[1])) == pytest.approx(0.0)
 
 
 def test_pure_fidelity_matches_projections():
@@ -100,17 +100,17 @@ def test_is_leq_examples():
     assert is_leq(dens([1.0, 0.0]), dens([1.0, 1.0]))
     a = dens([0.5, 0.5])
     assert is_leq(a, a)
-    p = basis_state(2, 0).projection()
+    p = pure_state(np.eye(2)[0]).projection()
     q = pure_state([1.0, 1.0]).projection()
     assert not is_leq(p, q)
     assert not is_leq(q, p)
 
 
 def test_is_orthogonal_examples():
-    assert is_orthogonal(basis_state(2, 0).projection(), basis_state(2, 1).projection())
+    assert is_orthogonal(pure_state(np.eye(2)[0]).projection(), pure_state(np.eye(2)[1]).projection())
     assert is_orthogonal(dens([1.0, 0.0, 0.0]), dens([0.0, 2.0, 1.0]))
     assert not is_orthogonal(
-        basis_state(2, 0).projection(), pure_state([1.0, 1.0]).projection()
+        pure_state(np.eye(2)[0]).projection(), pure_state([1.0, 1.0]).projection()
     )
 
 

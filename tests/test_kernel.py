@@ -6,7 +6,7 @@ import pytest
 
 from fidsym import mapzoo
 from fidsym.fidelity import BadM, fidelity, fidelity_stack, is_leq, leq_stack, partial_fidelity
-from fidsym.mapzoo import ALL_KINDS, MapSpec, classify_map, make_map, zoo_specs
+from fidsym.mapzoo import classify_map, make_map, zoo_specs
 from fidsym.matcore import (
     DimensionMismatch,
     NotPositive,
@@ -158,13 +158,13 @@ def test_classify_map_first_maximum_across_stacks(monkeypatch):
     def rounded(x, y):
         return float(np.round(fidelity(x, y), 1))
 
-    for kind in ALL_KINDS:
-        oracle = make_map(MapSpec(kind=kind, dim=8, params={"p": 0.5}), seed=3)
+    for spec in zoo_specs(8):
+        oracle = make_map(spec, seed=3)
         report = classify_map(oracle, trials=100, seed=3)
         worst, witness = reference_classify(oracle, 100, 3, score=rounded)
-        assert report.worst_violation == worst, kind
+        assert report.worst_violation == worst, spec.kind
         if not report.preserving:
-            assert witness_bytes(report.witness_pair) == witness_bytes(witness), kind
+            assert witness_bytes(report.witness_pair) == witness_bytes(witness), spec.kind
 
 
 def test_non_finite_member_raises_value_error():

@@ -8,10 +8,12 @@ from fidsym.mapzoo import (
     BadSpec,
     MapSpec,
     classify_map,
+    json_grid,
+    json_number,
     make_map,
     verify_theorem,
 )
-from fidsym.matcore import basis_state, pure_state, validate_density
+from fidsym.matcore import pure_state, validate_density
 from fidsym.sampling import random_density
 
 
@@ -23,7 +25,7 @@ def test_identity_map():
 
 def test_depolarizing_on_basis_projection():
     oracle = make_map(MapSpec(kind="depolarizing", dim=2, params={"p": 0.5}))
-    out = oracle.evaluate(basis_state(2, 0).projection())
+    out = oracle.evaluate(pure_state(np.eye(2)[0]).projection())
     assert np.allclose(out.matrix, np.diag([0.75, 0.25]))
 
 
@@ -57,8 +59,8 @@ def test_bad_specs():
 def test_depolarizing_witness_value():
     # the canonical discriminating pair: orthogonal basis projections
     oracle = make_map(MapSpec(kind="depolarizing", dim=2, params={"p": 0.5}))
-    p = basis_state(2, 0).projection()
-    q = basis_state(2, 1).projection()
+    p = pure_state(np.eye(2)[0]).projection()
+    q = pure_state(np.eye(2)[1]).projection()
     assert fidelity(p, q) == pytest.approx(0.0, abs=1e-12)
     image_f = fidelity(oracle.evaluate(p), oracle.evaluate(q))
     assert image_f == pytest.approx(2 * np.sqrt(0.75 * 0.25), abs=1e-10)
@@ -156,3 +158,68 @@ def test_matrix_params_of_the_right_shape():
     u = make_map(MapSpec(kind="unitary", dim=2, params={"re": [[0, 1], [1, 0]]}))
     assert np.array_equal(u.evaluate(validate_density(np.diag([1.0, 0.0]))).matrix,
                           np.diag([0.0, 1.0]))
+
+
+@pytest.mark.parametrize("kind, dim, params", [
+    ("depolarizing", 2, {"p": None}),
+    ("depolarizing", 2, {"p": [0.5]}),
+    ("depolarizing", 2, {"p": True}),
+    ("depolarizing", 2, {"p": "0.5"}),
+    ("mix", 2, {"p": None}),
+    ("unitary", 2, {"seed": None}),
+    ("mix", 2, {"seed": 1.7}),
+    ("antiunitary", 2, {"seed": True}),
+    ("depolarizing", 2.9, {"p": 0.5}),
+    ("identity", "2", {}),
+    ("identity", True, {}),
+    ("identity", 2, {"p": 0.5}),
+    ("transpose", 2, {"seed": 1}),
+    ("dephase", 2, {"p": 0.5}),
+    ("spectral_scramble", 2, {"seed": 1}),
+    ("unitary", 2, {"p": 0.5}),
+    ("antiunitary", 2, {"sigma_re": [[1, 0], [0, 1]]}),
+    ("depolarizing", 2, {"P": 0.5}),
+    ("depolarizing", 2, {"p": 0.5, "seed": 1}),
+    ("mix", 2, {"re": [[1, 0], [0, 1]]}),
+    ("mix", 2, [("p", 0.5)]),
+    ("unitary", 2, {"im": [[0, 0], [0, 0]]}),
+    ("unitary", 2, {"re": [[1, 0], [0, None]]}),
+    ("unitary", 2, {"re": [[1, 0], [0, "1"]]}),
+    ("unitary", 2, {"re": [[True, False], [False, True]]}),
+    ("unitary", 2, {"re": [[1, 0], [0, float("nan")]]}),
+    ("unitary", 2, {"re": [[1, 0], [0]]}),
+    ("mix", 2, {"sigma_re": [[0.5, 0], [0, 0.5]], "sigma_im": [[0, 0], [0, float("inf")]]}),
+])
+def test_bad_param_values_and_keys(kind, dim, params):
+    """Each spec is read as a different map or crashes at the parent; every
+    one must be a BadSpec naming the problem."""
+    with pytest.raises(BadSpec):
+        make_map(MapSpec(kind=kind, dim=dim, params=params))
+
+
+@pytest.mark.parametrize("data, key, kwargs, expected", [
+    ({"p": 0.25}, "p", {}, 0.25),
+    ({"p": 1}, "p", {}, 1.0),
+    ({}, "p", {"default": 0.5}, 0.5),
+    ({"dim": 3}, "dim", {"integer": True}, 3),
+    ({"dim": 3.0}, "dim", {"integer": True}, 3),
+    ({"seed": np.int64(7)}, "seed", {"integer": True}, 7),
+])
+def test_json_number_reads(data, key, kwargs, expected):
+    value = json_number(data, key, **kwargs)
+    assert value == expected and type(value) is type(expected)
+
+
+@pytest.mark.parametrize("data", [{"dim": None}, {"dim": 2.9}, {"dim": "2"}, {"dim": False},
+                                  {"dim": [2]}, {"dim": float("inf")}, {"dim": float("nan")}])
+def test_json_number_rejects(data):
+    with pytest.raises(BadSpec):
+        json_number(data, "dim", integer=True)
+
+
+def test_json_grid_reads_bits():
+    re = [[0.1, 2], [-3, 0.7]]
+    im = [[0.0, 0.3], [-0.3, 0.0]]
+    m = json_grid({"re": re, "im": im}, 2, "re", "im")
+    assert np.array_equal(m, np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float))
+    assert np.array_equal(json_grid({"re": re}, 2, "re", "im"), np.asarray(re, dtype=complex))
