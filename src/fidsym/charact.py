@@ -6,7 +6,9 @@ probe of the total ordering of minorants.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -43,11 +45,6 @@ def spectral_rank(w: np.ndarray) -> int:
     return int(np.count_nonzero(w > RANK_TOL * top))
 
 
-def is_projection_spectrum(w: np.ndarray, trace: float) -> bool:
-    """Rank one with trace 1, from the eigenvalues and trace of an operator."""
-    return spectral_rank(w) == 1 and abs(trace - 1.0) <= TRACE_TOL
-
-
 def numerical_rank(a: DensityOperator) -> int:
     return spectral_rank(eig_hermitian(a.matrix).eigenvalues)
 
@@ -76,9 +73,48 @@ def is_rank_one(a: DensityOperator) -> bool:
     return numerical_rank(a) == 1
 
 
+def projection_vector(a: DensityOperator) -> Optional[np.ndarray]:
+    """Unit vector v with A = vv* if A is a rank-one projection, else None.
+
+    The rule is the spectral one: rank one (``spectral_rank``) and a trace
+    within TRACE_TOL of 1. Most images are decided in O(d^2), without an
+    eigendecomposition. With P = A and k the index of its largest diagonal
+    entry, one power step gives the unit vector x = P(P e_k)/||P(P e_k)||,
+    then c = x*Px and e = ||P - c xx*||_F. Since c xx* has eigenvalues c and
+    0 and ||.||_2 <= ||.||_F, Weyl's inequalities give lambda_1(P) >= c - e
+    and lambda_2(P) <= e. So if the trace is within TRACE_TOL of 1,
+    c - e > CERT_TOL and e <= RANK_TOL (c - e), then the largest eigenvalue
+    exceeds CERT_TOL and no other exceeds RANK_TOL times it: the spectral
+    rule accepts, and x is returned. (For a non-Hermitian P the same holds
+    for its Hermitian part, which is what the spectral rule decomposes: c is
+    unchanged and e cannot grow.) Every other image, whether NaN, non-PSD,
+    of the wrong trace or near the RANK_TOL threshold, gets one
+    eig_hermitian and the spectral rule itself. The decisions are therefore
+    those of the spectral rule, up to rounding of order eps ||P||. As an
+    accepted P has lambda_2 <= RANK_TOL lambda_1, the power step leaves x
+    within about (lambda_2 / lambda_1)^2 <= 1e-16 of the top eigenvector.
+    """
+    p = a.matrix
+    trace_ok = abs(a.trace - 1.0) <= TRACE_TOL
+    if trace_ok:
+        k = int(np.argmax(p.diagonal().real))
+        x = p @ p[:, k]
+        norm = np.linalg.norm(x)
+        if 0.0 < norm < math.inf:  # not NaN, zero or infinite
+            x = x / norm
+            c = float(np.vdot(x, p @ x).real)
+            e = float(np.linalg.norm(p - c * np.outer(x, x.conj())))
+            if c - e > CERT_TOL and e <= RANK_TOL * (c - e):
+                return x
+    spec = eig_hermitian(p)
+    if spectral_rank(spec.eigenvalues) == 1 and trace_ok:
+        return spec.eigenvectors[:, 0]
+    return None
+
+
 def is_rank_one_projection(a: DensityOperator) -> bool:
     """Rank one with trace 1; equivalently rank one with F(A,A) = 1."""
-    return is_projection_spectrum(eig_hermitian(a.matrix).eigenvalues, a.trace)
+    return projection_vector(a) is not None
 
 
 def _sample_minorants(a: DensityOperator, samples: int, rng: np.random.Generator) -> np.ndarray:

@@ -4,7 +4,7 @@ classification, and the theorem harness, with JSON in and JSON out.
 Matrix files: {"dim": d, "re": [[...]], "im": [[...]]} (row-major, entry
 (i,j) = re[i][j] + i*im[i][j]). Map specs: {"kind": ..., "dim": ...,
 "params": {...}} (the params of each kind: mapzoo.KIND_PARAMS); any other
-key is an input error. Reports record the tool version, seed, and the whole
+key is an input error, and so is a dim outside 1..MAX_DIM. Reports record the tool version, seed, and the whole
 tolerance table in effect (fidsym.tolerances, with --tol as certify_tol), so
 a rerun reproduces them byte for byte.
 """
@@ -29,6 +29,10 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_REJECTED = 2
 
+# The largest dim read from outside: the numerics and the tolerance table are
+# sized for d <= 64, and a larger dim could ask for gigabytes per matrix.
+MAX_DIM = 64
+
 
 class InputError(ValueError):
     """Malformed file or command-line input."""
@@ -47,10 +51,17 @@ def read_json(path: str, keys: tuple[str, ...]) -> dict[str, Any]:
     return data
 
 
+def checked_dim(dim: int) -> int:
+    """``dim`` if it is in 1..MAX_DIM, else BadSpec."""
+    if not 1 <= dim <= MAX_DIM:
+        raise BadSpec(f"dim must be in 1..{MAX_DIM}")
+    return dim
+
+
 def load_matrix(path: str) -> np.ndarray:
     data = read_json(path, ("dim", "re", "im"))
     try:
-        return json_grid(data, json_number(data, "dim", integer=True), "re", "im")
+        return json_grid(data, checked_dim(json_number(data, "dim", integer=True)), "re", "im")
     except (KeyError, BadSpec) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -75,7 +86,7 @@ def load_map_spec(path: str) -> MapSpec:
     try:
         return MapSpec(
             kind=str(data["kind"]),
-            dim=json_number(data, "dim", integer=True),
+            dim=checked_dim(json_number(data, "dim", integer=True)),
             params=data.get("params", {}),
         )
     except (KeyError, BadSpec) as exc:
@@ -166,7 +177,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
-        summary = mapzoo.verify_theorem(args.dim, trials=args.trials, seed=args.seed)
+        summary = mapzoo.verify_theorem(checked_dim(args.dim), trials=args.trials,
+                                        seed=args.seed)
         code = EXIT_OK
     except AssertionFailure as exc:
         summary = {"dim": args.dim, "trials": args.trials, "seed": args.seed,

@@ -17,14 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import charact
-from .matcore import (
-    DensityOperator,
-    PureState,
-    check_same_dim,
-    eig_hermitian,
-    hermitize,
-    pure_state,
-)
+from .matcore import DensityOperator, check_same_dim, hermitize, pure_state
 from .sampling import random_density
 from .tolerances import CERTIFY_TOL, PHASE_FIX_TOL, PROBE_TOL, UNITARY_TOL
 
@@ -132,16 +125,6 @@ def _superposition(dim: int, i: int, j: int, phase: complex = 1.0) -> np.ndarray
     return v
 
 
-def _extract_state(image: DensityOperator) -> Optional[PureState]:
-    """Phase-canonical unit vector of a rank-one projection image, or None if
-    the image is not one. One eigendecomposition gives both the rank test and
-    the vector."""
-    spec = eig_hermitian(image.matrix)
-    if not charact.is_projection_spectrum(spec.eigenvalues, image.trace):
-        return None
-    return pure_state(spec.eigenvectors[:, 0])
-
-
 class _Rejected(Exception):
     """A stage of reconstruct rejected the map with ``status``."""
 
@@ -162,7 +145,11 @@ def reconstruct(
 
     Probe budget: d basis projections, d-1 two-component superpositions for
     phase fixing, one i-superposition for parity, plus cross checks at d >= 3
-    and the verification trials.
+    and the verification trials. Each probe image is read with
+    ``charact.projection_vector``: a rank-one projection is recognised and
+    its vector read in O(d^2) by one power step and a Frobenius-norm bound,
+    and only an image near the RANK_TOL threshold, or not a projection at
+    all, costs an O(d^3) eigendecomposition.
     """
     if not (math.isfinite(certify_tol) and certify_tol >= 0.0):
         raise ValueError(f"certify_tol must be finite and >= 0, got {certify_tol}")
@@ -177,19 +164,19 @@ def reconstruct(
         nonlocal probes
         image = oracle.evaluate(DensityOperator.from_psd(np.outer(v, v.conj())))
         probes += 1
-        state = _extract_state(image)
-        if state is None:
+        x = charact.projection_vector(image)
+        if x is None:
             raise _Rejected(status)
-        return state.amplitudes
+        return pure_state(x).amplitudes
 
     try:
         # (1) Basis probes: images must be rank-one projections with the same
         # pairwise transition probabilities as the inputs (zero).
-        f = [probe(e, STATUS_FAILED_PROJECTION_PROBE) for e in np.eye(d, dtype=complex)]
-        for i in range(d):
-            for j in range(i + 1, d):
-                if abs(np.vdot(f[i], f[j])) ** 2 > PROBE_TOL:
-                    raise _Rejected(STATUS_FAILED_PROJECTION_PROBE)
+        f = np.array([probe(e, STATUS_FAILED_PROJECTION_PROBE)
+                      for e in np.eye(d, dtype=complex)])
+        overlaps = np.abs(f.conj() @ f.T) ** 2
+        if np.any(np.triu(overlaps, k=1) > PROBE_TOL):
+            raise _Rejected(STATUS_FAILED_PROJECTION_PROBE)
 
         # (2) Phase fixing: pin each column's phase relative to the first
         # through the images of (e_1 + e_j)/sqrt(2).

@@ -106,6 +106,17 @@ def test_criterion_4_reconstruction_round_trip(d):
     report(f"4. reconstruction round-trip (d={d}, 50 per parity)", ok)
 
 
+@pytest.mark.parametrize("d", [32, 64])
+@pytest.mark.parametrize("parity", [UNITARY, ANTIUNITARY])
+def test_criterion_4_reconstruction_round_trip_large_d(d, parity):
+    rng = np.random.default_rng(4100 + d)
+    truth = SymmetryOperator(parity=parity, u=haar_unitary(rng, d))
+    rep = reconstruct(symmetry_oracle(truth))
+    ok = (rep.certified and rep.symmetry.parity == parity
+          and symmetry_distance(rep.symmetry, truth) <= 1e-8 and rep.residual_max <= 1e-7)
+    report(f"4. reconstruction round-trip (d={d}, {parity})", ok)
+
+
 @pytest.mark.parametrize("d", [2, 4])
 def test_criterion_5_rejection(d):
     specs = [

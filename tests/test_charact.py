@@ -3,6 +3,7 @@ the randomized order-totality probe must all agree."""
 import numpy as np
 import pytest
 
+from fidsym import charact
 from fidsym.charact import (
     CertificateFailure,
     OrthogonalCertificate,
@@ -12,12 +13,14 @@ from fidsym.charact import (
     is_rank_one_projection,
     numerical_rank,
     order_totality_probe,
+    projection_vector,
     rank_one_certificate,
+    spectral_rank,
 )
 from fidsym.fidelity import fidelity, is_orthogonal
-from fidsym.matcore import pure_state, validate_density
+from fidsym.matcore import DensityOperator, eig_hermitian, pure_state, validate_density
 from fidsym.sampling import haar_unitary, random_density
-from fidsym.tolerances import ORDER_TOL
+from fidsym.tolerances import ORDER_TOL, TRACE_TOL
 
 
 def test_certificate_for_basis_projection():
@@ -166,3 +169,97 @@ def test_probe_matches_all_pairs_scan_near_rank_one(eps):
         u = haar_unitary(rng, d)
         a = validate_density((u * np.array([1.0] + [eps] * (d - 1))) @ u.conj().T)
         assert order_totality_probe(a, seed=d) == all_pairs_probe(a, seed=d)
+
+
+def spectral_rule(a):
+    """Reference: the spectral rule itself, from one full eigendecomposition."""
+    rank = spectral_rank(eig_hermitian(a.matrix).eigenvalues)
+    return rank == 1 and abs(a.trace - 1.0) <= TRACE_TOL
+
+
+def top_vector_distance(x, a):
+    """min over phases of ||x - e^{i theta} v|| for v the top eigenvector of A."""
+    v = eig_hermitian(a.matrix).eigenvectors[:, 0]
+    t = np.vdot(v, x)
+    return float(np.linalg.norm(x - (t / abs(t)) * v))
+
+
+def near_projections(rng, d, eps):
+    """Images with spectrum (1 - eps, eps, 0, ...), (1 - eps, eps U(0,1), ...)
+    and its unit-trace version (1 - eps sum U, eps U(0,1), ...)."""
+    u = haar_unitary(rng, d)
+    tail = eps * rng.uniform(size=d - 1)
+    spectra = [np.r_[1.0 - eps, eps, np.zeros(d - 2)],
+               np.r_[1.0 - eps, tail],
+               np.r_[1.0 - tail.sum(), tail]]
+    return [DensityOperator.from_psd((u * w) @ u.conj().T) for w in spectra]
+
+
+EPS_SWEEP = [10.0 ** (k / 2) for k in range(-28, -9)]  # 1e-14 .. 1e-5, half decades
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 32, 64])
+def test_projection_vector_decides_as_the_spectral_rule(d):
+    rng = np.random.default_rng(700 + d)
+    accepted = []  # of the spectrum (1 - eps, eps, 0, ...), by eps
+    for eps in EPS_SWEEP:
+        for family, a in enumerate(near_projections(rng, d, eps)):
+            x = projection_vector(a)
+            assert (x is not None) == spectral_rule(a), (d, eps, family)
+            if x is not None:
+                assert abs(np.linalg.norm(x) - 1.0) <= 1e-14
+                assert top_vector_distance(x, a) <= 1e-13, (d, eps, family)
+            if family == 0:
+                accepted.append(x is not None)
+    # the sweep crosses RANK_TOL: accepted at small eps, rejected at large eps
+    assert accepted[0] and not accepted[-1]
+
+
+def test_projection_vector_skips_the_eigendecomposition_on_projections(monkeypatch):
+    def no_eig(m):
+        raise AssertionError("eig_hermitian called on an exact projection")
+
+    monkeypatch.setattr(charact, "eig_hermitian", no_eig)
+    rng = np.random.default_rng(5)
+    for d in (1, 2, 3, 8, 32, 64):
+        p = pure_state(rng.normal(size=d) + 1j * rng.normal(size=d)).projection()
+        x = projection_vector(p)
+        assert x is not None and np.linalg.norm(p.matrix - np.outer(x, x.conj())) <= 1e-14
+
+
+def odd_images(d):
+    """Images that are not rank-one projections, or are only near the edges
+    of the rule; matrices built directly, as a misbehaving oracle might."""
+    rng = np.random.default_rng(d)
+    p = pure_state(rng.normal(size=d) + 1j * rng.normal(size=d)).projection().matrix
+    q = pure_state(rng.normal(size=d) + 1j * rng.normal(size=d)).projection().matrix
+    yield DensityOperator(matrix=-p, trace=-1.0)
+    yield DensityOperator.from_psd(2.0 * p)
+    yield DensityOperator.from_psd(0.5 * p)
+    yield DensityOperator.from_psd(np.zeros((d, d)))
+    yield DensityOperator(matrix=np.zeros((d, d), dtype=complex), trace=1.0)
+    yield DensityOperator.from_psd(p * (1.0 + 2e-9))
+    yield DensityOperator.from_psd(p * (1.0 + 5e-10))
+    # trace field 1, matrix tiny: rank two at 1e-9, numerically zero at 1e-13
+    yield DensityOperator(matrix=1e-9 * (p + 0.5 * q), trace=1.0)
+    yield DensityOperator(matrix=1e-13 * p, trace=1.0)
+    yield DensityOperator(matrix=1e-9 * p, trace=1.0)
+    # unit trace, not PSD
+    yield DensityOperator.from_psd(p + 0.1 * q - 0.1 * pure_state(np.eye(d)[0]).projection().matrix)
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_projection_vector_on_odd_images(d):
+    for a in odd_images(d):
+        assert (projection_vector(a) is not None) == spectral_rule(a)
+
+
+def test_projection_vector_raises_on_nan_like_the_spectral_rule():
+    m = pure_state([1.0, 1.0]).projection().matrix.copy()
+    m[0, 1] = np.nan
+    for trace in (1.0, float("nan")):
+        a = DensityOperator(matrix=m, trace=trace)
+        with pytest.raises(ValueError, match="finite"):
+            spectral_rule(a)
+        with pytest.raises(ValueError, match="finite"):
+            projection_vector(a)

@@ -191,6 +191,50 @@ def test_reconstruct_bad_parameter_is_an_input_error(option, capsys, tmp_path):
     assert not out_file.exists()
 
 
+@pytest.fixture
+def nothing_downstream(monkeypatch):
+    """Fail the test if input past the dim check reaches the code that
+    would allocate dim x dim matrices."""
+    def reached(*args, **kwargs):
+        raise AssertionError("input passed the dim check")
+
+    monkeypatch.setattr("fidsym.cli.json_grid", reached)
+    monkeypatch.setattr("fidsym.mapzoo.make_map", reached)
+    monkeypatch.setattr("fidsym.mapzoo.verify_theorem", reached)
+
+
+@pytest.mark.parametrize("dim", [65, 10**6])
+@pytest.mark.parametrize("command", ["fidelity", "classify", "reconstruct", "verify"])
+def test_dim_above_cap_is_an_input_error(command, dim, capsys, tmp_path, nothing_downstream):
+    path = tmp_path / "in.json"
+    out_file = tmp_path / "out.json"
+    if command == "fidelity":
+        path.write_text(json.dumps({"dim": dim, "re": [[1.0]]}))
+        args = ["fidelity", "--a", path, "--b", path]
+    elif command == "verify":
+        args = ["verify", "--dim", dim, "--out", out_file]
+    else:
+        path.write_text(json.dumps({"kind": "antiunitary", "dim": dim, "params": {"seed": 3}}))
+        args = [command, "--map", path, "--out", out_file]
+    code, out, err = run_cli(args, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "dim must be in 1..64" in err
+    assert not out_file.exists()
+
+
+def test_dim_at_cap_is_accepted(capsys, tmp_path):
+    matrix = tmp_path / "a.json"
+    matrix.write_text(json.dumps(matrix_to_dict(np.eye(64) / 64)))
+    code, out, _ = run_cli(["fidelity", "--a", matrix, "--b", matrix], capsys)
+    assert code == 0 and out == "1.000000000000\n"
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "antiunitary", "dim": 64, "params": {"seed": 3}}))
+    out_file = tmp_path / "r.json"
+    code, _, _ = run_cli(["reconstruct", "--map", spec, "--out", out_file], capsys)
+    assert code == 0
+    assert json.loads(out_file.read_text())["report"]["status"] == "certified"
+
+
 def test_classify_depolarizing(capsys, tmp_path):
     out_file = tmp_path / "c.json"
     code, _, _ = run_cli(
