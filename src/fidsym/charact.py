@@ -77,7 +77,10 @@ def projection_vector(a: DensityOperator) -> Optional[np.ndarray]:
     """Unit vector v with A = vv* if A is a rank-one projection, else None.
 
     The rule is the spectral one: rank one (``spectral_rank``) and a trace
-    within TRACE_TOL of 1. Most images are decided in O(d^2), without an
+    within TRACE_TOL of 1. The trace is summed from the matrix's diagonal,
+    never taken from the cached ``trace`` field, which an image built
+    directly (``DensityOperator(matrix=1e-9 * p, trace=1.0)``) may get
+    wrong. Most images are decided in O(d^2), without an
     eigendecomposition. With P = A and k the index of its largest diagonal
     entry, one power step gives the unit vector x = P(P e_k)/||P(P e_k)||,
     then c = x*Px and e = ||P - c xx*||_F. Since c xx* has eigenvalues c and
@@ -95,9 +98,10 @@ def projection_vector(a: DensityOperator) -> Optional[np.ndarray]:
     within about (lambda_2 / lambda_1)^2 <= 1e-16 of the top eigenvector.
     """
     p = a.matrix
-    trace_ok = abs(a.trace - 1.0) <= TRACE_TOL
+    diag = p.diagonal().real
+    trace_ok = abs(diag.sum() - 1.0) <= TRACE_TOL
     if trace_ok:
-        k = int(np.argmax(p.diagonal().real))
+        k = int(np.argmax(diag))
         x = p @ p[:, k]
         norm = np.linalg.norm(x)
         if 0.0 < norm < math.inf:  # not NaN, zero or infinite
@@ -119,17 +123,24 @@ def is_rank_one_projection(a: DensityOperator) -> bool:
 
 def _sample_minorants(a: DensityOperator, samples: int, rng: np.random.Generator) -> np.ndarray:
     """Random operators D with 0 <= D <= A, as A^{1/2} M A^{1/2} for random
-    PSD contractions M scaled by u in (0, 1]. No rejection needed."""
+    PSD contractions M scaled by u in (0, 1]. No rejection needed.
+
+    The draws keep the RNG stream of one sample at a time: per sample, the
+    real and imaginary (d, d) normal grids of W, then u. The arithmetic is
+    stacked: M = W*W for all samples in one product, and ||M||_2, the
+    largest eigenvalue of the PSD M, from one eigvalsh of the stack.
+    """
     d = a.dim
     root = sqrtm_psd(a.matrix)
-    out = np.empty((samples, d, d), dtype=complex)
+    grids = np.empty((samples, 2, d, d))
+    u = np.empty(samples)
     for i in range(samples):
-        w = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        m = w.conj().T @ w
-        m /= np.linalg.norm(m, 2)
-        m *= rng.uniform(0.0, 1.0)
-        out[i] = root @ m @ root
-    return out
+        grids[i] = rng.normal(size=(2, d, d))
+        u[i] = rng.uniform(0.0, 1.0)
+    w = grids[:, 0] + 1j * grids[:, 1]
+    m = w.conj().swapaxes(-1, -2) @ w
+    m *= (u / np.linalg.eigvalsh(m)[:, -1])[:, None, None]
+    return root @ m @ root
 
 
 def order_totality_probe(a: DensityOperator, samples: int = 200, seed: int = 0) -> bool:

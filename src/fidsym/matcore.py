@@ -99,7 +99,10 @@ class DensityOperator:
     """Positive-semidefinite Hermitian matrix with finite trace.
 
     Construct through :func:`validate_density`; ``matrix`` is hermitized and
-    eigenvalue-clipped, ``trace`` is cached and real.
+    eigenvalue-clipped, ``trace`` is cached and real. The constructor itself
+    checks nothing, so an operator built directly may carry a ``trace`` that
+    is not its matrix's; a rule that decides on the trace of outside input
+    (``charact.projection_vector``) sums the matrix's diagonal instead.
     """
 
     matrix: np.ndarray

@@ -145,11 +145,12 @@ def reconstruct(
 
     Probe budget: d basis projections, d-1 two-component superpositions for
     phase fixing, one i-superposition for parity, plus cross checks at d >= 3
-    and the verification trials. Each probe image is read with
-    ``charact.projection_vector``: a rank-one projection is recognised and
-    its vector read in O(d^2) by one power step and a Frobenius-norm bound,
-    and only an image near the RANK_TOL threshold, or not a projection at
-    all, costs an O(d^3) eigendecomposition.
+    and the verification trials. A probe image whose dimension is not the
+    oracle's rejects the map with that probe's status. Every other image is
+    read with ``charact.projection_vector``: a rank-one projection is
+    recognised and its vector read in O(d^2) by one power step and a
+    Frobenius-norm bound, and only an image near the RANK_TOL threshold, or
+    not a projection at all, costs an O(d^3) eigendecomposition.
     """
     if not (math.isfinite(certify_tol) and certify_tol >= 0.0):
         raise ValueError(f"certify_tol must be finite and >= 0, got {certify_tol}")
@@ -160,11 +161,11 @@ def reconstruct(
 
     def probe(v: np.ndarray, status: str) -> np.ndarray:
         """Amplitudes of the image of |v><v|; rejects with ``status`` unless
-        the image is a rank-one projection."""
+        the image is a rank-one projection of the oracle's dimension."""
         nonlocal probes
         image = oracle.evaluate(DensityOperator.from_psd(np.outer(v, v.conj())))
         probes += 1
-        x = charact.projection_vector(image)
+        x = charact.projection_vector(image) if image.dim == d else None
         if x is None:
             raise _Rejected(status)
         return pure_state(x).amplitudes

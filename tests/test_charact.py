@@ -18,7 +18,13 @@ from fidsym.charact import (
     spectral_rank,
 )
 from fidsym.fidelity import fidelity, is_orthogonal
-from fidsym.matcore import DensityOperator, eig_hermitian, pure_state, validate_density
+from fidsym.matcore import (
+    DensityOperator,
+    eig_hermitian,
+    pure_state,
+    sqrtm_psd,
+    validate_density,
+)
 from fidsym.sampling import haar_unitary, random_density
 from fidsym.tolerances import ORDER_TOL, TRACE_TOL
 
@@ -141,6 +147,56 @@ def test_probe_needs_two_samples(samples):
         order_totality_probe(validate_density(np.diag([0.5, 0.5])), samples=samples)
 
 
+def loop_minorants(a, samples, rng):
+    """Reference: the per-sample sampler, one SVD-based norm per sample."""
+    d = a.dim
+    root = sqrtm_psd(a.matrix)
+    out = np.empty((samples, d, d), dtype=complex)
+    for i in range(samples):
+        w = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        m = w.conj().T @ w
+        m /= np.linalg.norm(m, 2)
+        m *= rng.uniform(0.0, 1.0)
+        out[i] = root @ m @ root
+    return out
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_sample_minorants_matches_reference_loop(d):
+    """Same minorants to rounding, and the same RNG stream afterwards."""
+    rng = np.random.default_rng(40 + d)
+    for rank in range(1, d + 1):
+        a = random_density(rng, d, rank=rank)
+        for samples in (2, 3, 200):
+            for seed in range(5):
+                got_rng = np.random.default_rng(seed)
+                ref_rng = np.random.default_rng(seed)
+                got = _sample_minorants(a, samples, got_rng)
+                ref = loop_minorants(a, samples, ref_rng)
+                assert got.shape == (samples, d, d)
+                assert np.max(np.abs(got - ref)) <= 1e-13, (rank, samples, seed)
+                assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_probe_runs_no_svd(monkeypatch):
+    real_norm = np.linalg.norm
+
+    def norm(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            raise AssertionError("spectral norm (an SVD) taken in the probe")
+        return real_norm(x, ord, *args, **kwargs)
+
+    def svd(*args, **kwargs):
+        raise AssertionError("SVD taken in the probe")
+
+    monkeypatch.setattr(np.linalg, "norm", norm)
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    rng = np.random.default_rng(8)
+    for rank in (1, 2, 3):
+        a = random_density(rng, 3, rank=rank)
+        assert order_totality_probe(a, samples=50, seed=rank) == (rank == 1)
+
+
 def all_pairs_probe(a, samples=200, seed=0):
     """Reference: the same minorants, every pair of them comparable in one
     direction or the other."""
@@ -172,9 +228,10 @@ def test_probe_matches_all_pairs_scan_near_rank_one(eps):
 
 
 def spectral_rule(a):
-    """Reference: the spectral rule itself, from one full eigendecomposition."""
+    """Reference: the spectral rule itself, from one full eigendecomposition,
+    with the trace read from the matrix."""
     rank = spectral_rank(eig_hermitian(a.matrix).eigenvalues)
-    return rank == 1 and abs(a.trace - 1.0) <= TRACE_TOL
+    return rank == 1 and abs(a.matrix.diagonal().real.sum() - 1.0) <= TRACE_TOL
 
 
 def top_vector_distance(x, a):
@@ -252,6 +309,16 @@ def odd_images(d):
 def test_projection_vector_on_odd_images(d):
     for a in odd_images(d):
         assert (projection_vector(a) is not None) == spectral_rule(a)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 64])
+def test_projection_vector_reads_the_trace_from_the_matrix(d):
+    """A unit projection scaled by 1e-9 is not a projection, whatever its
+    trace field says; an honest projection with a wrong field still is."""
+    rng = np.random.default_rng(60 + d)
+    p = pure_state(rng.normal(size=d) + 1j * rng.normal(size=d)).projection().matrix
+    assert projection_vector(DensityOperator(matrix=1e-9 * p, trace=1.0)) is None
+    assert projection_vector(DensityOperator(matrix=p, trace=1e-9)) is not None
 
 
 def test_projection_vector_raises_on_nan_like_the_spectral_rule():

@@ -243,6 +243,39 @@ def test_reconstruct_status_probes_and_margin(case):
         assert report.residual_max == math.inf
 
 
+def embedding_oracle(d):
+    """A -> VAV* for an isometry V of shape (d + 1) x d: every probe image is
+    a rank-one projection, one dimension too large."""
+    v = haar_unitary(np.random.default_rng(d), d + 1)[:, :d]
+    return DensityMapOracle(
+        dim=d, evaluate=lambda a: DensityOperator.from_psd(v @ a.matrix @ v.conj().T)
+    )
+
+
+def constant_oracle_2x2():
+    """A d = 1 oracle whose every image is the 2 x 2 projection onto e_1."""
+    e1 = validate_density(np.diag([1.0, 0.0]))
+    return DensityMapOracle(dim=1, evaluate=lambda a: e1)
+
+
+def tiny_projection_oracle(d):
+    """Images 1e-9 vv* for the input vv*, built directly with trace field 1."""
+    return DensityMapOracle(
+        dim=d, evaluate=lambda a: DensityOperator(matrix=1e-9 * a.matrix, trace=1.0)
+    )
+
+
+@pytest.mark.parametrize("oracle", [
+    embedding_oracle(1), embedding_oracle(2), embedding_oracle(3),
+    constant_oracle_2x2(), tiny_projection_oracle(1), tiny_projection_oracle(3),
+], ids=["embed1", "embed2", "embed3", "const2x2", "tiny1", "tiny3"])
+def test_reconstruct_rejects_images_of_the_wrong_dimension_or_trace(oracle):
+    report = reconstruct(oracle)
+    assert report.status == STATUS_FAILED_PROJECTION_PROBE
+    assert report.probes_used == 1
+    assert report.symmetry is None
+
+
 def test_dimension_mismatch_raises():
     s = SymmetryOperator(parity=UNITARY, u=np.eye(2, dtype=complex))
     t = SymmetryOperator(parity=UNITARY, u=np.eye(3, dtype=complex))
