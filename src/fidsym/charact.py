@@ -54,9 +54,11 @@ def rank_one_certificate(a: DensityOperator) -> OrthogonalCertificate | Certific
     of the orthogonal complement of range(A).
 
     For rank >= 2 no certificate can exist (mutually orthogonal ranges force
-    rank sums <= d), so the numerical rank is returned as evidence.
+    rank sums <= d), so the numerical rank is returned as evidence. A trace
+    at most CERT_TOL raises ZeroOperator; it is summed from the matrix, not
+    read from the cached field.
     """
-    if a.trace <= CERT_TOL:
+    if a.matrix.diagonal().real.sum() <= CERT_TOL:
         raise ZeroOperator("certificate requires a nonzero operator")
     spec = eig_hermitian(a.matrix)
     rank = spectral_rank(spec.eigenvalues)
@@ -149,11 +151,12 @@ def order_totality_probe(a: DensityOperator, samples: int = 200, seed: int = 0) 
     True for rank-one A (every minorant is a sub-multiple); for rank >= 2 an
     incomparable pair is found with overwhelming probability at default
     sample counts. As D <= E implies tr D <= tr E, the samples are totally
-    ordered exactly when each lies below its successor in trace order.
+    ordered exactly when each lies below its successor in trace order. A
+    trace at most CERT_TOL, summed from the matrix, raises ZeroOperator.
     """
     if samples < 2:
         raise ValueError(f"probe needs samples >= 2, got {samples}")
-    if a.trace <= CERT_TOL:
+    if a.matrix.diagonal().real.sum() <= CERT_TOL:
         raise ZeroOperator("probe requires a nonzero operator")
     rng = np.random.default_rng(seed)
     mins = _sample_minorants(a, samples, rng)

@@ -14,7 +14,7 @@ from typing import Any, Mapping, Optional
 import numpy as np
 
 from .fidelity import fidelity_stack
-from .matcore import DensityOperator, eig_hermitian, validate_density, validate_stack
+from .matcore import DensityOperator, eig_hermitian, from_psd_stack, validate_density
 from .sampling import (
     draw_density,
     haar_unitary,
@@ -184,8 +184,8 @@ def _trial_pairs(
     """``count`` trial pairs: 40% random mixed pairs, 40% random pure pairs,
     20% orthogonal pure pairs; the orthogonal pairs are the sharpest
     discriminators (F = 0 must map to F = 0). The mixed pairs are drawn in
-    order and validated together as one stack."""
-    pairs: list = []  # None marks a mixed pair, filled in after validation
+    order and wrapped together as one stack, as random_density wraps one."""
+    pairs: list = []  # None marks a mixed pair, filled in from the stack
     mixed = []
     for _ in range(count):
         r = rng.uniform()
@@ -202,7 +202,7 @@ def _trial_pairs(
             p, q = orthogonal_pure_pair(rng, dim)
             pairs.append((p.projection(), q.projection()))
     if mixed:
-        densities = iter(validate_stack(np.stack(mixed)))
+        densities = iter(from_psd_stack(np.stack(mixed)))
         pairs = [(next(densities), next(densities)) if pair is None else pair for pair in pairs]
     return pairs
 

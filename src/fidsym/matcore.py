@@ -76,6 +76,16 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return _freeze(hermitize_stack(_one(m))[0])
 
 
+def from_psd_stack(m: np.ndarray) -> list[DensityOperator]:
+    """Wrap every matrix of an (n, d, d) stack already known to be PSD (GG*,
+    U A U*) as a density operator: hermitize once, take each trace from the
+    hermitized matrix, and check nothing else. Matrices from outside go
+    through validate_stack instead."""
+    h = hermitize_stack(m)
+    return [DensityOperator(matrix=_freeze(x), trace=float(t))
+            for x, t in zip(h, np.trace(h, axis1=-2, axis2=-1).real)]
+
+
 def check_same_dim(a, b) -> int:
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimension mismatch: {a.dim} vs {b.dim}")
@@ -98,11 +108,15 @@ class Spectrum:
 class DensityOperator:
     """Positive-semidefinite Hermitian matrix with finite trace.
 
-    Construct through :func:`validate_density`; ``matrix`` is hermitized and
-    eigenvalue-clipped, ``trace`` is cached and real. The constructor itself
-    checks nothing, so an operator built directly may carry a ``trace`` that
-    is not its matrix's; a rule that decides on the trace of outside input
-    (``charact.projection_vector``) sums the matrix's diagonal instead.
+    Construct a matrix from outside through :func:`validate_density`, which
+    checks it is PSD and clips its eigenvalues; construct one that is PSD by
+    construction (GG*, U A U*, a projection vv*) through :meth:`from_psd`,
+    which only hermitizes. Either way ``matrix`` is exactly Hermitian and
+    ``trace`` is cached and real. The constructor itself checks nothing, so
+    an operator built directly may carry a ``trace`` that is not its
+    matrix's; the rules that decide on the trace of an operator from an
+    oracle or a caller (``charact``, ``wigner.extend_normalized``) sum the
+    matrix's diagonal instead.
     """
 
     matrix: np.ndarray
@@ -117,9 +131,8 @@ class DensityOperator:
 
     @staticmethod
     def from_psd(m: np.ndarray) -> "DensityOperator":
-        """Wrap a matrix already known to be PSD (e.g. U A U*). Hermitizes only."""
-        h = hermitize(m)
-        return DensityOperator(matrix=h, trace=float(np.trace(h).real))
+        """Wrap a matrix already known to be PSD (e.g. U A U*); see from_psd_stack."""
+        return from_psd_stack(_one(m))[0]
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,15 @@
 """Seeded random ensembles: Haar unitaries, Wishart-style density operators,
-Gaussian pure states."""
+Gaussian pure states.
+
+The operators drawn here are PSD by construction, so they are wrapped with
+DensityOperator.from_psd and never eigendecomposed; the validators of
+matcore are for matrices from outside (files, map specs).
+"""
 from __future__ import annotations
 
 import numpy as np
 
-from .matcore import DensityOperator, PureState, pure_state, validate_density
+from .matcore import DensityOperator, PureState, pure_state
 
 
 def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -45,8 +50,13 @@ def random_density(
     trace: float | None = None,
 ) -> DensityOperator:
     """Wishart-style PSD operator GG* of the given rank, rescaled to the
-    target trace (default: trace left as drawn, unit if ``trace=1.0``)."""
-    return validate_density(draw_density(rng, dim, rank, trace))
+    target trace (default: trace left as drawn, unit if ``trace=1.0``).
+
+    The hermitized GG* is exactly Hermitian, and its most negative
+    eigenvalue is rounding of order eps ||GG*||, far inside the PSD_TOL band
+    that validation would clip, so it is wrapped without an
+    eigendecomposition."""
+    return DensityOperator.from_psd(draw_density(rng, dim, rank, trace))
 
 
 def orthogonal_pure_pair(rng: np.random.Generator, dim: int) -> tuple[PureState, PureState]:

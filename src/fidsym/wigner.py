@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import charact
-from .matcore import DensityOperator, check_same_dim, hermitize, pure_state
+from .matcore import DensityOperator, check_same_dim, pure_state
 from .sampling import random_density
 from .tolerances import CERTIFY_TOL, PHASE_FIX_TOL, PROBE_TOL, UNITARY_TOL
 
@@ -103,16 +103,18 @@ def symmetry_distance(s1: SymmetryOperator, s2: SymmetryOperator) -> float:
 
 def extend_normalized(oracle_norm: DensityMapOracle) -> DensityMapOracle:
     """Extend a map defined on unit-trace density operators to all of them by
-    homogeneity: 0 -> 0 and A -> (tr A) * phi(A / tr A)."""
+    homogeneity: 0 -> 0 and A -> (tr A) * phi(A / tr A). The traces of A and
+    of the image are summed from their matrices, not read from the cached
+    fields."""
 
     def evaluate(a: DensityOperator) -> DensityOperator:
-        t = a.trace
+        t = float(a.matrix.diagonal().real.sum())
         if t <= 0.0:
             return a
         inner = oracle_norm.evaluate(
             DensityOperator(matrix=a.matrix / t, trace=1.0)
         )
-        return DensityOperator(matrix=hermitize(inner.matrix * t), trace=inner.trace * t)
+        return DensityOperator.from_psd(inner.matrix * t)
 
     return DensityMapOracle(dim=oracle_norm.dim, evaluate=evaluate)
 

@@ -330,3 +330,22 @@ def test_projection_vector_raises_on_nan_like_the_spectral_rule():
             spectral_rule(a)
         with pytest.raises(ValueError, match="finite"):
             projection_vector(a)
+
+
+
+def test_zero_matrix_is_zero_whatever_its_trace_field():
+    """The zero checks of the probe and the certificate sum the matrix's
+    diagonal instead of reading the cached trace field."""
+    zero = DensityOperator(matrix=np.zeros((2, 2), dtype=complex), trace=1.0)
+    with pytest.raises(ZeroOperator):
+        order_totality_probe(zero)
+    with pytest.raises(ZeroOperator):
+        rank_one_certificate(zero)
+
+
+def test_projection_with_zero_trace_field_is_not_zero():
+    p = pure_state([1.0, 1j]).projection()
+    mislabelled = DensityOperator(matrix=p.matrix, trace=0.0)
+    assert order_totality_probe(mislabelled, samples=100, seed=0)
+    cert = rank_one_certificate(mislabelled)
+    assert isinstance(cert, OrthogonalCertificate) and len(cert.witnesses) == 1

@@ -178,6 +178,28 @@ def test_fidelity_bad_matrix_file_is_an_input_error(matrix, capsys, tmp_path):
     assert err.startswith(f"error: {path}:") and "Traceback" not in err
 
 
+def test_fidelity_non_psd_matrix_file_is_an_input_error(capsys, tmp_path):
+    """A matrix from outside is validated: an eigenvalue of -0.2 exits 1."""
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(matrix_to_dict(np.diag([1.2, -0.2]))))
+    code, out, err = run_cli(["fidelity", "--a", path, "--b", FIXTURES / "diag_05_05.json"],
+                             capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {path}:") and err.rstrip().endswith("below tolerance band")
+
+
+def test_classify_mix_sigma_not_psd_is_an_input_error(capsys, tmp_path):
+    """So is a mix spec's sigma grid: unit trace, but an eigenvalue of -0.2."""
+    spec = tmp_path / "mix_d2.json"
+    spec.write_text(json.dumps({"kind": "mix", "dim": 2,
+                                "params": {"p": 0.5, "sigma_re": [[1.2, 0.0], [0.0, -0.2]]}}))
+    out_file = tmp_path / "c.json"
+    code, _, err = run_cli(["classify", "--map", spec, "--out", out_file], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "below tolerance band" in err
+    assert not out_file.exists()
+
+
 @pytest.mark.parametrize("option", [["--tol", "nan"], ["--tol", "-1"], ["--tol", "inf"],
                                     ["--trials", "0"]])
 def test_reconstruct_bad_parameter_is_an_input_error(option, capsys, tmp_path):

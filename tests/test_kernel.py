@@ -8,10 +8,12 @@ from fidsym import mapzoo
 from fidsym.fidelity import BadM, fidelity, fidelity_stack, is_leq, leq_stack, partial_fidelity
 from fidsym.mapzoo import classify_map, make_map, zoo_specs
 from fidsym.matcore import (
+    DensityOperator,
     DimensionMismatch,
     NotPositive,
     eig_hermitian,
     eigh_stack,
+    from_psd_stack,
     hermitize,
     hermitize_stack,
     sqrtm_psd,
@@ -69,6 +71,13 @@ def test_validate_stack_equals_n1(d):
     m = psd_inputs(d)
     for k, a in enumerate(validate_stack(m)):
         assert_same_density(a, validate_density(m[k]))
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_from_psd_stack_equals_n1(d):
+    m = psd_inputs(d)
+    for k, a in enumerate(from_psd_stack(m)):
+        assert_same_density(a, DensityOperator.from_psd(m[k]))
 
 
 @pytest.mark.parametrize("d", DIMS)

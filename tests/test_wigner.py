@@ -8,7 +8,7 @@ import pytest
 from fidsym.charact import numerical_rank
 from fidsym.fidelity import fidelity
 from fidsym.mapzoo import MapSpec, make_map
-from fidsym.matcore import DensityOperator, DimensionMismatch, validate_density
+from fidsym.matcore import DensityOperator, DimensionMismatch, pure_state, validate_density
 from fidsym.sampling import haar_unitary, random_density, random_pure_state
 from fidsym.wigner import (
     ANTIUNITARY,
@@ -159,6 +159,58 @@ def test_extend_normalized_homogeneity():
     rho = validate_density(np.diag([0.7, 0.3]))
     doubled = validate_density(2.0 * rho.matrix)
     assert np.allclose(extended.evaluate(doubled).matrix, 2.0 * rho.matrix)
+
+
+def recording_transpose(seen):
+    """A map on unit-trace operators (the transpose) that records the trace
+    of each input's matrix."""
+    def evaluate(a):
+        seen.append(np.trace(a.matrix).real)
+        return DensityOperator.from_psd(a.matrix.T)
+
+    return DensityMapOracle(dim=2, evaluate=evaluate)
+
+
+def test_extend_normalized_branches_on_the_matrix_trace():
+    """0 -> 0 is decided on the trace summed from the matrix, not the cached
+    field: a projection labelled with trace 0 is still mapped, and a zero
+    matrix labelled with trace 1 is 0 without calling the inner map."""
+    seen = []
+    extended = extend_normalized(recording_transpose(seen))
+    p = pure_state([1.0, 1j]).projection().matrix
+    image = extended.evaluate(DensityOperator(matrix=p, trace=0.0))
+    assert np.allclose(image.matrix, p.T) and abs(image.trace - 1.0) <= 1e-12
+    zero = DensityOperator(matrix=np.zeros((2, 2), dtype=complex), trace=1.0)
+    assert extended.evaluate(zero) is zero
+    assert len(seen) == 1
+
+
+def test_extend_normalized_divides_by_the_matrix_trace():
+    """2P labelled with trace 1 reaches the inner map as P and comes back as
+    2 P^T, with the image's trace summed from its matrix."""
+    seen = []
+    extended = extend_normalized(recording_transpose(seen))
+    p = pure_state([1.0, 1j]).projection().matrix
+    image = extended.evaluate(DensityOperator(matrix=2.0 * p, trace=1.0))
+    assert np.allclose(seen, [1.0])
+    assert np.allclose(image.matrix, 2.0 * p.T) and abs(image.trace - 2.0) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 32])
+@pytest.mark.parametrize("parity", [UNITARY, ANTIUNITARY])
+def test_reconstruct_exact_symmetry_without_eigendecomposition(d, parity, monkeypatch):
+    """Probe images and verification inputs of an exact symmetry are read
+    and drawn without eigh or eigvalsh."""
+    truth = SymmetryOperator(parity=parity, u=haar_unitary(np.random.default_rng(d), d))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigendecomposition while reconstructing an exact symmetry")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    report = reconstruct(symmetry_oracle(truth))
+    assert report.certified and report.symmetry.parity == parity
+    assert symmetry_distance(report.symmetry, truth) <= 1e-8
 
 
 def test_extend_normalized_feeds_reconstruct():
