@@ -14,14 +14,14 @@ from typing import Any, Mapping, Optional
 import numpy as np
 
 from .fidelity import fidelity_stack
-from .matcore import DensityOperator, eig_hermitian, from_psd_stack, validate_density
-from .sampling import (
-    draw_density,
-    haar_unitary,
-    orthogonal_pure_pair,
-    random_density,
-    random_pure_state,
+from .matcore import (
+    DensityOperator,
+    eig_hermitian,
+    from_psd_stack,
+    pure_state,
+    validate_density,
 )
+from .sampling import draw_density, ginibre, haar_stack, haar_unitary, random_density
 from .wigner import (
     ANTIUNITARY,
     UNITARY,
@@ -183,28 +183,40 @@ def _trial_pairs(
 ) -> list[tuple[DensityOperator, DensityOperator]]:
     """``count`` trial pairs: 40% random mixed pairs, 40% random pure pairs,
     20% orthogonal pure pairs; the orthogonal pairs are the sharpest
-    discriminators (F = 0 must map to F = 0). The mixed pairs are drawn in
-    order and wrapped together as one stack, as random_density wraps one."""
-    pairs: list = []  # None marks a mixed pair, filled in from the stack
-    mixed = []
+    discriminators (F = 0 must map to F = 0).
+
+    The loop only draws, in the order of random_density, random_pure_state
+    and orthogonal_pure_pair; the arithmetic then runs once per stack: one
+    batched QR for the orthogonal pairs, one from_psd_stack for the mixed
+    matrices and one for all pure projections. Each pure vector still goes
+    through pure_state's phase rule, so every pair has the bits those
+    functions give it. Lists that may be empty are stacked with np.reshape,
+    which np.stack refuses."""
+    kinds = []  # per trial: "mixed", "pure" or "orthogonal"
+    mixed, vectors, square = [], [], []
     for _ in range(count):
         r = rng.uniform()
         if r < 0.4:
+            kinds.append("mixed")
             for _ in range(2):
                 mixed.append(draw_density(rng, dim, trace=float(rng.uniform(0.0, 2.0)) or 1.0))
-            pairs.append(None)
         elif r < 0.8:
-            pairs.append((
-                random_pure_state(rng, dim).projection(),
-                random_pure_state(rng, dim).projection(),
-            ))
+            kinds.append("pure")
+            vectors += [ginibre(rng, dim), ginibre(rng, dim)]
         else:
-            p, q = orthogonal_pure_pair(rng, dim)
-            pairs.append((p.projection(), q.projection()))
-    if mixed:
-        densities = iter(from_psd_stack(np.stack(mixed)))
-        pairs = [(next(densities), next(densities)) if pair is None else pair for pair in pairs]
-    return pairs
+            kinds.append("orthogonal")
+            square.append(ginibre(rng, (dim, dim)))
+    split = len(vectors)
+    for u in haar_stack(np.reshape(square, (-1, dim, dim))):
+        vectors += [u[:, 0], u[:, 1]]
+    a = np.reshape([pure_state(v).amplitudes for v in vectors], (-1, dim))
+    projections = from_psd_stack(a[:, :, None] * a[:, None, :].conj())
+    drawn = {
+        "mixed": iter(from_psd_stack(np.reshape(mixed, (-1, dim, dim)))),
+        "pure": iter(projections[:split]),
+        "orthogonal": iter(projections[split:]),
+    }
+    return [(next(drawn[kind]), next(drawn[kind])) for kind in kinds]
 
 
 def _stacked_fidelity(pairs: list[tuple[DensityOperator, DensityOperator]]) -> np.ndarray:

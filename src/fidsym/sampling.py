@@ -12,18 +12,28 @@ import numpy as np
 from .matcore import DensityOperator, PureState, pure_state
 
 
-def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Haar-random unitary via QR of a complex Ginibre matrix with the
-    standard phase correction on R's diagonal."""
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+def ginibre(rng: np.random.Generator, shape: int | tuple[int, ...]) -> np.ndarray:
+    """Complex Gaussian array of the given shape, the one draw rule of this
+    module: all real parts are drawn first, then all imaginary parts."""
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def haar_stack(z: np.ndarray) -> np.ndarray:
+    """Haar-random unitaries from an (n, d, d) stack of Ginibre matrices:
+    one batched QR, then the standard phase correction on each R's
+    diagonal."""
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[:, None, :]
+
+
+def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Haar-random unitary; the n = 1 case of haar_stack, bit for bit."""
+    return haar_stack(ginibre(rng, (dim, dim))[None])[0]
 
 
 def random_pure_state(rng: np.random.Generator, dim: int) -> PureState:
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return pure_state(v)
+    return pure_state(ginibre(rng, dim))
 
 
 def draw_density(
@@ -36,7 +46,7 @@ def draw_density(
     given rank (drawn uniformly from 1..dim if None), rescaled to ``trace``."""
     if rank is None:
         rank = int(rng.integers(1, dim + 1))
-    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    g = ginibre(rng, (dim, rank))
     a = g @ g.conj().T
     if trace is not None:
         a = a * (trace / np.trace(a).real)

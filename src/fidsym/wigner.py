@@ -148,8 +148,9 @@ def reconstruct(
     Probe budget: d basis projections, d-1 two-component superpositions for
     phase fixing, one i-superposition for parity, plus cross checks at d >= 3
     and the verification trials. A probe image whose dimension is not the
-    oracle's rejects the map with that probe's status. Every other image is
-    read with ``charact.projection_vector``: a rank-one projection is
+    oracle's, or that holds an entry that is not finite, rejects the map
+    with that probe's status. Every other image is read with
+    ``charact.projection_vector``: a rank-one projection is
     recognised and its vector read in O(d^2) by one power step and a
     Frobenius-norm bound, and only an image near the RANK_TOL threshold, or
     not a projection at all, costs an O(d^3) eigendecomposition.
@@ -163,11 +164,16 @@ def reconstruct(
 
     def probe(v: np.ndarray, status: str) -> np.ndarray:
         """Amplitudes of the image of |v><v|; rejects with ``status`` unless
-        the image is a rank-one projection of the oracle's dimension."""
+        the image is a finite rank-one projection of the oracle's dimension."""
         nonlocal probes
         image = oracle.evaluate(DensityOperator.from_psd(np.outer(v, v.conj())))
         probes += 1
-        x = charact.projection_vector(image) if image.dim == d else None
+        m = image.matrix
+        # sum |m_ij|^2 is finite iff every entry is (barring overflow past
+        # 1e154, far from any projection), at half the cost of
+        # np.isfinite(m).all() at d = 64
+        ok = image.dim == d and math.isfinite(np.vdot(m, m).real)
+        x = charact.projection_vector(image) if ok else None
         if x is None:
             raise _Rejected(status)
         return pure_state(x).amplitudes
@@ -251,7 +257,9 @@ def reconstruct(
         probes += 1
         res = float(np.linalg.norm(got.matrix - expected.matrix))
         residual_max = max(residual_max, res)
-        if res > certify_tol * (1.0 + np.linalg.norm(a.matrix)):
+        if not res <= certify_tol * (1.0 + np.linalg.norm(a.matrix)):  # NaN fails too
+            if math.isnan(res):  # max() above passed over it
+                residual_max = math.inf
             status = STATUS_FAILED_VERIFICATION
             break
     return ReconstructionReport(

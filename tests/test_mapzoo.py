@@ -7,6 +7,7 @@ from fidsym.fidelity import fidelity
 from fidsym.mapzoo import (
     BadSpec,
     MapSpec,
+    _trial_pairs,
     classify_map,
     json_grid,
     json_number,
@@ -14,7 +15,7 @@ from fidsym.mapzoo import (
     verify_theorem,
 )
 from fidsym.matcore import pure_state, validate_density
-from fidsym.sampling import random_density
+from fidsym.sampling import orthogonal_pure_pair, random_density, random_pure_state
 
 
 def test_identity_map():
@@ -223,3 +224,36 @@ def test_json_grid_reads_bits():
     m = json_grid({"re": re, "im": im}, 2, "re", "im")
     assert np.array_equal(m, np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float))
     assert np.array_equal(json_grid({"re": re}, 2, "re", "im"), np.asarray(re, dtype=complex))
+
+
+def reference_trial_pairs(rng, d, count):
+    """Reference for _trial_pairs: draw and wrap one pair at a time."""
+    pairs = []
+    for _ in range(count):
+        r = rng.uniform()
+        if r < 0.4:
+            pairs.append(tuple(random_density(rng, d, trace=float(rng.uniform(0.0, 2.0)) or 1.0)
+                               for _ in range(2)))
+        elif r < 0.8:
+            pairs.append((random_pure_state(rng, d).projection(),
+                          random_pure_state(rng, d).projection()))
+        else:
+            p, q = orthogonal_pure_pair(rng, d)
+            pairs.append((p.projection(), q.projection()))
+    return pairs
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 16, 32])
+@pytest.mark.parametrize("count", [1, 2, 7, 64])
+def test_trial_pairs_match_reference_pair_by_pair(d, count):
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        pairs = _trial_pairs(rng, d, count)
+        one = np.random.default_rng(seed)
+        expected = reference_trial_pairs(one, d, count)
+        assert rng.bit_generator.state == one.bit_generator.state, seed
+        assert len(pairs) == count
+        for pair, want in zip(pairs, expected):
+            for a, b in zip(pair, want):
+                assert a.matrix.tobytes() == b.matrix.tobytes(), seed
+                assert a.trace == b.trace, seed

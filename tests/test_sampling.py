@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fidsym.charact import spectral_rank
-from fidsym.sampling import draw_density, random_density
+from fidsym.sampling import draw_density, ginibre, haar_stack, haar_unitary, random_density
 from fidsym.tolerances import PSD_TOL, TRACE_TOL
 
 
@@ -39,3 +39,16 @@ def test_random_density_draws_rank_when_none():
     a = random_density(rng, 5)
     assert rng.bit_generator.state == drawn.bit_generator.state
     assert np.array_equal(a.matrix, (raw + raw.conj().T) / 2)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 32, 64])
+def test_haar_stack_rows_equal_haar_unitary(d):
+    """haar_unitary is the n = 1 case of haar_stack; a stack of Ginibre
+    matrices drawn one by one gives the unitaries haar_unitary draws."""
+    one = np.random.default_rng(d)
+    expected = [haar_unitary(one, d) for _ in range(5)]
+    rng = np.random.default_rng(d)
+    got = haar_stack(np.stack([ginibre(rng, (d, d)) for _ in range(5)]))
+    assert rng.bit_generator.state == one.bit_generator.state
+    for u, w in zip(got, expected):
+        assert u.tobytes() == w.tobytes()

@@ -360,3 +360,41 @@ def test_reconstruct_rejects_bad_parameters_before_probing(kwargs):
 def test_oracle_needs_positive_dim(dim):
     with pytest.raises(ValueError, match="dim must be >= 1"):
         DensityMapOracle(dim=dim, evaluate=lambda a: a)
+
+
+def nan_oracle(d, where, fill=np.nan):
+    """Identity, except that an input ``where`` picks goes to an image whose
+    every entry is ``fill`` (NaN by default), with the input's trace."""
+    bad = np.full((d, d), fill, dtype=complex)
+    return DensityMapOracle(
+        dim=d, evaluate=lambda a: DensityOperator(matrix=bad, trace=a.trace) if where(a) else a
+    )
+
+
+@pytest.mark.parametrize("fill", [np.nan, np.inf])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_reconstruct_rejects_an_all_nan_probe_image(d, fill):
+    report = reconstruct(nan_oracle(d, lambda a: True, fill))
+    assert report.status == STATUS_FAILED_PROJECTION_PROBE
+    assert report.probes_used == 1
+    assert report.symmetry is None
+    assert report.residual_max == math.inf
+
+
+@pytest.mark.parametrize("d, probes", [(2, 4), (3, 7)])
+def test_reconstruct_rejects_a_nan_parity_image(d, probes):
+    """Only the i-superposition has a matrix with imaginary entries."""
+    report = reconstruct(nan_oracle(d, lambda a: np.any(a.matrix.imag != 0.0)))
+    assert report.status == STATUS_FAILED_PARITY
+    assert report.probes_used == probes
+    assert report.symmetry is None
+
+
+def test_nan_verification_residual_fails_verification():
+    """Every probe passes; the first verification input of rank >= 2 has an
+    all-NaN image, whose NaN residual must not certify."""
+    report = reconstruct(nan_oracle(3, lambda a: numerical_rank(a) > 1))
+    assert report.status == STATUS_FAILED_VERIFICATION
+    assert report.probes_used == 8
+    assert report.symmetry.parity == UNITARY
+    assert report.residual_max == math.inf
