@@ -1,10 +1,10 @@
 """Reconstruction of the unitary or antiunitary operator behind a black-box
 map on density operators.
 
-The map is probed on a small schedule of rank-one projections (basis states,
-two-component real superpositions, one i-superposition), the implementing
-operator is assembled column by column with explicit phase fixing, its parity
-is classified, and the identity phi(A) = U A U* (or U conj(A) U*) is certified
+The map is probed on 2d rank-one projections (basis states, two-component
+real superpositions, one i-superposition), the implementing operator is
+assembled column by column with explicit phase fixing, its parity is
+classified, and the identity phi(A) = U A U* (or U conj(A) U*) is certified
 on random density operators. Bijectivity of the map is never assumed; a map
 that fails any stage gets a status flag, not an exception.
 """
@@ -145,12 +145,24 @@ def reconstruct(
     """Probe the oracle on rank-one projections, assemble the implementing
     operator, classify its parity, and certify on random density operators.
 
-    Probe budget: d basis projections, d-1 two-component superpositions for
-    phase fixing, one i-superposition for parity, plus cross checks at d >= 3
-    and the verification trials. A probe image whose dimension is not the
-    oracle's, or that holds an entry that is not finite, rejects the map
-    with that probe's status. Every other image is read with
-    ``charact.projection_vector``: a rank-one projection is
+    Probe budget: 2d + ``verification_trials`` oracle calls for a certified
+    map (1 + ``verification_trials`` at d = 1): d basis projections, d - 1
+    superpositions (e_1 + e_j)/sqrt(2) for phase fixing and one
+    i-superposition (e_1 + i e_2)/sqrt(2) for parity. A bijective
+    fidelity-preserving map is A -> U A U* or A -> U conj(A) U*, and these
+    probes pin that candidate up to a global phase; verification then
+    decides. A map that is not the candidate, yet passes the probes (a
+    different parity on one block, a transpose of one block, an entrywise
+    phase multiplier), differs from it on a set of positive measure, which
+    the random verification inputs hit. A map that differs only on a null set
+    escapes any finite schedule of probes. ``seed`` only selects the
+    verification draws, through ``default_rng(seed + 1)``.
+
+    A probe image whose dimension is not the oracle's, or that holds an entry
+    that is not finite, rejects the map with that probe's status; a
+    verification image of the wrong dimension or with a NaN residual fails
+    verification with ``residual_max`` infinite. Every other probe image is
+    read with ``charact.projection_vector``: a rank-one projection is
     recognised and its vector read in O(d^2) by one power step and a
     Frobenius-norm bound, and only an image near the RANK_TOL threshold, or
     not a projection at all, costs an O(d^3) eigendecomposition.
@@ -203,20 +215,7 @@ def reconstruct(
                 raise _Rejected(STATUS_FAILED_PHASE)
             g.append(gj)
 
-        # (3) Cross checks on pairs not involving the first basis vector.
-        if d >= 3:
-            rng = np.random.default_rng(seed)
-            pairs = [(j, k) for j in range(1, d) for k in range(j + 1, d)]
-            if len(pairs) > 2 * d:
-                idx = rng.choice(len(pairs), size=2 * d, replace=False)
-                pairs = [pairs[i] for i in sorted(idx)]
-            for j, k in pairs:
-                y = probe(_superposition(d, j, k), STATUS_FAILED_PHASE)
-                target = (g[j] + g[k]) / math.sqrt(2.0)
-                if abs(np.vdot(target, y)) ** 2 < 1.0 - PROBE_TOL:
-                    raise _Rejected(STATUS_FAILED_PHASE)
-
-        # (4) Parity from the i-superposition (e_1 + i e_2)/sqrt(2).
+        # (3) Parity from the i-superposition (e_1 + i e_2)/sqrt(2).
         parity = UNITARY
         margin = 0.0
         if d >= 2:
@@ -231,7 +230,7 @@ def reconstruct(
             margin = abs(ov_u - ov_a)
         # d = 1: the two parities coincide on 1x1 matrices; unitary by convention.
 
-        # (5) Assemble U with columns g_i and verify unitarity.
+        # (4) Assemble U with columns g_i and verify unitarity.
         u = np.column_stack(g)
         if np.linalg.norm(u.conj().T @ u - np.eye(d)) > UNITARY_TOL:
             raise _Rejected(STATUS_FAILED_PHASE, margin=margin)
@@ -246,7 +245,7 @@ def reconstruct(
         )
     symmetry = SymmetryOperator(parity=parity, u=u)
 
-    # (6) Verification on random density operators of mixed rank and trace.
+    # (5) Verification on random density operators of mixed rank and trace.
     rng = np.random.default_rng(seed + 1)
     residual_max = 0.0
     status = STATUS_CERTIFIED
@@ -255,7 +254,12 @@ def reconstruct(
         expected = apply_symmetry(symmetry, a)
         got = oracle.evaluate(a)
         probes += 1
-        res = float(np.linalg.norm(got.matrix - expected.matrix))
+        # an image of the wrong shape fails as a NaN residual does; the
+        # difference would broadcast it, or raise
+        if got.matrix.shape == (d, d):
+            res = float(np.linalg.norm(got.matrix - expected.matrix))
+        else:
+            res = math.nan
         residual_max = max(residual_max, res)
         if not res <= certify_tol * (1.0 + np.linalg.norm(a.matrix)):  # NaN fails too
             if math.isnan(res):  # max() above passed over it

@@ -261,9 +261,9 @@ def rank_one_identity_oracle(d):
 
 
 # (oracle, status, probes_used, parity_margin) at d = 3. Probe budget:
-# 3 basis + 2 phase-fixing + 1 cross check + 1 parity + 64 verification.
+# 3 basis + 2 phase-fixing + 1 parity + 64 verification.
 STATUS_CASES = {
-    "certified": (identity_oracle, STATUS_CERTIFIED, 71, 1.0),
+    "certified": (identity_oracle, STATUS_CERTIFIED, 70, 1.0),
     "depolarizing": (
         lambda d: make_map(MapSpec(kind="depolarizing", dim=d, params={"p": 0.5})),
         STATUS_FAILED_PROJECTION_PROBE, 1, 0.0,
@@ -271,8 +271,8 @@ STATUS_CASES = {
     "dephase": (
         lambda d: make_map(MapSpec(kind="dephase", dim=d)), STATUS_FAILED_PHASE, 4, 0.0,
     ),
-    "parity": (parity_breaking_oracle, STATUS_FAILED_PARITY, 7, 0.0),
-    "verification": (rank_one_identity_oracle, STATUS_FAILED_VERIFICATION, 8, 1.0),
+    "parity": (parity_breaking_oracle, STATUS_FAILED_PARITY, 6, 0.0),
+    "verification": (rank_one_identity_oracle, STATUS_FAILED_VERIFICATION, 7, 1.0),
 }
 
 
@@ -381,7 +381,7 @@ def test_reconstruct_rejects_an_all_nan_probe_image(d, fill):
     assert report.residual_max == math.inf
 
 
-@pytest.mark.parametrize("d, probes", [(2, 4), (3, 7)])
+@pytest.mark.parametrize("d, probes", [(2, 4), (3, 6)])
 def test_reconstruct_rejects_a_nan_parity_image(d, probes):
     """Only the i-superposition has a matrix with imaginary entries."""
     report = reconstruct(nan_oracle(d, lambda a: np.any(a.matrix.imag != 0.0)))
@@ -395,6 +395,106 @@ def test_nan_verification_residual_fails_verification():
     all-NaN image, whose NaN residual must not certify."""
     report = reconstruct(nan_oracle(3, lambda a: numerical_rank(a) > 1))
     assert report.status == STATUS_FAILED_VERIFICATION
-    assert report.probes_used == 8
+    assert report.probes_used == 7
     assert report.symmetry.parity == UNITARY
     assert report.residual_max == math.inf
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 1), (2, 2), (4, 4)], ids=["1x1", "3x1", "2x2", "4x4"])
+def test_verification_image_of_the_wrong_shape_fails_verification(shape):
+    """Every probe passes at d = 3; the first verification input of rank >= 2
+    goes to an image of the wrong shape, which is neither broadcast against
+    the expected matrix nor allowed to raise."""
+    bad = np.ones(shape, dtype=complex)
+    oracle = DensityMapOracle(
+        dim=3,
+        evaluate=lambda a: a if numerical_rank(a) == 1 else DensityOperator(matrix=bad, trace=1.0),
+    )
+    report = reconstruct(oracle)
+    assert report.status == STATUS_FAILED_VERIFICATION
+    assert report.probes_used == 7
+    assert report.symmetry.parity == UNITARY
+    assert report.residual_max == math.inf
+
+
+def block_conjugate(m):
+    """Conjugate (for a Hermitian m, transpose) the block on e_2..e_d."""
+    out = m.copy()
+    out[1:, 1:] = m[1:, 1:].conj()
+    return out
+
+
+def block_transpose(m):
+    """Transpose the two off-diagonal blocks between e_1 and e_2..e_d."""
+    out = m.copy()
+    out[0, 1:] = m[1:, 0]
+    out[1:, 0] = m[0, 1:]
+    return out
+
+
+def schur_phase(d):
+    """A -> S o A with S_jk = exp(i theta_jk), theta antisymmetric and not of
+    the form t_j - t_k, so that S o A is no diagonal-unitary conjugation."""
+    theta = np.triu(np.random.default_rng(d).uniform(0.0, 2.0 * np.pi, (d, d)), k=1)
+    s = np.exp(1j * (theta - theta.T))
+    return lambda m: s * m
+
+
+def perturbed_oracle(truth, inner):
+    """A -> truth(inner(A)): equal to the symmetry on every real probe, and
+    different from it on a set of positive measure."""
+    return DensityMapOracle(
+        dim=truth.dim,
+        evaluate=lambda a: apply_symmetry(truth, DensityOperator.from_psd(inner(a.matrix))),
+    )
+
+
+def depolarized_oracle(truth, eps):
+    """phi_eps(A) = (1 - eps) truth(A) + eps tr(A) I/d."""
+    d = truth.dim
+
+    def evaluate(a):
+        t = a.matrix.diagonal().real.sum()
+        return DensityOperator.from_psd(
+            (1.0 - eps) * apply_symmetry(truth, a).matrix + eps * t * np.eye(d) / d
+        )
+
+    return DensityMapOracle(dim=d, evaluate=evaluate)
+
+
+@pytest.mark.parametrize("family", ["block_conjugate", "block_transpose", "schur_phase"])
+@pytest.mark.parametrize("parity", [UNITARY, ANTIUNITARY])
+@pytest.mark.parametrize("d", [3, 4, 8])
+def test_verification_rejects_maps_that_pass_every_probe(d, parity, family):
+    """The basis, phase-fixing and parity probes cannot tell these maps from
+    a symmetry; the random verification inputs can."""
+    inner = {"block_conjugate": block_conjugate, "block_transpose": block_transpose,
+             "schur_phase": schur_phase(d)}[family]
+    truth = SymmetryOperator(parity=parity, u=haar_unitary(np.random.default_rng(d + 40), d))
+    report = reconstruct(perturbed_oracle(truth, inner))
+    assert report.status == STATUS_FAILED_VERIFICATION
+    assert report.symmetry is not None
+    assert report.probes_used == 2 * d + 1
+    assert report.residual_max > 1e-3
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-12])
+@pytest.mark.parametrize("parity", [UNITARY, ANTIUNITARY])
+@pytest.mark.parametrize("d", [3, 4, 8])
+def test_symmetries_and_near_symmetries_still_certify(d, parity, eps):
+    truth = SymmetryOperator(parity=parity, u=haar_unitary(np.random.default_rng(d + 40), d))
+    report = reconstruct(depolarized_oracle(truth, eps))
+    assert report.certified
+    assert report.symmetry.parity == parity
+    assert symmetry_distance(report.symmetry, truth) <= 1e-8
+
+
+@pytest.mark.parametrize("trials", [1, 64])
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 32])
+def test_probe_budget_of_a_certified_symmetry(d, trials):
+    """d basis + d - 1 phase-fixing + 1 parity probe (none at d = 1), then
+    the verification trials."""
+    truth = SymmetryOperator(parity=UNITARY, u=haar_unitary(np.random.default_rng(d), d))
+    report = reconstruct(symmetry_oracle(truth), verification_trials=trials)
+    assert report.certified
+    assert report.probes_used == (1 if d == 1 else 2 * d) + trials
