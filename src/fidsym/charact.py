@@ -55,10 +55,9 @@ def rank_one_certificate(a: DensityOperator) -> OrthogonalCertificate | Certific
 
     For rank >= 2 no certificate can exist (mutually orthogonal ranges force
     rank sums <= d), so the numerical rank is returned as evidence. A trace
-    at most CERT_TOL raises ZeroOperator; it is summed from the matrix, not
-    read from the cached field.
+    at most CERT_TOL raises ZeroOperator.
     """
-    if a.matrix.diagonal().real.sum() <= CERT_TOL:
+    if a.trace <= CERT_TOL:
         raise ZeroOperator("certificate requires a nonzero operator")
     spec = eig_hermitian(a.matrix)
     rank = spectral_rank(spec.eigenvalues)
@@ -79,10 +78,8 @@ def projection_vector(a: DensityOperator) -> Optional[np.ndarray]:
     """Unit vector v with A = vv* if A is a rank-one projection, else None.
 
     The rule is the spectral one: rank one (``spectral_rank``) and a trace
-    within TRACE_TOL of 1. The trace is summed from the matrix's diagonal,
-    never taken from the cached ``trace`` field, which an image built
-    directly (``DensityOperator(matrix=1e-9 * p, trace=1.0)``) may get
-    wrong. Most images are decided in O(d^2), without an
+    within TRACE_TOL of 1, summed from the diagonal that also gives the
+    power step's start. Most images are decided in O(d^2), without an
     eigendecomposition. With P = A and k the index of its largest diagonal
     entry, one power step gives the unit vector x = P(P e_k)/||P(P e_k)||,
     then c = x*Px and e = ||P - c xx*||_F. Since c xx* has eigenvalues c and
@@ -152,11 +149,11 @@ def order_totality_probe(a: DensityOperator, samples: int = 200, seed: int = 0) 
     incomparable pair is found with overwhelming probability at default
     sample counts. As D <= E implies tr D <= tr E, the samples are totally
     ordered exactly when each lies below its successor in trace order. A
-    trace at most CERT_TOL, summed from the matrix, raises ZeroOperator.
+    trace at most CERT_TOL raises ZeroOperator.
     """
     if samples < 2:
         raise ValueError(f"probe needs samples >= 2, got {samples}")
-    if a.matrix.diagonal().real.sum() <= CERT_TOL:
+    if a.trace <= CERT_TOL:
         raise ZeroOperator("probe requires a nonzero operator")
     rng = np.random.default_rng(seed)
     mins = _sample_minorants(a, samples, rng)

@@ -125,19 +125,22 @@ def classification_to_dict(report: ClassificationReport) -> dict[str, Any]:
 def write_report(path: str, payload: dict[str, Any]) -> None:
     """Write JSON atomically (temp file then rename) so a crash never leaves
     a half-written report. ``payload`` may replace the default tolerance
-    table with the one its command used."""
+    table with the one its command used. InputError if it cannot be written."""
     payload = {"tool_version": __version__, "tolerances": tolerances.table(), **payload}
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_fidelity(args: argparse.Namespace) -> int:

@@ -219,9 +219,14 @@ def _trial_pairs(
     return [(next(drawn[kind]), next(drawn[kind])) for kind in kinds]
 
 
-def _stacked_fidelity(pairs: list[tuple[DensityOperator, DensityOperator]]) -> np.ndarray:
-    return fidelity_stack(np.stack([a.matrix for a, _ in pairs]),
-                          np.stack([b.matrix for _, b in pairs]))
+def _stacked_fidelity(pairs: list[tuple[DensityOperator, DensityOperator]], dim: int) -> np.ndarray:
+    """F of each pair; inf for a pair holding a matrix that is not a finite (dim, dim) one."""
+    nan = np.full((dim, dim), np.nan)
+    m = np.array([[x.matrix if x.matrix.shape == (dim, dim) else nan for x in p] for p in pairs])
+    ok = np.isfinite(m).all(axis=(1, 2, 3))
+    f = np.full(len(pairs), np.inf)
+    f[ok] = fidelity_stack(m[ok, 0], m[ok, 1])
+    return f
 
 
 def classify_map(oracle: DensityMapOracle, trials: int = 200, seed: int = 0) -> ClassificationReport:
@@ -232,6 +237,10 @@ def classify_map(oracle: DensityMapOracle, trials: int = 200, seed: int = 0) -> 
     reported, and its first pair is the witness. Trials are drawn and scored
     in stacks of at most TRIAL_STACK_ENTRIES; the oracle sees one matrix at
     a time, in draw order.
+
+    An image that is not a finite (d, d) matrix (NaN entries, or a map into
+    another dimension such as an isometric embedding) scores an infinite
+    violation, so its first pair is the witness of a rejection.
     """
     if trials < 1:
         raise BadSpec(f"trials must be >= 1, got {trials}")
@@ -245,7 +254,7 @@ def classify_map(oracle: DensityMapOracle, trials: int = 200, seed: int = 0) -> 
     for start in range(0, trials, size):
         pairs = _trial_pairs(rng, d, min(size, trials - start))
         images = [(oracle.evaluate(a), oracle.evaluate(b)) for a, b in pairs]
-        violation = np.abs(_stacked_fidelity(images) - _stacked_fidelity(pairs))
+        violation = np.abs(_stacked_fidelity(images, d) - _stacked_fidelity(pairs, d))
         k = int(np.argmax(violation))
         if violation[k] > worst:
             worst = float(violation[k])

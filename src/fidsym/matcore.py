@@ -78,12 +78,9 @@ def hermitize(m: np.ndarray) -> np.ndarray:
 
 def from_psd_stack(m: np.ndarray) -> list[DensityOperator]:
     """Wrap every matrix of an (n, d, d) stack already known to be PSD (GG*,
-    U A U*) as a density operator: hermitize once, take each trace from the
-    hermitized matrix, and check nothing else. Matrices from outside go
-    through validate_stack instead."""
-    h = hermitize_stack(m)
-    return [DensityOperator(matrix=_freeze(x), trace=float(t))
-            for x, t in zip(h, np.trace(h, axis1=-2, axis2=-1).real)]
+    U A U*) as a density operator: hermitize once and check nothing else.
+    Matrices from outside go through validate_stack instead."""
+    return [DensityOperator(matrix=_freeze(x)) for x in hermitize_stack(m)]
 
 
 def check_same_dim(a, b) -> int:
@@ -111,20 +108,20 @@ class DensityOperator:
     Construct a matrix from outside through :func:`validate_density`, which
     checks it is PSD and clips its eigenvalues; construct one that is PSD by
     construction (GG*, U A U*, a projection vv*) through :meth:`from_psd`,
-    which only hermitizes. Either way ``matrix`` is exactly Hermitian and
-    ``trace`` is cached and real. The constructor itself checks nothing, so
-    an operator built directly may carry a ``trace`` that is not its
-    matrix's; the rules that decide on the trace of an operator from an
-    oracle or a caller (``charact``, ``wigner.extend_normalized``) sum the
-    matrix's diagonal instead.
+    which only hermitizes. Either way ``matrix`` is exactly Hermitian. The
+    constructor itself checks nothing. ``trace`` is derived from ``matrix``,
+    so no operator can carry a trace that is not its matrix's.
     """
 
     matrix: np.ndarray
-    trace: float
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def trace(self) -> float:
+        return float(np.trace(self.matrix).real)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.matrix))
@@ -217,9 +214,7 @@ def validate_stack(m: np.ndarray) -> list[DensityOperator]:
     if np.any(negative):
         raise NotPositive(f"eigenvalue {low[negative][0]:.3e} below tolerance band")
     w = np.clip(w, 0.0, None)
-    matrices = hermitize_stack(_rebuild(w, v))
-    return [DensityOperator(matrix=_freeze(m), trace=float(t))
-            for m, t in zip(matrices, w.sum(axis=-1))]
+    return [DensityOperator(matrix=_freeze(x)) for x in hermitize_stack(_rebuild(w, v))]
 
 
 def validate_density(m: np.ndarray, require_unit_trace: bool = False) -> DensityOperator:

@@ -103,17 +103,13 @@ def symmetry_distance(s1: SymmetryOperator, s2: SymmetryOperator) -> float:
 
 def extend_normalized(oracle_norm: DensityMapOracle) -> DensityMapOracle:
     """Extend a map defined on unit-trace density operators to all of them by
-    homogeneity: 0 -> 0 and A -> (tr A) * phi(A / tr A). The traces of A and
-    of the image are summed from their matrices, not read from the cached
-    fields."""
+    homogeneity: 0 -> 0 and A -> (tr A) * phi(A / tr A)."""
 
     def evaluate(a: DensityOperator) -> DensityOperator:
-        t = float(a.matrix.diagonal().real.sum())
+        t = a.trace
         if t <= 0.0:
             return a
-        inner = oracle_norm.evaluate(
-            DensityOperator(matrix=a.matrix / t, trace=1.0)
-        )
+        inner = oracle_norm.evaluate(DensityOperator(matrix=a.matrix / t))
         return DensityOperator.from_psd(inner.matrix * t)
 
     return DensityMapOracle(dim=oracle_norm.dim, evaluate=evaluate)

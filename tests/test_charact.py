@@ -290,17 +290,17 @@ def odd_images(d):
     rng = np.random.default_rng(d)
     p = pure_state(rng.normal(size=d) + 1j * rng.normal(size=d)).projection().matrix
     q = pure_state(rng.normal(size=d) + 1j * rng.normal(size=d)).projection().matrix
-    yield DensityOperator(matrix=-p, trace=-1.0)
+    yield DensityOperator(matrix=-p)
     yield DensityOperator.from_psd(2.0 * p)
     yield DensityOperator.from_psd(0.5 * p)
     yield DensityOperator.from_psd(np.zeros((d, d)))
-    yield DensityOperator(matrix=np.zeros((d, d), dtype=complex), trace=1.0)
+    yield DensityOperator(matrix=np.zeros((d, d), dtype=complex))
     yield DensityOperator.from_psd(p * (1.0 + 2e-9))
     yield DensityOperator.from_psd(p * (1.0 + 5e-10))
-    # trace field 1, matrix tiny: rank two at 1e-9, numerically zero at 1e-13
-    yield DensityOperator(matrix=1e-9 * (p + 0.5 * q), trace=1.0)
-    yield DensityOperator(matrix=1e-13 * p, trace=1.0)
-    yield DensityOperator(matrix=1e-9 * p, trace=1.0)
+    # matrix tiny: rank two at 1e-9, numerically zero at 1e-13
+    yield DensityOperator(matrix=1e-9 * (p + 0.5 * q))
+    yield DensityOperator(matrix=1e-13 * p)
+    yield DensityOperator(matrix=1e-9 * p)
     # unit trace, not PSD
     yield DensityOperator.from_psd(p + 0.1 * q - 0.1 * pure_state(np.eye(d)[0]).projection().matrix)
 
@@ -313,39 +313,38 @@ def test_projection_vector_on_odd_images(d):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 8, 64])
 def test_projection_vector_reads_the_trace_from_the_matrix(d):
-    """A unit projection scaled by 1e-9 is not a projection, whatever its
-    trace field says; an honest projection with a wrong field still is."""
+    """A unit projection scaled by 1e-9, built directly, is not a
+    projection; the unit projection itself, built directly, is."""
     rng = np.random.default_rng(60 + d)
     p = pure_state(rng.normal(size=d) + 1j * rng.normal(size=d)).projection().matrix
-    assert projection_vector(DensityOperator(matrix=1e-9 * p, trace=1.0)) is None
-    assert projection_vector(DensityOperator(matrix=p, trace=1e-9)) is not None
+    assert projection_vector(DensityOperator(matrix=1e-9 * p)) is None
+    assert projection_vector(DensityOperator(matrix=p)) is not None
 
 
 def test_projection_vector_raises_on_nan_like_the_spectral_rule():
     m = pure_state([1.0, 1.0]).projection().matrix.copy()
     m[0, 1] = np.nan
-    for trace in (1.0, float("nan")):
-        a = DensityOperator(matrix=m, trace=trace)
-        with pytest.raises(ValueError, match="finite"):
-            spectral_rule(a)
-        with pytest.raises(ValueError, match="finite"):
-            projection_vector(a)
+    a = DensityOperator(matrix=m)
+    with pytest.raises(ValueError, match="finite"):
+        spectral_rule(a)
+    with pytest.raises(ValueError, match="finite"):
+        projection_vector(a)
 
 
 
-def test_zero_matrix_is_zero_whatever_its_trace_field():
-    """The zero checks of the probe and the certificate sum the matrix's
-    diagonal instead of reading the cached trace field."""
-    zero = DensityOperator(matrix=np.zeros((2, 2), dtype=complex), trace=1.0)
+def test_directly_built_zero_matrix_is_zero():
+    """The zero checks of the probe and the certificate read the trace of
+    the matrix, also for an operator built without from_psd."""
+    zero = DensityOperator(matrix=np.zeros((2, 2), dtype=complex))
     with pytest.raises(ZeroOperator):
         order_totality_probe(zero)
     with pytest.raises(ZeroOperator):
         rank_one_certificate(zero)
 
 
-def test_projection_with_zero_trace_field_is_not_zero():
+def test_directly_built_projection_is_not_zero():
     p = pure_state([1.0, 1j]).projection()
-    mislabelled = DensityOperator(matrix=p.matrix, trace=0.0)
-    assert order_totality_probe(mislabelled, samples=100, seed=0)
-    cert = rank_one_certificate(mislabelled)
+    direct = DensityOperator(matrix=p.matrix)
+    assert order_totality_probe(direct, samples=100, seed=0)
+    cert = rank_one_certificate(direct)
     assert isinstance(cert, OrthogonalCertificate) and len(cert.witnesses) == 1

@@ -244,6 +244,25 @@ def test_dim_above_cap_is_an_input_error(command, dim, capsys, tmp_path, nothing
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("target", ["missing", "directory"])
+@pytest.mark.parametrize("command", [
+    ["classify", "--map", FIXTURES / "transpose_d2.json", "--trials", 10],
+    ["reconstruct", "--map", FIXTURES / "transpose_d2.json", "--trials", 4],
+    ["verify", "--dim", 2, "--trials", 10],
+], ids=["classify", "reconstruct", "verify"])
+def test_unwritable_out_is_an_input_error(command, target, capsys, tmp_path):
+    """An --out in a missing directory, or naming a directory, exits 1 with an
+    error line and leaves no temp file behind."""
+    out = tmp_path / "missing" / "r.json"
+    if target == "directory":
+        out = tmp_path / "r.json"
+        out.mkdir()
+    code, _, err = run_cli(command + ["--out", out], capsys)
+    assert code == 1
+    assert err.startswith("error:") and str(out) in err and "Traceback" not in err
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
 def test_dim_at_cap_is_accepted(capsys, tmp_path):
     matrix = tmp_path / "a.json"
     matrix.write_text(json.dumps(matrix_to_dict(np.eye(64) / 64)))

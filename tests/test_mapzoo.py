@@ -1,5 +1,7 @@
 """Map zoo generators, the fidelity-preservation classifier, and the theorem
 harness."""
+import math
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,9 @@ from fidsym.mapzoo import (
     make_map,
     verify_theorem,
 )
-from fidsym.matcore import pure_state, validate_density
+from fidsym.matcore import DensityOperator, pure_state, validate_density
 from fidsym.sampling import orthogonal_pure_pair, random_density, random_pure_state
+from fidsym.wigner import DensityMapOracle
 
 
 def test_identity_map():
@@ -28,6 +31,18 @@ def test_depolarizing_on_basis_projection():
     oracle = make_map(MapSpec(kind="depolarizing", dim=2, params={"p": 0.5}))
     out = oracle.evaluate(pure_state(np.eye(2)[0]).projection())
     assert np.allclose(out.matrix, np.diag([0.75, 0.25]))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_full_replacement_sends_a_direct_projection_to_the_target(d):
+    """At p = 1 depolarizing and mix send a unit projection, built directly,
+    to I/d and sigma: the trace they scale by is the matrix's."""
+    p = DensityOperator(matrix=pure_state(np.arange(1.0, d + 1)).projection().matrix)
+    depolarize = make_map(MapSpec(kind="depolarizing", dim=d, params={"p": 1.0}))
+    assert np.allclose(depolarize.evaluate(p).matrix, np.eye(d) / d, atol=1e-15)
+    sigma = np.diag(np.arange(1.0, d + 1)) / (d * (d + 1) / 2)
+    mix = make_map(MapSpec(kind="mix", dim=d, params={"p": 1.0, "sigma_re": sigma.tolist()}))
+    assert np.allclose(mix.evaluate(p).matrix, sigma, atol=1e-15)
 
 
 def test_transpose_map():
@@ -132,6 +147,58 @@ def test_verify_theorem_d2():
 def test_verify_theorem_rejects_d1():
     with pytest.raises(BadSpec):
         verify_theorem(1)
+
+
+def nan_image_oracle(d, bad):
+    """Identity, except that an input ``bad`` picks goes to an all-NaN image."""
+    nan = np.full((d, d), np.nan, dtype=complex)
+    return DensityMapOracle(dim=d, evaluate=lambda a: DensityOperator(matrix=nan) if bad(a) else a)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_classify_all_nan_images_is_an_infinite_violation(d):
+    report = classify_map(nan_image_oracle(d, lambda a: True), trials=10)
+    assert not report.preserving and report.worst_violation == math.inf
+    assert report.reconstruction is None
+    first = _trial_pairs(np.random.default_rng(0), d, 1)[0]
+    assert [x.matrix.tobytes() for x in report.witness_pair] == [
+        x.matrix.tobytes() for x in first]
+
+
+def test_classify_witness_is_the_pair_with_the_nan_image():
+    """Only one trial input, in the sixth pair of the second stack of 16
+    pairs at d = 8, has a NaN image; that pair is the witness."""
+    d = 8
+    rng = np.random.default_rng(0)
+    _trial_pairs(rng, d, 16)
+    pair = _trial_pairs(rng, d, 16)[5]
+    target = pair[1].matrix.tobytes()
+    report = classify_map(nan_image_oracle(d, lambda a: a.matrix.tobytes() == target),
+                          trials=40)
+    assert not report.preserving and report.worst_violation == math.inf
+    assert [x.matrix.tobytes() for x in report.witness_pair] == [
+        x.matrix.tobytes() for x in pair]
+
+
+def test_classify_images_of_mixed_shapes_are_an_infinite_violation():
+    """The identity on mixed inputs and an isometric embedding into d + 1 on
+    rank-one ones: images of two shapes in one stack. With seed 2 the first
+    pair is mixed, and the first pair of rank-one inputs is the witness."""
+    d = 3
+    v = np.linalg.qr(np.random.default_rng(1).normal(size=(d + 1, d)))[0]
+
+    def rank_one(a):
+        return np.linalg.matrix_rank(a.matrix) == 1
+
+    oracle = DensityMapOracle(dim=d, evaluate=lambda a: (
+        DensityOperator.from_psd(v @ a.matrix @ v.T) if rank_one(a) else a))
+    report = classify_map(oracle, trials=20, seed=2)
+    assert not report.preserving and report.worst_violation == math.inf
+    pairs = _trial_pairs(np.random.default_rng(2), d, 20)
+    first = next(p for p in pairs if rank_one(p[0]))
+    assert not rank_one(pairs[0][0])
+    assert [x.matrix.tobytes() for x in report.witness_pair] == [
+        x.matrix.tobytes() for x in first]
 
 
 def test_classify_needs_dim_two():

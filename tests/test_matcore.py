@@ -1,12 +1,16 @@
 """Tests for the Hermitian substrate: eigendecomposition, PSD square roots,
 density validation, phase canonicalization."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fidsym.matcore import (
+    DensityOperator,
     NotNormalized,
     NotPositive,
     eig_hermitian,
+    from_psd_stack,
     hermitize,
     normalize_phase,
     pure_state,
@@ -121,3 +125,20 @@ def test_pure_state_leading_component_real_positive():
     assert lead.imag == pytest.approx(0.0, abs=1e-15)
     assert lead.real > 0
     assert np.linalg.norm(s.amplitudes) == pytest.approx(1.0)
+
+
+def test_density_operator_holds_only_its_matrix():
+    assert tuple(f.name for f in dataclasses.fields(DensityOperator)) == ("matrix",)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 64])
+def test_trace_is_the_matrix_trace_bit_for_bit(d):
+    """Whatever built the operator, its trace is np.trace(matrix).real."""
+    rng = np.random.default_rng(d)
+    g = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
+    psd = g @ g.conj().swapaxes(-1, -2)
+    ops = [DensityOperator.from_psd(psd[0]), *from_psd_stack(psd),
+           validate_density(psd[1]), DensityOperator(matrix=psd[2])]
+    for a in ops:
+        assert isinstance(a.trace, float)
+        assert a.trace.hex() == float(np.trace(a.matrix).real).hex()

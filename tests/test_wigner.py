@@ -172,26 +172,26 @@ def recording_transpose(seen):
 
 
 def test_extend_normalized_branches_on_the_matrix_trace():
-    """0 -> 0 is decided on the trace summed from the matrix, not the cached
-    field: a projection labelled with trace 0 is still mapped, and a zero
-    matrix labelled with trace 1 is 0 without calling the inner map."""
+    """0 -> 0 is decided on the trace of the matrix: a projection built
+    directly is mapped, and a zero matrix built directly is 0 without
+    calling the inner map."""
     seen = []
     extended = extend_normalized(recording_transpose(seen))
     p = pure_state([1.0, 1j]).projection().matrix
-    image = extended.evaluate(DensityOperator(matrix=p, trace=0.0))
+    image = extended.evaluate(DensityOperator(matrix=p))
     assert np.allclose(image.matrix, p.T) and abs(image.trace - 1.0) <= 1e-12
-    zero = DensityOperator(matrix=np.zeros((2, 2), dtype=complex), trace=1.0)
+    zero = DensityOperator(matrix=np.zeros((2, 2), dtype=complex))
     assert extended.evaluate(zero) is zero
     assert len(seen) == 1
 
 
 def test_extend_normalized_divides_by_the_matrix_trace():
-    """2P labelled with trace 1 reaches the inner map as P and comes back as
-    2 P^T, with the image's trace summed from its matrix."""
+    """2P built directly reaches the inner map as P and comes back as
+    2 P^T, with the image's trace that of its matrix."""
     seen = []
     extended = extend_normalized(recording_transpose(seen))
     p = pure_state([1.0, 1j]).projection().matrix
-    image = extended.evaluate(DensityOperator(matrix=2.0 * p, trace=1.0))
+    image = extended.evaluate(DensityOperator(matrix=2.0 * p))
     assert np.allclose(seen, [1.0])
     assert np.allclose(image.matrix, 2.0 * p.T) and abs(image.trace - 2.0) <= 1e-12
 
@@ -311,9 +311,9 @@ def constant_oracle_2x2():
 
 
 def tiny_projection_oracle(d):
-    """Images 1e-9 vv* for the input vv*, built directly with trace field 1."""
+    """Images 1e-9 vv* for the input vv*, built directly."""
     return DensityMapOracle(
-        dim=d, evaluate=lambda a: DensityOperator(matrix=1e-9 * a.matrix, trace=1.0)
+        dim=d, evaluate=lambda a: DensityOperator(matrix=1e-9 * a.matrix)
     )
 
 
@@ -364,10 +364,10 @@ def test_oracle_needs_positive_dim(dim):
 
 def nan_oracle(d, where, fill=np.nan):
     """Identity, except that an input ``where`` picks goes to an image whose
-    every entry is ``fill`` (NaN by default), with the input's trace."""
+    every entry is ``fill`` (NaN by default)."""
     bad = np.full((d, d), fill, dtype=complex)
     return DensityMapOracle(
-        dim=d, evaluate=lambda a: DensityOperator(matrix=bad, trace=a.trace) if where(a) else a
+        dim=d, evaluate=lambda a: DensityOperator(matrix=bad) if where(a) else a
     )
 
 
@@ -408,7 +408,7 @@ def test_verification_image_of_the_wrong_shape_fails_verification(shape):
     bad = np.ones(shape, dtype=complex)
     oracle = DensityMapOracle(
         dim=3,
-        evaluate=lambda a: a if numerical_rank(a) == 1 else DensityOperator(matrix=bad, trace=1.0),
+        evaluate=lambda a: a if numerical_rank(a) == 1 else DensityOperator(matrix=bad),
     )
     report = reconstruct(oracle)
     assert report.status == STATUS_FAILED_VERIFICATION
