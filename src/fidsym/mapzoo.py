@@ -220,13 +220,9 @@ def _trial_pairs(
 
 
 def _stacked_fidelity(pairs: list[tuple[DensityOperator, DensityOperator]], dim: int) -> np.ndarray:
-    """F of each pair; inf for a pair holding a matrix that is not a finite (dim, dim) one."""
-    nan = np.full((dim, dim), np.nan)
-    m = np.array([[x.matrix if x.matrix.shape == (dim, dim) else nan for x in p] for p in pairs])
-    ok = np.isfinite(m).all(axis=(1, 2, 3))
-    f = np.full(len(pairs), np.inf)
-    f[ok] = fidelity_stack(m[ok, 0], m[ok, 1])
-    return f
+    """F of each pair of (dim, dim) operators, as one fidelity_stack call."""
+    m = np.reshape([[a.matrix, b.matrix] for a, b in pairs], (-1, 2, dim, dim))
+    return fidelity_stack(m[:, 0], m[:, 1])
 
 
 def classify_map(oracle: DensityMapOracle, trials: int = 200, seed: int = 0) -> ClassificationReport:
@@ -238,9 +234,8 @@ def classify_map(oracle: DensityMapOracle, trials: int = 200, seed: int = 0) -> 
     in stacks of at most TRIAL_STACK_ENTRIES; the oracle sees one matrix at
     a time, in draw order.
 
-    An image that is not a finite (d, d) matrix (NaN entries, or a map into
-    another dimension such as an isometric embedding) scores an infinite
-    violation, so its first pair is the witness of a rejection.
+    A pair with an image that ``oracle.image`` turns away scores an infinite
+    violation, so the first such pair is the witness of a rejection.
     """
     if trials < 1:
         raise BadSpec(f"trials must be >= 1, got {trials}")
@@ -253,8 +248,11 @@ def classify_map(oracle: DensityMapOracle, trials: int = 200, seed: int = 0) -> 
     witness: Optional[tuple[DensityOperator, DensityOperator]] = None
     for start in range(0, trials, size):
         pairs = _trial_pairs(rng, d, min(size, trials - start))
-        images = [(oracle.evaluate(a), oracle.evaluate(b)) for a, b in pairs]
-        violation = np.abs(_stacked_fidelity(images, d) - _stacked_fidelity(pairs, d))
+        images = [(oracle.image(a), oracle.image(b)) for a, b in pairs]
+        ok = np.array([a is not None and b is not None for a, b in images])
+        violation = np.full(len(pairs), np.inf)
+        violation[ok] = np.abs(_stacked_fidelity([p for p, k in zip(images, ok) if k], d)
+                               - _stacked_fidelity(pairs, d)[ok])
         k = int(np.argmax(violation))
         if violation[k] > worst:
             worst = float(violation[k])

@@ -6,7 +6,9 @@ real superpositions, one i-superposition), the implementing operator is
 assembled column by column with explicit phase fixing, its parity is
 classified, and the identity phi(A) = U A U* (or U conj(A) U*) is certified
 on random density operators. Bijectivity of the map is never assumed; a map
-that fails any stage gets a status flag, not an exception.
+that fails any stage, or has an image that ``DensityMapOracle.image`` turns
+away, gets a status flag, not an exception. An oracle that raises still
+propagates its exception.
 """
 from __future__ import annotations
 
@@ -42,6 +44,17 @@ class DensityMapOracle:
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ValueError(f"oracle dim must be >= 1, got {self.dim}")
+
+    def image(self, a: DensityOperator) -> Optional[DensityOperator]:
+        """``evaluate(a)`` if it is a DensityOperator with a finite (dim, dim)
+        matrix, else None: the one rule by which every caller reads images."""
+        out = self.evaluate(a)
+        if not isinstance(out, DensityOperator) or out.matrix.shape != (self.dim, self.dim):
+            return None
+        # sum |m_ij|^2 is finite iff every entry is finite and below about
+        # 1e154, far above any density operator's, at half the cost of
+        # np.isfinite(m).all() at d = 64
+        return out if math.isfinite(np.vdot(out.matrix, out.matrix).real) else None
 
 
 @dataclass(frozen=True)
@@ -103,14 +116,15 @@ def symmetry_distance(s1: SymmetryOperator, s2: SymmetryOperator) -> float:
 
 def extend_normalized(oracle_norm: DensityMapOracle) -> DensityMapOracle:
     """Extend a map defined on unit-trace density operators to all of them by
-    homogeneity: 0 -> 0 and A -> (tr A) * phi(A / tr A)."""
+    homogeneity: 0 -> 0 and A -> (tr A) * phi(A / tr A). An image of phi that
+    ``image`` turns away makes the extension's image None, turned away too."""
 
-    def evaluate(a: DensityOperator) -> DensityOperator:
+    def evaluate(a: DensityOperator) -> Optional[DensityOperator]:
         t = a.trace
         if t <= 0.0:
             return a
-        inner = oracle_norm.evaluate(DensityOperator(matrix=a.matrix / t))
-        return DensityOperator.from_psd(inner.matrix * t)
+        inner = oracle_norm.image(DensityOperator(matrix=a.matrix / t))
+        return None if inner is None else DensityOperator.from_psd(inner.matrix * t)
 
     return DensityMapOracle(dim=oracle_norm.dim, evaluate=evaluate)
 
@@ -154,14 +168,12 @@ def reconstruct(
     escapes any finite schedule of probes. ``seed`` only selects the
     verification draws, through ``default_rng(seed + 1)``.
 
-    A probe image whose dimension is not the oracle's, or that holds an entry
-    that is not finite, rejects the map with that probe's status; a
-    verification image of the wrong dimension or with a NaN residual fails
-    verification with ``residual_max`` infinite. Every other probe image is
-    read with ``charact.projection_vector``: a rank-one projection is
-    recognised and its vector read in O(d^2) by one power step and a
-    Frobenius-norm bound, and only an image near the RANK_TOL threshold, or
-    not a projection at all, costs an O(d^3) eigendecomposition.
+    Every image is read through ``oracle.image``; one it turns away rejects
+    the map with that probe's status, or fails verification with
+    ``residual_max`` infinite. A probe image is read with
+    ``charact.projection_vector``, in O(d^2) for a rank-one projection; only
+    an image near the RANK_TOL threshold, or not a projection at all, costs
+    an O(d^3) eigendecomposition.
     """
     if not (math.isfinite(certify_tol) and certify_tol >= 0.0):
         raise ValueError(f"certify_tol must be finite and >= 0, got {certify_tol}")
@@ -174,14 +186,9 @@ def reconstruct(
         """Amplitudes of the image of |v><v|; rejects with ``status`` unless
         the image is a finite rank-one projection of the oracle's dimension."""
         nonlocal probes
-        image = oracle.evaluate(DensityOperator.from_psd(np.outer(v, v.conj())))
+        image = oracle.image(DensityOperator.from_psd(np.outer(v, v.conj())))
         probes += 1
-        m = image.matrix
-        # sum |m_ij|^2 is finite iff every entry is (barring overflow past
-        # 1e154, far from any projection), at half the cost of
-        # np.isfinite(m).all() at d = 64
-        ok = image.dim == d and math.isfinite(np.vdot(m, m).real)
-        x = charact.projection_vector(image) if ok else None
+        x = None if image is None else charact.projection_vector(image)
         if x is None:
             raise _Rejected(status)
         return pure_state(x).amplitudes
@@ -248,18 +255,11 @@ def reconstruct(
     for _ in range(verification_trials):
         a = random_density(rng, d, trace=float(rng.uniform(0.0, 2.0)) or 1.0)
         expected = apply_symmetry(symmetry, a)
-        got = oracle.evaluate(a)
+        got = oracle.image(a)
         probes += 1
-        # an image of the wrong shape fails as a NaN residual does; the
-        # difference would broadcast it, or raise
-        if got.matrix.shape == (d, d):
-            res = float(np.linalg.norm(got.matrix - expected.matrix))
-        else:
-            res = math.nan
+        res = math.inf if got is None else float(np.linalg.norm(got.matrix - expected.matrix))
         residual_max = max(residual_max, res)
-        if not res <= certify_tol * (1.0 + np.linalg.norm(a.matrix)):  # NaN fails too
-            if math.isnan(res):  # max() above passed over it
-                residual_max = math.inf
+        if res > certify_tol * (1.0 + np.linalg.norm(a.matrix)):
             status = STATUS_FAILED_VERIFICATION
             break
     return ReconstructionReport(

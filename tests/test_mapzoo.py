@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from bad_images import BAD_IMAGES
 
 from fidsym.fidelity import fidelity
 from fidsym.mapzoo import (
@@ -155,9 +156,14 @@ def nan_image_oracle(d, bad):
     return DensityMapOracle(dim=d, evaluate=lambda a: DensityOperator(matrix=nan) if bad(a) else a)
 
 
-@pytest.mark.parametrize("d", [2, 3])
-def test_classify_all_nan_images_is_an_infinite_violation(d):
-    report = classify_map(nan_image_oracle(d, lambda a: True), trials=10)
+@pytest.mark.parametrize("d, bad", [
+    pytest.param(2, lambda a: DensityOperator(matrix=np.full((2, 2), np.nan)), id="2"),
+    pytest.param(3, BAD_IMAGES["nan"], id="3"),
+    *(pytest.param(3, bad, id=name) for name, bad in BAD_IMAGES.items() if name != "nan"),
+])
+def test_classify_all_nan_images_is_an_infinite_violation(d, bad):
+    """Every image is bad: all-NaN, or any other row of the bad-image table."""
+    report = classify_map(DensityMapOracle(dim=d, evaluate=bad), trials=10)
     assert not report.preserving and report.worst_violation == math.inf
     assert report.reconstruction is None
     first = _trial_pairs(np.random.default_rng(0), d, 1)[0]

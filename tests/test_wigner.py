@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from bad_images import BAD_IMAGES
 
 from fidsym.charact import numerical_rank
 from fidsym.fidelity import fidelity
-from fidsym.mapzoo import MapSpec, make_map
+from fidsym.mapzoo import MapSpec, classify_map, make_map
 from fidsym.matcore import DensityOperator, DimensionMismatch, pure_state, validate_density
 from fidsym.sampling import haar_unitary, random_density, random_pure_state
 from fidsym.wigner import (
@@ -196,6 +197,17 @@ def test_extend_normalized_divides_by_the_matrix_trace():
     assert np.allclose(image.matrix, 2.0 * p.T) and abs(image.trace - 2.0) <= 1e-12
 
 
+@pytest.mark.parametrize("bad", ["nan", "ones3x4"])
+def test_extend_normalized_over_a_bad_oracle_is_rejected(bad):
+    """The inner map's image is read through DensityMapOracle.image, so a
+    NaN or 3 x 4 one is turned away, as a NaN image of the extension is."""
+    extended = extend_normalized(DensityMapOracle(dim=3, evaluate=BAD_IMAGES[bad]))
+    report = reconstruct(extended)
+    assert report.status == STATUS_FAILED_PROJECTION_PROBE
+    assert report.probes_used == 1
+    assert classify_map(extended, trials=10).worst_violation == math.inf
+
+
 @pytest.mark.parametrize("d", [2, 3, 8, 32])
 @pytest.mark.parametrize("parity", [UNITARY, ANTIUNITARY])
 def test_reconstruct_exact_symmetry_without_eigendecomposition(d, parity, monkeypatch):
@@ -276,6 +288,25 @@ STATUS_CASES = {
 }
 
 
+@pytest.mark.parametrize("tool", ["reconstruct", "classify_map"])
+@pytest.mark.parametrize("case", STATUS_CASES)
+def test_image_is_the_only_route_to_the_oracle(case, tool, monkeypatch):
+    """Whether the map is certified or fails at any stage, every evaluate
+    call is made by DensityMapOracle.image."""
+    inner = STATUS_CASES[case][0](3)
+    evaluated, imaged = [], []
+    oracle = DensityMapOracle(dim=3, evaluate=lambda a: evaluated.append(a) or inner.evaluate(a))
+    image = DensityMapOracle.image
+    monkeypatch.setattr(DensityMapOracle, "image",
+                        lambda self, a: imaged.append(a) or image(self, a))
+    if tool == "reconstruct":
+        report = reconstruct(oracle)
+        assert (report.status, report.probes_used) == STATUS_CASES[case][1:3]
+    else:
+        classify_map(oracle, trials=20)
+    assert len(evaluated) == len(imaged) > 0
+
+
 @pytest.mark.parametrize("case", STATUS_CASES)
 def test_reconstruct_status_probes_and_margin(case):
     make_oracle, status, probes, margin = STATUS_CASES[case]
@@ -320,7 +351,8 @@ def tiny_projection_oracle(d):
 @pytest.mark.parametrize("oracle", [
     embedding_oracle(1), embedding_oracle(2), embedding_oracle(3),
     constant_oracle_2x2(), tiny_projection_oracle(1), tiny_projection_oracle(3),
-], ids=["embed1", "embed2", "embed3", "const2x2", "tiny1", "tiny3"])
+    *(DensityMapOracle(dim=3, evaluate=bad) for bad in BAD_IMAGES.values()),
+], ids=["embed1", "embed2", "embed3", "const2x2", "tiny1", "tiny3", *BAD_IMAGES])
 def test_reconstruct_rejects_images_of_the_wrong_dimension_or_trace(oracle):
     report = reconstruct(oracle)
     assert report.status == STATUS_FAILED_PROJECTION_PROBE
@@ -400,15 +432,20 @@ def test_nan_verification_residual_fails_verification():
     assert report.residual_max == math.inf
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (3, 1), (2, 2), (4, 4)], ids=["1x1", "3x1", "2x2", "4x4"])
-def test_verification_image_of_the_wrong_shape_fails_verification(shape):
+def ones_image(shape):
+    return lambda a: DensityOperator(matrix=np.ones(shape, dtype=complex))
+
+
+@pytest.mark.parametrize("bad", [
+    ones_image((1, 1)), ones_image((3, 1)), ones_image((2, 2)), ones_image((4, 4)),
+    *BAD_IMAGES.values(),
+], ids=["1x1", "3x1", "2x2", "4x4", *BAD_IMAGES])
+def test_verification_image_of_the_wrong_shape_fails_verification(bad):
     """Every probe passes at d = 3; the first verification input of rank >= 2
-    goes to an image of the wrong shape, which is neither broadcast against
-    the expected matrix nor allowed to raise."""
-    bad = np.ones(shape, dtype=complex)
+    goes to a bad image, which is neither broadcast against the expected
+    matrix nor allowed to raise or to leave a finite residual."""
     oracle = DensityMapOracle(
-        dim=3,
-        evaluate=lambda a: a if numerical_rank(a) == 1 else DensityOperator(matrix=bad),
+        dim=3, evaluate=lambda a: a if numerical_rank(a) == 1 else bad(a)
     )
     report = reconstruct(oracle)
     assert report.status == STATUS_FAILED_VERIFICATION
