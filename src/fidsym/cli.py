@@ -124,14 +124,18 @@ def classification_to_dict(report: ClassificationReport) -> dict[str, Any]:
 
 def write_report(path: str, payload: dict[str, Any]) -> None:
     """Write JSON atomically (temp file then rename) so a crash never leaves
-    a half-written report. ``payload`` may replace the default tolerance
-    table with the one its command used. InputError if it cannot be written."""
+    a half-written report, with the mode open(path, "w") would give it.
+    ``payload`` may replace the default tolerance table with the one its
+    command used. InputError if it cannot be written."""
     payload = {"tool_version": __version__, "tolerances": tolerances.table(), **payload}
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(text)
             os.replace(tmp, path)

@@ -18,6 +18,7 @@ from .matcore import (
     DensityOperator,
     eig_hermitian,
     from_psd_stack,
+    hermitize_stack,
     pure_state,
     validate_density,
 )
@@ -178,51 +179,36 @@ def make_map(spec: MapSpec, seed: int = 0) -> DensityMapOracle:
     return DensityMapOracle(dim=d, evaluate=scramble)
 
 
-def _trial_pairs(
-    rng: np.random.Generator, dim: int, count: int
-) -> list[tuple[DensityOperator, DensityOperator]]:
-    """``count`` trial pairs: 40% random mixed pairs, 40% random pure pairs,
-    20% orthogonal pure pairs; the orthogonal pairs are the sharpest
-    discriminators (F = 0 must map to F = 0).
+def _trial_pairs(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
+    """``count`` trial pairs as one hermitized (count, 2, dim, dim) stack:
+    40% random mixed pairs, 40% random pure pairs, 20% orthogonal pure pairs,
+    the sharpest discriminators (F = 0 must map to F = 0).
 
     The loop only draws, in the order of random_density, random_pure_state
-    and orthogonal_pure_pair; the arithmetic then runs once per stack: one
-    batched QR for the orthogonal pairs, one from_psd_stack for the mixed
-    matrices and one for all pure projections. Each pure vector still goes
-    through pure_state's phase rule, so every pair has the bits those
-    functions give it. Lists that may be empty are stacked with np.reshape,
+    and orthogonal_pure_pair, writing each mixed pair into its row; one
+    batched QR then makes the orthogonal pairs and one indexed assignment
+    writes the projections vv* into the other rows. Each pure vector goes
+    through pure_state's phase rule, so every row has the bits those
+    functions give it. Possibly empty lists are stacked with np.reshape,
     which np.stack refuses."""
-    kinds = []  # per trial: "mixed", "pure" or "orthogonal"
-    mixed, vectors, square = [], [], []
-    for _ in range(count):
+    pairs = np.empty((count, 2, dim, dim), dtype=complex)
+    pure, orthogonal, vectors, square = [], [], [], []
+    for i in range(count):
         r = rng.uniform()
         if r < 0.4:
-            kinds.append("mixed")
-            for _ in range(2):
-                mixed.append(draw_density(rng, dim, trace=float(rng.uniform(0.0, 2.0)) or 1.0))
+            for j in range(2):
+                pairs[i, j] = draw_density(rng, dim, trace=float(rng.uniform(0.0, 2.0)) or 1.0)
         elif r < 0.8:
-            kinds.append("pure")
+            pure.append(i)
             vectors += [ginibre(rng, dim), ginibre(rng, dim)]
         else:
-            kinds.append("orthogonal")
+            orthogonal.append(i)
             square.append(ginibre(rng, (dim, dim)))
-    split = len(vectors)
     for u in haar_stack(np.reshape(square, (-1, dim, dim))):
         vectors += [u[:, 0], u[:, 1]]
-    a = np.reshape([pure_state(v).amplitudes for v in vectors], (-1, dim))
-    projections = from_psd_stack(a[:, :, None] * a[:, None, :].conj())
-    drawn = {
-        "mixed": iter(from_psd_stack(np.reshape(mixed, (-1, dim, dim)))),
-        "pure": iter(projections[:split]),
-        "orthogonal": iter(projections[split:]),
-    }
-    return [(next(drawn[kind]), next(drawn[kind])) for kind in kinds]
-
-
-def _stacked_fidelity(pairs: list[tuple[DensityOperator, DensityOperator]], dim: int) -> np.ndarray:
-    """F of each pair of (dim, dim) operators, as one fidelity_stack call."""
-    m = np.reshape([[a.matrix, b.matrix] for a, b in pairs], (-1, 2, dim, dim))
-    return fidelity_stack(m[:, 0], m[:, 1])
+    a = np.reshape([pure_state(v).amplitudes for v in vectors], (-1, 2, dim))
+    pairs[pure + orthogonal] = a[..., :, None] * a[..., None, :].conj()
+    return hermitize_stack(pairs.reshape(-1, dim, dim)).reshape(pairs.shape)
 
 
 def classify_map(oracle: DensityMapOracle, trials: int = 200, seed: int = 0) -> ClassificationReport:
@@ -248,15 +234,18 @@ def classify_map(oracle: DensityMapOracle, trials: int = 200, seed: int = 0) -> 
     witness: Optional[tuple[DensityOperator, DensityOperator]] = None
     for start in range(0, trials, size):
         pairs = _trial_pairs(rng, d, min(size, trials - start))
-        images = [(oracle.image(a), oracle.image(b)) for a, b in pairs]
-        ok = np.array([a is not None and b is not None for a, b in images])
-        violation = np.full(len(pairs), np.inf)
-        violation[ok] = np.abs(_stacked_fidelity([p for p, k in zip(images, ok) if k], d)
-                               - _stacked_fidelity(pairs, d)[ok])
+        inputs = from_psd_stack(pairs.reshape(-1, d, d))
+        images = [oracle.image(a) for a in inputs]
+        # a turned-away image is scored on its input, then overwritten by inf
+        mapped = np.reshape([(a if m is None else m).matrix for a, m in zip(inputs, images)],
+                            pairs.shape)
+        violation = np.abs(fidelity_stack(mapped[:, 0], mapped[:, 1])
+                           - fidelity_stack(pairs[:, 0], pairs[:, 1]))
+        violation[np.reshape([m is None for m in images], (-1, 2)).any(axis=1)] = np.inf
         k = int(np.argmax(violation))
         if violation[k] > worst:
             worst = float(violation[k])
-            witness = pairs[k]
+            witness = (inputs[2 * k], inputs[2 * k + 1])
     preserving = worst <= CLASSIFY_TOL
     report = reconstruct(oracle, seed=seed) if preserving else None
     return ClassificationReport(

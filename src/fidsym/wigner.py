@@ -46,15 +46,18 @@ class DensityMapOracle:
             raise ValueError(f"oracle dim must be >= 1, got {self.dim}")
 
     def image(self, a: DensityOperator) -> Optional[DensityOperator]:
-        """``evaluate(a)`` if it is a DensityOperator with a finite (dim, dim)
-        matrix, else None: the one rule by which every caller reads images."""
+        """``evaluate(a)`` if it is a DensityOperator whose matrix is a finite
+        (dim, dim) ndarray of bools or numbers, else None: the one rule by
+        which every caller reads images."""
         out = self.evaluate(a)
-        if not isinstance(out, DensityOperator) or out.matrix.shape != (self.dim, self.dim):
+        m = out.matrix if isinstance(out, DensityOperator) else None
+        if not (isinstance(m, np.ndarray) and m.dtype.kind in "biufc"
+                and m.shape == (self.dim, self.dim)):
             return None
         # sum |m_ij|^2 is finite iff every entry is finite and below about
         # 1e154, far above any density operator's, at half the cost of
         # np.isfinite(m).all() at d = 64
-        return out if math.isfinite(np.vdot(out.matrix, out.matrix).real) else None
+        return out if math.isfinite(np.vdot(m, m).real) else None
 
 
 @dataclass(frozen=True)

@@ -14,4 +14,8 @@ BAD_IMAGES = {
     "1e200": lambda a: DensityOperator(matrix=1e200 * a.matrix),
     "nan": lambda a: DensityOperator(matrix=np.full((3, 3), np.nan, dtype=complex)),
     "proj2x2": lambda a: DensityOperator(matrix=np.diag([1.0, 0.0]).astype(complex)),
+    "list": lambda a: DensityOperator(matrix=a.matrix.tolist()),
+    "float": lambda a: DensityOperator(matrix=0.5),
+    "str": lambda a: DensityOperator(matrix=a.matrix.astype(str)),
+    "object": lambda a: DensityOperator(matrix=a.matrix.astype(object)),
 }

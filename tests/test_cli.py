@@ -1,6 +1,7 @@
 """CLI behavior: subcommands, exit codes, serialization round-trips, and
 byte-identical golden outputs."""
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -316,6 +317,23 @@ def test_report_determinism(capsys, tmp_path):
         )
         assert code == 2
     assert a.read_bytes() == b.read_bytes()
+
+
+
+def test_report_mode_follows_umask(capsys, tmp_path):
+    """A report gets the mode open(path, "w") would create, 0o666 & ~umask,
+    not the 0o600 of the temp file it is renamed from."""
+    old = os.umask(0o022)
+    try:
+        for umask, mode in ((0o022, 0o644), (0o077, 0o600)):
+            os.umask(umask)
+            out_file = tmp_path / f"r{umask:o}.json"
+            code, _, _ = run_cli(["reconstruct", "--map", FIXTURES / "transpose_d2.json",
+                                  "--out", out_file], capsys)
+            assert code == 0
+            assert out_file.stat().st_mode & 0o777 == mode
+    finally:
+        os.umask(old)
 
 
 @pytest.mark.parametrize(
