@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .fidelity import leq_stack
-from .matcore import DensityOperator, eig_hermitian, sqrtm_psd
+from .matcore import DensityOperator, eig_hermitian, from_psd_stack, sqrtm_psd
 from .tolerances import CERT_TOL, RANK_TOL, TRACE_TOL
 
 
@@ -51,7 +51,8 @@ def numerical_rank(a: DensityOperator) -> int:
 
 def rank_one_certificate(a: DensityOperator) -> OrthogonalCertificate | CertificateFailure:
     """Certificate that A has rank one: projections onto an orthonormal basis
-    of the orthogonal complement of range(A).
+    of the orthogonal complement of range(A), wrapped from one stack vv*
+    over the eigenvectors past the first.
 
     For rank >= 2 no certificate can exist (mutually orthogonal ranges force
     rank sums <= d), so the numerical rank is returned as evidence. A trace
@@ -63,11 +64,8 @@ def rank_one_certificate(a: DensityOperator) -> OrthogonalCertificate | Certific
     rank = spectral_rank(spec.eigenvalues)
     if rank != 1:
         return CertificateFailure(rank=rank)
-    witnesses = []
-    for i in range(1, a.dim):
-        v = spec.eigenvectors[:, i]
-        witnesses.append(DensityOperator.from_psd(np.outer(v, v.conj())))
-    return OrthogonalCertificate(witnesses=witnesses)
+    v = spec.eigenvectors[:, 1:].T
+    return OrthogonalCertificate(witnesses=from_psd_stack(v[:, :, None] * v[:, None, :].conj()))
 
 
 def is_rank_one(a: DensityOperator) -> bool:

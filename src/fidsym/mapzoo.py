@@ -268,8 +268,6 @@ def verify_theorem(dim: int, trials: int = 200, seed: int = 0) -> dict[str, Any]
     """Run the dichotomy over the whole zoo: every preserving kind must
     certify to a symmetry, every non-preserving kind must be rejected with a
     witness pair."""
-    if dim < 2:
-        raise BadSpec("theorem check needs dim >= 2 (parity is undetectable at dim 1)")
     results = []
     for spec in zoo_specs(dim):
         oracle = make_map(spec, seed=seed)

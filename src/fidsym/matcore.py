@@ -5,7 +5,9 @@ spectral decomposition with a fixed eigenvalue ordering, and PSD square roots.
 All downstream modules build on these primitives.
 
 The numerics are stack-first: they take (n, d, d) arrays, and the per-matrix
-functions are their n = 1 case, with the same bits.
+functions are their n = 1 case, with the same bits: they reach the kernel
+through ``_stack`` alone. An operator's matrix is a read-only row of one
+frozen array and cannot be made writeable again.
 """
 from __future__ import annotations
 
@@ -37,7 +39,6 @@ class DimensionMismatch(MatcoreError):
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
     a.flags.writeable = False
     return a
 
@@ -46,16 +47,8 @@ def _stack(m) -> np.ndarray:
     """An (n, d, d) stack of square matrices as a contiguous complex array."""
     m = np.ascontiguousarray(m, dtype=complex)
     if m.ndim != 3 or m.shape[1] != m.shape[2]:
-        raise ValueError(f"expected an (n, d, d) stack of square matrices, got shape {m.shape}")
+        raise ValueError(f"expected square matrices, got stacked shape {m.shape}")
     return m
-
-
-def _one(m) -> np.ndarray:
-    """A single square matrix as a stack of one."""
-    m = np.ascontiguousarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return m[None]
 
 
 def hermitize_stack(m: np.ndarray) -> np.ndarray:
@@ -66,21 +59,21 @@ def hermitize_stack(m: np.ndarray) -> np.ndarray:
     same bits. Raises ValueError if any entry is not finite.
     """
     m = _stack(m)
-    if not np.all(np.isfinite(m.view(float))):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
     """Return the exactly symmetrized matrix (M + M*)/2; see hermitize_stack."""
-    return _freeze(hermitize_stack(_one(m))[0])
+    return _freeze(hermitize_stack(np.asarray(m)[None]))[0]
 
 
 def from_psd_stack(m: np.ndarray) -> list[DensityOperator]:
     """Wrap every matrix of an (n, d, d) stack already known to be PSD (GG*,
     U A U*) as a density operator: hermitize once and check nothing else.
     Matrices from outside go through validate_stack instead."""
-    return [DensityOperator(matrix=_freeze(x)) for x in hermitize_stack(m)]
+    return [DensityOperator(matrix=x) for x in _freeze(hermitize_stack(m))]
 
 
 def check_same_dim(a, b) -> int:
@@ -129,7 +122,7 @@ class DensityOperator:
     @staticmethod
     def from_psd(m: np.ndarray) -> "DensityOperator":
         """Wrap a matrix already known to be PSD (e.g. U A U*); see from_psd_stack."""
-        return from_psd_stack(_one(m))[0]
+        return from_psd_stack(np.asarray(m)[None])[0]
 
 
 @dataclass(frozen=True)
@@ -176,13 +169,13 @@ def eigh_stack(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns eigenvalues (n, d), non-increasing along each row (ties kept in
     solver order), and the matching orthonormal columns (n, d, d), both
-    C-contiguous. ``h`` must already be hermitized.
+    C-contiguous arrays of their own. ``h`` must already be hermitized.
     """
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise SolverFailure(str(exc)) from exc
-    return np.ascontiguousarray(w[:, ::-1]), np.ascontiguousarray(v[:, :, ::-1])
+    return w[:, ::-1].copy(), v[:, :, ::-1].copy()
 
 
 def _rebuild(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -196,8 +189,8 @@ def eig_hermitian(m: np.ndarray) -> Spectrum:
     Eigenvalues are returned in non-increasing order (ties kept in solver
     order); eigenvectors are the matching orthonormal columns.
     """
-    w, v = eigh_stack(hermitize_stack(_one(m)))
-    return Spectrum(eigenvalues=_freeze(w[0]), eigenvectors=_freeze(v[0]))
+    w, v = eigh_stack(hermitize_stack(np.asarray(m)[None]))
+    return Spectrum(eigenvalues=_freeze(w)[0], eigenvectors=_freeze(v)[0])
 
 
 def validate_stack(m: np.ndarray) -> list[DensityOperator]:
@@ -214,13 +207,13 @@ def validate_stack(m: np.ndarray) -> list[DensityOperator]:
     if np.any(negative):
         raise NotPositive(f"eigenvalue {low[negative][0]:.3e} below tolerance band")
     w = np.clip(w, 0.0, None)
-    return [DensityOperator(matrix=_freeze(x)) for x in hermitize_stack(_rebuild(w, v))]
+    return [DensityOperator(matrix=x) for x in _freeze(hermitize_stack(_rebuild(w, v)))]
 
 
 def validate_density(m: np.ndarray, require_unit_trace: bool = False) -> DensityOperator:
     """Validate a matrix as a density operator; see validate_stack. With
     ``require_unit_trace`` the (post-clip) trace must be 1 within TRACE_TOL."""
-    a = validate_stack(_one(m))[0]
+    a = validate_stack(np.asarray(m)[None])[0]
     if require_unit_trace and abs(a.trace - 1.0) > TRACE_TOL:
         raise NotNormalized(f"trace {a.trace} is not 1 within {TRACE_TOL}")
     return a
@@ -243,5 +236,5 @@ def sqrtm_stack(m: np.ndarray) -> np.ndarray:
 
 def sqrtm_psd(m: np.ndarray) -> np.ndarray:
     """Square root of a PSD matrix given as a raw array; see sqrtm_stack."""
-    return sqrtm_stack(_one(m))[0]
+    return sqrtm_stack(np.asarray(m)[None])[0]
 

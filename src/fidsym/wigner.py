@@ -47,12 +47,12 @@ class DensityMapOracle:
 
     def image(self, a: DensityOperator) -> Optional[DensityOperator]:
         """``evaluate(a)`` if it is a DensityOperator whose matrix is a finite
-        (dim, dim) ndarray of bools or numbers, else None: the one rule by
-        which every caller reads images."""
+        (dim, dim) ndarray of bools or numbers, but no np.matrix, else None:
+        the one rule by which every caller reads images."""
         out = self.evaluate(a)
         m = out.matrix if isinstance(out, DensityOperator) else None
-        if not (isinstance(m, np.ndarray) and m.dtype.kind in "biufc"
-                and m.shape == (self.dim, self.dim)):
+        if not (isinstance(m, np.ndarray) and not isinstance(m, np.matrix)
+                and m.dtype.kind in "biufc" and m.shape == (self.dim, self.dim)):
             return None
         # sum |m_ij|^2 is finite iff every entry is finite and below about
         # 1e154, far above any density operator's, at half the cost of

@@ -18,4 +18,6 @@ BAD_IMAGES = {
     "float": lambda a: DensityOperator(matrix=0.5),
     "str": lambda a: DensityOperator(matrix=a.matrix.astype(str)),
     "object": lambda a: DensityOperator(matrix=a.matrix.astype(object)),
+    # an ndarray subclass whose * is a matrix product and whose rows stay 2-D
+    "matrix": lambda a: DensityOperator(matrix=a.matrix.view(np.matrix)),
 }

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from fidsym.charact import rank_one_certificate
 from fidsym.matcore import (
     DensityOperator,
     NotNormalized,
@@ -16,6 +17,7 @@ from fidsym.matcore import (
     pure_state,
     sqrtm_psd,
     validate_density,
+    validate_stack,
 )
 
 # accuracy bound on eigendecompositions
@@ -142,3 +144,48 @@ def test_trace_is_the_matrix_trace_bit_for_bit(d):
     for a in ops:
         assert isinstance(a.trace, float)
         assert a.trace.hex() == float(np.trace(a.matrix).real).hex()
+
+
+M3 = np.array([[0.5, 0.1j, 0.1], [-0.1j, 0.3, 0.0], [0.1, 0.0, 0.2]])
+V3 = np.array([1.0, 1j, 2.0])
+
+# every array that matcore hands out frozen, keyed by where it comes from
+READ_ONLY = {
+    "hermitize": lambda: hermitize(M3),
+    "from_psd": lambda: DensityOperator.from_psd(M3).matrix,
+    "from_psd_stack": lambda: from_psd_stack(np.stack([M3, M3.T]))[1].matrix,
+    "validate_density": lambda: validate_density(M3).matrix,
+    "validate_stack": lambda: validate_stack(np.stack([M3, M3.T]))[1].matrix,
+    "projection": lambda: pure_state(V3).projection().matrix,
+    "witness": lambda: rank_one_certificate(pure_state(V3).projection()).witnesses[1].matrix,
+    "eigenvalues": lambda: eig_hermitian(M3).eigenvalues,
+    "eigenvectors": lambda: eig_hermitian(M3).eigenvectors,
+}
+
+
+@pytest.mark.parametrize("make", READ_ONLY.values(), ids=READ_ONLY)
+def test_arrays_stay_read_only(make):
+    """An entry cannot be written, and the array cannot be made writeable
+    again: it is a row of an array that was frozen where it was made."""
+    x = make()
+    with pytest.raises(ValueError):
+        x[(0,) * x.ndim] = 0.0
+    with pytest.raises(ValueError):
+        x.flags.writeable = True
+
+
+SINGLE_MATRIX = {
+    "hermitize": hermitize,
+    "from_psd": DensityOperator.from_psd,
+    "eig_hermitian": eig_hermitian,
+    "validate_density": validate_density,
+    "sqrtm_psd": sqrtm_psd,
+}
+
+
+@pytest.mark.parametrize("m", [np.ones((3, 4)), np.ones(3), np.eye(3)[None]],
+                         ids=["3x4", "vector", "stack_of_one"])
+@pytest.mark.parametrize("f", SINGLE_MATRIX.values(), ids=SINGLE_MATRIX)
+def test_single_matrix_functions_reject_other_shapes(f, m):
+    with pytest.raises(ValueError, match="square"):
+        f(m)

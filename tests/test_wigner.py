@@ -1,6 +1,7 @@
 """Reconstruction round-trips, parity classification, symmetry distance, and
 the normalized-map extension."""
 import math
+import tempfile
 
 import numpy as np
 import pytest
@@ -358,6 +359,23 @@ def test_reconstruct_rejects_images_of_the_wrong_dimension_or_trace(oracle):
     assert report.status == STATUS_FAILED_PROJECTION_PROBE
     assert report.probes_used == 1
     assert report.symmetry is None
+
+
+def memmap_copy(m):
+    out = np.memmap(tempfile.TemporaryFile(), dtype=m.dtype, mode="w+", shape=m.shape)
+    out[:] = m
+    return out
+
+
+@pytest.mark.parametrize("wrap", [memmap_copy, np.ma.masked_array], ids=["memmap", "masked"])
+def test_memmap_and_masked_images_of_a_symmetry_certify(wrap):
+    """Of the ndarray subclasses only np.matrix is turned away: the transpose
+    map, with each image a memmap or a masked array, certifies and scores 0."""
+    oracle = DensityMapOracle(dim=3, evaluate=lambda a: DensityOperator(matrix=wrap(a.matrix.T)))
+    report = reconstruct(oracle)
+    assert report.certified and report.symmetry.parity == ANTIUNITARY
+    c = classify_map(oracle, trials=20)
+    assert c.preserving and c.worst_violation == 0.0
 
 
 def test_dimension_mismatch_raises():
