@@ -16,8 +16,8 @@ import numpy as np
 from .fidelity import fidelity_stack
 from .matcore import (
     DensityOperator,
-    eig_hermitian,
-    from_psd_stack,
+    eigh_stack,
+    freeze,
     hermitize_stack,
     pure_state,
     validate_density,
@@ -25,6 +25,7 @@ from .matcore import (
 from .sampling import draw_density, ginibre, haar_stack, haar_unitary, random_density
 from .wigner import (
     ANTIUNITARY,
+    TRIAL_STACK_ENTRIES,
     UNITARY,
     DensityMapOracle,
     ReconstructionReport,
@@ -33,12 +34,6 @@ from .wigner import (
     symmetry_oracle,
 )
 from .tolerances import CLASSIFY_TOL, UNITARY_TOL
-
-# classify_map scores its trials in stacks of at most this many matrix
-# entries per side (n * d^2): 16 pairs at d = 8, all 200 default trials at
-# d = 2. Doubling it saves about 4% of a d <= 8 classification but costs
-# another 1% of peak memory.
-TRIAL_STACK_ENTRIES = 1024
 
 # The params each kind reads; make_map rejects any other key, such as a typo "P".
 KIND_PARAMS = {
@@ -120,8 +115,10 @@ def make_map(spec: MapSpec, seed: int = 0) -> DensityMapOracle:
     if not isinstance(params, dict) or not set(params) <= set(KIND_PARAMS[kind]):
         raise BadSpec(f"{kind} params must be an object with keys among {KIND_PARAMS[kind]}")
 
+    # Every kind is given only by its action on an (n, d, d) stack, so its
+    # evaluate, the n = 1 case, has the bits of every row of a stack.
     if kind == "identity":
-        return DensityMapOracle(dim=d, evaluate=lambda a: a)
+        return DensityMapOracle.from_stack(d, lambda m: m)
     if kind in (UNITARY, ANTIUNITARY):
         if "re" in params or "im" in params:
             u = json_grid(params, d, "re", "im")
@@ -132,22 +129,14 @@ def make_map(spec: MapSpec, seed: int = 0) -> DensityMapOracle:
             raise BadSpec("matrix is not unitary")
         return symmetry_oracle(SymmetryOperator(parity=kind, u=u))
     if kind == "transpose":
-        return DensityMapOracle(
-            dim=d,
-            evaluate=lambda a: DensityOperator.from_psd(a.matrix.T),
-        )
+        return DensityMapOracle.from_stack(d, lambda m: hermitize_stack(m.swapaxes(-1, -2)))
     if kind == "depolarizing":
         p = json_number(params, "p", 0.0)
         if not 0.0 <= p <= 1.0:
             raise BadSpec(f"depolarizing p = {p} out of [0, 1]")
         eye = np.eye(d)
-
-        def depolarize(a: DensityOperator) -> DensityOperator:
-            return DensityOperator.from_psd(
-                (1.0 - p) * a.matrix + p * a.trace * eye / d
-            )
-
-        return DensityMapOracle(dim=d, evaluate=depolarize)
+        return DensityMapOracle.from_stack(d, lambda m: hermitize_stack(
+            (1.0 - p) * m + p * _traces(m) * eye / d))
     if kind == "mix":
         p = json_number(params, "p", 0.5)
         if not 0.0 <= p <= 1.0:
@@ -158,29 +147,34 @@ def make_map(spec: MapSpec, seed: int = 0) -> DensityMapOracle:
         else:
             rng = np.random.default_rng(json_number(params, "seed", seed, integer=True))
             sigma = random_density(rng, d, trace=1.0)
-
-        def mix(a: DensityOperator) -> DensityOperator:
-            return DensityOperator.from_psd(
-                (1.0 - p) * a.matrix + p * a.trace * sigma.matrix
-            )
-
-        return DensityMapOracle(dim=d, evaluate=mix)
+        return DensityMapOracle.from_stack(d, lambda m: hermitize_stack(
+            (1.0 - p) * m + p * _traces(m) * sigma.matrix))
+    diagonal = (slice(None), *np.diag_indices(d))
     if kind == "dephase":
-        return DensityMapOracle(
-            dim=d,
-            evaluate=lambda a: DensityOperator.from_psd(np.diag(np.diag(a.matrix))),
-        )
+        def dephase(m: np.ndarray) -> np.ndarray:
+            out = np.zeros_like(m)
+            out[diagonal] = m[diagonal]
+            return hermitize_stack(out)
+
+        return DensityMapOracle.from_stack(d, dephase)
 
     # spectral_scramble, the last kind in KIND_PARAMS
-    def scramble(a: DensityOperator) -> DensityOperator:
-        w = np.clip(eig_hermitian(a.matrix).eigenvalues, 0.0, None)
-        return DensityOperator.from_psd(np.diag(w.astype(complex)))
+    def scramble(m: np.ndarray) -> np.ndarray:
+        out = np.zeros(m.shape, dtype=complex)
+        out[diagonal] = np.clip(eigh_stack(hermitize_stack(m))[0], 0.0, None)
+        return hermitize_stack(out)
 
-    return DensityMapOracle(dim=d, evaluate=scramble)
+    return DensityMapOracle.from_stack(d, scramble)
+
+
+def _traces(m: np.ndarray) -> np.ndarray:
+    """tr M of every matrix of an (n, d, d) stack, real, shaped (n, 1, 1) to
+    scale the stack; each has the bits of DensityOperator.trace."""
+    return np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
 
 
 def _trial_pairs(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
-    """``count`` trial pairs as one hermitized (count, 2, dim, dim) stack:
+    """``count`` trial pairs as one hermitized, read-only (count, 2, dim, dim) stack:
     40% random mixed pairs, 40% random pure pairs, 20% orthogonal pure pairs,
     the sharpest discriminators (F = 0 must map to F = 0).
 
@@ -208,7 +202,7 @@ def _trial_pairs(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
         vectors += [u[:, 0], u[:, 1]]
     a = np.reshape([pure_state(v).amplitudes for v in vectors], (-1, 2, dim))
     pairs[pure + orthogonal] = a[..., :, None] * a[..., None, :].conj()
-    return hermitize_stack(pairs.reshape(-1, dim, dim)).reshape(pairs.shape)
+    return freeze(hermitize_stack(pairs.reshape(-1, dim, dim))).reshape(pairs.shape)
 
 
 def classify_map(oracle: DensityMapOracle, trials: int = 200, seed: int = 0) -> ClassificationReport:
@@ -217,10 +211,12 @@ def classify_map(oracle: DensityMapOracle, trials: int = 200, seed: int = 0) -> 
 
     The worst violation |F(phi A, phi B) - F(A, B)| over the trials is
     reported, and its first pair is the witness. Trials are drawn and scored
-    in stacks of at most TRIAL_STACK_ENTRIES; the oracle sees one matrix at
-    a time, in draw order.
+    in blocks of at most TRIAL_STACK_ENTRIES entries per side, and each
+    block goes to the oracle in one ``oracle.image_stack`` call, in draw
+    order (A_1, B_1, A_2, ...): one ``evaluate_stack`` call, or without one,
+    one ``evaluate`` call per matrix.
 
-    A pair with an image that ``oracle.image`` turns away scores an infinite
+    A pair with an image that ``image_stack`` turns away scores an infinite
     violation, so the first such pair is the witness of a rejection.
     """
     if trials < 1:
@@ -234,18 +230,15 @@ def classify_map(oracle: DensityMapOracle, trials: int = 200, seed: int = 0) -> 
     witness: Optional[tuple[DensityOperator, DensityOperator]] = None
     for start in range(0, trials, size):
         pairs = _trial_pairs(rng, d, min(size, trials - start))
-        inputs = from_psd_stack(pairs.reshape(-1, d, d))
-        images = [oracle.image(a) for a in inputs]
-        # a turned-away image is scored on its input, then overwritten by inf
-        mapped = np.reshape([(a if m is None else m).matrix for a, m in zip(inputs, images)],
-                            pairs.shape)
+        images, ok = oracle.image_stack(pairs.reshape(-1, d, d))
+        mapped = images.reshape(pairs.shape)
         violation = np.abs(fidelity_stack(mapped[:, 0], mapped[:, 1])
                            - fidelity_stack(pairs[:, 0], pairs[:, 1]))
-        violation[np.reshape([m is None for m in images], (-1, 2)).any(axis=1)] = np.inf
+        violation[~ok.reshape(-1, 2).all(axis=1)] = np.inf
         k = int(np.argmax(violation))
         if violation[k] > worst:
             worst = float(violation[k])
-            witness = (inputs[2 * k], inputs[2 * k + 1])
+            witness = (DensityOperator(matrix=pairs[k, 0]), DensityOperator(matrix=pairs[k, 1]))
     preserving = worst <= CLASSIFY_TOL
     report = reconstruct(oracle, seed=seed) if preserving else None
     return ClassificationReport(

@@ -38,7 +38,8 @@ class DimensionMismatch(MatcoreError):
     """Operands live on Hilbert spaces of different dimension."""
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
+def freeze(a: np.ndarray) -> np.ndarray:
+    """Make ``a`` read-only for good and return it; its rows stay read-only views."""
     a.flags.writeable = False
     return a
 
@@ -66,14 +67,14 @@ def hermitize_stack(m: np.ndarray) -> np.ndarray:
 
 def hermitize(m: np.ndarray) -> np.ndarray:
     """Return the exactly symmetrized matrix (M + M*)/2; see hermitize_stack."""
-    return _freeze(hermitize_stack(np.asarray(m)[None]))[0]
+    return freeze(hermitize_stack(np.asarray(m)[None]))[0]
 
 
 def from_psd_stack(m: np.ndarray) -> list[DensityOperator]:
     """Wrap every matrix of an (n, d, d) stack already known to be PSD (GG*,
     U A U*) as a density operator: hermitize once and check nothing else.
     Matrices from outside go through validate_stack instead."""
-    return [DensityOperator(matrix=x) for x in _freeze(hermitize_stack(m))]
+    return [DensityOperator(matrix=x) for x in freeze(hermitize_stack(m))]
 
 
 def check_same_dim(a, b) -> int:
@@ -161,7 +162,7 @@ def pure_state(v: np.ndarray) -> PureState:
     n = np.linalg.norm(v)
     if n <= PHASE_TOL:
         raise ValueError("cannot normalize the zero vector")
-    return PureState(amplitudes=_freeze(normalize_phase(v / n)))
+    return PureState(amplitudes=freeze(normalize_phase(v / n)))
 
 
 def eigh_stack(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -190,7 +191,7 @@ def eig_hermitian(m: np.ndarray) -> Spectrum:
     order); eigenvectors are the matching orthonormal columns.
     """
     w, v = eigh_stack(hermitize_stack(np.asarray(m)[None]))
-    return Spectrum(eigenvalues=_freeze(w)[0], eigenvectors=_freeze(v)[0])
+    return Spectrum(eigenvalues=freeze(w)[0], eigenvectors=freeze(v)[0])
 
 
 def validate_stack(m: np.ndarray) -> list[DensityOperator]:
@@ -207,7 +208,7 @@ def validate_stack(m: np.ndarray) -> list[DensityOperator]:
     if np.any(negative):
         raise NotPositive(f"eigenvalue {low[negative][0]:.3e} below tolerance band")
     w = np.clip(w, 0.0, None)
-    return [DensityOperator(matrix=x) for x in _freeze(hermitize_stack(_rebuild(w, v)))]
+    return [DensityOperator(matrix=x) for x in freeze(hermitize_stack(_rebuild(w, v)))]
 
 
 def validate_density(m: np.ndarray, require_unit_trace: bool = False) -> DensityOperator:

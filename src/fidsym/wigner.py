@@ -6,9 +6,9 @@ real superpositions, one i-superposition), the implementing operator is
 assembled column by column with explicit phase fixing, its parity is
 classified, and the identity phi(A) = U A U* (or U conj(A) U*) is certified
 on random density operators. Bijectivity of the map is never assumed; a map
-that fails any stage, or has an image that ``DensityMapOracle.image`` turns
-away, gets a status flag, not an exception. An oracle that raises still
-propagates its exception.
+that fails any stage, or has an image that ``DensityMapOracle.image`` or
+``image_stack`` turns away, gets a status flag, not an exception. An oracle
+that raises still propagates its exception.
 """
 from __future__ import annotations
 
@@ -19,8 +19,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import charact
-from .matcore import DensityOperator, check_same_dim, pure_state
-from .sampling import random_density
+from .matcore import DensityOperator, check_same_dim, freeze, hermitize_stack, pure_state
+from .sampling import draw_density
 from .tolerances import CERTIFY_TOL, PHASE_FIX_TOL, PROBE_TOL, UNITARY_TOL
 
 UNITARY = "unitary"
@@ -33,31 +33,91 @@ STATUS_FAILED_PARITY = "failed_parity"
 STATUS_FAILED_VERIFICATION = "failed_verification"
 
 
+# The stacks that classify_map and reconstruct's verification draw, score and
+# hand to DensityMapOracle.image_stack hold at most this many matrix entries
+# (n * d^2) per side: 16 matrices at d = 8, one at d >= 32, so memory stays
+# that of a few d x d matrices at any d.
+TRIAL_STACK_ENTRIES = 1024
+
+
+def _is_numeric_array(m, shape: tuple[int, ...]) -> bool:
+    """An ndarray of bools or numbers of the given shape, but no np.matrix,
+    whose * and indexing are not an ndarray's."""
+    return (isinstance(m, np.ndarray) and not isinstance(m, np.matrix)
+            and m.dtype.kind in "biufc" and m.shape == shape)
+
+
 @dataclass(frozen=True)
 class DensityMapOracle:
     """Executable contract of a candidate map: a pure, deterministic function
-    on density operators of a fixed dimension."""
+    on density operators of a fixed dimension.
+
+    ``evaluate`` maps one operator to its image. ``evaluate_stack``, when
+    given, maps an (n, dim, dim) array of input matrices to the (n, dim, dim)
+    array of their images in one call, and must agree with ``evaluate`` row by
+    row. ``image`` and ``image_stack`` are the only readers of either; an
+    oracle without ``evaluate_stack`` is still read one matrix at a time."""
 
     dim: int
     evaluate: Callable[[DensityOperator], DensityOperator]
+    evaluate_stack: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ValueError(f"oracle dim must be >= 1, got {self.dim}")
 
+    @classmethod
+    def from_stack(cls, dim: int, evaluate_stack: Callable[[np.ndarray], np.ndarray]
+                   ) -> "DensityMapOracle":
+        """The oracle of a map given only by its action on stacks, which must
+        return a fresh array or its input; ``evaluate`` is its n = 1 case."""
+        oracle = cls(dim, lambda a: DensityOperator(
+            matrix=freeze(evaluate_stack(a.matrix[None]))[0]))
+        # set after __init__, whose (dim, evaluate) form perfbench/tracer.py wraps
+        object.__setattr__(oracle, "evaluate_stack", evaluate_stack)
+        return oracle
+
     def image(self, a: DensityOperator) -> Optional[DensityOperator]:
         """``evaluate(a)`` if it is a DensityOperator whose matrix is a finite
         (dim, dim) ndarray of bools or numbers, but no np.matrix, else None:
-        the one rule by which every caller reads images."""
+        the one rule by which every caller reads images, one at a time here
+        and a stack at a time in ``image_stack``."""
         out = self.evaluate(a)
         m = out.matrix if isinstance(out, DensityOperator) else None
-        if not (isinstance(m, np.ndarray) and not isinstance(m, np.matrix)
-                and m.dtype.kind in "biufc" and m.shape == (self.dim, self.dim)):
+        if not _is_numeric_array(m, (self.dim, self.dim)):
             return None
         # sum |m_ij|^2 is finite iff every entry is finite and below about
         # 1e154, far above any density operator's, at half the cost of
         # np.isfinite(m).all() at d = 64
         return out if math.isfinite(np.vdot(m, m).real) else None
+
+    def image_stack(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The images of a read-only (n, dim, dim) stack of input matrices
+        under the rule of ``image``, as a complex (n, dim, dim) array, and the
+        mask ``ok`` of the rows that pass it; a row turned away is zero.
+
+        The return of ``evaluate_stack`` is checked once as a whole (an
+        ndarray, no np.matrix, of bools or numbers, of shape (n, dim, dim)),
+        so a bad return turns the whole stack away, and then row by row with
+        one vectorised test of sum |m_ij|^2, so a non-finite row turns away
+        that row alone. Without ``evaluate_stack`` every row goes through
+        ``image``, in stack order."""
+        if self.evaluate_stack is None:
+            images = [self.image(DensityOperator(matrix=x)) for x in m]
+            out = np.zeros(m.shape, dtype=complex)
+            for k, y in enumerate(images):
+                if y is not None:
+                    out[k] = y.matrix
+            return out, np.array([y is not None for y in images], dtype=bool)
+        out = self.evaluate_stack(m)
+        if not _is_numeric_array(out, m.shape):
+            return np.zeros(m.shape, dtype=complex), np.zeros(len(m), dtype=bool)
+        out = np.ascontiguousarray(out, dtype=complex)
+        parts = out.view(float).reshape(len(m), -1)
+        ok = np.isfinite(np.einsum("ij,ij->i", parts, parts))
+        if not ok.all():
+            out = np.where(ok[:, None, None], out, 0.0)
+        return out, ok
 
 
 @dataclass(frozen=True)
@@ -87,15 +147,24 @@ class ReconstructionReport:
         return self.status == STATUS_CERTIFIED
 
 
+def apply_symmetry_stack(s: SymmetryOperator, m: np.ndarray) -> np.ndarray:
+    """U M U* or U conj(M) U* for every matrix of an (n, d, d) stack,
+    hermitized: the one action of a symmetry, on the oracle's side and on the
+    expected side of verification alike."""
+    if s.parity == ANTIUNITARY:
+        m = m.conj()
+    return hermitize_stack(s.u @ m @ s.u.conj().T)
+
+
 def apply_symmetry(s: SymmetryOperator, a: DensityOperator) -> DensityOperator:
-    """U A U* or U conj(A) U*; preserves trace and spectrum."""
+    """U A U* or U conj(A) U*; preserves trace and spectrum. The n = 1 case
+    of apply_symmetry_stack, bit for bit."""
     check_same_dim(s, a)
-    m = a.matrix.conj() if s.parity == ANTIUNITARY else a.matrix
-    return DensityOperator.from_psd(s.u @ m @ s.u.conj().T)
+    return DensityOperator(matrix=freeze(apply_symmetry_stack(s, a.matrix[None]))[0])
 
 
 def symmetry_oracle(s: SymmetryOperator) -> DensityMapOracle:
-    return DensityMapOracle(dim=s.dim, evaluate=lambda a: apply_symmetry(s, a))
+    return DensityMapOracle.from_stack(s.dim, lambda m: apply_symmetry_stack(s, m))
 
 
 def symmetry_distance(s1: SymmetryOperator, s2: SymmetryOperator) -> float:
@@ -171,12 +240,19 @@ def reconstruct(
     escapes any finite schedule of probes. ``seed`` only selects the
     verification draws, through ``default_rng(seed + 1)``.
 
-    Every image is read through ``oracle.image``; one it turns away rejects
-    the map with that probe's status, or fails verification with
-    ``residual_max`` infinite. A probe image is read with
-    ``charact.projection_vector``, in O(d^2) for a rank-one projection; only
-    an image near the RANK_TOL threshold, or not a projection at all, costs
-    an O(d^3) eigendecomposition.
+    Every probe image is read through ``oracle.image``, and every stack of
+    verification inputs through ``oracle.image_stack``: one call per stack of
+    at most TRIAL_STACK_ENTRIES entries, so the oracle's ``evaluate_stack``
+    (or, without one, ``evaluate`` per matrix) sees the rest of a stack even
+    when an earlier trial in it fails. ``probes_used`` counts the probes and
+    the verification trials up to and including the first that fails, as a
+    one-matrix-at-a-time loop would; ``residual_max`` is the largest residual
+    among those trials. An image that is turned away rejects the map with
+    that probe's status, or fails verification with ``residual_max``
+    infinite. A probe image is read with ``charact.projection_vector``, in
+    O(d^2) for a rank-one projection; only an image near the RANK_TOL
+    threshold, or not a projection at all, costs an O(d^3)
+    eigendecomposition.
     """
     if not (math.isfinite(certify_tol) and certify_tol >= 0.0):
         raise ValueError(f"certify_tol must be finite and >= 0, got {certify_tol}")
@@ -251,18 +327,31 @@ def reconstruct(
         )
     symmetry = SymmetryOperator(parity=parity, u=u)
 
-    # (5) Verification on random density operators of mixed rank and trace.
+    # (5) Verification on random density operators of mixed rank and trace,
+    # in the RNG order of one random_density per trial, drawn, mapped and
+    # scored in stacks of at most TRIAL_STACK_ENTRIES entries. The rows are
+    # read in order up to the first failing trial, and the stacks are drawn
+    # lazily, so no stack after it is drawn or mapped.
     rng = np.random.default_rng(seed + 1)
+    size = max(1, TRIAL_STACK_ENTRIES // (d * d))
+
+    def verification_rows():
+        for start in range(0, verification_trials, size):
+            drawn = np.empty((min(size, verification_trials - start), d, d), dtype=complex)
+            for k in range(len(drawn)):
+                drawn[k] = draw_density(rng, d, trace=float(rng.uniform(0.0, 2.0)) or 1.0)
+            inputs = freeze(hermitize_stack(drawn))
+            expected = apply_symmetry_stack(symmetry, inputs)
+            images, ok = oracle.image_stack(inputs)
+            yield from zip(inputs, expected, images, ok)
+
     residual_max = 0.0
     status = STATUS_CERTIFIED
-    for _ in range(verification_trials):
-        a = random_density(rng, d, trace=float(rng.uniform(0.0, 2.0)) or 1.0)
-        expected = apply_symmetry(symmetry, a)
-        got = oracle.image(a)
+    for a, expected, got, ok in verification_rows():
         probes += 1
-        res = math.inf if got is None else float(np.linalg.norm(got.matrix - expected.matrix))
+        res = float(np.linalg.norm(got - expected)) if ok else math.inf
         residual_max = max(residual_max, res)
-        if res > certify_tol * (1.0 + np.linalg.norm(a.matrix)):
+        if res > certify_tol * (1.0 + np.linalg.norm(a)):
             status = STATUS_FAILED_VERIFICATION
             break
     return ReconstructionReport(
