@@ -11,11 +11,12 @@ a rerun reproduces them byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import tempfile
-from typing import Any
+from typing import Any, NoReturn
 
 import numpy as np
 
@@ -36,6 +37,28 @@ MAX_DIM = 64
 
 class InputError(ValueError):
     """Malformed file or command-line input."""
+
+
+class Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors exit EXIT_INPUT_ERROR, not
+    argparse's 2, which this tool keeps for a rejected map; its subparsers
+    are of this class too."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
+def non_negative_int(text: str) -> int:
+    """``text`` as an int >= 0, for --seed and --digits; argparse names the
+    option in its message."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
 
 
 def read_json(path: str, keys: tuple[str, ...]) -> dict[str, Any]:
@@ -198,8 +221,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return code
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="fidsym")
+    """The one parser of the process, built on first use, not at import."""
+    parser = Parser(prog="fidsym")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -207,28 +232,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True, help="matrix JSON file")
     p.add_argument("--b", required=True, help="matrix JSON file")
     p.add_argument("--m", type=int, default=None, help="partial fidelity index")
-    p.add_argument("--digits", type=int, default=12)
+    p.add_argument("--digits", type=non_negative_int, default=12)
     p.set_defaults(func=cmd_fidelity)
 
     p = sub.add_parser("reconstruct", help="reconstruct the symmetry behind a map spec")
     p.add_argument("--map", required=True, help="map spec JSON file")
     p.add_argument("--tol", type=float, default=tolerances.CERTIFY_TOL)
     p.add_argument("--trials", type=int, default=64, help="verification trials")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--out", required=True, help="report JSON output path")
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("classify", help="test a map spec for fidelity preservation")
     p.add_argument("--map", required=True, help="map spec JSON file")
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--out", required=True, help="report JSON output path")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("verify", help="run the preserving/non-preserving dichotomy over the map zoo")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--out", default=None, help="summary JSON output path (default: stdout)")
     p.set_defaults(func=cmd_verify)
     return parser

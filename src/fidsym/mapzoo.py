@@ -14,15 +14,8 @@ from typing import Any, Mapping, Optional
 import numpy as np
 
 from .fidelity import fidelity_stack
-from .matcore import (
-    DensityOperator,
-    eigh_stack,
-    freeze,
-    hermitize_stack,
-    pure_state,
-    validate_density,
-)
-from .sampling import draw_density, ginibre, haar_stack, haar_unitary, random_density
+from .matcore import DensityOperator, eigh_stack, freeze, hermitize_stack, validate_density
+from .sampling import ginibre, haar_stack, haar_unitary, random_density
 from .wigner import (
     ANTIUNITARY,
     TRIAL_STACK_ENTRIES,
@@ -178,30 +171,39 @@ def _trial_pairs(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
     40% random mixed pairs, 40% random pure pairs, 20% orthogonal pure pairs,
     the sharpest discriminators (F = 0 must map to F = 0).
 
-    The loop only draws, in the order of random_density, random_pure_state
-    and orthogonal_pure_pair, writing each mixed pair into its row; one
-    batched QR then makes the orthogonal pairs and one indexed assignment
-    writes the projections vv* into the other rows. Each pure vector goes
-    through pure_state's phase rule, so every row has the bits those
-    functions give it. Possibly empty lists are stacked with np.reshape,
-    which np.stack refuses."""
+    The block is drawn with one call per kind, in this order: the kinds, one
+    uniform per pair (mixed below 0.4, pure below 0.8, else orthogonal);
+    for the n mixed pairs their traces (uniform in [0, 2), 0 read as 1),
+    their ranks (uniform in 1..dim) and one (n, 2, dim, dim) Ginibre block
+    whose columns past each rank are zeroed, then GG* rescaled to the drawn
+    trace; for the pure pairs one (n, 2, dim) Ginibre block of vectors,
+    normalised by norm alone; for the orthogonal pairs the first two columns
+    of haar_stack over one (n, dim, dim) Ginibre block. One indexed
+    assignment writes the projections vv* and the stack is hermitized once.
+    Pair k depends on ``count``, so classify_map always draws whole blocks.
+
+    This rule replaced a per-trial loop, so a given seed draws other pairs
+    than earlier releases did: classify and verify outputs differ from
+    theirs, reconstruct outputs, whose draws are not these, do not."""
+    kinds = rng.uniform(size=count)
+    mixed = np.flatnonzero(kinds < 0.4)
+    pure = np.flatnonzero((kinds >= 0.4) & (kinds < 0.8))
+    orthogonal = np.flatnonzero(kinds >= 0.8)
     pairs = np.empty((count, 2, dim, dim), dtype=complex)
-    pure, orthogonal, vectors, square = [], [], [], []
-    for i in range(count):
-        r = rng.uniform()
-        if r < 0.4:
-            for j in range(2):
-                pairs[i, j] = draw_density(rng, dim, trace=float(rng.uniform(0.0, 2.0)) or 1.0)
-        elif r < 0.8:
-            pure.append(i)
-            vectors += [ginibre(rng, dim), ginibre(rng, dim)]
-        else:
-            orthogonal.append(i)
-            square.append(ginibre(rng, (dim, dim)))
-    for u in haar_stack(np.reshape(square, (-1, dim, dim))):
-        vectors += [u[:, 0], u[:, 1]]
-    a = np.reshape([pure_state(v).amplitudes for v in vectors], (-1, 2, dim))
-    pairs[pure + orthogonal] = a[..., :, None] * a[..., None, :].conj()
+
+    traces = rng.uniform(0.0, 2.0, size=(len(mixed), 2))
+    traces[traces == 0.0] = 1.0
+    ranks = rng.integers(1, dim + 1, size=(len(mixed), 2))
+    g = ginibre(rng, (len(mixed), 2, dim, dim))
+    g = np.where(np.arange(dim) < ranks[..., None, None], g, 0.0)
+    a = g @ g.conj().swapaxes(-1, -2)
+    pairs[mixed] = a * (traces / np.trace(a, axis1=-2, axis2=-1).real)[..., None, None]
+
+    v = ginibre(rng, (len(pure), 2, dim))
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    u = haar_stack(ginibre(rng, (len(orthogonal), dim, dim)))[..., :2].swapaxes(-1, -2)
+    v = np.concatenate([v, u])
+    pairs[np.concatenate([pure, orthogonal])] = v[..., :, None] * v[..., None, :].conj()
     return freeze(hermitize_stack(pairs.reshape(-1, dim, dim))).reshape(pairs.shape)
 
 
@@ -211,10 +213,14 @@ def classify_map(oracle: DensityMapOracle, trials: int = 200, seed: int = 0) -> 
 
     The worst violation |F(phi A, phi B) - F(A, B)| over the trials is
     reported, and its first pair is the witness. Trials are drawn and scored
-    in blocks of at most TRIAL_STACK_ENTRIES entries per side, and each
-    block goes to the oracle in one ``oracle.image_stack`` call, in draw
-    order (A_1, B_1, A_2, ...): one ``evaluate_stack`` call, or without one,
-    one ``evaluate`` call per matrix.
+    in blocks of ``max(1, TRIAL_STACK_ENTRIES // d**2)`` pairs, each drawn
+    whole by _trial_pairs. Every block is drawn full and the last one is cut
+    to the trials left, so trial k does not depend on ``trials``: the pairs
+    of a smaller ``trials`` are a prefix of those of a larger one (for a
+    given seed they are not those of earlier releases). Each block
+    goes to the oracle in one ``oracle.image_stack`` call, in draw order
+    (A_1, B_1, A_2, ...): one ``evaluate_stack`` call, or without one, one
+    ``evaluate`` call per matrix.
 
     A pair with an image that ``image_stack`` turns away scores an infinite
     violation, so the first such pair is the witness of a rejection.
@@ -229,7 +235,7 @@ def classify_map(oracle: DensityMapOracle, trials: int = 200, seed: int = 0) -> 
     worst = 0.0
     witness: Optional[tuple[DensityOperator, DensityOperator]] = None
     for start in range(0, trials, size):
-        pairs = _trial_pairs(rng, d, min(size, trials - start))
+        pairs = _trial_pairs(rng, d, size)[:trials - start]
         images, ok = oracle.image_stack(pairs.reshape(-1, d, d))
         mapped = images.reshape(pairs.shape)
         violation = np.abs(fidelity_stack(mapped[:, 0], mapped[:, 1])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fidsym import tolerances
-from fidsym.cli import load_matrix, main, matrix_to_dict
+from fidsym.cli import EXIT_INPUT_ERROR, build_parser, load_matrix, main, matrix_to_dict
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -365,6 +365,70 @@ def test_golden_reports(name, args, capsys, tmp_path):
     out_file = tmp_path / "out.json"
     run_cli(args + ["--out", out_file], capsys)
     assert out_file.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def usage_exit(args, capsys):
+    """The exit code and stderr of a command that argparse ends."""
+    with pytest.raises(SystemExit) as info:
+        main([str(a) for a in args])
+    return info.value.code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["classify", "--map", FIXTURES / "transpose_d2.json", "--trials", "abc", "--out", "c.json"],
+    ["classify", "--out", "c.json"],
+    ["frobnicate"],
+], ids=["bad-int", "missing-map", "unknown-command"])
+def test_usage_error_is_an_input_error(args, capsys):
+    """A usage error exits 1, not argparse's 2, which a rejected map exits."""
+    code, err = usage_exit(args, capsys)
+    assert code == EXIT_INPUT_ERROR == 1
+    assert "error:" in err
+
+
+@pytest.mark.parametrize("args", [["--help"], ["--version"], ["classify", "--help"]])
+def test_help_and_version_exit_0(args, capsys):
+    code, _ = usage_exit(args, capsys)
+    assert code == 0
+
+
+@pytest.mark.parametrize("value", ["-1", "-2", "1.5", "x"])
+@pytest.mark.parametrize("command", [
+    ["classify", "--map", FIXTURES / "transpose_d2.json"],
+    ["reconstruct", "--map", FIXTURES / "transpose_d2.json"],
+    ["verify", "--dim", 2],
+], ids=["classify", "reconstruct", "verify"])
+def test_seed_must_be_a_non_negative_integer(command, value, capsys, tmp_path):
+    out_file = tmp_path / "out.json"
+    code, err = usage_exit(command + ["--seed", value, "--out", out_file], capsys)
+    assert code == 1
+    assert "--seed" in err and "non-negative integer" in err
+    assert not out_file.exists()
+
+
+def test_seed_zero_is_accepted(capsys, tmp_path):
+    out_file = tmp_path / "r.json"
+    code, _, _ = run_cli(["reconstruct", "--map", FIXTURES / "transpose_d2.json",
+                          "--seed", 0, "--out", out_file], capsys)
+    assert code == 0
+
+
+def test_negative_digits_is_an_input_error(capsys):
+    code, err = usage_exit(["fidelity", "--a", FIXTURES / "diag_05_05.json",
+                            "--b", FIXTURES / "diag_09_01.json", "--digits", "-1"], capsys)
+    assert code == 1
+    assert "--digits" in err and "non-negative integer" in err
+
+
+def test_parser_is_built_once_on_first_use():
+    assert build_parser() is build_parser()
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import fidsym.cli as c; print(c.build_parser.cache_info().currsize)"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")},
+    )
+    assert result.returncode == 0 and result.stdout.strip() == "0"
 
 
 def test_cli_entry_point_subprocess():

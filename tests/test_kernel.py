@@ -3,6 +3,7 @@ bit, classify_map's stacked scoring picks the same worst violation and
 witness as a per-trial loop, and stacks fail like single matrices do."""
 import numpy as np
 import pytest
+from trial_reference import reference_trial_pairs, stack_size
 
 from fidsym import mapzoo
 from fidsym.fidelity import BadM, fidelity, fidelity_stack, is_leq, leq_stack, partial_fidelity
@@ -21,7 +22,7 @@ from fidsym.matcore import (
     validate_density,
     validate_stack,
 )
-from fidsym.sampling import orthogonal_pure_pair, random_density, random_pure_state
+from fidsym.sampling import orthogonal_pure_pair, random_density
 
 DIMS = (2, 3, 4, 8, 32)
 
@@ -117,22 +118,17 @@ def test_fidelity_stack_rejects_bad_m_and_mismatch():
 
 
 def reference_classify(oracle, trials, seed, score=fidelity):
-    """Reference for classify_map: draw, validate and score one pair at a
-    time; the first pair reaching the largest violation is the witness."""
+    """Reference for classify_map: draw whole blocks of the stack size, build
+    them one pair at a time, and evaluate and score the first ``trials``
+    pairs one at a time; the first pair reaching the largest violation is
+    the witness."""
     rng = np.random.default_rng(seed)
     d = oracle.dim
+    pairs = []
+    while len(pairs) < trials:
+        pairs += reference_trial_pairs(rng, d, stack_size(d))
     worst, witness = 0.0, None
-    for _ in range(trials):
-        r = rng.uniform()
-        if r < 0.4:
-            a = random_density(rng, d, trace=float(rng.uniform(0.0, 2.0)) or 1.0)
-            b = random_density(rng, d, trace=float(rng.uniform(0.0, 2.0)) or 1.0)
-        elif r < 0.8:
-            a = random_pure_state(rng, d).projection()
-            b = random_pure_state(rng, d).projection()
-        else:
-            p, q = orthogonal_pure_pair(rng, d)
-            a, b = p.projection(), q.projection()
+    for a, b in pairs[:trials]:
         violation = abs(score(oracle.evaluate(a), oracle.evaluate(b)) - score(a, b))
         if violation > worst:
             worst = violation

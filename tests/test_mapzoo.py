@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 from bad_images import BAD_IMAGES
+from trial_reference import reference_trial_pairs, stack_size
 
-from fidsym.fidelity import fidelity
+from fidsym.fidelity import fidelity, fidelity_stack
 from fidsym.mapzoo import (
     BadSpec,
     MapSpec,
@@ -18,7 +19,7 @@ from fidsym.mapzoo import (
     verify_theorem,
 )
 from fidsym.matcore import DensityOperator, pure_state, validate_density
-from fidsym.sampling import orthogonal_pure_pair, random_density, random_pure_state
+from fidsym.sampling import random_density
 from fidsym.wigner import DensityMapOracle
 
 
@@ -162,11 +163,12 @@ def nan_image_oracle(d, bad):
     *(pytest.param(3, bad, id=name) for name, bad in BAD_IMAGES.items() if name != "nan"),
 ])
 def test_classify_all_nan_images_is_an_infinite_violation(d, bad):
-    """Every image is bad: all-NaN, or any other row of the bad-image table."""
+    """Every image is bad: all-NaN, or any other row of the bad-image table.
+    The witness is the first pair of the first full block."""
     report = classify_map(DensityMapOracle(dim=d, evaluate=bad), trials=10)
     assert not report.preserving and report.worst_violation == math.inf
     assert report.reconstruction is None
-    first = _trial_pairs(np.random.default_rng(0), d, 1)[0]
+    first = _trial_pairs(np.random.default_rng(0), d, stack_size(d))[0]
     assert [x.matrix.tobytes() for x in report.witness_pair] == [
         m.tobytes() for m in first]
 
@@ -188,8 +190,8 @@ def test_classify_witness_is_the_pair_with_the_nan_image():
 
 def test_classify_images_of_mixed_shapes_are_an_infinite_violation():
     """The identity on mixed inputs and an isometric embedding into d + 1 on
-    rank-one ones: images of two shapes in one stack. With seed 2 the first
-    pair is mixed, and the first pair of rank-one inputs is the witness."""
+    rank-one ones: images of two shapes in one stack. With seed 8 the first
+    pair has no rank-one input, and the first pair with one is the witness."""
     d = 3
     v = np.linalg.qr(np.random.default_rng(1).normal(size=(d + 1, d)))[0]
 
@@ -198,11 +200,11 @@ def test_classify_images_of_mixed_shapes_are_an_infinite_violation():
 
     oracle = DensityMapOracle(dim=d, evaluate=lambda a: (
         DensityOperator.from_psd(v @ a.matrix @ v.T) if rank_one(a.matrix) else a))
-    report = classify_map(oracle, trials=20, seed=2)
+    report = classify_map(oracle, trials=20, seed=8)
     assert not report.preserving and report.worst_violation == math.inf
-    pairs = _trial_pairs(np.random.default_rng(2), d, 20)
-    first = next(p for p in pairs if rank_one(p[0]))
-    assert not rank_one(pairs[0][0])
+    pairs = _trial_pairs(np.random.default_rng(8), d, stack_size(d))[:20]
+    first = next(p for p in pairs if rank_one(p[0]) or rank_one(p[1]))
+    assert not (rank_one(pairs[0][0]) or rank_one(pairs[0][1]))
     assert [x.matrix.tobytes() for x in report.witness_pair] == [
         m.tobytes() for m in first]
 
@@ -299,23 +301,6 @@ def test_json_grid_reads_bits():
     assert np.array_equal(json_grid({"re": re}, 2, "re", "im"), np.asarray(re, dtype=complex))
 
 
-def reference_trial_pairs(rng, d, count):
-    """Reference for _trial_pairs: draw and wrap one pair at a time."""
-    pairs = []
-    for _ in range(count):
-        r = rng.uniform()
-        if r < 0.4:
-            pairs.append(tuple(random_density(rng, d, trace=float(rng.uniform(0.0, 2.0)) or 1.0)
-                               for _ in range(2)))
-        elif r < 0.8:
-            pairs.append((random_pure_state(rng, d).projection(),
-                          random_pure_state(rng, d).projection()))
-        else:
-            p, q = orthogonal_pure_pair(rng, d)
-            pairs.append((p.projection(), q.projection()))
-    return pairs
-
-
 @pytest.mark.parametrize("d", [2, 3, 4, 8, 16, 32])
 @pytest.mark.parametrize("count", [1, 2, 7, 64])
 def test_trial_pairs_match_reference_pair_by_pair(d, count):
@@ -330,3 +315,70 @@ def test_trial_pairs_match_reference_pair_by_pair(d, count):
             for row, b in zip(pair, want):
                 assert row.tobytes() == b.matrix.tobytes(), seed
                 assert float(np.trace(row).real) == b.trace, seed
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_trial_pairs_rows_of_each_kind(d):
+    """Every row is exactly Hermitian and read-only; mixed rows are PSD with
+    their drawn trace and rank, every rank 1..d present; pure rows are
+    unit-trace rank-one projections; orthogonal pairs have F <= 1e-7."""
+    count = 256
+    pairs = _trial_pairs(np.random.default_rng(d), d, count)
+    assert not pairs.flags.writeable
+    assert np.array_equal(pairs, pairs.conj().swapaxes(-1, -2))
+    # the block's first draws: the kinds, then the mixed pairs' traces and ranks
+    again = np.random.default_rng(d)
+    kinds = again.uniform(size=count)
+    mixed, pure, orthogonal = kinds < 0.4, (kinds >= 0.4) & (kinds < 0.8), kinds >= 0.8
+    traces = again.uniform(0.0, 2.0, size=(mixed.sum(), 2))
+    ranks = again.integers(1, d + 1, size=(mixed.sum(), 2))
+
+    w = np.linalg.eigvalsh(pairs[mixed])
+    assert w.min() >= -1e-12 * w.max()
+    assert np.allclose(np.trace(pairs[mixed], axis1=-2, axis2=-1).real, traces,
+                       rtol=1e-12, atol=0.0)
+    assert np.array_equal((w > 1e-10 * w[..., -1:]).sum(axis=-1), ranks)
+    assert set(ranks.ravel()) == set(range(1, d + 1))
+
+    rank_one = pairs[pure | orthogonal]
+    w = np.linalg.eigvalsh(rank_one)
+    assert np.allclose(np.trace(rank_one, axis1=-2, axis2=-1), 1.0, rtol=0.0, atol=1e-12)
+    assert np.allclose(w[..., -1], 1.0, rtol=0.0, atol=1e-12)
+    assert np.abs(w[..., :-1]).max() <= 1e-12
+    assert fidelity_stack(pairs[orthogonal, 0], pairs[orthogonal, 1]).max() <= 1e-7
+
+
+def test_trial_pairs_kind_shares():
+    """Over 4,000 pairs, told apart by their rows alone, the shares of mixed,
+    pure and orthogonal pairs are within 3 sigma of 0.4, 0.4 and 0.2."""
+    n = 4000
+    pairs = _trial_pairs(np.random.default_rng(17), 2, n)
+    w = np.linalg.eigvalsh(pairs)
+    unit_rank_one = (np.abs(w[..., 0]) <= 1e-12) & (np.abs(w[..., 1] - 1.0) <= 1e-12)
+    both = unit_rank_one.all(axis=1)
+    orthogonal = both & (fidelity_stack(pairs[:, 0], pairs[:, 1]) <= 1e-7)
+    shares = np.array([(~both).sum(), (both & ~orthogonal).sum(), orthogonal.sum()]) / n
+    p = np.array([0.4, 0.4, 0.2])
+    assert np.all(np.abs(shares - p) <= 3 * np.sqrt(p * (1 - p) / n)), shares
+
+
+def test_classify_trials_are_a_prefix_of_more_trials():
+    """At d = 8 a block holds 16 pairs: the pairs of 20 trials, the first
+    block and 4 of the second, are the first 20 of 200 trials, so the worst
+    violation of 20 trials is no larger."""
+    d = 8
+    base = make_map(MapSpec("depolarizing", d, {"p": 0.5}))
+
+    def run(trials):
+        calls = []
+        oracle = DensityMapOracle.from_stack(
+            d, lambda m: calls.append(m.copy()) or base.evaluate_stack(m))
+        return calls, classify_map(oracle, trials=trials, seed=3)
+
+    short, few = run(20)
+    long, many = run(200)
+    assert [len(m) for m in short] == [32, 8]
+    short, long = np.concatenate(short), np.concatenate(long)
+    assert long.shape == (400, d, d)
+    assert short.tobytes() == long[:40].tobytes()
+    assert few.worst_violation <= many.worst_violation

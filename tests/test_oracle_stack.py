@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 from bad_images import BAD_IMAGES, BAD_STACKS
+from trial_reference import stack_size
 
 from fidsym.charact import numerical_rank
 from fidsym.mapzoo import ALL_KINDS, _trial_pairs, classify_map, make_map, zoo_specs
@@ -17,7 +18,6 @@ from fidsym.wigner import (
     ANTIUNITARY,
     STATUS_CERTIFIED,
     STATUS_FAILED_VERIFICATION,
-    TRIAL_STACK_ENTRIES,
     UNITARY,
     DensityMapOracle,
     SymmetryOperator,
@@ -26,11 +26,6 @@ from fidsym.wigner import (
 )
 
 SEED = 3
-
-
-def stack_size(d):
-    """Matrices per side of one stack at dimension d."""
-    return max(1, TRIAL_STACK_ENTRIES // (d * d))
 
 
 def per_matrix(act):
@@ -125,10 +120,11 @@ def test_a_bad_row_turns_away_that_row_alone(bad):
 @pytest.mark.parametrize("bad", ROW_BAD)
 def test_classify_witness_is_the_pair_with_a_bad_row(bad):
     """Only one trial input, in the sixth pair of the second block of 113
-    pairs at d = 3, has a bad image; that pair scores inf and is the witness."""
+    pairs at d = 3 (drawn whole, of which 87 are scored), has a bad image;
+    that pair scores inf and is the witness."""
     rng = np.random.default_rng(0)
     _trial_pairs(rng, 3, stack_size(3))
-    pair = _trial_pairs(rng, 3, 87)[5]
+    pair = _trial_pairs(rng, 3, stack_size(3))[5]
     oracle = identity_with_bad_rows(bad, lambda x: x.tobytes() == pair[1].tobytes())
     report = classify_map(oracle, trials=200)
     assert not report.preserving and report.worst_violation == math.inf
@@ -151,8 +147,8 @@ def test_reconstruct_fails_verification_on_a_bad_row(bad):
 def test_a_bad_stack_return_turns_the_whole_stack_away(bad):
     """An oracle whose evaluate is the identity and whose evaluate_stack
     returns a bad whole: every row is turned away, with no traceback, so
-    classify_map's first pair is its witness and reconstruct fails its
-    first verification trial."""
+    classify_map's first pair, the first of a full block, is its witness and
+    reconstruct fails its first verification trial."""
     oracle = DensityMapOracle(dim=3, evaluate=lambda a: a, evaluate_stack=BAD_STACKS[bad])
     stack = _trial_pairs(np.random.default_rng(0), 3, 4).reshape(-1, 3, 3)
     images, ok = oracle.image_stack(stack)
@@ -160,7 +156,7 @@ def test_a_bad_stack_return_turns_the_whole_stack_away(bad):
     report = classify_map(oracle, trials=10)
     assert not report.preserving and report.worst_violation == math.inf
     assert [x.matrix.tobytes() for x in report.witness_pair] == [
-        m.tobytes() for m in _trial_pairs(np.random.default_rng(0), 3, 1)[0]]
+        m.tobytes() for m in _trial_pairs(np.random.default_rng(0), 3, stack_size(3))[0]]
     rec = reconstruct(oracle)
     assert rec.status == STATUS_FAILED_VERIFICATION
     assert rec.probes_used == 7 and rec.residual_max == math.inf
@@ -238,5 +234,5 @@ def test_an_oracle_without_evaluate_stack_is_read_in_draw_order():
     seen = []
     oracle = DensityMapOracle(dim=3, evaluate=lambda a: seen.append(a.matrix.tobytes()) or a)
     classify_map(oracle, trials=20)
-    drawn = _trial_pairs(np.random.default_rng(0), 3, 20).reshape(-1, 3, 3)
+    drawn = _trial_pairs(np.random.default_rng(0), 3, stack_size(3))[:20].reshape(-1, 3, 3)
     assert seen[:40] == [x.tobytes() for x in drawn]

@@ -1,0 +1,58 @@
+"""Reference for mapzoo._trial_pairs: make the block's draws in its RNG
+order, then build and wrap one pair at a time with single-matrix code, so
+that the stacked construction and its indexing are checked bit for bit."""
+import numpy as np
+
+from fidsym import mapzoo
+from fidsym.matcore import DensityOperator
+
+
+def stack_size(d):
+    """Trial pairs per classify_map block, and matrices per side of one
+    stack, at dimension d; read at call time, so a monkeypatched
+    mapzoo.TRIAL_STACK_ENTRIES applies."""
+    return max(1, mapzoo.TRIAL_STACK_ENTRIES // (d * d))
+
+
+def reference_trial_pairs(rng, d, count):
+    """``count`` trial pairs as a list of (DensityOperator, DensityOperator)."""
+    kinds = rng.uniform(size=count)
+    n_mixed = int(np.sum(kinds < 0.4))
+    n_pure = int(np.sum((kinds >= 0.4) & (kinds < 0.8)))
+    traces = rng.uniform(0.0, 2.0, size=(n_mixed, 2))
+    ranks = rng.integers(1, d + 1, size=(n_mixed, 2))
+    # every Ginibre block draws all its real parts, then all imaginary parts
+    re = rng.normal(size=(n_mixed, 2, d, d))
+    mixed = re + 1j * rng.normal(size=re.shape)
+    re = rng.normal(size=(n_pure, 2, d))
+    pure = re + 1j * rng.normal(size=re.shape)
+    re = rng.normal(size=(count - n_mixed - n_pure, d, d))
+    square = re + 1j * rng.normal(size=re.shape)
+
+    def density(g, rank, trace):
+        g = g.copy()
+        g[:, rank:] = 0.0
+        a = g @ g.conj().T
+        return DensityOperator.from_psd(a * ((float(trace) or 1.0) / np.trace(a).real))
+
+    def projection(v):
+        return DensityOperator.from_psd(np.outer(v, v.conj()))
+
+    def haar(z):
+        q, r = np.linalg.qr(z)
+        diag = np.diagonal(r)
+        return q * (diag / np.abs(diag))
+
+    pairs, m, p, o = [], 0, 0, 0
+    for r in kinds:
+        if r < 0.4:
+            pairs.append(tuple(density(mixed[m, j], ranks[m, j], traces[m, j]) for j in range(2)))
+            m += 1
+        elif r < 0.8:
+            pairs.append(tuple(projection(v / np.linalg.norm(v, axis=-1)) for v in pure[p]))
+            p += 1
+        else:
+            u = haar(square[o])
+            pairs.append((projection(u[:, 0]), projection(u[:, 1])))
+            o += 1
+    return pairs
