@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .fidelity import leq_stack
-from .matcore import DensityOperator, eig_hermitian, from_psd_stack, sqrtm_psd
+from .matcore import DensityOperator, eig_hermitian, eigvalsh_stack, from_psd_stack, sqrtm_psd
 from .tolerances import CERT_TOL, RANK_TOL, TRACE_TOL
 
 
@@ -46,7 +46,8 @@ def spectral_rank(w: np.ndarray) -> int:
 
 
 def numerical_rank(a: DensityOperator) -> int:
-    return spectral_rank(eig_hermitian(a.matrix).eigenvalues)
+    """spectral_rank of A's eigenvalues, from an eigenvalue-only solve."""
+    return spectral_rank(eigvalsh_stack(a.matrix[None])[0])
 
 
 def rank_one_certificate(a: DensityOperator) -> OrthogonalCertificate | CertificateFailure:

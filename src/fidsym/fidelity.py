@@ -1,8 +1,13 @@
 """Uhlmann fidelity, partial fidelities, and the order/orthogonality predicates.
 
-F(A,B) = tr (A^{1/2} B A^{1/2})^{1/2} is computed as an eigenvalue sum rather
-than through an explicit matrix square root of the product: fewer matrix
-multiplies, same value.
+F(A,B) = tr (A^{1/2} B A^{1/2})^{1/2} is computed from a factor of A and
+eigenvalues alone. One eigendecomposition A = V diag(w) V* gives the factor
+X = V diag(w)^{1/2}, a column scaling with no rebuild of A^{1/2}. Since
+XX* = A, X = A^{1/2} V, so the core X*BX = V* (A^{1/2} B A^{1/2}) V is a
+unitary conjugate of the fidelity kernel and has its spectrum (Uhlmann, Rep.
+Math. Phys. 9 (1976) 273; Jozsa, J. Mod. Opt. 41 (1994) 2315). F is the sum
+of the square roots of the core's eigenvalues, from one eigenvalue-only
+solve: no matrix square root of the product and no eigenvectors of the core.
 """
 from __future__ import annotations
 
@@ -14,9 +19,9 @@ from .matcore import (
     PureState,
     check_same_dim,
     eigh_stack,
+    eigvalsh_stack,
     hermitize_stack,
     sqrt_eigs,
-    sqrtm_stack,
 )
 from .tolerances import ORDER_TOL, ORTH_TOL
 
@@ -29,16 +34,18 @@ def fidelity_stack(a: np.ndarray, b: np.ndarray, m: int | None = None) -> np.nda
     """F(A_k, B_k) for each pair of two (n, d, d) stacks of PSD matrices.
 
     With ``m``, the partial fidelity instead: the sum of the m largest
-    eigenvalues (with multiplicity) of (A^{1/2} B A^{1/2})^{1/2}.
+    eigenvalues (with multiplicity) of (A^{1/2} B A^{1/2})^{1/2}. Both are
+    read from the core X*BX of the factor X = V diag(w)^{1/2} of A; see the
+    module docstring.
     """
     if m is not None and not 1 <= m <= a.shape[-1]:
         raise BadM(f"m = {m} out of range 1..{a.shape[-1]}")
     if a.shape != b.shape:
         raise DimensionMismatch(f"dimension mismatch: stacks {a.shape} vs {b.shape}")
-    ra = sqrtm_stack(a)
-    core = ra @ np.ascontiguousarray(b, dtype=complex) @ ra
-    w, _ = eigh_stack(hermitize_stack(core))
-    return sqrt_eigs(w)[:, :m].sum(axis=-1)
+    w, v = eigh_stack(hermitize_stack(a))
+    x = v * sqrt_eigs(w)[:, None, :]
+    core = x.conj().swapaxes(-1, -2) @ np.ascontiguousarray(b, dtype=complex) @ x
+    return sqrt_eigs(eigvalsh_stack(core))[:, :m].sum(axis=-1)
 
 
 def fidelity(a: DensityOperator, b: DensityOperator) -> float:
@@ -63,9 +70,12 @@ def fidelity_pure(p: PureState, q: PureState) -> float:
 
 
 def leq_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Operator order A_k <= B_k for two (n, d, d) stacks, decided spectrally on B_k - A_k."""
+    """Operator order A_k <= B_k for two (n, d, d) stacks, decided spectrally
+    on B_k - A_k by its smallest eigenvalue; ValueError if an entry is not
+    finite, SolverFailure if the solver does not converge."""
     diff = b - a
-    return np.linalg.eigvalsh(diff)[:, 0] >= -ORDER_TOL * (1.0 + np.linalg.norm(diff, axis=(-2, -1)))
+    low = eigvalsh_stack(diff)[:, -1]
+    return low >= -ORDER_TOL * (1.0 + np.linalg.norm(diff, axis=(-2, -1)))
 
 
 def is_leq(a: DensityOperator, b: DensityOperator) -> bool:

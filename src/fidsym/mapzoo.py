@@ -220,7 +220,8 @@ def classify_map(oracle: DensityMapOracle, trials: int = 200, seed: int = 0) -> 
     given seed they are not those of earlier releases). Each block
     goes to the oracle in one ``oracle.image_stack`` call, in draw order
     (A_1, B_1, A_2, ...): one ``evaluate_stack`` call, or without one, one
-    ``evaluate`` call per matrix.
+    ``evaluate`` call per matrix. The block's images and inputs are then
+    scored in one ``fidelity_stack`` call, images first.
 
     A pair with an image that ``image_stack`` turns away scores an infinite
     violation, so the first such pair is the witness of a rejection.
@@ -237,9 +238,9 @@ def classify_map(oracle: DensityMapOracle, trials: int = 200, seed: int = 0) -> 
     for start in range(0, trials, size):
         pairs = _trial_pairs(rng, d, size)[:trials - start]
         images, ok = oracle.image_stack(pairs.reshape(-1, d, d))
-        mapped = images.reshape(pairs.shape)
-        violation = np.abs(fidelity_stack(mapped[:, 0], mapped[:, 1])
-                           - fidelity_stack(pairs[:, 0], pairs[:, 1]))
+        both = np.concatenate([images.reshape(pairs.shape), pairs])
+        f = fidelity_stack(both[:, 0], both[:, 1])
+        violation = np.abs(f[:len(pairs)] - f[len(pairs):])
         violation[~ok.reshape(-1, 2).all(axis=1)] = np.inf
         k = int(np.argmax(violation))
         if violation[k] > worst:

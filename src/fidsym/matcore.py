@@ -179,6 +179,17 @@ def eigh_stack(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[:, ::-1].copy(), v[:, :, ::-1].copy()
 
 
+def eigvalsh_stack(h: np.ndarray) -> np.ndarray:
+    """Eigenvalues of every matrix of an (n, d, d) stack, (n, d), non-increasing
+    along each row: eigh_stack's without the eigenvectors. ``h`` is
+    hermitized here, which raises ValueError if any entry is not finite."""
+    try:
+        w = np.linalg.eigvalsh(hermitize_stack(h))
+    except np.linalg.LinAlgError as exc:
+        raise SolverFailure(str(exc)) from exc
+    return w[:, ::-1].copy()
+
+
 def _rebuild(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """V diag(w) V* for each row of a stack."""
     return (v * w[:, None, :]) @ v.conj().swapaxes(-1, -2)

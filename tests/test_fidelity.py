@@ -9,9 +9,16 @@ from fidsym.fidelity import (
     fidelity_pure,
     is_leq,
     is_orthogonal,
+    leq_stack,
     partial_fidelity,
 )
-from fidsym.matcore import DimensionMismatch, pure_state, validate_density
+from fidsym.matcore import (
+    DensityOperator,
+    DimensionMismatch,
+    SolverFailure,
+    pure_state,
+    validate_density,
+)
 from fidsym.sampling import haar_unitary, random_density, random_pure_state
 
 
@@ -104,6 +111,30 @@ def test_is_leq_examples():
     q = pure_state([1.0, 1.0]).projection()
     assert not is_leq(p, q)
     assert not is_leq(q, p)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_is_leq_rejects_non_finite_input(bad):
+    """A non-finite operator raises as fidelity does, on either side."""
+    x = DensityOperator(matrix=np.full((2, 2), bad + 0j))
+    eye = dens([1.0, 1.0])
+    for a, b in ((x, eye), (eye, x)):
+        with pytest.raises(ValueError, match="finite"):
+            is_leq(a, b)
+        with pytest.raises(ValueError, match="finite"):
+            fidelity(a, b)
+
+
+def test_leq_stack_solver_failure(monkeypatch):
+    def no_convergence(h):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    a = dens([0.5, 0.5])
+    with pytest.raises(SolverFailure):
+        is_leq(a, a)
+    with pytest.raises(SolverFailure):
+        leq_stack(a.matrix[None], a.matrix[None])
 
 
 def test_is_orthogonal_examples():

@@ -6,14 +6,17 @@ import pytest
 from trial_reference import reference_trial_pairs, stack_size
 
 from fidsym import mapzoo
+from fidsym.charact import numerical_rank, spectral_rank
 from fidsym.fidelity import BadM, fidelity, fidelity_stack, is_leq, leq_stack, partial_fidelity
-from fidsym.mapzoo import classify_map, make_map, zoo_specs
+from fidsym.mapzoo import classify_map, make_map, verify_theorem, zoo_specs
 from fidsym.matcore import (
     DensityOperator,
     DimensionMismatch,
     NotPositive,
+    SolverFailure,
     eig_hermitian,
     eigh_stack,
+    eigvalsh_stack,
     from_psd_stack,
     hermitize,
     hermitize_stack,
@@ -23,6 +26,7 @@ from fidsym.matcore import (
     validate_stack,
 )
 from fidsym.sampling import orthogonal_pure_pair, random_density
+from fidsym.tolerances import EIG_FLOOR
 
 DIMS = (2, 3, 4, 8, 32)
 
@@ -107,6 +111,90 @@ def test_fidelity_stack_equals_n1(d):
             assert part[k] == partial_fidelity(x, y, m)
 
 
+@pytest.mark.parametrize("d", DIMS)
+def test_eigvalsh_stack_matches_eigh_stack(d):
+    m = psd_inputs(d)
+    m = m + 1j * np.triu(np.ones((d, d)))  # not Hermitian yet
+    w = eigvalsh_stack(m)
+    ref, _ = eigh_stack(hermitize_stack(m))
+    assert w.shape == ref.shape and w.flags.c_contiguous
+    assert np.all(np.diff(w, axis=-1) <= 0.0)
+    for k in range(len(m)):
+        assert np.max(np.abs(w[k] - ref[k])) <= 1e-13 * np.linalg.norm(m[k])
+
+
+def test_eigvalsh_stack_raises_solver_failure(monkeypatch):
+    def no_convergence(h):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    with pytest.raises(SolverFailure):
+        eigvalsh_stack(psd_inputs(2))
+
+
+def trace_norm_reference(a, b):
+    """Singular values of A^{1/2} B^{1/2}, non-increasing, from numpy's own
+    eigh and svd: F(A, B) = ||A^{1/2} B^{1/2}||_1 is their sum and the
+    partial fidelity of order m the sum of the first m. The cuts are the
+    documented ones: eigenvalues of A below EIG_FLOOR times its largest, and
+    squared singular values below EIG_FLOOR times the largest, count as zero."""
+    def root(m, floor):
+        w, v = np.linalg.eigh(m)
+        w = np.clip(w, 0.0, None)
+        w[w < floor * w.max()] = 0.0
+        return (v * np.sqrt(w)) @ v.conj().T
+
+    s = np.linalg.svd(root(a, EIG_FLOOR) @ root(b, 0.0), compute_uv=False)
+    s[s * s < EIG_FLOOR * s[0] ** 2] = 0.0
+    return s
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_fidelity_stack_matches_trace_norm_reference(d):
+    """Every ordered pair of psd_inputs(d), every m. The values agree within
+    1e-12 (1 + ||A|| ||B||). F is Hoelder-1/2 where a singular value s_i is
+    near 0 (orthogonal pairs): rounding delta of order d eps ||A|| ||B|| in
+    the core moves sqrt(s_i^2) by up to min(sqrt(delta), delta / s_i), on
+    either side, so that much is added for each of the m terms."""
+    m = psd_inputs(d)
+    n = len(m)
+    i, j = np.divmod(np.arange(n * n), n)
+    a, b = m[i], m[j]
+    ops = [DensityOperator(matrix=x) for x in m]
+    norms = np.linalg.norm(m, ord=2, axis=(-2, -1))
+    got = {order: fidelity_stack(a, b, order) for order in [None, *range(1, d + 1)]}
+    for k in range(n * n):
+        s = trace_norm_reference(a[k], b[k])
+        ab = norms[i[k]] * norms[j[k]]
+        delta = 4 * d * np.finfo(float).eps * ab
+        holder = np.minimum(np.sqrt(delta), delta / np.maximum(s, np.finfo(float).tiny))
+        x, y = ops[i[k]], ops[j[k]]
+        assert got[None][k] == fidelity(x, y)
+        for order in range(1, d + 1):
+            tol = 1e-12 * (1.0 + ab) + holder[:order].sum()
+            assert got[order][k] == partial_fidelity(x, y, order)
+            assert abs(got[order][k] - s[:order].sum()) <= tol, (i[k], j[k], order)
+        assert got[None][k] == got[d][k]
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_numerical_rank_decides_as_the_eigensystem(d):
+    for x in psd_inputs(d):
+        expected = spectral_rank(eig_hermitian(x).eigenvalues)
+        assert numerical_rank(DensityOperator(matrix=x)) == expected
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_verify_theorem_floors(d):
+    """Exact symmetries stay on their floors: identity and transpose map
+    every pair to bits whose fidelity is the input's, the conjugations stay
+    within the sqrt(eps) rounding of orthogonal pairs."""
+    worst = {e["kind"]: e["worst_violation"]
+             for e in verify_theorem(d, trials=200, seed=1)["results"]}
+    assert worst["identity"] == 0.0 and worst["transpose"] == 0.0
+    assert worst["unitary"] <= 1e-8 and worst["antiunitary"] <= 1e-8
+
+
 def test_fidelity_stack_rejects_bad_m_and_mismatch():
     a = psd_inputs(2)
     with pytest.raises(BadM):
@@ -175,7 +263,7 @@ def test_classify_map_first_maximum_across_stacks(monkeypatch):
 def test_non_finite_member_raises_value_error():
     m = psd_inputs(3)
     m[2, 0, 1] = np.nan
-    for fn in (hermitize_stack, validate_stack, sqrtm_stack):
+    for fn in (hermitize_stack, eigvalsh_stack, validate_stack, sqrtm_stack):
         with pytest.raises(ValueError):
             fn(m)
     good = psd_inputs(3)
