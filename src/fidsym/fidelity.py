@@ -20,7 +20,6 @@ from .matcore import (
     check_same_dim,
     eigh_stack,
     eigvalsh_stack,
-    hermitize_stack,
     sqrt_eigs,
 )
 from .tolerances import ORDER_TOL, ORTH_TOL
@@ -42,9 +41,12 @@ def fidelity_stack(a: np.ndarray, b: np.ndarray, m: int | None = None) -> np.nda
         raise BadM(f"m = {m} out of range 1..{a.shape[-1]}")
     if a.shape != b.shape:
         raise DimensionMismatch(f"dimension mismatch: stacks {a.shape} vs {b.shape}")
-    w, v = eigh_stack(hermitize_stack(a))
+    w, v = eigh_stack(a)
+    b = np.ascontiguousarray(b, dtype=complex)
+    if not np.isfinite(b).all():  # here, or the product warns before the raise
+        raise ValueError("matrix entries must be finite")
     x = v * sqrt_eigs(w)[:, None, :]
-    core = x.conj().swapaxes(-1, -2) @ np.ascontiguousarray(b, dtype=complex) @ x
+    core = x.conj().swapaxes(-1, -2) @ b @ x
     return sqrt_eigs(eigvalsh_stack(core))[:, :m].sum(axis=-1)
 
 

@@ -154,7 +154,7 @@ def make_map(spec: MapSpec, seed: int = 0) -> DensityMapOracle:
     # spectral_scramble, the last kind in KIND_PARAMS
     def scramble(m: np.ndarray) -> np.ndarray:
         out = np.zeros(m.shape, dtype=complex)
-        out[diagonal] = np.clip(eigh_stack(hermitize_stack(m))[0], 0.0, None)
+        out[diagonal] = np.clip(eigh_stack(m)[0], 0.0, None)
         return hermitize_stack(out)
 
     return DensityMapOracle.from_stack(d, scramble)

@@ -170,10 +170,12 @@ def eigh_stack(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns eigenvalues (n, d), non-increasing along each row (ties kept in
     solver order), and the matching orthonormal columns (n, d, d), both
-    C-contiguous arrays of their own. ``h`` must already be hermitized.
+    C-contiguous arrays of their own. ``h`` is hermitized first, as the solver
+    reads one triangle only (ValueError if an entry is not finite); a solver
+    failure raises SolverFailure.
     """
     try:
-        w, v = np.linalg.eigh(h)
+        w, v = np.linalg.eigh(hermitize_stack(h))
     except np.linalg.LinAlgError as exc:
         raise SolverFailure(str(exc)) from exc
     return w[:, ::-1].copy(), v[:, :, ::-1].copy()
@@ -181,8 +183,8 @@ def eigh_stack(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def eigvalsh_stack(h: np.ndarray) -> np.ndarray:
     """Eigenvalues of every matrix of an (n, d, d) stack, (n, d), non-increasing
-    along each row: eigh_stack's without the eigenvectors. ``h`` is
-    hermitized here, which raises ValueError if any entry is not finite."""
+    along each row: eigh_stack's without the eigenvectors, hermitized and
+    checked in the same way."""
     try:
         w = np.linalg.eigvalsh(hermitize_stack(h))
     except np.linalg.LinAlgError as exc:
@@ -201,7 +203,7 @@ def eig_hermitian(m: np.ndarray) -> Spectrum:
     Eigenvalues are returned in non-increasing order (ties kept in solver
     order); eigenvectors are the matching orthonormal columns.
     """
-    w, v = eigh_stack(hermitize_stack(np.asarray(m)[None]))
+    w, v = eigh_stack(np.asarray(m)[None])
     return Spectrum(eigenvalues=freeze(w)[0], eigenvectors=freeze(v)[0])
 
 
@@ -211,9 +213,8 @@ def validate_stack(m: np.ndarray) -> list[DensityOperator]:
     Eigenvalues in [-PSD_TOL*||M||, 0) are clipped to zero and the matrix is
     reassembled; anything more negative raises NotPositive.
     """
-    h = hermitize_stack(m)
-    w, v = eigh_stack(h)
-    scale = np.maximum(np.linalg.norm(h, axis=(-2, -1)), 1.0)
+    w, v = eigh_stack(m)
+    scale = np.maximum(np.linalg.norm(w, axis=-1), 1.0)  # ||(M + M*)/2||_F
     low = w[:, -1]
     negative = low < -PSD_TOL * scale
     if np.any(negative):
@@ -242,7 +243,7 @@ def sqrt_eigs(w: np.ndarray) -> np.ndarray:
 def sqrtm_stack(m: np.ndarray) -> np.ndarray:
     """Positive square root of every PSD matrix of an (n, d, d) stack, via
     eigendecomposition with clipping at zero."""
-    w, v = eigh_stack(hermitize_stack(m))
+    w, v = eigh_stack(m)
     return _rebuild(sqrt_eigs(w), v)
 
 

@@ -6,8 +6,8 @@ real superpositions, one i-superposition), the implementing operator is
 assembled column by column with explicit phase fixing, its parity is
 classified, and the identity phi(A) = U A U* (or U conj(A) U*) is certified
 on random density operators. Bijectivity of the map is never assumed; a map
-that fails any stage, or has an image that ``DensityMapOracle.image`` or
-``image_stack`` turns away, gets a status flag, not an exception. An oracle
+that fails any stage, or has an image that ``DensityMapOracle.image_stack``,
+its one reader, turns away, gets a status flag, not an exception. An oracle
 that raises still propagates its exception.
 """
 from __future__ import annotations
@@ -55,8 +55,9 @@ class DensityMapOracle:
     ``evaluate`` maps one operator to its image. ``evaluate_stack``, when
     given, maps an (n, dim, dim) array of input matrices to the (n, dim, dim)
     array of their images in one call, and must agree with ``evaluate`` row by
-    row. ``image`` and ``image_stack`` are the only readers of either; an
-    oracle without ``evaluate_stack`` is still read one matrix at a time."""
+    row. ``image_stack`` is the only reader of either, and ``image`` its n = 1
+    case: an oracle with ``evaluate_stack`` is read only through it, one
+    without it through ``evaluate``, one matrix at a time."""
 
     dim: int
     evaluate: Callable[[DensityOperator], DensityOperator]
@@ -78,41 +79,35 @@ class DensityMapOracle:
         return oracle
 
     def image(self, a: DensityOperator) -> Optional[DensityOperator]:
-        """``evaluate(a)`` if it is a DensityOperator whose matrix is a finite
-        (dim, dim) ndarray of bools or numbers, but no np.matrix, else None:
-        the one rule by which every caller reads images, one at a time here
-        and a stack at a time in ``image_stack``."""
-        out = self.evaluate(a)
-        m = out.matrix if isinstance(out, DensityOperator) else None
-        if not _is_numeric_array(m, (self.dim, self.dim)):
-            return None
-        # sum |m_ij|^2 is finite iff every entry is finite and below about
-        # 1e154, far above any density operator's, at half the cost of
-        # np.isfinite(m).all() at d = 64
-        return out if math.isfinite(np.vdot(m, m).real) else None
+        """The image of ``a`` as a read-only operator, or None if it is turned
+        away: the n = 1 case of ``image_stack``, bit for bit."""
+        out, ok = self.image_stack(a.matrix[None])
+        return DensityOperator(matrix=freeze(out)[0]) if ok[0] else None
 
     def image_stack(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The images of a read-only (n, dim, dim) stack of input matrices
-        under the rule of ``image``, as a complex (n, dim, dim) array, and the
-        mask ``ok`` of the rows that pass it; a row turned away is zero.
+        """The images of a read-only (n, dim, dim) stack of inputs as a complex
+        (n, dim, dim) array, and the mask ``ok`` of the rows that pass the one
+        rule for images: a finite (dim, dim) ndarray of bools or numbers, but
+        no np.matrix. A row turned away is zero.
 
-        The return of ``evaluate_stack`` is checked once as a whole (an
-        ndarray, no np.matrix, of bools or numbers, of shape (n, dim, dim)),
-        so a bad return turns the whole stack away, and then row by row with
-        one vectorised test of sum |m_ij|^2, so a non-finite row turns away
-        that row alone. Without ``evaluate_stack`` every row goes through
-        ``image``, in stack order."""
+        A return of ``evaluate_stack`` is tested whole for type, dtype and
+        shape, so a bad one turns the whole stack away. Without it,
+        ``evaluate`` is called per row in stack order, and a row whose return
+        is no DensityOperator with such a matrix is turned away alone. One
+        vectorised test of sum |m_ij|^2 then turns away each non-finite row."""
         if self.evaluate_stack is None:
-            images = [self.image(DensityOperator(matrix=x)) for x in m]
-            out = np.zeros(m.shape, dtype=complex)
-            for k, y in enumerate(images):
-                if y is not None:
+            out = np.full(m.shape, np.nan, dtype=complex)  # a NaN row fails below
+            for k, x in enumerate(m):
+                y = self.evaluate(DensityOperator(matrix=x))
+                if isinstance(y, DensityOperator) and _is_numeric_array(y.matrix, m.shape[1:]):
                     out[k] = y.matrix
-            return out, np.array([y is not None for y in images], dtype=bool)
-        out = self.evaluate_stack(m)
-        if not _is_numeric_array(out, m.shape):
-            return np.zeros(m.shape, dtype=complex), np.zeros(len(m), dtype=bool)
-        out = np.ascontiguousarray(out, dtype=complex)
+        else:
+            out = self.evaluate_stack(m)
+            if not _is_numeric_array(out, m.shape):
+                return np.zeros(m.shape, dtype=complex), np.zeros(len(m), dtype=bool)
+            out = np.ascontiguousarray(out, dtype=complex)
+        # finite iff every entry is finite and below about 1e154, far above
+        # any density operator's
         parts = out.view(float).reshape(len(m), -1)
         ok = np.isfinite(np.einsum("ij,ij->i", parts, parts))
         if not ok.all():
@@ -240,11 +235,12 @@ def reconstruct(
     escapes any finite schedule of probes. ``seed`` only selects the
     verification draws, through ``default_rng(seed + 1)``.
 
-    Every probe image is read through ``oracle.image``, and every stack of
-    verification inputs through ``oracle.image_stack``: one call per stack of
-    at most TRIAL_STACK_ENTRIES entries, so the oracle's ``evaluate_stack``
-    (or, without one, ``evaluate`` per matrix) sees the rest of a stack even
-    when an earlier trial in it fails. ``probes_used`` counts the probes and
+    Every probe image is read through ``oracle.image``, the n = 1 case of
+    ``oracle.image_stack``, and every stack of verification inputs through
+    ``image_stack``: one call per stack of at most TRIAL_STACK_ENTRIES
+    entries, so the oracle's ``evaluate_stack`` (or, without one, ``evaluate``
+    per matrix) sees the rest of a stack even when an earlier trial in it
+    fails. ``probes_used`` counts the probes and
     the verification trials up to and including the first that fails, as a
     one-matrix-at-a-time loop would; ``residual_max`` is the largest residual
     among those trials. An image that is turned away rejects the map with

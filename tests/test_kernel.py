@@ -1,6 +1,8 @@
 """The stacked kernel: every stacked result equals the n = 1 wrapper bit for
 bit, classify_map's stacked scoring picks the same worst violation and
 witness as a per-trial loop, and stacks fail like single matrices do."""
+import warnings
+
 import numpy as np
 import pytest
 from trial_reference import reference_trial_pairs, stack_size
@@ -63,6 +65,8 @@ def test_hermitize_and_eigensystem_stack_equal_n1(d):
     m = m + 1j * np.triu(np.ones((d, d)))  # not Hermitian yet
     h = hermitize_stack(m)
     w, v = eigh_stack(h)
+    raw = eigh_stack(m)  # hermitized inside
+    assert raw[0].tobytes() == w.tobytes() and raw[1].tobytes() == v.tobytes()
     for k in range(len(m)):
         assert h[k].tobytes() == hermitize(m[k]).tobytes()
         spec = eig_hermitian(m[k])
@@ -263,7 +267,7 @@ def test_classify_map_first_maximum_across_stacks(monkeypatch):
 def test_non_finite_member_raises_value_error():
     m = psd_inputs(3)
     m[2, 0, 1] = np.nan
-    for fn in (hermitize_stack, eigvalsh_stack, validate_stack, sqrtm_stack):
+    for fn in (hermitize_stack, eigh_stack, eigvalsh_stack, validate_stack, sqrtm_stack):
         with pytest.raises(ValueError):
             fn(m)
     good = psd_inputs(3)
@@ -272,6 +276,11 @@ def test_non_finite_member_raises_value_error():
     m[2, 0, 1] = np.inf
     with pytest.raises(ValueError):
         validate_stack(m)
+    # an infinite B is turned away before the core product, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            fidelity_stack(good, m)
 
 
 def test_non_psd_member_raises_not_positive():

@@ -3,6 +3,7 @@ of its evaluate and of the per-matrix map it replaced, image_stack applies
 the image rule once per stack and once per row, and classify_map and
 reconstruct hand the oracle bounded stacks, stop at the first failing one,
 and count probes as a one-matrix-at-a-time loop does."""
+import json
 import math
 
 import numpy as np
@@ -11,12 +12,14 @@ from bad_images import BAD_IMAGES, BAD_STACKS
 from trial_reference import stack_size
 
 from fidsym.charact import numerical_rank
+from fidsym.cli import classification_to_dict, reconstruction_to_dict
 from fidsym.mapzoo import ALL_KINDS, _trial_pairs, classify_map, make_map, zoo_specs
 from fidsym.matcore import DensityOperator, eig_hermitian
 from fidsym.sampling import haar_unitary, random_density
 from fidsym.wigner import (
     ANTIUNITARY,
     STATUS_CERTIFIED,
+    STATUS_FAILED_PROJECTION_PROBE,
     STATUS_FAILED_VERIFICATION,
     UNITARY,
     DensityMapOracle,
@@ -60,6 +63,9 @@ def reference_map(kind, d):
         np.clip(eig_hermitian(a.matrix).eigenvalues, 0.0, None).astype(complex)))
 
 
+KINDS = [*ALL_KINDS, "symmetry-unitary", "symmetry-antiunitary"]
+
+
 def oracle_of(kind, d):
     if kind.startswith("symmetry-"):
         u = haar_unitary(np.random.default_rng(d), d)
@@ -86,6 +92,44 @@ def test_evaluate_stack_has_the_bits_of_evaluate_and_the_per_matrix_map(kind, d,
         assert y.tobytes() == oracle.evaluate(a).matrix.tobytes() == reference(a).tobytes()
     images, ok = oracle.image_stack(stack)
     assert ok.all() and images.tobytes() == out.tobytes()
+
+
+# Oracles at d = 3 keyed by test id: every zoo kind, every bad image as an
+# evaluate, and every bad stack return as an evaluate_stack.
+IMAGE_ORACLES = {
+    **{kind: lambda kind=kind: oracle_of(kind, 3) for kind in KINDS},
+    **{f"image-{name}": lambda bad=bad: DensityMapOracle(dim=3, evaluate=bad)
+       for name, bad in BAD_IMAGES.items()},
+    **{f"stack-{name}": lambda bad=bad: DensityMapOracle(
+        dim=3, evaluate=lambda a: a, evaluate_stack=bad) for name, bad in BAD_STACKS.items()},
+}
+
+
+@pytest.mark.parametrize("name", IMAGE_ORACLES)
+def test_image_is_the_n1_case_of_image_stack(name):
+    """image(a) has the bits of the row of image_stack(a.matrix[None]), read
+    only, and is None exactly when that row is turned away."""
+    oracle = IMAGE_ORACLES[name]()
+    stack = _trial_pairs(np.random.default_rng(0), 3, 4).reshape(-1, 3, 3)
+    for x in stack:
+        out, ok = oracle.image_stack(x[None])
+        image = oracle.image(DensityOperator(matrix=x))
+        assert (image is None) == (not ok[0])
+        if image is not None:
+            assert image.matrix.tobytes() == out[0].tobytes()
+            assert not image.matrix.flags.writeable
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_kind_reports_the_same_bytes_through_evaluate_alone(kind, d):
+    """Read a matrix at a time through its evaluate, each zoo kind gives the
+    classify_map and reconstruct reports it gives read through evaluate_stack."""
+    oracle = oracle_of(kind, d)
+    plain = DensityMapOracle(d, evaluate=oracle.evaluate)
+    for tool, to_dict in ((classify_map, classification_to_dict),
+                          (reconstruct, reconstruction_to_dict)):
+        assert json.dumps(to_dict(tool(oracle))) == json.dumps(to_dict(tool(plain)))
 
 
 # The bad images of the table that are (3, 3) arrays of numbers, and so can
@@ -148,7 +192,8 @@ def test_a_bad_stack_return_turns_the_whole_stack_away(bad):
     """An oracle whose evaluate is the identity and whose evaluate_stack
     returns a bad whole: every row is turned away, with no traceback, so
     classify_map's first pair, the first of a full block, is its witness and
-    reconstruct fails its first verification trial."""
+    reconstruct rejects its first probe, which is read through the same
+    evaluate_stack, not through the identity evaluate."""
     oracle = DensityMapOracle(dim=3, evaluate=lambda a: a, evaluate_stack=BAD_STACKS[bad])
     stack = _trial_pairs(np.random.default_rng(0), 3, 4).reshape(-1, 3, 3)
     images, ok = oracle.image_stack(stack)
@@ -158,8 +203,8 @@ def test_a_bad_stack_return_turns_the_whole_stack_away(bad):
     assert [x.matrix.tobytes() for x in report.witness_pair] == [
         m.tobytes() for m in _trial_pairs(np.random.default_rng(0), 3, stack_size(3))[0]]
     rec = reconstruct(oracle)
-    assert rec.status == STATUS_FAILED_VERIFICATION
-    assert rec.probes_used == 7 and rec.residual_max == math.inf
+    assert rec.status == STATUS_FAILED_PROJECTION_PROBE
+    assert rec.probes_used == 1 and rec.residual_max == math.inf
 
 
 def transposing_trial(trial, d, stacked, calls):

@@ -293,19 +293,21 @@ STATUS_CASES = {
 @pytest.mark.parametrize("case", STATUS_CASES)
 def test_image_is_the_only_route_to_the_oracle(case, tool, monkeypatch):
     """Whether the map is certified or fails at any stage, every evaluate
-    call is made by DensityMapOracle.image."""
+    call is made by DensityMapOracle.image_stack, one per row it reads, in
+    stack order."""
     inner = STATUS_CASES[case][0](3)
-    evaluated, imaged = [], []
+    evaluated, rows = [], []
     oracle = DensityMapOracle(dim=3, evaluate=lambda a: evaluated.append(a) or inner.evaluate(a))
-    image = DensityMapOracle.image
-    monkeypatch.setattr(DensityMapOracle, "image",
-                        lambda self, a: imaged.append(a) or image(self, a))
+    image_stack = DensityMapOracle.image_stack
+    monkeypatch.setattr(DensityMapOracle, "image_stack",
+                        lambda self, m: rows.extend(m) or image_stack(self, m))
     if tool == "reconstruct":
         report = reconstruct(oracle)
         assert (report.status, report.probes_used) == STATUS_CASES[case][1:3]
     else:
         classify_map(oracle, trials=20)
-    assert len(evaluated) == len(imaged) > 0
+    assert [a.matrix.tobytes() for a in evaluated] == [x.tobytes() for x in rows]
+    assert len(rows) > 0
 
 
 @pytest.mark.parametrize("case", STATUS_CASES)
