@@ -14,6 +14,7 @@ import numpy as np
 
 from .fidelity import leq_stack
 from .matcore import DensityOperator, eig_hermitian, eigvalsh_stack, from_psd_stack, sqrtm_psd
+from .sampling import ginibre
 from .tolerances import CERT_TOL, RANK_TOL, TRACE_TOL
 
 
@@ -123,21 +124,15 @@ def _sample_minorants(a: DensityOperator, samples: int, rng: np.random.Generator
     """Random operators D with 0 <= D <= A, as A^{1/2} M A^{1/2} for random
     PSD contractions M scaled by u in (0, 1]. No rejection needed.
 
-    The draws keep the RNG stream of one sample at a time: per sample, the
-    real and imaginary (d, d) normal grids of W, then u. The arithmetic is
-    stacked: M = W*W for all samples in one product, and ||M||_2, the
-    largest eigenvalue of the PSD M, from one eigvalsh of the stack.
+    The whole block is drawn at once: one Ginibre block of W, then one
+    uniform block of u. M = W*W for all samples is one product, and ||M||_2,
+    the largest eigenvalue of the PSD M, comes from one eigvalsh_stack.
     """
-    d = a.dim
     root = sqrtm_psd(a.matrix)
-    grids = np.empty((samples, 2, d, d))
-    u = np.empty(samples)
-    for i in range(samples):
-        grids[i] = rng.normal(size=(2, d, d))
-        u[i] = rng.uniform(0.0, 1.0)
-    w = grids[:, 0] + 1j * grids[:, 1]
+    w = ginibre(rng, (samples, a.dim, a.dim))
+    u = rng.uniform(0.0, 1.0, size=samples)
     m = w.conj().swapaxes(-1, -2) @ w
-    m *= (u / np.linalg.eigvalsh(m)[:, -1])[:, None, None]
+    m *= (u / eigvalsh_stack(m)[:, 0])[:, None, None]
     return root @ m @ root
 
 

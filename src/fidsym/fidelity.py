@@ -73,11 +73,12 @@ def fidelity_pure(p: PureState, q: PureState) -> float:
 
 def leq_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Operator order A_k <= B_k for two (n, d, d) stacks, decided spectrally
-    on B_k - A_k by its smallest eigenvalue; ValueError if an entry is not
-    finite, SolverFailure if the solver does not converge."""
-    diff = b - a
-    low = eigvalsh_stack(diff)[:, -1]
-    return low >= -ORDER_TOL * (1.0 + np.linalg.norm(diff, axis=(-2, -1)))
+    on B_k - A_k by its smallest eigenvalue, against a band scaled by the
+    2-norm of its spectrum (its Frobenius norm, which cannot overflow this
+    way); ValueError if an entry is not finite, SolverFailure if the solver
+    does not converge."""
+    w = eigvalsh_stack(b - a)
+    return w[:, -1] >= -ORDER_TOL * (1.0 + np.hypot.reduce(w, axis=-1))
 
 
 def is_leq(a: DensityOperator, b: DensityOperator) -> bool:

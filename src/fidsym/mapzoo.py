@@ -180,11 +180,7 @@ def _trial_pairs(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
     normalised by norm alone; for the orthogonal pairs the first two columns
     of haar_stack over one (n, dim, dim) Ginibre block. One indexed
     assignment writes the projections vv* and the stack is hermitized once.
-    Pair k depends on ``count``, so classify_map always draws whole blocks.
-
-    This rule replaced a per-trial loop, so a given seed draws other pairs
-    than earlier releases did: classify and verify outputs differ from
-    theirs, reconstruct outputs, whose draws are not these, do not."""
+    Pair k depends on ``count``, so classify_map always draws whole blocks."""
     kinds = rng.uniform(size=count)
     mixed = np.flatnonzero(kinds < 0.4)
     pure = np.flatnonzero((kinds >= 0.4) & (kinds < 0.8))
@@ -216,8 +212,7 @@ def classify_map(oracle: DensityMapOracle, trials: int = 200, seed: int = 0) -> 
     in blocks of ``max(1, TRIAL_STACK_ENTRIES // d**2)`` pairs, each drawn
     whole by _trial_pairs. Every block is drawn full and the last one is cut
     to the trials left, so trial k does not depend on ``trials``: the pairs
-    of a smaller ``trials`` are a prefix of those of a larger one (for a
-    given seed they are not those of earlier releases). Each block
+    of a smaller ``trials`` are a prefix of those of a larger one. Each block
     goes to the oracle in one ``oracle.image_stack`` call, in draw order
     (A_1, B_1, A_2, ...): one ``evaluate_stack`` call, or without one, one
     ``evaluate`` call per matrix. The block's images and inputs are then

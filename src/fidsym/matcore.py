@@ -214,7 +214,7 @@ def validate_stack(m: np.ndarray) -> list[DensityOperator]:
     reassembled; anything more negative raises NotPositive.
     """
     w, v = eigh_stack(m)
-    scale = np.maximum(np.linalg.norm(w, axis=-1), 1.0)  # ||(M + M*)/2||_F
+    scale = np.maximum(np.hypot.reduce(w, axis=-1), 1.0)  # ||(M + M*)/2||_F, no overflow
     low = w[:, -1]
     negative = low < -PSD_TOL * scale
     if np.any(negative):

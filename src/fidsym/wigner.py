@@ -55,9 +55,9 @@ class DensityMapOracle:
     ``evaluate`` maps one operator to its image. ``evaluate_stack``, when
     given, maps an (n, dim, dim) array of input matrices to the (n, dim, dim)
     array of their images in one call, and must agree with ``evaluate`` row by
-    row. ``image_stack`` is the only reader of either, and ``image`` its n = 1
-    case: an oracle with ``evaluate_stack`` is read only through it, one
-    without it through ``evaluate``, one matrix at a time."""
+    row. ``image_stack`` is the only reader of either: an oracle with
+    ``evaluate_stack`` is read only through it, one without it through
+    ``evaluate``, one matrix at a time."""
 
     dim: int
     evaluate: Callable[[DensityOperator], DensityOperator]
@@ -77,12 +77,6 @@ class DensityMapOracle:
         # set after __init__, whose (dim, evaluate) form perfbench/tracer.py wraps
         object.__setattr__(oracle, "evaluate_stack", evaluate_stack)
         return oracle
-
-    def image(self, a: DensityOperator) -> Optional[DensityOperator]:
-        """The image of ``a`` as a read-only operator, or None if it is turned
-        away: the n = 1 case of ``image_stack``, bit for bit."""
-        out, ok = self.image_stack(a.matrix[None])
-        return DensityOperator(matrix=freeze(out)[0]) if ok[0] else None
 
     def image_stack(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The images of a read-only (n, dim, dim) stack of inputs as a complex
@@ -183,15 +177,16 @@ def symmetry_distance(s1: SymmetryOperator, s2: SymmetryOperator) -> float:
 
 def extend_normalized(oracle_norm: DensityMapOracle) -> DensityMapOracle:
     """Extend a map defined on unit-trace density operators to all of them by
-    homogeneity: 0 -> 0 and A -> (tr A) * phi(A / tr A). An image of phi that
-    ``image`` turns away makes the extension's image None, turned away too."""
+    homogeneity: 0 -> 0 and A -> (tr A) * phi(A / tr A). phi is read through
+    its ``image_stack``, one matrix at a time, and an image of phi that it
+    turns away makes the extension's image None, turned away too."""
 
     def evaluate(a: DensityOperator) -> Optional[DensityOperator]:
         t = a.trace
         if t <= 0.0:
             return a
-        inner = oracle_norm.image(DensityOperator(matrix=a.matrix / t))
-        return None if inner is None else DensityOperator.from_psd(inner.matrix * t)
+        inner, ok = oracle_norm.image_stack(freeze(a.matrix[None] / t))
+        return DensityOperator.from_psd(inner[0] * t) if ok[0] else None
 
     return DensityMapOracle(dim=oracle_norm.dim, evaluate=evaluate)
 
@@ -235,20 +230,21 @@ def reconstruct(
     escapes any finite schedule of probes. ``seed`` only selects the
     verification draws, through ``default_rng(seed + 1)``.
 
-    Every probe image is read through ``oracle.image``, the n = 1 case of
-    ``oracle.image_stack``, and every stack of verification inputs through
-    ``image_stack``: one call per stack of at most TRIAL_STACK_ENTRIES
-    entries, so the oracle's ``evaluate_stack`` (or, without one, ``evaluate``
-    per matrix) sees the rest of a stack even when an earlier trial in it
-    fails. ``probes_used`` counts the probes and
-    the verification trials up to and including the first that fails, as a
-    one-matrix-at-a-time loop would; ``residual_max`` is the largest residual
-    among those trials. An image that is turned away rejects the map with
-    that probe's status, or fails verification with ``residual_max``
-    infinite. A probe image is read with ``charact.projection_vector``, in
-    O(d^2) for a rank-one projection; only an image near the RANK_TOL
-    threshold, or not a projection at all, costs an O(d^3)
-    eigendecomposition.
+    Every probe vv* is handed to ``oracle.image_stack`` as a read-only stack
+    of one raw outer product: each probe vector's components are purely real
+    or purely imaginary, so vv* is exactly Hermitian as computed. Every stack
+    of verification inputs goes through ``image_stack`` too: one call per
+    stack of at most TRIAL_STACK_ENTRIES entries, so the oracle's
+    ``evaluate_stack`` (or, without one, ``evaluate`` per matrix) sees the
+    rest of a stack even when an earlier trial in it fails. ``probes_used``
+    counts the probes and the verification trials up to and including the
+    first that fails, as a one-matrix-at-a-time loop would; ``residual_max``
+    is the largest residual among those trials. An image that is turned
+    away rejects the map with that probe's status, or fails verification
+    with ``residual_max`` infinite. A probe image is read with
+    ``charact.projection_vector``, in O(d^2) for a rank-one projection; only
+    an image near the RANK_TOL threshold, or not a projection at all, costs
+    an O(d^3) eigendecomposition.
     """
     if not (math.isfinite(certify_tol) and certify_tol >= 0.0):
         raise ValueError(f"certify_tol must be finite and >= 0, got {certify_tol}")
@@ -261,9 +257,9 @@ def reconstruct(
         """Amplitudes of the image of |v><v|; rejects with ``status`` unless
         the image is a finite rank-one projection of the oracle's dimension."""
         nonlocal probes
-        image = oracle.image(DensityOperator.from_psd(np.outer(v, v.conj())))
+        images, ok = oracle.image_stack(freeze(np.outer(v, v.conj())[None]))
         probes += 1
-        x = None if image is None else charact.projection_vector(image)
+        x = charact.projection_vector(DensityOperator(matrix=freeze(images)[0])) if ok[0] else None
         if x is None:
             raise _Rejected(status)
         return pure_state(x).amplitudes

@@ -148,15 +148,20 @@ def test_probe_needs_two_samples(samples):
 
 
 def loop_minorants(a, samples, rng):
-    """Reference: the per-sample sampler, one SVD-based norm per sample."""
+    """Reference: the draws in the sampler's order (every real part of the
+    Ginibre block, every imaginary part, then every u), each minorant built
+    alone with one SVD-based norm."""
     d = a.dim
     root = sqrtm_psd(a.matrix)
+    re = rng.normal(size=(samples, d, d))
+    im = rng.normal(size=(samples, d, d))
+    u = rng.uniform(0.0, 1.0, size=samples)
     out = np.empty((samples, d, d), dtype=complex)
     for i in range(samples):
-        w = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        w = re[i] + 1j * im[i]
         m = w.conj().T @ w
         m /= np.linalg.norm(m, 2)
-        m *= rng.uniform(0.0, 1.0)
+        m *= u[i]
         out[i] = root @ m @ root
     return out
 

@@ -189,6 +189,17 @@ def test_fidelity_non_psd_matrix_file_is_an_input_error(capsys, tmp_path):
     assert err.startswith(f"error: {path}:") and err.rstrip().endswith("below tolerance band")
 
 
+def test_fidelity_huge_non_psd_matrix_file_is_an_input_error(capsys, tmp_path):
+    """So is an eigenvalue of -1e160, whose band scale would overflow as a
+    sum of squares; it is not clipped to 0 and scored."""
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"dim": 2, "re": [[1e160, 0], [0, -1e160]]}))
+    code, out, err = run_cli(["fidelity", "--a", path, "--b", FIXTURES / "diag_05_05.json"],
+                             capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {path}:") and err.rstrip().endswith("below tolerance band")
+
+
 def test_classify_mix_sigma_not_psd_is_an_input_error(capsys, tmp_path):
     """So is a mix spec's sigma grid: unit trace, but an eigenvalue of -0.2."""
     spec = tmp_path / "mix_d2.json"

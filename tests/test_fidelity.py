@@ -113,6 +113,16 @@ def test_is_leq_examples():
     assert not is_leq(q, p)
 
 
+@pytest.mark.parametrize("scale", [1e150, 1e160, 1e300])
+def test_is_leq_decides_huge_operators(scale):
+    """diag(s, 0) and diag(0, s) are incomparable at any scale s: the band
+    is scaled by the 2-norm of the spectrum of the difference, which stays
+    finite where its sum of squares overflows."""
+    a, b = dens([scale, 0.0]), dens([0.0, scale])
+    assert not is_leq(a, b) and not is_leq(b, a)
+    assert is_leq(a, dens([scale, scale]))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_is_leq_rejects_non_finite_input(bad):
     """A non-finite operator raises as fidelity does, on either side."""

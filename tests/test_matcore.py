@@ -1,6 +1,7 @@
 """Tests for the Hermitian substrate: eigendecomposition, PSD square roots,
 density validation, phase canonicalization."""
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,22 @@ def test_validate_accepts_unit_trace():
 def test_validate_rejects_negative():
     with pytest.raises(NotPositive):
         validate_density(np.diag([1.0, -0.2]))
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e160, 1e300])
+def test_validate_rejects_a_huge_negative_eigenvalue(scale):
+    """The band is scaled by the 2-norm of the spectrum, which stays finite
+    where the sum of squares overflows, so the check is not switched off."""
+    with pytest.raises(NotPositive):
+        validate_density(np.diag([scale, -scale]))
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e160, 1e300])
+def test_validate_accepts_a_huge_psd_matrix_without_warning(scale):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a = validate_density(scale * np.eye(2))
+    assert np.allclose(a.matrix, scale * np.eye(2), rtol=1e-12, atol=0.0)
 
 
 def test_validate_clips_tolerance_band():

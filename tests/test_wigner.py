@@ -10,7 +10,13 @@ from bad_images import BAD_IMAGES
 from fidsym.charact import numerical_rank
 from fidsym.fidelity import fidelity
 from fidsym.mapzoo import MapSpec, classify_map, make_map
-from fidsym.matcore import DensityOperator, DimensionMismatch, pure_state, validate_density
+from fidsym.matcore import (
+    DensityOperator,
+    DimensionMismatch,
+    hermitize_stack,
+    pure_state,
+    validate_density,
+)
 from fidsym.sampling import haar_unitary, random_density, random_pure_state
 from fidsym.wigner import (
     ANTIUNITARY,
@@ -200,8 +206,8 @@ def test_extend_normalized_divides_by_the_matrix_trace():
 
 @pytest.mark.parametrize("bad", ["nan", "ones3x4"])
 def test_extend_normalized_over_a_bad_oracle_is_rejected(bad):
-    """The inner map's image is read through DensityMapOracle.image, so a
-    NaN or 3 x 4 one is turned away, as a NaN image of the extension is."""
+    """The inner map's image is read through DensityMapOracle.image_stack, so
+    a NaN or 3 x 4 one is turned away, as a NaN image of the extension is."""
     extended = extend_normalized(DensityMapOracle(dim=3, evaluate=BAD_IMAGES[bad]))
     report = reconstruct(extended)
     assert report.status == STATUS_FAILED_PROJECTION_PROBE
@@ -308,6 +314,29 @@ def test_image_is_the_only_route_to_the_oracle(case, tool, monkeypatch):
         classify_map(oracle, trials=20)
     assert [a.matrix.tobytes() for a in evaluated] == [x.tobytes() for x in rows]
     assert len(rows) > 0
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["per_matrix", "stacked"])
+@pytest.mark.parametrize("d", [2, 3, 8])
+@pytest.mark.parametrize("case", STATUS_CASES)
+def test_the_oracle_receives_read_only_hermitian_matrices(case, d, stacked):
+    """Every matrix reconstruct hands the oracle, probe or verification
+    input, is read-only and has the bits of its own hermitize_stack. The
+    probes are raw outer products vv*, exactly Hermitian as computed since
+    every component of a probe vector is purely real or purely imaginary."""
+    inner = STATUS_CASES[case][0](d)
+    seen = []
+    if stacked:
+        oracle = DensityMapOracle.from_stack(d, lambda m: seen.extend(m) or np.stack(
+            [inner.evaluate(DensityOperator(matrix=x)).matrix for x in m]))
+    else:
+        oracle = DensityMapOracle(dim=d, evaluate=lambda a: seen.append(a.matrix)
+                                  or inner.evaluate(a))
+    report = reconstruct(oracle)
+    assert len(seen) >= report.probes_used > 0
+    for x in seen:
+        assert not x.flags.writeable
+        assert x.tobytes() == hermitize_stack(x[None])[0].tobytes()
 
 
 @pytest.mark.parametrize("case", STATUS_CASES)
