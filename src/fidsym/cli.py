@@ -6,13 +6,16 @@ Matrix files: {"dim": d, "re": [[...]], "im": [[...]]} (row-major, entry
 "params": {...}} (the params of each kind: mapzoo.KIND_PARAMS); any other
 key is an input error, and so is a dim outside 1..MAX_DIM. Reports record the tool version, seed, and the whole
 tolerance table in effect (fidsym.tolerances, with --tol as certify_tol), so
-a rerun reproduces them byte for byte.
+a rerun reproduces them byte for byte. Reports are strict JSON: an
+infinite residual_max or worst_violation is written as null, and
+write_report refuses any other non-finite number.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -116,13 +119,18 @@ def load_map_spec(path: str) -> MapSpec:
         raise InputError(f"{path}: bad map spec: {exc}") from exc
 
 
+def json_float(x: float) -> float | None:
+    """``x``, or None (JSON null) if it is not finite: JSON has no Infinity."""
+    return x if math.isfinite(x) else None
+
+
 def reconstruction_to_dict(report: ReconstructionReport) -> dict[str, Any]:
     out: dict[str, Any] = {
         "status": report.status,
-        "residual_max": report.residual_max,
+        "residual_max": json_float(report.residual_max),
         "probes_used": report.probes_used,
         "verification_trials": report.verification_trials,
-        "parity_margin": report.parity_margin,
+        "parity_margin": json_float(report.parity_margin),
     }
     if report.symmetry is not None:
         out["parity"] = report.symmetry.parity
@@ -133,7 +141,7 @@ def reconstruction_to_dict(report: ReconstructionReport) -> dict[str, Any]:
 def classification_to_dict(report: ClassificationReport) -> dict[str, Any]:
     out: dict[str, Any] = {
         "preserving": report.preserving,
-        "worst_violation": report.worst_violation,
+        "worst_violation": json_float(report.worst_violation),
         "trials": report.trials,
         "seed": report.seed,
     }
@@ -151,7 +159,7 @@ def write_report(path: str, payload: dict[str, Any]) -> None:
     ``payload`` may replace the default tolerance table with the one its
     command used. InputError if it cannot be written."""
     payload = {"tool_version": __version__, "tolerances": tolerances.table(), **payload}
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")

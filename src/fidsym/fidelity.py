@@ -8,6 +8,8 @@ unitary conjugate of the fidelity kernel and has its spectrum (Uhlmann, Rep.
 Math. Phys. 9 (1976) 273; Jozsa, J. Mod. Opt. 41 (1994) 2315). F is the sum
 of the square roots of the core's eigenvalues, from one eigenvalue-only
 solve: no matrix square root of the product and no eigenvectors of the core.
+Each row is first scaled by powers of four, as F(4^-i A, 4^-j B) =
+2^-(i+j) F(A, B), so that F is scale-free from 1e-300 to 1e300.
 """
 from __future__ import annotations
 
@@ -45,9 +47,17 @@ def fidelity_stack(a: np.ndarray, b: np.ndarray, m: int | None = None) -> np.nda
     b = np.ascontiguousarray(b, dtype=complex)
     if not np.isfinite(b).all():  # here, or the product warns before the raise
         raise ValueError("matrix entries must be finite")
-    x = v * sqrt_eigs(w)[:, None, :]
+    # F(4^-i A, 4^-j B) = 2^-(i+j) F(A, B): scaled to lambda_1(A) and tr B
+    # near 1, the core's entries neither overflow nor go subnormal. Powers
+    # of four keep every scaling and its square root exact, and EIG_FLOOR
+    # is relative, so no cut moves. A zero row has exponent 0 and keeps
+    # the scale 1.
+    i = np.frexp(w[:, 0])[1] // 2
+    j = np.frexp(np.trace(b, axis1=-2, axis2=-1).real)[1] // 2
+    x = v * sqrt_eigs(np.ldexp(w, -2 * i[:, None]))[:, None, :]
+    b = np.ldexp(b.view(float), -2 * j[:, None, None]).view(complex)  # no complex ldexp
     core = x.conj().swapaxes(-1, -2) @ b @ x
-    return sqrt_eigs(eigvalsh_stack(core))[:, :m].sum(axis=-1)
+    return np.ldexp(sqrt_eigs(eigvalsh_stack(core))[:, :m].sum(axis=-1), i + j)
 
 
 def fidelity(a: DensityOperator, b: DensityOperator) -> float:

@@ -60,6 +60,10 @@ class MapSpec:
 
 @dataclass(frozen=True)
 class ClassificationReport:
+    """The verdict of classify_map. ``trials`` counts the trials scored: all
+    of those asked for when the map preserves fidelity, and up to the end of
+    the first block that holds a witness when it is rejected."""
+
     preserving: bool
     worst_violation: float
     witness_pair: Optional[tuple[DensityOperator, DensityOperator]]
@@ -220,6 +224,12 @@ def classify_map(oracle: DensityMapOracle, trials: int = 200, seed: int = 0) -> 
 
     A pair with an image that ``image_stack`` turns away scores an infinite
     violation, so the first such pair is the witness of a rejection.
+
+    One pair over ``CLASSIFY_TOL`` proves that the map does not preserve
+    fidelity, so a rejection stops at the end of the first block that holds
+    a witness, and the report's ``trials`` counts the trials scored. By the
+    prefix property the report then equals that of ``classify_map`` asked
+    for exactly that many trials. A preserving map scores every trial.
     """
     if trials < 1:
         raise BadSpec(f"trials must be >= 1, got {trials}")
@@ -241,6 +251,9 @@ def classify_map(oracle: DensityMapOracle, trials: int = 200, seed: int = 0) -> 
         if violation[k] > worst:
             worst = float(violation[k])
             witness = (DensityOperator(matrix=pairs[k, 0]), DensityOperator(matrix=pairs[k, 1]))
+        if worst > CLASSIFY_TOL:
+            trials = start + len(pairs)
+            break
     preserving = worst <= CLASSIFY_TOL
     report = reconstruct(oracle, seed=seed) if preserving else None
     return ClassificationReport(

@@ -10,7 +10,18 @@ import numpy as np
 import pytest
 
 from fidsym import tolerances
-from fidsym.cli import EXIT_INPUT_ERROR, build_parser, load_matrix, main, matrix_to_dict
+from fidsym.cli import (
+    EXIT_INPUT_ERROR,
+    build_parser,
+    classification_to_dict,
+    load_matrix,
+    main,
+    matrix_to_dict,
+    write_report,
+)
+from fidsym.mapzoo import classify_map
+from fidsym.matcore import DensityOperator
+from fidsym.wigner import DensityMapOracle
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -82,6 +93,47 @@ def test_reconstruct_non_preserving_exits_2(capsys, tmp_path):
     assert code == 2
     report = json.loads(out_file.read_text())
     assert report["report"]["status"] != "certified"
+
+
+def strict_json(text):
+    """``text`` parsed as RFC 8259 JSON: Infinity, -Infinity and NaN raise."""
+    def reject(name):
+        raise ValueError(f"not JSON: {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_rejected_reconstruct_report_is_strict_json(capsys, tmp_path):
+    """A failed reconstruction has an infinite residual_max, written as null."""
+    spec, out_file = tmp_path / "dephase_d3.json", tmp_path / "r.json"
+    spec.write_text(json.dumps({"kind": "dephase", "dim": 3}))
+    code, _, _ = run_cli(["reconstruct", "--map", spec, "--out", out_file], capsys)
+    assert code == 2
+    report = strict_json(out_file.read_text())["report"]
+    assert report["status"] == "failed_phase" and report["residual_max"] is None
+
+
+def test_turned_away_images_classify_to_strict_json(tmp_path):
+    """An oracle whose images are all turned away has an infinite worst
+    violation, written as null; write_report refuses any other non-finite
+    number rather than write Infinity or NaN."""
+    report = classify_map(DensityMapOracle(dim=2, evaluate=lambda a: DensityOperator(
+        matrix=np.full((2, 2), np.nan + 0j))), trials=10)
+    out_file = tmp_path / "c.json"
+    write_report(str(out_file), {"report": classification_to_dict(report)})
+    assert strict_json(out_file.read_text())["report"]["worst_violation"] is None
+    with pytest.raises(ValueError):
+        write_report(str(out_file), {"report": {"worst_violation": float("nan")}})
+
+
+def test_fidelity_of_huge_matrix_files(capsys, tmp_path):
+    """F(sI, sI) = 2s for the 2 x 2 identity at s = 1e160, where the
+    unscaled fidelity core overflows."""
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"dim": 2, "re": [[1e160, 0], [0, 1e160]]}))
+    code, out, err = run_cli(["fidelity", "--a", path, "--b", path], capsys)
+    assert code == 0 and err == ""
+    assert float(out) == pytest.approx(2e160, rel=1e-12, abs=0.0)
 
 
 def test_reconstruct_report_records_tol(capsys, tmp_path):

@@ -1,5 +1,7 @@
 """Fidelity values, partial fidelities, and the order/orthogonality
 predicates, with the numeric identities they must satisfy."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,22 @@ def test_is_leq_decides_huge_operators(scale):
     a, b = dens([scale, 0.0]), dens([0.0, scale])
     assert not is_leq(a, b) and not is_leq(b, a)
     assert is_leq(a, dens([scale, scale]))
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e-150, 1e160, 1e-160, 1e300, 1e-300])
+def test_fidelity_is_scale_free(scale):
+    """F(sA, sB) = s F(A, B), with no warning, where the unscaled core
+    X*BX would hold entries of order s^2: overflowing above about 1e154,
+    subnormal or zero below about 1e-154."""
+    a = np.array([[0.7, 0.2], [0.2, 0.3]])
+    b = np.array([[0.5, 0.1j], [-0.1j, 0.5]])
+    f = fidelity(validate_density(a), validate_density(b))
+    p = partial_fidelity(validate_density(a), validate_density(b), 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sa, sb = validate_density(scale * a), validate_density(scale * b)
+        assert fidelity(sa, sb) / scale == pytest.approx(f, rel=1e-12, abs=0.0)
+        assert partial_fidelity(sa, sb, 1) / scale == pytest.approx(p, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

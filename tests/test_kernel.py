@@ -28,7 +28,7 @@ from fidsym.matcore import (
     validate_stack,
 )
 from fidsym.sampling import orthogonal_pure_pair, random_density
-from fidsym.tolerances import EIG_FLOOR
+from fidsym.tolerances import CLASSIFY_TOL, EIG_FLOOR
 
 DIMS = (2, 3, 4, 8, 32)
 
@@ -211,21 +211,23 @@ def test_fidelity_stack_rejects_bad_m_and_mismatch():
 
 def reference_classify(oracle, trials, seed, score=fidelity):
     """Reference for classify_map: draw whole blocks of the stack size, build
-    them one pair at a time, and evaluate and score the first ``trials``
-    pairs one at a time; the first pair reaching the largest violation is
-    the witness."""
+    them one pair at a time, cut the last to the trials left, and evaluate
+    and score each pair one at a time; the first pair reaching the largest
+    violation is the witness. The scan stops after the first block whose
+    largest violation exceeds CLASSIFY_TOL. Returns the worst violation, its
+    witness and the number of trials scored."""
     rng = np.random.default_rng(seed)
     d = oracle.dim
-    pairs = []
-    while len(pairs) < trials:
-        pairs += reference_trial_pairs(rng, d, stack_size(d))
-    worst, witness = 0.0, None
-    for a, b in pairs[:trials]:
-        violation = abs(score(oracle.evaluate(a), oracle.evaluate(b)) - score(a, b))
-        if violation > worst:
-            worst = violation
-            witness = (a, b)
-    return worst, witness
+    worst, witness, scored = 0.0, None, 0
+    while scored < trials and worst <= CLASSIFY_TOL:
+        block = reference_trial_pairs(rng, d, stack_size(d))[:trials - scored]
+        for a, b in block:
+            violation = abs(score(oracle.evaluate(a), oracle.evaluate(b)) - score(a, b))
+            if violation > worst:
+                worst = violation
+                witness = (a, b)
+        scored += len(block)
+    return worst, witness, scored
 
 
 def witness_bytes(pair):
@@ -239,15 +241,16 @@ def test_classify_map_matches_reference_loop(d, seed):
         oracle = make_map(spec, seed=seed)
         for trials in (1, 33, 200):
             report = classify_map(oracle, trials=trials, seed=seed)
-            worst, witness = reference_classify(oracle, trials, seed)
+            worst, witness, scored = reference_classify(oracle, trials, seed)
             assert report.worst_violation == worst, (spec.kind, trials)
+            assert report.trials == scored, (spec.kind, trials)
             if not report.preserving:
                 assert witness_bytes(report.witness_pair) == witness_bytes(witness)
 
 
 def test_classify_map_first_maximum_across_stacks(monkeypatch):
     """Rounded scores tie often; the witness must still be the first pair
-    at the maximum, across stack boundaries (7 pairs per stack here)."""
+    at the maximum of the blocks scored (7 pairs per stack here)."""
     monkeypatch.setattr(mapzoo, "TRIAL_STACK_ENTRIES", 7 * 8 * 8)
     stacked = mapzoo.fidelity_stack
     monkeypatch.setattr(mapzoo, "fidelity_stack", lambda a, b: np.round(stacked(a, b), 1))
@@ -258,8 +261,9 @@ def test_classify_map_first_maximum_across_stacks(monkeypatch):
     for spec in zoo_specs(8):
         oracle = make_map(spec, seed=3)
         report = classify_map(oracle, trials=100, seed=3)
-        worst, witness = reference_classify(oracle, 100, 3, score=rounded)
+        worst, witness, scored = reference_classify(oracle, 100, 3, score=rounded)
         assert report.worst_violation == worst, spec.kind
+        assert report.trials == scored, spec.kind
         if not report.preserving:
             assert witness_bytes(report.witness_pair) == witness_bytes(witness), spec.kind
 

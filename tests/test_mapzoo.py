@@ -9,6 +9,8 @@ from trial_reference import reference_trial_pairs, stack_size
 
 from fidsym.fidelity import fidelity, fidelity_stack
 from fidsym.mapzoo import (
+    ALL_KINDS,
+    PRESERVING_KINDS,
     BadSpec,
     MapSpec,
     _trial_pairs,
@@ -17,6 +19,7 @@ from fidsym.mapzoo import (
     json_number,
     make_map,
     verify_theorem,
+    zoo_specs,
 )
 from fidsym.matcore import DensityOperator, pure_state, validate_density
 from fidsym.sampling import random_density
@@ -362,23 +365,61 @@ def test_trial_pairs_kind_shares():
     assert np.all(np.abs(shares - p) <= 3 * np.sqrt(p * (1 - p) / n)), shares
 
 
+def counting_oracle(base):
+    """``base`` read through a from_stack wrapper that keeps a copy of every
+    stack it is handed, in the list it returns alongside."""
+    calls = []
+    oracle = DensityMapOracle.from_stack(
+        base.dim, lambda m: calls.append(m.copy()) or base.evaluate_stack(m))
+    return calls, oracle
+
+
 def test_classify_trials_are_a_prefix_of_more_trials():
     """At d = 8 a block holds 16 pairs: the pairs of 20 trials, the first
     block and 4 of the second, are the first 20 of 200 trials, so the worst
-    violation of 20 trials is no larger."""
+    violation of 20 trials is no larger. The map preserves fidelity, so
+    both runs score every trial and then reconstruct alike."""
     d = 8
-    base = make_map(MapSpec("depolarizing", d, {"p": 0.5}))
+    base = make_map(MapSpec("unitary", d, {"seed": 4}))
 
     def run(trials):
-        calls = []
-        oracle = DensityMapOracle.from_stack(
-            d, lambda m: calls.append(m.copy()) or base.evaluate_stack(m))
+        calls, oracle = counting_oracle(base)
         return calls, classify_map(oracle, trials=trials, seed=3)
 
     short, few = run(20)
     long, many = run(200)
-    assert [len(m) for m in short] == [32, 8]
-    short, long = np.concatenate(short), np.concatenate(long)
+    assert few.preserving and many.preserving
+    assert (few.trials, many.trials) == (20, 200)
+    assert [len(m) for m in short[:2]] == [32, 8]
+    assert [len(m) for m in long[:13]] == [32] * 12 + [16]
+    assert [m.tobytes() for m in short[2:]] == [m.tobytes() for m in long[13:]]
+    short, long = np.concatenate(short[:2]), np.concatenate(long[:13])
     assert long.shape == (400, d, d)
     assert short.tobytes() == long[:40].tobytes()
     assert few.worst_violation <= many.worst_violation
+
+
+@pytest.mark.parametrize("d", [4, 8])
+@pytest.mark.parametrize("kind", [k for k in ALL_KINDS if k not in PRESERVING_KINDS])
+def test_a_rejection_stops_at_the_first_block_with_a_witness(kind, d):
+    """A rejected kind hands the oracle one block of 200 trials, reports
+    the trials of that block, and by the prefix property reports what
+    classify_map asked for exactly those trials does, witness bytes
+    included."""
+    base = make_map(zoo_specs(d)[ALL_KINDS.index(kind)])
+    calls, oracle = counting_oracle(base)
+    report = classify_map(oracle, trials=200, seed=2)
+    assert [len(m) for m in calls] == [2 * stack_size(d)]
+    assert not report.preserving and report.trials == stack_size(d)
+    exact = classify_map(base, trials=report.trials, seed=2)
+    assert (exact.preserving, exact.worst_violation, exact.trials, exact.seed,
+            exact.reconstruction) == (report.preserving, report.worst_violation,
+                                      report.trials, report.seed, report.reconstruction)
+    assert [x.matrix.tobytes() for x in exact.witness_pair] == [
+        x.matrix.tobytes() for x in report.witness_pair]
+
+
+@pytest.mark.parametrize("kind", PRESERVING_KINDS)
+def test_a_preserving_kind_scores_every_trial(kind):
+    report = classify_map(make_map(zoo_specs(8)[ALL_KINDS.index(kind)]), trials=200, seed=2)
+    assert report.preserving and report.trials == 200
