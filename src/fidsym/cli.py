@@ -4,9 +4,9 @@ classification, and the theorem harness, with JSON in and JSON out.
 Matrix files: {"dim": d, "re": [[...]], "im": [[...]]} (row-major, entry
 (i,j) = re[i][j] + i*im[i][j]). Map specs: {"kind": ..., "dim": ...,
 "params": {...}} (the params of each kind: mapzoo.KIND_PARAMS); any other
-key is an input error, and so is a dim outside 1..MAX_DIM. Reports record the tool version, seed, and the whole
-tolerance table in effect (fidsym.tolerances, with --tol as certify_tol), so
-a rerun reproduces them byte for byte. Reports are strict JSON: an
+key is an input error, and so is a dim outside 1..MAX_DIM. Reports record
+the tool version, seed, and the whole tolerance table (fidsym.tolerances),
+so a rerun reproduces them byte for byte. Reports are strict JSON: an
 infinite residual_max or worst_violation is written as null, and
 write_report refuses any other non-finite number.
 """
@@ -156,9 +156,8 @@ def classification_to_dict(report: ClassificationReport) -> dict[str, Any]:
 def write_report(path: str, payload: dict[str, Any]) -> None:
     """Write JSON atomically (temp file then rename) so a crash never leaves
     a half-written report, with the mode open(path, "w") would give it.
-    ``payload`` may replace the default tolerance table with the one its
-    command used. InputError if it cannot be written."""
-    payload = {"tool_version": __version__, "tolerances": tolerances.table(), **payload}
+    InputError if it cannot be written."""
+    payload = {"tool_version": __version__, **payload, "tolerances": tolerances.table()}
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     directory = os.path.dirname(os.path.abspath(path))
     try:
@@ -192,14 +191,8 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
 def cmd_reconstruct(args: argparse.Namespace) -> int:
     spec = load_map_spec(args.map)
     oracle = mapzoo.make_map(spec, seed=args.seed)
-    report = wigner.reconstruct(
-        oracle,
-        verification_trials=args.trials,
-        certify_tol=args.tol,
-        seed=args.seed,
-    )
+    report = wigner.reconstruct(oracle, verification_trials=args.trials, seed=args.seed)
     write_report(args.out, {"seed": args.seed, "map": {"kind": spec.kind, "dim": spec.dim},
-                            "tolerances": {**tolerances.table(), "certify_tol": args.tol},
                             "report": reconstruction_to_dict(report)})
     return EXIT_OK if report.certified else EXIT_REJECTED
 
@@ -245,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reconstruct", help="reconstruct the symmetry behind a map spec")
     p.add_argument("--map", required=True, help="map spec JSON file")
-    p.add_argument("--tol", type=float, default=tolerances.CERTIFY_TOL)
     p.add_argument("--trials", type=int, default=64, help="verification trials")
     p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--out", required=True, help="report JSON output path")

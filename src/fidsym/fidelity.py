@@ -9,7 +9,8 @@ Math. Phys. 9 (1976) 273; Jozsa, J. Mod. Opt. 41 (1994) 2315). F is the sum
 of the square roots of the core's eigenvalues, from one eigenvalue-only
 solve: no matrix square root of the product and no eigenvectors of the core.
 Each row is first scaled by powers of four, as F(4^-i A, 4^-j B) =
-2^-(i+j) F(A, B), so that F is scale-free from 1e-300 to 1e300.
+2^-(i+j) F(A, B), so that F is scale-free from 1e-300 to 1e300 and stays
+finite on a non-PSD row, such as a misbehaving oracle's image.
 """
 from __future__ import annotations
 
@@ -47,13 +48,14 @@ def fidelity_stack(a: np.ndarray, b: np.ndarray, m: int | None = None) -> np.nda
     b = np.ascontiguousarray(b, dtype=complex)
     if not np.isfinite(b).all():  # here, or the product warns before the raise
         raise ValueError("matrix entries must be finite")
-    # F(4^-i A, 4^-j B) = 2^-(i+j) F(A, B): scaled to lambda_1(A) and tr B
-    # near 1, the core's entries neither overflow nor go subnormal. Powers
-    # of four keep every scaling and its square root exact, and EIG_FLOOR
-    # is relative, so no cut moves. A zero row has exponent 0 and keeps
-    # the scale 1.
-    i = np.frexp(w[:, 0])[1] // 2
-    j = np.frexp(np.trace(b, axis1=-2, axis2=-1).real)[1] // 2
+    # F(4^-i A, 4^-j B) = 2^-(i+j) F(A, B): scaled to a largest |eigenvalue|
+    # of A and a largest |entry| of B near 1, the core's entries neither
+    # overflow nor go subnormal, even on a non-PSD row whose trace or top
+    # eigenvalue is tiny beside its other entries. Powers of four keep every
+    # scaling and its square root exact, and EIG_FLOOR is relative, so no
+    # cut moves. A zero row has exponent 0 and keeps the scale 1.
+    i = np.frexp(np.abs(w).max(axis=-1))[1] // 2
+    j = np.frexp(np.abs(b.view(float)).max(axis=(-2, -1)))[1] // 2
     x = v * sqrt_eigs(np.ldexp(w, -2 * i[:, None]))[:, None, :]
     b = np.ldexp(b.view(float), -2 * j[:, None, None]).view(complex)  # no complex ldexp
     core = x.conj().swapaxes(-1, -2) @ b @ x
@@ -99,7 +101,12 @@ def is_leq(a: DensityOperator, b: DensityOperator) -> bool:
 
 def is_orthogonal(a: DensityOperator, b: DensityOperator) -> bool:
     """Mutual orthogonality AB = 0; for positive operators this is equivalent
-    to F(A,B) = 0."""
+    to F(A,B) = 0. Decided on A and B each divided by its largest |entry|,
+    so the band is relative at every scale; a zero operator is orthogonal
+    to everything."""
     check_same_dim(a, b)
-    prod_norm = float(np.linalg.norm(a.matrix @ b.matrix))
-    return prod_norm <= ORTH_TOL * (1.0 + a.norm() * b.norm())
+    sa, sb = np.abs(a.matrix).max(), np.abs(b.matrix).max()
+    if sa == 0.0 or sb == 0.0:
+        return True
+    x, y = a.matrix / sa, b.matrix / sb
+    return bool(np.linalg.norm(x @ y) <= ORTH_TOL * np.linalg.norm(x) * np.linalg.norm(y))

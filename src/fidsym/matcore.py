@@ -117,9 +117,6 @@ class DensityOperator:
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.matrix))
-
     @staticmethod
     def from_psd(m: np.ndarray) -> "DensityOperator":
         """Wrap a matrix already known to be PSD (e.g. U A U*); see from_psd_stack."""

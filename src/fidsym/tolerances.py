@@ -21,13 +21,13 @@ RANK_TOL = 1e-8
 CERT_TOL = 1e-12
 # B - A may dip ORDER_TOL * (1 + ||B - A||) below zero and still count as A <= B
 ORDER_TOL = 1e-8
-# ||AB|| at most ORTH_TOL * (1 + ||A|| ||B||) counts as AB = 0
+# ||AB||_F at most ORTH_TOL * ||A||_F ||B||_F counts as AB = 0, a band relative at every scale
 ORTH_TOL = 1e-8
 # a probe image's transition probability may miss 0 or 1 by PROBE_TOL
 PROBE_TOL = 1e-7
 # a phase-fixing overlap or column norm may miss its exact value by PHASE_FIX_TOL
 PHASE_FIX_TOL = 1e-7
-# a verification residual ||phi(A) - U A U*|| may reach CERTIFY_TOL * (1 + ||A||); reconstruct's default
+# a verification residual ||phi(A) - U A U*|| may reach CERTIFY_TOL * (1 + ||A||)
 CERTIFY_TOL = 1e-7
 # ||U*U - 1||_F at most UNITARY_TOL makes U unitary (reconstructed or given in a map spec)
 UNITARY_TOL = 1e-9

@@ -211,7 +211,6 @@ class _Rejected(Exception):
 def reconstruct(
     oracle: DensityMapOracle,
     verification_trials: int = 64,
-    certify_tol: float = CERTIFY_TOL,
     seed: int = 0,
 ) -> ReconstructionReport:
     """Probe the oracle on rank-one projections, assemble the implementing
@@ -246,8 +245,6 @@ def reconstruct(
     an image near the RANK_TOL threshold, or not a projection at all, costs
     an O(d^3) eigendecomposition.
     """
-    if not (math.isfinite(certify_tol) and certify_tol >= 0.0):
-        raise ValueError(f"certify_tol must be finite and >= 0, got {certify_tol}")
     if verification_trials < 1:
         raise ValueError(f"verification_trials must be >= 1, got {verification_trials}")
     d = oracle.dim
@@ -343,7 +340,7 @@ def reconstruct(
         probes += 1
         res = float(np.linalg.norm(got - expected)) if ok else math.inf
         residual_max = max(residual_max, res)
-        if res > certify_tol * (1.0 + np.linalg.norm(a)):
+        if res > CERTIFY_TOL * (1.0 + np.linalg.norm(a)):
             status = STATUS_FAILED_VERIFICATION
             break
     return ReconstructionReport(

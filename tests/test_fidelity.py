@@ -173,6 +173,20 @@ def test_is_orthogonal_examples():
     )
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-9, 1e-6, 1.0, 1e150, 1e160])
+def test_is_orthogonal_is_scale_free(scale):
+    """sP is not orthogonal to itself and is orthogonal to sQ at every scale
+    s, with no warning: the band is relative, so a small operator is not
+    orthogonal to everything, and the products of huge ones do not
+    overflow."""
+    p, q = dens([1.0, 0.0, 0.0]), dens([0.0, 0.6, 0.4])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sp, sq = (DensityOperator(matrix=scale * x.matrix) for x in (p, q))
+        assert not is_orthogonal(sp, sp)
+        assert is_orthogonal(sp, sq) and is_orthogonal(sq, sp)
+
+
 def test_zero_operator_conventions():
     zero = validate_density(np.zeros((2, 2)))
     b = dens([0.5, 0.5])

@@ -5,6 +5,7 @@ reconstruct hand the oracle bounded stacks, stop at the first failing one,
 and count probes as a one-matrix-at-a-time loop does."""
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -205,6 +206,21 @@ def test_a_bad_stack_return_turns_the_whole_stack_away(bad):
     rec = reconstruct(oracle)
     assert rec.status == STATUS_FAILED_PROJECTION_PROBE
     assert rec.probes_used == 1 and rec.residual_max == math.inf
+
+
+@pytest.mark.parametrize("image", [[[1e-308, 1.0], [1.0, 0.0]], [[1e-308, 0.0], [0.0, -1e10]]],
+                         ids=["tiny-trace", "tiny-top-eigenvalue"])
+def test_a_non_psd_image_is_rejected_with_a_finite_violation(image):
+    """A constant non-PSD image, which image_stack lets through, whose trace
+    or largest eigenvalue is tiny beside its other entries: fidelity_stack
+    scales by the largest |entry| and |eigenvalue|, so the scores stay finite
+    and no overflow warns."""
+    m = np.array(image, dtype=complex)
+    oracle = DensityMapOracle.from_stack(2, lambda a: np.broadcast_to(m, a.shape).copy())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = classify_map(oracle, trials=10)
+    assert not report.preserving and math.isfinite(report.worst_violation)
 
 
 def transposing_trial(trial, d, stacked, calls):
