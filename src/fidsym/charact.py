@@ -39,11 +39,12 @@ class CertificateFailure:
 
 def spectral_rank(w: np.ndarray) -> int:
     """Numerical rank from non-increasing eigenvalues: how many exceed
-    RANK_TOL times the largest, or 0 when the largest is at most CERT_TOL."""
+    RANK_TOL times the largest in modulus, so that a large negative
+    eigenvalue counts too, or 0 when the largest is at most CERT_TOL."""
     top = float(w[0])
     if top <= CERT_TOL:
         return 0
-    return int(np.count_nonzero(w > RANK_TOL * top))
+    return int(np.count_nonzero(np.abs(w) > RANK_TOL * top))
 
 
 def numerical_rank(a: DensityOperator) -> int:
@@ -84,17 +85,19 @@ def projection_vector(a: DensityOperator) -> Optional[np.ndarray]:
     entry, one power step gives the unit vector x = P(P e_k)/||P(P e_k)||,
     then c = x*Px and e = ||P - c xx*||_F. Since c xx* has eigenvalues c and
     0 and ||.||_2 <= ||.||_F, Weyl's inequalities give lambda_1(P) >= c - e
-    and lambda_2(P) <= e. So if the trace is within TRACE_TOL of 1,
-    c - e > CERT_TOL and e <= RANK_TOL (c - e), then the largest eigenvalue
-    exceeds CERT_TOL and no other exceeds RANK_TOL times it: the spectral
-    rule accepts, and x is returned. (For a non-Hermitian P the same holds
-    for its Hermitian part, which is what the spectral rule decomposes: c is
-    unchanged and e cannot grow.) Every other image, whether NaN, non-PSD,
-    of the wrong trace or near the RANK_TOL threshold, gets one
-    eig_hermitian and the spectral rule itself. The decisions are therefore
-    those of the spectral rule, up to rounding of order eps ||P||. As an
-    accepted P has lambda_2 <= RANK_TOL lambda_1, the power step leaves x
-    within about (lambda_2 / lambda_1)^2 <= 1e-16 of the top eigenvector.
+    and |lambda_j(P)| <= e for every j >= 2. So if the trace is within
+    TRACE_TOL of 1, c - e > CERT_TOL and e <= RANK_TOL (c - e), then the
+    largest eigenvalue exceeds CERT_TOL and no other exceeds RANK_TOL times
+    it in modulus: the spectral rule accepts, and x is returned. (For a
+    non-Hermitian P the same holds for its Hermitian part, which is what the
+    spectral rule decomposes: c is unchanged and e cannot grow.) Every other
+    image, whether NaN, non-PSD, of the wrong trace or near the RANK_TOL
+    threshold, gets one eig_hermitian and the spectral rule itself, which
+    rejects a unit-trace image with a negative eigenvalue beyond RANK_TOL
+    times the largest, as diag(1.1, -0.1). The decisions are therefore those
+    of the spectral rule, up to rounding of order eps ||P||. As an accepted
+    P has |lambda_2| <= RANK_TOL lambda_1, the power step leaves x within
+    about (lambda_2 / lambda_1)^2 <= 1e-16 of the top eigenvector.
     """
     p = a.matrix
     diag = p.diagonal().real

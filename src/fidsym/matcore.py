@@ -65,6 +65,18 @@ def hermitize_stack(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
+def row_sumsq(m: np.ndarray) -> np.ndarray:
+    """sum |m_ij|^2 for every matrix of an (n, d, d) stack, the squared
+    Frobenius norm of each row, as one einsum over the float view.
+
+    An entry above about 1e154 overflows the sum to inf, and a NaN entry
+    makes it NaN, without a warning. ``np.linalg.norm(m, axis=(1, 2))`` and
+    ``np.vecdot`` both raise a RuntimeWarning on that overflow, which
+    ``-W error`` turns into an exception."""
+    parts = np.ascontiguousarray(m, dtype=complex).view(float).reshape(len(m), -1)
+    return np.einsum("ij,ij->i", parts, parts)
+
+
 def hermitize(m: np.ndarray) -> np.ndarray:
     """Return the exactly symmetrized matrix (M + M*)/2; see hermitize_stack."""
     return freeze(hermitize_stack(np.asarray(m)[None]))[0]

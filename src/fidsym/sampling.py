@@ -53,6 +53,24 @@ def draw_density(
     return a
 
 
+def density_stack(
+    rng: np.random.Generator,
+    traces: np.ndarray,
+    ranks: np.ndarray,
+    dim: int,
+) -> np.ndarray:
+    """An (n, dim, dim) stack of unvalidated Wishart matrices GG*, row k of
+    rank ``ranks[k]`` and rescaled to ``traces[k]``, from one (n, dim, r)
+    Ginibre block with r = ``ranks.max()``. The columns past each row's rank
+    are zeroed, a step skipped when every rank is r."""
+    r = int(ranks.max())
+    g = ginibre(rng, (len(ranks), dim, r))
+    if ranks.min() < r:
+        g = np.where(np.arange(r) < ranks[:, None, None], g, 0.0)
+    a = g @ g.conj().swapaxes(-1, -2)
+    return a * (traces / np.trace(a, axis1=-2, axis2=-1).real)[:, None, None]
+
+
 def random_density(
     rng: np.random.Generator,
     dim: int,

@@ -19,8 +19,15 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import charact
-from .matcore import DensityOperator, check_same_dim, freeze, hermitize_stack, pure_state
-from .sampling import draw_density
+from .matcore import (
+    DensityOperator,
+    check_same_dim,
+    freeze,
+    hermitize_stack,
+    pure_state,
+    row_sumsq,
+)
+from .sampling import density_stack
 from .tolerances import CERTIFY_TOL, PHASE_FIX_TOL, PROBE_TOL, UNITARY_TOL
 
 UNITARY = "unitary"
@@ -102,8 +109,7 @@ class DensityMapOracle:
             out = np.ascontiguousarray(out, dtype=complex)
         # finite iff every entry is finite and below about 1e154, far above
         # any density operator's
-        parts = out.view(float).reshape(len(m), -1)
-        ok = np.isfinite(np.einsum("ij,ij->i", parts, parts))
+        ok = np.isfinite(row_sumsq(out))
         if not ok.all():
             out = np.where(ok[:, None, None], out, 0.0)
         return out, ok
@@ -227,7 +233,12 @@ def reconstruct(
     phase multiplier), differs from it on a set of positive measure, which
     the random verification inputs hit. A map that differs only on a null set
     escapes any finite schedule of probes. ``seed`` only selects the
-    verification draws, through ``default_rng(seed + 1)``.
+    verification draws, through ``default_rng(seed + 1)``: first all
+    ``verification_trials`` traces (uniform in [0, 2), 0 read as 1), then
+    all ranks (uniform in 1..d), then one ``sampling.density_stack`` block
+    per stack. So trial k depends on ``verification_trials``: unlike
+    ``classify_map``'s pairs, the inputs of fewer trials are no prefix of
+    those of more.
 
     Every probe vv* is handed to ``oracle.image_stack`` as a read-only stack
     of one raw outer product: each probe vector's components are purely real
@@ -235,12 +246,15 @@ def reconstruct(
     of verification inputs goes through ``image_stack`` too: one call per
     stack of at most TRIAL_STACK_ENTRIES entries, so the oracle's
     ``evaluate_stack`` (or, without one, ``evaluate`` per matrix) sees the
-    rest of a stack even when an earlier trial in it fails. ``probes_used``
-    counts the probes and the verification trials up to and including the
-    first that fails, as a one-matrix-at-a-time loop would; ``residual_max``
-    is the largest residual among those trials. An image that is turned
-    away rejects the map with that probe's status, or fails verification
-    with ``residual_max`` infinite. A probe image is read with
+    rest of a stack even when an earlier trial in it fails. Each stack is
+    scored in one pass: the residuals ||phi(A) - U A U*||_F come from one
+    ``row_sumsq``, and the norms ||A||_F of the bound from another, read
+    only when a residual exceeds CERTIFY_TOL, the least bound.
+    ``probes_used`` counts the probes and the verification trials up to and
+    including the first that fails, as a one-matrix-at-a-time loop would;
+    ``residual_max`` is the largest residual among those trials. An image
+    that is turned away rejects the map with that probe's status, or fails
+    verification with ``residual_max`` infinite. A probe image is read with
     ``charact.projection_vector``, in O(d^2) for a rank-one projection; only
     an image near the RANK_TOL threshold, or not a projection at all, costs
     an O(d^3) eigendecomposition.
@@ -316,32 +330,37 @@ def reconstruct(
         )
     symmetry = SymmetryOperator(parity=parity, u=u)
 
-    # (5) Verification on random density operators of mixed rank and trace,
-    # in the RNG order of one random_density per trial, drawn, mapped and
-    # scored in stacks of at most TRIAL_STACK_ENTRIES entries. The rows are
-    # read in order up to the first failing trial, and the stacks are drawn
-    # lazily, so no stack after it is drawn or mapped.
+    # (5) Verification on random density operators of mixed rank and trace.
+    # All traces (uniform in [0, 2), 0 read as 1) are drawn first, then all
+    # ranks (uniform in 1..d); each stack of at most TRIAL_STACK_ENTRIES
+    # entries then takes one density_stack draw, is mapped in one image_stack
+    # call and scored in one pass. Stacks are drawn lazily, so no stack after
+    # the first failing trial is drawn or mapped.
     rng = np.random.default_rng(seed + 1)
+    traces = rng.uniform(0.0, 2.0, size=verification_trials)
+    traces[traces == 0.0] = 1.0
+    ranks = rng.integers(1, d + 1, size=verification_trials)
     size = max(1, TRIAL_STACK_ENTRIES // (d * d))
-
-    def verification_rows():
-        for start in range(0, verification_trials, size):
-            drawn = np.empty((min(size, verification_trials - start), d, d), dtype=complex)
-            for k in range(len(drawn)):
-                drawn[k] = draw_density(rng, d, trace=float(rng.uniform(0.0, 2.0)) or 1.0)
-            inputs = freeze(hermitize_stack(drawn))
-            expected = apply_symmetry_stack(symmetry, inputs)
-            images, ok = oracle.image_stack(inputs)
-            yield from zip(inputs, expected, images, ok)
-
     residual_max = 0.0
     status = STATUS_CERTIFIED
-    for a, expected, got, ok in verification_rows():
-        probes += 1
-        res = float(np.linalg.norm(got - expected)) if ok else math.inf
-        residual_max = max(residual_max, res)
-        if res > CERTIFY_TOL * (1.0 + np.linalg.norm(a)):
-            status = STATUS_FAILED_VERIFICATION
+    for start in range(0, verification_trials, size):
+        rows = slice(start, start + size)
+        inputs = freeze(hermitize_stack(density_stack(rng, traces[rows], ranks[rows], d)))
+        expected = apply_symmetry_stack(symmetry, inputs)
+        images, ok = oracle.image_stack(inputs)
+        res = np.where(ok, np.sqrt(row_sumsq(images - expected)), math.inf)
+        worst = float(res.max())
+        # CERTIFY_TOL is the least bound, so the inputs' norms are read only
+        # for a stack with a residual above it
+        if worst > CERTIFY_TOL:
+            failed = np.flatnonzero(res > CERTIFY_TOL * (1.0 + np.sqrt(row_sumsq(inputs))))
+            if len(failed):
+                res = res[:failed[0] + 1]
+                worst = float(res.max())
+                status = STATUS_FAILED_VERIFICATION
+        probes += len(res)
+        residual_max = max(residual_max, worst)
+        if status == STATUS_FAILED_VERIFICATION:
             break
     return ReconstructionReport(
         symmetry=symmetry,

@@ -73,6 +73,18 @@ def test_is_rank_one_projection_examples():
     assert not is_rank_one_projection(validate_density(np.diag([0.5, 0.5])))
 
 
+def test_a_large_negative_eigenvalue_counts_toward_the_rank():
+    """diag(1.1, -0.1), built directly as a non-PSD oracle image might be,
+    has unit trace and one positive eigenvalue, but rank two: it is no
+    rank-one projection, by the Weyl fast path or by the spectral rule."""
+    w = np.array([1.1, -0.1])
+    assert spectral_rank(w) == 2
+    a = DensityOperator(matrix=np.diag(w).astype(complex))
+    assert numerical_rank(a) == 2
+    assert not is_rank_one(a)
+    assert not is_rank_one_projection(a)
+
+
 def test_projection_test_matches_fidelity_form():
     rng = np.random.default_rng(1)
     for _ in range(30):

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 from bad_images import BAD_IMAGES, BAD_STACKS
-from trial_reference import stack_size
+from trial_reference import reference_verification_inputs, stack_size
 
 from fidsym.charact import numerical_rank
 from fidsym.cli import classification_to_dict, reconstruction_to_dict
@@ -25,6 +25,7 @@ from fidsym.wigner import (
     UNITARY,
     DensityMapOracle,
     SymmetryOperator,
+    apply_symmetry_stack,
     reconstruct,
     symmetry_oracle,
 )
@@ -226,11 +227,10 @@ def test_a_non_psd_image_is_rejected_with_a_finite_violation(image):
 def transposing_trial(trial, d, stacked, calls):
     """The identity at d, except that reconstruct's ``trial``-th verification
     input (seed 0) goes to its transpose; ``calls`` records the number of
-    matrices in each call to the oracle."""
-    rng = np.random.default_rng(1)
-    for _ in range(trial):
-        a = random_density(rng, d, trace=float(rng.uniform(0.0, 2.0)) or 1.0)
-    target = a.matrix.tobytes()
+    matrices in each call to the oracle. Past the 64th trial it is the
+    identity."""
+    inputs = reference_verification_inputs(0, d, 64)
+    target = inputs[trial - 1].tobytes() if trial <= len(inputs) else None
 
     def one(x):
         return x.T if x.tobytes() == target else x
@@ -259,6 +259,44 @@ def test_probes_used_counts_trials_up_to_the_first_failure(trial, stacked):
     calls.clear()
     other = reconstruct(transposing_trial(trial, d, not stacked, calls))
     assert (other.probes_used, other.residual_max) == (report.probes_used, report.residual_max)
+
+
+@pytest.mark.parametrize("trial", [1, 17, 20, 64])
+def test_residual_max_is_the_largest_row_norm_up_to_the_failure(trial):
+    """A map that transposes every verification input from the ``trial``-th
+    on fails there; residual_max, scored as a row sum of squares, equals the
+    largest np.linalg.norm of a residual up to and including that trial, not
+    beyond it in the same stack."""
+    d = 8
+    inputs = reference_verification_inputs(0, d, 64)
+    late = {x.tobytes() for x in inputs[trial - 1:]}
+    report = reconstruct(DensityMapOracle.from_stack(
+        d, lambda m: np.stack([x.T if x.tobytes() in late else x for x in m])))
+    assert report.status == STATUS_FAILED_VERIFICATION
+    assert report.probes_used == 2 * d + trial
+    images = inputs[:trial].copy()
+    images[-1] = images[-1].T
+    expected = apply_symmetry_stack(report.symmetry, inputs[:trial])
+    norms = [np.linalg.norm(y - e) for y, e in zip(images, expected)]
+    assert report.residual_max == pytest.approx(max(norms), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("trials", [1, 17, 64, 300])
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 32])
+def test_verification_inputs_match_reference_bit_for_bit(d, trials):
+    """A recording identity oracle sees the reference verification inputs,
+    in stacks of stack_size(d) after the probes' stacks of one."""
+    seen = []
+    oracle = DensityMapOracle.from_stack(d, lambda m: seen.append(m.copy()) or m.copy())
+    report = reconstruct(oracle, verification_trials=trials)
+    assert report.certified
+    probes = 1 if d == 1 else 2 * d
+    assert [len(m) for m in seen[:probes]] == [1] * probes
+    size = stack_size(d)
+    assert [len(m) for m in seen[probes:]] == [min(size, trials - s)
+                                               for s in range(0, trials, size)]
+    drawn = np.concatenate(seen[probes:])
+    assert drawn.tobytes() == reference_verification_inputs(0, d, trials).tobytes()
 
 
 def test_a_certified_map_uses_2d_plus_64_probes_in_four_stacks():

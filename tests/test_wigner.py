@@ -316,6 +316,17 @@ def test_image_is_the_only_route_to_the_oracle(case, tool, monkeypatch):
     assert len(rows) > 0
 
 
+def test_non_psd_basis_images_fail_the_first_probe():
+    """A -> A - 0.1 (tr A I - 2 diag A) at d = 2 sends e_1 e_1* to
+    diag(1.1, -0.1): unit trace, one positive eigenvalue, but rank two, so
+    the first basis probe rejects it."""
+    oracle = DensityMapOracle.from_stack(2, lambda m: m - 0.1 * (
+        np.trace(m, axis1=-2, axis2=-1)[:, None, None] * np.eye(2) - 2.0 * np.eye(2) * m))
+    report = reconstruct(oracle)
+    assert report.status == STATUS_FAILED_PROJECTION_PROBE
+    assert report.probes_used == 1 and report.residual_max == math.inf
+
+
 @pytest.mark.parametrize("stacked", [False, True], ids=["per_matrix", "stacked"])
 @pytest.mark.parametrize("d", [2, 3, 8])
 @pytest.mark.parametrize("case", STATUS_CASES)

@@ -1,6 +1,7 @@
-"""Reference for mapzoo._trial_pairs: make the block's draws in its RNG
-order, then build and wrap one pair at a time with single-matrix code, so
-that the stacked construction and its indexing are checked bit for bit."""
+"""References for mapzoo._trial_pairs and for wigner.reconstruct's
+verification inputs: make the draws in their RNG order, then build and wrap
+one matrix or pair at a time with single-matrix code, so that the stacked
+construction and its indexing are checked bit for bit."""
 import numpy as np
 
 from fidsym import mapzoo
@@ -56,3 +57,27 @@ def reference_trial_pairs(rng, d, count):
             pairs.append((projection(u[:, 0]), projection(u[:, 1])))
             o += 1
     return pairs
+
+
+def reference_verification_inputs(seed, d, trials):
+    """The ``trials`` verification inputs of ``reconstruct(oracle,
+    trials, seed)`` at dimension d, as a (trials, d, d) array: every trace,
+    then every rank, then per stack of stack_size(d) one Ginibre block of
+    (d, r_max) columns, r_max the stack's largest rank; each row is then
+    built alone from its zero-padded slice."""
+    rng = np.random.default_rng(seed + 1)
+    traces = rng.uniform(0.0, 2.0, size=trials)
+    ranks = rng.integers(1, d + 1, size=trials)
+    size = stack_size(d)
+    inputs = []
+    for start in range(0, trials, size):
+        stack_ranks = ranks[start:start + size]
+        re = rng.normal(size=(len(stack_ranks), d, stack_ranks.max()))
+        block = re + 1j * rng.normal(size=re.shape)
+        for x, rank, trace in zip(block, stack_ranks, traces[start:start + size]):
+            x = x.copy()
+            x[:, rank:] = 0.0
+            a = x @ x.conj().T
+            inputs.append(DensityOperator.from_psd(
+                a * ((float(trace) or 1.0) / np.trace(a).real)).matrix)
+    return np.array(inputs)
