@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from typing import Any, NoReturn
 
 import numpy as np
@@ -155,17 +154,15 @@ def classification_to_dict(report: ClassificationReport) -> dict[str, Any]:
 
 def write_report(path: str, payload: dict[str, Any]) -> None:
     """Write JSON atomically (temp file then rename) so a crash never leaves
-    a half-written report, with the mode open(path, "w") would give it.
+    a half-written report, with the mode open(path, "w") would give it: the
+    temp file is created with mode 0o666 and the kernel applies the umask.
     InputError if it cannot be written."""
     payload = {"tool_version": __version__, **payload, "tolerances": tolerances.table()}
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    directory = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f"tmp{os.urandom(8).hex()}.tmp")
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            umask = os.umask(0)
-            os.umask(umask)
-            os.chmod(tmp, 0o666 & ~umask)
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(text)
             os.replace(tmp, path)

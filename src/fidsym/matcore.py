@@ -53,16 +53,27 @@ def _stack(m) -> np.ndarray:
 
 
 def hermitize_stack(m: np.ndarray) -> np.ndarray:
-    """(M + M*)/2 for every matrix of an (n, d, d) stack.
+    """(M + M*)/2 for every matrix of an (n, d, d) stack, as a fresh
+    C-contiguous array.
 
-    The diagonal imaginary parts come out exactly zero, so Hermiticity is an
-    invariant of the result, not a hope. A second application returns the
-    same bits. Raises ValueError if any entry is not finite.
+    The result is built in one buffer: M* is written into it, M is added in
+    place, and the float view is multiplied by 0.5. Dividing the complex
+    array by 2 would run numpy's complex division, which forms ±0 cross
+    terms before the same multiply by 0.5 and costs about as much as the add
+    and the transpose together. Every value equals the division's; only the
+    sign of an exactly-zero part can differ (the division can turn a -0.0
+    into +0.0). The diagonal imaginary parts come out exactly zero, so Hermiticity
+    is an invariant of the result, not a hope. A second application returns
+    the same bits. Raises ValueError if any entry is not finite.
     """
     m = _stack(m)
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
-    return (m + m.conj().swapaxes(-1, -2)) / 2
+    h = np.conjugate(m.swapaxes(-1, -2), order="C")
+    h += m
+    parts = h.view(float)
+    parts *= 0.5
+    return h
 
 
 def row_sumsq(m: np.ndarray) -> np.ndarray:
@@ -75,6 +86,16 @@ def row_sumsq(m: np.ndarray) -> np.ndarray:
     ``-W error`` turns into an exception."""
     parts = np.ascontiguousarray(m, dtype=complex).view(float).reshape(len(m), -1)
     return np.einsum("ij,ij->i", parts, parts)
+
+
+def real_scale(m: np.ndarray, c: float) -> np.ndarray:
+    """m * c for complex matrices m and a real c, as a fresh array made by
+    one multiply of the float view.
+
+    numpy's complex division ``m / s`` forms (re + im*0) * (1/s) and
+    (im - re*0) * (1/s), so ``real_scale(m, 1.0 / s)`` has its values without
+    the cross terms; only the sign of an exactly-zero part can differ."""
+    return (np.ascontiguousarray(m, dtype=complex).view(float) * c).view(complex)
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:

@@ -25,6 +25,7 @@ from .matcore import (
     freeze,
     hermitize_stack,
     pure_state,
+    real_scale,
     row_sumsq,
 )
 from .sampling import density_stack
@@ -191,7 +192,7 @@ def extend_normalized(oracle_norm: DensityMapOracle) -> DensityMapOracle:
         t = a.trace
         if t <= 0.0:
             return a
-        inner, ok = oracle_norm.image_stack(freeze(a.matrix[None] / t))
+        inner, ok = oracle_norm.image_stack(freeze(real_scale(a.matrix[None], 1.0 / t)))
         return DensityOperator.from_psd(inner[0] * t) if ok[0] else None
 
     return DensityMapOracle(dim=oracle_norm.dim, evaluate=evaluate)

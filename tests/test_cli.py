@@ -394,6 +394,28 @@ def test_report_mode_follows_umask(capsys, tmp_path):
         os.umask(old)
 
 
+def test_report_mode_needs_no_umask_call(capsys, tmp_path, monkeypatch):
+    """The kernel applies the umask to the temp file as it is created, so
+    write_report never reads the umask: a call to os.umask, which sets the
+    process umask for a moment and races with other threads, would raise
+    here."""
+    def no_umask(mask):
+        raise AssertionError("os.umask called")
+
+    old = os.umask(0o027)
+    try:
+        out_file = tmp_path / "r.json"
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "umask", no_umask)
+            code, _, _ = run_cli(["reconstruct", "--map", FIXTURES / "transpose_d2.json",
+                                  "--out", out_file], capsys)
+        assert code == 0
+        assert out_file.stat().st_mode & 0o777 == 0o666 & ~0o027
+        assert list(tmp_path.iterdir()) == [out_file]
+    finally:
+        os.umask(old)
+
+
 @pytest.mark.parametrize(
     "name,args",
     [

@@ -9,7 +9,15 @@ from trial_reference import reference_trial_pairs, stack_size
 
 from fidsym import mapzoo
 from fidsym.charact import numerical_rank, spectral_rank
-from fidsym.fidelity import BadM, fidelity, fidelity_stack, is_leq, leq_stack, partial_fidelity
+from fidsym.fidelity import (
+    BadM,
+    fidelity,
+    fidelity_stack,
+    is_leq,
+    is_orthogonal,
+    leq_stack,
+    partial_fidelity,
+)
 from fidsym.mapzoo import classify_map, make_map, verify_theorem, zoo_specs
 from fidsym.matcore import (
     DensityOperator,
@@ -22,13 +30,15 @@ from fidsym.matcore import (
     from_psd_stack,
     hermitize,
     hermitize_stack,
+    real_scale,
     sqrtm_psd,
     sqrtm_stack,
     validate_density,
     validate_stack,
 )
 from fidsym.sampling import orthogonal_pure_pair, random_density
-from fidsym.tolerances import CLASSIFY_TOL, EIG_FLOOR
+from fidsym.tolerances import CLASSIFY_TOL, EIG_FLOOR, ORTH_TOL
+from fidsym.wigner import DensityMapOracle, extend_normalized
 
 DIMS = (2, 3, 4, 8, 32)
 
@@ -310,3 +320,106 @@ def test_leq_stack_rows_equal_is_leq(d):
     expected = [is_leq(a, b) for a, b in pairs]
     assert got.tolist() == expected
     assert any(expected) and not all(expected)
+
+
+# Entries whose halving or scaling is easy to get wrong: signed zeros, the
+# smallest subnormal (halved to zero) and values near the float range.
+SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300])
+
+
+def contract_inputs(d):
+    """Stacks of d x d matrices: Gaussian entries, and entries drawn from
+    SPECIAL for both parts."""
+    rng = np.random.default_rng(100 + d)
+    gauss = rng.normal(size=(4, d, d)) + 1j * rng.normal(size=(4, d, d))
+    special = rng.choice(SPECIAL, size=(4, d, d)) + 1j * rng.choice(SPECIAL, size=(4, d, d))
+    return [gauss, special]
+
+
+def assert_same_value_and_nonzero_bits(new, old):
+    """``new == old`` everywhere, and the same bits wherever old's real or
+    imaginary part is nonzero: only the sign of a zero may differ."""
+    old = np.ascontiguousarray(old, dtype=complex)
+    assert np.array_equal(new, old)
+    nv, ov = new.view(float), old.view(float)
+    nonzero = ov != 0.0
+    assert nv[nonzero].view(np.uint64).tolist() == ov[nonzero].view(np.uint64).tolist()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("d", (1, 2, 3, 8, 32, 64))
+def test_hermitize_stack_contract(d):
+    """hermitize_stack equals the division formula (M + M*)/2 in value, and
+    bit for bit where that formula's part is nonzero; its imaginary diagonal
+    is +0.0 exactly; a second application returns the same bits."""
+    for m in contract_inputs(d):
+        h = hermitize_stack(m)
+        assert_same_value_and_nonzero_bits(h, (m + m.conj().swapaxes(-1, -2)) / 2)
+        diag_im = np.diagonal(h, axis1=1, axis2=2).imag
+        assert (diag_im == 0.0).all() and not np.signbit(diag_im).any()
+        assert hermitize_stack(h).tobytes() == h.tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_hermitize_stack_accepts_any_layout_and_returns_a_fresh_array():
+    """Read-only, non-contiguous, real and int inputs are accepted; the result
+    is a fresh, writable, C-contiguous array that shares nothing with them."""
+    m = contract_inputs(3)[0]
+    frozen = m.copy()
+    frozen.flags.writeable = False
+    real = np.arange(18.0).reshape(2, 3, 3)
+    for x in (m, frozen, m.swapaxes(-1, -2), real, real.astype(int)):
+        h = hermitize_stack(x)
+        assert h is not x and not np.shares_memory(h, x)
+        assert h.flags.writeable and h.flags.c_contiguous and h.dtype == complex
+        assert_same_value_and_nonzero_bits(h, (x + x.conj().swapaxes(-1, -2)) / 2)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("d", (1, 2, 3, 8, 32, 64))
+def test_real_scale_equals_complex_division(d):
+    """real_scale(m, 1/s) is m / s in value, and bit for bit where the
+    division's part is nonzero."""
+    for m in contract_inputs(d):
+        for s in (1.0, 3.0, 0.7, 1e-3, 1e3, np.abs(m).max() or 1.0):
+            assert_same_value_and_nonzero_bits(real_scale(m, 1.0 / s), m / s)
+
+
+def test_is_orthogonal_decides_as_the_division_formula():
+    """is_orthogonal gives the decision of its old expression, with each
+    operator divided by its largest |entry| through complex division."""
+    def old(a, b):
+        sa, sb = np.abs(a.matrix).max(), np.abs(b.matrix).max()
+        x, y = a.matrix / sa, b.matrix / sb
+        return bool(np.linalg.norm(x @ y) <= ORTH_TOL * np.linalg.norm(x) * np.linalg.norm(y))
+
+    decisions = []
+    for d in (2, 3, 8):
+        rng = np.random.default_rng(d)
+        p, q = orthogonal_pure_pair(rng, d)
+        a, b = p.projection(), q.projection()
+        ops = [a, b, random_density(rng, d), random_density(rng, d, rank=1)]
+        ops += [from_psd_stack(a.matrix[None] * 1e-200 + b.matrix[None] * t)[0]
+                for t in (0.0, 1e-300, 1e-250)]
+        for x in ops:
+            for y in ops:
+                decisions.append(is_orthogonal(x, y))
+                assert decisions[-1] == old(x, y)
+    assert any(decisions) and not all(decisions)
+
+
+def test_extend_normalized_divides_as_the_division_formula():
+    """The inner map of extend_normalized sees a.matrix / tr a, the old
+    complex division, in value and in every nonzero bit."""
+    seen = []
+
+    def identity(m):
+        seen.append(m.copy())
+        return m
+
+    extended = extend_normalized(DensityMapOracle.from_stack(3, identity))
+    rng = np.random.default_rng(5)
+    for scale in (1.0, 2.0, 0.3, 1e-12, 1e12):
+        a = from_psd_stack(random_density(rng, 3).matrix[None] * scale)[0]
+        extended.evaluate(a)
+        assert_same_value_and_nonzero_bits(seen[-1], a.matrix[None] / a.trace)
