@@ -23,7 +23,7 @@ from .matcore import (
     check_same_dim,
     eigh_stack,
     eigvalsh_stack,
-    real_scale,
+    real_divide,
     sqrt_eigs,
 )
 from .tolerances import ORDER_TOL, ORTH_TOL
@@ -109,5 +109,5 @@ def is_orthogonal(a: DensityOperator, b: DensityOperator) -> bool:
     sa, sb = np.abs(a.matrix).max(), np.abs(b.matrix).max()
     if sa == 0.0 or sb == 0.0:
         return True
-    x, y = real_scale(a.matrix, 1.0 / sa), real_scale(b.matrix, 1.0 / sb)
+    x, y = real_divide(a.matrix, sa), real_divide(b.matrix, sb)
     return bool(np.linalg.norm(x @ y) <= ORTH_TOL * np.linalg.norm(x) * np.linalg.norm(y))

@@ -15,7 +15,14 @@ import numpy as np
 
 from .fidelity import fidelity_stack
 from .matcore import DensityOperator, eigh_stack, freeze, hermitize_stack, validate_density
-from .sampling import ginibre, haar_stack, haar_unitary, random_density
+from .sampling import (
+    density_stack,
+    ginibre,
+    haar_stack,
+    haar_unitary,
+    random_density,
+    traces_and_ranks,
+)
 from .wigner import (
     ANTIUNITARY,
     TRIAL_STACK_ENTRIES,
@@ -177,10 +184,10 @@ def _trial_pairs(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
 
     The block is drawn with one call per kind, in this order: the kinds, one
     uniform per pair (mixed below 0.4, pure below 0.8, else orthogonal);
-    for the n mixed pairs their traces (uniform in [0, 2), 0 read as 1),
-    their ranks (uniform in 1..dim) and one (n, 2, dim, dim) Ginibre block
-    whose columns past each rank are zeroed, then GG* rescaled to the drawn
-    trace; for the pure pairs one (n, 2, dim) Ginibre block of vectors,
+    for the n mixed pairs, A_1, B_1, A_2, ... in order, their 2n traces and
+    ranks from sampling.traces_and_ranks, then one sampling.density_stack
+    call, whose Ginibre block has as many columns as the largest of the 2n
+    ranks; for the pure pairs one (n, 2, dim) Ginibre block of vectors,
     normalised by norm alone; for the orthogonal pairs the first two columns
     of haar_stack over one (n, dim, dim) Ginibre block. One indexed
     assignment writes the projections vv* and the stack is hermitized once.
@@ -191,13 +198,8 @@ def _trial_pairs(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
     orthogonal = np.flatnonzero(kinds >= 0.8)
     pairs = np.empty((count, 2, dim, dim), dtype=complex)
 
-    traces = rng.uniform(0.0, 2.0, size=(len(mixed), 2))
-    traces[traces == 0.0] = 1.0
-    ranks = rng.integers(1, dim + 1, size=(len(mixed), 2))
-    g = ginibre(rng, (len(mixed), 2, dim, dim))
-    g = np.where(np.arange(dim) < ranks[..., None, None], g, 0.0)
-    a = g @ g.conj().swapaxes(-1, -2)
-    pairs[mixed] = a * (traces / np.trace(a, axis1=-2, axis2=-1).real)[..., None, None]
+    traces, ranks = traces_and_ranks(rng, 2 * len(mixed), dim)
+    pairs[mixed] = density_stack(rng, traces, ranks, dim).reshape(-1, 2, dim, dim)
 
     v = ginibre(rng, (len(pure), 2, dim))
     v /= np.linalg.norm(v, axis=-1, keepdims=True)

@@ -11,6 +11,7 @@ frozen array and cannot be made writeable again.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,6 +97,18 @@ def real_scale(m: np.ndarray, c: float) -> np.ndarray:
     (im - re*0) * (1/s), so ``real_scale(m, 1.0 / s)`` has its values without
     the cross terms; only the sign of an exactly-zero part can differ."""
     return (np.ascontiguousarray(m, dtype=complex).view(float) * c).view(complex)
+
+
+def real_divide(m: np.ndarray, s: float) -> np.ndarray:
+    """m / s for complex matrices m and a real s > 0: ``real_scale(m, 1.0 / s)``,
+    bit for bit, for every s in the normal range. Below it 1/s overflows
+    (for s under about 5.6e-309), so a subnormal s is first brought to
+    [0.5, 1) and m with it, both multiplied by the same exact power of two."""
+    if s < np.finfo(float).tiny:
+        e = -math.frexp(s)[1]
+        m = np.ldexp(np.ascontiguousarray(m, dtype=complex).view(float), e).view(complex)
+        s = math.ldexp(s, e)
+    return real_scale(m, 1.0 / s)
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
@@ -187,9 +200,20 @@ def normalize_phase(v: np.ndarray) -> np.ndarray:
 
 
 def pure_state(v: np.ndarray) -> PureState:
-    """Normalize a nonzero vector to a unit, phase-canonical PureState."""
+    """Normalize a nonzero vector to a unit, phase-canonical PureState.
+
+    The norm is np.linalg.norm's, bit for bit: sqrt(re.re + im.im). A
+    vector with a non-finite entry, whose norm is not finite either, raises
+    ValueError. A finite vector whose norm overflows is first divided by its
+    largest |part|; every vector with a finite norm keeps its bits."""
     v = np.asarray(v, dtype=complex).ravel()
-    n = np.linalg.norm(v)
+    with np.errstate(over="ignore"):
+        n = math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+    if not math.isfinite(n):
+        if not np.isfinite(v).all():
+            raise ValueError("vector entries must be finite")
+        v = real_divide(v, np.abs(v.view(float)).max())
+        n = float(np.linalg.norm(v))
     if n <= PHASE_TOL:
         raise ValueError("cannot normalize the zero vector")
     return PureState(amplitudes=freeze(normalize_phase(v / n)))

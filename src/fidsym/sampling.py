@@ -36,38 +36,33 @@ def random_pure_state(rng: np.random.Generator, dim: int) -> PureState:
     return pure_state(ginibre(rng, dim))
 
 
-def draw_density(
-    rng: np.random.Generator,
-    dim: int,
-    rank: int | None = None,
-    trace: float | None = None,
-) -> np.ndarray:
-    """The unvalidated matrix of random_density: GG* for a Gaussian G of the
-    given rank (drawn uniformly from 1..dim if None), rescaled to ``trace``."""
-    if rank is None:
-        rank = int(rng.integers(1, dim + 1))
-    g = ginibre(rng, (dim, rank))
-    a = g @ g.conj().T
-    if trace is not None:
-        a = a * (trace / np.trace(a).real)
-    return a
+def traces_and_ranks(rng: np.random.Generator, n: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The one trace and rank rule of random density operators: all n
+    traces, uniform in [0, 2) with 0 read as 1, then all n ranks, uniform
+    in 1..dim."""
+    traces = rng.uniform(0.0, 2.0, size=n)
+    traces[traces == 0.0] = 1.0
+    return traces, rng.integers(1, dim + 1, size=n)
 
 
 def density_stack(
     rng: np.random.Generator,
-    traces: np.ndarray,
+    traces: np.ndarray | None,
     ranks: np.ndarray,
     dim: int,
 ) -> np.ndarray:
     """An (n, dim, dim) stack of unvalidated Wishart matrices GG*, row k of
-    rank ``ranks[k]`` and rescaled to ``traces[k]``, from one (n, dim, r)
-    Ginibre block with r = ``ranks.max()``. The columns past each row's rank
-    are zeroed, a step skipped when every rank is r."""
-    r = int(ranks.max())
+    rank ``ranks[k]`` and rescaled to ``traces[k]`` (left as drawn if
+    ``traces`` is None), from one (n, dim, r) Ginibre block with
+    r = ``ranks.max()`` (1 if n = 0). The columns past each row's rank are
+    zeroed, a step skipped when every rank is r."""
+    r = int(ranks.max(initial=1))
     g = ginibre(rng, (len(ranks), dim, r))
-    if ranks.min() < r:
+    if ranks.min(initial=r) < r:
         g = np.where(np.arange(r) < ranks[:, None, None], g, 0.0)
     a = g @ g.conj().swapaxes(-1, -2)
+    if traces is None:
+        return a
     return a * (traces / np.trace(a, axis1=-2, axis2=-1).real)[:, None, None]
 
 
@@ -77,14 +72,18 @@ def random_density(
     rank: int | None = None,
     trace: float | None = None,
 ) -> DensityOperator:
-    """Wishart-style PSD operator GG* of the given rank, rescaled to the
-    target trace (default: trace left as drawn, unit if ``trace=1.0``).
+    """Wishart-style PSD operator GG* of the given rank (drawn from 1..dim
+    first if None), rescaled to the target trace (default: trace left as
+    drawn, unit if ``trace=1.0``): density_stack's n = 1 case, bit for bit.
 
     The hermitized GG* is exactly Hermitian, and its most negative
     eigenvalue is rounding of order eps ||GG*||, far inside the PSD_TOL band
     that validation would clip, so it is wrapped without an
     eigendecomposition."""
-    return DensityOperator.from_psd(draw_density(rng, dim, rank, trace))
+    if rank is None:
+        rank = int(rng.integers(1, dim + 1))
+    traces = None if trace is None else np.array([trace], dtype=float)
+    return DensityOperator.from_psd(density_stack(rng, traces, np.array([rank]), dim)[0])
 
 
 def orthogonal_pure_pair(rng: np.random.Generator, dim: int) -> tuple[PureState, PureState]:

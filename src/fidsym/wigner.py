@@ -25,10 +25,10 @@ from .matcore import (
     freeze,
     hermitize_stack,
     pure_state,
-    real_scale,
+    real_divide,
     row_sumsq,
 )
-from .sampling import density_stack
+from .sampling import density_stack, traces_and_ranks
 from .tolerances import CERTIFY_TOL, PHASE_FIX_TOL, PROBE_TOL, UNITARY_TOL
 
 UNITARY = "unitary"
@@ -192,7 +192,7 @@ def extend_normalized(oracle_norm: DensityMapOracle) -> DensityMapOracle:
         t = a.trace
         if t <= 0.0:
             return a
-        inner, ok = oracle_norm.image_stack(freeze(real_scale(a.matrix[None], 1.0 / t)))
+        inner, ok = oracle_norm.image_stack(freeze(real_divide(a.matrix[None], t)))
         return DensityOperator.from_psd(inner[0] * t) if ok[0] else None
 
     return DensityMapOracle(dim=oracle_norm.dim, evaluate=evaluate)
@@ -235,9 +235,9 @@ def reconstruct(
     the random verification inputs hit. A map that differs only on a null set
     escapes any finite schedule of probes. ``seed`` only selects the
     verification draws, through ``default_rng(seed + 1)``: first all
-    ``verification_trials`` traces (uniform in [0, 2), 0 read as 1), then
-    all ranks (uniform in 1..d), then one ``sampling.density_stack`` block
-    per stack. So trial k depends on ``verification_trials``: unlike
+    ``verification_trials`` traces and then all ranks, in one
+    ``sampling.traces_and_ranks`` call, then one ``sampling.density_stack``
+    block per stack. So trial k depends on ``verification_trials``: unlike
     ``classify_map``'s pairs, the inputs of fewer trials are no prefix of
     those of more.
 
@@ -332,15 +332,12 @@ def reconstruct(
     symmetry = SymmetryOperator(parity=parity, u=u)
 
     # (5) Verification on random density operators of mixed rank and trace.
-    # All traces (uniform in [0, 2), 0 read as 1) are drawn first, then all
-    # ranks (uniform in 1..d); each stack of at most TRIAL_STACK_ENTRIES
-    # entries then takes one density_stack draw, is mapped in one image_stack
-    # call and scored in one pass. Stacks are drawn lazily, so no stack after
-    # the first failing trial is drawn or mapped.
+    # All traces and ranks are drawn first; each stack of at most
+    # TRIAL_STACK_ENTRIES entries then takes one density_stack draw, is mapped
+    # in one image_stack call and scored in one pass. Stacks are drawn lazily,
+    # so no stack after the first failing trial is drawn or mapped.
     rng = np.random.default_rng(seed + 1)
-    traces = rng.uniform(0.0, 2.0, size=verification_trials)
-    traces[traces == 0.0] = 1.0
-    ranks = rng.integers(1, d + 1, size=verification_trials)
+    traces, ranks = traces_and_ranks(rng, verification_trials, d)
     size = max(1, TRIAL_STACK_ENTRIES // (d * d))
     residual_max = 0.0
     status = STATUS_CERTIFIED

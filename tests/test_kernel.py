@@ -30,6 +30,7 @@ from fidsym.matcore import (
     from_psd_stack,
     hermitize,
     hermitize_stack,
+    real_divide,
     real_scale,
     sqrtm_psd,
     sqrtm_stack,
@@ -383,6 +384,61 @@ def test_real_scale_equals_complex_division(d):
     for m in contract_inputs(d):
         for s in (1.0, 3.0, 0.7, 1e-3, 1e3, np.abs(m).max() or 1.0):
             assert_same_value_and_nonzero_bits(real_scale(m, 1.0 / s), m / s)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("d", (1, 2, 3, 8, 32, 64))
+def test_real_divide_is_real_scale_by_the_reciprocal(d):
+    """For every s in the normal range, the smallest included, real_divide
+    has the bits of real_scale(m, 1/s)."""
+    tiny = np.finfo(float).tiny
+    for m in contract_inputs(d):
+        for s in (1.0, 3.0, 0.7, 1e-3, 1e3, 1e-300, tiny, 1.5 * tiny):
+            x = m * s
+            assert real_divide(x, s).tobytes() == real_scale(x, 1.0 / s).tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_real_divide_by_a_subnormal_does_not_overflow():
+    """1/s overflows for s below about 5.6e-309; real_divide by such an s is
+    m / s all the same, exact when s is a power of two."""
+    for s in (1e-309, 1e-310, 7e-320, 5e-324):
+        got = real_divide(np.diag([s, 0.0]), s)
+        assert got == pytest.approx(np.diag([1.0, 0.0]), rel=1e-15, abs=0.0)
+    m = np.array([[1.0, -0.5j], [0.5j, 0.25]])
+    assert np.array_equal(real_divide(m * 2.0 ** -1070, 2.0 ** -1070), m)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_is_orthogonal_at_subnormal_scale():
+    """An orthogonal pair stays orthogonal, and a parallel one does not
+    become so, when one operator is scaled to a subnormal trace."""
+    e1 = np.diag([1.0, 0.0]).astype(complex)
+    e2 = np.diag([0.0, 1.0]).astype(complex)
+    for s in (1e-300, 1e-310, 5e-324):
+        a = DensityOperator(matrix=s * e1)
+        assert is_orthogonal(a, DensityOperator(matrix=e2))
+        assert is_orthogonal(DensityOperator(matrix=e2), a)
+        assert not is_orthogonal(a, DensityOperator(matrix=e1))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_extend_normalized_at_subnormal_trace():
+    """The identity map, extended by homogeneity, maps an operator of
+    subnormal trace to itself: its inner map sees a unit-trace operator."""
+    seen = []
+
+    def identity(m):
+        seen.append(m.copy())
+        return m
+
+    extended = extend_normalized(DensityMapOracle.from_stack(2, identity))
+    for s in (1e-310, 5e-324):
+        a = DensityOperator.from_psd(np.diag([s, 0.0]))
+        image = extended.evaluate(a)
+        assert image is not None
+        assert seen[-1][0] == pytest.approx(np.diag([1.0, 0.0]), rel=1e-15, abs=0.0)
+        assert image.matrix == pytest.approx(a.matrix, rel=1e-12, abs=0.0)
 
 
 def test_is_orthogonal_decides_as_the_division_formula():

@@ -146,6 +146,35 @@ def test_pure_state_leading_component_real_positive():
     assert np.linalg.norm(s.amplitudes) == pytest.approx(1.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_pure_state_normalizes_a_vector_whose_norm_overflows():
+    """A finite vector whose norm overflows still gives a unit state, the
+    one of the same vector scaled into range."""
+    for v in ([1e308, 1e308], [1.7e308, -1.7e308j, 1.0], [1e200, 1e300j]):
+        s = pure_state(v)
+        assert np.all(np.isfinite(s.amplitudes)), v
+        assert np.linalg.norm(s.amplitudes) == pytest.approx(1.0, abs=1e-15), v
+        assert np.allclose(s.amplitudes, pure_state(np.array(v) * 1e-300).amplitudes,
+                           rtol=0.0, atol=1e-15), v
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("v", [[np.nan, 1.0], [1.0, np.inf], [1.0, complex(0.0, -np.inf)],
+                               [np.nan, 1e308]])
+def test_pure_state_rejects_non_finite_entries(v):
+    with pytest.raises(ValueError, match="finite"):
+        pure_state(v)
+
+
+def test_pure_state_keeps_the_bits_of_a_finite_norm():
+    """Away from overflow pure_state is normalize_phase(v / ||v||), bit for bit."""
+    rng = np.random.default_rng(8)
+    for scale in (1.0, 1e-3, 1e150):
+        v = (rng.normal(size=5) + 1j * rng.normal(size=5)) * scale
+        want = normalize_phase(v / np.linalg.norm(v))
+        assert pure_state(v).amplitudes.tobytes() == want.tobytes()
+
+
 def test_density_operator_holds_only_its_matrix():
     assert tuple(f.name for f in dataclasses.fields(DensityOperator)) == ("matrix",)
 

@@ -23,7 +23,7 @@ def reference_trial_pairs(rng, d, count):
     traces = rng.uniform(0.0, 2.0, size=(n_mixed, 2))
     ranks = rng.integers(1, d + 1, size=(n_mixed, 2))
     # every Ginibre block draws all its real parts, then all imaginary parts
-    re = rng.normal(size=(n_mixed, 2, d, d))
+    re = rng.normal(size=(n_mixed, 2, d, ranks.max(initial=1)))
     mixed = re + 1j * rng.normal(size=re.shape)
     re = rng.normal(size=(n_pure, 2, d))
     pure = re + 1j * rng.normal(size=re.shape)
