@@ -145,8 +145,13 @@ def order_totality_probe(a: DensityOperator, samples: int = 200, seed: int = 0) 
     True for rank-one A (every minorant is a sub-multiple); for rank >= 2 an
     incomparable pair is found with overwhelming probability at default
     sample counts. As D <= E implies tr D <= tr E, the samples are totally
-    ordered exactly when each lies below its successor in trace order. A
-    trace at most CERT_TOL raises ZeroOperator.
+    ordered exactly when each lies below its successor in trace order. The
+    lowest neighbour pair is scored first, in a leq_stack call of one row;
+    on a rank >= 2 operator it is usually incomparable, and the rest is then
+    not solved. Only if it is ordered are the other samples - 2 pairs
+    scored, in one more call. leq_stack decides each
+    row alone, so the answer is that of one scan over all samples - 1 pairs.
+    A trace at most CERT_TOL raises ZeroOperator.
     """
     if samples < 2:
         raise ValueError(f"probe needs samples >= 2, got {samples}")
@@ -154,5 +159,8 @@ def order_totality_probe(a: DensityOperator, samples: int = 200, seed: int = 0) 
         raise ZeroOperator("probe requires a nonzero operator")
     rng = np.random.default_rng(seed)
     mins = _sample_minorants(a, samples, rng)
-    mins = mins[np.argsort(np.trace(mins, axis1=1, axis2=2).real, kind="stable")]
-    return bool(np.all(leq_stack(mins[:-1], mins[1:])))
+    order = np.argsort(np.trace(mins, axis1=1, axis2=2).real, kind="stable")
+    if not leq_stack(mins[order[:1]], mins[order[1:2]])[0]:
+        return False
+    rest = mins[order[1:]]
+    return samples == 2 or bool(np.all(leq_stack(rest[:-1], rest[1:])))

@@ -86,10 +86,15 @@ def fidelity_pure(p: PureState, q: PureState) -> float:
 
 def leq_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Operator order A_k <= B_k for two (n, d, d) stacks, decided spectrally
-    on B_k - A_k by its smallest eigenvalue, against a band scaled by the
-    2-norm of its spectrum (its Frobenius norm, which cannot overflow this
-    way); ValueError if an entry is not finite, SolverFailure if the solver
-    does not converge."""
+    on B_k - A_k by its smallest eigenvalue, against the band
+    ORDER_TOL * (1 + ||w||), w its spectrum and ||w|| the 2-norm of w (the
+    Frobenius norm of B_k - A_k, taken with hypot so that it cannot
+    overflow); ValueError if an entry is not finite, SolverFailure if the
+    solver does not converge. Each row is decided alone. The 1 is an
+    absolute floor, not a scale: for operators of norm near ORDER_TOL or
+    below the band admits incomparable pairs, and
+    is_leq(1e-9 e1e1*, 1e-9 e2e2*) is True (ROADMAP item 12 plans a
+    relative band)."""
     w = eigvalsh_stack(b - a)
     return w[:, -1] >= -ORDER_TOL * (1.0 + np.hypot.reduce(w, axis=-1))
 

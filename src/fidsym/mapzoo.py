@@ -188,8 +188,9 @@ def _trial_pairs(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
     ranks from sampling.traces_and_ranks, then one sampling.density_stack
     call, whose Ginibre block has as many columns as the largest of the 2n
     ranks; for the pure pairs one (n, 2, dim) Ginibre block of vectors,
-    normalised by norm alone; for the orthogonal pairs the first two columns
-    of haar_stack over one (n, dim, dim) Ginibre block. One indexed
+    normalised by norm alone; for the orthogonal pairs one (n, dim, dim)
+    Ginibre block, of which haar_stack orthonormalises only the first two
+    columns (the rest are drawn to keep the RNG stream). One indexed
     assignment writes the projections vv* and the stack is hermitized once.
     Pair k depends on ``count``, so classify_map always draws whole blocks."""
     kinds = rng.uniform(size=count)
@@ -203,7 +204,7 @@ def _trial_pairs(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
 
     v = ginibre(rng, (len(pure), 2, dim))
     v /= np.linalg.norm(v, axis=-1, keepdims=True)
-    u = haar_stack(ginibre(rng, (len(orthogonal), dim, dim)))[..., :2].swapaxes(-1, -2)
+    u = haar_stack(ginibre(rng, (len(orthogonal), dim, dim))[..., :2]).swapaxes(-1, -2)
     v = np.concatenate([v, u])
     pairs[np.concatenate([pure, orthogonal])] = v[..., :, None] * v[..., None, :].conj()
     return freeze(hermitize_stack(pairs.reshape(-1, dim, dim))).reshape(pairs.shape)

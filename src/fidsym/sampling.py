@@ -21,7 +21,11 @@ def ginibre(rng: np.random.Generator, shape: int | tuple[int, ...]) -> np.ndarra
 def haar_stack(z: np.ndarray) -> np.ndarray:
     """Haar-random unitaries from an (n, d, d) stack of Ginibre matrices:
     one batched QR, then the standard phase correction on each R's
-    diagonal."""
+    diagonal. Given an (n, d, k) block, k <= d, it returns the first k
+    columns of the Haar unitaries that the full (n, d, d) block gives, at
+    the cost of a QR of k columns: a Householder QR forms those columns
+    from the first k columns of the block alone (the tests pin the bit
+    equality at k = 2)."""
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (diag / np.abs(diag))[:, None, :]

@@ -17,7 +17,7 @@ from fidsym.charact import (
     rank_one_certificate,
     spectral_rank,
 )
-from fidsym.fidelity import fidelity, is_orthogonal
+from fidsym.fidelity import fidelity, is_orthogonal, leq_stack
 from fidsym.matcore import (
     DensityOperator,
     eig_hermitian,
@@ -241,7 +241,58 @@ def test_probe_matches_all_pairs_scan_near_rank_one(eps):
     for d in (2, 3, 4):
         u = haar_unitary(rng, d)
         a = validate_density((u * np.array([1.0] + [eps] * (d - 1))) @ u.conj().T)
-        assert order_totality_probe(a, seed=d) == all_pairs_probe(a, seed=d)
+        got = order_totality_probe(a, seed=d)
+        assert got == all_pairs_probe(a, seed=d)
+        assert got == neighbour_scan_probe(a, seed=d)
+
+
+def sorted_minorants(a, samples, seed):
+    """The probe's minorants in its stable trace order."""
+    s = _sample_minorants(a, samples, np.random.default_rng(seed))
+    return s[np.argsort(np.trace(s, axis1=1, axis2=2).real, kind="stable")]
+
+
+def neighbour_scan_probe(a, samples=200, seed=0):
+    """Reference: every neighbour pair of sorted_minorants scored in one
+    leq_stack call."""
+    s = sorted_minorants(a, samples, seed)
+    return bool(np.all(leq_stack(s[:-1], s[1:])))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+@pytest.mark.parametrize("samples", [2, 3, 200])
+def test_probe_matches_single_neighbour_scan(d, samples):
+    """Scoring the lowest pair first, then the rest, decides as one scan of
+    all samples - 1 neighbour pairs, at every rank."""
+    rng = np.random.default_rng(70 + d)
+    for rank in range(1, d + 1):
+        a = random_density(rng, d, rank=rank)
+        for seed in range(3):
+            want = neighbour_scan_probe(a, samples, seed)
+            assert order_totality_probe(a, samples=samples, seed=seed) == want, (rank, seed)
+
+
+@pytest.mark.parametrize("samples", [2, 3, 200])
+def test_probe_rows_read(monkeypatch, samples):
+    """The lowest pair is scored alone: a rank-two operator whose first pair
+    is incomparable reads one row, a rank-one operator that row and then
+    the other samples - 2 in one call."""
+    rank_two = validate_density(np.diag([0.5, 0.5, 0.0]))
+    s = sorted_minorants(rank_two, samples, seed=2)
+    assert not leq_stack(s[:1], s[1:2])[0]
+    rows = []
+    real_leq_stack = charact.leq_stack
+
+    def counting_leq_stack(a, b):
+        rows.append(len(a))
+        return real_leq_stack(a, b)
+
+    monkeypatch.setattr(charact, "leq_stack", counting_leq_stack)
+    assert not order_totality_probe(rank_two, samples=samples, seed=2)
+    assert rows == [1]
+    rows.clear()
+    assert order_totality_probe(pure_state([1.0, 1j, 0.5]).projection(), samples=samples, seed=0)
+    assert rows == ([1] if samples == 2 else [1, samples - 2])
 
 
 def spectral_rule(a):

@@ -72,6 +72,19 @@ def test_haar_stack_rows_equal_haar_unitary(d):
         assert u.tobytes() == w.tobytes()
 
 
+@pytest.mark.parametrize("d", [3, 8, 32, 64])
+@pytest.mark.parametrize("n", [0, 1, 7])
+def test_haar_stack_of_two_columns_is_first_two_of_full(d, n):
+    """_trial_pairs orthonormalises only the first two columns of its
+    Ginibre block: the same bits as the first two columns of the full
+    block's Haar unitaries, also for an empty block."""
+    z = ginibre(np.random.default_rng(d + n), (n, d, d))
+    got = haar_stack(z[..., :2])
+    want = haar_stack(z)[..., :2]
+    assert got.shape == want.shape == (n, d, 2)
+    assert got.tobytes() == want.tobytes()
+
+
 def reference_stack(rng, traces, ranks, d):
     """density_stack's rows built one at a time from its (n, d, r) Ginibre
     block, r the largest rank: each row's columns past its rank are zeroed,
