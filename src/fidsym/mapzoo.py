@@ -4,6 +4,13 @@ Half the zoo (identity, unitary/antiunitary conjugation, transpose) preserves
 fidelity and must reconstruct to a certified symmetry; the other half
 (depolarizing, mixing, dephasing, spectral scrambling) must be rejected with
 a concrete witness pair. verify_theorem runs the whole dichotomy.
+
+classify_map reconstructs first. The easy direction of the theorem is exact,
+F(S A, S B) = F(A, B) for a symmetry S, so once a candidate S is certified a
+trial pair is checked by how far its images lie from S's, with the bound of
+violation_bound and no eigendecomposition; only a pair that the bound does
+not settle is scored by fidelity_stack. A map that does not certify is
+scored by fidelity_stack alone.
 """
 from __future__ import annotations
 
@@ -14,7 +21,14 @@ from typing import Any, Mapping, Optional
 import numpy as np
 
 from .fidelity import fidelity_stack
-from .matcore import DensityOperator, eigh_stack, freeze, hermitize_stack, validate_density
+from .matcore import (
+    DensityOperator,
+    eigh_stack,
+    freeze,
+    hermitize_stack,
+    row_sumsq,
+    validate_density,
+)
 from .sampling import (
     density_stack,
     ginibre,
@@ -30,6 +44,7 @@ from .wigner import (
     DensityMapOracle,
     ReconstructionReport,
     SymmetryOperator,
+    apply_symmetry_stack,
     reconstruct,
     symmetry_oracle,
 )
@@ -69,7 +84,15 @@ class MapSpec:
 class ClassificationReport:
     """The verdict of classify_map. ``trials`` counts the trials scored: all
     of those asked for when the map preserves fidelity, and up to the end of
-    the first block that holds a witness when it is rejected."""
+    the first block that holds a witness when it is rejected.
+
+    ``worst_violation`` is the largest violation over the trials scored. A
+    pair scores its measured |F(phi A, phi B) - F(A, B)| when the map does
+    not certify or when its violation_bound exceeds CLASSIFY_TOL, and that
+    bound otherwise. So for a certified preserving map it is the largest
+    bound (an upper bound on |dF|, not a measured one) unless a pair needed
+    fidelity_stack, and a rejection's is measured, or infinite for an image
+    turned away."""
 
     preserving: bool
     worst_violation: float
@@ -210,34 +233,73 @@ def _trial_pairs(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
     return freeze(hermitize_stack(pairs.reshape(-1, dim, dim))).reshape(pairs.shape)
 
 
-def classify_map(oracle: DensityMapOracle, trials: int = 200, seed: int = 0) -> ClassificationReport:
-    """Test fidelity preservation on random pairs; if preserving, run the
-    reconstructor and attach its report.
+def violation_bound(dim: int, delta: np.ndarray, traces: np.ndarray) -> np.ndarray:
+    """An upper bound on |F(phi A, phi B) - F(A, B)| for each row of (n, 2)
+    arrays of residuals ``delta`` = (||phi A - S A||_F, ||phi B - S B||_F)
+    and input traces (tr A, tr B), S a symmetry and dim the dimension:
 
-    The worst violation |F(phi A, phi B) - F(A, B)| over the trials is
-    reported, and its first pair is the witness. Trials are drawn and scored
+        beta = (sqrt(d) d_A (tr B + sqrt(d) d_B))^(1/2) + (sqrt(d) d_B tr A)^(1/2).
+
+    Derivation, in exact arithmetic. F(S A, S B) = F(A, B), tr S A = tr A,
+    and F(P, Q) = ||P^(1/2) Q^(1/2)||_1. Write A' = phi A, B' = phi B and
+    A, B for S A, S B. The triangle inequality and Hoelder's
+    ||XY||_1 <= ||X||_2 ||Y||_2, with ||Q^(1/2)||_2 = (tr Q)^(1/2), give
+
+        |F(A', B') - F(A, B)| <= ||A'^(1/2) - A^(1/2)||_2 (tr B')^(1/2)
+                                 + (tr A)^(1/2) ||B'^(1/2) - B^(1/2)||_2,
+
+    and Powers-Stoermer (Commun. Math. Phys. 16 (1970) 1),
+    ||P^(1/2) - Q^(1/2)||_2^2 <= ||P - Q||_1, with ||X||_1 <= sqrt(d) ||X||_F
+    and tr B' <= tr B + ||B' - B||_1, gives beta. An image that is not PSD is
+    read through its projection onto the PSD cone, which is no farther from
+    S X, a point of that cone, so beta bounds the change of F on the
+    projected images as well. beta bounds the exact change; the rounding of
+    a computed F is not in it. A product that overflows gives an infinite
+    bound, which settles nothing."""
+    r = np.sqrt(dim) * delta
+    with np.errstate(over="ignore"):
+        return np.sqrt(r[:, 0] * (traces[:, 1] + r[:, 1])) + np.sqrt(r[:, 1] * traces[:, 0])
+
+
+def classify_map(oracle: DensityMapOracle, trials: int = 200, seed: int = 0) -> ClassificationReport:
+    """Reconstruct the map, then test fidelity preservation on random
+    pairs; a preserving map's report carries the reconstruction.
+
+    ``reconstruct(oracle, seed=seed)`` runs first, with its own stream
+    ``default_rng(seed + 1)``. Trials are then drawn from ``default_rng(seed)``
     in blocks of ``max(1, TRIAL_STACK_ENTRIES // d**2)`` pairs, each drawn
     whole by _trial_pairs. Every block is drawn full and the last one is cut
     to the trials left, so trial k does not depend on ``trials``: the pairs
     of a smaller ``trials`` are a prefix of those of a larger one. Each block
     goes to the oracle in one ``oracle.image_stack`` call, in draw order
     (A_1, B_1, A_2, ...): one ``evaluate_stack`` call, or without one, one
-    ``evaluate`` call per matrix. The block's images and inputs are then
-    scored in one ``fidelity_stack`` call, images first.
+    ``evaluate`` call per matrix.
 
-    A pair with an image that ``image_stack`` turns away scores an infinite
-    violation, so the first such pair is the witness of a rejection.
+    Each pair gets a violation. If the reconstruction is certified, with
+    symmetry S, a pair's violation is violation_bound of its residuals
+    ||phi X - S X||_F, from one ``row_sumsq`` of the block's images less
+    ``apply_symmetry_stack``'s. A pair whose bound exceeds ``CLASSIFY_TOL``,
+    and every pair of a map that is not certified, is scored instead by its
+    measured |F(phi A, phi B) - F(A, B)|, all of them in one
+    ``fidelity_stack`` call per block, images first. A pair with an image
+    that ``image_stack`` turns away scores an infinite violation, and no
+    bound, so the first such pair is the witness of a rejection. The
+    witness is the first pair with the largest violation.
 
     One pair over ``CLASSIFY_TOL`` proves that the map does not preserve
     fidelity, so a rejection stops at the end of the first block that holds
     a witness, and the report's ``trials`` counts the trials scored. By the
     prefix property the report then equals that of ``classify_map`` asked
     for exactly that many trials. A preserving map scores every trial.
+    A pair that its bound settles has an exact violation of at most
+    CLASSIFY_TOL, so a rejection reports what scoring every pair by
+    fidelity_stack reports, witness included.
     """
     if trials < 1:
         raise BadSpec(f"trials must be >= 1, got {trials}")
     if oracle.dim < 2:
         raise BadSpec("classification needs dim >= 2 (no orthogonal pure pair exists at dim 1)")
+    report = reconstruct(oracle, seed=seed)
     rng = np.random.default_rng(seed)
     d = oracle.dim
     size = max(1, TRIAL_STACK_ENTRIES // (d * d))
@@ -245,11 +307,20 @@ def classify_map(oracle: DensityMapOracle, trials: int = 200, seed: int = 0) -> 
     witness: Optional[tuple[DensityOperator, DensityOperator]] = None
     for start in range(0, trials, size):
         pairs = _trial_pairs(rng, d, size)[:trials - start]
-        images, ok = oracle.image_stack(pairs.reshape(-1, d, d))
-        both = np.concatenate([images.reshape(pairs.shape), pairs])
-        f = fidelity_stack(both[:, 0], both[:, 1])
-        violation = np.abs(f[:len(pairs)] - f[len(pairs):])
-        violation[~ok.reshape(-1, 2).all(axis=1)] = np.inf
+        inputs = pairs.reshape(-1, d, d)
+        images, ok = oracle.image_stack(inputs)
+        ok = ok.reshape(-1, 2).all(axis=1)
+        if report.certified:
+            delta = np.sqrt(row_sumsq(images - apply_symmetry_stack(report.symmetry, inputs)))
+            violation = violation_bound(d, delta.reshape(-1, 2), _traces(inputs).reshape(-1, 2))
+            exact = ~ok | (violation > CLASSIFY_TOL)
+        else:
+            violation, exact = np.empty(len(pairs)), np.ones(len(pairs), dtype=bool)
+        if exact.any():
+            both = np.concatenate([images.reshape(pairs.shape)[exact], pairs[exact]])
+            f = fidelity_stack(both[:, 0], both[:, 1])
+            violation[exact] = np.abs(f[:len(f) // 2] - f[len(f) // 2:])
+        violation[~ok] = np.inf
         k = int(np.argmax(violation))
         if violation[k] > worst:
             worst = float(violation[k])
@@ -258,14 +329,13 @@ def classify_map(oracle: DensityMapOracle, trials: int = 200, seed: int = 0) -> 
             trials = start + len(pairs)
             break
     preserving = worst <= CLASSIFY_TOL
-    report = reconstruct(oracle, seed=seed) if preserving else None
     return ClassificationReport(
         preserving=preserving,
         worst_violation=worst,
         witness_pair=None if preserving else witness,
         trials=trials,
         seed=seed,
-        reconstruction=report,
+        reconstruction=report if preserving else None,
     )
 
 

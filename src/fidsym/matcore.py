@@ -264,8 +264,10 @@ def eig_hermitian(m: np.ndarray) -> Spectrum:
 def validate_stack(m: np.ndarray) -> list[DensityOperator]:
     """Validate every matrix of an (n, d, d) stack as a density operator.
 
-    Eigenvalues in [-PSD_TOL*||M||, 0) are clipped to zero and the matrix is
-    reassembled; anything more negative raises NotPositive.
+    Eigenvalues in [-PSD_TOL * max(||M||, 1), 0) are clipped to zero and the
+    matrix is reassembled; anything more negative raises NotPositive. ||M||
+    is the Frobenius norm of (M + M*)/2, and the floor of 1 makes the band
+    absolute for a matrix of norm below 1, as the PSD_TOL comment says.
     """
     w, v = eigh_stack(m)
     scale = np.maximum(np.hypot.reduce(w, axis=-1), 1.0)  # ||(M + M*)/2||_F, no overflow

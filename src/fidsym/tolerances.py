@@ -31,7 +31,8 @@ PHASE_FIX_TOL = 1e-7
 CERTIFY_TOL = 1e-7
 # ||U*U - 1||_F at most UNITARY_TOL makes U unitary (reconstructed or given in a map spec)
 UNITARY_TOL = 1e-9
-# the largest |F(phi A, phi B) - F(A, B)| a fidelity-preserving map may show
+# the largest |F(phi A, phi B) - F(A, B)| a fidelity-preserving map may show: measured by
+# fidelity_stack, or, for a map that certifies, bounded by mapzoo.violation_bound
 CLASSIFY_TOL = 1e-6
 
 

@@ -1,6 +1,7 @@
 """The stacked kernel: every stacked result equals the n = 1 wrapper bit for
 bit, classify_map's stacked scoring picks the same worst violation and
 witness as a per-trial loop, and stacks fail like single matrices do."""
+import math
 import warnings
 
 import numpy as np
@@ -18,7 +19,14 @@ from fidsym.fidelity import (
     leq_stack,
     partial_fidelity,
 )
-from fidsym.mapzoo import classify_map, make_map, verify_theorem, zoo_specs
+from fidsym.mapzoo import (
+    PRESERVING_KINDS,
+    MapSpec,
+    classify_map,
+    make_map,
+    verify_theorem,
+    zoo_specs,
+)
 from fidsym.matcore import (
     DensityOperator,
     DimensionMismatch,
@@ -32,6 +40,7 @@ from fidsym.matcore import (
     hermitize_stack,
     real_divide,
     real_scale,
+    row_sumsq,
     sqrtm_psd,
     sqrtm_stack,
     validate_density,
@@ -39,7 +48,15 @@ from fidsym.matcore import (
 )
 from fidsym.sampling import orthogonal_pure_pair, random_density
 from fidsym.tolerances import CLASSIFY_TOL, EIG_FLOOR, ORTH_TOL
-from fidsym.wigner import DensityMapOracle, extend_normalized
+from fidsym.wigner import (
+    UNITARY,
+    DensityMapOracle,
+    SymmetryOperator,
+    apply_symmetry,
+    apply_symmetry_stack,
+    extend_normalized,
+    reconstruct,
+)
 
 DIMS = (2, 3, 4, 8, 32)
 
@@ -201,13 +218,15 @@ def test_numerical_rank_decides_as_the_eigensystem(d):
 
 @pytest.mark.parametrize("d", DIMS)
 def test_verify_theorem_floors(d):
-    """Exact symmetries stay on their floors: identity and transpose map
-    every pair to bits whose fidelity is the input's, the conjugations stay
-    within the sqrt(eps) rounding of orthogonal pairs."""
+    """Every preserving kind certifies, and its worst violation is the
+    reference's largest bound, bit for bit, and at most half of
+    CLASSIFY_TOL: the bound of an exact symmetry sits far inside the band."""
     worst = {e["kind"]: e["worst_violation"]
              for e in verify_theorem(d, trials=200, seed=1)["results"]}
-    assert worst["identity"] == 0.0 and worst["transpose"] == 0.0
-    assert worst["unitary"] <= 1e-8 and worst["antiunitary"] <= 1e-8
+    for spec in zoo_specs(d):
+        if spec.kind in PRESERVING_KINDS:
+            reference = reference_classify(make_map(spec, seed=1), 200, 1)[0]
+            assert worst[spec.kind] == reference <= CLASSIFY_TOL / 2, spec.kind
 
 
 def test_fidelity_stack_rejects_bad_m_and_mismatch():
@@ -220,20 +239,33 @@ def test_fidelity_stack_rejects_bad_m_and_mismatch():
         fidelity_stack(a, a[:-1])
 
 
-def reference_classify(oracle, trials, seed, score=fidelity):
-    """Reference for classify_map: draw whole blocks of the stack size, build
-    them one pair at a time, cut the last to the trials left, and evaluate
-    and score each pair one at a time; the first pair reaching the largest
-    violation is the witness. The scan stops after the first block whose
-    largest violation exceeds CLASSIFY_TOL. Returns the worst violation, its
-    witness and the number of trials scored."""
+def reference_classify(oracle, trials, seed, score=fidelity, candidate=True):
+    """Reference for classify_map: reconstruct first, then draw whole blocks
+    of the stack size, build them one pair at a time, cut the last to the
+    trials left, and evaluate and score each pair one at a time; the first
+    pair reaching the largest violation is the witness. With ``candidate``
+    and a certified reconstruction, a pair scores its violation_bound, from
+    the residuals against apply_symmetry, unless that exceeds CLASSIFY_TOL;
+    every other pair scores its measured violation. The scan stops after
+    the first block whose largest violation exceeds CLASSIFY_TOL. Returns
+    the worst violation, its witness and the number of trials scored."""
+    rec = reconstruct(oracle, seed=seed)
     rng = np.random.default_rng(seed)
     d = oracle.dim
     worst, witness, scored = 0.0, None, 0
     while scored < trials and worst <= CLASSIFY_TOL:
         block = reference_trial_pairs(rng, d, stack_size(d))[:trials - scored]
         for a, b in block:
-            violation = abs(score(oracle.evaluate(a), oracle.evaluate(b)) - score(a, b))
+            images = oracle.evaluate(a), oracle.evaluate(b)
+            violation = math.inf
+            if candidate and rec.certified:
+                delta = [np.sqrt(row_sumsq(
+                    (y.matrix - apply_symmetry(rec.symmetry, x).matrix)[None]))
+                    for x, y in zip((a, b), images)]
+                violation = float(mapzoo.violation_bound(
+                    d, np.array([np.concatenate(delta)]), np.array([[a.trace, b.trace]]))[0])
+            if violation > CLASSIFY_TOL:
+                violation = abs(score(*images) - score(a, b))
             if violation > worst:
                 worst = violation
                 witness = (a, b)
@@ -277,6 +309,105 @@ def test_classify_map_first_maximum_across_stacks(monkeypatch):
         assert report.trials == scored, spec.kind
         if not report.preserving:
             assert witness_bytes(report.witness_pair) == witness_bytes(witness), spec.kind
+
+
+def trial_blocks(seed, d, trials):
+    """classify_map's first ``trials`` trial pairs with ``seed``, as one
+    (trials, 2, d, d) array."""
+    rng = np.random.default_rng(seed)
+    size = stack_size(d)
+    return np.concatenate([mapzoo._trial_pairs(rng, d, size)
+                           for _ in range(-(-trials // size))])[:trials]
+
+
+def bound_and_measured(oracle, symmetry, pairs):
+    """violation_bound and the violation fidelity_stack measures, per pair."""
+    d = oracle.dim
+    inputs = pairs.reshape(-1, d, d)
+    images = oracle.evaluate_stack(inputs)
+    delta = np.sqrt(row_sumsq(images - apply_symmetry_stack(symmetry, inputs)))
+    traces = np.trace(pairs, axis1=-2, axis2=-1).real
+    beta = mapzoo.violation_bound(d, delta.reshape(-1, 2), traces)
+    images = images.reshape(pairs.shape)
+    measured = np.abs(fidelity_stack(images[:, 0], images[:, 1])
+                      - fidelity_stack(pairs[:, 0], pairs[:, 1]))
+    return beta, measured
+
+
+@pytest.mark.parametrize("d", [2, 4, 8, 32])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_the_bound_bounds_the_scan(d, seed):
+    """On every trial pair of every preserving kind, the bound against the
+    certified candidate is at least the violation fidelity_stack measures,
+    and the largest bound, the report's worst violation, is within half of
+    CLASSIFY_TOL."""
+    pairs = trial_blocks(seed, d, 200)
+    for spec in zoo_specs(d):
+        if spec.kind not in PRESERVING_KINDS:
+            continue
+        oracle = make_map(spec, seed=seed)
+        report = classify_map(oracle, trials=200, seed=seed)
+        assert report.preserving and report.reconstruction.certified, spec.kind
+        beta, measured = bound_and_measured(oracle, report.reconstruction.symmetry, pairs)
+        assert np.all(measured <= beta), (spec.kind, np.max(measured - beta))
+        assert report.worst_violation == beta.max() <= CLASSIFY_TOL / 2, spec.kind
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+@pytest.mark.parametrize("p", [1e-1, 1e-3, 1e-6])
+def test_the_bound_bounds_a_depolarized_identity(d, p):
+    """Far above rounding, where a bound that is too small would show: the
+    depolarizing map of small p against the identity symmetry."""
+    oracle = make_map(MapSpec("depolarizing", d, {"p": p}))
+    identity = SymmetryOperator(parity=UNITARY, u=np.eye(d, dtype=complex))
+    beta, measured = bound_and_measured(oracle, identity, trial_blocks(0, d, 256))
+    assert np.all(measured <= beta) and measured.max() > 0.1 * beta.max()
+
+
+def test_violation_bound_formula():
+    """(sqrt(d) d_A (tr B + sqrt(d) d_B))^(1/2) + (sqrt(d) d_B tr A)^(1/2)
+    at d = 4, where sqrt(d) = 2."""
+    beta = mapzoo.violation_bound(4, np.array([[0.01, 0.04], [0.0, 0.0]]),
+                                  np.array([[1.0, 2.0], [1.0, 1.0]]))
+    assert beta.tolist() == [math.sqrt(0.02 * 2.08) + math.sqrt(0.08), 0.0]
+
+
+def depolarized_off_the_probes(d):
+    """The identity at d, except that an input with |tr A - 1| <= 1e-9 and
+    more than two nonzero diagonal entries goes to 0.5 A + 0.5 tr(A) I/d.
+    reconstruct's probes have at most two nonzero diagonal entries and its
+    verification inputs random traces, so it certifies the identity; the
+    pure trial pairs break it."""
+    def evaluate_stack(m):
+        t = np.trace(m, axis1=-2, axis2=-1).real
+        hit = (np.abs(t - 1.0) <= 1e-9) & (
+            np.count_nonzero(np.diagonal(m, axis1=-2, axis2=-1), axis=-1) > 2)
+        out = m.copy()
+        out[hit] = 0.5 * m[hit] + 0.5 * t[hit, None, None] * np.eye(d) / d
+        return out
+
+    return DensityMapOracle.from_stack(d, evaluate_stack)
+
+
+@pytest.mark.parametrize("d, worst, trials", [(3, 5 / 6, 113), (4, (1 + 5 ** 0.5) / 4, 64),
+                                              (8, 0.75, 16)])
+def test_a_certified_map_that_breaks_the_trials_is_rejected_as_the_scan_rejects_it(d, worst,
+                                                                                    trials):
+    """A certified candidate does not shield a map that departs from it on
+    the trials: the bound exceeds CLASSIFY_TOL there, fidelity_stack scores
+    the pair, and the report is the one a scan that scores every pair by
+    fidelity gives, witness bytes included; the witness replays."""
+    oracle = depolarized_off_the_probes(d)
+    assert reconstruct(oracle).certified
+    report = classify_map(oracle, trials=200, seed=0)
+    scan, witness, scored = reference_classify(oracle, 200, 0, candidate=False)
+    assert not report.preserving and report.reconstruction is None
+    assert (report.worst_violation, report.trials) == (scan, scored)
+    assert report.worst_violation == pytest.approx(worst, abs=1e-12) and scored == trials
+    assert witness_bytes(report.witness_pair) == witness_bytes(witness)
+    a, b = report.witness_pair
+    replay = abs(fidelity(oracle.evaluate(a), oracle.evaluate(b)) - fidelity(a, b))
+    assert replay == pytest.approx(report.worst_violation, abs=1e-12)
 
 
 def test_non_finite_member_raises_value_error():

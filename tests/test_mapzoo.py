@@ -23,7 +23,7 @@ from fidsym.mapzoo import (
 )
 from fidsym.matcore import DensityOperator, pure_state, validate_density
 from fidsym.sampling import random_density
-from fidsym.wigner import DensityMapOracle
+from fidsym.wigner import DensityMapOracle, reconstruct
 
 
 def test_identity_map():
@@ -374,17 +374,30 @@ def counting_oracle(base):
     return calls, oracle
 
 
+def reconstruct_calls(base, seed):
+    """The stacks that reconstruct(base, seed=seed) alone hands the oracle:
+    the prefix of classify_map's calls with that seed."""
+    calls, oracle = counting_oracle(base)
+    reconstruct(oracle, seed=seed)
+    return calls
+
+
 def test_classify_trials_are_a_prefix_of_more_trials():
     """At d = 8 a block holds 16 pairs: the pairs of 20 trials, the first
     block and 4 of the second, are the first 20 of 200 trials, so the worst
     violation of 20 trials is no larger. The map preserves fidelity, so
-    both runs score every trial and then reconstruct alike."""
+    both runs reconstruct alike first, 2d probes and four stacks of 16
+    verification inputs, and then score every trial."""
     d = 8
     base = make_map(MapSpec("unitary", d, {"seed": 4}))
+    first = reconstruct_calls(base, 3)
+    assert [len(m) for m in first] == [1] * 2 * d + [16] * 4
 
     def run(trials):
         calls, oracle = counting_oracle(base)
-        return calls, classify_map(oracle, trials=trials, seed=3)
+        report = classify_map(oracle, trials=trials, seed=3)
+        assert [m.tobytes() for m in calls[:len(first)]] == [m.tobytes() for m in first]
+        return calls[len(first):], report
 
     short, few = run(20)
     long, many = run(200)
@@ -399,17 +412,32 @@ def test_classify_trials_are_a_prefix_of_more_trials():
     assert few.worst_violation <= many.worst_violation
 
 
+# The probes reconstruct spends on a rejected zoo kind at dimension d before
+# it fails: a depolarized or mixed basis state is no projection; the
+# scrambled basis states all go to e_1 e_1*; dephasing keeps the basis
+# states and fails the first phase probe.
+REJECTED_PROBES = {
+    "depolarizing": lambda d: 1,
+    "mix": lambda d: 1,
+    "spectral_scramble": lambda d: d,
+    "dephase": lambda d: d + 1,
+}
+
+
 @pytest.mark.parametrize("d", [4, 8])
 @pytest.mark.parametrize("kind", [k for k in ALL_KINDS if k not in PRESERVING_KINDS])
 def test_a_rejection_stops_at_the_first_block_with_a_witness(kind, d):
-    """A rejected kind hands the oracle one block of 200 trials, reports
-    the trials of that block, and by the prefix property reports what
-    classify_map asked for exactly those trials does, witness bytes
-    included."""
+    """A rejected kind hands the oracle reconstruct's failing one-row
+    probes, then one block of 200 trials, reports the trials of that block,
+    and by the prefix property reports what classify_map asked for exactly
+    those trials does, witness bytes included."""
     base = make_map(zoo_specs(d)[ALL_KINDS.index(kind)])
     calls, oracle = counting_oracle(base)
     report = classify_map(oracle, trials=200, seed=2)
-    assert [len(m) for m in calls] == [2 * stack_size(d)]
+    probes = REJECTED_PROBES[kind](d)
+    first = reconstruct_calls(base, 2)
+    assert [m.tobytes() for m in calls[:probes]] == [m.tobytes() for m in first]
+    assert [len(m) for m in calls] == [1] * probes + [2 * stack_size(d)]
     assert not report.preserving and report.trials == stack_size(d)
     exact = classify_map(base, trials=report.trials, seed=2)
     assert (exact.preserving, exact.worst_violation, exact.trials, exact.seed,

@@ -311,8 +311,8 @@ def test_a_certified_map_uses_2d_plus_64_probes_in_four_stacks():
 @pytest.mark.parametrize("d", [8, 64])
 def test_stacks_stay_within_trial_stack_entries(d):
     """reconstruct hands the oracle at most TRIAL_STACK_ENTRIES entries per
-    call, one matrix at d = 64; classify_map one block of pairs, which holds
-    that many per side."""
+    call, one matrix at d = 64; classify_map first makes reconstruct's calls,
+    then one per block of pairs, which holds that many per side."""
     calls = []
     inner = symmetry_oracle(SymmetryOperator(
         parity=UNITARY, u=haar_unitary(np.random.default_rng(d), d)))
@@ -320,18 +320,26 @@ def test_stacks_stay_within_trial_stack_entries(d):
         d, lambda m: calls.append(len(m)) or inner.evaluate_stack(m))
     assert reconstruct(oracle).certified
     size = stack_size(d)
-    assert calls == [1] * 2 * d + [size] * (64 // size)
+    first = [1] * 2 * d + [size] * (64 // size)
+    assert calls == first
     calls.clear()
     trials = 2 * size + 1
     report = classify_map(oracle, trials=trials)
     assert report.preserving
-    assert calls[:3] == [2 * size, 2 * size, 2]
+    assert calls == first + [2 * size, 2 * size, 2]
     assert max(calls) <= 2 * size
 
 
 def test_an_oracle_without_evaluate_stack_is_read_in_draw_order():
+    """classify_map reads the identity, through evaluate alone, first as
+    reconstruct does, 2d probes and 64 verification inputs, then one trial
+    input at a time in draw order."""
     seen = []
     oracle = DensityMapOracle(dim=3, evaluate=lambda a: seen.append(a.matrix.tobytes()) or a)
+    assert reconstruct(oracle).certified
+    first = seen.copy()
+    assert len(first) == 2 * 3 + 64
+    seen.clear()
     classify_map(oracle, trials=20)
     drawn = _trial_pairs(np.random.default_rng(0), 3, stack_size(3))[:20].reshape(-1, 3, 3)
-    assert seen[:40] == [x.tobytes() for x in drawn]
+    assert seen == first + [x.tobytes() for x in drawn]

@@ -18,6 +18,7 @@ from fidsym.matcore import (
     validate_density,
 )
 from fidsym.sampling import haar_unitary, random_density, random_pure_state
+from fidsym.tolerances import CLASSIFY_TOL
 from fidsym.wigner import (
     ANTIUNITARY,
     UNITARY,
@@ -412,12 +413,14 @@ def memmap_copy(m):
 @pytest.mark.parametrize("wrap", [memmap_copy, np.ma.masked_array], ids=["memmap", "masked"])
 def test_memmap_and_masked_images_of_a_symmetry_certify(wrap):
     """Of the ndarray subclasses only np.matrix is turned away: the transpose
-    map, with each image a memmap or a masked array, certifies and scores 0."""
+    map, with each image a memmap or a masked array, certifies, and
+    classifies as preserving with a worst violation within CLASSIFY_TOL / 2."""
     oracle = DensityMapOracle(dim=3, evaluate=lambda a: DensityOperator(matrix=wrap(a.matrix.T)))
     report = reconstruct(oracle)
     assert report.certified and report.symmetry.parity == ANTIUNITARY
     c = classify_map(oracle, trials=20)
-    assert c.preserving and c.worst_violation == 0.0
+    assert c.preserving and c.reconstruction.certified
+    assert c.worst_violation <= CLASSIFY_TOL / 2
 
 
 def test_dimension_mismatch_raises():
