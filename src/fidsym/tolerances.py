@@ -25,7 +25,8 @@ ORDER_TOL = 1e-8
 ORTH_TOL = 1e-8
 # a probe image's transition probability may miss 0 or 1 by PROBE_TOL
 PROBE_TOL = 1e-7
-# a phase-fixing overlap or column norm may miss its exact value by PHASE_FIX_TOL
+# each overlap |<f_j, y>| of a basis-probe image with the image of the uniform probe
+# (e_1 + ... + e_d)/sqrt(d) may miss its exact value 1/sqrt(d) by PHASE_FIX_TOL
 PHASE_FIX_TOL = 1e-7
 # a verification residual ||phi(A) - U A U*|| may reach CERTIFY_TOL * (1 + ||A||)
 CERTIFY_TOL = 1e-7

@@ -1,14 +1,15 @@
 """Reconstruction of the unitary or antiunitary operator behind a black-box
 map on density operators.
 
-The map is probed on 2d rank-one projections (basis states, two-component
-real superpositions, one i-superposition), the implementing operator is
-assembled column by column with explicit phase fixing, its parity is
-classified, and the identity phi(A) = U A U* (or U conj(A) U*) is certified
-on random density operators. Bijectivity of the map is never assumed; a map
-that fails any stage, or has an image that ``DensityMapOracle.image_stack``,
-its one reader, turns away, gets a status flag, not an exception. An oracle
-that raises still propagates its exception.
+The map is probed on d + 2 rank-one projections (the basis states, their
+uniform superposition, one i-superposition), the implementing operator is
+assembled from the basis images with every column's phase fixed by the one
+uniform probe, its parity is classified, and the identity phi(A) = U A U*
+(or U conj(A) U*) is certified on random density operators. Bijectivity of
+the map is never assumed; a map that fails any stage, or has an image that
+``DensityMapOracle.image_stack``, its one reader, turns away, gets a status
+flag, not an exception. An oracle that raises still propagates its
+exception.
 """
 from __future__ import annotations
 
@@ -198,14 +199,6 @@ def extend_normalized(oracle_norm: DensityMapOracle) -> DensityMapOracle:
     return DensityMapOracle(dim=oracle_norm.dim, evaluate=evaluate)
 
 
-def _superposition(dim: int, i: int, j: int, phase: complex = 1.0) -> np.ndarray:
-    """(e_i + phase e_j)/sqrt(2)."""
-    v = np.zeros(dim, dtype=complex)
-    v[i] = 1.0 / math.sqrt(2.0)
-    v[j] = phase / math.sqrt(2.0)
-    return v
-
-
 class _Rejected(Exception):
     """A stage of reconstruct rejected the map with ``status``."""
 
@@ -223,17 +216,23 @@ def reconstruct(
     """Probe the oracle on rank-one projections, assemble the implementing
     operator, classify its parity, and certify on random density operators.
 
-    Probe budget: 2d + ``verification_trials`` oracle calls for a certified
-    map (1 + ``verification_trials`` at d = 1): d basis projections, d - 1
-    superpositions (e_1 + e_j)/sqrt(2) for phase fixing and one
-    i-superposition (e_1 + i e_2)/sqrt(2) for parity. A bijective
-    fidelity-preserving map is A -> U A U* or A -> U conj(A) U*, and these
-    probes pin that candidate up to a global phase; verification then
-    decides. A map that is not the candidate, yet passes the probes (a
-    different parity on one block, a transpose of one block, an entrywise
-    phase multiplier), differs from it on a set of positive measure, which
-    the random verification inputs hit. A map that differs only on a null set
-    escapes any finite schedule of probes. ``seed`` only selects the
+    Probe budget: d + 2 + ``verification_trials`` oracle calls for a
+    certified map (1 + ``verification_trials`` at d = 1): d basis
+    projections, one uniform superposition s = (e_1 + ... + e_d)/sqrt(d) for
+    phase fixing and one i-superposition (e_1 + i e_2)/sqrt(2) for parity. A
+    bijective fidelity-preserving map is A -> U A U* or A -> U conj(A) U*, and
+    these probes pin that candidate up to a global phase; verification then
+    decides. The basis images give each column U e_j up to a phase, as a unit
+    vector f_j. Since <U e_j, U s> = 1/sqrt(d) is nonzero for every j, the
+    overlaps c = F* y with the image y of s carry every column's phase at
+    once: column j is f_j (c_j/|c_j|)(|c_1|/c_1), an exact unit phase times
+    f_j, and column 1 is f_1 bit for bit. The map is rejected with
+    ``failed_phase`` unless the image of s is a rank-one projection and every
+    |c_j| is within PHASE_FIX_TOL of 1/sqrt(d). A map that is not the
+    candidate, yet passes the probes (a different parity on one block, a
+    transpose of one block), differs from it on a set of positive measure,
+    which the random verification inputs hit. A map that differs only on a
+    null set escapes any finite schedule of probes. ``seed`` only selects the
     verification draws, through ``default_rng(seed + 1)``: first all
     ``verification_trials`` traces and then all ranks, in one
     ``sampling.traces_and_ranks`` call, then one ``sampling.density_stack``
@@ -285,29 +284,27 @@ def reconstruct(
         if np.any(np.triu(overlaps, k=1) > PROBE_TOL):
             raise _Rejected(STATUS_FAILED_PROJECTION_PROBE)
 
-        # (2) Phase fixing: pin each column's phase relative to the first
-        # through the images of (e_1 + e_j)/sqrt(2).
-        g = [f[0]]
-        for j in range(1, d):
-            y = probe(_superposition(d, 0, j), STATUS_FAILED_PHASE)
-            c = np.vdot(g[0], y)
-            if abs(abs(c) - 1.0 / math.sqrt(2.0)) > PHASE_FIX_TOL:
+        # (2) Phase fixing: one probe of s = (e_1 + ... + e_d)/sqrt(d) pins
+        # every column's phase relative to the first. With y its image and
+        # c = F* y, column j becomes f_j (c_j/|c_j|)(|c_1|/c_1); column 1
+        # keeps the bits of f_1. F is phase-fixed in place: its rows become
+        # the columns of U.
+        if d >= 2:
+            y = probe(np.full(d, 1.0 / math.sqrt(d), dtype=complex), STATUS_FAILED_PHASE)
+            c = f.conj() @ y
+            mod = np.abs(c)
+            if np.any(np.abs(mod - 1.0 / math.sqrt(d)) > PHASE_FIX_TOL):
                 raise _Rejected(STATUS_FAILED_PHASE)
-            y = y * (c.conjugate() / abs(c))
-            gj = math.sqrt(2.0) * y - g[0]
-            if abs(np.linalg.norm(gj) - 1.0) > PHASE_FIX_TOL:
-                raise _Rejected(STATUS_FAILED_PHASE)
-            if abs(abs(np.vdot(gj, f[j])) - 1.0) > PHASE_FIX_TOL:
-                raise _Rejected(STATUS_FAILED_PHASE)
-            g.append(gj)
+            f[1:] *= (c[1:] / mod[1:] * (c[0].conjugate() / mod[0]))[:, None]
 
         # (3) Parity from the i-superposition (e_1 + i e_2)/sqrt(2).
         parity = UNITARY
         margin = 0.0
         if d >= 2:
-            w = probe(_superposition(d, 0, 1, phase=1j), STATUS_FAILED_PARITY)
-            h_u = (g[0] + 1j * g[1]) / math.sqrt(2.0)
-            h_a = (g[0] - 1j * g[1]) / math.sqrt(2.0)
+            w = probe(np.array([1.0, 1j] + [0.0] * (d - 2)) / math.sqrt(2.0),
+                      STATUS_FAILED_PARITY)
+            h_u = (f[0] + 1j * f[1]) / math.sqrt(2.0)
+            h_a = (f[0] - 1j * f[1]) / math.sqrt(2.0)
             ov_u = abs(np.vdot(h_u, w)) ** 2
             ov_a = abs(np.vdot(h_a, w)) ** 2
             if max(ov_u, ov_a) < 1.0 - PROBE_TOL:
@@ -316,8 +313,8 @@ def reconstruct(
             margin = abs(ov_u - ov_a)
         # d = 1: the two parities coincide on 1x1 matrices; unitary by convention.
 
-        # (4) Assemble U with columns g_i and verify unitarity.
-        u = np.column_stack(g)
+        # (4) Assemble U with columns f_j and verify unitarity.
+        u = f.T.copy()
         if np.linalg.norm(u.conj().T @ u - np.eye(d)) > UNITARY_TOL:
             raise _Rejected(STATUS_FAILED_PHASE, margin=margin)
     except _Rejected as rejection:

@@ -373,15 +373,17 @@ def test_violation_bound_formula():
 
 
 def depolarized_off_the_probes(d):
-    """The identity at d, except that an input with |tr A - 1| <= 1e-9 and
-    more than two nonzero diagonal entries goes to 0.5 A + 0.5 tr(A) I/d.
-    reconstruct's probes have at most two nonzero diagonal entries and its
+    """The identity at d, except that an input with |tr A - 1| <= 1e-9, more
+    than two nonzero diagonal entries and not all entries equal goes to
+    0.5 A + 0.5 tr(A) I/d. reconstruct's probes have at most two nonzero
+    diagonal entries, or all entries equal (the uniform probe), and its
     verification inputs random traces, so it certifies the identity; the
     pure trial pairs break it."""
     def evaluate_stack(m):
         t = np.trace(m, axis1=-2, axis2=-1).real
-        hit = (np.abs(t - 1.0) <= 1e-9) & (
-            np.count_nonzero(np.diagonal(m, axis1=-2, axis2=-1), axis=-1) > 2)
+        diag = np.diagonal(m, axis1=-2, axis2=-1)
+        uniform = np.all(m == m[:, :1, :1], axis=(-2, -1))
+        hit = (np.abs(t - 1.0) <= 1e-9) & (np.count_nonzero(diag, axis=-1) > 2) & ~uniform
         out = m.copy()
         out[hit] = 0.5 * m[hit] + 0.5 * t[hit, None, None] * np.eye(d) / d
         return out

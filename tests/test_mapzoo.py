@@ -386,12 +386,12 @@ def test_classify_trials_are_a_prefix_of_more_trials():
     """At d = 8 a block holds 16 pairs: the pairs of 20 trials, the first
     block and 4 of the second, are the first 20 of 200 trials, so the worst
     violation of 20 trials is no larger. The map preserves fidelity, so
-    both runs reconstruct alike first, 2d probes and four stacks of 16
+    both runs reconstruct alike first, d + 2 probes and four stacks of 16
     verification inputs, and then score every trial."""
     d = 8
     base = make_map(MapSpec("unitary", d, {"seed": 4}))
     first = reconstruct_calls(base, 3)
-    assert [len(m) for m in first] == [1] * 2 * d + [16] * 4
+    assert [len(m) for m in first] == [1] * (d + 2) + [16] * 4
 
     def run(trials):
         calls, oracle = counting_oracle(base)

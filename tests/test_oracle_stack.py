@@ -185,7 +185,7 @@ def test_reconstruct_fails_verification_on_a_bad_row(bad):
         bad, lambda x: numerical_rank(DensityOperator(matrix=x)) > 1)
     report = reconstruct(oracle)
     assert report.status == STATUS_FAILED_VERIFICATION
-    assert report.probes_used == 7
+    assert report.probes_used == 6
     assert report.residual_max == math.inf
 
 
@@ -246,16 +246,16 @@ def transposing_trial(trial, d, stacked, calls):
 @pytest.mark.parametrize("trial", [1, 16, 17, 20, 64])
 def test_probes_used_counts_trials_up_to_the_first_failure(trial, stacked):
     """At d = 8 a stack holds 16 verification inputs. A map that fails at
-    trial 20, in the second stack, uses 2d + 20 = 36 probes, as a per-matrix
+    trial 20, in the second stack, uses d + 2 + 20 = 30 probes, as a per-matrix
     loop does, and the oracle sees no stack after the failing one."""
     d = 8
     calls = []
     report = reconstruct(transposing_trial(trial, d, stacked, calls))
     assert report.status == STATUS_FAILED_VERIFICATION
-    assert report.probes_used == 2 * d + trial
+    assert report.probes_used == d + 2 + trial
     assert 1e-3 < report.residual_max < math.inf
     stacks = -(-trial // 16)
-    assert calls == [1] * 2 * d + ([16] * stacks if stacked else [1] * 16 * stacks)
+    assert calls == [1] * (d + 2) + ([16] * stacks if stacked else [1] * 16 * stacks)
     calls.clear()
     other = reconstruct(transposing_trial(trial, d, not stacked, calls))
     assert (other.probes_used, other.residual_max) == (report.probes_used, report.residual_max)
@@ -273,7 +273,7 @@ def test_residual_max_is_the_largest_row_norm_up_to_the_failure(trial):
     report = reconstruct(DensityMapOracle.from_stack(
         d, lambda m: np.stack([x.T if x.tobytes() in late else x for x in m])))
     assert report.status == STATUS_FAILED_VERIFICATION
-    assert report.probes_used == 2 * d + trial
+    assert report.probes_used == d + 2 + trial
     images = inputs[:trial].copy()
     images[-1] = images[-1].T
     expected = apply_symmetry_stack(report.symmetry, inputs[:trial])
@@ -290,7 +290,7 @@ def test_verification_inputs_match_reference_bit_for_bit(d, trials):
     oracle = DensityMapOracle.from_stack(d, lambda m: seen.append(m.copy()) or m.copy())
     report = reconstruct(oracle, verification_trials=trials)
     assert report.certified
-    probes = 1 if d == 1 else 2 * d
+    probes = 1 if d == 1 else d + 2
     assert [len(m) for m in seen[:probes]] == [1] * probes
     size = stack_size(d)
     assert [len(m) for m in seen[probes:]] == [min(size, trials - s)
@@ -299,13 +299,13 @@ def test_verification_inputs_match_reference_bit_for_bit(d, trials):
     assert drawn.tobytes() == reference_verification_inputs(0, d, trials).tobytes()
 
 
-def test_a_certified_map_uses_2d_plus_64_probes_in_four_stacks():
+def test_a_certified_map_uses_d_plus_2_plus_64_probes_in_four_stacks():
     calls = []
     # only 64 inputs are drawn, so this is the identity
     report = reconstruct(transposing_trial(65, 8, True, calls))
     assert report.status == STATUS_CERTIFIED
-    assert report.probes_used == 2 * 8 + 64
-    assert calls == [1] * 16 + [16] * 4
+    assert report.probes_used == 8 + 2 + 64
+    assert calls == [1] * 10 + [16] * 4
 
 
 @pytest.mark.parametrize("d", [8, 64])
@@ -320,7 +320,7 @@ def test_stacks_stay_within_trial_stack_entries(d):
         d, lambda m: calls.append(len(m)) or inner.evaluate_stack(m))
     assert reconstruct(oracle).certified
     size = stack_size(d)
-    first = [1] * 2 * d + [size] * (64 // size)
+    first = [1] * (d + 2) + [size] * (64 // size)
     assert calls == first
     calls.clear()
     trials = 2 * size + 1
@@ -332,13 +332,13 @@ def test_stacks_stay_within_trial_stack_entries(d):
 
 def test_an_oracle_without_evaluate_stack_is_read_in_draw_order():
     """classify_map reads the identity, through evaluate alone, first as
-    reconstruct does, 2d probes and 64 verification inputs, then one trial
+    reconstruct does, d + 2 probes and 64 verification inputs, then one trial
     input at a time in draw order."""
     seen = []
     oracle = DensityMapOracle(dim=3, evaluate=lambda a: seen.append(a.matrix.tobytes()) or a)
     assert reconstruct(oracle).certified
     first = seen.copy()
-    assert len(first) == 2 * 3 + 64
+    assert len(first) == 3 + 2 + 64
     seen.clear()
     classify_map(oracle, trials=20)
     drawn = _trial_pairs(np.random.default_rng(0), 3, stack_size(3))[:20].reshape(-1, 3, 3)

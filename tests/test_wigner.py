@@ -6,6 +6,7 @@ import tempfile
 import numpy as np
 import pytest
 from bad_images import BAD_IMAGES
+from trial_reference import reference_verification_inputs
 
 from fidsym.charact import numerical_rank
 from fidsym.fidelity import fidelity
@@ -281,9 +282,9 @@ def rank_one_identity_oracle(d):
 
 
 # (oracle, status, probes_used, parity_margin) at d = 3. Probe budget:
-# 3 basis + 2 phase-fixing + 1 parity + 64 verification.
+# 3 basis + 1 phase-fixing + 1 parity + 64 verification.
 STATUS_CASES = {
-    "certified": (identity_oracle, STATUS_CERTIFIED, 70, 1.0),
+    "certified": (identity_oracle, STATUS_CERTIFIED, 69, 1.0),
     "depolarizing": (
         lambda d: make_map(MapSpec(kind="depolarizing", dim=d, params={"p": 0.5})),
         STATUS_FAILED_PROJECTION_PROBE, 1, 0.0,
@@ -291,8 +292,8 @@ STATUS_CASES = {
     "dephase": (
         lambda d: make_map(MapSpec(kind="dephase", dim=d)), STATUS_FAILED_PHASE, 4, 0.0,
     ),
-    "parity": (parity_breaking_oracle, STATUS_FAILED_PARITY, 6, 0.0),
-    "verification": (rank_one_identity_oracle, STATUS_FAILED_VERIFICATION, 7, 1.0),
+    "parity": (parity_breaking_oracle, STATUS_FAILED_PARITY, 5, 0.0),
+    "verification": (rank_one_identity_oracle, STATUS_FAILED_VERIFICATION, 6, 1.0),
 }
 
 
@@ -468,7 +469,7 @@ def test_reconstruct_rejects_an_all_nan_probe_image(d, fill):
     assert report.residual_max == math.inf
 
 
-@pytest.mark.parametrize("d, probes", [(2, 4), (3, 6)])
+@pytest.mark.parametrize("d, probes", [(2, 4), (3, 5)])
 def test_reconstruct_rejects_a_nan_parity_image(d, probes):
     """Only the i-superposition has a matrix with imaginary entries."""
     report = reconstruct(nan_oracle(d, lambda a: np.any(a.matrix.imag != 0.0)))
@@ -482,7 +483,7 @@ def test_nan_verification_residual_fails_verification():
     all-NaN image, whose NaN residual must not certify."""
     report = reconstruct(nan_oracle(3, lambda a: numerical_rank(a) > 1))
     assert report.status == STATUS_FAILED_VERIFICATION
-    assert report.probes_used == 7
+    assert report.probes_used == 6
     assert report.symmetry.parity == UNITARY
     assert report.residual_max == math.inf
 
@@ -504,7 +505,7 @@ def test_verification_image_of_the_wrong_shape_fails_verification(bad):
     )
     report = reconstruct(oracle)
     assert report.status == STATUS_FAILED_VERIFICATION
-    assert report.probes_used == 7
+    assert report.probes_used == 6
     assert report.symmetry.parity == UNITARY
     assert report.residual_max == math.inf
 
@@ -554,20 +555,33 @@ def depolarized_oracle(truth, eps):
     return DensityMapOracle(dim=d, evaluate=evaluate)
 
 
-@pytest.mark.parametrize("family", ["block_conjugate", "block_transpose", "schur_phase"])
+@pytest.mark.parametrize("family", ["block_conjugate", "block_transpose"])
 @pytest.mark.parametrize("parity", [UNITARY, ANTIUNITARY])
 @pytest.mark.parametrize("d", [3, 4, 8])
 def test_verification_rejects_maps_that_pass_every_probe(d, parity, family):
     """The basis, phase-fixing and parity probes cannot tell these maps from
-    a symmetry; the random verification inputs can."""
-    inner = {"block_conjugate": block_conjugate, "block_transpose": block_transpose,
-             "schur_phase": schur_phase(d)}[family]
+    a symmetry; the random verification inputs can, at the first trial."""
+    inner = {"block_conjugate": block_conjugate, "block_transpose": block_transpose}[family]
     truth = SymmetryOperator(parity=parity, u=haar_unitary(np.random.default_rng(d + 40), d))
     report = reconstruct(perturbed_oracle(truth, inner))
     assert report.status == STATUS_FAILED_VERIFICATION
     assert report.symmetry is not None
-    assert report.probes_used == 2 * d + 1
+    assert report.probes_used == d + 3
     assert report.residual_max > 1e-3
+
+
+@pytest.mark.parametrize("parity", [UNITARY, ANTIUNITARY])
+@pytest.mark.parametrize("d", [3, 4, 8])
+def test_a_schur_phase_fails_the_phase_probe(d, parity):
+    """S o A sends the uniform probe ss* = J/d to the image of S/d, which is
+    of rank above one since S_jk is not of the form exp(i(t_j - t_k)): the
+    map passes the d basis probes and fails the phase probe after them."""
+    truth = SymmetryOperator(parity=parity, u=haar_unitary(np.random.default_rng(d + 40), d))
+    report = reconstruct(perturbed_oracle(truth, schur_phase(d)))
+    assert report.status == STATUS_FAILED_PHASE
+    assert report.symmetry is None
+    assert report.probes_used == d + 1
+    assert report.residual_max == math.inf
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-12])
@@ -584,9 +598,76 @@ def test_symmetries_and_near_symmetries_still_certify(d, parity, eps):
 @pytest.mark.parametrize("trials", [1, 64])
 @pytest.mark.parametrize("d", [1, 2, 3, 8, 32])
 def test_probe_budget_of_a_certified_symmetry(d, trials):
-    """d basis + d - 1 phase-fixing + 1 parity probe (none at d = 1), then
-    the verification trials."""
+    """d basis + 1 phase-fixing + 1 parity probe (none at d = 1), then the
+    verification trials."""
     truth = SymmetryOperator(parity=UNITARY, u=haar_unitary(np.random.default_rng(d), d))
     report = reconstruct(symmetry_oracle(truth), verification_trials=trials)
     assert report.certified
-    assert report.probes_used == (1 if d == 1 else 2 * d) + trials
+    assert report.probes_used == (1 if d == 1 else d + 2) + trials
+
+
+@pytest.mark.parametrize("kind, parity", [("identity", UNITARY), ("transpose", ANTIUNITARY)])
+@pytest.mark.parametrize("d", [2, 3, 8, 32, 64])
+def test_identity_and_transpose_reconstruct_exactly(d, kind, parity):
+    """Each column is an exact basis image times a unit phase, and the uniform
+    probe gives every column the phase 1: U is the identity bit for bit, so
+    every verification residual is exactly zero."""
+    report = reconstruct(make_map(MapSpec(kind=kind, dim=d)))
+    assert report.certified and report.symmetry.parity == parity
+    assert report.symmetry.u.tobytes() == np.eye(d, dtype=complex).tobytes()
+    assert report.residual_max == 0.0
+
+
+def uniform_probe(d):
+    """ss* for s = (e_1 + ... + e_d)/sqrt(d), as reconstruct computes it."""
+    s = np.full(d, 1.0 / math.sqrt(d), dtype=complex)
+    return np.outer(s, s.conj())
+
+
+def off_on_the_uniform_probe(d, offset):
+    """The identity, except that the uniform probe goes to the rank-one
+    projection tt*, t real and unit with t_1 = 1/sqrt(d) + offset and the
+    other components equal."""
+    t = np.empty(d)
+    t[0] = 1.0 / math.sqrt(d) + offset
+    t[1:] = math.sqrt((1.0 - t[0] ** 2) / (d - 1))
+    image = DensityOperator(matrix=np.outer(t, t).astype(complex))
+    probe = uniform_probe(d).tobytes()
+    return DensityMapOracle(
+        dim=d, evaluate=lambda a: image if a.matrix.tobytes() == probe else a)
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 64])
+def test_an_overlap_off_one_over_sqrt_d_fails_the_phase_probe(d):
+    """An image of the uniform probe that is a rank-one projection, but has
+    |<f_1, y>| 1e-6 away from 1/sqrt(d), ten times PHASE_FIX_TOL, is rejected
+    right after it, after the d basis probes and itself; 1e-9 away it
+    passes, and the map, the identity elsewhere, certifies as U = I."""
+    report = reconstruct(off_on_the_uniform_probe(d, 1e-6))
+    assert report.status == STATUS_FAILED_PHASE
+    assert report.probes_used == d + 1
+    assert report.symmetry is None and report.residual_max == math.inf
+    report = reconstruct(off_on_the_uniform_probe(d, 1e-9))
+    assert report.certified and report.probes_used == d + 2 + 64
+    assert report.symmetry.u.tobytes() == np.eye(d, dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_the_probe_schedule(d):
+    """A recording oracle sees e_1 e_1*, ..., e_d e_d*, then ss*, then the
+    i-superposition (e_1 + i e_2)/sqrt(2), each one read-only and exactly
+    Hermitian, then the 64 verification inputs."""
+    seen = []
+    oracle = DensityMapOracle.from_stack(d, lambda m: seen.extend(m) or m.copy())
+    assert reconstruct(oracle).certified
+    w = np.zeros(d, dtype=complex)
+    w[:2] = [1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0)]
+    probes = [np.outer(e, e) for e in np.eye(d, dtype=complex)]
+    probes += [uniform_probe(d), np.outer(w, w.conj())]
+    assert len(seen) == d + 2 + 64
+    for x, want in zip(seen, probes):
+        assert x.tobytes() == want.tobytes()
+    assert np.array(seen[d + 2:]).tobytes() == reference_verification_inputs(0, d, 64).tobytes()
+    for x in seen:
+        assert not x.flags.writeable
+        assert np.array_equal(x, x.conj().T)
