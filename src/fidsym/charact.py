@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .fidelity import leq_stack
-from .matcore import DensityOperator, eig_hermitian, eigvalsh_stack, from_psd_stack, sqrtm_psd
+from .matcore import DensityOperator, eig_hermitian, eigvalsh_stack, from_psd_stack, row_sumsq, sqrtm_psd
 from .sampling import ginibre
 from .tolerances import CERT_TOL, RANK_TOL, TRACE_TOL
 
@@ -124,34 +124,46 @@ def is_rank_one_projection(a: DensityOperator) -> bool:
 
 
 def _sample_minorants(a: DensityOperator, samples: int, rng: np.random.Generator) -> np.ndarray:
-    """Random operators D with 0 <= D <= A, as A^{1/2} M A^{1/2} for random
-    PSD contractions M scaled by u in (0, 1]. No rejection needed.
+    """Random operators D with 0 <= D <= A, drawn from their Wishart factor.
 
-    The whole block is drawn at once: one Ginibre block of W, then one
-    uniform block of u. M = W*W for all samples is one product, and ||M||_2,
-    the largest eigenvalue of the PSD M, comes from one eigvalsh_stack.
+    One Ginibre block of W is drawn, then one uniform block of u. Row k is
+    D_k = u_k X_k* X_k / ||W_k||_F^2 with X_k = W_k A^{1/2}, that is
+    u_k A^{1/2} rho_k A^{1/2} for the Wishart density operator
+    rho_k = W_k* W_k / tr(W_k* W_k). As 0 <= rho_k <= I, 0 <= D_k <= u_k A
+    <= A, with no rejection and no eigensolve: every X_k comes from one tall
+    product of the (samples d, d) block with A^{1/2}, and every ||W_k||_F^2
+    from one row_sumsq.
     """
+    d = a.dim
     root = sqrtm_psd(a.matrix)
-    w = ginibre(rng, (samples, a.dim, a.dim))
+    w = ginibre(rng, (samples, d, d))
     u = rng.uniform(0.0, 1.0, size=samples)
-    m = w.conj().swapaxes(-1, -2) @ w
-    m *= (u / eigvalsh_stack(m)[:, 0])[:, None, None]
-    return root @ m @ root
+    x = (w.reshape(-1, d) @ root).reshape(samples, d, d)
+    m = x.conj().swapaxes(-1, -2) @ x
+    m *= (u / row_sumsq(w))[:, None, None]
+    return m
 
 
 def order_totality_probe(a: DensityOperator, samples: int = 200, seed: int = 0) -> bool:
     """Probe whether the minorants of A are totally ordered.
 
-    True for rank-one A (every minorant is a sub-multiple); for rank >= 2 an
-    incomparable pair is found with overwhelming probability at default
-    sample counts. As D <= E implies tr D <= tr E, the samples are totally
-    ordered exactly when each lies below its successor in trace order. The
-    lowest neighbour pair is scored first, in a leq_stack call of one row;
-    on a rank >= 2 operator it is usually incomparable, and the rest is then
-    not solved. Only if it is ordered are the other samples - 2 pairs
-    scored, in one more call. leq_stack decides each
-    row alone, so the answer is that of one scan over all samples - 1 pairs.
-    A trace at most CERT_TOL raises ZeroOperator.
+    The samples are _sample_minorants' u A^{1/2} rho A^{1/2}, rho a Wishart
+    density operator. True for rank-one A (every minorant is a
+    sub-multiple); for rank >= 2 an incomparable pair is found with
+    overwhelming probability at default sample counts. As D <= E implies
+    tr D <= tr E, the samples are totally ordered exactly when each lies
+    below its successor in trace order. The lowest neighbour pair is scored
+    first, in a leq_stack call of one row; on a rank >= 2 operator it is
+    usually incomparable, and the rest is then not solved. Only if it is
+    ordered are the other samples - 2 pairs scored, in one more call.
+    leq_stack decides each row alone, so the answer is that of one scan over
+    all samples - 1 pairs. A trace at most CERT_TOL raises ZeroOperator.
+
+    The answer is rank == 1 at traces from 1e-6 to 1e6 (tested at d <= 8).
+    Below that range leq_stack's absolute ORDER_TOL floor decides: the
+    minorants of a rank >= 2 operator of small enough trace all compare
+    within the band, and it may be reported as rank one (at d <= 8, from a
+    trace of 1e-7 down; ROADMAP item 12).
     """
     if samples < 2:
         raise ValueError(f"probe needs samples >= 2, got {samples}")

@@ -12,6 +12,7 @@ frozen array and cannot be made writeable again.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,21 +203,25 @@ def normalize_phase(v: np.ndarray) -> np.ndarray:
 def pure_state(v: np.ndarray) -> PureState:
     """Normalize a nonzero vector to a unit, phase-canonical PureState.
 
-    The norm is np.linalg.norm's, bit for bit: sqrt(re.re + im.im). A
-    vector with a non-finite entry, whose norm is not finite either, raises
-    ValueError. A finite vector whose norm overflows is first divided by its
-    largest |part|; every vector with a finite norm keeps its bits."""
+    The norm is np.linalg.norm's, bit for bit: sqrt(re.re + im.im), and
+    every vector whose sum of squares is a normal number keeps its bits. A
+    vector with a non-finite entry raises ValueError. A finite vector whose
+    sum of squares overflows, or falls below the normal range (to zero, or
+    to a subnormal with too few bits for a unit result), is first divided
+    by its largest |part|. Only an exactly zero vector cannot be normalized
+    (ValueError)."""
     v = np.asarray(v, dtype=complex).ravel()
     with np.errstate(over="ignore"):
-        n = math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
-    if not math.isfinite(n):
+        ss = float(v.real.dot(v.real) + v.imag.dot(v.imag))
+    if not sys.float_info.min <= ss < math.inf:  # over- or underflowed, or NaN
         if not np.isfinite(v).all():
             raise ValueError("vector entries must be finite")
-        v = real_divide(v, np.abs(v.view(float)).max())
-        n = float(np.linalg.norm(v))
-    if n <= PHASE_TOL:
-        raise ValueError("cannot normalize the zero vector")
-    return PureState(amplitudes=freeze(normalize_phase(v / n)))
+        top = np.abs(v.view(float)).max(initial=0.0)
+        if top == 0.0:
+            raise ValueError("cannot normalize the zero vector")
+        v = real_divide(v, top)
+        ss = v.real.dot(v.real) + v.imag.dot(v.imag)
+    return PureState(amplitudes=freeze(normalize_phase(v / math.sqrt(ss))))
 
 
 def eigh_stack(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

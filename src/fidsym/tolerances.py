@@ -11,7 +11,7 @@ from __future__ import annotations
 PSD_TOL = 1e-10
 # a trace within TRACE_TOL of 1 is a unit trace
 TRACE_TOL = 1e-9
-# vector components of modulus at most PHASE_TOL are zero (phase pivot, zero vector)
+# vector components of modulus at most PHASE_TOL are zero when picking the phase pivot
 PHASE_TOL = 1e-12
 # eigenvalues below EIG_FLOOR times the largest are rounding noise; sqrt would amplify them to ~1e-8
 EIG_FLOOR = 1e-14

@@ -162,7 +162,7 @@ def test_probe_needs_two_samples(samples):
 def loop_minorants(a, samples, rng):
     """Reference: the draws in the sampler's order (every real part of the
     Ginibre block, every imaginary part, then every u), each minorant built
-    alone with one SVD-based norm."""
+    alone as u A^{1/2} rho A^{1/2}, rho = W*W / tr(W*W)."""
     d = a.dim
     root = sqrtm_psd(a.matrix)
     re = rng.normal(size=(samples, d, d))
@@ -172,7 +172,7 @@ def loop_minorants(a, samples, rng):
     for i in range(samples):
         w = re[i] + 1j * im[i]
         m = w.conj().T @ w
-        m /= np.linalg.norm(m, 2)
+        m /= np.trace(m).real
         m *= u[i]
         out[i] = root @ m @ root
     return out
@@ -193,6 +193,70 @@ def test_sample_minorants_matches_reference_loop(d):
                 assert got.shape == (samples, d, d)
                 assert np.max(np.abs(got - ref)) <= 1e-13, (rank, samples, seed)
                 assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def count_eigensolves(monkeypatch):
+    """Wrap np.linalg.eigh and eigvalsh; the returned dict counts their calls."""
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_sample_minorants_runs_no_eigensolve(monkeypatch, d):
+    """The sampler's one eigendecomposition is sqrtm_psd's, of A itself."""
+    a = random_density(np.random.default_rng(d), d, rank=2)
+    calls = count_eigensolves(monkeypatch)
+    _sample_minorants(a, 200, np.random.default_rng(0))
+    assert calls == {"eigh": 1, "eigvalsh": 0}
+
+
+def test_probe_solves_one_eigenvalue_stack_on_an_incomparable_first_pair(monkeypatch):
+    """On the rank-two operator of test_probe_rows_read: sqrtm_psd's eigh,
+    then the lowest pair's one-row leq_stack."""
+    rank_two = validate_density(np.diag([0.5, 0.5, 0.0]))
+    calls = count_eigensolves(monkeypatch)
+    assert not order_totality_probe(rank_two, seed=2)
+    assert calls == {"eigh": 1, "eigvalsh": 1}
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_sample_minorants_lie_between_zero_and_u_a(d):
+    """0 <= D_k <= u_k A for every row, within a rounding band, where u_k
+    is the row's uniform draw, read from the same stream."""
+    rng = np.random.default_rng(90 + d)
+    samples = 50
+    for rank in range(1, d + 1):
+        a = random_density(rng, d, rank=rank, trace=float(rng.uniform(0.5, 2.0)))
+        mins = _sample_minorants(a, samples, np.random.default_rng(rank))
+        ref_rng = np.random.default_rng(rank)
+        ref_rng.normal(size=(samples, d, d))
+        ref_rng.normal(size=(samples, d, d))
+        u = ref_rng.uniform(0.0, 1.0, size=samples)
+        band = 1e-13 * a.trace
+        assert np.linalg.eigvalsh(mins)[:, 0].min() >= -band, rank
+        gap = np.linalg.eigvalsh(u[:, None, None] * a.matrix - mins)
+        assert gap[:, 0].min() >= -band, rank
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_probe_is_scale_free_from_1e_minus_6_to_1e6(d):
+    """rank == 1 at every trace of the decade grid 1e-6 .. 1e6, every rank
+    and seeds 0-2. Below this range ORDER_TOL's absolute floor decides."""
+    rng = np.random.default_rng(110 + d)
+    for rank in range(1, d + 1):
+        shape = random_density(rng, d, rank=rank, trace=1.0).matrix
+        for k in range(-6, 7):
+            a = DensityOperator.from_psd(shape * 10.0 ** k)
+            for seed in range(3):
+                assert order_totality_probe(a, seed=seed) == (rank == 1), (rank, k, seed)
 
 
 def test_probe_runs_no_svd(monkeypatch):

@@ -175,6 +175,34 @@ def test_pure_state_keeps_the_bits_of_a_finite_norm():
         assert pure_state(v).amplitudes.tobytes() == want.tobytes()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_pure_state_is_scale_free():
+    """pure_state(s v) is pure_state(v) for s from 1e-300 to 1e300, also
+    where the sum of squares underflows to zero or to a subnormal."""
+    rng = np.random.default_rng(9)
+    for d in (1, 2, 5):
+        v = rng.normal(size=d) + 1j * rng.normal(size=d)
+        want = pure_state(v).amplitudes
+        for k in range(-300, 301):
+            got = pure_state(v * 10.0 ** k).amplitudes
+            assert np.max(np.abs(got - want)) <= 1e-15, (d, k)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("v", [[1e-13, 0.0], [1e-200, 1e-200], [0.0, 5e-324j], [1e-160, -1e-170j]])
+def test_pure_state_normalizes_a_tiny_nonzero_vector(v):
+    s = pure_state(v)
+    assert np.linalg.norm(s.amplitudes) == pytest.approx(1.0, abs=1e-15), v
+    assert np.allclose(s.amplitudes, pure_state(np.array(v) * 1e150).amplitudes,
+                       rtol=0.0, atol=1e-15), v
+
+
+@pytest.mark.parametrize("v", [[0.0], [0.0, 0.0], [0.0, -0.0j, 0.0], []])
+def test_pure_state_rejects_the_zero_vector(v):
+    with pytest.raises(ValueError, match="zero vector"):
+        pure_state(v)
+
+
 def test_density_operator_holds_only_its_matrix():
     assert tuple(f.name for f in dataclasses.fields(DensityOperator)) == ("matrix",)
 
