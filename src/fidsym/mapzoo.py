@@ -272,8 +272,7 @@ def classify_map(oracle: DensityMapOracle, trials: int = 200, seed: int = 0) -> 
     to the trials left, so trial k does not depend on ``trials``: the pairs
     of a smaller ``trials`` are a prefix of those of a larger one. Each block
     goes to the oracle in one ``oracle.image_stack`` call, in draw order
-    (A_1, B_1, A_2, ...): one ``evaluate_stack`` call, or without one, one
-    ``evaluate`` call per matrix.
+    (A_1, B_1, A_2, ...).
 
     Each pair gets a violation. If the reconstruction is certified, with
     symmetry S, a pair's violation is violation_bound of its residuals
@@ -310,12 +309,11 @@ def classify_map(oracle: DensityMapOracle, trials: int = 200, seed: int = 0) -> 
         inputs = pairs.reshape(-1, d, d)
         images, ok = oracle.image_stack(inputs)
         ok = ok.reshape(-1, 2).all(axis=1)
+        violation = np.full(len(pairs), np.inf)
         if report.certified:
             delta = np.sqrt(row_sumsq(images - apply_symmetry_stack(report.symmetry, inputs)))
             violation = violation_bound(d, delta.reshape(-1, 2), _traces(inputs).reshape(-1, 2))
-            exact = ~ok | (violation > CLASSIFY_TOL)
-        else:
-            violation, exact = np.empty(len(pairs)), np.ones(len(pairs), dtype=bool)
+        exact = ~ok | (violation > CLASSIFY_TOL)
         if exact.any():
             both = np.concatenate([images.reshape(pairs.shape)[exact], pairs[exact]])
             f = fidelity_stack(both[:, 0], both[:, 1])

@@ -269,15 +269,14 @@ def eig_hermitian(m: np.ndarray) -> Spectrum:
 def validate_stack(m: np.ndarray) -> list[DensityOperator]:
     """Validate every matrix of an (n, d, d) stack as a density operator.
 
-    Eigenvalues in [-PSD_TOL * max(||M||, 1), 0) are clipped to zero and the
-    matrix is reassembled; anything more negative raises NotPositive. ||M||
-    is the Frobenius norm of (M + M*)/2, and the floor of 1 makes the band
-    absolute for a matrix of norm below 1, as the PSD_TOL comment says.
+    Eigenvalues in [-PSD_TOL * ||M||, 0) are clipped to zero and the matrix
+    is reassembled; anything more negative raises NotPositive. ||M|| is the
+    Frobenius norm of (M + M*)/2, so the band scales with the matrix and
+    s * M is accepted exactly when M is, for every s > 0.
     """
     w, v = eigh_stack(m)
-    scale = np.maximum(np.hypot.reduce(w, axis=-1), 1.0)  # ||(M + M*)/2||_F, no overflow
     low = w[:, -1]
-    negative = low < -PSD_TOL * scale
+    negative = low < -PSD_TOL * np.hypot.reduce(w, axis=-1)  # ||(M + M*)/2||_F, no overflow
     if np.any(negative):
         raise NotPositive(f"eigenvalue {low[negative][0]:.3e} below tolerance band")
     w = np.clip(w, 0.0, None)

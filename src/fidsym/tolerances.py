@@ -7,7 +7,7 @@ of headroom under each of them.
 """
 from __future__ import annotations
 
-# eigenvalues down to -PSD_TOL * max(||M||, 1) are rounding of a PSD matrix and are clipped to 0
+# eigenvalues down to -PSD_TOL * ||M||_F, a band relative at every scale, are rounding: clipped to 0
 PSD_TOL = 1e-10
 # a trace within TRACE_TOL of 1 is a unit trace
 TRACE_TOL = 1e-9

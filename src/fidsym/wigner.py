@@ -64,9 +64,8 @@ class DensityMapOracle:
     ``evaluate`` maps one operator to its image. ``evaluate_stack``, when
     given, maps an (n, dim, dim) array of input matrices to the (n, dim, dim)
     array of their images in one call, and must agree with ``evaluate`` row by
-    row. ``image_stack`` is the only reader of either: an oracle with
-    ``evaluate_stack`` is read only through it, one without it through
-    ``evaluate``, one matrix at a time."""
+    row. ``image_stack`` is the only reader of either, and reads every oracle
+    as a stack."""
 
     dim: int
     evaluate: Callable[[DensityOperator], DensityOperator]
@@ -87,28 +86,33 @@ class DensityMapOracle:
         object.__setattr__(oracle, "evaluate_stack", evaluate_stack)
         return oracle
 
+    def _evaluate_rows(self, m: np.ndarray) -> np.ndarray:
+        """``evaluate`` as a stack action: one call per row, in stack order,
+        and a NaN row for a return that is no DensityOperator with a numeric
+        (dim, dim) matrix."""
+        out = np.full(m.shape, np.nan, dtype=complex)
+        for k, x in enumerate(m):
+            y = self.evaluate(DensityOperator(matrix=x))
+            if isinstance(y, DensityOperator) and _is_numeric_array(y.matrix, m.shape[1:]):
+                out[k] = y.matrix
+        return out
+
     def image_stack(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The images of a read-only (n, dim, dim) stack of inputs as a complex
         (n, dim, dim) array, and the mask ``ok`` of the rows that pass the one
         rule for images: a finite (dim, dim) ndarray of bools or numbers, but
         no np.matrix. A row turned away is zero.
 
-        A return of ``evaluate_stack`` is tested whole for type, dtype and
-        shape, so a bad one turns the whole stack away. Without it,
-        ``evaluate`` is called per row in stack order, and a row whose return
-        is no DensityOperator with such a matrix is turned away alone. One
-        vectorised test of sum |m_ij|^2 then turns away each non-finite row."""
-        if self.evaluate_stack is None:
-            out = np.full(m.shape, np.nan, dtype=complex)  # a NaN row fails below
-            for k, x in enumerate(m):
-                y = self.evaluate(DensityOperator(matrix=x))
-                if isinstance(y, DensityOperator) and _is_numeric_array(y.matrix, m.shape[1:]):
-                    out[k] = y.matrix
-        else:
-            out = self.evaluate_stack(m)
-            if not _is_numeric_array(out, m.shape):
-                return np.zeros(m.shape, dtype=complex), np.zeros(len(m), dtype=bool)
-            out = np.ascontiguousarray(out, dtype=complex)
+        The stack goes to the oracle in one call of its stack action:
+        ``evaluate_stack``, or ``evaluate`` adapted by _evaluate_rows, whose
+        NaN row for a bad return turns that row away alone. The return is
+        tested whole for type, dtype and shape, so a bad one turns the whole
+        stack away; one vectorised test of sum |m_ij|^2 then turns away each
+        non-finite row."""
+        out = (self._evaluate_rows if self.evaluate_stack is None else self.evaluate_stack)(m)
+        if not _is_numeric_array(out, m.shape):
+            return np.zeros(m.shape, dtype=complex), np.zeros(len(m), dtype=bool)
+        out = np.ascontiguousarray(out, dtype=complex)
         # finite iff every entry is finite and below about 1e154, far above
         # any density operator's
         ok = np.isfinite(row_sumsq(out))
@@ -244,8 +248,7 @@ def reconstruct(
     of one raw outer product: each probe vector's components are purely real
     or purely imaginary, so vv* is exactly Hermitian as computed. Every stack
     of verification inputs goes through ``image_stack`` too: one call per
-    stack of at most TRIAL_STACK_ENTRIES entries, so the oracle's
-    ``evaluate_stack`` (or, without one, ``evaluate`` per matrix) sees the
+    stack of at most TRIAL_STACK_ENTRIES entries, so the oracle sees the
     rest of a stack even when an earlier trial in it fails. Each stack is
     scored in one pass: the residuals ||phi(A) - U A U*||_F come from one
     ``row_sumsq``, and the norms ||A||_F of the bound from another, read

@@ -248,6 +248,17 @@ def test_fidelity_huge_non_psd_matrix_file_is_an_input_error(capsys, tmp_path):
     assert err.startswith(f"error: {path}:") and err.rstrip().endswith("below tolerance band")
 
 
+def test_fidelity_tiny_non_psd_matrix_file_is_an_input_error(capsys, tmp_path):
+    """So is 1e-12 diag(1, -0.5): the tolerance band scales with the matrix,
+    so a tiny one is not clipped to 1e-12 diag(1, 0) and scored."""
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"dim": 2, "re": [[1e-12, 0], [0, -0.5e-12]]}))
+    code, out, err = run_cli(["fidelity", "--a", path, "--b", FIXTURES / "diag_05_05.json"],
+                             capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {path}:") and err.rstrip().endswith("below tolerance band")
+
+
 def test_classify_mix_sigma_not_psd_is_an_input_error(capsys, tmp_path):
     """So is a mix spec's sigma grid: unit trace, but an eigenvalue of -0.2."""
     spec = tmp_path / "mix_d2.json"

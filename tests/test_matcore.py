@@ -118,6 +118,22 @@ def test_validate_clips_tolerance_band():
     assert w[0] >= 0.0
 
 
+SCALES = [1e-300, 1e-200, 1e-100, 1e-12, 1e-9, 1.0, 1e9, 1e100, 1e200, 1e300]
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_validate_band_is_relative_at_every_scale(scale):
+    """The band is PSD_TOL times the spectrum's own norm, with no absolute
+    floor: s * diag(1, -0.5) is rejected and the rounding-sized
+    s * diag(1 + 1e-15, -1e-15) is clipped, at every s."""
+    with pytest.raises(NotPositive):
+        validate_density(scale * np.diag([1.0, -0.5]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a = validate_density(scale * np.diag([1.0 + 1e-15, -1e-15]))
+    assert np.linalg.eigvalsh(a.matrix)[0] >= 0.0
+
+
 def test_validate_unit_trace_check():
     with pytest.raises(NotNormalized):
         validate_density(np.diag([0.5, 0.4]), require_unit_trace=True)

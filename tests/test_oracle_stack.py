@@ -343,3 +343,19 @@ def test_an_oracle_without_evaluate_stack_is_read_in_draw_order():
     classify_map(oracle, trials=20)
     drawn = _trial_pairs(np.random.default_rng(0), 3, stack_size(3))[:20].reshape(-1, 3, 3)
     assert seen == first + [x.tobytes() for x in drawn]
+
+
+def test_evaluate_alone_is_read_once_per_row_in_stack_order():
+    """An oracle given by evaluate alone sees one call per matrix, in stack
+    order, and a return that is no DensityOperator turns its row away alone."""
+    seen = []
+
+    def evaluate(a):
+        seen.append(a.trace)
+        return None if len(seen) == 2 else a
+
+    m = np.array([t * np.eye(2, dtype=complex) for t in (1.0, 2.0, 3.0, 4.0)])
+    images, ok = DensityMapOracle(2, evaluate=evaluate).image_stack(m)
+    assert seen == [2.0, 4.0, 6.0, 8.0]
+    assert ok.tolist() == [True, False, True, True]
+    assert np.array_equal(images, np.where(ok[:, None, None], m, 0.0))

@@ -41,7 +41,7 @@ def test_random_density_is_psd_by_construction(d):
             m = a.matrix
             assert np.array_equal(m, m.conj().T), case
             w = np.linalg.eigvalsh(m)[::-1]
-            assert w[-1] >= -PSD_TOL * max(np.linalg.norm(m), 1.0), case
+            assert w[-1] >= -PSD_TOL * np.linalg.norm(m), case
             target = np.trace(raw).real if trace is None else trace
             assert abs(a.trace - target) <= TRACE_TOL, case
             assert a.trace == np.trace(m).real, case
