@@ -143,12 +143,11 @@ def classification_to_dict(report: ClassificationReport) -> dict[str, Any]:
         "worst_violation": json_float(report.worst_violation),
         "trials": report.trials,
         "seed": report.seed,
+        "reconstruction": reconstruction_to_dict(report.reconstruction),
     }
     if report.witness_pair is not None:
         a, b = report.witness_pair
         out["witness_pair"] = {"a": matrix_to_dict(a.matrix), "b": matrix_to_dict(b.matrix)}
-    if report.reconstruction is not None:
-        out["reconstruction"] = reconstruction_to_dict(report.reconstruction)
     return out
 
 

@@ -5,12 +5,15 @@ fidelity and must reconstruct to a certified symmetry; the other half
 (depolarizing, mixing, dephasing, spectral scrambling) must be rejected with
 a concrete witness pair. verify_theorem runs the whole dichotomy.
 
-classify_map reconstructs first. The easy direction of the theorem is exact,
-F(S A, S B) = F(A, B) for a symmetry S, so once a candidate S is certified a
-trial pair is checked by how far its images lie from S's, with the bound of
-violation_bound and no eigendecomposition; only a pair that the bound does
-not settle is scored by fidelity_stack. A map that does not certify is
-scored by fidelity_stack alone.
+classify_map reconstructs first, and calls a map preserving only if that
+reconstruction is certified and no trial pair breaks fidelity by more than
+CLASSIFY_TOL: a bijective fidelity-preserving map is implemented by a unitary
+or antiunitary operator, so a map that reconstruct cannot pin to one is none.
+The easy direction of the theorem is exact, F(S A, S B) = F(A, B) for a
+symmetry S, so once a candidate S is certified a trial pair is checked by how
+far its images lie from S's, with the bound of violation_bound and no
+eigendecomposition; only a pair that the bound does not settle is scored by
+fidelity_stack. A map that does not certify is scored by fidelity_stack alone.
 """
 from __future__ import annotations
 
@@ -82,24 +85,28 @@ class MapSpec:
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    """The verdict of classify_map. ``trials`` counts the trials scored: all
-    of those asked for when the map preserves fidelity, and up to the end of
-    the first block that holds a witness when it is rejected.
+    """The verdict of classify_map: ``preserving`` is ``reconstruction.certified
+    and worst_violation <= CLASSIFY_TOL``, where ``reconstruction`` is always
+    the report of the reconstruct that ran first. A rejection with a
+    ``witness_pair`` was made by that trial pair; one without was made by the
+    reconstruction, whose ``status`` names the stage that failed. ``trials``
+    counts the trials scored: up to the end of the first block that holds a
+    witness, if one does, else all of those asked for.
 
     ``worst_violation`` is the largest violation over the trials scored. A
     pair scores its measured |F(phi A, phi B) - F(A, B)| when the map does
     not certify or when its violation_bound exceeds CLASSIFY_TOL, and that
-    bound otherwise. So for a certified preserving map it is the largest
-    bound (an upper bound on |dF|, not a measured one) unless a pair needed
-    fidelity_stack, and a rejection's is measured, or infinite for an image
-    turned away."""
+    bound otherwise. So for a preserving map, which is certified, it is the
+    largest bound (an upper bound on |dF|, not a measured one) unless a pair
+    needed fidelity_stack, and a rejection's is measured, or infinite for an
+    image turned away."""
 
     preserving: bool
     worst_violation: float
     witness_pair: Optional[tuple[DensityOperator, DensityOperator]]
     trials: int
     seed: int
-    reconstruction: Optional[ReconstructionReport]
+    reconstruction: ReconstructionReport
 
 
 def json_number(data: Mapping[str, Any], key: str, default: Any = None,
@@ -263,7 +270,8 @@ def violation_bound(dim: int, delta: np.ndarray, traces: np.ndarray) -> np.ndarr
 
 def classify_map(oracle: DensityMapOracle, trials: int = 200, seed: int = 0) -> ClassificationReport:
     """Reconstruct the map, then test fidelity preservation on random
-    pairs; a preserving map's report carries the reconstruction.
+    pairs; the map is preserving if the reconstruction, which the report
+    carries, is certified and no pair's violation exceeds ``CLASSIFY_TOL``.
 
     ``reconstruct(oracle, seed=seed)`` runs first, with its own stream
     ``default_rng(seed + 1)``. Trials are then drawn from ``default_rng(seed)``
@@ -289,7 +297,7 @@ def classify_map(oracle: DensityMapOracle, trials: int = 200, seed: int = 0) -> 
     fidelity, so a rejection stops at the end of the first block that holds
     a witness, and the report's ``trials`` counts the trials scored. By the
     prefix property the report then equals that of ``classify_map`` asked
-    for exactly that many trials. A preserving map scores every trial.
+    for exactly that many trials. A map with no witness scores every trial.
     A pair that its bound settles has an exact violation of at most
     CLASSIFY_TOL, so a rejection reports what scoring every pair by
     fidelity_stack reports, witness included.
@@ -326,14 +334,13 @@ def classify_map(oracle: DensityMapOracle, trials: int = 200, seed: int = 0) -> 
         if worst > CLASSIFY_TOL:
             trials = start + len(pairs)
             break
-    preserving = worst <= CLASSIFY_TOL
     return ClassificationReport(
-        preserving=preserving,
+        preserving=report.certified and worst <= CLASSIFY_TOL,
         worst_violation=worst,
-        witness_pair=None if preserving else witness,
+        witness_pair=witness if worst > CLASSIFY_TOL else None,
         trials=trials,
         seed=seed,
-        reconstruction=report if preserving else None,
+        reconstruction=report,
     )
 
 
@@ -356,18 +363,11 @@ def verify_theorem(dim: int, trials: int = 200, seed: int = 0) -> dict[str, Any]
             "preserving": report.preserving,
             "worst_violation": report.worst_violation,
         }
-        if spec.kind in PRESERVING_KINDS:
-            if not (report.preserving and report.reconstruction is not None
-                    and report.reconstruction.certified):
-                raise AssertionFailure(
-                    f"kind {spec.kind!r} (dim {dim}, seed {seed}) should certify but did not"
-                )
+        if report.preserving != (spec.kind in PRESERVING_KINDS):
+            outcome = "be rejected but was not" if report.preserving else "certify but did not"
+            raise AssertionFailure(f"kind {spec.kind!r} (dim {dim}, seed {seed}) should {outcome}")
+        if report.preserving:
             entry["parity"] = report.reconstruction.symmetry.parity
             entry["residual_max"] = report.reconstruction.residual_max
-        else:
-            if report.preserving:
-                raise AssertionFailure(
-                    f"kind {spec.kind!r} (dim {dim}, seed {seed}) should be rejected but was not"
-                )
         results.append(entry)
     return {"dim": dim, "trials": trials, "seed": seed, "results": results}

@@ -398,12 +398,13 @@ def test_a_certified_map_that_breaks_the_trials_is_rejected_as_the_scan_rejects_
     """A certified candidate does not shield a map that departs from it on
     the trials: the bound exceeds CLASSIFY_TOL there, fidelity_stack scores
     the pair, and the report is the one a scan that scores every pair by
-    fidelity gives, witness bytes included; the witness replays."""
+    fidelity gives, witness bytes included; the witness replays. The report
+    keeps the certified reconstruction next to the witness."""
     oracle = depolarized_off_the_probes(d)
     assert reconstruct(oracle).certified
     report = classify_map(oracle, trials=200, seed=0)
     scan, witness, scored = reference_classify(oracle, 200, 0, candidate=False)
-    assert not report.preserving and report.reconstruction is None
+    assert not report.preserving and report.reconstruction.certified
     assert (report.worst_violation, report.trials) == (scan, scored)
     assert report.worst_violation == pytest.approx(worst, abs=1e-12) and scored == trials
     assert witness_bytes(report.witness_pair) == witness_bytes(witness)

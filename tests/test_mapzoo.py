@@ -167,10 +167,12 @@ def nan_image_oracle(d, bad):
 ])
 def test_classify_all_nan_images_is_an_infinite_violation(d, bad):
     """Every image is bad: all-NaN, or any other row of the bad-image table.
-    The witness is the first pair of the first full block."""
+    The witness is the first pair of the first full block, and the report
+    keeps the reconstruction, which the first basis probe rejected."""
     report = classify_map(DensityMapOracle(dim=d, evaluate=bad), trials=10)
     assert not report.preserving and report.worst_violation == math.inf
-    assert report.reconstruction is None
+    assert (report.reconstruction.status, report.reconstruction.probes_used) == (
+        "failed_projection_probe", 1)
     first = _trial_pairs(np.random.default_rng(0), d, stack_size(d))[0]
     assert [x.matrix.tobytes() for x in report.witness_pair] == [
         m.tobytes() for m in first]
