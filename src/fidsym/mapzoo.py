@@ -149,10 +149,8 @@ def make_map(spec: MapSpec, seed: int = 0) -> DensityMapOracle:
     if not isinstance(params, dict) or not set(params) <= set(KIND_PARAMS[kind]):
         raise BadSpec(f"{kind} params must be an object with keys among {KIND_PARAMS[kind]}")
 
-    # Every kind is given only by its action on an (n, d, d) stack, so its
-    # evaluate, the n = 1 case, has the bits of every row of a stack.
     if kind == "identity":
-        return DensityMapOracle.from_stack(d, lambda m: m)
+        return DensityMapOracle(d, lambda m: m)
     if kind in (UNITARY, ANTIUNITARY):
         if "re" in params or "im" in params:
             u = json_grid(params, d, "re", "im")
@@ -163,13 +161,13 @@ def make_map(spec: MapSpec, seed: int = 0) -> DensityMapOracle:
             raise BadSpec("matrix is not unitary")
         return symmetry_oracle(SymmetryOperator(parity=kind, u=u))
     if kind == "transpose":
-        return DensityMapOracle.from_stack(d, lambda m: hermitize_stack(m.swapaxes(-1, -2)))
+        return DensityMapOracle(d, lambda m: hermitize_stack(m.swapaxes(-1, -2)))
     if kind == "depolarizing":
         p = json_number(params, "p", 0.0)
         if not 0.0 <= p <= 1.0:
             raise BadSpec(f"depolarizing p = {p} out of [0, 1]")
         eye = np.eye(d)
-        return DensityMapOracle.from_stack(d, lambda m: hermitize_stack(
+        return DensityMapOracle(d, lambda m: hermitize_stack(
             (1.0 - p) * m + p * _traces(m) * eye / d))
     if kind == "mix":
         p = json_number(params, "p", 0.5)
@@ -181,7 +179,7 @@ def make_map(spec: MapSpec, seed: int = 0) -> DensityMapOracle:
         else:
             rng = np.random.default_rng(json_number(params, "seed", seed, integer=True))
             sigma = random_density(rng, d, trace=1.0)
-        return DensityMapOracle.from_stack(d, lambda m: hermitize_stack(
+        return DensityMapOracle(d, lambda m: hermitize_stack(
             (1.0 - p) * m + p * _traces(m) * sigma.matrix))
     diagonal = (slice(None), *np.diag_indices(d))
     if kind == "dephase":
@@ -190,7 +188,7 @@ def make_map(spec: MapSpec, seed: int = 0) -> DensityMapOracle:
             out[diagonal] = m[diagonal]
             return hermitize_stack(out)
 
-        return DensityMapOracle.from_stack(d, dephase)
+        return DensityMapOracle(d, dephase)
 
     # spectral_scramble, the last kind in KIND_PARAMS
     def scramble(m: np.ndarray) -> np.ndarray:
@@ -198,7 +196,7 @@ def make_map(spec: MapSpec, seed: int = 0) -> DensityMapOracle:
         out[diagonal] = np.clip(eigh_stack(m)[0], 0.0, None)
         return hermitize_stack(out)
 
-    return DensityMapOracle.from_stack(d, scramble)
+    return DensityMapOracle(d, scramble)
 
 
 def _traces(m: np.ndarray) -> np.ndarray:

@@ -1,11 +1,11 @@
 """Reconstruction of the unitary or antiunitary operator behind a black-box
 map on density operators.
 
-The map is probed on d + 2 rank-one projections (the basis states, their
-uniform superposition, one i-superposition), the implementing operator is
-assembled from the basis images with every column's phase fixed by the one
-uniform probe, its parity is classified, and the identity phi(A) = U A U*
-(or U conj(A) U*) is certified on random density operators. Bijectivity of
+The map is probed on d + 2 rank-one projections: (1) the basis states,
+whose images must be orthonormal projections, the columns of a unitary up
+to phases; (2) their uniform superposition, which fixes every phase; (3) an
+i-superposition, which classifies the parity. (4) phi(A) = U A U* (or
+U conj(A) U*) is then certified on random density operators. Bijectivity of
 the map is never assumed; a map that fails any stage, or has an image that
 ``DensityMapOracle.image_stack``, its one reader, turns away, gets a status
 flag, not an exception. An oracle that raises still propagates its
@@ -59,43 +59,41 @@ def _is_numeric_array(m, shape: tuple[int, ...]) -> bool:
 @dataclass(frozen=True)
 class DensityMapOracle:
     """Executable contract of a candidate map: a pure, deterministic function
-    on density operators of a fixed dimension.
+    on density operators of a fixed dimension, given by one action on stacks.
 
-    ``evaluate`` maps one operator to its image. ``evaluate_stack``, when
-    given, maps an (n, dim, dim) array of input matrices to the (n, dim, dim)
-    array of their images in one call, and must agree with ``evaluate`` row by
-    row. ``image_stack`` is the only reader of either, and reads every oracle
-    as a stack."""
+    ``evaluate_stack`` maps an (n, dim, dim) array of input matrices to the
+    (n, dim, dim) array of their images in one call, and returns a fresh
+    array or its input. ``image_stack`` is its only reader, ``evaluate`` its
+    n = 1 case; ``from_evaluate`` adapts a map given one operator at a time."""
 
     dim: int
-    evaluate: Callable[[DensityOperator], DensityOperator]
-    evaluate_stack: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    evaluate_stack: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ValueError(f"oracle dim must be >= 1, got {self.dim}")
 
     @classmethod
-    def from_stack(cls, dim: int, evaluate_stack: Callable[[np.ndarray], np.ndarray]
-                   ) -> "DensityMapOracle":
-        """The oracle of a map given only by its action on stacks, which must
-        return a fresh array or its input; ``evaluate`` is its n = 1 case."""
-        oracle = cls(dim, lambda a: DensityOperator(
-            matrix=freeze(evaluate_stack(a.matrix[None]))[0]))
-        # set after __init__, whose (dim, evaluate) form perfbench/tracer.py wraps
-        object.__setattr__(oracle, "evaluate_stack", evaluate_stack)
-        return oracle
+    def from_evaluate(cls, dim: int, evaluate: Callable[[DensityOperator], DensityOperator]
+                      ) -> "DensityMapOracle":
+        """The oracle of a map given one operator at a time: its stack action
+        calls ``evaluate`` once per row, in stack order, and writes a NaN row
+        for a return that is no DensityOperator with a numeric (dim, dim)
+        matrix."""
 
-    def _evaluate_rows(self, m: np.ndarray) -> np.ndarray:
-        """``evaluate`` as a stack action: one call per row, in stack order,
-        and a NaN row for a return that is no DensityOperator with a numeric
-        (dim, dim) matrix."""
-        out = np.full(m.shape, np.nan, dtype=complex)
-        for k, x in enumerate(m):
-            y = self.evaluate(DensityOperator(matrix=x))
-            if isinstance(y, DensityOperator) and _is_numeric_array(y.matrix, m.shape[1:]):
-                out[k] = y.matrix
-        return out
+        def evaluate_stack(m: np.ndarray) -> np.ndarray:
+            out = np.full(m.shape, np.nan, dtype=complex)
+            for k, x in enumerate(m):
+                y = evaluate(DensityOperator(matrix=x))
+                if isinstance(y, DensityOperator) and _is_numeric_array(y.matrix, m.shape[1:]):
+                    out[k] = y.matrix
+            return out
+
+        return cls(dim, evaluate_stack)
+
+    def evaluate(self, a: DensityOperator) -> DensityOperator:
+        """The image of one operator: the n = 1 case of ``evaluate_stack``."""
+        return DensityOperator(matrix=freeze(self.evaluate_stack(a.matrix[None]))[0])
 
     def image_stack(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The images of a read-only (n, dim, dim) stack of inputs as a complex
@@ -103,13 +101,11 @@ class DensityMapOracle:
         rule for images: a finite (dim, dim) ndarray of bools or numbers, but
         no np.matrix. A row turned away is zero.
 
-        The stack goes to the oracle in one call of its stack action:
-        ``evaluate_stack``, or ``evaluate`` adapted by _evaluate_rows, whose
-        NaN row for a bad return turns that row away alone. The return is
-        tested whole for type, dtype and shape, so a bad one turns the whole
-        stack away; one vectorised test of sum |m_ij|^2 then turns away each
-        non-finite row."""
-        out = (self._evaluate_rows if self.evaluate_stack is None else self.evaluate_stack)(m)
+        The stack goes to the oracle in one call of ``evaluate_stack``. The
+        return is tested whole for type, dtype and shape, so a bad one turns
+        the whole stack away; one vectorised test of sum |m_ij|^2 then turns
+        away each non-finite row, such as a NaN row of ``from_evaluate``."""
+        out = self.evaluate_stack(m)
         if not _is_numeric_array(out, m.shape):
             return np.zeros(m.shape, dtype=complex), np.zeros(len(m), dtype=bool)
         out = np.ascontiguousarray(out, dtype=complex)
@@ -165,7 +161,7 @@ def apply_symmetry(s: SymmetryOperator, a: DensityOperator) -> DensityOperator:
 
 
 def symmetry_oracle(s: SymmetryOperator) -> DensityMapOracle:
-    return DensityMapOracle.from_stack(s.dim, lambda m: apply_symmetry_stack(s, m))
+    return DensityMapOracle(s.dim, lambda m: apply_symmetry_stack(s, m))
 
 
 def symmetry_distance(s1: SymmetryOperator, s2: SymmetryOperator) -> float:
@@ -200,7 +196,7 @@ def extend_normalized(oracle_norm: DensityMapOracle) -> DensityMapOracle:
         inner, ok = oracle_norm.image_stack(freeze(real_divide(a.matrix[None], t)))
         return DensityOperator.from_psd(inner[0] * t) if ok[0] else None
 
-    return DensityMapOracle(dim=oracle_norm.dim, evaluate=evaluate)
+    return DensityMapOracle.from_evaluate(oracle_norm.dim, evaluate)
 
 
 class _Rejected(Exception):
@@ -227,15 +223,17 @@ def reconstruct(
     bijective fidelity-preserving map is A -> U A U* or A -> U conj(A) U*, and
     these probes pin that candidate up to a global phase; verification then
     decides. The basis images give each column U e_j up to a phase, as a unit
-    vector f_j. Since <U e_j, U s> = 1/sqrt(d) is nonzero for every j, the
-    overlaps c = F* y with the image y of s carry every column's phase at
-    once: column j is f_j (c_j/|c_j|)(|c_1|/c_1), an exact unit phase times
-    f_j, and column 1 is f_1 bit for bit. The map is rejected with
-    ``failed_phase`` unless the image of s is a rank-one projection and every
-    |c_j| is within PHASE_FIX_TOL of 1/sqrt(d). A map that is not the
-    candidate, yet passes the probes (a different parity on one block, a
-    transpose of one block), differs from it on a set of positive measure,
-    which the random verification inputs hit. A map that differs only on a
+    vector f_j. U*U has the moduli of their Gram matrix G_ij = <f_i, f_j>, so
+    ``failed_projection_probe`` follows the d basis probes unless
+    ||G - I||_F <= UNITARY_TOL. Since <U e_j, U s> = 1/sqrt(d) is nonzero
+    for every j, the overlaps c = F* y with the image y of s carry every
+    column's phase at once: column j is f_j (c_j/|c_j|)(|c_1|/c_1), an exact
+    unit phase times f_j, and column 1 is f_1 bit for bit. The map is
+    rejected with ``failed_phase`` unless the image of s is a rank-one
+    projection and every |c_j| is within PHASE_FIX_TOL of 1/sqrt(d). A map
+    that is not the candidate, yet passes the probes (a different parity on
+    one block, a transpose of one block), differs from it on a set of
+    positive measure, which the random verification inputs hit. A map that differs only on a
     null set escapes any finite schedule of probes. ``seed`` only selects the
     verification draws, through ``default_rng(seed + 1)``: first all
     ``verification_trials`` traces and then all ranks, in one
@@ -279,12 +277,11 @@ def reconstruct(
         return pure_state(x).amplitudes
 
     try:
-        # (1) Basis probes: images must be rank-one projections with the same
-        # pairwise transition probabilities as the inputs (zero).
+        # (1) Basis probes: images must be rank-one projections f_j f_j* with
+        # ||G - I||_F <= UNITARY_TOL for G_ij = <f_i, f_j>: U*U has G's moduli.
         f = np.array([probe(e, STATUS_FAILED_PROJECTION_PROBE)
                       for e in np.eye(d, dtype=complex)])
-        overlaps = np.abs(f.conj() @ f.T) ** 2
-        if np.any(np.triu(overlaps, k=1) > PROBE_TOL):
+        if np.linalg.norm(f.conj() @ f.T - np.eye(d)) > UNITARY_TOL:
             raise _Rejected(STATUS_FAILED_PROJECTION_PROBE)
 
         # (2) Phase fixing: one probe of s = (e_1 + ... + e_d)/sqrt(d) pins
@@ -315,11 +312,6 @@ def reconstruct(
             parity = UNITARY if ov_u >= ov_a else ANTIUNITARY
             margin = abs(ov_u - ov_a)
         # d = 1: the two parities coincide on 1x1 matrices; unitary by convention.
-
-        # (4) Assemble U with columns f_j and verify unitarity.
-        u = f.T.copy()
-        if np.linalg.norm(u.conj().T @ u - np.eye(d)) > UNITARY_TOL:
-            raise _Rejected(STATUS_FAILED_PHASE, margin=margin)
     except _Rejected as rejection:
         return ReconstructionReport(
             symmetry=None,
@@ -329,9 +321,9 @@ def reconstruct(
             parity_margin=rejection.margin,
             status=rejection.status,
         )
-    symmetry = SymmetryOperator(parity=parity, u=u)
+    symmetry = SymmetryOperator(parity=parity, u=f.T.copy())
 
-    # (5) Verification on random density operators of mixed rank and trace.
+    # (4) Verification on random density operators of mixed rank and trace.
     # All traces and ranks are drawn first; each stack of at most
     # TRIAL_STACK_ENTRIES entries then takes one density_stack draw, is mapped
     # in one image_stack call and scored in one pass. Stacks are drawn lazily,

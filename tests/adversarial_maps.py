@@ -9,6 +9,15 @@ The rows:
 - every zoo kind at d = 3 and d = 8;
 - the null-set break at d = 3 and d = 8: the identity except at e_1 e_1*,
   which no trial pair hits and the basis probes do;
+- the near-orthogonal break at d = 2: the identity except that e_2 e_2*
+  goes to vv*, v = (3e-8 e_1 + e_2)/||.||, whose basis images overlap too
+  much to make U unitary;
+- probe-evading maps at d = 3 and d = 8, for a Haar symmetry S of each
+  parity with U drawn from default_rng(d + 40): S after a block conjugate
+  or a block transpose, which pass every probe and fail verification, and
+  S after a Schur phase multiplier, which fails the phase probe; and the
+  identity on rank one and the transpose above it, which passes every
+  probe and fails verification;
 - group closure: S_2 S_1 for two Haar symmetries of each parity pair, a
   symmetry of the product parity implemented by U_2 U_1, or by
   U_2 conj(U_1) when S_2 is antiunitary; classified at d = 2 and d = 8,
@@ -16,22 +25,27 @@ The rows:
   classification there;
 - Bloch-ball rows at d = 2, A = (t/2)(I + r.sigma) -> (t/2)(I + R r.sigma)
   for seeded R in O(3), built from R and not from a unitary: a symmetry,
-  antiunitary exactly when det R = -1 (seeds 4 and 5 of 0..5); and the
-  shrink 0.9 R, which sends pure states to mixed ones.
+  antiunitary exactly when det R = -1 (seeds 4 and 5 of 0..5); the
+  shrink 0.9 R, which sends pure states to mixed ones; and the radial warp
+  r -> |r| r, which keeps every pure state and moves the mixed ones.
 """
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from fidsym.charact import numerical_rank
 from fidsym.mapzoo import PRESERVING_KINDS, make_map, zoo_specs
+from fidsym.matcore import DensityOperator
 from fidsym.sampling import haar_unitary
 from fidsym.wigner import (
     ANTIUNITARY,
     STATUS_CERTIFIED,
     STATUS_FAILED_PHASE,
     STATUS_FAILED_PROJECTION_PROBE,
+    STATUS_FAILED_VERIFICATION,
     UNITARY,
     DensityMapOracle,
     SymmetryOperator,
@@ -79,19 +93,84 @@ def zoo_rows(d: int) -> dict[str, Row]:
     }
 
 
-def null_set_break(d: int) -> DensityMapOracle:
-    """The identity, except that e_1 e_1* goes to e_2 e_2*: a trial input is
-    e_1 e_1* with probability 0, so no trial pair breaks fidelity, while the
-    basis probes find two equal columns."""
-    e11, e22 = np.zeros((2, d, d), dtype=complex)
-    e11[0, 0] = e22[1, 1] = 1.0
+def moved_at(x: np.ndarray, y: np.ndarray) -> DensityMapOracle:
+    """The identity, except that the input x goes to y: a trial input is x
+    with probability 0, so no trial pair breaks fidelity."""
 
     def act(m: np.ndarray) -> np.ndarray:
         out = m.copy()
-        out[np.all(m == e11, axis=(-2, -1))] = e22
+        out[np.all(m == x, axis=(-2, -1))] = y
         return out
 
-    return DensityMapOracle.from_stack(d, act)
+    return DensityMapOracle(len(x), act)
+
+
+def null_set_break(d: int) -> DensityMapOracle:
+    """The identity, except that e_1 e_1* goes to e_2 e_2*: the basis probes
+    find two equal columns."""
+    e11, e22 = np.zeros((2, d, d), dtype=complex)
+    e11[0, 0] = e22[1, 1] = 1.0
+    return moved_at(e11, e22)
+
+
+def near_orthogonal_break() -> DensityMapOracle:
+    """The identity at d = 2, except that e_2 e_2* goes to vv* for
+    v = (3e-8 e_1 + e_2)/||.||: its overlap with the basis image e_1 is far
+    within every probe's tolerance, yet ||G - I||_F = 4.2e-8 for the Gram
+    matrix G of the basis images, above UNITARY_TOL, so no unitary has
+    these columns."""
+    v = np.array([3e-8, 1.0]) / math.hypot(3e-8, 1.0)
+    return moved_at(np.diag([0.0, 1.0]).astype(complex), np.outer(v, v).astype(complex))
+
+
+def block_conjugate(m: np.ndarray) -> np.ndarray:
+    """Conjugate (for a Hermitian matrix, transpose) the block on e_2..e_d of
+    every matrix of an (n, d, d) stack."""
+    out = m.copy()
+    out[:, 1:, 1:] = m[:, 1:, 1:].conj()
+    return out
+
+
+def block_transpose(m: np.ndarray) -> np.ndarray:
+    """Transpose the two off-diagonal blocks between e_1 and e_2..e_d of every
+    matrix of an (n, d, d) stack."""
+    out = m.copy()
+    out[:, 0, 1:] = m[:, 1:, 0]
+    out[:, 1:, 0] = m[:, 0, 1:]
+    return out
+
+
+def schur_phase(d: int) -> Callable[[np.ndarray], np.ndarray]:
+    """M -> S o M with S_jk = exp(i theta_jk), theta antisymmetric and not of
+    the form t_j - t_k, so that S o M is no diagonal-unitary conjugation."""
+    theta = np.triu(np.random.default_rng(d).uniform(0.0, 2.0 * np.pi, (d, d)), k=1)
+    s = np.exp(1j * (theta - theta.T))
+    return lambda m: s * m
+
+
+# The inner maps of probe_evading, each built from d.
+EVADERS = {
+    "block_conjugate": lambda d: block_conjugate,
+    "block_transpose": lambda d: block_transpose,
+    "schur_phase": schur_phase,
+}
+
+
+def probe_evading(family: str, d: int, parity: str) -> DensityMapOracle:
+    """A -> S(inner(A)) for the inner map EVADERS[family] and the Haar
+    symmetry S of the given parity with U drawn from default_rng(d + 40):
+    equal to S on every real probe, and different from it on a set of
+    positive measure."""
+    truth = SymmetryOperator(parity=parity, u=haar_unitary(np.random.default_rng(d + 40), d))
+    inner = EVADERS[family](d)
+    return DensityMapOracle(d, lambda m: apply_symmetry_stack(truth, inner(m)))
+
+
+def rank_one_identity(d: int) -> DensityMapOracle:
+    """The identity on rank-one inputs, the transpose on the rest: every probe
+    passes, and the first verification input of rank >= 2 fails."""
+    return DensityMapOracle(d, lambda m: np.stack(
+        [x if numerical_rank(DensityOperator(matrix=x)) == 1 else x.T for x in m]))
 
 
 def closure_row(d: int, p1: str, p2: str, verdict: Optional[str]) -> Row:
@@ -99,7 +178,7 @@ def closure_row(d: int, p1: str, p2: str, verdict: Optional[str]) -> Row:
     rng = np.random.default_rng(d)
     s1, s2 = (SymmetryOperator(parity=p, u=haar_unitary(rng, d)) for p in (p1, p2))
     u = s2.u @ (s1.u.conj() if p2 == ANTIUNITARY else s1.u)
-    return Row(lambda: DensityMapOracle.from_stack(
+    return Row(lambda: DensityMapOracle(
         d, lambda m: apply_symmetry_stack(s2, apply_symmetry_stack(s1, m))),
         verdict, STATUS_CERTIFIED, d + 2 + VERIFICATION_TRIALS,
         UNITARY if p1 == p2 else ANTIUNITARY, u)
@@ -114,15 +193,27 @@ def seeded_o3(seed: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def bloch_map(r: np.ndarray) -> DensityMapOracle:
-    """(t/2)(I + b.sigma) -> (t/2)(I + (r b).sigma) at d = 2, with t b_k =
-    tr(sigma_k A) read off each input."""
+def bloch_oracle(move: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> DensityMapOracle:
+    """(t/2)(I + b.sigma) -> (t/2)(I + b'.sigma) at d = 2, with t b' =
+    move(t b, t) for the (n, 3) stack of t b_k = tr(sigma_k A) read off each
+    input and the (n,) stack of its traces t."""
     def act(m: np.ndarray) -> np.ndarray:
         t = np.trace(m, axis1=-2, axis2=-1).real
         b = np.einsum("kij,nji->nk", PAULI, m).real
-        return 0.5 * (t[:, None, None] * np.eye(2) + np.einsum("nk,kij->nij", b @ r.T, PAULI))
+        return 0.5 * (t[:, None, None] * np.eye(2) + np.einsum("nk,kij->nij", move(b, t), PAULI))
 
-    return DensityMapOracle.from_stack(2, act)
+    return DensityMapOracle(2, act)
+
+
+def bloch_map(r: np.ndarray) -> DensityMapOracle:
+    """b -> r b on the Bloch vector."""
+    return bloch_oracle(lambda b, t: b @ r.T)
+
+
+def radial_warp() -> DensityMapOracle:
+    """b -> |b| b on the Bloch vector: a pure state, |b| = 1, keeps its
+    image, and a mixed one moves toward the centre."""
+    return bloch_oracle(lambda b, t: b * (np.linalg.norm(b, axis=1) / t)[:, None])
 
 
 def bloch_row(r: np.ndarray) -> Row:
@@ -140,9 +231,20 @@ ADVERSARIAL_MAPS = {
     **{f"null-set-d{d}": Row(functools.partial(null_set_break, d), RECONSTRUCTION,
                              STATUS_FAILED_PROJECTION_PROBE, d)
        for d in (3, 8)},
+    "near-orthogonal-d2": Row(near_orthogonal_break, RECONSTRUCTION,
+                              STATUS_FAILED_PROJECTION_PROBE, 2),
+    **{f"{family}-{parity}-d{d}": Row(
+        functools.partial(probe_evading, family, d, parity), WITNESS,
+        *((STATUS_FAILED_PHASE, d + 1) if family == "schur_phase" else
+          (STATUS_FAILED_VERIFICATION, d + 3)))
+       for d in (3, 8) for parity in PARITIES for family in EVADERS},
+    **{f"rank-one-identity-d{d}": Row(functools.partial(rank_one_identity, d), WITNESS,
+                                      STATUS_FAILED_VERIFICATION, d + 3)
+       for d in (3, 8)},
     **{f"closure-{p2}-{p1}-d{d}": closure_row(d, p1, p2, PRESERVING if d < 64 else None)
        for d in (2, 8, 64) for p1 in PARITIES for p2 in PARITIES},
     **{f"bloch-{seed}": bloch_row(seeded_o3(seed)) for seed in range(6)},
     "bloch-shrink": Row(functools.partial(bloch_map, 0.9 * seeded_o3(0)), WITNESS,
                         STATUS_FAILED_PROJECTION_PROBE, 1),
+    "bloch-radial-warp": Row(radial_warp, WITNESS, STATUS_FAILED_VERIFICATION, 6),
 }

@@ -180,7 +180,7 @@ def test_criterion_7_normalized_extension():
         assert abs(a.trace - 1.0) <= 1e-6
         return apply_symmetry(truth, a)
 
-    extended = extend_normalized(DensityMapOracle(dim=d, evaluate=restricted))
+    extended = extend_normalized(DensityMapOracle.from_evaluate(d, restricted))
     rep_ext = reconstruct(extended)
     rep_full = reconstruct(symmetry_oracle(truth))
     ok = rep_ext.certified and rep_full.certified

@@ -117,7 +117,7 @@ def test_turned_away_images_classify_to_strict_json(tmp_path):
     """An oracle whose images are all turned away has an infinite worst
     violation, written as null; write_report refuses any other non-finite
     number rather than write Infinity or NaN."""
-    report = classify_map(DensityMapOracle(dim=2, evaluate=lambda a: DensityOperator(
+    report = classify_map(DensityMapOracle.from_evaluate(2, lambda a: DensityOperator(
         matrix=np.full((2, 2), np.nan + 0j))), trials=10)
     out_file = tmp_path / "c.json"
     write_report(str(out_file), {"report": classification_to_dict(report)})

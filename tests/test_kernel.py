@@ -388,7 +388,7 @@ def depolarized_off_the_probes(d):
         out[hit] = 0.5 * m[hit] + 0.5 * t[hit, None, None] * np.eye(d) / d
         return out
 
-    return DensityMapOracle.from_stack(d, evaluate_stack)
+    return DensityMapOracle(d, evaluate_stack)
 
 
 @pytest.mark.parametrize("d, worst, trials", [(3, 5 / 6, 113), (4, (1 + 5 ** 0.5) / 4, 64),
@@ -566,7 +566,7 @@ def test_extend_normalized_at_subnormal_trace():
         seen.append(m.copy())
         return m
 
-    extended = extend_normalized(DensityMapOracle.from_stack(2, identity))
+    extended = extend_normalized(DensityMapOracle(2, identity))
     for s in (1e-310, 5e-324):
         a = DensityOperator.from_psd(np.diag([s, 0.0]))
         image = extended.evaluate(a)
@@ -607,7 +607,7 @@ def test_extend_normalized_divides_as_the_division_formula():
         seen.append(m.copy())
         return m
 
-    extended = extend_normalized(DensityMapOracle.from_stack(3, identity))
+    extended = extend_normalized(DensityMapOracle(3, identity))
     rng = np.random.default_rng(5)
     for scale in (1.0, 2.0, 0.3, 1e-12, 1e12):
         a = from_psd_stack(random_density(rng, 3).matrix[None] * scale)[0]

@@ -157,7 +157,7 @@ def test_verify_theorem_rejects_d1():
 def nan_image_oracle(d, bad):
     """Identity, except that an input ``bad`` picks goes to an all-NaN image."""
     nan = np.full((d, d), np.nan, dtype=complex)
-    return DensityMapOracle(dim=d, evaluate=lambda a: DensityOperator(matrix=nan) if bad(a) else a)
+    return DensityMapOracle.from_evaluate(d, lambda a: DensityOperator(matrix=nan) if bad(a) else a)
 
 
 @pytest.mark.parametrize("d, bad", [
@@ -169,7 +169,7 @@ def test_classify_all_nan_images_is_an_infinite_violation(d, bad):
     """Every image is bad: all-NaN, or any other row of the bad-image table.
     The witness is the first pair of the first full block, and the report
     keeps the reconstruction, which the first basis probe rejected."""
-    report = classify_map(DensityMapOracle(dim=d, evaluate=bad), trials=10)
+    report = classify_map(DensityMapOracle.from_evaluate(d, bad), trials=10)
     assert not report.preserving and report.worst_violation == math.inf
     assert (report.reconstruction.status, report.reconstruction.probes_used) == (
         "failed_projection_probe", 1)
@@ -203,7 +203,7 @@ def test_classify_images_of_mixed_shapes_are_an_infinite_violation():
     def rank_one(m):
         return np.linalg.matrix_rank(m) == 1
 
-    oracle = DensityMapOracle(dim=d, evaluate=lambda a: (
+    oracle = DensityMapOracle.from_evaluate(d, lambda a: (
         DensityOperator.from_psd(v @ a.matrix @ v.T) if rank_one(a.matrix) else a))
     report = classify_map(oracle, trials=20, seed=8)
     assert not report.preserving and report.worst_violation == math.inf
@@ -368,10 +368,10 @@ def test_trial_pairs_kind_shares():
 
 
 def counting_oracle(base):
-    """``base`` read through a from_stack wrapper that keeps a copy of every
+    """``base`` read through a stack-action wrapper that keeps a copy of every
     stack it is handed, in the list it returns alongside."""
     calls = []
-    oracle = DensityMapOracle.from_stack(
+    oracle = DensityMapOracle(
         base.dim, lambda m: calls.append(m.copy()) or base.evaluate_stack(m))
     return calls, oracle
 

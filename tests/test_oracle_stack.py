@@ -3,6 +3,7 @@ of its evaluate and of the per-matrix map it replaced, image_stack applies
 the image rule once per stack and once per row, and classify_map and
 reconstruct hand the oracle bounded stacks, stop at the first failing one,
 and count probes as a one-matrix-at-a-time loop does."""
+import dataclasses
 import json
 import math
 import warnings
@@ -100,10 +101,10 @@ def test_evaluate_stack_has_the_bits_of_evaluate_and_the_per_matrix_map(kind, d,
 # evaluate, and every bad stack return as an evaluate_stack.
 IMAGE_ORACLES = {
     **{kind: lambda kind=kind: oracle_of(kind, 3) for kind in KINDS},
-    **{f"image-{name}": lambda bad=bad: DensityMapOracle(dim=3, evaluate=bad)
+    **{f"image-{name}": lambda bad=bad: DensityMapOracle.from_evaluate(3, bad)
        for name, bad in BAD_IMAGES.items()},
-    **{f"stack-{name}": lambda bad=bad: DensityMapOracle(
-        dim=3, evaluate=lambda a: a, evaluate_stack=bad) for name, bad in BAD_STACKS.items()},
+    **{f"stack-{name}": lambda bad=bad: DensityMapOracle(3, bad)
+       for name, bad in BAD_STACKS.items()},
 }
 
 
@@ -128,7 +129,7 @@ def test_a_kind_reports_the_same_bytes_through_evaluate_alone(kind, d):
     """Read a matrix at a time through its evaluate, each zoo kind gives the
     classify_map and reconstruct reports it gives read through evaluate_stack."""
     oracle = oracle_of(kind, d)
-    plain = DensityMapOracle(d, evaluate=oracle.evaluate)
+    plain = DensityMapOracle.from_evaluate(d, oracle.evaluate)
     for tool, to_dict in ((classify_map, classification_to_dict),
                           (reconstruct, reconstruction_to_dict)):
         assert json.dumps(to_dict(tool(oracle))) == json.dumps(to_dict(tool(plain)))
@@ -150,7 +151,7 @@ def identity_with_bad_rows(bad, where):
                 out[k] = BAD_IMAGES[bad](DensityOperator(matrix=x)).matrix
         return out
 
-    return DensityMapOracle.from_stack(3, evaluate_stack)
+    return DensityMapOracle(3, evaluate_stack)
 
 
 @pytest.mark.parametrize("bad", ROW_BAD)
@@ -191,12 +192,11 @@ def test_reconstruct_fails_verification_on_a_bad_row(bad):
 
 @pytest.mark.parametrize("bad", BAD_STACKS)
 def test_a_bad_stack_return_turns_the_whole_stack_away(bad):
-    """An oracle whose evaluate is the identity and whose evaluate_stack
-    returns a bad whole: every row is turned away, with no traceback, so
-    classify_map's first pair, the first of a full block, is its witness and
-    reconstruct rejects its first probe, which is read through the same
-    evaluate_stack, not through the identity evaluate."""
-    oracle = DensityMapOracle(dim=3, evaluate=lambda a: a, evaluate_stack=BAD_STACKS[bad])
+    """An oracle whose stack action returns a bad whole: every row is turned
+    away, with no traceback, so classify_map's first pair, the first of a
+    full block, is its witness and reconstruct rejects its first probe, which
+    is read through the same stack action."""
+    oracle = DensityMapOracle(3, BAD_STACKS[bad])
     stack = _trial_pairs(np.random.default_rng(0), 3, 4).reshape(-1, 3, 3)
     images, ok = oracle.image_stack(stack)
     assert images.shape == stack.shape and not images.any() and not ok.any()
@@ -217,7 +217,7 @@ def test_a_non_psd_image_is_rejected_with_a_finite_violation(image):
     scales by the largest |entry| and |eigenvalue|, so the scores stay finite
     and no overflow warns."""
     m = np.array(image, dtype=complex)
-    oracle = DensityMapOracle.from_stack(2, lambda a: np.broadcast_to(m, a.shape).copy())
+    oracle = DensityMapOracle(2, lambda a: np.broadcast_to(m, a.shape).copy())
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         report = classify_map(oracle, trials=10)
@@ -236,10 +236,10 @@ def transposing_trial(trial, d, stacked, calls):
         return x.T if x.tobytes() == target else x
 
     if stacked:
-        return DensityMapOracle.from_stack(
+        return DensityMapOracle(
             d, lambda m: calls.append(len(m)) or np.stack([one(x) for x in m]))
-    return DensityMapOracle(
-        dim=d, evaluate=lambda a: calls.append(1) or DensityOperator(matrix=one(a.matrix)))
+    return DensityMapOracle.from_evaluate(
+        d, lambda a: calls.append(1) or DensityOperator(matrix=one(a.matrix)))
 
 
 @pytest.mark.parametrize("stacked", [True, False], ids=["stacked", "per_matrix"])
@@ -270,7 +270,7 @@ def test_residual_max_is_the_largest_row_norm_up_to_the_failure(trial):
     d = 8
     inputs = reference_verification_inputs(0, d, 64)
     late = {x.tobytes() for x in inputs[trial - 1:]}
-    report = reconstruct(DensityMapOracle.from_stack(
+    report = reconstruct(DensityMapOracle(
         d, lambda m: np.stack([x.T if x.tobytes() in late else x for x in m])))
     assert report.status == STATUS_FAILED_VERIFICATION
     assert report.probes_used == d + 2 + trial
@@ -287,7 +287,7 @@ def test_verification_inputs_match_reference_bit_for_bit(d, trials):
     """A recording identity oracle sees the reference verification inputs,
     in stacks of stack_size(d) after the probes' stacks of one."""
     seen = []
-    oracle = DensityMapOracle.from_stack(d, lambda m: seen.append(m.copy()) or m.copy())
+    oracle = DensityMapOracle(d, lambda m: seen.append(m.copy()) or m.copy())
     report = reconstruct(oracle, verification_trials=trials)
     assert report.certified
     probes = 1 if d == 1 else d + 2
@@ -316,7 +316,7 @@ def test_stacks_stay_within_trial_stack_entries(d):
     calls = []
     inner = symmetry_oracle(SymmetryOperator(
         parity=UNITARY, u=haar_unitary(np.random.default_rng(d), d)))
-    oracle = DensityMapOracle.from_stack(
+    oracle = DensityMapOracle(
         d, lambda m: calls.append(len(m)) or inner.evaluate_stack(m))
     assert reconstruct(oracle).certified
     size = stack_size(d)
@@ -331,11 +331,11 @@ def test_stacks_stay_within_trial_stack_entries(d):
 
 
 def test_an_oracle_without_evaluate_stack_is_read_in_draw_order():
-    """classify_map reads the identity, through evaluate alone, first as
-    reconstruct does, d + 2 probes and 64 verification inputs, then one trial
-    input at a time in draw order."""
+    """classify_map reads the identity, given one operator at a time through
+    from_evaluate, first as reconstruct does, d + 2 probes and 64
+    verification inputs, then one trial input at a time in draw order."""
     seen = []
-    oracle = DensityMapOracle(dim=3, evaluate=lambda a: seen.append(a.matrix.tobytes()) or a)
+    oracle = DensityMapOracle.from_evaluate(3, lambda a: seen.append(a.matrix.tobytes()) or a)
     assert reconstruct(oracle).certified
     first = seen.copy()
     assert len(first) == 3 + 2 + 64
@@ -355,7 +355,23 @@ def test_evaluate_alone_is_read_once_per_row_in_stack_order():
         return None if len(seen) == 2 else a
 
     m = np.array([t * np.eye(2, dtype=complex) for t in (1.0, 2.0, 3.0, 4.0)])
-    images, ok = DensityMapOracle(2, evaluate=evaluate).image_stack(m)
+    images, ok = DensityMapOracle.from_evaluate(2, evaluate).image_stack(m)
     assert seen == [2.0, 4.0, 6.0, 8.0]
     assert ok.tolist() == [True, False, True, True]
     assert np.array_equal(images, np.where(ok[:, None, None], m, 0.0))
+
+
+def test_an_oracle_is_its_dim_and_one_stack_action():
+    assert [f.name for f in dataclasses.fields(DensityMapOracle)] == ["dim", "evaluate_stack"]
+
+
+def test_evaluate_of_a_from_evaluate_oracle_is_its_stack_row():
+    """evaluate is the n = 1 case of the stack action, for an adapted map as
+    for any: a read-only complex copy of the function's image, or the NaN
+    matrix for a return that is no DensityOperator."""
+    a = DensityOperator(matrix=np.diag([0.25, 0.75]))
+    image = DensityMapOracle.from_evaluate(2, lambda x: a).evaluate(a)
+    assert image.matrix is not a.matrix and image.matrix.dtype == complex
+    assert image.matrix.tobytes() == a.matrix.astype(complex).tobytes()
+    assert not image.matrix.flags.writeable
+    assert np.isnan(DensityMapOracle.from_evaluate(2, lambda x: None).evaluate(a).matrix).all()

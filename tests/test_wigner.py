@@ -5,6 +5,7 @@ import tempfile
 
 import numpy as np
 import pytest
+from adversarial_maps import probe_evading, rank_one_identity
 from bad_images import BAD_IMAGES
 from trial_reference import reference_verification_inputs
 
@@ -39,12 +40,12 @@ from fidsym.wigner import (
 
 
 def identity_oracle(d):
-    return DensityMapOracle(dim=d, evaluate=lambda a: a)
+    return DensityMapOracle.from_evaluate(d, lambda a: a)
 
 
 def transpose_oracle(d):
-    return DensityMapOracle(
-        dim=d, evaluate=lambda a: DensityOperator.from_psd(a.matrix.T)
+    return DensityMapOracle.from_evaluate(
+        d, lambda a: DensityOperator.from_psd(a.matrix.T)
     )
 
 
@@ -163,7 +164,7 @@ def test_extend_normalized_homogeneity():
         assert abs(a.trace - 1.0) <= 1e-9
         return a
 
-    extended = extend_normalized(DensityMapOracle(dim=d, evaluate=norm_only))
+    extended = extend_normalized(DensityMapOracle.from_evaluate(d, norm_only))
     zero = validate_density(np.zeros((d, d)))
     assert extended.evaluate(zero).trace == 0.0
     rho = validate_density(np.diag([0.7, 0.3]))
@@ -178,20 +179,21 @@ def recording_transpose(seen):
         seen.append(np.trace(a.matrix).real)
         return DensityOperator.from_psd(a.matrix.T)
 
-    return DensityMapOracle(dim=2, evaluate=evaluate)
+    return DensityMapOracle.from_evaluate(2, evaluate)
 
 
 def test_extend_normalized_branches_on_the_matrix_trace():
     """0 -> 0 is decided on the trace of the matrix: a projection built
-    directly is mapped, and a zero matrix built directly is 0 without
-    calling the inner map."""
+    directly is mapped, and a zero matrix built directly goes to the zero
+    matrix without calling the inner map."""
     seen = []
     extended = extend_normalized(recording_transpose(seen))
     p = pure_state([1.0, 1j]).projection().matrix
     image = extended.evaluate(DensityOperator(matrix=p))
     assert np.allclose(image.matrix, p.T) and abs(image.trace - 1.0) <= 1e-12
     zero = DensityOperator(matrix=np.zeros((2, 2), dtype=complex))
-    assert extended.evaluate(zero) is zero
+    image = extended.evaluate(zero)
+    assert image.trace == 0.0 and image.matrix.tobytes() == zero.matrix.tobytes()
     assert len(seen) == 1
 
 
@@ -210,7 +212,7 @@ def test_extend_normalized_divides_by_the_matrix_trace():
 def test_extend_normalized_over_a_bad_oracle_is_rejected(bad):
     """The inner map's image is read through DensityMapOracle.image_stack, so
     a NaN or 3 x 4 one is turned away, as a NaN image of the extension is."""
-    extended = extend_normalized(DensityMapOracle(dim=3, evaluate=BAD_IMAGES[bad]))
+    extended = extend_normalized(DensityMapOracle.from_evaluate(3, BAD_IMAGES[bad]))
     report = reconstruct(extended)
     assert report.status == STATUS_FAILED_PROJECTION_PROBE
     assert report.probes_used == 1
@@ -243,7 +245,7 @@ def test_extend_normalized_feeds_reconstruct():
         assert abs(a.trace - 1.0) <= 1e-9
         return apply_symmetry(truth, a)
 
-    extended = extend_normalized(DensityMapOracle(dim=3, evaluate=restricted))
+    extended = extend_normalized(DensityMapOracle.from_evaluate(3, restricted))
     report = reconstruct(extended)
     assert report.certified
     assert symmetry_distance(report.symmetry, truth) <= 1e-8
@@ -267,17 +269,8 @@ def parity_breaking_oracle(d):
     v[0], v[1] = 1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0)
     probe = np.outer(v, v.conj())
     e1 = validate_density(np.diag([1.0] + [0.0] * (d - 1)))
-    return DensityMapOracle(
-        dim=d, evaluate=lambda a: e1 if np.allclose(a.matrix, probe) else a
-    )
-
-
-def rank_one_identity_oracle(d):
-    """Identity on rank-one inputs, transpose on the rest: every probe
-    passes, and the first verification trial of rank >= 2 fails."""
-    return DensityMapOracle(
-        dim=d,
-        evaluate=lambda a: a if numerical_rank(a) == 1 else DensityOperator.from_psd(a.matrix.T),
+    return DensityMapOracle.from_evaluate(
+        d, lambda a: e1 if np.allclose(a.matrix, probe) else a
     )
 
 
@@ -293,7 +286,7 @@ STATUS_CASES = {
         lambda d: make_map(MapSpec(kind="dephase", dim=d)), STATUS_FAILED_PHASE, 4, 0.0,
     ),
     "parity": (parity_breaking_oracle, STATUS_FAILED_PARITY, 5, 0.0),
-    "verification": (rank_one_identity_oracle, STATUS_FAILED_VERIFICATION, 6, 1.0),
+    "verification": (rank_one_identity, STATUS_FAILED_VERIFICATION, 6, 1.0),
 }
 
 
@@ -305,7 +298,7 @@ def test_image_is_the_only_route_to_the_oracle(case, tool, monkeypatch):
     stack order."""
     inner = STATUS_CASES[case][0](3)
     evaluated, rows = [], []
-    oracle = DensityMapOracle(dim=3, evaluate=lambda a: evaluated.append(a) or inner.evaluate(a))
+    oracle = DensityMapOracle.from_evaluate(3, lambda a: evaluated.append(a) or inner.evaluate(a))
     image_stack = DensityMapOracle.image_stack
     monkeypatch.setattr(DensityMapOracle, "image_stack",
                         lambda self, m: rows.extend(m) or image_stack(self, m))
@@ -322,7 +315,7 @@ def test_non_psd_basis_images_fail_the_first_probe():
     """A -> A - 0.1 (tr A I - 2 diag A) at d = 2 sends e_1 e_1* to
     diag(1.1, -0.1): unit trace, one positive eigenvalue, but rank two, so
     the first basis probe rejects it."""
-    oracle = DensityMapOracle.from_stack(2, lambda m: m - 0.1 * (
+    oracle = DensityMapOracle(2, lambda m: m - 0.1 * (
         np.trace(m, axis1=-2, axis2=-1)[:, None, None] * np.eye(2) - 2.0 * np.eye(2) * m))
     report = reconstruct(oracle)
     assert report.status == STATUS_FAILED_PROJECTION_PROBE
@@ -340,10 +333,10 @@ def test_the_oracle_receives_read_only_hermitian_matrices(case, d, stacked):
     inner = STATUS_CASES[case][0](d)
     seen = []
     if stacked:
-        oracle = DensityMapOracle.from_stack(d, lambda m: seen.extend(m) or np.stack(
+        oracle = DensityMapOracle(d, lambda m: seen.extend(m) or np.stack(
             [inner.evaluate(DensityOperator(matrix=x)).matrix for x in m]))
     else:
-        oracle = DensityMapOracle(dim=d, evaluate=lambda a: seen.append(a.matrix)
+        oracle = DensityMapOracle.from_evaluate(d, lambda a: seen.append(a.matrix)
                                   or inner.evaluate(a))
     report = reconstruct(oracle)
     assert len(seen) >= report.probes_used > 0
@@ -375,28 +368,28 @@ def embedding_oracle(d):
     """A -> VAV* for an isometry V of shape (d + 1) x d: every probe image is
     a rank-one projection, one dimension too large."""
     v = haar_unitary(np.random.default_rng(d), d + 1)[:, :d]
-    return DensityMapOracle(
-        dim=d, evaluate=lambda a: DensityOperator.from_psd(v @ a.matrix @ v.conj().T)
+    return DensityMapOracle.from_evaluate(
+        d, lambda a: DensityOperator.from_psd(v @ a.matrix @ v.conj().T)
     )
 
 
 def constant_oracle_2x2():
     """A d = 1 oracle whose every image is the 2 x 2 projection onto e_1."""
     e1 = validate_density(np.diag([1.0, 0.0]))
-    return DensityMapOracle(dim=1, evaluate=lambda a: e1)
+    return DensityMapOracle.from_evaluate(1, lambda a: e1)
 
 
 def tiny_projection_oracle(d):
     """Images 1e-9 vv* for the input vv*, built directly."""
-    return DensityMapOracle(
-        dim=d, evaluate=lambda a: DensityOperator(matrix=1e-9 * a.matrix)
+    return DensityMapOracle.from_evaluate(
+        d, lambda a: DensityOperator(matrix=1e-9 * a.matrix)
     )
 
 
 @pytest.mark.parametrize("oracle", [
     embedding_oracle(1), embedding_oracle(2), embedding_oracle(3),
     constant_oracle_2x2(), tiny_projection_oracle(1), tiny_projection_oracle(3),
-    *(DensityMapOracle(dim=3, evaluate=bad) for bad in BAD_IMAGES.values()),
+    *(DensityMapOracle.from_evaluate(3, bad) for bad in BAD_IMAGES.values()),
 ], ids=["embed1", "embed2", "embed3", "const2x2", "tiny1", "tiny3", *BAD_IMAGES])
 def test_reconstruct_rejects_images_of_the_wrong_dimension_or_trace(oracle):
     report = reconstruct(oracle)
@@ -416,7 +409,7 @@ def test_memmap_and_masked_images_of_a_symmetry_certify(wrap):
     """Of the ndarray subclasses only np.matrix is turned away: the transpose
     map, with each image a memmap or a masked array, certifies, and
     classifies as preserving with a worst violation within CLASSIFY_TOL / 2."""
-    oracle = DensityMapOracle(dim=3, evaluate=lambda a: DensityOperator(matrix=wrap(a.matrix.T)))
+    oracle = DensityMapOracle.from_evaluate(3, lambda a: DensityOperator(matrix=wrap(a.matrix.T)))
     report = reconstruct(oracle)
     assert report.certified and report.symmetry.parity == ANTIUNITARY
     c = classify_map(oracle, trials=20)
@@ -437,8 +430,8 @@ def test_dimension_mismatch_raises():
 def test_reconstruct_rejects_bad_trials_before_probing(trials):
     """Unchecked, a trial count below one certifies with no trial run."""
     calls = []
-    inner = rank_one_identity_oracle(3)
-    oracle = DensityMapOracle(dim=3, evaluate=lambda a: calls.append(a) or inner.evaluate(a))
+    inner = rank_one_identity(3)
+    oracle = DensityMapOracle.from_evaluate(3, lambda a: calls.append(a) or inner.evaluate(a))
     with pytest.raises(ValueError, match="verification_trials"):
         reconstruct(oracle, verification_trials=trials)
     assert calls == []
@@ -447,15 +440,15 @@ def test_reconstruct_rejects_bad_trials_before_probing(trials):
 @pytest.mark.parametrize("dim", [0, -1])
 def test_oracle_needs_positive_dim(dim):
     with pytest.raises(ValueError, match="dim must be >= 1"):
-        DensityMapOracle(dim=dim, evaluate=lambda a: a)
+        DensityMapOracle.from_evaluate(dim, lambda a: a)
 
 
 def nan_oracle(d, where, fill=np.nan):
     """Identity, except that an input ``where`` picks goes to an image whose
     every entry is ``fill`` (NaN by default)."""
     bad = np.full((d, d), fill, dtype=complex)
-    return DensityMapOracle(
-        dim=d, evaluate=lambda a: DensityOperator(matrix=bad) if where(a) else a
+    return DensityMapOracle.from_evaluate(
+        d, lambda a: DensityOperator(matrix=bad) if where(a) else a
     )
 
 
@@ -500,46 +493,14 @@ def test_verification_image_of_the_wrong_shape_fails_verification(bad):
     """Every probe passes at d = 3; the first verification input of rank >= 2
     goes to a bad image, which is neither broadcast against the expected
     matrix nor allowed to raise or to leave a finite residual."""
-    oracle = DensityMapOracle(
-        dim=3, evaluate=lambda a: a if numerical_rank(a) == 1 else bad(a)
+    oracle = DensityMapOracle.from_evaluate(
+        3, lambda a: a if numerical_rank(a) == 1 else bad(a)
     )
     report = reconstruct(oracle)
     assert report.status == STATUS_FAILED_VERIFICATION
     assert report.probes_used == 6
     assert report.symmetry.parity == UNITARY
     assert report.residual_max == math.inf
-
-
-def block_conjugate(m):
-    """Conjugate (for a Hermitian m, transpose) the block on e_2..e_d."""
-    out = m.copy()
-    out[1:, 1:] = m[1:, 1:].conj()
-    return out
-
-
-def block_transpose(m):
-    """Transpose the two off-diagonal blocks between e_1 and e_2..e_d."""
-    out = m.copy()
-    out[0, 1:] = m[1:, 0]
-    out[1:, 0] = m[0, 1:]
-    return out
-
-
-def schur_phase(d):
-    """A -> S o A with S_jk = exp(i theta_jk), theta antisymmetric and not of
-    the form t_j - t_k, so that S o A is no diagonal-unitary conjugation."""
-    theta = np.triu(np.random.default_rng(d).uniform(0.0, 2.0 * np.pi, (d, d)), k=1)
-    s = np.exp(1j * (theta - theta.T))
-    return lambda m: s * m
-
-
-def perturbed_oracle(truth, inner):
-    """A -> truth(inner(A)): equal to the symmetry on every real probe, and
-    different from it on a set of positive measure."""
-    return DensityMapOracle(
-        dim=truth.dim,
-        evaluate=lambda a: apply_symmetry(truth, DensityOperator.from_psd(inner(a.matrix))),
-    )
 
 
 def depolarized_oracle(truth, eps):
@@ -552,7 +513,7 @@ def depolarized_oracle(truth, eps):
             (1.0 - eps) * apply_symmetry(truth, a).matrix + eps * t * np.eye(d) / d
         )
 
-    return DensityMapOracle(dim=d, evaluate=evaluate)
+    return DensityMapOracle.from_evaluate(d, evaluate)
 
 
 @pytest.mark.parametrize("family", ["block_conjugate", "block_transpose"])
@@ -561,9 +522,7 @@ def depolarized_oracle(truth, eps):
 def test_verification_rejects_maps_that_pass_every_probe(d, parity, family):
     """The basis, phase-fixing and parity probes cannot tell these maps from
     a symmetry; the random verification inputs can, at the first trial."""
-    inner = {"block_conjugate": block_conjugate, "block_transpose": block_transpose}[family]
-    truth = SymmetryOperator(parity=parity, u=haar_unitary(np.random.default_rng(d + 40), d))
-    report = reconstruct(perturbed_oracle(truth, inner))
+    report = reconstruct(probe_evading(family, d, parity))
     assert report.status == STATUS_FAILED_VERIFICATION
     assert report.symmetry is not None
     assert report.probes_used == d + 3
@@ -576,8 +535,7 @@ def test_a_schur_phase_fails_the_phase_probe(d, parity):
     """S o A sends the uniform probe ss* = J/d to the image of S/d, which is
     of rank above one since S_jk is not of the form exp(i(t_j - t_k)): the
     map passes the d basis probes and fails the phase probe after them."""
-    truth = SymmetryOperator(parity=parity, u=haar_unitary(np.random.default_rng(d + 40), d))
-    report = reconstruct(perturbed_oracle(truth, schur_phase(d)))
+    report = reconstruct(probe_evading("schur_phase", d, parity))
     assert report.status == STATUS_FAILED_PHASE
     assert report.symmetry is None
     assert report.probes_used == d + 1
@@ -633,8 +591,8 @@ def off_on_the_uniform_probe(d, offset):
     t[1:] = math.sqrt((1.0 - t[0] ** 2) / (d - 1))
     image = DensityOperator(matrix=np.outer(t, t).astype(complex))
     probe = uniform_probe(d).tobytes()
-    return DensityMapOracle(
-        dim=d, evaluate=lambda a: image if a.matrix.tobytes() == probe else a)
+    return DensityMapOracle.from_evaluate(
+        d, lambda a: image if a.matrix.tobytes() == probe else a)
 
 
 @pytest.mark.parametrize("d", [2, 3, 8, 64])
@@ -658,7 +616,7 @@ def test_the_probe_schedule(d):
     i-superposition (e_1 + i e_2)/sqrt(2), each one read-only and exactly
     Hermitian, then the 64 verification inputs."""
     seen = []
-    oracle = DensityMapOracle.from_stack(d, lambda m: seen.extend(m) or m.copy())
+    oracle = DensityMapOracle(d, lambda m: seen.extend(m) or m.copy())
     assert reconstruct(oracle).certified
     w = np.zeros(d, dtype=complex)
     w[:2] = [1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0)]
