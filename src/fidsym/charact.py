@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fidelity import leq_stack
+from .fidelity import all_leq
 from .matcore import DensityOperator, eig_hermitian, eigvalsh_stack, from_psd_stack, row_sumsq, sqrtm_psd
 from .sampling import ginibre
 from .tolerances import CERT_TOL, RANK_TOL, TRACE_TOL
@@ -153,17 +153,19 @@ def order_totality_probe(a: DensityOperator, samples: int = 200, seed: int = 0) 
     overwhelming probability at default sample counts. As D <= E implies
     tr D <= tr E, the samples are totally ordered exactly when each lies
     below its successor in trace order. The lowest neighbour pair is scored
-    first, in a leq_stack call of one row; on a rank >= 2 operator it is
-    usually incomparable, and the rest is then not solved. Only if it is
-    ordered are the other samples - 2 pairs scored, in one more call.
-    leq_stack decides each row alone, so the answer is that of one scan over
-    all samples - 1 pairs. A trace at most CERT_TOL raises ZeroOperator.
+    first, in an all_leq call of one row; on a rank >= 2 operator it is
+    usually incomparable, and the rest is then not scored. Only if it is
+    ordered are the other samples - 2 pairs scored, in one more call. Each
+    call asks whether every one of its rows is ordered, so the answer is that
+    of one all_leq call over all samples - 1 pairs. No eigensolve decides a
+    pair: each call is one Cholesky factorization of its stack of shifted
+    differences. A trace at most CERT_TOL raises ZeroOperator.
 
-    The answer is rank == 1 at traces from 1e-6 to 1e6 (tested at d <= 8).
-    Below that range leq_stack's absolute ORDER_TOL floor decides: the
-    minorants of a rank >= 2 operator of small enough trace all compare
-    within the band, and it may be reported as rank one (at d <= 8, from a
-    trace of 1e-7 down; ROADMAP item 12).
+    The answer is rank == 1 at traces from 1e-6 to 1e6 (tested at d <= 8)
+    and at d up to 64. Below that range all_leq's absolute ORDER_TOL floor
+    decides: the minorants of a rank >= 2 operator of small enough trace all
+    compare within the band, and it may be reported as rank one (at d <= 8,
+    from a trace of 1e-7 down; ROADMAP item 12).
     """
     if samples < 2:
         raise ValueError(f"probe needs samples >= 2, got {samples}")
@@ -172,7 +174,7 @@ def order_totality_probe(a: DensityOperator, samples: int = 200, seed: int = 0) 
     rng = np.random.default_rng(seed)
     mins = _sample_minorants(a, samples, rng)
     order = np.argsort(np.trace(mins, axis1=1, axis2=2).real, kind="stable")
-    if not leq_stack(mins[order[:1]], mins[order[1:2]])[0]:
+    if not all_leq(mins[order[:1]], mins[order[1:2]]):
         return False
     rest = mins[order[1:]]
-    return samples == 2 or bool(np.all(leq_stack(rest[:-1], rest[1:])))
+    return samples == 2 or all_leq(rest[:-1], rest[1:])

@@ -11,6 +11,11 @@ solve: no matrix square root of the product and no eigenvectors of the core.
 Each row is first scaled by powers of four, as F(4^-i A, 4^-j B) =
 2^-(i+j) F(A, B), so that F is scale-free from 1e-300 to 1e300 and stays
 finite on a non-PSD row, such as a misbehaving oracle's image.
+
+The operator order A <= B is decided without an eigensolve: B - A plus a
+small band on its diagonal must be positive definite, which one Cholesky
+factorization of a whole stack of pairs answers (all_leq), each row first
+scaled by a power of two near its largest |entry|.
 """
 from __future__ import annotations
 
@@ -23,7 +28,9 @@ from .matcore import (
     check_same_dim,
     eigh_stack,
     eigvalsh_stack,
+    hermitize_stack,
     real_divide,
+    row_sumsq,
     sqrt_eigs,
 )
 from .tolerances import ORDER_TOL, ORTH_TOL
@@ -84,25 +91,50 @@ def fidelity_pure(p: PureState, q: PureState) -> float:
     return float(abs(np.vdot(p.amplitudes, q.amplitudes)))
 
 
-def leq_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Operator order A_k <= B_k for two (n, d, d) stacks, decided spectrally
-    on B_k - A_k by its smallest eigenvalue, against the band
-    ORDER_TOL * (1 + ||w||), w its spectrum and ||w|| the 2-norm of w (the
-    Frobenius norm of B_k - A_k, taken with hypot so that it cannot
-    overflow); ValueError if an entry is not finite, SolverFailure if the
-    solver does not converge. Each row is decided alone. The 1 is an
-    absolute floor, not a scale: for operators of norm near ORDER_TOL or
-    below the band admits incomparable pairs, and
-    is_leq(1e-9 e1e1*, 1e-9 e2e2*) is True (ROADMAP item 12 plans a
-    relative band)."""
-    w = eigvalsh_stack(b - a)
-    return w[:, -1] >= -ORDER_TOL * (1.0 + np.hypot.reduce(w, axis=-1))
+def all_leq(a: np.ndarray, b: np.ndarray) -> bool:
+    """Operator order A_k <= B_k for every k of two (n, d, d) stacks; True
+    for an empty stack.
+
+    The rule is a band on H_k = (B_k - A_k), hermitized: its smallest
+    eigenvalue may dip ORDER_TOL * (1 + ||H_k||_F) below zero, ||H_k||_F
+    being the 2-norm of its spectrum. That is, H_k plus the band on its
+    diagonal must be positive definite, which one Cholesky factorization of
+    the whole stack decides with no eigensolve: it fails exactly when some
+    row is not positive definite, up to rounding of order d eps ||H_k||, as
+    Cholesky is backward stable (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., sec. 10.1). Each row is first scaled by the exact
+    power of two 2^-e that brings its largest |entry| to [0.5, 1), with the
+    band ORDER_TOL * (2^-e + ||2^-e H_k||_F), so no sum of squares over- or
+    underflows from 1e-300 to 1e300. A largest |entry| below the normal
+    range counts as the smallest normal number, so 2^-e stays finite: the
+    band then exceeds every entry, and the row is ordered.
+
+    ValueError if an entry is not finite, DimensionMismatch if the stacks
+    differ in shape. The 1 in the band is an absolute floor, not a scale:
+    for operators of norm near ORDER_TOL or below the band admits
+    incomparable pairs, and is_leq(1e-9 e1e1*, 1e-9 e2e2*) is True (ROADMAP
+    item 12 plans a relative band)."""
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"dimension mismatch: stacks {a.shape} vs {b.shape}")
+    h = hermitize_stack(b - a)
+    n, d = h.shape[:2]
+    parts = h.view(float).reshape(n, 2 * d * d)
+    top = np.abs(parts).max(axis=1, initial=np.finfo(float).tiny)
+    scale = np.ldexp(1.0, -np.frexp(top)[1])
+    parts *= scale[:, None]
+    band = ORDER_TOL * (scale + np.sqrt(row_sumsq(h)))
+    parts[:, :: 2 * d + 2] += band[:, None]  # the real parts of the diagonal
+    try:
+        np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def is_leq(a: DensityOperator, b: DensityOperator) -> bool:
-    """Operator order A <= B; the n = 1 case of leq_stack."""
+    """Operator order A <= B; the n = 1 case of all_leq."""
     check_same_dim(a, b)
-    return bool(leq_stack(a.matrix[None], b.matrix[None])[0])
+    return all_leq(a.matrix[None], b.matrix[None])
 
 
 def is_orthogonal(a: DensityOperator, b: DensityOperator) -> bool:

@@ -86,7 +86,8 @@ def row_sumsq(m: np.ndarray) -> np.ndarray:
     makes it NaN, without a warning. ``np.linalg.norm(m, axis=(1, 2))`` and
     ``np.vecdot`` both raise a RuntimeWarning on that overflow, which
     ``-W error`` turns into an exception."""
-    parts = np.ascontiguousarray(m, dtype=complex).view(float).reshape(len(m), -1)
+    m = np.ascontiguousarray(m, dtype=complex)
+    parts = m.view(float).reshape(len(m), 2 * math.prod(m.shape[1:]))  # -1 fails on n = 0
     return np.einsum("ij,ij->i", parts, parts)
 
 

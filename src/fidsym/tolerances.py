@@ -19,7 +19,8 @@ EIG_FLOOR = 1e-14
 RANK_TOL = 1e-8
 # an operator whose trace or largest eigenvalue is at most CERT_TOL is numerically zero
 CERT_TOL = 1e-12
-# B - A may dip ORDER_TOL * (1 + ||B - A||) below zero and still count as A <= B
+# A <= B when B - A + ORDER_TOL * (1 + ||B - A||_F) I, B - A shifted by the band on its
+# diagonal, is positive definite: B - A may dip that far below zero
 ORDER_TOL = 1e-8
 # ||AB||_F at most ORTH_TOL * ||A||_F ||B||_F counts as AB = 0, a band relative at every scale
 ORTH_TOL = 1e-8

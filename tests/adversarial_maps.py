@@ -15,9 +15,10 @@ The rows:
 - probe-evading maps at d = 3 and d = 8, for a Haar symmetry S of each
   parity with U drawn from default_rng(d + 40): S after a block conjugate
   or a block transpose, which pass every probe and fail verification, and
-  S after a Schur phase multiplier, which fails the phase probe; and the
-  identity on rank one and the transpose above it, which passes every
-  probe and fails verification;
+  S after a Schur phase multiplier, which fails the phase probe; the
+  identity on rank one and the transpose above it; and S on rank one and
+  the depolarizing map (p = 0.5) above it, for each parity. The last two
+  pass every probe and fail verification;
 - group closure: S_2 S_1 for two Haar symmetries of each parity pair, a
   symmetry of the product parity implemented by U_2 U_1, or by
   U_2 conj(U_1) when S_2 is antiunitary; classified at d = 2 and d = 8,
@@ -37,7 +38,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from fidsym.charact import numerical_rank
-from fidsym.mapzoo import PRESERVING_KINDS, make_map, zoo_specs
+from fidsym.mapzoo import PRESERVING_KINDS, MapSpec, make_map, zoo_specs
 from fidsym.matcore import DensityOperator
 from fidsym.sampling import haar_unitary
 from fidsym.wigner import (
@@ -156,21 +157,44 @@ EVADERS = {
 }
 
 
+def haar_symmetry(d: int, parity: str) -> SymmetryOperator:
+    """The Haar symmetry of the given parity with U drawn from default_rng(d + 40)."""
+    return SymmetryOperator(parity=parity, u=haar_unitary(np.random.default_rng(d + 40), d))
+
+
 def probe_evading(family: str, d: int, parity: str) -> DensityMapOracle:
-    """A -> S(inner(A)) for the inner map EVADERS[family] and the Haar
-    symmetry S of the given parity with U drawn from default_rng(d + 40):
-    equal to S on every real probe, and different from it on a set of
-    positive measure."""
-    truth = SymmetryOperator(parity=parity, u=haar_unitary(np.random.default_rng(d + 40), d))
+    """A -> S(inner(A)) for the inner map EVADERS[family] and the symmetry
+    S = haar_symmetry(d, parity): equal to S on every real probe, and
+    different from it on a set of positive measure."""
+    truth = haar_symmetry(d, parity)
     inner = EVADERS[family](d)
     return DensityMapOracle(d, lambda m: apply_symmetry_stack(truth, inner(m)))
 
 
+def split_at_rank_one(d: int, on_rank_one: Callable[[np.ndarray], np.ndarray],
+                      above: Callable[[np.ndarray], np.ndarray]) -> DensityMapOracle:
+    """on_rank_one on the inputs of numerical rank one, above on the rest:
+    every probe is rank one and passes when on_rank_one is a symmetry, and
+    the first verification input of rank >= 2 fails."""
+    def act(m: np.ndarray) -> np.ndarray:
+        one = np.array([numerical_rank(DensityOperator(matrix=x)) == 1 for x in m])
+        return np.where(one[:, None, None], on_rank_one(m), above(m))
+
+    return DensityMapOracle(d, act)
+
+
 def rank_one_identity(d: int) -> DensityMapOracle:
-    """The identity on rank-one inputs, the transpose on the rest: every probe
-    passes, and the first verification input of rank >= 2 fails."""
-    return DensityMapOracle(d, lambda m: np.stack(
-        [x if numerical_rank(DensityOperator(matrix=x)) == 1 else x.T for x in m]))
+    """The identity on rank-one inputs, the transpose on the rest."""
+    return split_at_rank_one(d, lambda m: m, lambda m: m.swapaxes(-1, -2))
+
+
+def rank_one_symmetry(d: int, parity: str) -> DensityMapOracle:
+    """haar_symmetry(d, parity) on rank-one inputs, the depolarizing map
+    (p = 0.5) on the rest."""
+    truth = haar_symmetry(d, parity)
+    depolarizing = make_map(MapSpec("depolarizing", d, {"p": 0.5}))
+    return split_at_rank_one(d, lambda m: apply_symmetry_stack(truth, m),
+                             depolarizing.evaluate_stack)
 
 
 def closure_row(d: int, p1: str, p2: str, verdict: Optional[str]) -> Row:
@@ -241,6 +265,9 @@ ADVERSARIAL_MAPS = {
     **{f"rank-one-identity-d{d}": Row(functools.partial(rank_one_identity, d), WITNESS,
                                       STATUS_FAILED_VERIFICATION, d + 3)
        for d in (3, 8)},
+    **{f"rank-one-symmetry-{parity}-d{d}": Row(functools.partial(rank_one_symmetry, d, parity),
+                                                WITNESS, STATUS_FAILED_VERIFICATION, d + 3)
+       for d in (3, 8) for parity in PARITIES},
     **{f"closure-{p2}-{p1}-d{d}": closure_row(d, p1, p2, PRESERVING if d < 64 else None)
        for d in (2, 8, 64) for p1 in PARITIES for p2 in PARITIES},
     **{f"bloch-{seed}": bloch_row(seeded_o3(seed)) for seed in range(6)},

@@ -17,7 +17,7 @@ from fidsym.charact import (
     rank_one_certificate,
     spectral_rank,
 )
-from fidsym.fidelity import fidelity, is_orthogonal, leq_stack
+from fidsym.fidelity import all_leq, fidelity, is_orthogonal
 from fidsym.matcore import (
     DensityOperator,
     eig_hermitian,
@@ -195,9 +195,10 @@ def test_sample_minorants_matches_reference_loop(d):
                 assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def count_eigensolves(monkeypatch):
-    """Wrap np.linalg.eigh and eigvalsh; the returned dict counts their calls."""
-    calls = {"eigh": 0, "eigvalsh": 0}
+def count_solves(monkeypatch):
+    """Wrap np.linalg.eigh, eigvalsh and cholesky; the returned dict counts
+    their calls."""
+    calls = {"eigh": 0, "eigvalsh": 0, "cholesky": 0}
     for name in calls:
         real = getattr(np.linalg, name)
 
@@ -213,18 +214,18 @@ def count_eigensolves(monkeypatch):
 def test_sample_minorants_runs_no_eigensolve(monkeypatch, d):
     """The sampler's one eigendecomposition is sqrtm_psd's, of A itself."""
     a = random_density(np.random.default_rng(d), d, rank=2)
-    calls = count_eigensolves(monkeypatch)
+    calls = count_solves(monkeypatch)
     _sample_minorants(a, 200, np.random.default_rng(0))
-    assert calls == {"eigh": 1, "eigvalsh": 0}
+    assert calls == {"eigh": 1, "eigvalsh": 0, "cholesky": 0}
 
 
-def test_probe_solves_one_eigenvalue_stack_on_an_incomparable_first_pair(monkeypatch):
+def test_probe_runs_one_cholesky_and_no_eigenvalue_solve_on_an_incomparable_first_pair(monkeypatch):
     """On the rank-two operator of test_probe_rows_read: sqrtm_psd's eigh,
-    then the lowest pair's one-row leq_stack."""
+    then the lowest pair's one-row all_leq, one Cholesky factorization."""
     rank_two = validate_density(np.diag([0.5, 0.5, 0.0]))
-    calls = count_eigensolves(monkeypatch)
+    calls = count_solves(monkeypatch)
     assert not order_totality_probe(rank_two, seed=2)
-    assert calls == {"eigh": 1, "eigvalsh": 1}
+    assert calls == {"eigh": 1, "eigvalsh": 0, "cholesky": 1}
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 8])
@@ -257,6 +258,16 @@ def test_probe_is_scale_free_from_1e_minus_6_to_1e6(d):
             a = DensityOperator.from_psd(shape * 10.0 ** k)
             for seed in range(3):
                 assert order_totality_probe(a, seed=seed) == (rank == 1), (rank, k, seed)
+
+
+@pytest.mark.parametrize("d", [16, 32, 64])
+def test_probe_is_rank_one_at_large_d(d):
+    """rank == 1 for random operators of ranks 1, 2 and d, seeds 0-1."""
+    rng = np.random.default_rng(d)
+    for rank in (1, 2, d):
+        a = random_density(rng, d, rank=rank)
+        for seed in range(2):
+            assert order_totality_probe(a, seed=seed) == (rank == 1), (rank, seed)
 
 
 def test_probe_runs_no_svd(monkeypatch):
@@ -318,9 +329,9 @@ def sorted_minorants(a, samples, seed):
 
 def neighbour_scan_probe(a, samples=200, seed=0):
     """Reference: every neighbour pair of sorted_minorants scored in one
-    leq_stack call."""
+    all_leq call."""
     s = sorted_minorants(a, samples, seed)
-    return bool(np.all(leq_stack(s[:-1], s[1:])))
+    return all_leq(s[:-1], s[1:])
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 8])
@@ -343,15 +354,15 @@ def test_probe_rows_read(monkeypatch, samples):
     the other samples - 2 in one call."""
     rank_two = validate_density(np.diag([0.5, 0.5, 0.0]))
     s = sorted_minorants(rank_two, samples, seed=2)
-    assert not leq_stack(s[:1], s[1:2])[0]
+    assert not all_leq(s[:1], s[1:2])
     rows = []
-    real_leq_stack = charact.leq_stack
+    real_all_leq = charact.all_leq
 
-    def counting_leq_stack(a, b):
+    def counting_all_leq(a, b):
         rows.append(len(a))
-        return real_leq_stack(a, b)
+        return real_all_leq(a, b)
 
-    monkeypatch.setattr(charact, "leq_stack", counting_leq_stack)
+    monkeypatch.setattr(charact, "all_leq", counting_all_leq)
     assert not order_totality_probe(rank_two, samples=samples, seed=2)
     assert rows == [1]
     rows.clear()

@@ -11,13 +11,11 @@ from fidsym.fidelity import (
     fidelity_pure,
     is_leq,
     is_orthogonal,
-    leq_stack,
     partial_fidelity,
 )
 from fidsym.matcore import (
     DensityOperator,
     DimensionMismatch,
-    SolverFailure,
     pure_state,
     validate_density,
 )
@@ -153,16 +151,20 @@ def test_is_leq_rejects_non_finite_input(bad):
             fidelity(a, b)
 
 
-def test_leq_stack_solver_failure(monkeypatch):
-    def no_convergence(h):
+def test_is_leq_runs_no_eigensolver(monkeypatch):
+    """The order is decided by a Cholesky factorization: with both
+    eigensolvers made to fail, is_leq still answers."""
+    def no_eigensolver(h):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
-    a = dens([0.5, 0.5])
-    with pytest.raises(SolverFailure):
-        is_leq(a, a)
-    with pytest.raises(SolverFailure):
-        leq_stack(a.matrix[None], a.matrix[None])
+    monkeypatch.setattr(np.linalg, "eigh", no_eigensolver)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolver)
+    a = DensityOperator(matrix=np.diag([0.5, 0.5]).astype(complex))
+    b = DensityOperator(matrix=np.diag([1.0, 0.5]).astype(complex))
+    p = DensityOperator(matrix=np.diag([1.0, 0.0]).astype(complex))
+    q = DensityOperator(matrix=np.full((2, 2), 0.5 + 0j))
+    assert is_leq(a, a) and is_leq(a, b) and not is_leq(b, a)
+    assert not is_leq(p, q) and not is_leq(q, p)
 
 
 def test_is_orthogonal_examples():

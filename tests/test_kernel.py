@@ -12,11 +12,11 @@ from fidsym import mapzoo
 from fidsym.charact import numerical_rank, spectral_rank
 from fidsym.fidelity import (
     BadM,
+    all_leq,
     fidelity,
     fidelity_stack,
     is_leq,
     is_orthogonal,
-    leq_stack,
     partial_fidelity,
 )
 from fidsym.mapzoo import (
@@ -46,8 +46,8 @@ from fidsym.matcore import (
     validate_density,
     validate_stack,
 )
-from fidsym.sampling import orthogonal_pure_pair, random_density
-from fidsym.tolerances import CLASSIFY_TOL, EIG_FLOOR, ORTH_TOL
+from fidsym.sampling import ginibre, haar_stack, orthogonal_pure_pair, random_density
+from fidsym.tolerances import CLASSIFY_TOL, EIG_FLOOR, ORDER_TOL, ORTH_TOL
 from fidsym.wigner import (
     UNITARY,
     DensityMapOracle,
@@ -439,22 +439,101 @@ def test_non_psd_member_raises_not_positive():
         validate_stack(m)
 
 
-@pytest.mark.parametrize("d", DIMS)
-def test_leq_stack_rows_equal_is_leq(d):
-    """Random pairs, nested pairs A <= A + B, and pairs a factor 1 + 1e-9 or
-    1 + 1e-6 apart, in both orders."""
+ORDER_DIMS = (2, 3, 4, 8, 32, 64)
+
+
+def reference_leq(a, b):
+    """Reference: the order rule by an eigensolve, row by row. The smallest
+    eigenvalue of H = (B - A), hermitized, against the band
+    ORDER_TOL * (1 + ||w||), w the spectrum of H."""
+    w = np.linalg.eigvalsh(hermitize_stack(b - a))
+    return w[:, 0] >= -ORDER_TOL * (1.0 + np.hypot.reduce(w, axis=-1))
+
+
+def order_pairs(d):
+    """Random pairs, nested pairs A <= A + B, pairs a factor 1 + 1e-9 or
+    1 + 1e-6 apart, and rank-deficient ones, in both orders, as two
+    (n, d, d) stacks."""
     rng = np.random.default_rng(d)
-    ops = [random_density(rng, d) for _ in range(6)]
+    ops = [random_density(rng, d, rank=r) for r in (d, 1, d, 2 if d > 2 else 1, d - 1, d)]
     pairs = []
     for x, y in zip(ops, ops[1:]):
         for big in (validate_density(x.matrix + y.matrix),
                     validate_density(x.matrix * (1 + 1e-9)),
                     validate_density(x.matrix * (1 + 1e-6)), y):
             pairs += [(x, big), (big, x)]
-    got = leq_stack(np.stack([a.matrix for a, _ in pairs]), np.stack([b.matrix for _, b in pairs]))
-    expected = [is_leq(a, b) for a, b in pairs]
-    assert got.tolist() == expected
-    assert any(expected) and not all(expected)
+    return np.stack([a.matrix for a, _ in pairs]), np.stack([b.matrix for _, b in pairs])
+
+
+def band_edge_pairs(d, rel, n=30):
+    """n pairs A, B = A + H, A random of random rank, whose H has smallest
+    eigenvalue -band * (1 + rel) for the band ORDER_TOL * (1 + ||w||) of its
+    spectrum w: ordered by the rule exactly when rel < 0."""
+    rng = np.random.default_rng([d, round(-np.log10(abs(rel))), rel > 0])
+    a = np.stack([random_density(rng, d, rank=r).matrix for r in rng.integers(1, d + 1, n)])
+    w = rng.uniform(0.0, rng.uniform(0.1, 10.0, (n, 1)), (n, d))
+    for _ in range(3):  # the band depends on w[:, 0] too, damped by a factor ORDER_TOL
+        w[:, 0] = -(1.0 + rel) * ORDER_TOL * (1.0 + np.hypot.reduce(w, axis=-1))
+    u = haar_stack(ginibre(rng, (n, d, d)))
+    return a, a + (u * w[:, None, :]) @ u.conj().swapaxes(-1, -2)
+
+
+def rows_of(a, b):
+    """all_leq of every row alone."""
+    return [all_leq(a[k:k + 1], b[k:k + 1]) for k in range(len(a))]
+
+
+@pytest.mark.parametrize("d", ORDER_DIMS)
+def test_all_leq_decides_each_row_as_the_eigenvalue_rule(d):
+    a, b = order_pairs(d)
+    want = reference_leq(a, b).tolist()
+    assert rows_of(a, b) == want
+    assert any(want) and not all(want)
+
+
+@pytest.mark.parametrize("d", ORDER_DIMS)
+@pytest.mark.parametrize("rel", [-1e-3, 1e-3, -1e-6, 1e-6])
+def test_all_leq_decides_the_band_edge_as_the_eigenvalue_rule(d, rel):
+    a, b = band_edge_pairs(d, rel)
+    want = reference_leq(a, b).tolist()
+    assert want == [rel < 0] * len(a)
+    assert rows_of(a, b) == want
+
+
+@pytest.mark.parametrize("d", ORDER_DIMS)
+def test_all_leq_is_all_of_is_leq(d):
+    """A stack is ordered exactly when every row is, wherever its one
+    incomparable row stands, and an empty stack is ordered."""
+    a, b = order_pairs(d)
+    rows = [is_leq(DensityOperator(matrix=x), DensityOperator(matrix=y)) for x, y in zip(a, b)]
+    ok = np.flatnonzero(rows)
+    assert all_leq(a, b) == all(rows) and all_leq(a[ok], b[ok])
+    for k in np.flatnonzero(np.logical_not(rows)):
+        for at in (0, len(ok) // 2, len(ok)):
+            idx = np.insert(ok, at, k)
+            assert not all_leq(a[idx], b[idx])
+    assert all_leq(a[:0], b[:0])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_is_leq_decides_diagonal_pairs_at_every_scale():
+    """diag(s, 0) against diag(0, s), both ways, and against s I, as the
+    reference decides them, at s = 5e-324 and every decade from 1e-300 to
+    1e300. At the subnormal end the band exceeds every entry."""
+    for s in [5e-324] + [10.0 ** k for k in range(-300, 301)]:
+        x, y, full = (DensityOperator(matrix=np.diag(v).astype(complex))
+                      for v in ([s, 0.0], [0.0, s], [s, s]))
+        for p, q in ((x, y), (y, x), (x, full)):
+            assert is_leq(p, q) == reference_leq(p.matrix[None], q.matrix[None])[0], s
+        want = (s < 1e-6, s < 1e-6, True)  # the band's absolute floor admits small pairs
+        if s == 5e-324 or s >= 1e-6:
+            assert (is_leq(x, y), is_leq(y, x), is_leq(x, full)) == want, s
+
+
+def test_all_leq_rejects_stacks_of_different_shapes():
+    a = psd_inputs(3)
+    with pytest.raises(DimensionMismatch):
+        all_leq(a, a[:-1])
 
 
 # Entries whose halving or scaling is easy to get wrong: signed zeros, the
