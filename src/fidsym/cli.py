@@ -4,7 +4,8 @@ classification, and the theorem harness, with JSON in and JSON out.
 Matrix files: {"dim": d, "re": [[...]], "im": [[...]]} (row-major, entry
 (i,j) = re[i][j] + i*im[i][j]). Map specs: {"kind": ..., "dim": ...,
 "params": {...}} (the params of each kind: mapzoo.KIND_PARAMS); any other
-key is an input error, and so is a dim outside 1..MAX_DIM. Reports record
+key is an input error, and so are a dim outside 1..MAX_DIM, a --trials
+outside 1..MAX_TRIALS and JSON nested too deeply to parse. Reports record
 the tool version, seed, and the whole tolerance table (fidsym.tolerances),
 so a rerun reproduces them byte for byte. Reports are strict JSON: an
 infinite residual_max or worst_violation is written as null, and
@@ -35,6 +36,11 @@ EXIT_REJECTED = 2
 # The largest dim read from outside: the numerics and the tolerance table are
 # sized for d <= 64, and a larger dim could ask for gigabytes per matrix.
 MAX_DIM = 64
+# The most trials read from outside: reconstruct's verification draws a
+# trace and a rank, 16 bytes, for every trial up front, so a larger count
+# could ask for gigabytes before any work, and would keep classify and
+# verify on a preserving map busy for hours.
+MAX_TRIALS = 10**6
 
 
 class InputError(ValueError):
@@ -65,11 +71,12 @@ def non_negative_int(text: str) -> int:
 
 def read_json(path: str, keys: tuple[str, ...]) -> dict[str, Any]:
     """The JSON object in ``path``; InputError if the file cannot be read or
-    does not hold an object whose keys are among ``keys``."""
+    parsed, nesting too deep for the parser included, or does not hold an
+    object whose keys are among ``keys``."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"{path}: {exc}") from exc
     if not isinstance(data, dict) or not set(data) <= set(keys):
         raise InputError(f"{path}: expected a JSON object with keys among {keys}")
@@ -81,6 +88,13 @@ def checked_dim(dim: int) -> int:
     if not 1 <= dim <= MAX_DIM:
         raise BadSpec(f"dim must be in 1..{MAX_DIM}")
     return dim
+
+
+def checked_trials(trials: int) -> int:
+    """``trials`` if it is in 1..MAX_TRIALS, else BadSpec."""
+    if not 1 <= trials <= MAX_TRIALS:
+        raise BadSpec(f"trials must be in 1..{MAX_TRIALS}")
+    return trials
 
 
 def load_matrix(path: str) -> np.ndarray:
@@ -185,27 +199,29 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
+    trials = checked_trials(args.trials)
     spec = load_map_spec(args.map)
     oracle = mapzoo.make_map(spec, seed=args.seed)
-    report = wigner.reconstruct(oracle, verification_trials=args.trials, seed=args.seed)
+    report = wigner.reconstruct(oracle, verification_trials=trials, seed=args.seed)
     write_report(args.out, {"seed": args.seed, "map": {"kind": spec.kind, "dim": spec.dim},
                             "report": reconstruction_to_dict(report)})
     return EXIT_OK if report.certified else EXIT_REJECTED
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    trials = checked_trials(args.trials)
     spec = load_map_spec(args.map)
     oracle = mapzoo.make_map(spec, seed=args.seed)
-    report = mapzoo.classify_map(oracle, trials=args.trials, seed=args.seed)
+    report = mapzoo.classify_map(oracle, trials=trials, seed=args.seed)
     write_report(args.out, {"seed": args.seed, "map": {"kind": spec.kind, "dim": spec.dim},
                             "report": classification_to_dict(report)})
     return EXIT_OK if report.preserving else EXIT_REJECTED
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    trials = checked_trials(args.trials)
     try:
-        summary = mapzoo.verify_theorem(checked_dim(args.dim), trials=args.trials,
-                                        seed=args.seed)
+        summary = mapzoo.verify_theorem(checked_dim(args.dim), trials=trials, seed=args.seed)
         code = EXIT_OK
     except AssertionFailure as exc:
         summary = {"dim": args.dim, "trials": args.trials, "seed": args.seed,

@@ -13,7 +13,8 @@ The easy direction of the theorem is exact, F(S A, S B) = F(A, B) for a
 symmetry S, so once a candidate S is certified a trial pair is checked by how
 far its images lie from S's, with the bound of violation_bound and no
 eigendecomposition; only a pair that the bound does not settle is scored by
-fidelity_stack. A map that does not certify is scored by fidelity_stack alone.
+fidelity_stack. A map that does not certify has no candidate, so its bounds
+are infinite and fidelity_stack scores all its pairs.
 """
 from __future__ import annotations
 
@@ -29,7 +30,6 @@ from .matcore import (
     eigh_stack,
     freeze,
     hermitize_stack,
-    row_sumsq,
     validate_density,
 )
 from .sampling import (
@@ -47,8 +47,8 @@ from .wigner import (
     DensityMapOracle,
     ReconstructionReport,
     SymmetryOperator,
-    apply_symmetry_stack,
     reconstruct,
+    residuals,
     symmetry_oracle,
 )
 from .tolerances import CLASSIFY_TOL, UNITARY_TOL
@@ -85,13 +85,13 @@ class MapSpec:
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    """The verdict of classify_map: ``preserving`` is ``reconstruction.certified
-    and worst_violation <= CLASSIFY_TOL``, where ``reconstruction`` is always
-    the report of the reconstruct that ran first. A rejection with a
-    ``witness_pair`` was made by that trial pair; one without was made by the
-    reconstruction, whose ``status`` names the stage that failed. ``trials``
-    counts the trials scored: up to the end of the first block that holds a
-    witness, if one does, else all of those asked for.
+    """The verdict of classify_map, ``preserving``, derived from the fields;
+    ``reconstruction`` is always the report of the reconstruct that ran
+    first. A rejection with a ``witness_pair`` was made by that trial pair;
+    one without was made by the reconstruction, whose ``status`` names the
+    stage that failed. ``trials`` counts the trials
+    scored: up to the end of the first block that holds a witness, if one
+    does, else all of those asked for.
 
     ``worst_violation`` is the largest violation over the trials scored. A
     pair scores its measured |F(phi A, phi B) - F(A, B)| when the map does
@@ -101,12 +101,16 @@ class ClassificationReport:
     needed fidelity_stack, and a rejection's is measured, or infinite for an
     image turned away."""
 
-    preserving: bool
     worst_violation: float
     witness_pair: Optional[tuple[DensityOperator, DensityOperator]]
     trials: int
     seed: int
     reconstruction: ReconstructionReport
+
+    @property
+    def preserving(self) -> bool:
+        """A certified reconstruction, and no pair's violation above CLASSIFY_TOL."""
+        return self.reconstruction.certified and self.worst_violation <= CLASSIFY_TOL
 
 
 def json_number(data: Mapping[str, Any], key: str, default: Any = None,
@@ -260,7 +264,8 @@ def violation_bound(dim: int, delta: np.ndarray, traces: np.ndarray) -> np.ndarr
     S X, a point of that cone, so beta bounds the change of F on the
     projected images as well. beta bounds the exact change; the rounding of
     a computed F is not in it. A product that overflows gives an infinite
-    bound, which settles nothing."""
+    bound, which settles nothing, and so does an infinite residual, the
+    residual against no candidate, since every trace is positive."""
     r = np.sqrt(dim) * delta
     with np.errstate(over="ignore"):
         return np.sqrt(r[:, 0] * (traces[:, 1] + r[:, 1])) + np.sqrt(r[:, 1] * traces[:, 0])
@@ -276,20 +281,19 @@ def classify_map(oracle: DensityMapOracle, trials: int = 200, seed: int = 0) -> 
     in blocks of ``max(1, TRIAL_STACK_ENTRIES // d**2)`` pairs, each drawn
     whole by _trial_pairs. Every block is drawn full and the last one is cut
     to the trials left, so trial k does not depend on ``trials``: the pairs
-    of a smaller ``trials`` are a prefix of those of a larger one. Each block
-    goes to the oracle in one ``oracle.image_stack`` call, in draw order
-    (A_1, B_1, A_2, ...).
+    of a smaller ``trials`` are a prefix of those of a larger one.
 
-    Each pair gets a violation. If the reconstruction is certified, with
-    symmetry S, a pair's violation is violation_bound of its residuals
-    ||phi X - S X||_F, from one ``row_sumsq`` of the block's images less
-    ``apply_symmetry_stack``'s. A pair whose bound exceeds ``CLASSIFY_TOL``,
-    and every pair of a map that is not certified, is scored instead by its
-    measured |F(phi A, phi B) - F(A, B)|, all of them in one
-    ``fidelity_stack`` call per block, images first. A pair with an image
-    that ``image_stack`` turns away scores an infinite violation, and no
-    bound, so the first such pair is the witness of a rejection. The
-    witness is the first pair with the largest violation.
+    Each block is read in draw order (A_1, B_1, A_2, ...) by one
+    ``wigner.residuals`` call, against the symmetry S of a certified
+    reconstruction and against none otherwise, and a pair's violation is
+    violation_bound of its residuals ||phi X - S X||_F. A pair whose bound
+    exceeds ``CLASSIFY_TOL``, which is every pair of a map with no candidate
+    (its bounds are infinite), is scored instead by its measured
+    |F(phi A, phi B) - F(A, B)|, all of them in one ``fidelity_stack`` call
+    per block, images first. A pair with an image that ``image_stack``
+    turns away scores an infinite violation, so the first such pair is the
+    witness of a rejection. The witness is the first pair with the largest
+    violation.
 
     One pair over ``CLASSIFY_TOL`` proves that the map does not preserve
     fidelity, so a rejection stops at the end of the first block that holds
@@ -305,6 +309,7 @@ def classify_map(oracle: DensityMapOracle, trials: int = 200, seed: int = 0) -> 
     if oracle.dim < 2:
         raise BadSpec("classification needs dim >= 2 (no orthogonal pure pair exists at dim 1)")
     report = reconstruct(oracle, seed=seed)
+    symmetry = report.symmetry if report.certified else None
     rng = np.random.default_rng(seed)
     d = oracle.dim
     size = max(1, TRIAL_STACK_ENTRIES // (d * d))
@@ -313,12 +318,9 @@ def classify_map(oracle: DensityMapOracle, trials: int = 200, seed: int = 0) -> 
     for start in range(0, trials, size):
         pairs = _trial_pairs(rng, d, size)[:trials - start]
         inputs = pairs.reshape(-1, d, d)
-        images, ok = oracle.image_stack(inputs)
+        images, ok, delta = residuals(oracle, symmetry, inputs)
         ok = ok.reshape(-1, 2).all(axis=1)
-        violation = np.full(len(pairs), np.inf)
-        if report.certified:
-            delta = np.sqrt(row_sumsq(images - apply_symmetry_stack(report.symmetry, inputs)))
-            violation = violation_bound(d, delta.reshape(-1, 2), _traces(inputs).reshape(-1, 2))
+        violation = violation_bound(d, delta.reshape(-1, 2), _traces(inputs).reshape(-1, 2))
         exact = ~ok | (violation > CLASSIFY_TOL)
         if exact.any():
             both = np.concatenate([images.reshape(pairs.shape)[exact], pairs[exact]])
@@ -333,7 +335,6 @@ def classify_map(oracle: DensityMapOracle, trials: int = 200, seed: int = 0) -> 
             trials = start + len(pairs)
             break
     return ClassificationReport(
-        preserving=report.certified and worst <= CLASSIFY_TOL,
         worst_violation=worst,
         witness_pair=witness if worst > CLASSIFY_TOL else None,
         trials=trials,

@@ -132,6 +132,21 @@ class SymmetryOperator:
 
 @dataclass(frozen=True)
 class ReconstructionReport:
+    """The outcome of reconstruct. ``status`` is ``certified`` or names the
+    stage that rejected the map. ``symmetry`` is the candidate S that the
+    probes assembled, None if a probe stage rejected the map, and
+    ``verification_trials`` the number of trials it was verified on, else 0.
+    ``probes_used`` counts the oracle's reads: on a probe-stage rejection
+    the stage's fixed count, j + 1 for basis probe j (from 0), d for the
+    Gram test, d + 1 for phase fixing and d + 2 for parity; else the d + 2
+    probes (1 at d = 1) and the trials up to and including the first that
+    fails. ``residual_max`` is the largest residual ||phi A - S A||_F over
+    those trials, infinite for a probe-stage rejection or an image turned
+    away. With ov_u and ov_a the overlaps of the parity probe's image with
+    the unitary and antiunitary hypotheses, ``parity_margin`` is
+    |ov_u - ov_a| once parity is decided, the signed ov_u - ov_a on
+    ``failed_parity``, and 0 for an earlier rejection or at d = 1."""
+
     symmetry: Optional[SymmetryOperator]
     residual_max: float
     probes_used: int
@@ -199,13 +214,31 @@ def extend_normalized(oracle_norm: DensityMapOracle) -> DensityMapOracle:
     return DensityMapOracle.from_evaluate(oracle_norm.dim, evaluate)
 
 
-class _Rejected(Exception):
-    """A stage of reconstruct rejected the map with ``status``."""
+def _probe(oracle: DensityMapOracle, v: np.ndarray) -> Optional[np.ndarray]:
+    """Amplitudes of the image of |v><v|, or None unless the image is a
+    finite rank-one projection of the oracle's dimension."""
+    images, ok = oracle.image_stack(freeze(np.outer(v, v.conj())[None]))
+    x = charact.projection_vector(DensityOperator(matrix=freeze(images)[0])) if ok[0] else None
+    return None if x is None else pure_state(x).amplitudes
 
-    def __init__(self, status: str, margin: float = 0.0):
-        super().__init__(status)
-        self.status = status
-        self.margin = margin
+
+def _rejected(status: str, probes: int, margin: float = 0.0) -> ReconstructionReport:
+    """The report of a probe stage that rejects the map after ``probes`` probes."""
+    return ReconstructionReport(None, math.inf, probes, 0, margin, status)
+
+
+def residuals(oracle: DensityMapOracle, symmetry: Optional[SymmetryOperator],
+              inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one reader of a map against its candidate S = ``symmetry``, for
+    reconstruct's verification and classify_map's trials: the images and
+    mask ``ok`` of one ``oracle.image_stack`` call on a read-only (n, d, d)
+    stack, and each row's residual ||phi X - S X||_F, +inf for every row
+    without a symmetry. A row turned away is scored as its zero image,
+    ||S X||_F; the caller reads ``ok``."""
+    images, ok = oracle.image_stack(inputs)
+    if symmetry is None:
+        return images, ok, np.full(len(inputs), np.inf)
+    return images, ok, np.sqrt(row_sumsq(images - apply_symmetry_stack(symmetry, inputs)))
 
 
 def reconstruct(
@@ -216,147 +249,113 @@ def reconstruct(
     """Probe the oracle on rank-one projections, assemble the implementing
     operator, classify its parity, and certify on random density operators.
 
-    Probe budget: d + 2 + ``verification_trials`` oracle calls for a
-    certified map (1 + ``verification_trials`` at d = 1): d basis
-    projections, one uniform superposition s = (e_1 + ... + e_d)/sqrt(d) for
-    phase fixing and one i-superposition (e_1 + i e_2)/sqrt(2) for parity. A
-    bijective fidelity-preserving map is A -> U A U* or A -> U conj(A) U*, and
-    these probes pin that candidate up to a global phase; verification then
-    decides. The basis images give each column U e_j up to a phase, as a unit
-    vector f_j. U*U has the moduli of their Gram matrix G_ij = <f_i, f_j>, so
-    ``failed_projection_probe`` follows the d basis probes unless
-    ||G - I||_F <= UNITARY_TOL. Since <U e_j, U s> = 1/sqrt(d) is nonzero
-    for every j, the overlaps c = F* y with the image y of s carry every
-    column's phase at once: column j is f_j (c_j/|c_j|)(|c_1|/c_1), an exact
-    unit phase times f_j, and column 1 is f_1 bit for bit. The map is
-    rejected with ``failed_phase`` unless the image of s is a rank-one
+    A bijective fidelity-preserving map is A -> U A U* or A -> U conj(A) U*.
+    d + 2 probes pin that candidate up to a global phase (one at d = 1): the
+    d basis projections, s = (e_1 + ... + e_d)/sqrt(d) for phase fixing and
+    (e_1 + i e_2)/sqrt(2) for parity; verification then decides. The basis
+    images give each column U e_j up to a phase, as a unit vector f_j, and
+    U*U has the moduli of their Gram matrix G_ij = <f_i, f_j>, so the map
+    fails the projection stage unless ||G - I||_F <= UNITARY_TOL. Since
+    <U e_j, U s> = 1/sqrt(d) is nonzero for every j, the overlaps c = F* y
+    with the image y of s carry every column's phase at once: column j is
+    f_j (c_j/|c_j|)(|c_1|/c_1), an exact unit phase times f_j, and column 1
+    is f_1 bit for bit. The map fails the phase stage unless y is a rank-one
     projection and every |c_j| is within PHASE_FIX_TOL of 1/sqrt(d). A map
-    that is not the candidate, yet passes the probes (a different parity on
-    one block, a transpose of one block), differs from it on a set of
-    positive measure, which the random verification inputs hit. A map that differs only on a
-    null set escapes any finite schedule of probes. ``seed`` only selects the
-    verification draws, through ``default_rng(seed + 1)``: first all
-    ``verification_trials`` traces and then all ranks, in one
-    ``sampling.traces_and_ranks`` call, then one ``sampling.density_stack``
-    block per stack. So trial k depends on ``verification_trials``: unlike
-    ``classify_map``'s pairs, the inputs of fewer trials are no prefix of
-    those of more.
+    that passes the probes but is not the candidate (a different parity or
+    a transpose on one block) differs from it on a set of positive measure,
+    which the random verification inputs hit; one that differs only on a
+    null set escapes any finite schedule of probes.
 
-    Every probe vv* is handed to ``oracle.image_stack`` as a read-only stack
-    of one raw outer product: each probe vector's components are purely real
-    or purely imaginary, so vv* is exactly Hermitian as computed. Every stack
-    of verification inputs goes through ``image_stack`` too: one call per
-    stack of at most TRIAL_STACK_ENTRIES entries, so the oracle sees the
-    rest of a stack even when an earlier trial in it fails. Each stack is
-    scored in one pass: the residuals ||phi(A) - U A U*||_F come from one
-    ``row_sumsq``, and the norms ||A||_F of the bound from another, read
-    only when a residual exceeds CERTIFY_TOL, the least bound.
-    ``probes_used`` counts the probes and the verification trials up to and
-    including the first that fails, as a one-matrix-at-a-time loop would;
-    ``residual_max`` is the largest residual among those trials. An image
-    that is turned away rejects the map with that probe's status, or fails
-    verification with ``residual_max`` infinite. A probe image is read with
-    ``charact.projection_vector``, in O(d^2) for a rank-one projection; only
-    an image near the RANK_TOL threshold, or not a projection at all, costs
-    an O(d^3) eigendecomposition.
+    Each stage returns its report as soon as it rejects the map, with the
+    probe count that ReconstructionReport states. Each probe vv* reaches
+    ``oracle.image_stack`` as a read-only stack of one raw outer product,
+    exactly Hermitian as computed since each component of v is purely real
+    or purely imaginary. Its image is read with ``charact.projection_vector``:
+    O(d^2) for a rank-one projection, an O(d^3) eigendecomposition only near
+    the RANK_TOL threshold or for no projection at all. ``seed`` only selects
+    the verification draws, from ``default_rng(seed + 1)``: all traces, then
+    all ranks, in one ``sampling.traces_and_ranks`` call, then one
+    ``sampling.density_stack`` block per stack of at most
+    TRIAL_STACK_ENTRIES entries. So, unlike ``classify_map``'s pairs, the
+    inputs of fewer trials are no prefix of those of more. Each stack is
+    read by one ``residuals`` call, so the oracle sees the rest of a stack
+    even when an earlier trial in it fails, and the norms ||A||_F of the
+    bound are read only when a residual exceeds CERTIFY_TOL, the least
+    bound. An image turned away rejects the map with its probe's status, or
+    fails verification with an infinite residual.
     """
     if verification_trials < 1:
         raise ValueError(f"verification_trials must be >= 1, got {verification_trials}")
     d = oracle.dim
-    probes = 0
 
-    def probe(v: np.ndarray, status: str) -> np.ndarray:
-        """Amplitudes of the image of |v><v|; rejects with ``status`` unless
-        the image is a finite rank-one projection of the oracle's dimension."""
-        nonlocal probes
-        images, ok = oracle.image_stack(freeze(np.outer(v, v.conj())[None]))
-        probes += 1
-        x = charact.projection_vector(DensityOperator(matrix=freeze(images)[0])) if ok[0] else None
+    # (1) Basis probes: images must be rank-one projections f_j f_j* with
+    # ||G - I||_F <= UNITARY_TOL for G_ij = <f_i, f_j>: U*U has G's moduli.
+    f = np.empty((d, d), dtype=complex)
+    for j, e in enumerate(np.eye(d, dtype=complex)):
+        x = _probe(oracle, e)
         if x is None:
-            raise _Rejected(status)
-        return pure_state(x).amplitudes
+            return _rejected(STATUS_FAILED_PROJECTION_PROBE, j + 1)
+        f[j] = x
+    if np.linalg.norm(f.conj() @ f.T - np.eye(d)) > UNITARY_TOL:
+        return _rejected(STATUS_FAILED_PROJECTION_PROBE, d)
 
-    try:
-        # (1) Basis probes: images must be rank-one projections f_j f_j* with
-        # ||G - I||_F <= UNITARY_TOL for G_ij = <f_i, f_j>: U*U has G's moduli.
-        f = np.array([probe(e, STATUS_FAILED_PROJECTION_PROBE)
-                      for e in np.eye(d, dtype=complex)])
-        if np.linalg.norm(f.conj() @ f.T - np.eye(d)) > UNITARY_TOL:
-            raise _Rejected(STATUS_FAILED_PROJECTION_PROBE)
-
+    parity, margin = UNITARY, 0.0
+    # d = 1: the two parities coincide on 1x1 matrices; unitary by convention.
+    if d >= 2:
         # (2) Phase fixing: one probe of s = (e_1 + ... + e_d)/sqrt(d) pins
         # every column's phase relative to the first. With y its image and
         # c = F* y, column j becomes f_j (c_j/|c_j|)(|c_1|/c_1); column 1
         # keeps the bits of f_1. F is phase-fixed in place: its rows become
         # the columns of U.
-        if d >= 2:
-            y = probe(np.full(d, 1.0 / math.sqrt(d), dtype=complex), STATUS_FAILED_PHASE)
-            c = f.conj() @ y
-            mod = np.abs(c)
-            if np.any(np.abs(mod - 1.0 / math.sqrt(d)) > PHASE_FIX_TOL):
-                raise _Rejected(STATUS_FAILED_PHASE)
-            f[1:] *= (c[1:] / mod[1:] * (c[0].conjugate() / mod[0]))[:, None]
+        y = _probe(oracle, np.full(d, 1.0 / math.sqrt(d), dtype=complex))
+        if y is None:
+            return _rejected(STATUS_FAILED_PHASE, d + 1)
+        c = f.conj() @ y
+        mod = np.abs(c)
+        if np.any(np.abs(mod - 1.0 / math.sqrt(d)) > PHASE_FIX_TOL):
+            return _rejected(STATUS_FAILED_PHASE, d + 1)
+        f[1:] *= (c[1:] / mod[1:] * (c[0].conjugate() / mod[0]))[:, None]
 
         # (3) Parity from the i-superposition (e_1 + i e_2)/sqrt(2).
-        parity = UNITARY
-        margin = 0.0
-        if d >= 2:
-            w = probe(np.array([1.0, 1j] + [0.0] * (d - 2)) / math.sqrt(2.0),
-                      STATUS_FAILED_PARITY)
-            h_u = (f[0] + 1j * f[1]) / math.sqrt(2.0)
-            h_a = (f[0] - 1j * f[1]) / math.sqrt(2.0)
-            ov_u = abs(np.vdot(h_u, w)) ** 2
-            ov_a = abs(np.vdot(h_a, w)) ** 2
-            if max(ov_u, ov_a) < 1.0 - PROBE_TOL:
-                raise _Rejected(STATUS_FAILED_PARITY, margin=ov_u - ov_a)
-            parity = UNITARY if ov_u >= ov_a else ANTIUNITARY
-            margin = abs(ov_u - ov_a)
-        # d = 1: the two parities coincide on 1x1 matrices; unitary by convention.
-    except _Rejected as rejection:
-        return ReconstructionReport(
-            symmetry=None,
-            residual_max=math.inf,
-            probes_used=probes,
-            verification_trials=0,
-            parity_margin=rejection.margin,
-            status=rejection.status,
-        )
+        w = _probe(oracle, np.array([1.0, 1j] + [0.0] * (d - 2)) / math.sqrt(2.0))
+        if w is None:
+            return _rejected(STATUS_FAILED_PARITY, d + 2)
+        h_u = (f[0] + 1j * f[1]) / math.sqrt(2.0)
+        h_a = (f[0] - 1j * f[1]) / math.sqrt(2.0)
+        ov_u = abs(np.vdot(h_u, w)) ** 2
+        ov_a = abs(np.vdot(h_a, w)) ** 2
+        if max(ov_u, ov_a) < 1.0 - PROBE_TOL:
+            return _rejected(STATUS_FAILED_PARITY, d + 2, margin=ov_u - ov_a)
+        parity = UNITARY if ov_u >= ov_a else ANTIUNITARY
+        margin = abs(ov_u - ov_a)
     symmetry = SymmetryOperator(parity=parity, u=f.T.copy())
 
     # (4) Verification on random density operators of mixed rank and trace.
     # All traces and ranks are drawn first; each stack of at most
-    # TRIAL_STACK_ENTRIES entries then takes one density_stack draw, is mapped
-    # in one image_stack call and scored in one pass. Stacks are drawn lazily,
-    # so no stack after the first failing trial is drawn or mapped.
+    # TRIAL_STACK_ENTRIES entries then takes one density_stack draw and is
+    # scored by one residuals call. Stacks are drawn lazily, so no stack
+    # after the first failing trial is drawn or mapped.
     rng = np.random.default_rng(seed + 1)
     traces, ranks = traces_and_ranks(rng, verification_trials, d)
     size = max(1, TRIAL_STACK_ENTRIES // (d * d))
+    probes = d + 2 if d >= 2 else 1
     residual_max = 0.0
-    status = STATUS_CERTIFIED
     for start in range(0, verification_trials, size):
         rows = slice(start, start + size)
         inputs = freeze(hermitize_stack(density_stack(rng, traces[rows], ranks[rows], d)))
-        expected = apply_symmetry_stack(symmetry, inputs)
-        images, ok = oracle.image_stack(inputs)
-        res = np.where(ok, np.sqrt(row_sumsq(images - expected)), math.inf)
-        worst = float(res.max())
+        _, ok, res = residuals(oracle, symmetry, inputs)
+        res = np.where(ok, res, math.inf)
         # CERTIFY_TOL is the least bound, so the inputs' norms are read only
         # for a stack with a residual above it
-        if worst > CERTIFY_TOL:
-            failed = np.flatnonzero(res > CERTIFY_TOL * (1.0 + np.sqrt(row_sumsq(inputs))))
-            if len(failed):
-                res = res[:failed[0] + 1]
-                worst = float(res.max())
-                status = STATUS_FAILED_VERIFICATION
+        bound = (CERTIFY_TOL * (1.0 + np.sqrt(row_sumsq(inputs)))
+                 if (res > CERTIFY_TOL).any() else CERTIFY_TOL)
+        failed = np.flatnonzero(res > bound)
+        if len(failed):
+            res = res[:failed[0] + 1]
         probes += len(res)
-        residual_max = max(residual_max, worst)
-        if status == STATUS_FAILED_VERIFICATION:
-            break
-    return ReconstructionReport(
-        symmetry=symmetry,
-        residual_max=residual_max,
-        probes_used=probes,
-        verification_trials=verification_trials,
-        parity_margin=margin,
-        status=status,
-    )
+        residual_max = max(residual_max, float(res.max()))
+        if len(failed):
+            return ReconstructionReport(symmetry, residual_max, probes, verification_trials,
+                                        margin, STATUS_FAILED_VERIFICATION)
+    return ReconstructionReport(symmetry, residual_max, probes, verification_trials,
+                                margin, STATUS_CERTIFIED)

@@ -1,10 +1,12 @@
 """Both tools' verdicts on every row of the adversarial table."""
+import dataclasses
 import functools
 
 import pytest
 from adversarial_maps import ADVERSARIAL_MAPS, PRESERVING, RECONSTRUCTION, WITNESS
 
-from fidsym.mapzoo import classify_map
+from fidsym.mapzoo import ClassificationReport, classify_map
+from fidsym.tolerances import CLASSIFY_TOL
 from fidsym.wigner import SymmetryOperator, reconstruct, symmetry_distance
 
 
@@ -39,3 +41,14 @@ def test_no_row_is_preserving_unless_its_reconstruction_certifies():
              and outcome(name)[0].preserving and not outcome(name)[1].certified]
     assert wrong == []
 
+
+
+def test_preserving_is_derived_and_not_stored():
+    """The verdict is no field of the report but the one rule on its fields,
+    on every row that classify_map runs."""
+    assert "preserving" not in {f.name for f in dataclasses.fields(ClassificationReport)}
+    for name, row in ADVERSARIAL_MAPS.items():
+        if row.verdict is not None:
+            report = outcome(name)[0]
+            assert report.preserving == (report.reconstruction.certified
+                                         and report.worst_violation <= CLASSIFY_TOL), name

@@ -12,6 +12,7 @@ import pytest
 from fidsym import tolerances
 from fidsym.cli import (
     EXIT_INPUT_ERROR,
+    MAX_TRIALS,
     build_parser,
     classification_to_dict,
     load_matrix,
@@ -311,6 +312,56 @@ def test_dim_above_cap_is_an_input_error(command, dim, capsys, tmp_path, nothing
     code, out, err = run_cli(args, capsys)
     assert code == 1 and out == ""
     assert err.startswith("error:") and "dim must be in 1..64" in err
+    assert not out_file.exists()
+
+
+@pytest.fixture
+def nothing_past_trials(monkeypatch):
+    """Fail the test if a command reads its map spec, or runs any stage,
+    after a --trials outside 1..MAX_TRIALS."""
+    def reached(*args, **kwargs):
+        raise AssertionError("input passed the trials check")
+
+    for target in ("fidsym.cli.load_map_spec", "fidsym.mapzoo.make_map",
+                   "fidsym.mapzoo.classify_map", "fidsym.mapzoo.verify_theorem",
+                   "fidsym.wigner.reconstruct"):
+        monkeypatch.setattr(target, reached)
+
+
+@pytest.mark.parametrize("trials", [0, MAX_TRIALS + 1, 10**11])
+@pytest.mark.parametrize("command", ["classify", "reconstruct", "verify"])
+def test_trials_outside_the_cap_are_an_input_error(command, trials, capsys, tmp_path,
+                                                   nothing_past_trials):
+    """--trials is bounded like dim: 10**11 trials would have reconstruct
+    draw 16 bytes per trial up front, and classify and verify of a
+    preserving map would run for hours."""
+    out_file = tmp_path / "out.json"
+    if command == "verify":
+        args = ["verify", "--dim", 2]
+    else:
+        args = [command, "--map", FIXTURES / "transpose_d2.json"]
+    code, out, err = run_cli(args + ["--trials", trials, "--out", out_file], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and f"trials must be in 1..{MAX_TRIALS}" in err
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("command", ["fidelity", "classify"])
+def test_deeply_nested_json_is_an_input_error(command, capsys, tmp_path):
+    """A file with 100,000 nested arrays, too deep for the JSON parser, is
+    an input error, not a RecursionError traceback."""
+    nested = "[" * 100_000 + "]" * 100_000
+    path = tmp_path / "deep.json"
+    out_file = tmp_path / "out.json"
+    if command == "fidelity":
+        path.write_text(f'{{"dim": 2, "re": {nested}}}')
+        args = ["fidelity", "--a", path, "--b", FIXTURES / "diag_05_05.json"]
+    else:
+        path.write_text(f'{{"kind": "mix", "dim": 2, "params": {{"sigma_re": {nested}}}}}')
+        args = ["classify", "--map", path, "--out", out_file]
+    code, out, err = run_cli(args, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {path}:") and "recursion" in err
     assert not out_file.exists()
 
 

@@ -17,6 +17,7 @@ from fidsym.matcore import (
     DimensionMismatch,
     hermitize_stack,
     pure_state,
+    row_sumsq,
     validate_density,
 )
 from fidsym.sampling import haar_unitary, random_density, random_pure_state
@@ -32,8 +33,10 @@ from fidsym.wigner import (
     STATUS_FAILED_VERIFICATION,
     SymmetryOperator,
     apply_symmetry,
+    apply_symmetry_stack,
     extend_normalized,
     reconstruct,
+    residuals,
     symmetry_distance,
     symmetry_oracle,
 )
@@ -275,12 +278,18 @@ def parity_breaking_oracle(d):
 
 
 # (oracle, status, probes_used, parity_margin) at d = 3. Probe budget:
-# 3 basis + 1 phase-fixing + 1 parity + 64 verification.
+# 3 basis + 1 phase-fixing + 1 parity + 64 verification. spectral_scramble
+# sends every basis probe to e_3 e_3*, so its Gram test fails after the
+# three basis probes.
 STATUS_CASES = {
     "certified": (identity_oracle, STATUS_CERTIFIED, 69, 1.0),
     "depolarizing": (
         lambda d: make_map(MapSpec(kind="depolarizing", dim=d, params={"p": 0.5})),
         STATUS_FAILED_PROJECTION_PROBE, 1, 0.0,
+    ),
+    "spectral_scramble": (
+        lambda d: make_map(MapSpec(kind="spectral_scramble", dim=d)),
+        STATUS_FAILED_PROJECTION_PROBE, 3, 0.0,
     ),
     "dephase": (
         lambda d: make_map(MapSpec(kind="dephase", dim=d)), STATUS_FAILED_PHASE, 4, 0.0,
@@ -362,6 +371,101 @@ def test_reconstruct_status_probes_and_margin(case):
         assert report.symmetry is None
         assert report.verification_trials == 0
         assert report.residual_max == math.inf
+
+
+def halving_oracle(d):
+    """A -> A / 2: no basis image has unit trace, at any d."""
+    return DensityMapOracle(d, lambda m: 0.5 * m)
+
+
+# (oracle, d, status, probes_used) for each stage that can reject a map, at
+# the d where it runs, and the certified identity at d = 1: j + 1 for basis
+# probe j, d for the Gram test, d + 1 for phase fixing, d + 2 for parity.
+STAGE_CASES = {
+    **{f"{stage}-d{d}": (make_oracle, d, status, probes(d)) for d in (2, 3, 8)
+       for stage, (make_oracle, status, probes) in {
+           "basis": (STATUS_CASES["depolarizing"][0], STATUS_FAILED_PROJECTION_PROBE,
+                     lambda d: 1),
+           "gram": (STATUS_CASES["spectral_scramble"][0], STATUS_FAILED_PROJECTION_PROBE,
+                    lambda d: d),
+           "phase": (STATUS_CASES["dephase"][0], STATUS_FAILED_PHASE, lambda d: d + 1),
+           "parity": (parity_breaking_oracle, STATUS_FAILED_PARITY, lambda d: d + 2),
+       }.items()},
+    "basis-d1": (halving_oracle, 1, STATUS_FAILED_PROJECTION_PROBE, 1),
+    "certified-d1": (identity_oracle, 1, STATUS_CERTIFIED, 65),
+}
+
+
+@pytest.mark.parametrize("case", STAGE_CASES)
+def test_each_stage_reports_the_probes_it_read(case):
+    """A rejecting stage returns its report with its fixed probe count, and
+    the oracle was read exactly that many times, one row per read. At d = 1
+    the certified identity reads its one basis probe, then its 64
+    verification inputs in one stack."""
+    make_oracle, d, status, probes = STAGE_CASES[case]
+    inner = make_oracle(d)
+    reads = []
+    oracle = DensityMapOracle(d, lambda m: reads.append(len(m)) or inner.evaluate_stack(m))
+    report = reconstruct(oracle)
+    assert (report.status, report.probes_used) == (status, probes)
+    if status == STATUS_CERTIFIED:
+        assert reads == [1, 64]
+    else:
+        assert reads == [1] * probes
+        assert report.symmetry is None and report.residual_max == math.inf
+
+
+def parity_probe_sent_to(d, sign):
+    """The identity, except that the parity probe (e_1 + i e_2)/sqrt(2) goes
+    to vv*, v = cos t e_1 + i sign sin t e_2 at t = pi/8: it overlaps the
+    unitary hypothesis by (1 + sign sin 2t)/2 and the antiunitary one by
+    (1 - sign sin 2t)/2, neither within PROBE_TOL of 1."""
+    probe = np.zeros((d, d), dtype=complex)
+    probe[:2, :2] = [[0.5, -0.5j], [0.5j, 0.5]]
+    v = np.zeros(d, dtype=complex)
+    v[0], v[1] = math.cos(math.pi / 8), 1j * sign * math.sin(math.pi / 8)
+    image = np.outer(v, v.conj())
+    return DensityMapOracle(d, lambda m: np.where(
+        np.all(np.isclose(m, probe), axis=(-2, -1))[:, None, None], image, m))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_failed_parity_keeps_the_signed_margin(sign):
+    report = reconstruct(parity_probe_sent_to(3, sign))
+    assert (report.status, report.probes_used) == (STATUS_FAILED_PARITY, 5)
+    assert report.parity_margin == pytest.approx(sign * math.sin(math.pi / 4), abs=1e-12)
+
+
+def test_residuals_read_the_map_against_its_candidate():
+    """For S after a NaN on row 1: one image_stack call; with no candidate
+    every residual is inf; with S the residuals have the bits of
+    ||phi X - S X||_F, 0 on the rows image_stack keeps, and the row that it
+    turns away reads as its zero image, ||S X||_F."""
+    rng = np.random.default_rng(11)
+    d = 3
+    inputs = np.stack([random_density(rng, d, rank=k % d + 1).matrix for k in range(5)])
+    inputs = hermitize_stack(inputs)
+    inputs.flags.writeable = False
+    s = SymmetryOperator(parity=ANTIUNITARY, u=haar_unitary(rng, d))
+
+    def act(m):
+        out = apply_symmetry_stack(s, m)
+        out[1] = np.nan
+        return out
+
+    calls = []
+    oracle = DensityMapOracle(d, lambda m: calls.append(len(m)) or act(m))
+    images, ok, res = residuals(oracle, None, inputs)
+    assert calls == [5]
+    assert ok.tolist() == [True, False, True, True, True]
+    assert np.isposinf(res).all() and res.shape == (5,)
+
+    images, ok, res = residuals(oracle, s, inputs)
+    expected = apply_symmetry_stack(s, inputs)
+    assert res.tobytes() == np.sqrt(row_sumsq(images - expected)).tobytes()
+    assert not images[1].any()
+    assert res[1] == np.sqrt(row_sumsq(expected))[1] > 0.0
+    assert not res[ok].any()
 
 
 def embedding_oracle(d):
