@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional
+from typing import Any, Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -49,6 +49,7 @@ from .wigner import (
     SymmetryOperator,
     reconstruct,
     residuals,
+    scoring_groups,
     symmetry_oracle,
 )
 from .tolerances import CLASSIFY_TOL, UNITARY_TOL
@@ -209,36 +210,44 @@ def _traces(m: np.ndarray) -> np.ndarray:
     return np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
 
 
-def _trial_pairs(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
-    """``count`` trial pairs as one hermitized, read-only (count, 2, dim, dim) stack:
-    40% random mixed pairs, 40% random pure pairs, 20% orthogonal pure pairs,
-    the sharpest discriminators (F = 0 must map to F = 0).
+def _trial_pairs(rng: np.random.Generator, dim: int, count: int, blocks: int = 1) -> np.ndarray:
+    """``blocks`` blocks of ``count`` trial pairs as one hermitized, read-only
+    (blocks * count, 2, dim, dim) stack, bit for bit the concatenation of
+    ``blocks`` calls with ``blocks=1``: 40% random mixed pairs, 40% random
+    pure pairs, 20% orthogonal pure pairs, the sharpest discriminators
+    (F = 0 must map to F = 0).
 
-    The block is drawn with one call per kind, in this order: the kinds, one
+    Each block is drawn with one call per kind, in this order: the kinds, one
     uniform per pair (mixed below 0.4, pure below 0.8, else orthogonal);
     for the n mixed pairs, A_1, B_1, A_2, ... in order, their 2n traces and
     ranks from sampling.traces_and_ranks, then one sampling.density_stack
     call, whose Ginibre block has as many columns as the largest of the 2n
-    ranks; for the pure pairs one (n, 2, dim) Ginibre block of vectors,
-    normalised by norm alone; for the orthogonal pairs one (n, dim, dim)
-    Ginibre block, of which haar_stack orthonormalises only the first two
-    columns (the rest are drawn to keep the RNG stream). One indexed
-    assignment writes the projections vv* and the stack is hermitized once.
-    Pair k depends on ``count``, so classify_map always draws whole blocks."""
-    kinds = rng.uniform(size=count)
-    mixed = np.flatnonzero(kinds < 0.4)
-    pure = np.flatnonzero((kinds >= 0.4) & (kinds < 0.8))
-    orthogonal = np.flatnonzero(kinds >= 0.8)
-    pairs = np.empty((count, 2, dim, dim), dtype=complex)
+    ranks; for the pure pairs one (n, 2, dim) Ginibre block of vectors; for
+    the orthogonal pairs one (n, dim, dim) Ginibre block, of which only the
+    first two columns are kept (the rest are drawn to keep the RNG stream).
+    The whole stack is then built at once: the pure vectors are normalised
+    by norm alone, haar_stack orthonormalises the kept columns, one indexed
+    assignment writes the projections vv*, and the stack is hermitized once;
+    each step acts on one row at a time, so a block's bits do not depend on
+    ``blocks``. Pair k depends on ``count``, so classify_map always draws
+    whole blocks."""
+    pairs = np.empty((blocks * count, 2, dim, dim), dtype=complex)
+    pure_rows, orthogonal_rows, pure, orthogonal = [], [], [], []
+    for start in range(0, blocks * count, count):
+        kinds = rng.uniform(size=count)
+        mixed = start + np.flatnonzero(kinds < 0.4)
+        pure_rows.append(start + np.flatnonzero((kinds >= 0.4) & (kinds < 0.8)))
+        orthogonal_rows.append(start + np.flatnonzero(kinds >= 0.8))
+        traces, ranks = traces_and_ranks(rng, 2 * len(mixed), dim)
+        pairs[mixed] = density_stack(rng, traces, ranks, dim).reshape(-1, 2, dim, dim)
+        pure.append(ginibre(rng, (len(pure_rows[-1]), 2, dim)))
+        orthogonal.append(ginibre(rng, (len(orthogonal_rows[-1]), dim, dim))[..., :2])
 
-    traces, ranks = traces_and_ranks(rng, 2 * len(mixed), dim)
-    pairs[mixed] = density_stack(rng, traces, ranks, dim).reshape(-1, 2, dim, dim)
-
-    v = ginibre(rng, (len(pure), 2, dim))
+    v = np.concatenate(pure)
     v /= np.linalg.norm(v, axis=-1, keepdims=True)
-    u = haar_stack(ginibre(rng, (len(orthogonal), dim, dim))[..., :2]).swapaxes(-1, -2)
+    u = haar_stack(np.concatenate(orthogonal)).swapaxes(-1, -2)
     v = np.concatenate([v, u])
-    pairs[np.concatenate([pure, orthogonal])] = v[..., :, None] * v[..., None, :].conj()
+    pairs[np.concatenate(pure_rows + orthogonal_rows)] = v[..., :, None] * v[..., None, :].conj()
     return freeze(hermitize_stack(pairs.reshape(-1, dim, dim))).reshape(pairs.shape)
 
 
@@ -283,21 +292,28 @@ def classify_map(oracle: DensityMapOracle, trials: int = 200, seed: int = 0) -> 
     to the trials left, so trial k does not depend on ``trials``: the pairs
     of a smaller ``trials`` are a prefix of those of a larger one.
 
-    Each block is read in draw order (A_1, B_1, A_2, ...) by one
+    Consecutive blocks are scored in the groups of 1, 2, 4, ... blocks of
+    ``wigner.scoring_groups`` (one block at a time at d = 64), each drawn by
+    one _trial_pairs call and read in draw order (A_1, B_1, A_2, ...) by one
     ``wigner.residuals`` call, against the symmetry S of a certified
-    reconstruction and against none otherwise, and a pair's violation is
+    reconstruction and against none otherwise; a pair's violation is
     violation_bound of its residuals ||phi X - S X||_F. A pair whose bound
     exceeds ``CLASSIFY_TOL``, which is every pair of a map with no candidate
     (its bounds are infinite), is scored instead by its measured
     |F(phi A, phi B) - F(A, B)|, all of them in one ``fidelity_stack`` call
-    per block, images first. A pair with an image that ``image_stack``
+    per group, images first. A pair with an image that ``image_stack``
     turns away scores an infinite violation, so the first such pair is the
     witness of a rejection. The witness is the first pair with the largest
     violation.
 
     One pair over ``CLASSIFY_TOL`` proves that the map does not preserve
     fidelity, so a rejection stops at the end of the first block that holds
-    a witness, and the report's ``trials`` counts the trials scored. By the
+    a witness, and the report's ``trials`` counts the trials scored. Each
+    pair's score is a function of the pair alone, so the report is that of
+    a block-by-block scan; only the oracle's call sizes show the groups, and
+    the oracle may see the rest of a group after the block that stops the
+    scan. The first group is one block, so a map that fails there costs
+    what one block costs. By the
     prefix property the report then equals that of ``classify_map`` asked
     for exactly that many trials. A map with no witness scores every trial.
     A pair that its bound settles has an exact violation of at most
@@ -311,12 +327,40 @@ def classify_map(oracle: DensityMapOracle, trials: int = 200, seed: int = 0) -> 
     report = reconstruct(oracle, seed=seed)
     symmetry = report.symmetry if report.certified else None
     rng = np.random.default_rng(seed)
+    worst, scored = 0.0, 0
+    witness: Optional[tuple[DensityOperator, DensityOperator]] = None
+    for pairs, violation in _scored_blocks(oracle, symmetry, rng, trials):
+        scored += len(pairs)
+        k = int(np.argmax(violation))
+        if violation[k] > worst:
+            worst = float(violation[k])
+            witness = (DensityOperator(matrix=pairs[k, 0]), DensityOperator(matrix=pairs[k, 1]))
+        if worst > CLASSIFY_TOL:
+            break
+    return ClassificationReport(
+        worst_violation=worst,
+        witness_pair=witness if worst > CLASSIFY_TOL else None,
+        trials=scored,
+        seed=seed,
+        reconstruction=report,
+    )
+
+
+def _scored_blocks(oracle: DensityMapOracle, symmetry: Optional[SymmetryOperator],
+                   rng: np.random.Generator, trials: int
+                   ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """classify_map's first ``trials`` trial pairs and their violations, one
+    draw block of ``max(1, TRIAL_STACK_ENTRIES // d**2)`` pairs at a time,
+    the last cut to the trials left. Each group of scoring_groups is drawn by
+    one _trial_pairs call and scored at once: one ``residuals`` call against
+    ``symmetry``, violation_bound, and one fidelity_stack call for the pairs
+    that the bound does not settle. Every score is a function of its pair
+    alone, so a block's violations do not depend on its group, and no group
+    after the one the caller stops in is drawn."""
     d = oracle.dim
     size = max(1, TRIAL_STACK_ENTRIES // (d * d))
-    worst = 0.0
-    witness: Optional[tuple[DensityOperator, DensityOperator]] = None
-    for start in range(0, trials, size):
-        pairs = _trial_pairs(rng, d, size)[:trials - start]
+    for group in scoring_groups(trials, size, d):
+        pairs = _trial_pairs(rng, d, size, blocks=len(group))[:trials - group[0]]
         inputs = pairs.reshape(-1, d, d)
         images, ok, delta = residuals(oracle, symmetry, inputs)
         ok = ok.reshape(-1, 2).all(axis=1)
@@ -327,20 +371,8 @@ def classify_map(oracle: DensityMapOracle, trials: int = 200, seed: int = 0) -> 
             f = fidelity_stack(both[:, 0], both[:, 1])
             violation[exact] = np.abs(f[:len(f) // 2] - f[len(f) // 2:])
         violation[~ok] = np.inf
-        k = int(np.argmax(violation))
-        if violation[k] > worst:
-            worst = float(violation[k])
-            witness = (DensityOperator(matrix=pairs[k, 0]), DensityOperator(matrix=pairs[k, 1]))
-        if worst > CLASSIFY_TOL:
-            trials = start + len(pairs)
-            break
-    return ClassificationReport(
-        worst_violation=worst,
-        witness_pair=witness if worst > CLASSIFY_TOL else None,
-        trials=trials,
-        seed=seed,
-        reconstruction=report,
-    )
+        for start in range(0, len(pairs), size):
+            yield pairs[start:start + size], violation[start:start + size]
 
 
 def zoo_specs(dim: int) -> list[MapSpec]:

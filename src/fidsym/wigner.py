@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -42,11 +42,17 @@ STATUS_FAILED_PARITY = "failed_parity"
 STATUS_FAILED_VERIFICATION = "failed_verification"
 
 
-# The stacks that classify_map and reconstruct's verification draw, score and
-# hand to DensityMapOracle.image_stack hold at most this many matrix entries
-# (n * d^2) per side: 16 matrices at d = 8, one at d >= 32, so memory stays
-# that of a few d x d matrices at any d.
+# Draw blocks and scoring groups are different things. classify_map and
+# reconstruct's verification draw their random inputs in blocks of at most
+# TRIAL_STACK_ENTRIES matrix entries (n * d^2) per side: 16 matrices at d = 8,
+# one at d >= 32. The block fixes the RNG stream, so every input is that of a
+# block-by-block draw. Consecutive blocks are then scored in groups of 1, 2,
+# 4, ... blocks, each group read by one ``residuals`` call, up to
+# GROUP_STACK_ENTRIES entries per side (at least one block: one matrix at
+# d = 64), so a rejection's first group is one block and memory stays that of
+# a few d x d matrices at any d; see scoring_groups.
 TRIAL_STACK_ENTRIES = 1024
+GROUP_STACK_ENTRIES = 4 * TRIAL_STACK_ENTRIES
 
 
 def _is_numeric_array(m, shape: tuple[int, ...]) -> bool:
@@ -227,14 +233,31 @@ def _rejected(status: str, probes: int, margin: float = 0.0) -> ReconstructionRe
     return ReconstructionReport(None, math.inf, probes, 0, margin, status)
 
 
+def scoring_groups(count: int, size: int, dim: int) -> Iterator[range]:
+    """The one group schedule of reconstruct's verification and classify_map's
+    trials: the starts 0, size, 2 size, ... below ``count`` of the draw blocks
+    of ``size`` inputs (or pairs) at dimension ``dim``, in consecutive groups
+    of 1, 2, 4, ... blocks, each of at most
+    max(1, GROUP_STACK_ENTRIES // (size dim^2)) blocks; the last group holds
+    the blocks left. So a rejection in the first block reads that block alone,
+    and a scan of many small blocks reads them in a few calls."""
+    cap = max(1, GROUP_STACK_ENTRIES // (size * dim * dim))
+    starts, blocks = range(0, count, size), 1
+    while starts:
+        yield starts[:blocks]
+        starts, blocks = starts[blocks:], min(2 * blocks, cap)
+
+
 def residuals(oracle: DensityMapOracle, symmetry: Optional[SymmetryOperator],
               inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The one reader of a map against its candidate S = ``symmetry``, for
     reconstruct's verification and classify_map's trials: the images and
     mask ``ok`` of one ``oracle.image_stack`` call on a read-only (n, d, d)
-    stack, and each row's residual ||phi X - S X||_F, +inf for every row
-    without a symmetry. A row turned away is scored as its zero image,
-    ||S X||_F; the caller reads ``ok``."""
+    stack, one group of scoring_groups, and each row's residual
+    ||phi X - S X||_F, +inf for every row without a symmetry. Every value is
+    a function of its row alone, so a row scores the same bits in a group of
+    any size. A row turned away is scored as its zero image, ||S X||_F; the
+    caller reads ``ok``."""
     images, ok = oracle.image_stack(inputs)
     if symmetry is None:
         return images, ok, np.full(len(inputs), np.inf)
@@ -275,14 +298,18 @@ def reconstruct(
     the RANK_TOL threshold or for no projection at all. ``seed`` only selects
     the verification draws, from ``default_rng(seed + 1)``: all traces, then
     all ranks, in one ``sampling.traces_and_ranks`` call, then one
-    ``sampling.density_stack`` block per stack of at most
+    ``sampling.density_stack`` draw per block of at most
     TRIAL_STACK_ENTRIES entries. So, unlike ``classify_map``'s pairs, the
-    inputs of fewer trials are no prefix of those of more. Each stack is
-    read by one ``residuals`` call, so the oracle sees the rest of a stack
-    even when an earlier trial in it fails, and the norms ||A||_F of the
-    bound are read only when a residual exceeds CERTIFY_TOL, the least
-    bound. An image turned away rejects the map with its probe's status, or
-    fails verification with an infinite residual.
+    inputs of fewer trials are no prefix of those of more. The blocks are
+    scored in the groups of 1, 2, 4, ... blocks of ``scoring_groups``, each
+    read by one ``residuals`` call, so the oracle sees the rest of a group
+    even when an earlier trial in it fails; at d = 32 the 64 inputs reach it
+    in 18 calls, not 64, and at d = 64 one at a time. ``probes_used`` and
+    ``residual_max`` still stop at the first failing trial, so every report
+    is that of a block-by-block scan. The norms ||A||_F of the bound are
+    read only when a residual exceeds CERTIFY_TOL, the least bound. An image
+    turned away rejects the map with its probe's status, or fails
+    verification with an infinite residual.
     """
     if verification_trials < 1:
         raise ValueError(f"verification_trials must be >= 1, got {verification_trials}")
@@ -331,22 +358,24 @@ def reconstruct(
     symmetry = SymmetryOperator(parity=parity, u=f.T.copy())
 
     # (4) Verification on random density operators of mixed rank and trace.
-    # All traces and ranks are drawn first; each stack of at most
-    # TRIAL_STACK_ENTRIES entries then takes one density_stack draw and is
-    # scored by one residuals call. Stacks are drawn lazily, so no stack
-    # after the first failing trial is drawn or mapped.
+    # All traces and ranks are drawn first; each block of at most
+    # TRIAL_STACK_ENTRIES entries then takes one density_stack draw, and each
+    # group of scoring_groups is scored by one residuals call. Groups are
+    # drawn lazily, so no group after the first failing trial is drawn or
+    # mapped.
     rng = np.random.default_rng(seed + 1)
     traces, ranks = traces_and_ranks(rng, verification_trials, d)
     size = max(1, TRIAL_STACK_ENTRIES // (d * d))
     probes = d + 2 if d >= 2 else 1
     residual_max = 0.0
-    for start in range(0, verification_trials, size):
-        rows = slice(start, start + size)
-        inputs = freeze(hermitize_stack(density_stack(rng, traces[rows], ranks[rows], d)))
+    for group in scoring_groups(verification_trials, size, d):
+        inputs = freeze(hermitize_stack(np.concatenate([
+            density_stack(rng, traces[start:start + size], ranks[start:start + size], d)
+            for start in group])))
         _, ok, res = residuals(oracle, symmetry, inputs)
         res = np.where(ok, res, math.inf)
         # CERTIFY_TOL is the least bound, so the inputs' norms are read only
-        # for a stack with a residual above it
+        # for a group with a residual above it
         bound = (CERTIFY_TOL * (1.0 + np.sqrt(row_sumsq(inputs)))
                  if (res > CERTIFY_TOL).any() else CERTIFY_TOL)
         failed = np.flatnonzero(res > bound)

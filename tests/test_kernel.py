@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from trial_reference import reference_trial_pairs, stack_size
+from trial_reference import group_calls, reference_trial_pairs, stack_size
 
 from fidsym import mapzoo
 from fidsym.charact import numerical_rank, spectral_rank
@@ -411,6 +411,44 @@ def test_a_certified_map_that_breaks_the_trials_is_rejected_as_the_scan_rejects_
     a, b = report.witness_pair
     replay = abs(fidelity(oracle.evaluate(a), oracle.evaluate(b)) - fidelity(a, b))
     assert replay == pytest.approx(report.worst_violation, abs=1e-12)
+
+
+def broken_on(target):
+    """The identity, except that the one input ``target`` goes to
+    tr(target) I/d; ``calls`` records the matrices of each call."""
+    d = len(target)
+    calls = []
+
+    def evaluate_stack(m):
+        calls.append(len(m))
+        out = m.copy()
+        out[np.all(m == target, axis=(-2, -1))] = np.trace(target).real * np.eye(d) / d
+        return out
+
+    return DensityMapOracle(d, evaluate_stack), calls
+
+
+@pytest.mark.parametrize("d, block, k", [(8, 2, 5), (8, 5, 9), (16, 4, 2), (32, 5, 0)])
+def test_a_late_witness_in_a_group_is_that_of_the_block_scan(d, block, k):
+    """The map breaks fidelity on one trial pair alone, pair k of draw block
+    ``block``, the second or third block of a scoring group of two or four
+    blocks. The report is reference_classify's, a scan one pair at a time
+    that stops after the failing block: trials, worst violation and witness.
+    The oracle reads that whole group in one call, any block after the
+    failing one included, and no group after it."""
+    size = stack_size(d)
+    target = trial_blocks(0, d, (block + 1) * size)[block * size + k]
+    oracle, calls = broken_on(target[1])
+    report = classify_map(oracle, trials=200, seed=0)
+    calls = calls.copy()
+    worst, witness, scored = reference_classify(oracle, 200, 0)
+    assert not report.preserving and report.reconstruction.certified
+    assert (report.trials, report.worst_violation) == (scored, worst)
+    assert scored == (block + 1) * size and worst > CLASSIFY_TOL
+    assert witness_bytes(report.witness_pair) == witness_bytes(witness) == (
+        target[0].tobytes(), target[1].tobytes())
+    groups = group_calls(200, d, through=scored)
+    assert calls == [1] * (d + 2) + group_calls(64, d) + [2 * n for n in groups]
 
 
 def test_non_finite_member_raises_value_error():

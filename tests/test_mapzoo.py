@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from bad_images import BAD_IMAGES
-from trial_reference import reference_trial_pairs, stack_size
+from trial_reference import group_calls, reference_trial_pairs, stack_size
 
 from fidsym.fidelity import fidelity, fidelity_stack
 from fidsym.mapzoo import (
@@ -388,12 +388,14 @@ def test_classify_trials_are_a_prefix_of_more_trials():
     """At d = 8 a block holds 16 pairs: the pairs of 20 trials, the first
     block and 4 of the second, are the first 20 of 200 trials, so the worst
     violation of 20 trials is no larger. The map preserves fidelity, so
-    both runs reconstruct alike first, d + 2 probes and four stacks of 16
-    verification inputs, and then score every trial."""
+    both runs reconstruct alike first, d + 2 probes and 64 verification
+    inputs in calls of 16, 32 and 16, and then score every trial, in the
+    scoring groups of group_calls: 16 and 4 pairs for 20 trials, 16, 32, 64,
+    64 and 24 for 200."""
     d = 8
     base = make_map(MapSpec("unitary", d, {"seed": 4}))
     first = reconstruct_calls(base, 3)
-    assert [len(m) for m in first] == [1] * (d + 2) + [16] * 4
+    assert [len(m) for m in first] == [1] * (d + 2) + group_calls(64, d)
 
     def run(trials):
         calls, oracle = counting_oracle(base)
@@ -405,10 +407,11 @@ def test_classify_trials_are_a_prefix_of_more_trials():
     long, many = run(200)
     assert few.preserving and many.preserving
     assert (few.trials, many.trials) == (20, 200)
-    assert [len(m) for m in short[:2]] == [32, 8]
-    assert [len(m) for m in long[:13]] == [32] * 12 + [16]
-    assert [m.tobytes() for m in short[2:]] == [m.tobytes() for m in long[13:]]
-    short, long = np.concatenate(short[:2]), np.concatenate(long[:13])
+    n_short, n_long = len(group_calls(20, d)), len(group_calls(200, d))
+    assert [len(m) for m in short[:n_short]] == [2 * n for n in group_calls(20, d)]
+    assert [len(m) for m in long[:n_long]] == [2 * n for n in group_calls(200, d)]
+    assert [m.tobytes() for m in short[n_short:]] == [m.tobytes() for m in long[n_long:]]
+    short, long = np.concatenate(short[:n_short]), np.concatenate(long[:n_long])
     assert long.shape == (400, d, d)
     assert short.tobytes() == long[:40].tobytes()
     assert few.worst_violation <= many.worst_violation

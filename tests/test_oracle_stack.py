@@ -1,8 +1,8 @@
 """The stacked oracle protocol: every zoo kind's evaluate_stack has the bits
 of its evaluate and of the per-matrix map it replaced, image_stack applies
 the image rule once per stack and once per row, and classify_map and
-reconstruct hand the oracle bounded stacks, stop at the first failing one,
-and count probes as a one-matrix-at-a-time loop does."""
+reconstruct hand the oracle bounded stacks, stop at the first failing
+group of them, and count probes as a one-matrix-at-a-time loop does."""
 import dataclasses
 import json
 import math
@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 from bad_images import BAD_IMAGES, BAD_STACKS
-from trial_reference import reference_verification_inputs, stack_size
+from trial_reference import group_calls, reference_verification_inputs, stack_size
 
 from fidsym.charact import numerical_rank
 from fidsym.cli import classification_to_dict, reconstruction_to_dict
@@ -23,6 +23,7 @@ from fidsym.wigner import (
     STATUS_CERTIFIED,
     STATUS_FAILED_PROJECTION_PROBE,
     STATUS_FAILED_VERIFICATION,
+    TRIAL_STACK_ENTRIES,
     UNITARY,
     DensityMapOracle,
     SymmetryOperator,
@@ -245,17 +246,18 @@ def transposing_trial(trial, d, stacked, calls):
 @pytest.mark.parametrize("stacked", [True, False], ids=["stacked", "per_matrix"])
 @pytest.mark.parametrize("trial", [1, 16, 17, 20, 64])
 def test_probes_used_counts_trials_up_to_the_first_failure(trial, stacked):
-    """At d = 8 a stack holds 16 verification inputs. A map that fails at
-    trial 20, in the second stack, uses d + 2 + 20 = 30 probes, as a per-matrix
-    loop does, and the oracle sees no stack after the failing one."""
+    """At d = 8 a draw block holds 16 verification inputs, and the oracle
+    reads them in groups of 16, 32 and 16. A map that fails at trial 20, in
+    the second group, uses d + 2 + 20 = 30 probes, as a per-matrix loop
+    does, and the oracle sees the rest of that group and no group after it."""
     d = 8
     calls = []
     report = reconstruct(transposing_trial(trial, d, stacked, calls))
     assert report.status == STATUS_FAILED_VERIFICATION
     assert report.probes_used == d + 2 + trial
     assert 1e-3 < report.residual_max < math.inf
-    stacks = -(-trial // 16)
-    assert calls == [1] * (d + 2) + ([16] * stacks if stacked else [1] * 16 * stacks)
+    groups = group_calls(64, d, through=trial)
+    assert calls == [1] * (d + 2) + (groups if stacked else [1] * sum(groups))
     calls.clear()
     other = reconstruct(transposing_trial(trial, d, not stacked, calls))
     assert (other.probes_used, other.residual_max) == (report.probes_used, report.residual_max)
@@ -285,34 +287,36 @@ def test_residual_max_is_the_largest_row_norm_up_to_the_failure(trial):
 @pytest.mark.parametrize("d", [1, 2, 3, 8, 32])
 def test_verification_inputs_match_reference_bit_for_bit(d, trials):
     """A recording identity oracle sees the reference verification inputs,
-    in stacks of stack_size(d) after the probes' stacks of one."""
+    drawn in blocks of stack_size(d) and read in the scoring groups of
+    group_calls, after the probes' stacks of one."""
     seen = []
     oracle = DensityMapOracle(d, lambda m: seen.append(m.copy()) or m.copy())
     report = reconstruct(oracle, verification_trials=trials)
     assert report.certified
     probes = 1 if d == 1 else d + 2
     assert [len(m) for m in seen[:probes]] == [1] * probes
-    size = stack_size(d)
-    assert [len(m) for m in seen[probes:]] == [min(size, trials - s)
-                                               for s in range(0, trials, size)]
+    assert [len(m) for m in seen[probes:]] == group_calls(trials, d)
     drawn = np.concatenate(seen[probes:])
     assert drawn.tobytes() == reference_verification_inputs(0, d, trials).tobytes()
 
 
 def test_a_certified_map_uses_d_plus_2_plus_64_probes_in_four_stacks():
+    """The 64 inputs are drawn in four stacks of 16 and read in three calls,
+    of 16, 32 and 16."""
     calls = []
     # only 64 inputs are drawn, so this is the identity
     report = reconstruct(transposing_trial(65, 8, True, calls))
     assert report.status == STATUS_CERTIFIED
     assert report.probes_used == 8 + 2 + 64
-    assert calls == [1] * 10 + [16] * 4
+    assert calls == [1] * 10 + group_calls(64, 8) == [1] * 10 + [16, 32, 16]
 
 
 @pytest.mark.parametrize("d", [8, 64])
 def test_stacks_stay_within_trial_stack_entries(d):
-    """reconstruct hands the oracle at most TRIAL_STACK_ENTRIES entries per
-    call, one matrix at d = 64; classify_map first makes reconstruct's calls,
-    then one per block of pairs, which holds that many per side."""
+    """reconstruct hands the oracle at most 4 TRIAL_STACK_ENTRIES entries per
+    call, a group of at most four draw blocks, and one matrix at d = 64;
+    classify_map first makes reconstruct's calls, then one per group of
+    blocks of pairs, which holds that many per side."""
     calls = []
     inner = symmetry_oracle(SymmetryOperator(
         parity=UNITARY, u=haar_unitary(np.random.default_rng(d), d)))
@@ -320,14 +324,14 @@ def test_stacks_stay_within_trial_stack_entries(d):
         d, lambda m: calls.append(len(m)) or inner.evaluate_stack(m))
     assert reconstruct(oracle).certified
     size = stack_size(d)
-    first = [1] * (d + 2) + [size] * (64 // size)
+    first = [1] * (d + 2) + group_calls(64, d)
     assert calls == first
     calls.clear()
     trials = 2 * size + 1
     report = classify_map(oracle, trials=trials)
     assert report.preserving
-    assert calls == first + [2 * size, 2 * size, 2]
-    assert max(calls) <= 2 * size
+    assert calls == first + [2 * n for n in group_calls(trials, d)]
+    assert max(calls) * d * d <= 2 * max(4 * TRIAL_STACK_ENTRIES, size * d * d)
 
 
 def test_an_oracle_without_evaluate_stack_is_read_in_draw_order():

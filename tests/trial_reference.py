@@ -1,7 +1,9 @@
 """References for mapzoo._trial_pairs and for wigner.reconstruct's
 verification inputs: make the draws in their RNG order, then build and wrap
 one matrix or pair at a time with single-matrix code, so that the stacked
-construction and its indexing are checked bit for bit."""
+construction and its indexing are checked bit for bit; and the sizes of the
+calls in which both scans hand their inputs to the oracle, computed from
+the stated schedule alone."""
 import numpy as np
 
 from fidsym import mapzoo
@@ -13,6 +15,22 @@ def stack_size(d):
     stack, at dimension d; read at call time, so a monkeypatched
     mapzoo.TRIAL_STACK_ENTRIES applies."""
     return max(1, mapzoo.TRIAL_STACK_ENTRIES // (d * d))
+
+
+def group_calls(count, d, through=None):
+    """The inputs (for classify_map, the pairs) that each scoring group of
+    ``count`` hands the oracle at dimension d: draw blocks of stack_size(d),
+    scored in groups of 1, 2, 4, ... blocks, each group at most
+    4 * TRIAL_STACK_ENTRIES entries per side but at least one block, the last
+    cut to what is left. With ``through``, only the groups up to the one
+    that holds input ``through`` (from 1)."""
+    size = stack_size(d)
+    cap = max(1, 4 * mapzoo.TRIAL_STACK_ENTRIES // (size * d * d))
+    calls, blocks = [], 1
+    while sum(calls) < min(count, through or count):
+        calls.append(min(blocks * size, count - sum(calls)))
+        blocks = min(2 * blocks, cap)
+    return calls
 
 
 def reference_trial_pairs(rng, d, count):
