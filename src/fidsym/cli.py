@@ -5,11 +5,11 @@ Matrix files: {"dim": d, "re": [[...]], "im": [[...]]} (row-major, entry
 (i,j) = re[i][j] + i*im[i][j]). Map specs: {"kind": ..., "dim": ...,
 "params": {...}} (the params of each kind: mapzoo.KIND_PARAMS); any other
 key is an input error, and so are a dim outside 1..MAX_DIM, a --trials
-outside 1..MAX_TRIALS and JSON nested too deeply to parse. Reports record
-the tool version, seed, and the whole tolerance table (fidsym.tolerances),
-so a rerun reproduces them byte for byte. Reports are strict JSON: an
-infinite residual_max or worst_violation is written as null, and
-write_report refuses any other non-finite number.
+outside 1..MAX_TRIALS, a --digits above MAX_DIGITS and JSON nested too
+deeply to parse. Reports record the tool version, seed, and the whole
+tolerance table (fidsym.tolerances), so a rerun reproduces them byte for
+byte. Reports are strict JSON: an infinite residual_max or worst_violation
+is written as null, and write_report refuses any other non-finite number.
 """
 from __future__ import annotations
 
@@ -41,6 +41,10 @@ MAX_DIM = 64
 # could ask for gigabytes before any work, and would keep classify and
 # verify on a preserving map busy for hours.
 MAX_TRIALS = 10**6
+# The most decimals fidelity prints: every double is an integer multiple of
+# 2**-1074, so every decimal past the 1074th is zero, and a larger --digits
+# would only ask for a line of zeros as long as memory allows.
+MAX_DIGITS = 1074
 
 
 class InputError(ValueError):
@@ -188,6 +192,8 @@ def write_report(path: str, payload: dict[str, Any]) -> None:
 
 
 def cmd_fidelity(args: argparse.Namespace) -> int:
+    if args.digits > MAX_DIGITS:
+        raise InputError(f"digits must be in 0..{MAX_DIGITS}")
     a = load_density(args.a)
     b = load_density(args.b)
     if args.m is not None:

@@ -12,6 +12,7 @@ import pytest
 from fidsym import tolerances
 from fidsym.cli import (
     EXIT_INPUT_ERROR,
+    MAX_DIGITS,
     MAX_TRIALS,
     build_parser,
     classification_to_dict,
@@ -573,22 +574,40 @@ def test_negative_digits_is_an_input_error(capsys):
     assert "--digits" in err and "non-negative integer" in err
 
 
-def test_parser_is_built_once_on_first_use():
+def test_digits_at_cap_is_accepted(capsys):
+    """MAX_DIGITS decimals reach the last nonzero one a double can have."""
+    code, out, _ = run_cli(["fidelity", "--a", FIXTURES / "diag_05_05.json",
+                            "--b", FIXTURES / "diag_05_05.json", "--digits", MAX_DIGITS], capsys)
+    assert code == 0 and MAX_DIGITS == 1074
+    assert out == "1." + "0" * MAX_DIGITS + "\n"
+
+
+@pytest.mark.parametrize("digits", [MAX_DIGITS + 1, 2 * 10**9])
+def test_digits_above_cap_is_an_input_error(digits, capsys):
+    """A --digits past the last decimal a double can have would print a
+    line of zeros as long as memory allows."""
+    code, out, err = run_cli(["fidelity", "--a", FIXTURES / "diag_05_05.json",
+                              "--b", FIXTURES / "diag_05_05.json", "--digits", digits], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and f"digits must be in 0..{MAX_DIGITS}" in err
+    assert "Traceback" not in err
+
+
+def test_parser_is_built_once_on_first_use(src_env):
     assert build_parser() is build_parser()
     result = subprocess.run(
         [sys.executable, "-c",
          "import fidsym.cli as c; print(c.build_parser.cache_info().currsize)"],
-        capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")},
+        capture_output=True, text=True, env=src_env,
     )
     assert result.returncode == 0 and result.stdout.strip() == "0"
 
 
-def test_cli_entry_point_subprocess():
+def test_cli_entry_point_subprocess(src_env):
     result = subprocess.run(
         [sys.executable, "-m", "fidsym.cli", "fidelity",
          "--a", str(FIXTURES / "diag_05_05.json"), "--b", str(FIXTURES / "diag_05_05.json")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=src_env,
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "1.000000000000"

@@ -292,8 +292,8 @@ def test_verification_inputs_match_reference_bit_for_bit(d, trials):
     seen = []
     oracle = DensityMapOracle(d, lambda m: seen.append(m.copy()) or m.copy())
     report = reconstruct(oracle, verification_trials=trials)
-    assert report.certified
     probes = 1 if d == 1 else d + 2
+    assert report.certified and report.probes_used == probes + trials
     assert [len(m) for m in seen[:probes]] == [1] * probes
     assert [len(m) for m in seen[probes:]] == group_calls(trials, d)
     drawn = np.concatenate(seen[probes:])
