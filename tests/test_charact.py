@@ -8,6 +8,7 @@ from fidsym.charact import (
     CertificateFailure,
     OrthogonalCertificate,
     ZeroOperator,
+    _minorants,
     _sample_minorants,
     is_rank_one,
     is_rank_one_projection,
@@ -178,9 +179,16 @@ def loop_minorants(a, samples, rng):
     return out
 
 
+def formed_minorants(a, samples, rng):
+    """Every minorant of _sample_minorants' factors, formed in draw order."""
+    x, s = _sample_minorants(a, samples, rng)
+    return _minorants(x, s, np.arange(samples))
+
+
 @pytest.mark.parametrize("d", range(1, 9))
 def test_sample_minorants_matches_reference_loop(d):
-    """Same minorants to rounding, and the same RNG stream afterwards."""
+    """Same minorants to rounding once formed from the factors, and the same
+    RNG stream afterwards."""
     rng = np.random.default_rng(40 + d)
     for rank in range(1, d + 1):
         a = random_density(rng, d, rank=rank)
@@ -188,9 +196,10 @@ def test_sample_minorants_matches_reference_loop(d):
             for seed in range(5):
                 got_rng = np.random.default_rng(seed)
                 ref_rng = np.random.default_rng(seed)
-                got = _sample_minorants(a, samples, got_rng)
+                x, scale = _sample_minorants(a, samples, got_rng)
+                got = _minorants(x, scale, np.arange(samples))
                 ref = loop_minorants(a, samples, ref_rng)
-                assert got.shape == (samples, d, d)
+                assert x.shape == got.shape == (samples, d, d) and scale.shape == (samples,)
                 assert np.max(np.abs(got - ref)) <= 1e-13, (rank, samples, seed)
                 assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -221,7 +230,7 @@ def test_sample_minorants_runs_no_eigensolve(monkeypatch, d):
 
 def test_probe_runs_one_cholesky_and_no_eigenvalue_solve_on_an_incomparable_first_pair(monkeypatch):
     """On the rank-two operator of test_probe_rows_read: sqrtm_psd's eigh,
-    then the lowest pair's one-row all_leq, one Cholesky factorization."""
+    then the two lowest pairs' two-row all_leq, one Cholesky factorization."""
     rank_two = validate_density(np.diag([0.5, 0.5, 0.0]))
     calls = count_solves(monkeypatch)
     assert not order_totality_probe(rank_two, seed=2)
@@ -236,7 +245,7 @@ def test_sample_minorants_lie_between_zero_and_u_a(d):
     samples = 50
     for rank in range(1, d + 1):
         a = random_density(rng, d, rank=rank, trace=float(rng.uniform(0.5, 2.0)))
-        mins = _sample_minorants(a, samples, np.random.default_rng(rank))
+        mins = formed_minorants(a, samples, np.random.default_rng(rank))
         ref_rng = np.random.default_rng(rank)
         ref_rng.normal(size=(samples, d, d))
         ref_rng.normal(size=(samples, d, d))
@@ -292,7 +301,7 @@ def test_probe_runs_no_svd(monkeypatch):
 def all_pairs_probe(a, samples=200, seed=0):
     """Reference: the same minorants, every pair of them comparable in one
     direction or the other."""
-    mins = _sample_minorants(a, samples, np.random.default_rng(seed))
+    mins = formed_minorants(a, samples, np.random.default_rng(seed))
     ii, jj = np.triu_indices(samples, k=1)
     diff = mins[ii] - mins[jj]
     tol = ORDER_TOL * (1.0 + np.linalg.norm(diff, axis=(1, 2)))
@@ -323,7 +332,7 @@ def test_probe_matches_all_pairs_scan_near_rank_one(eps):
 
 def sorted_minorants(a, samples, seed):
     """The probe's minorants in its stable trace order."""
-    s = _sample_minorants(a, samples, np.random.default_rng(seed))
+    s = formed_minorants(a, samples, np.random.default_rng(seed))
     return s[np.argsort(np.trace(s, axis1=1, axis2=2).real, kind="stable")]
 
 
@@ -347,14 +356,16 @@ def test_probe_matches_single_neighbour_scan(d, samples):
             assert order_totality_probe(a, samples=samples, seed=seed) == want, (rank, seed)
 
 
-@pytest.mark.parametrize("samples", [2, 3, 200])
+@pytest.mark.parametrize("samples", [2, 3, 4, 200])
 def test_probe_rows_read(monkeypatch, samples):
-    """The lowest pair is scored alone: a rank-two operator whose first pair
-    is incomparable reads one row, a rank-one operator that row and then
-    the other samples - 2 in one call."""
+    """The two lowest pairs are scored first, in one call: a rank-two
+    operator with an incomparable pair among them reads [1] at samples = 2
+    and [2] above, a rank-one operator those rows and then the other
+    samples - 3 in one more call."""
     rank_two = validate_density(np.diag([0.5, 0.5, 0.0]))
     s = sorted_minorants(rank_two, samples, seed=2)
-    assert not all_leq(s[:1], s[1:2])
+    pairs = min(samples - 1, 2)
+    assert not all_leq(s[:pairs], s[1:pairs + 1])
     rows = []
     real_all_leq = charact.all_leq
 
@@ -364,10 +375,69 @@ def test_probe_rows_read(monkeypatch, samples):
 
     monkeypatch.setattr(charact, "all_leq", counting_all_leq)
     assert not order_totality_probe(rank_two, samples=samples, seed=2)
-    assert rows == [1]
+    assert rows == [pairs]
     rows.clear()
     assert order_totality_probe(pure_state([1.0, 1j, 0.5]).projection(), samples=samples, seed=0)
-    assert rows == ([1] if samples == 2 else [1, samples - 2])
+    assert rows == {2: [1], 3: [2]}.get(samples, [2, samples - 3])
+
+
+def recording_minorants(monkeypatch):
+    """Wrap charact._minorants; the returned list holds the rows asked of
+    each call, in call order."""
+    calls = []
+    real = charact._minorants
+
+    def recorded(x, s, rows):
+        calls.append(rows)
+        return real(x, s, rows)
+
+    monkeypatch.setattr(charact, "_minorants", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+@pytest.mark.parametrize("samples", [2, 3, 4, 200])
+def test_probe_forms_only_the_minorants_it_scores(monkeypatch, d, samples):
+    """3 minorants when an incomparable pair is among the two lowest, all
+    samples otherwise; from samples = 4 up the early exit is met."""
+    calls = recording_minorants(monkeypatch)
+    rng = np.random.default_rng(150 + d)
+    pairs = min(samples - 1, 2)
+    early = 0
+    for rank in range(1, d + 1):
+        a = random_density(rng, d, rank=rank)
+        for seed in range(3):
+            s = sorted_minorants(a, samples, seed)
+            decided = not all_leq(s[:pairs], s[1:pairs + 1])
+            calls.clear()
+            order_totality_probe(a, samples=samples, seed=seed)
+            formed = sum(len(rows) for rows in calls)
+            assert formed == (min(samples, 3) if decided else samples), (rank, seed)
+            early += decided and samples > 3
+    assert early > 0 or samples <= 3
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+@pytest.mark.parametrize("samples", [3, 200])
+def test_factor_trace_order_is_the_trace_order_of_the_formed_minorants(monkeypatch, d, samples):
+    """With every pair scored as ordered the probe forms all its minorants,
+    and the rows it forms, in order, are a stable argsort of np.trace of
+    the formed minorants, at every rank; formed in the probe's calls they
+    have the bits they have when all are formed at once."""
+    calls = recording_minorants(monkeypatch)
+    monkeypatch.setattr(charact, "all_leq", lambda a, b: True)
+    rng = np.random.default_rng(170 + d)
+    for rank in range(1, d + 1):
+        a = random_density(rng, d, rank=rank)
+        for seed in range(3):
+            calls.clear()
+            assert order_totality_probe(a, samples=samples, seed=seed)
+            x, scale = _sample_minorants(a, samples, np.random.default_rng(seed))
+            mins = _minorants(x, scale, np.arange(samples))
+            want = np.argsort(np.trace(mins, axis1=1, axis2=2).real, kind="stable")
+            np.testing.assert_array_equal(np.concatenate(calls), want, err_msg=f"{rank} {seed}")
+            parts = np.concatenate([_minorants(x, scale, rows) for rows in calls])
+            assert parts.tobytes() == mins[want].tobytes(), (rank, seed)
 
 
 def spectral_rule(a):

