@@ -91,13 +91,15 @@ def projection_vector(a: DensityOperator) -> Optional[np.ndarray]:
     it in modulus: the spectral rule accepts, and x is returned. (For a
     non-Hermitian P the same holds for its Hermitian part, which is what the
     spectral rule decomposes: c is unchanged and e cannot grow.) Every other
-    image, whether NaN, non-PSD, of the wrong trace or near the RANK_TOL
+    finite image, whether non-PSD, of the wrong trace or near the RANK_TOL
     threshold, gets one eig_hermitian and the spectral rule itself, which
     rejects a unit-trace image with a negative eigenvalue beyond RANK_TOL
-    times the largest, as diag(1.1, -0.1). The decisions are therefore those
-    of the spectral rule, up to rounding of order eps ||P||. As an accepted
-    P has |lambda_2| <= RANK_TOL lambda_1, the power step leaves x within
-    about (lambda_2 / lambda_1)^2 <= 1e-16 of the top eigenvector.
+    times the largest, as diag(1.1, -0.1); a NaN or infinite entry makes
+    eig_hermitian raise ValueError, as is_rank_one does. The decisions are
+    therefore those of the spectral rule, up to rounding of order eps ||P||.
+    As an accepted P has |lambda_2| <= RANK_TOL lambda_1, the power step
+    leaves x within about (lambda_2 / lambda_1)^2 <= 1e-16 of the top
+    eigenvector.
     """
     p = a.matrix
     diag = p.diagonal().real

@@ -5,22 +5,20 @@ fidelity and must reconstruct to a certified symmetry; the other half
 (depolarizing, mixing, dephasing, spectral scrambling) must be rejected with
 a concrete witness pair. verify_theorem runs the whole dichotomy.
 
-classify_map reconstructs first, and calls a map preserving only if that
-reconstruction is certified and no trial pair breaks fidelity by more than
-CLASSIFY_TOL: a bijective fidelity-preserving map is implemented by a unitary
-or antiunitary operator, so a map that reconstruct cannot pin to one is none.
-The easy direction of the theorem is exact, F(S A, S B) = F(A, B) for a
-symmetry S, so once a candidate S is certified a trial pair is checked by how
-far its images lie from S's, with the bound of violation_bound and no
-eigendecomposition; only a pair that the bound does not settle is scored by
-fidelity_stack. A map that does not certify has no candidate, so its bounds
-are infinite and fidelity_stack scores all its pairs.
+classify_map probes first, and calls a map preserving only if the probes'
+candidate S certifies on the trial inputs and no trial pair breaks fidelity
+by more than CLASSIFY_TOL: a bijective fidelity-preserving map is a unitary
+or antiunitary symmetry, so a map that the probes cannot pin to one is none.
+As F(S A, S B) = F(A, B) exactly, one scan against S verifies it and bounds
+each pair's violation by how far its images lie from S's (violation_bound),
+with no eigendecomposition; only a pair that the bound does not settle, and
+every pair of a map with no candidate, is scored by fidelity_stack.
 """
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping, Optional
+from dataclasses import dataclass, field, replace
+from typing import Any, Mapping, Optional
 
 import numpy as np
 
@@ -44,12 +42,13 @@ from .wigner import (
     ANTIUNITARY,
     TRIAL_STACK_ENTRIES,
     UNITARY,
+    VERIFICATION_TRIALS,
     DensityMapOracle,
     ReconstructionReport,
     SymmetryOperator,
-    reconstruct,
-    residuals,
-    scoring_groups,
+    _probe_stages,
+    _verified,
+    scan,
     symmetry_oracle,
 )
 from .tolerances import CLASSIFY_TOL, UNITARY_TOL
@@ -86,21 +85,16 @@ class MapSpec:
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    """The verdict of classify_map, ``preserving``, derived from the fields;
-    ``reconstruction`` is always the report of the reconstruct that ran
-    first. A rejection with a ``witness_pair`` was made by that trial pair;
-    one without was made by the reconstruction, whose ``status`` names the
-    stage that failed. ``trials`` counts the trials
-    scored: up to the end of the first block that holds a witness, if one
-    does, else all of those asked for.
-
-    ``worst_violation`` is the largest violation over the trials scored. A
-    pair scores its measured |F(phi A, phi B) - F(A, B)| when the map does
-    not certify or when its violation_bound exceeds CLASSIFY_TOL, and that
-    bound otherwise. So for a preserving map, which is certified, it is the
-    largest bound (an upper bound on |dF|, not a measured one) unless a pair
-    needed fidelity_stack, and a rejection's is measured, or infinite for an
-    image turned away."""
+    """The verdict of classify_map, ``preserving``, derived from the fields.
+    ``reconstruction`` is the report of the probe stage that rejected the map,
+    or of its candidate verified on the scan's max(2 ``trials``,
+    VERIFICATION_TRIALS) inputs, 2 ``trials`` on a witness. A rejection with a
+    ``witness_pair`` was made by it, one without by the reconstruction, whose
+    ``status`` names the failing stage. ``trials`` counts the trials scored: up
+    to the end of the first block that holds a witness, else all asked for.
+    ``worst_violation`` is the largest violation over them: a pair's
+    violation_bound, an upper bound on |dF|, where at most CLASSIFY_TOL, else
+    its measured |F(phi A, phi B) - F(A, B)|."""
 
     worst_violation: float
     witness_pair: Optional[tuple[DensityOperator, DensityOperator]]
@@ -273,106 +267,86 @@ def violation_bound(dim: int, delta: np.ndarray, traces: np.ndarray) -> np.ndarr
     S X, a point of that cone, so beta bounds the change of F on the
     projected images as well. beta bounds the exact change; the rounding of
     a computed F is not in it. A product that overflows gives an infinite
-    bound, which settles nothing, and so does an infinite residual, the
-    residual against no candidate, since every trace is positive."""
+    bound, which settles nothing, and so does an infinite residual, that of
+    an image turned away or against no candidate, since every trace is
+    positive; so the NaN of a zero residual times an infinite one reads as
+    an infinite bound."""
     r = np.sqrt(dim) * delta
-    with np.errstate(over="ignore"):
-        return np.sqrt(r[:, 0] * (traces[:, 1] + r[:, 1])) + np.sqrt(r[:, 1] * traces[:, 0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        beta = np.sqrt(r[:, 0] * (traces[:, 1] + r[:, 1])) + np.sqrt(r[:, 1] * traces[:, 0])
+    return np.where(np.isnan(beta), np.inf, beta)
 
 
 def classify_map(oracle: DensityMapOracle, trials: int = 200, seed: int = 0) -> ClassificationReport:
-    """Reconstruct the map, then test fidelity preservation on random
-    pairs; the map is preserving if the reconstruction, which the report
-    carries, is certified and no pair's violation exceeds ``CLASSIFY_TOL``.
+    """Probe the map for its candidate symmetry S, then scan random pairs
+    against it: the map is preserving if every scanned input certifies S,
+    as the report's reconstruction states, and no pair's violation exceeds
+    ``CLASSIFY_TOL``.
 
-    ``reconstruct(oracle, seed=seed)`` runs first, with its own stream
-    ``default_rng(seed + 1)``. Trials are then drawn from ``default_rng(seed)``
-    in blocks of ``max(1, TRIAL_STACK_ENTRIES // d**2)`` pairs, each drawn
-    whole by _trial_pairs. Every block is drawn full and the last one is cut
-    to the trials left, so trial k does not depend on ``trials``: the pairs
-    of a smaller ``trials`` are a prefix of those of a larger one.
-
-    Consecutive blocks are scored in the groups of 1, 2, 4, ... blocks of
-    ``wigner.scoring_groups`` (one block at a time at d = 64), each drawn by
-    one _trial_pairs call and read in draw order (A_1, B_1, A_2, ...) by one
-    ``wigner.residuals`` call, against the symmetry S of a certified
-    reconstruction and against none otherwise; a pair's violation is
-    violation_bound of its residuals ||phi X - S X||_F. A pair whose bound
-    exceeds ``CLASSIFY_TOL``, which is every pair of a map with no candidate
-    (its bounds are infinite), is scored instead by its measured
-    |F(phi A, phi B) - F(A, B)|, all of them in one ``fidelity_stack`` call
-    per group, images first. A pair with an image that ``image_stack``
-    turns away scores an infinite violation, so the first such pair is the
-    witness of a rejection. The witness is the first pair with the largest
-    violation.
+    After reconstruct's probe stages, trials are drawn from
+    ``default_rng(seed)`` in blocks of ``max(1, TRIAL_STACK_ENTRIES // d**2)``
+    pairs, each drawn whole by _trial_pairs and the last cut to the trials
+    left, so the pairs of fewer trials are a prefix of those of more.
+    ``wigner.scan`` reads its groups of blocks in draw order (A_1, B_1, A_2,
+    ...) against S, if the probes produced one, and alone verifies S. As a
+    map that is S on pure states alone passes a few inputs, it draws on past
+    fewer than VERIFICATION_TRIALS / 2 trials, to pairs that only verify S.
+    A pair's violation is violation_bound of its residuals, valid for any
+    S, unless that exceeds ``CLASSIFY_TOL`` (always, with no candidate):
+    then it is the measured |F(phi A, phi B) - F(A, B)|, from one
+    ``fidelity_stack`` call per group, or infinite for an image that
+    ``image_stack`` turns away. The witness is the first pair with the
+    largest violation; a settled pair's exact violation is at most
+    CLASSIFY_TOL, so it is the witness of scoring every pair by fidelity.
 
     One pair over ``CLASSIFY_TOL`` proves that the map does not preserve
     fidelity, so a rejection stops at the end of the first block that holds
-    a witness, and the report's ``trials`` counts the trials scored. Each
-    pair's score is a function of the pair alone, so the report is that of
-    a block-by-block scan; only the oracle's call sizes show the groups, and
-    the oracle may see the rest of a group after the block that stops the
-    scan. The first group is one block, so a map that fails there costs
-    what one block costs. By the
-    prefix property the report then equals that of ``classify_map`` asked
-    for exactly that many trials. A map with no witness scores every trial.
-    A pair that its bound settles has an exact violation of at most
-    CLASSIFY_TOL, so a rejection reports what scoring every pair by
-    fidelity_stack reports, witness included.
+    a witness, and ``trials`` counts the trials scored. Each score is a
+    function of its pair alone, so the report is that of a block-by-block
+    scan (the oracle may see the rest of the last group) and, by the prefix
+    property, that of ``classify_map`` asked for exactly that many trials,
+    reconstruction included.
     """
     if trials < 1:
         raise BadSpec(f"trials must be >= 1, got {trials}")
     if oracle.dim < 2:
         raise BadSpec("classification needs dim >= 2 (no orthogonal pure pair exists at dim 1)")
-    report = reconstruct(oracle, seed=seed)
-    symmetry = report.symmetry if report.certified else None
-    rng = np.random.default_rng(seed)
-    worst, scored = 0.0, 0
-    witness: Optional[tuple[DensityOperator, DensityOperator]] = None
-    for pairs, violation in _scored_blocks(oracle, symmetry, rng, trials):
-        scored += len(pairs)
-        k = int(np.argmax(violation))
-        if violation[k] > worst:
-            worst = float(violation[k])
-            witness = (DensityOperator(matrix=pairs[k, 0]), DensityOperator(matrix=pairs[k, 1]))
-        if worst > CLASSIFY_TOL:
-            break
-    return ClassificationReport(
-        worst_violation=worst,
-        witness_pair=witness if worst > CLASSIFY_TOL else None,
-        trials=scored,
-        seed=seed,
-        reconstruction=report,
-    )
-
-
-def _scored_blocks(oracle: DensityMapOracle, symmetry: Optional[SymmetryOperator],
-                   rng: np.random.Generator, trials: int
-                   ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """classify_map's first ``trials`` trial pairs and their violations, one
-    draw block of ``max(1, TRIAL_STACK_ENTRIES // d**2)`` pairs at a time,
-    the last cut to the trials left. Each group of scoring_groups is drawn by
-    one _trial_pairs call and scored at once: one ``residuals`` call against
-    ``symmetry``, violation_bound, and one fidelity_stack call for the pairs
-    that the bound does not settle. Every score is a function of its pair
-    alone, so a block's violations do not depend on its group, and no group
-    after the one the caller stops in is drawn."""
     d = oracle.dim
     size = max(1, TRIAL_STACK_ENTRIES // (d * d))
-    for group in scoring_groups(trials, size, d):
-        pairs = _trial_pairs(rng, d, size, blocks=len(group))[:trials - group[0]]
-        inputs = pairs.reshape(-1, d, d)
-        images, ok, delta = residuals(oracle, symmetry, inputs)
+    report = _probe_stages(oracle, 0)
+    count = trials if report.symmetry is None else max(trials, VERIFICATION_TRIALS // 2)
+    rng = np.random.default_rng(seed)
+
+    def draw(group: range) -> np.ndarray:
+        return _trial_pairs(rng, d, size, blocks=len(group))[:count - group[0]].reshape(-1, d, d)
+
+    worst, scored = 0.0, 0
+    witness: Optional[tuple[DensityOperator, DensityOperator]] = None
+    for inputs, images, ok, res, rule in scan(oracle, report.symmetry, draw, count, size):
+        pairs = inputs.reshape(-1, 2, d, d)
         ok = ok.reshape(-1, 2).all(axis=1)
-        violation = violation_bound(d, delta.reshape(-1, 2), _traces(inputs).reshape(-1, 2))
+        violation = violation_bound(d, res.reshape(-1, 2), _traces(inputs).reshape(-1, 2))
         exact = ~ok | (violation > CLASSIFY_TOL)
         if exact.any():
             both = np.concatenate([images.reshape(pairs.shape)[exact], pairs[exact]])
             f = fidelity_stack(both[:, 0], both[:, 1])
             violation[exact] = np.abs(f[:len(f) // 2] - f[len(f) // 2:])
         violation[~ok] = np.inf
-        for start in range(0, len(pairs), size):
-            yield pairs[start:start + size], violation[start:start + size]
+        n, m = len(pairs), min(len(pairs), trials - scored)  # pairs read for S, trials among them
+        # the scan stops at the end of the first block that holds a witness
+        over = np.flatnonzero(violation[:m] > CLASSIFY_TOL)
+        if len(over):
+            n = m = min(m, (int(over[0]) // size + 1) * size)
+            k = int(np.argmax(violation[:m]))
+            witness = (DensityOperator(matrix=pairs[k, 0]), DensityOperator(matrix=pairs[k, 1]))
+        worst = max(worst, float(violation[:m].max(initial=0.0)))
+        scored += m
+        report = _verified(report, res[:2 * n], rule[:2 * n])
+        if witness is not None:
+            break
+    if report.symmetry is not None:
+        report = replace(report, verification_trials=2 * (count if witness is None else scored))
+    return ClassificationReport(worst, witness, scored, seed, report)
 
 
 def zoo_specs(dim: int) -> list[MapSpec]:
@@ -397,6 +371,9 @@ def verify_theorem(dim: int, trials: int = 200, seed: int = 0) -> dict[str, Any]
         if report.preserving != (spec.kind in PRESERVING_KINDS):
             outcome = "be rejected but was not" if report.preserving else "certify but did not"
             raise AssertionFailure(f"kind {spec.kind!r} (dim {dim}, seed {seed}) should {outcome}")
+        if not report.preserving and report.witness_pair is None:
+            raise AssertionFailure(f"kind {spec.kind!r} (dim {dim}, seed {seed}) was rejected "
+                                   "with no witness pair")
         if report.preserving:
             entry["parity"] = report.reconstruction.symmetry.parity
             entry["residual_max"] = report.reconstruction.residual_max

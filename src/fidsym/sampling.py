@@ -83,7 +83,10 @@ def random_density(
     The hermitized GG* is exactly Hermitian, and its most negative
     eigenvalue is rounding of order eps ||GG*||, far inside the PSD_TOL band
     that validation would clip, so it is wrapped without an
-    eigendecomposition."""
+    eigendecomposition. A rank outside 1..dim or a trace that is not >= 0
+    raises ValueError before any draw."""
+    if (rank is not None and not 1 <= rank <= dim) or (trace is not None and not trace >= 0.0):
+        raise ValueError(f"need rank in 1..{dim} and trace >= 0, got rank {rank}, trace {trace}")
     if rank is None:
         rank = int(rng.integers(1, dim + 1))
     traces = None if trace is None else np.array([trace], dtype=float)

@@ -4,17 +4,17 @@ map on density operators.
 The map is probed on d + 2 rank-one projections: (1) the basis states,
 whose images must be orthonormal projections, the columns of a unitary up
 to phases; (2) their uniform superposition, which fixes every phase; (3) an
-i-superposition, which classifies the parity. (4) phi(A) = U A U* (or
-U conj(A) U*) is then certified on random density operators. Bijectivity of
-the map is never assumed; a map that fails any stage, or has an image that
-``DensityMapOracle.image_stack``, its one reader, turns away, gets a status
-flag, not an exception. An oracle that raises still propagates its
+i-superposition, which classifies the parity. (4) ``scan`` then certifies
+phi(A) = U A U* (or U conj(A) U*) on random density operators. Bijectivity
+of the map is never assumed; a map that fails any stage, or has an image
+that ``DensityMapOracle.image_stack``, its one reader, turns away, gets a
+status flag, not an exception. An oracle that raises still propagates its
 exception.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -42,17 +42,16 @@ STATUS_FAILED_PARITY = "failed_parity"
 STATUS_FAILED_VERIFICATION = "failed_verification"
 
 
-# Draw blocks and scoring groups are different things. classify_map and
-# reconstruct's verification draw their random inputs in blocks of at most
-# TRIAL_STACK_ENTRIES matrix entries (n * d^2) per side: 16 matrices at d = 8,
-# one at d >= 32. The block fixes the RNG stream, so every input is that of a
-# block-by-block draw. Consecutive blocks are then scored in groups of 1, 2,
-# 4, ... blocks, each group read by one ``residuals`` call, up to
-# GROUP_STACK_ENTRIES entries per side (at least one block: one matrix at
-# d = 64), so a rejection's first group is one block and memory stays that of
-# a few d x d matrices at any d; see scoring_groups.
+# Draw blocks and scoring groups are different things. scan's callers draw in
+# blocks of at most TRIAL_STACK_ENTRIES matrix entries (n * d^2) per side (16
+# matrices at d = 8, one at d >= 32), which fix the RNG stream; scan reads
+# them in groups of up to GROUP_STACK_ENTRIES entries per side (at least one
+# block), so memory stays that of a few d x d matrices; see scoring_groups.
 TRIAL_STACK_ENTRIES = 1024
 GROUP_STACK_ENTRIES = 4 * TRIAL_STACK_ENTRIES
+
+# reconstruct's random inputs by default, and the least that classify_map reads
+VERIFICATION_TRIALS = 64
 
 
 def _is_numeric_array(m, shape: tuple[int, ...]) -> bool:
@@ -76,8 +75,9 @@ class DensityMapOracle:
     evaluate_stack: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError(f"oracle dim must be >= 1, got {self.dim}")
+        dim = self.dim
+        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
+            raise ValueError(f"oracle dim must be >= 1 and an integer, got {self.dim!r}")
 
     @classmethod
     def from_evaluate(cls, dim: int, evaluate: Callable[[DensityOperator], DensityOperator]
@@ -138,9 +138,10 @@ class SymmetryOperator:
 
 @dataclass(frozen=True)
 class ReconstructionReport:
-    """The outcome of reconstruct. ``status`` is ``certified`` or names the
-    stage that rejected the map. ``symmetry`` is the candidate S that the
-    probes assembled, None if a probe stage rejected the map, and
+    """The outcome of reconstruct, or of classify_map's probes and scan (see
+    ClassificationReport). ``status`` is ``certified`` or names the stage
+    that rejected the map. ``symmetry`` is the candidate S that the probes
+    assembled, None if a probe stage rejected the map, and
     ``verification_trials`` the number of trials it was verified on, else 0.
     ``probes_used`` counts the oracle's reads: on a probe-stage rejection
     the stage's fixed count, j + 1 for basis probe j (from 0), d for the
@@ -234,13 +235,13 @@ def _rejected(status: str, probes: int, margin: float = 0.0) -> ReconstructionRe
 
 
 def scoring_groups(count: int, size: int, dim: int) -> Iterator[range]:
-    """The one group schedule of reconstruct's verification and classify_map's
-    trials: the starts 0, size, 2 size, ... below ``count`` of the draw blocks
-    of ``size`` inputs (or pairs) at dimension ``dim``, in consecutive groups
-    of 1, 2, 4, ... blocks, each of at most
-    max(1, GROUP_STACK_ENTRIES // (size dim^2)) blocks; the last group holds
-    the blocks left. So a rejection in the first block reads that block alone,
-    and a scan of many small blocks reads them in a few calls."""
+    """The one group schedule of ``scan``: the starts 0, size, 2 size, ...
+    below ``count`` of the draw blocks of ``size`` inputs (or pairs) at
+    dimension ``dim``, in consecutive groups of 1, 2, 4, ... blocks, each of
+    at most max(1, GROUP_STACK_ENTRIES // (size dim^2)) blocks; the last
+    group holds the blocks left. So a rejection in the first block reads
+    that block alone, and a scan of many small blocks reads them in a few
+    calls."""
     cap = max(1, GROUP_STACK_ENTRIES // (size * dim * dim))
     starts, blocks = range(0, count, size), 1
     while starts:
@@ -250,10 +251,9 @@ def scoring_groups(count: int, size: int, dim: int) -> Iterator[range]:
 
 def residuals(oracle: DensityMapOracle, symmetry: Optional[SymmetryOperator],
               inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The one reader of a map against its candidate S = ``symmetry``, for
-    reconstruct's verification and classify_map's trials: the images and
-    mask ``ok`` of one ``oracle.image_stack`` call on a read-only (n, d, d)
-    stack, one group of scoring_groups, and each row's residual
+    """The one reader of a map against its candidate S = ``symmetry``: the
+    images and mask ``ok`` of one ``oracle.image_stack`` call on a read-only
+    (n, d, d) stack, one group of ``scan``, and each row's residual
     ||phi X - S X||_F, +inf for every row without a symmetry. Every value is
     a function of its row alone, so a row scores the same bits in a group of
     any size. A row turned away is scored as its zero image, ||S X||_F; the
@@ -264,55 +264,29 @@ def residuals(oracle: DensityMapOracle, symmetry: Optional[SymmetryOperator],
     return images, ok, np.sqrt(row_sumsq(images - apply_symmetry_stack(symmetry, inputs)))
 
 
-def reconstruct(
-    oracle: DensityMapOracle,
-    verification_trials: int = 64,
-    seed: int = 0,
-) -> ReconstructionReport:
-    """Probe the oracle on rank-one projections, assemble the implementing
-    operator, classify its parity, and certify on random density operators.
+def scan(oracle: DensityMapOracle, symmetry: Optional[SymmetryOperator],
+         draw: Callable[[range], np.ndarray], count: int, size: int
+         ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The one scan of a map against its candidate S = ``symmetry``: per group
+    of ``scoring_groups(count, size, d)``, the read-only (n, d, d) inputs
+    ``draw(group)``, their images and mask ``ok`` from one ``residuals`` call,
+    the residuals (+inf for a row turned away), and the mask of the rows that
+    pass the rule res <= CERTIFY_TOL (1 + ||X||_F), whose norms are read only
+    for a group with a finite residual above CERTIFY_TOL, the least bound. No
+    group after the one the caller stops in is drawn or mapped."""
+    for group in scoring_groups(count, size, oracle.dim):
+        inputs = draw(group)
+        images, ok, res = residuals(oracle, symmetry, inputs)
+        res = np.where(ok, res, math.inf)
+        bound = (CERTIFY_TOL * (1.0 + np.sqrt(row_sumsq(inputs)))
+                 if ((res > CERTIFY_TOL) & (res < math.inf)).any() else CERTIFY_TOL)
+        yield inputs, images, ok, res, res <= bound
 
-    A bijective fidelity-preserving map is A -> U A U* or A -> U conj(A) U*.
-    d + 2 probes pin that candidate up to a global phase (one at d = 1): the
-    d basis projections, s = (e_1 + ... + e_d)/sqrt(d) for phase fixing and
-    (e_1 + i e_2)/sqrt(2) for parity; verification then decides. The basis
-    images give each column U e_j up to a phase, as a unit vector f_j, and
-    U*U has the moduli of their Gram matrix G_ij = <f_i, f_j>, so the map
-    fails the projection stage unless ||G - I||_F <= UNITARY_TOL. Since
-    <U e_j, U s> = 1/sqrt(d) is nonzero for every j, the overlaps c = F* y
-    with the image y of s carry every column's phase at once: column j is
-    f_j (c_j/|c_j|)(|c_1|/c_1), an exact unit phase times f_j, and column 1
-    is f_1 bit for bit. The map fails the phase stage unless y is a rank-one
-    projection and every |c_j| is within PHASE_FIX_TOL of 1/sqrt(d). A map
-    that passes the probes but is not the candidate (a different parity or
-    a transpose on one block) differs from it on a set of positive measure,
-    which the random verification inputs hit; one that differs only on a
-    null set escapes any finite schedule of probes.
 
-    Each stage returns its report as soon as it rejects the map, with the
-    probe count that ReconstructionReport states. Each probe vv* reaches
-    ``oracle.image_stack`` as a read-only stack of one raw outer product,
-    exactly Hermitian as computed since each component of v is purely real
-    or purely imaginary. Its image is read with ``charact.projection_vector``:
-    O(d^2) for a rank-one projection, an O(d^3) eigendecomposition only near
-    the RANK_TOL threshold or for no projection at all. ``seed`` only selects
-    the verification draws, from ``default_rng(seed + 1)``: all traces, then
-    all ranks, in one ``sampling.traces_and_ranks`` call, then one
-    ``sampling.density_stack`` draw per block of at most
-    TRIAL_STACK_ENTRIES entries. So, unlike ``classify_map``'s pairs, the
-    inputs of fewer trials are no prefix of those of more. The blocks are
-    scored in the groups of 1, 2, 4, ... blocks of ``scoring_groups``, each
-    read by one ``residuals`` call, so the oracle sees the rest of a group
-    even when an earlier trial in it fails; at d = 32 the 64 inputs reach it
-    in 18 calls, not 64, and at d = 64 one at a time. ``probes_used`` and
-    ``residual_max`` still stop at the first failing trial, so every report
-    is that of a block-by-block scan. The norms ||A||_F of the bound are
-    read only when a residual exceeds CERTIFY_TOL, the least bound. An image
-    turned away rejects the map with its probe's status, or fails
-    verification with an infinite residual.
-    """
-    if verification_trials < 1:
-        raise ValueError(f"verification_trials must be >= 1, got {verification_trials}")
+def _probe_stages(oracle: DensityMapOracle, trials: int) -> ReconstructionReport:
+    """Probe stages (1)-(3): the rejecting stage's report, or else S with the
+    probes' count and margin, to verify on ``trials`` inputs: not verified
+    yet, it is marked certified only for ``_verified`` to fold a scan into."""
     d = oracle.dim
 
     # (1) Basis probes: images must be rank-one projections f_j f_j* with
@@ -355,36 +329,86 @@ def reconstruct(
             return _rejected(STATUS_FAILED_PARITY, d + 2, margin=ov_u - ov_a)
         parity = UNITARY if ov_u >= ov_a else ANTIUNITARY
         margin = abs(ov_u - ov_a)
-    symmetry = SymmetryOperator(parity=parity, u=f.T.copy())
+    return ReconstructionReport(SymmetryOperator(parity=parity, u=f.T.copy()), 0.0,
+                                d + 2 if d >= 2 else 1, trials, margin, STATUS_CERTIFIED)
+
+
+def _verified(report: ReconstructionReport, res: np.ndarray,
+              rule: np.ndarray) -> ReconstructionReport:
+    """``report``, of the probes' S or of a scan of S so far, with S read on
+    more inputs in draw order, their ``scan`` residuals ``res`` and rule masks
+    ``rule``: unless an input failed before, the report takes them in up to
+    and including the first that fails, and so fails verification."""
+    if not report.certified:
+        return report
+    failed = np.flatnonzero(~rule)
+    n = int(failed[0]) + 1 if len(failed) else len(rule)
+    return replace(report, residual_max=max(report.residual_max, float(res[:n].max())),
+                   probes_used=report.probes_used + n,
+                   status=STATUS_FAILED_VERIFICATION if len(failed) else STATUS_CERTIFIED)
+
+
+def reconstruct(
+    oracle: DensityMapOracle,
+    verification_trials: int = VERIFICATION_TRIALS,
+    seed: int = 0,
+) -> ReconstructionReport:
+    """Probe the oracle on rank-one projections, assemble the implementing
+    operator, classify its parity, and certify on random density operators.
+
+    A bijective fidelity-preserving map is A -> U A U* or A -> U conj(A) U*.
+    d + 2 probes pin that candidate up to a global phase (one at d = 1): the
+    d basis projections, s = (e_1 + ... + e_d)/sqrt(d) for phase fixing and
+    (e_1 + i e_2)/sqrt(2) for parity; verification then decides. The basis
+    images give each column U e_j up to a phase, as a unit vector f_j, and
+    U*U has the moduli of their Gram matrix G_ij = <f_i, f_j>, so the map
+    fails the projection stage unless ||G - I||_F <= UNITARY_TOL. Since
+    <U e_j, U s> = 1/sqrt(d) is nonzero for every j, the overlaps c = F* y
+    with the image y of s carry every column's phase at once: column j is
+    f_j (c_j/|c_j|)(|c_1|/c_1), an exact unit phase times f_j, and column 1
+    is f_1 bit for bit. The map fails the phase stage unless y is a rank-one
+    projection and every |c_j| is within PHASE_FIX_TOL of 1/sqrt(d). A map
+    that passes the probes but is not the candidate (a different parity or
+    a transpose on one block) differs from it on a set of positive measure,
+    which the random verification inputs hit; one that differs only on a
+    null set escapes any finite schedule of probes.
+
+    Each stage returns its report as soon as it rejects the map, with the
+    probe count that ReconstructionReport states. Each probe vv* reaches
+    ``oracle.image_stack`` as a read-only stack of one raw outer product,
+    exactly Hermitian as computed since each component of v is purely real
+    or purely imaginary. Its image is read with ``charact.projection_vector``:
+    O(d^2) for a rank-one projection, an O(d^3) eigendecomposition only near
+    the RANK_TOL threshold or for no projection at all. ``seed`` only selects
+    the verification draws, from ``default_rng(seed + 1)``: all traces, then
+    all ranks, in one ``sampling.traces_and_ranks`` call, then one
+    ``sampling.density_stack`` draw per block of at most
+    TRIAL_STACK_ENTRIES entries. So, unlike ``classify_map``'s pairs, the
+    inputs of fewer trials are no prefix of those of more. ``scan`` reads
+    them in its groups (at d = 32 in 18 calls, not 64), yet the report is
+    that of a block-by-block scan, which stops at the first failing trial.
+    An image turned away rejects the map with its probe's status, or fails
+    verification with an infinite residual.
+    """
+    if verification_trials < 1:
+        raise ValueError(f"verification_trials must be >= 1, got {verification_trials}")
+    report = _probe_stages(oracle, verification_trials)
+    if report.symmetry is None:
+        return report
 
     # (4) Verification on random density operators of mixed rank and trace.
-    # All traces and ranks are drawn first; each block of at most
-    # TRIAL_STACK_ENTRIES entries then takes one density_stack draw, and each
-    # group of scoring_groups is scored by one residuals call. Groups are
-    # drawn lazily, so no group after the first failing trial is drawn or
-    # mapped.
+    d = oracle.dim
     rng = np.random.default_rng(seed + 1)
     traces, ranks = traces_and_ranks(rng, verification_trials, d)
     size = max(1, TRIAL_STACK_ENTRIES // (d * d))
-    probes = d + 2 if d >= 2 else 1
-    residual_max = 0.0
-    for group in scoring_groups(verification_trials, size, d):
-        inputs = freeze(hermitize_stack(np.concatenate([
+
+    def draw(group: range) -> np.ndarray:
+        return freeze(hermitize_stack(np.concatenate([
             density_stack(rng, traces[start:start + size], ranks[start:start + size], d)
             for start in group])))
-        _, ok, res = residuals(oracle, symmetry, inputs)
-        res = np.where(ok, res, math.inf)
-        # CERTIFY_TOL is the least bound, so the inputs' norms are read only
-        # for a group with a residual above it
-        bound = (CERTIFY_TOL * (1.0 + np.sqrt(row_sumsq(inputs)))
-                 if (res > CERTIFY_TOL).any() else CERTIFY_TOL)
-        failed = np.flatnonzero(res > bound)
-        if len(failed):
-            res = res[:failed[0] + 1]
-        probes += len(res)
-        residual_max = max(residual_max, float(res.max()))
-        if len(failed):
-            return ReconstructionReport(symmetry, residual_max, probes, verification_trials,
-                                        margin, STATUS_FAILED_VERIFICATION)
-    return ReconstructionReport(symmetry, residual_max, probes, verification_trials,
-                                margin, STATUS_CERTIFIED)
+
+    for *_, res, rule in scan(oracle, report.symmetry, draw, verification_trials, size):
+        report = _verified(report, res, rule)
+        if not report.certified:
+            break
+    return report

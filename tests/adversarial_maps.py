@@ -171,6 +171,26 @@ def probe_evading(family: str, d: int, parity: str) -> DensityMapOracle:
     return DensityMapOracle(d, lambda m: apply_symmetry_stack(truth, inner(m)))
 
 
+def depolarized_off_the_probes(d: int) -> DensityMapOracle:
+    """The identity at d, except that an input with |tr A - 1| <= 1e-9, more
+    than two nonzero diagonal entries and not all entries equal goes to
+    0.5 A + 0.5 tr(A) I/d. reconstruct's probes have at most two nonzero
+    diagonal entries, or all entries equal (the uniform probe), and its
+    verification inputs random traces, so it certifies the identity; the
+    pure trial pairs of classify_map break it, and fail the identity's
+    verification there."""
+    def evaluate_stack(m: np.ndarray) -> np.ndarray:
+        t = np.trace(m, axis1=-2, axis2=-1).real
+        diag = np.diagonal(m, axis1=-2, axis2=-1)
+        uniform = np.all(m == m[:, :1, :1], axis=(-2, -1))
+        hit = (np.abs(t - 1.0) <= 1e-9) & (np.count_nonzero(diag, axis=-1) > 2) & ~uniform
+        out = m.copy()
+        out[hit] = 0.5 * m[hit] + 0.5 * t[hit, None, None] * np.eye(d) / d
+        return out
+
+    return DensityMapOracle(d, evaluate_stack)
+
+
 def split_at_rank_one(d: int, on_rank_one: Callable[[np.ndarray], np.ndarray],
                       above: Callable[[np.ndarray], np.ndarray]) -> DensityMapOracle:
     """on_rank_one on the inputs of numerical rank one, above on the rest:

@@ -535,13 +535,15 @@ def test_projection_vector_reads_the_trace_from_the_matrix(d):
 
 
 def test_projection_vector_raises_on_nan_like_the_spectral_rule():
+    """A NaN entry, of a unit-trace projection or everywhere, reaches
+    eig_hermitian, which raises ValueError, so is_rank_one_projection raises
+    too, as is_rank_one does."""
     m = pure_state([1.0, 1.0]).projection().matrix.copy()
     m[0, 1] = np.nan
-    a = DensityOperator(matrix=m)
-    with pytest.raises(ValueError, match="finite"):
-        spectral_rule(a)
-    with pytest.raises(ValueError, match="finite"):
-        projection_vector(a)
+    for a in (DensityOperator(matrix=m), DensityOperator(matrix=np.full((2, 2), np.nan + 0j))):
+        for test in (spectral_rule, projection_vector, is_rank_one_projection, is_rank_one):
+            with pytest.raises(ValueError, match="finite"):
+                test(a)
 
 
 

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from adversarial_maps import depolarized_off_the_probes
 from trial_reference import group_calls, reference_trial_pairs, stack_size
 
 from fidsym import mapzoo
@@ -49,7 +50,9 @@ from fidsym.matcore import (
 from fidsym.sampling import ginibre, haar_stack, orthogonal_pure_pair, random_density
 from fidsym.tolerances import CLASSIFY_TOL, EIG_FLOOR, ORDER_TOL, ORTH_TOL
 from fidsym.wigner import (
+    STATUS_FAILED_VERIFICATION,
     UNITARY,
+    VERIFICATION_TRIALS,
     DensityMapOracle,
     SymmetryOperator,
     apply_symmetry,
@@ -244,11 +247,12 @@ def reference_classify(oracle, trials, seed, score=fidelity, candidate=True):
     of the stack size, build them one pair at a time, cut the last to the
     trials left, and evaluate and score each pair one at a time; the first
     pair reaching the largest violation is the witness. With ``candidate``
-    and a certified reconstruction, a pair scores its violation_bound, from
-    the residuals against apply_symmetry, unless that exceeds CLASSIFY_TOL;
-    every other pair scores its measured violation. The scan stops after
-    the first block whose largest violation exceeds CLASSIFY_TOL. Returns
-    the worst violation, its witness and the number of trials scored."""
+    and a symmetry from reconstruct's probes, certified or not, a pair
+    scores its violation_bound, from the residuals against apply_symmetry,
+    unless that exceeds CLASSIFY_TOL; every other pair scores its measured
+    violation. The scan stops after the first block whose largest violation
+    exceeds CLASSIFY_TOL. Returns the worst violation, its witness and the
+    number of trials scored."""
     rec = reconstruct(oracle, seed=seed)
     rng = np.random.default_rng(seed)
     d = oracle.dim
@@ -258,7 +262,7 @@ def reference_classify(oracle, trials, seed, score=fidelity, candidate=True):
         for a, b in block:
             images = oracle.evaluate(a), oracle.evaluate(b)
             violation = math.inf
-            if candidate and rec.certified:
+            if candidate and rec.symmetry is not None:
                 delta = [np.sqrt(row_sumsq(
                     (y.matrix - apply_symmetry(rec.symmetry, x).matrix)[None]))
                     for x, y in zip((a, b), images)]
@@ -372,39 +376,27 @@ def test_violation_bound_formula():
     assert beta.tolist() == [math.sqrt(0.02 * 2.08) + math.sqrt(0.08), 0.0]
 
 
-def depolarized_off_the_probes(d):
-    """The identity at d, except that an input with |tr A - 1| <= 1e-9, more
-    than two nonzero diagonal entries and not all entries equal goes to
-    0.5 A + 0.5 tr(A) I/d. reconstruct's probes have at most two nonzero
-    diagonal entries, or all entries equal (the uniform probe), and its
-    verification inputs random traces, so it certifies the identity; the
-    pure trial pairs break it."""
-    def evaluate_stack(m):
-        t = np.trace(m, axis1=-2, axis2=-1).real
-        diag = np.diagonal(m, axis1=-2, axis2=-1)
-        uniform = np.all(m == m[:, :1, :1], axis=(-2, -1))
-        hit = (np.abs(t - 1.0) <= 1e-9) & (np.count_nonzero(diag, axis=-1) > 2) & ~uniform
-        out = m.copy()
-        out[hit] = 0.5 * m[hit] + 0.5 * t[hit, None, None] * np.eye(d) / d
-        return out
-
-    return DensityMapOracle(d, evaluate_stack)
-
-
 @pytest.mark.parametrize("d, worst, trials", [(3, 5 / 6, 113), (4, (1 + 5 ** 0.5) / 4, 64),
                                               (8, 0.75, 16)])
 def test_a_certified_map_that_breaks_the_trials_is_rejected_as_the_scan_rejects_it(d, worst,
                                                                                     trials):
-    """A certified candidate does not shield a map that departs from it on
-    the trials: the bound exceeds CLASSIFY_TOL there, fidelity_stack scores
-    the pair, and the report is the one a scan that scores every pair by
-    fidelity gives, witness bytes included; the witness replays. The report
-    keeps the certified reconstruction next to the witness."""
+    """A candidate that reconstruct certifies does not shield a map that
+    departs from it on the trials: the bound exceeds CLASSIFY_TOL there,
+    fidelity_stack scores the pair, and the report is the one a scan that
+    scores every pair by fidelity gives, witness bytes included; the witness
+    replays. The same scan fails the candidate's verification at the first
+    trial input that the map moves, A -> 0.5 A + 0.5 I/d for a pure A, with
+    the residual 0.5 ||A - I/d||_F."""
     oracle = depolarized_off_the_probes(d)
     assert reconstruct(oracle).certified
     report = classify_map(oracle, trials=200, seed=0)
     scan, witness, scored = reference_classify(oracle, 200, 0, candidate=False)
-    assert not report.preserving and report.reconstruction.certified
+    inputs = trial_blocks(0, d, scored).reshape(-1, d, d)
+    first = np.flatnonzero(np.any(oracle.evaluate_stack(inputs) != inputs, axis=(-2, -1)))[0]
+    rec = report.reconstruction
+    assert not report.preserving and rec.status == STATUS_FAILED_VERIFICATION
+    assert (rec.probes_used, rec.verification_trials) == (d + 2 + first + 1, 2 * scored)
+    assert rec.residual_max == pytest.approx(0.5 * math.sqrt(1.0 - 1.0 / d), abs=1e-12)
     assert (report.worst_violation, report.trials) == (scan, scored)
     assert report.worst_violation == pytest.approx(worst, abs=1e-12) and scored == trials
     assert witness_bytes(report.witness_pair) == witness_bytes(witness)
@@ -428,27 +420,59 @@ def broken_on(target):
     return DensityMapOracle(d, evaluate_stack), calls
 
 
+@pytest.mark.parametrize("d", [2, 3, 8])
+@pytest.mark.parametrize("trials", [1, 17, 200])
+def test_a_certified_classify_reads_the_map_once(d, trials):
+    """Every preserving kind: classify_map reads the oracle's d + 2 probe
+    rows and its 2 trials trial inputs, drawn on to VERIFICATION_TRIALS
+    inputs for fewer trials, and no verification input besides. Its
+    reconstruction holds reconstruct's candidate, parity and margin,
+    verified on those inputs, and its worst violation and trials are
+    reference_classify's."""
+    seed = 6
+    read = max(2 * trials, VERIFICATION_TRIALS)
+    for spec in zoo_specs(d):
+        if spec.kind not in PRESERVING_KINDS:
+            continue
+        inner = make_map(spec, seed=seed)
+        rows = []
+        oracle = DensityMapOracle(d, lambda m: rows.append(len(m)) or inner.evaluate_stack(m))
+        report = classify_map(oracle, trials=trials, seed=seed)
+        rec, alone = report.reconstruction, reconstruct(inner, seed=seed)
+        assert report.preserving and sum(rows) == d + 2 + read, spec.kind
+        assert (rec.probes_used, rec.verification_trials) == (d + 2 + read, read)
+        assert (rec.symmetry.u.tobytes(), rec.symmetry.parity, rec.parity_margin) == (
+            alone.symmetry.u.tobytes(), alone.symmetry.parity, alone.parity_margin)
+        worst, _, scored = reference_classify(inner, trials, seed)
+        assert (report.worst_violation, report.trials) == (worst, scored), spec.kind
+        assert report.witness_pair is None
+
+
 @pytest.mark.parametrize("d, block, k", [(8, 2, 5), (8, 5, 9), (16, 4, 2), (32, 5, 0)])
 def test_a_late_witness_in_a_group_is_that_of_the_block_scan(d, block, k):
     """The map breaks fidelity on one trial pair alone, pair k of draw block
     ``block``, the second or third block of a scoring group of two or four
     blocks. The report is reference_classify's, a scan one pair at a time
     that stops after the failing block: trials, worst violation and witness.
-    The oracle reads that whole group in one call, any block after the
-    failing one included, and no group after it."""
+    The same scan fails the candidate's verification at the pair's second
+    input. After the probes, the oracle reads the trials alone, that whole
+    group in one call, any block after the failing one included, and no
+    group after it."""
     size = stack_size(d)
     target = trial_blocks(0, d, (block + 1) * size)[block * size + k]
     oracle, calls = broken_on(target[1])
     report = classify_map(oracle, trials=200, seed=0)
     calls = calls.copy()
     worst, witness, scored = reference_classify(oracle, 200, 0)
-    assert not report.preserving and report.reconstruction.certified
+    rec = report.reconstruction
+    assert not report.preserving and rec.status == STATUS_FAILED_VERIFICATION
+    assert rec.probes_used == d + 2 + 2 * (block * size + k) + 2
     assert (report.trials, report.worst_violation) == (scored, worst)
     assert scored == (block + 1) * size and worst > CLASSIFY_TOL
     assert witness_bytes(report.witness_pair) == witness_bytes(witness) == (
         target[0].tobytes(), target[1].tobytes())
     groups = group_calls(200, d, through=scored)
-    assert calls == [1] * (d + 2) + group_calls(64, d) + [2 * n for n in groups]
+    assert calls == [1] * (d + 2) + [2 * n for n in groups]
 
 
 def test_non_finite_member_raises_value_error():

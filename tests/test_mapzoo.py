@@ -1,16 +1,22 @@
 """Map zoo generators, the fidelity-preservation classifier, and the theorem
 harness."""
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
+from adversarial_maps import depolarized_off_the_probes
 from bad_images import BAD_IMAGES
 from trial_reference import group_calls, reference_trial_pairs, stack_size
 
+from fidsym import mapzoo
+from fidsym.cli import classification_to_dict
 from fidsym.fidelity import fidelity, fidelity_stack
 from fidsym.mapzoo import (
     ALL_KINDS,
     PRESERVING_KINDS,
+    AssertionFailure,
     BadSpec,
     MapSpec,
     _trial_pairs,
@@ -23,7 +29,7 @@ from fidsym.mapzoo import (
 )
 from fidsym.matcore import DensityOperator, pure_state, validate_density
 from fidsym.sampling import random_density
-from fidsym.wigner import DensityMapOracle, reconstruct
+from fidsym.wigner import VERIFICATION_TRIALS, DensityMapOracle, reconstruct
 
 
 def test_identity_map():
@@ -152,6 +158,23 @@ def test_verify_theorem_d2():
 def test_verify_theorem_rejects_d1():
     with pytest.raises(BadSpec):
         verify_theorem(1)
+
+
+def test_verify_theorem_needs_the_witness_of_a_rejection(monkeypatch):
+    """A non-preserving kind must be rejected with a witness pair: the
+    rejection of depolarizing, stripped of its witness, fails the harness."""
+    classify = mapzoo.classify_map
+
+    def witnessless(oracle, trials, seed):
+        report = classify(oracle, trials=trials, seed=seed)
+        if report.preserving:
+            return report
+        assert report.witness_pair is not None
+        return dataclasses.replace(report, witness_pair=None)
+
+    monkeypatch.setattr(mapzoo, "classify_map", witnessless)
+    with pytest.raises(AssertionFailure, match="'depolarizing'.*no witness"):
+        verify_theorem(2, trials=20)
 
 
 def nan_image_oracle(d, bad):
@@ -376,26 +399,26 @@ def counting_oracle(base):
     return calls, oracle
 
 
-def reconstruct_calls(base, seed):
-    """The stacks that reconstruct(base, seed=seed) alone hands the oracle:
-    the prefix of classify_map's calls with that seed."""
+def probe_calls(base):
+    """The stacks of one probe each that reconstruct(base)'s probe stages
+    hand the oracle: the prefix of classify_map's calls."""
     calls, oracle = counting_oracle(base)
-    reconstruct(oracle, seed=seed)
-    return calls
+    report = reconstruct(oracle)
+    return calls[:base.dim + 2 if report.symmetry else report.probes_used]
 
 
 def test_classify_trials_are_a_prefix_of_more_trials():
     """At d = 8 a block holds 16 pairs: the pairs of 20 trials, the first
     block and 4 of the second, are the first 20 of 200 trials, so the worst
     violation of 20 trials is no larger. The map preserves fidelity, so
-    both runs reconstruct alike first, d + 2 probes and 64 verification
-    inputs in calls of 16, 32 and 16, and then score every trial, in the
-    scoring groups of group_calls: 16 and 4 pairs for 20 trials, 16, 32, 64,
-    64 and 24 for 200."""
+    both runs make reconstruct's d + 2 probes first, and then score and
+    verify on every trial, in the scoring groups of group_calls; 20 trials
+    verify on 32 pairs, the VERIFICATION_TRIALS inputs, so their calls are
+    16 and 16 pairs, and those of 200 are 16, 32, 64, 64 and 24."""
     d = 8
     base = make_map(MapSpec("unitary", d, {"seed": 4}))
-    first = reconstruct_calls(base, 3)
-    assert [len(m) for m in first] == [1] * (d + 2) + group_calls(64, d)
+    first = probe_calls(base)
+    assert [len(m) for m in first] == [1] * (d + 2)
 
     def run(trials):
         calls, oracle = counting_oracle(base)
@@ -407,47 +430,49 @@ def test_classify_trials_are_a_prefix_of_more_trials():
     long, many = run(200)
     assert few.preserving and many.preserving
     assert (few.trials, many.trials) == (20, 200)
-    n_short, n_long = len(group_calls(20, d)), len(group_calls(200, d))
-    assert [len(m) for m in short[:n_short]] == [2 * n for n in group_calls(20, d)]
-    assert [len(m) for m in long[:n_long]] == [2 * n for n in group_calls(200, d)]
-    assert [m.tobytes() for m in short[n_short:]] == [m.tobytes() for m in long[n_long:]]
-    short, long = np.concatenate(short[:n_short]), np.concatenate(long[:n_long])
-    assert long.shape == (400, d, d)
-    assert short.tobytes() == long[:40].tobytes()
+    assert [len(m) for m in short] == [2 * n for n in group_calls(VERIFICATION_TRIALS // 2, d)]
+    assert [len(m) for m in long] == [2 * n for n in group_calls(200, d)]
+    short, long = np.concatenate(short), np.concatenate(long)
+    assert (len(short), len(long)) == (VERIFICATION_TRIALS, 400)
+    assert short.tobytes() == long[:VERIFICATION_TRIALS].tobytes()
     assert few.worst_violation <= many.worst_violation
+    assert (few.reconstruction.verification_trials, many.reconstruction.probes_used) == (
+        VERIFICATION_TRIALS, d + 2 + 400)
+    assert few.reconstruction.residual_max <= many.reconstruction.residual_max
 
 
-# The probes reconstruct spends on a rejected zoo kind at dimension d before
-# it fails: a depolarized or mixed basis state is no projection; the
-# scrambled basis states all go to e_1 e_1*; dephasing keeps the basis
-# states and fails the first phase probe.
+# The probes that a rejected map spends at dimension d before its trials: a
+# depolarized or mixed basis state is no projection; the scrambled basis
+# states all go to e_1 e_1*; dephasing keeps the basis states and fails the
+# first phase probe; depolarized_off_the_probes passes all d + 2 and so
+# holds a candidate.
 REJECTED_PROBES = {
     "depolarizing": lambda d: 1,
     "mix": lambda d: 1,
     "spectral_scramble": lambda d: d,
     "dephase": lambda d: d + 1,
+    "depolarized_off_the_probes": lambda d: d + 2,
 }
 
 
 @pytest.mark.parametrize("d", [4, 8])
-@pytest.mark.parametrize("kind", [k for k in ALL_KINDS if k not in PRESERVING_KINDS])
-def test_a_rejection_stops_at_the_first_block_with_a_witness(kind, d):
-    """A rejected kind hands the oracle reconstruct's failing one-row
-    probes, then one block of 200 trials, reports the trials of that block,
-    and by the prefix property reports what classify_map asked for exactly
-    those trials does, witness bytes included."""
-    base = make_map(zoo_specs(d)[ALL_KINDS.index(kind)])
+@pytest.mark.parametrize("name", REJECTED_PROBES)
+def test_a_rejection_stops_at_the_first_block_with_a_witness(name, d):
+    """A rejected map hands the oracle reconstruct's one-row probes, then one
+    block of 200 trials, reports the trials of that block, and by the prefix
+    property reports what classify_map asked for exactly those trials does,
+    reconstruction and witness bytes included."""
+    base = (depolarized_off_the_probes(d) if name not in ALL_KINDS else
+            make_map(zoo_specs(d)[ALL_KINDS.index(name)]))
     calls, oracle = counting_oracle(base)
     report = classify_map(oracle, trials=200, seed=2)
-    probes = REJECTED_PROBES[kind](d)
-    first = reconstruct_calls(base, 2)
+    probes = REJECTED_PROBES[name](d)
+    first = probe_calls(base)
     assert [m.tobytes() for m in calls[:probes]] == [m.tobytes() for m in first]
     assert [len(m) for m in calls] == [1] * probes + [2 * stack_size(d)]
     assert not report.preserving and report.trials == stack_size(d)
     exact = classify_map(base, trials=report.trials, seed=2)
-    assert (exact.preserving, exact.worst_violation, exact.trials, exact.seed,
-            exact.reconstruction) == (report.preserving, report.worst_violation,
-                                      report.trials, report.seed, report.reconstruction)
+    assert json.dumps(classification_to_dict(exact)) == json.dumps(classification_to_dict(report))
     assert [x.matrix.tobytes() for x in exact.witness_pair] == [
         x.matrix.tobytes() for x in report.witness_pair]
 

@@ -24,6 +24,7 @@ from fidsym.wigner import (
     STATUS_FAILED_VERIFICATION,
     TRIAL_STACK_ENTRIES,
     UNITARY,
+    VERIFICATION_TRIALS,
     DensityMapOracle,
     SymmetryOperator,
     apply_symmetry_stack,
@@ -312,8 +313,9 @@ def test_a_certified_map_uses_d_plus_2_plus_64_probes_in_four_stacks():
 def test_stacks_stay_within_trial_stack_entries(d):
     """reconstruct hands the oracle at most 4 TRIAL_STACK_ENTRIES entries per
     call, a group of at most four draw blocks, and one matrix at d = 64;
-    classify_map first makes reconstruct's calls, then one per group of
-    blocks of pairs, which holds that many per side."""
+    classify_map makes the probes' calls, then one per group of blocks of
+    pairs, which holds that many per side, and no verification call; at
+    d = 64 its 3 trials are drawn on to VERIFICATION_TRIALS inputs."""
     calls = []
     inner = symmetry_oracle(SymmetryOperator(
         parity=UNITARY, u=haar_unitary(np.random.default_rng(d), d)))
@@ -327,14 +329,16 @@ def test_stacks_stay_within_trial_stack_entries(d):
     trials = 2 * size + 1
     report = classify_map(oracle, trials=trials)
     assert report.preserving
-    assert calls == first + [2 * n for n in group_calls(trials, d)]
+    pairs = max(trials, VERIFICATION_TRIALS // 2)
+    assert calls == [1] * (d + 2) + [2 * n for n in group_calls(pairs, d)]
     assert max(calls) * d * d <= 2 * max(4 * TRIAL_STACK_ENTRIES, size * d * d)
 
 
 def test_an_oracle_without_evaluate_stack_is_read_in_draw_order():
     """classify_map reads the identity, given one operator at a time through
-    from_evaluate, first as reconstruct does, d + 2 probes and 64
-    verification inputs, then one trial input at a time in draw order."""
+    from_evaluate, first as reconstruct's d + 2 probes do, then one trial
+    input at a time in draw order, and no verification input: the pairs
+    past the 20 trials are drawn on to VERIFICATION_TRIALS inputs."""
     seen = []
     oracle = DensityMapOracle.from_evaluate(3, lambda a: seen.append(a.matrix.tobytes()) or a)
     assert reconstruct(oracle).certified
@@ -342,8 +346,9 @@ def test_an_oracle_without_evaluate_stack_is_read_in_draw_order():
     assert len(first) == 3 + 2 + 64
     seen.clear()
     classify_map(oracle, trials=20)
-    drawn = _trial_pairs(np.random.default_rng(0), 3, stack_size(3))[:20].reshape(-1, 3, 3)
-    assert seen == first + [x.tobytes() for x in drawn]
+    drawn = _trial_pairs(np.random.default_rng(0), 3, stack_size(3))[:VERIFICATION_TRIALS // 2]
+    drawn = drawn.reshape(-1, 3, 3)
+    assert seen == first[:3 + 2] + [x.tobytes() for x in drawn]
 
 
 def test_evaluate_alone_is_read_once_per_row_in_stack_order():

@@ -155,3 +155,16 @@ def test_random_density_is_the_one_row_case_of_density_stack(d):
         raw = density_stack(one, traces, np.array([rank]), d)
         assert rng.bit_generator.state == one.bit_generator.state, (d, k)
         assert a.matrix.tobytes() == hermitize(raw[0]).tobytes(), (d, k)
+
+
+@pytest.mark.parametrize("rank, trace", [(5, None), (0, 1.0), (2, -1.0)])
+def test_random_density_rejects_bad_arguments_before_any_draw(rank, trace):
+    """A rank outside 1..dim (5 at d = 3 would give rank 3, 0 a division by
+    zero) or a negative trace (negative eigenvalues) raises ValueError and
+    leaves the generator untouched, so the next valid call keeps its
+    stream."""
+    rng, fresh = np.random.default_rng(4), np.random.default_rng(4)
+    with pytest.raises(ValueError, match="rank in 1..3"):
+        random_density(rng, 3, rank, trace)
+    assert rng.bit_generator.state == fresh.bit_generator.state
+    assert random_density(rng, 3).matrix.tobytes() == random_density(fresh, 3).matrix.tobytes()

@@ -40,25 +40,30 @@ RUNS = {
     # a stack holds 256 verification inputs, so 300 take two stacks
     "reconstruct-transpose-d2-300": (["reconstruct", "--map", TRANSPOSE_D2, "--trials", 300], 0,
                                      {"report.probes_used": 304}),
-    # one pair per block, each scored against the certified candidate
+    # one pair per block, each scored against the candidate, whose
+    # verification is the same scan: d + 2 probes and 2 trials inputs
     **{f"classify-{kind}-d64": (["classify", "--map", {**AU64, "kind": kind}, "--trials", 200], 0,
-                                {"report.reconstruction.status": "certified"})
+                                {"report.reconstruction.status": "certified",
+                                 "report.reconstruction.probes_used": 466})
        for kind in ("antiunitary", "unitary")},
     # 13 whole blocks of 16 pairs, the last cut to 8
     "classify-unitary-d8": (["classify", "--map", U8, "--trials", 200], 0,
-                            {"report.reconstruction.status": "certified"}),
+                            {"report.reconstruction.status": "certified",
+                             "report.reconstruction.probes_used": 410}),
     # one pair per block: most blocks hold no mixed pair, so the Wishart
-    # sampler draws an empty stack, with no RuntimeWarning
+    # sampler draws an empty stack, with no RuntimeWarning; the 20 trials
+    # verify on 32 pairs, d + 2 probes and 64 inputs
     "classify-unitary-d32": (["classify", "--map", {"kind": "unitary", "dim": 32,
                                                     "params": {"seed": 7}}, "--trials", 20], 0,
-                             {"report.reconstruction.status": "certified"}),
+                             {"report.reconstruction.status": "certified",
+                              "report.reconstruction.probes_used": 98}),
     # 300 trials ask for two stacks of up to 256 pairs, but the rejection
     # stops at the first, which holds a witness, and reports its 256 trials
     "classify-depolarizing-d2-300": (["classify", "--map", DEPOLARIZING_D2, "--trials", 300,
                                       "--seed", 3], 2,
                                      {"report.trials": 256, "report.witness_pair.a.dim": 2}),
-    # rejected after the first stack of 16 pairs, keeping the reconstruction
-    # that ran first, whose first basis probe failed
+    # rejected after the first stack of 16 pairs, keeping the probes'
+    # report, whose first basis probe failed
     "classify-depolarizing-d8": (["classify", "--map", {"kind": "depolarizing", "dim": 8,
                                                         "params": {"p": 0.5}},
                                   "--trials", 200, "--seed", 5], 2,

@@ -541,10 +541,16 @@ def test_reconstruct_rejects_bad_trials_before_probing(trials):
     assert calls == []
 
 
-@pytest.mark.parametrize("dim", [0, -1])
+@pytest.mark.parametrize("dim", [0, -1, 2.5, 2.0, True, "2", None])
 def test_oracle_needs_positive_dim(dim):
-    with pytest.raises(ValueError, match="dim must be >= 1"):
+    """A dim below 1 or no integer, a bool or a float included, fails at
+    construction, not later in reconstruct."""
+    with pytest.raises(ValueError, match="dim must be >= 1 and an integer"):
         DensityMapOracle.from_evaluate(dim, lambda a: a)
+
+
+def test_oracle_accepts_a_numpy_integer_dim():
+    assert reconstruct(DensityMapOracle(np.int64(3), lambda m: m)).certified
 
 
 def nan_oracle(d, where, fill=np.nan):
