@@ -6,7 +6,6 @@ probe of the total ordering of minorants.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -78,46 +77,16 @@ def is_rank_one(a: DensityOperator) -> bool:
 def projection_vector(a: DensityOperator) -> Optional[np.ndarray]:
     """Unit vector v with A = vv* if A is a rank-one projection, else None.
 
-    The rule is the spectral one: rank one (``spectral_rank``) and a trace
-    within TRACE_TOL of 1, summed from the diagonal that also gives the
-    power step's start. Most images are decided in O(d^2), without an
-    eigendecomposition. With P = A and k the index of its largest diagonal
-    entry, one power step gives the unit vector x = P(P e_k)/||P(P e_k)||,
-    then c = x*Px and e = ||P - c xx*||_F. Since c xx* has eigenvalues c and
-    0 and ||.||_2 <= ||.||_F, Weyl's inequalities give lambda_1(P) >= c - e
-    and |lambda_j(P)| <= e for every j >= 2. So if the trace is within
-    TRACE_TOL of 1, c - e > CERT_TOL and e <= RANK_TOL (c - e), then the
-    largest eigenvalue exceeds CERT_TOL and no other exceeds RANK_TOL times
-    it in modulus: the spectral rule accepts, and x is returned. (For a
-    non-Hermitian P the same holds for its Hermitian part, which is what the
-    spectral rule decomposes: c is unchanged and e cannot grow.) Every other
-    finite image, whether non-PSD, of the wrong trace or near the RANK_TOL
-    threshold, gets one eig_hermitian and the spectral rule itself, which
-    rejects a unit-trace image with a negative eigenvalue beyond RANK_TOL
-    times the largest, as diag(1.1, -0.1); a NaN or infinite entry makes
-    eig_hermitian raise ValueError, as is_rank_one does. The decisions are
-    therefore those of the spectral rule, up to rounding of order eps ||P||.
-    As an accepted P has |lambda_2| <= RANK_TOL lambda_1, the power step
-    leaves x within about (lambda_2 / lambda_1)^2 <= 1e-16 of the top
-    eigenvector.
+    The rule is the spectral one, read from one eig_hermitian: rank one
+    (``spectral_rank``, so a unit-trace image with a negative eigenvalue
+    beyond RANK_TOL times the largest, as diag(1.1, -0.1), is rejected) and
+    a trace within TRACE_TOL of 1, summed from the matrix's diagonal. A NaN
+    or infinite entry makes eig_hermitian raise ValueError, as is_rank_one
+    does.
     """
-    p = a.matrix
-    diag = p.diagonal().real
-    trace_ok = abs(diag.sum() - 1.0) <= TRACE_TOL
-    if trace_ok:
-        k = int(np.argmax(diag))
-        x = p @ p[:, k]
-        norm = np.linalg.norm(x)
-        if 0.0 < norm < math.inf:  # not NaN, zero or infinite
-            x = x / norm
-            c = float(np.vdot(x, p @ x).real)
-            e = float(np.linalg.norm(p - c * np.outer(x, x.conj())))
-            if c - e > CERT_TOL and e <= RANK_TOL * (c - e):
-                return x
-    spec = eig_hermitian(p)
-    if spectral_rank(spec.eigenvalues) == 1 and trace_ok:
-        return spec.eigenvectors[:, 0]
-    return None
+    spec = eig_hermitian(a.matrix)
+    unit_trace = abs(a.matrix.diagonal().real.sum() - 1.0) <= TRACE_TOL
+    return spec.eigenvectors[:, 0] if unit_trace and spectral_rank(spec.eigenvalues) == 1 else None
 
 
 def is_rank_one_projection(a: DensityOperator) -> bool:

@@ -17,7 +17,7 @@ every pair of a map with no candidate, is scored by fidelity_stack.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
 import numpy as np
@@ -47,6 +47,7 @@ from .wigner import (
     ReconstructionReport,
     SymmetryOperator,
     _probe_stages,
+    _verdict,
     _verified,
     scan,
     symmetry_oracle,
@@ -313,16 +314,17 @@ def classify_map(oracle: DensityMapOracle, trials: int = 200, seed: int = 0) -> 
         raise BadSpec("classification needs dim >= 2 (no orthogonal pure pair exists at dim 1)")
     d = oracle.dim
     size = max(1, TRIAL_STACK_ENTRIES // (d * d))
-    report = _probe_stages(oracle, 0)
-    count = trials if report.symmetry is None else max(trials, VERIFICATION_TRIALS // 2)
+    probed = _probe_stages(oracle)
+    symmetry = None if isinstance(probed, ReconstructionReport) else probed[0]
+    count = trials if symmetry is None else max(trials, VERIFICATION_TRIALS // 2)
     rng = np.random.default_rng(seed)
 
     def draw(group: range) -> np.ndarray:
         return _trial_pairs(rng, d, size, blocks=len(group))[:count - group[0]].reshape(-1, d, d)
 
-    worst, scored = 0.0, 0
+    worst, scored, tally = 0.0, 0, (0.0, 0, False)
     witness: Optional[tuple[DensityOperator, DensityOperator]] = None
-    for inputs, images, ok, res, rule in scan(oracle, report.symmetry, draw, count, size):
+    for inputs, images, ok, res, rule in scan(oracle, symmetry, draw, count, size):
         pairs = inputs.reshape(-1, 2, d, d)
         ok = ok.reshape(-1, 2).all(axis=1)
         violation = violation_bound(d, res.reshape(-1, 2), _traces(inputs).reshape(-1, 2))
@@ -341,11 +343,11 @@ def classify_map(oracle: DensityMapOracle, trials: int = 200, seed: int = 0) -> 
             witness = (DensityOperator(matrix=pairs[k, 0]), DensityOperator(matrix=pairs[k, 1]))
         worst = max(worst, float(violation[:m].max(initial=0.0)))
         scored += m
-        report = _verified(report, res[:2 * n], rule[:2 * n])
+        tally = _verified(tally, res[:2 * n], rule[:2 * n])
         if witness is not None:
             break
-    if report.symmetry is not None:
-        report = replace(report, verification_trials=2 * (count if witness is None else scored))
+    report = probed if symmetry is None else _verdict(
+        probed, tally, 2 * (count if witness is None else scored))
     return ClassificationReport(worst, witness, scored, seed, report)
 
 

@@ -24,15 +24,10 @@ CERT_TOL = 1e-12
 ORDER_TOL = 1e-8
 # ||AB||_F at most ORTH_TOL * ||A||_F ||B||_F counts as AB = 0, a band relative at every scale
 ORTH_TOL = 1e-8
-# the parity probe's image may miss transition probability 1 to its candidate by PROBE_TOL
-PROBE_TOL = 1e-7
-# each overlap |<f_j, y>| of a basis-probe image with the image of the uniform probe
-# (e_1 + ... + e_d)/sqrt(d) may miss its exact value 1/sqrt(d) by PHASE_FIX_TOL
-PHASE_FIX_TOL = 1e-7
-# a verification residual ||phi(A) - U A U*|| may reach CERTIFY_TOL * (1 + ||A||)
+# a residual ||phi(A) - S(A)||_F against the candidate symmetry S may reach
+# CERTIFY_TOL * (1 + ||A||_F): on verification inputs and, at ||vv*||_F = 1, on every probe vv*
 CERTIFY_TOL = 1e-7
-# ||U*U - 1||_F at most UNITARY_TOL makes U unitary: a map spec's U, or reconstruct's by the
-# Gram matrix of the basis images, whose moduli U*U has
+# ||U*U - 1||_F at most UNITARY_TOL makes a map spec's U unitary
 UNITARY_TOL = 1e-9
 # the largest |F(phi A, phi B) - F(A, B)| a fidelity-preserving map may show: measured by
 # fidelity_stack, or, for a map that certifies, bounded by mapzoo.violation_bound

@@ -2,24 +2,25 @@
 map on density operators.
 
 The map is probed on d + 2 rank-one projections: (1) the basis states,
-whose images must be orthonormal projections, the columns of a unitary up
-to phases; (2) their uniform superposition, which fixes every phase; (3) an
-i-superposition, which classifies the parity. (4) ``scan`` then certifies
-phi(A) = U A U* (or U conj(A) U*) on random density operators. Bijectivity
-of the map is never assumed; a map that fails any stage, or has an image
-that ``DensityMapOracle.image_stack``, its one reader, turns away, gets a
-status flag, not an exception. An oracle that raises still propagates its
+whose images give the columns of a unitary U up to phases; (2) their uniform
+superposition, which fixes every phase; (3) an i-superposition, which
+classifies the parity. (4) ``scan`` then certifies phi(A) = U A U* (or
+U conj(A) U*) on random density operators. One rule judges every image, of
+a probe or of a verification input: its residual against the candidate's
+image, within CERTIFY_TOL (1 + ||A||_F). Bijectivity of the map is never
+assumed; a map that fails any stage, or has an image that
+``DensityMapOracle.image_stack``, its one reader, turns away, gets a status
+flag, not an exception. An oracle that raises still propagates its
 exception.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from . import charact
 from .matcore import (
     DensityOperator,
     check_same_dim,
@@ -30,7 +31,7 @@ from .matcore import (
     row_sumsq,
 )
 from .sampling import density_stack, traces_and_ranks
-from .tolerances import CERTIFY_TOL, PHASE_FIX_TOL, PROBE_TOL, UNITARY_TOL
+from .tolerances import CERTIFY_TOL
 
 UNITARY = "unitary"
 ANTIUNITARY = "antiunitary"
@@ -140,19 +141,24 @@ class SymmetryOperator:
 class ReconstructionReport:
     """The outcome of reconstruct, or of classify_map's probes and scan (see
     ClassificationReport). ``status`` is ``certified`` or names the stage
-    that rejected the map. ``symmetry`` is the candidate S that the probes
+    whose image first missed the candidate's by more than the rule allows:
+    ``failed_projection_probe`` a basis image, against its own top vector's
+    projection or U's column; ``failed_phase`` the uniform probe's;
+    ``failed_parity`` the i-superposition's; ``failed_verification`` a
+    random input's. ``symmetry`` is the candidate S that the probes
     assembled, None if a probe stage rejected the map, and
     ``verification_trials`` the number of trials it was verified on, else 0.
     ``probes_used`` counts the oracle's reads: on a probe-stage rejection
     the stage's fixed count, j + 1 for basis probe j (from 0), d for the
-    Gram test, d + 1 for phase fixing and d + 2 for parity; else the d + 2
-    probes (1 at d = 1) and the trials up to and including the first that
-    fails. ``residual_max`` is the largest residual ||phi A - S A||_F over
-    those trials, infinite for a probe-stage rejection or an image turned
-    away. With ov_u and ov_a the overlaps of the parity probe's image with
-    the unitary and antiunitary hypotheses, ``parity_margin`` is
-    |ov_u - ov_a| once parity is decided, the signed ov_u - ov_a on
-    ``failed_parity``, and 0 for an earlier rejection or at d = 1."""
+    basis images against U's columns, d + 1 for phase fixing and d + 2 for
+    parity; else the d + 2 probes (1 at d = 1) and the trials up to and
+    including the first that fails. ``residual_max`` is the largest
+    residual ||phi A - S A||_F over those trials, infinite for a probe-stage
+    rejection or an image turned away. With ov_u and ov_a the overlaps of
+    the parity probe image's top vector with the unitary and antiunitary
+    hypotheses, ``parity_margin`` is |ov_u - ov_a| once parity is decided,
+    the signed ov_u - ov_a on ``failed_parity``, and 0 for an earlier
+    rejection or at d = 1."""
 
     symmetry: Optional[SymmetryOperator]
     residual_max: float
@@ -221,12 +227,25 @@ def extend_normalized(oracle_norm: DensityMapOracle) -> DensityMapOracle:
     return DensityMapOracle.from_evaluate(oracle_norm.dim, evaluate)
 
 
-def _probe(oracle: DensityMapOracle, v: np.ndarray) -> Optional[np.ndarray]:
-    """Amplitudes of the image of |v><v|, or None unless the image is a
-    finite rank-one projection of the oracle's dimension."""
+def _probe(oracle: DensityMapOracle, v: np.ndarray
+           ) -> tuple[Callable[[np.ndarray], float], Optional[np.ndarray]]:
+    """The image P of |v><v| as its residual h -> ||P - hh*||_F against the
+    image hh* that a candidate gives the probe, and its top vector: one
+    power step P(P e_k), for k the index of P's largest diagonal entry, as a
+    phase-canonical unit vector; None for an image turned away, or with no
+    top vector, as the power step's norm is zero or overflows."""
     images, ok = oracle.image_stack(freeze(np.outer(v, v.conj())[None]))
-    x = charact.projection_vector(DensityOperator(matrix=freeze(images)[0])) if ok[0] else None
-    return None if x is None else pure_state(x).amplitudes
+    p = images[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = p @ p[:, int(np.argmax(p.diagonal().real))]
+        norm = np.linalg.norm(x)
+    top = pure_state(x / norm).amplitudes if ok[0] and 0.0 < norm < math.inf else None
+    return lambda h: float(np.sqrt(row_sumsq((p - np.outer(h, h.conj()))[None])[0])), top
+
+
+def _phases(z: np.ndarray) -> np.ndarray:
+    """z / |z| entrywise, and 1 where z = 0."""
+    return np.divide(z, np.abs(z), out=np.ones(len(z), dtype=complex), where=z != 0.0)
 
 
 def _rejected(status: str, probes: int, margin: float = 0.0) -> ReconstructionReport:
@@ -283,69 +302,92 @@ def scan(oracle: DensityMapOracle, symmetry: Optional[SymmetryOperator],
         yield inputs, images, ok, res, res <= bound
 
 
-def _probe_stages(oracle: DensityMapOracle, trials: int) -> ReconstructionReport:
-    """Probe stages (1)-(3): the rejecting stage's report, or else S with the
-    probes' count and margin, to verify on ``trials`` inputs: not verified
-    yet, it is marked certified only for ``_verified`` to fold a scan into."""
+def _probe_stages(oracle: DensityMapOracle
+                  ) -> ReconstructionReport | tuple[SymmetryOperator, int, float]:
+    """Probe stages (1)-(3): the rejecting stage's report, or else the
+    candidate S with the probes' count and parity margin, for the caller's
+    scan to verify. Each probe image P passes by scan's rule for its input
+    vv*, ||P - S'(vv*)||_F <= CERTIFY_TOL (1 + ||vv*||_F) = 2 CERTIFY_TOL,
+    against the best candidate S' known when P is read, and is read through
+    its top vector, in O(d^2) and with no eigendecomposition."""
     d = oracle.dim
+    tol = 2.0 * CERTIFY_TOL
 
-    # (1) Basis probes: images must be rank-one projections f_j f_j* with
-    # ||G - I||_F <= UNITARY_TOL for G_ij = <f_i, f_j>: U*U has G's moduli.
-    f = np.empty((d, d), dtype=complex)
+    # (1) Basis probes: each image P_j against x_j x_j* for its own top
+    # vector x_j, then against u_j u_j* for the columns of U, the polar
+    # factor of X = (x_1 ... x_d) (one SVD: unitary to rounding, and exactly
+    # I when X = I), by ||P_j - u_j u_j*||_F <= r_j + 2 min_theta
+    # ||x_j - e^(i theta) u_j|| with r_j = ||P_j - x_j x_j*||_F.
+    x = np.empty((d, d), dtype=complex)
+    r = np.empty(d)
     for j, e in enumerate(np.eye(d, dtype=complex)):
-        x = _probe(oracle, e)
-        if x is None:
+        off, top = _probe(oracle, e)
+        r[j] = math.inf if top is None else off(top)
+        if r[j] > tol:
             return _rejected(STATUS_FAILED_PROJECTION_PROBE, j + 1)
-        f[j] = x
-    if np.linalg.norm(f.conj() @ f.T - np.eye(d)) > UNITARY_TOL:
+        x[:, j] = top
+    left, _, right = np.linalg.svd(x)
+    u = left @ right
+    if np.any(r + 2.0 * np.linalg.norm(x - u * _phases(np.einsum("ij,ij->j", u.conj(), x)),
+                                       axis=0) > tol):
         return _rejected(STATUS_FAILED_PROJECTION_PROBE, d)
 
     parity, margin = UNITARY, 0.0
     # d = 1: the two parities coincide on 1x1 matrices; unitary by convention.
     if d >= 2:
-        # (2) Phase fixing: one probe of s = (e_1 + ... + e_d)/sqrt(d) pins
-        # every column's phase relative to the first. With y its image and
-        # c = F* y, column j becomes f_j (c_j/|c_j|)(|c_1|/c_1); column 1
-        # keeps the bits of f_1. F is phase-fixed in place: its rows become
-        # the columns of U.
-        y = _probe(oracle, np.full(d, 1.0 / math.sqrt(d), dtype=complex))
+        # (2) Phase fixing: <U e_j, U s> = 1/sqrt(d) is nonzero for every j,
+        # so the image of s = (e_1 + ... + e_d)/sqrt(d), with top vector y
+        # and c = U* y, pins every column's phase at once: column j becomes
+        # u_j (c_j/|c_j|)(|c_1|/c_1), a zero overlap counting as phase 1, and
+        # column 1 keeps its bits. The image is judged against (Us)(Us)*.
+        s = np.full(d, 1.0 / math.sqrt(d), dtype=complex)
+        off, y = _probe(oracle, s)
         if y is None:
             return _rejected(STATUS_FAILED_PHASE, d + 1)
-        c = f.conj() @ y
-        mod = np.abs(c)
-        if np.any(np.abs(mod - 1.0 / math.sqrt(d)) > PHASE_FIX_TOL):
+        c = _phases(u.conj().T @ y)
+        u[:, 1:] *= c[1:] * c[0].conjugate()
+        if off(u @ s) > tol:
             return _rejected(STATUS_FAILED_PHASE, d + 1)
-        f[1:] *= (c[1:] / mod[1:] * (c[0].conjugate() / mod[0]))[:, None]
 
-        # (3) Parity from the i-superposition (e_1 + i e_2)/sqrt(2).
-        w = _probe(oracle, np.array([1.0, 1j] + [0.0] * (d - 2)) / math.sqrt(2.0))
-        if w is None:
+        # (3) Parity from the i-superposition w = (e_1 + i e_2)/sqrt(2): the
+        # hypothesis, U w or U conj(w), that its image's top vector overlaps
+        # more, against which the image is judged.
+        off, top = _probe(oracle, np.array([1.0, 1j] + [0.0] * (d - 2)) / math.sqrt(2.0))
+        if top is None:
             return _rejected(STATUS_FAILED_PARITY, d + 2)
-        h_u = (f[0] + 1j * f[1]) / math.sqrt(2.0)
-        h_a = (f[0] - 1j * f[1]) / math.sqrt(2.0)
-        ov_u = abs(np.vdot(h_u, w)) ** 2
-        ov_a = abs(np.vdot(h_a, w)) ** 2
-        if max(ov_u, ov_a) < 1.0 - PROBE_TOL:
-            return _rejected(STATUS_FAILED_PARITY, d + 2, margin=ov_u - ov_a)
+        h_u = (u[:, 0] + 1j * u[:, 1]) / math.sqrt(2.0)
+        h_a = (u[:, 0] - 1j * u[:, 1]) / math.sqrt(2.0)
+        ov_u = abs(np.vdot(h_u, top)) ** 2
+        ov_a = abs(np.vdot(h_a, top)) ** 2
         parity = UNITARY if ov_u >= ov_a else ANTIUNITARY
+        if off(h_u if parity == UNITARY else h_a) > tol:
+            return _rejected(STATUS_FAILED_PARITY, d + 2, margin=ov_u - ov_a)
         margin = abs(ov_u - ov_a)
-    return ReconstructionReport(SymmetryOperator(parity=parity, u=f.T.copy()), 0.0,
-                                d + 2 if d >= 2 else 1, trials, margin, STATUS_CERTIFIED)
+    return SymmetryOperator(parity=parity, u=u), d + 2 if d >= 2 else 1, margin
 
 
-def _verified(report: ReconstructionReport, res: np.ndarray,
-              rule: np.ndarray) -> ReconstructionReport:
-    """``report``, of the probes' S or of a scan of S so far, with S read on
-    more inputs in draw order, their ``scan`` residuals ``res`` and rule masks
-    ``rule``: unless an input failed before, the report takes them in up to
-    and including the first that fails, and so fails verification."""
-    if not report.certified:
-        return report
-    failed = np.flatnonzero(~rule)
-    n = int(failed[0]) + 1 if len(failed) else len(rule)
-    return replace(report, residual_max=max(report.residual_max, float(res[:n].max())),
-                   probes_used=report.probes_used + n,
-                   status=STATUS_FAILED_VERIFICATION if len(failed) else STATUS_CERTIFIED)
+def _verified(tally: tuple[float, int, bool], res: np.ndarray,
+              rule: np.ndarray) -> tuple[float, int, bool]:
+    """The fold of a scan: ``tally``, the largest residual, the inputs read
+    and whether one failed, with the next inputs' ``scan`` residuals ``res``
+    and rule masks ``rule`` taken in, in draw order, up to and including the
+    first that fails, unless one failed before."""
+    top, read, failed = tally
+    if failed:
+        return tally
+    bad = np.flatnonzero(~rule)
+    n = int(bad[0]) + 1 if len(bad) else len(rule)
+    return max(top, float(res[:n].max())), read + n, len(bad) > 0
+
+
+def _verdict(candidate: tuple[SymmetryOperator, int, float], tally: tuple[float, int, bool],
+             trials: int) -> ReconstructionReport:
+    """The report of the probes' candidate (S, probes, margin) verified on
+    ``trials`` inputs with the scan's ``tally``: the one place that certifies."""
+    symmetry, probes, margin = candidate
+    top, read, failed = tally
+    return ReconstructionReport(symmetry, top, probes + read, trials, margin,
+                                STATUS_FAILED_VERIFICATION if failed else STATUS_CERTIFIED)
 
 
 def reconstruct(
@@ -359,42 +401,35 @@ def reconstruct(
     A bijective fidelity-preserving map is A -> U A U* or A -> U conj(A) U*.
     d + 2 probes pin that candidate up to a global phase (one at d = 1): the
     d basis projections, s = (e_1 + ... + e_d)/sqrt(d) for phase fixing and
-    (e_1 + i e_2)/sqrt(2) for parity; verification then decides. The basis
-    images give each column U e_j up to a phase, as a unit vector f_j, and
-    U*U has the moduli of their Gram matrix G_ij = <f_i, f_j>, so the map
-    fails the projection stage unless ||G - I||_F <= UNITARY_TOL. Since
-    <U e_j, U s> = 1/sqrt(d) is nonzero for every j, the overlaps c = F* y
-    with the image y of s carry every column's phase at once: column j is
-    f_j (c_j/|c_j|)(|c_1|/c_1), an exact unit phase times f_j, and column 1
-    is f_1 bit for bit. The map fails the phase stage unless y is a rank-one
-    projection and every |c_j| is within PHASE_FIX_TOL of 1/sqrt(d). A map
-    that passes the probes but is not the candidate (a different parity or
-    a transpose on one block) differs from it on a set of positive measure,
-    which the random verification inputs hit; one that differs only on a
-    null set escapes any finite schedule of probes.
+    (e_1 + i e_2)/sqrt(2) for parity; verification then decides. Every
+    image passes by one rule, a residual against the image the candidate
+    gives its input A of at most CERTIFY_TOL (1 + ||A||_F): 2 CERTIFY_TOL
+    for a probe, which is judged against the best candidate known when it
+    is read (see _probe_stages). A map that passes the probes but is not
+    the candidate (a different parity or a transpose on one block) differs
+    from it on a set of positive measure, which the random verification
+    inputs hit; one that differs only on a null set escapes any finite
+    schedule of probes.
 
     Each stage returns its report as soon as it rejects the map, with the
     probe count that ReconstructionReport states. Each probe vv* reaches
     ``oracle.image_stack`` as a read-only stack of one raw outer product,
     exactly Hermitian as computed since each component of v is purely real
-    or purely imaginary. Its image is read with ``charact.projection_vector``:
-    O(d^2) for a rank-one projection, an O(d^3) eigendecomposition only near
-    the RANK_TOL threshold or for no projection at all. ``seed`` only selects
-    the verification draws, from ``default_rng(seed + 1)``: all traces, then
-    all ranks, in one ``sampling.traces_and_ranks`` call, then one
-    ``sampling.density_stack`` draw per block of at most
-    TRIAL_STACK_ENTRIES entries. So, unlike ``classify_map``'s pairs, the
-    inputs of fewer trials are no prefix of those of more. ``scan`` reads
-    them in its groups (at d = 32 in 18 calls, not 64), yet the report is
-    that of a block-by-block scan, which stops at the first failing trial.
-    An image turned away rejects the map with its probe's status, or fails
-    verification with an infinite residual.
+    or purely imaginary. ``seed`` only selects the verification draws, from
+    ``default_rng(seed + 1)``: all traces, then all ranks, in one
+    ``sampling.traces_and_ranks`` call, then one ``sampling.density_stack``
+    draw per block of at most TRIAL_STACK_ENTRIES entries. So, unlike
+    ``classify_map``'s pairs, the inputs of fewer trials are no prefix of
+    those of more. ``scan`` reads them in its groups (at d = 32 in 18 calls,
+    not 64), yet the report is that of a block-by-block scan, which stops at
+    the first failing trial. An image turned away rejects the map with its
+    probe's status, or fails verification with an infinite residual.
     """
     if verification_trials < 1:
         raise ValueError(f"verification_trials must be >= 1, got {verification_trials}")
-    report = _probe_stages(oracle, verification_trials)
-    if report.symmetry is None:
-        return report
+    candidate = _probe_stages(oracle)
+    if isinstance(candidate, ReconstructionReport):
+        return candidate
 
     # (4) Verification on random density operators of mixed rank and trace.
     d = oracle.dim
@@ -407,8 +442,9 @@ def reconstruct(
             density_stack(rng, traces[start:start + size], ranks[start:start + size], d)
             for start in group])))
 
-    for *_, res, rule in scan(oracle, report.symmetry, draw, verification_trials, size):
-        report = _verified(report, res, rule)
-        if not report.certified:
+    tally = (0.0, 0, False)
+    for *_, res, rule in scan(oracle, candidate[0], draw, verification_trials, size):
+        tally = _verified(tally, res, rule)
+        if tally[2]:  # an input failed
             break
-    return report
+    return _verdict(candidate, tally, verification_trials)

@@ -3,15 +3,20 @@ from which test_adversarial_maps checks the verdicts of classify_map and
 reconstruct. Each row gives a builder of the oracle, the verdict that
 classify_map must reach, and the status, probe count and parity that
 reconstruct must report; a row that names the implementing operator is
-compared with the reconstruction up to a global phase.
+compared with the reconstruction up to a global phase, within the row's
+``within``.
 
 The rows:
 - every zoo kind at d = 3 and d = 8;
 - the null-set break at d = 3 and d = 8: the identity except at e_1 e_1*,
   which no trial pair hits and the basis probes do;
-- the near-orthogonal break at d = 2: the identity except that e_2 e_2*
-  goes to vv*, v = (3e-8 e_1 + e_2)/||.||, whose basis images overlap too
-  much to make U unitary;
+- the near-orthogonal maps at d = 2: the identity except that e_2 e_2*
+  goes to vv*, v = (eps e_1 + e_2)/||.||. At eps = 3e-8 the polar factor of
+  the basis images is 2.1e-8 from I and every probe image within
+  2 CERTIFY_TOL of its image under it, so the map certifies, and it
+  preserves fidelity within CLASSIFY_TOL; at eps = 3e-6 the basis images
+  lie too far from any unitary's columns, and the map is rejected after
+  the second basis probe;
 - probe-evading maps at d = 3 and d = 8, for a Haar symmetry S of each
   parity with U drawn from default_rng(d + 40): S after a block conjugate
   or a block transpose, which pass every probe and fail verification, and
@@ -24,6 +29,13 @@ The rows:
   U_2 conj(U_1) when S_2 is antiunitary; classified at d = 2 and d = 8,
   and at d = 64 run through reconstruct alone, which costs a fraction of a
   classification there;
+- the mix after a symmetry, A -> (1 - p) S(A) + p tr(A) sigma for the
+  unitary S = haar_symmetry(d, unitary) and the zoo mix's sigma, at
+  d = 4 and 32: reconstruct certifies it within 10 p of S up to
+  p = 1e-7, and rejects it at the first probe from p = 3e-7, where the
+  first basis image lies more than 2 CERTIFY_TOL from the projection onto
+  its own top vector; classify_map, run at d = 4, rejects it with a witness at
+  every p, as the fidelity it breaks grows as sqrt(p);
 - Bloch-ball rows at d = 2, A = (t/2)(I + r.sigma) -> (t/2)(I + R r.sigma)
   for seeded R in O(3), built from R and not from a unitary: a symmetry,
   antiunitary exactly when det R = -1 (seeds 4 and 5 of 0..5); the
@@ -73,6 +85,7 @@ class Row:
     probes: int
     parity: Optional[str] = None
     u: Optional[np.ndarray] = None
+    within: float = 1e-13  # the largest distance of the reconstruction to u
 
 
 def zoo_rows(d: int) -> dict[str, Row]:
@@ -114,13 +127,11 @@ def null_set_break(d: int) -> DensityMapOracle:
     return moved_at(e11, e22)
 
 
-def near_orthogonal_break() -> DensityMapOracle:
+def near_orthogonal_break(eps: float) -> DensityMapOracle:
     """The identity at d = 2, except that e_2 e_2* goes to vv* for
-    v = (3e-8 e_1 + e_2)/||.||: its overlap with the basis image e_1 is far
-    within every probe's tolerance, yet ||G - I||_F = 4.2e-8 for the Gram
-    matrix G of the basis images, above UNITARY_TOL, so no unitary has
-    these columns."""
-    v = np.array([3e-8, 1.0]) / math.hypot(3e-8, 1.0)
+    v = (eps e_1 + e_2)/||.||: the basis images' overlap, about eps, moves
+    each column of their polar factor about eps / 2 away from I's."""
+    v = np.array([eps, 1.0]) / math.hypot(eps, 1.0)
     return moved_at(np.diag([0.0, 1.0]).astype(complex), np.outer(v, v).astype(complex))
 
 
@@ -217,6 +228,25 @@ def rank_one_symmetry(d: int, parity: str) -> DensityMapOracle:
                              depolarizing.evaluate_stack)
 
 
+def mix_after_symmetry(d: int, p: float) -> DensityMapOracle:
+    """A -> (1 - p) S(A) + p tr(A) sigma: the zoo's mix at p after the
+    unitary S = haar_symmetry(d, unitary)."""
+    truth = haar_symmetry(d, UNITARY)
+    mix = make_map(MapSpec("mix", d, {"p": p}))
+    return DensityMapOracle(d, lambda m: mix.evaluate_stack(apply_symmetry_stack(truth, m)))
+
+
+def mix_row(d: int, p: float) -> Row:
+    """mix_after_symmetry(d, p): certified within 10 p of S up to p = 1e-7,
+    rejected by the first basis probe above; classified at d = 4 alone."""
+    verdict = WITNESS if d == 4 else None
+    if p > 1e-7:
+        return Row(functools.partial(mix_after_symmetry, d, p), verdict,
+                   STATUS_FAILED_PROJECTION_PROBE, 1)
+    return Row(functools.partial(mix_after_symmetry, d, p), verdict, STATUS_CERTIFIED,
+               d + 2 + VERIFICATION_TRIALS, UNITARY, haar_symmetry(d, UNITARY).u, 10.0 * p)
+
+
 def closure_row(d: int, p1: str, p2: str, verdict: Optional[str]) -> Row:
     """S_2 S_1 for Haar symmetries S_1, S_2 of parities p1, p2, seeded by d."""
     rng = np.random.default_rng(d)
@@ -275,8 +305,10 @@ ADVERSARIAL_MAPS = {
     **{f"null-set-d{d}": Row(functools.partial(null_set_break, d), RECONSTRUCTION,
                              STATUS_FAILED_PROJECTION_PROBE, d)
        for d in (3, 8)},
-    "near-orthogonal-d2": Row(near_orthogonal_break, RECONSTRUCTION,
-                              STATUS_FAILED_PROJECTION_PROBE, 2),
+    "near-orthogonal-d2": Row(functools.partial(near_orthogonal_break, 3e-8), PRESERVING,
+                              STATUS_CERTIFIED, 2 + 2 + VERIFICATION_TRIALS, UNITARY),
+    "near-orthogonal-3e-6-d2": Row(functools.partial(near_orthogonal_break, 3e-6),
+                                   RECONSTRUCTION, STATUS_FAILED_PROJECTION_PROBE, 2),
     **{f"{family}-{parity}-d{d}": Row(
         functools.partial(probe_evading, family, d, parity), WITNESS,
         *((STATUS_FAILED_PHASE, d + 1) if family == "schur_phase" else
@@ -290,6 +322,8 @@ ADVERSARIAL_MAPS = {
        for d in (3, 8) for parity in PARITIES},
     **{f"closure-{p2}-{p1}-d{d}": closure_row(d, p1, p2, PRESERVING if d < 64 else None)
        for d in (2, 8, 64) for p1 in PARITIES for p2 in PARITIES},
+    **{f"mix-after-symmetry-p{p:.0e}-d{d}": mix_row(d, p)
+       for d in (4, 32) for p in (1e-10, 1e-8, 1e-7, 3e-7, 1e-5)},
     **{f"bloch-{seed}": bloch_row(seeded_o3(seed)) for seed in range(6)},
     "bloch-shrink": Row(functools.partial(bloch_map, 0.9 * seeded_o3(0)), WITNESS,
                         STATUS_FAILED_PROJECTION_PROBE, 1),

@@ -77,7 +77,7 @@ def test_is_rank_one_projection_examples():
 def test_a_large_negative_eigenvalue_counts_toward_the_rank():
     """diag(1.1, -0.1), built directly as a non-PSD oracle image might be,
     has unit trace and one positive eigenvalue, but rank two: it is no
-    rank-one projection, by the Weyl fast path or by the spectral rule."""
+    rank-one projection."""
     w = np.array([1.1, -0.1])
     assert spectral_rank(w) == 2
     a = DensityOperator(matrix=np.diag(w).astype(complex))
@@ -483,18 +483,6 @@ def test_projection_vector_decides_as_the_spectral_rule(d):
                 accepted.append(x is not None)
     # the sweep crosses RANK_TOL: accepted at small eps, rejected at large eps
     assert accepted[0] and not accepted[-1]
-
-
-def test_projection_vector_skips_the_eigendecomposition_on_projections(monkeypatch):
-    def no_eig(m):
-        raise AssertionError("eig_hermitian called on an exact projection")
-
-    monkeypatch.setattr(charact, "eig_hermitian", no_eig)
-    rng = np.random.default_rng(5)
-    for d in (1, 2, 3, 8, 32, 64):
-        p = pure_state(rng.normal(size=d) + 1j * rng.normal(size=d)).projection()
-        x = projection_vector(p)
-        assert x is not None and np.linalg.norm(p.matrix - np.outer(x, x.conj())) <= 1e-14
 
 
 def odd_images(d):

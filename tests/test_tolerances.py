@@ -7,6 +7,7 @@ import fidsym
 from fidsym import tolerances
 
 SRC = Path(fidsym.__file__).parent
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def other_modules():
@@ -15,7 +16,7 @@ def other_modules():
 
 def test_table_holds_every_tolerance_once():
     table = tolerances.table()
-    assert len(table) == 13
+    assert len(table) == 11
     for name, value in table.items():
         assert getattr(tolerances, name.upper()) == value
         assert 0.0 < value < 1e-5
@@ -37,3 +38,13 @@ def test_every_tolerance_is_read_by_the_code():
                 read.add(node.attr)
     unread = [name.upper() for name in tolerances.table() if name.upper() not in read]
     assert unread == []
+
+
+def test_every_tolerance_named_in_the_docs_is_in_the_table():
+    """A tolerance that is deleted leaves no name behind: every
+    [A-Z_]+_(TOL|FLOOR) word in README.md and in the package, docstrings and
+    comments included, is a key of the table."""
+    name = re.compile(r"\b[A-Z_]+_(?:TOL|FLOOR)\b")
+    live = {key.upper() for key in tolerances.table()}
+    for path in [README, *sorted(SRC.glob("*.py"))]:
+        assert set(name.findall(path.read_text(encoding="utf-8"))) <= live, path.name

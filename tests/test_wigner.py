@@ -21,7 +21,7 @@ from fidsym.matcore import (
     validate_density,
 )
 from fidsym.sampling import haar_unitary, random_density, random_pure_state
-from fidsym.tolerances import CLASSIFY_TOL
+from fidsym.tolerances import CERTIFY_TOL, CLASSIFY_TOL
 from fidsym.wigner import (
     ANTIUNITARY,
     UNITARY,
@@ -31,7 +31,9 @@ from fidsym.wigner import (
     STATUS_FAILED_PHASE,
     STATUS_FAILED_PROJECTION_PROBE,
     STATUS_FAILED_VERIFICATION,
+    ReconstructionReport,
     SymmetryOperator,
+    _probe_stages,
     apply_symmetry,
     apply_symmetry_stack,
     extend_normalized,
@@ -279,8 +281,9 @@ def parity_breaking_oracle(d):
 
 # (oracle, status, probes_used, parity_margin) at d = 3. Probe budget:
 # 3 basis + 1 phase-fixing + 1 parity + 64 verification. spectral_scramble
-# sends every basis probe to e_3 e_3*, so its Gram test fails after the
-# three basis probes.
+# sends every basis probe to e_3 e_3*, so the basis images lie far from the
+# columns of their polar factor U, and the map fails after the three basis
+# probes.
 STATUS_CASES = {
     "certified": (identity_oracle, STATUS_CERTIFIED, 69, 1.0),
     "depolarizing": (
@@ -380,7 +383,8 @@ def halving_oracle(d):
 
 # (oracle, d, status, probes_used) for each stage that can reject a map, at
 # the d where it runs, and the certified identity at d = 1: j + 1 for basis
-# probe j, d for the Gram test, d + 1 for phase fixing, d + 2 for parity.
+# probe j, d for the basis images against U's columns ("gram"), d + 1 for
+# phase fixing, d + 2 for parity.
 STAGE_CASES = {
     **{f"{stage}-d{d}": (make_oracle, d, status, probes(d)) for d in (2, 3, 8)
        for stage, (make_oracle, status, probes) in {
@@ -415,16 +419,22 @@ def test_each_stage_reports_the_probes_it_read(case):
         assert report.symmetry is None and report.residual_max == math.inf
 
 
-def parity_probe_sent_to(d, sign):
+def parity_image(d, sign, t):
+    """vv* for v = cos t e_1 + i sign sin t e_2: it overlaps the unitary
+    hypothesis (e_1 + i e_2)/sqrt(2) by (1 + sign sin 2t)/2 and the
+    antiunitary one by (1 - sign sin 2t)/2."""
+    v = np.zeros(d, dtype=complex)
+    v[0], v[1] = math.cos(t), 1j * sign * math.sin(t)
+    return np.outer(v, v.conj())
+
+
+def parity_probe_sent_to(d, sign, t=math.pi / 8):
     """The identity, except that the parity probe (e_1 + i e_2)/sqrt(2) goes
-    to vv*, v = cos t e_1 + i sign sin t e_2 at t = pi/8: it overlaps the
-    unitary hypothesis by (1 + sign sin 2t)/2 and the antiunitary one by
-    (1 - sign sin 2t)/2, neither within PROBE_TOL of 1."""
+    to parity_image(d, sign, t): at t = pi/8, about 0.54 from the image of
+    either hypothesis, far above 2 CERTIFY_TOL."""
     probe = np.zeros((d, d), dtype=complex)
     probe[:2, :2] = [[0.5, -0.5j], [0.5j, 0.5]]
-    v = np.zeros(d, dtype=complex)
-    v[0], v[1] = math.cos(math.pi / 8), 1j * sign * math.sin(math.pi / 8)
-    image = np.outer(v, v.conj())
+    image = parity_image(d, sign, t)
     return DensityMapOracle(d, lambda m: np.where(
         np.all(np.isclose(m, probe), axis=(-2, -1))[:, None, None], image, m))
 
@@ -490,16 +500,42 @@ def tiny_projection_oracle(d):
     )
 
 
+def overflowing_oracle():
+    """A -> A + 1e150 (e_1 e_2* + e_2 e_1*) at d = 3: finite images, which
+    image_stack keeps, and the first one, of unit trace, has a power-step
+    vector P(P e_1) whose norm overflows."""
+    kick = np.zeros((3, 3), dtype=complex)
+    kick[0, 1] = kick[1, 0] = 1e150
+    return DensityMapOracle(3, lambda m: m + kick)
+
+
+def huge_oracle():
+    """A -> 1e150 A at d = 3: finite images, far from any projection."""
+    return DensityMapOracle(3, lambda m: 1e150 * m)
+
+
+HUGE_ORACLES = {"overflow": overflowing_oracle, "1e150A": huge_oracle}
+
+
 @pytest.mark.parametrize("oracle", [
     embedding_oracle(1), embedding_oracle(2), embedding_oracle(3),
     constant_oracle_2x2(), tiny_projection_oracle(1), tiny_projection_oracle(3),
     *(DensityMapOracle.from_evaluate(3, bad) for bad in BAD_IMAGES.values()),
-], ids=["embed1", "embed2", "embed3", "const2x2", "tiny1", "tiny3", *BAD_IMAGES])
+    *(make() for make in HUGE_ORACLES.values()),
+], ids=["embed1", "embed2", "embed3", "const2x2", "tiny1", "tiny3", *BAD_IMAGES, *HUGE_ORACLES])
 def test_reconstruct_rejects_images_of_the_wrong_dimension_or_trace(oracle):
     report = reconstruct(oracle)
     assert report.status == STATUS_FAILED_PROJECTION_PROBE
     assert report.probes_used == 1
     assert report.symmetry is None
+
+
+@pytest.mark.parametrize("make", HUGE_ORACLES.values(), ids=HUGE_ORACLES)
+def test_classify_map_rejects_huge_probe_images_without_a_warning(make):
+    """The suite turns a RuntimeWarning, such as an overflowing norm, into an
+    error: classify_map's probes reject the map after one probe."""
+    report = classify_map(make(), trials=10).reconstruction
+    assert (report.status, report.probes_used) == (STATUS_FAILED_PROJECTION_PROBE, 1)
 
 
 def memmap_copy(m):
@@ -692,14 +728,19 @@ def uniform_probe(d):
     return np.outer(s, s.conj())
 
 
-def off_on_the_uniform_probe(d, offset):
-    """The identity, except that the uniform probe goes to the rank-one
-    projection tt*, t real and unit with t_1 = 1/sqrt(d) + offset and the
-    other components equal."""
+def uniform_image(d, offset):
+    """The rank-one projection tt*, t real and unit with t_1 = 1/sqrt(d) +
+    offset and the other components equal."""
     t = np.empty(d)
     t[0] = 1.0 / math.sqrt(d) + offset
     t[1:] = math.sqrt((1.0 - t[0] ** 2) / (d - 1))
-    image = DensityOperator(matrix=np.outer(t, t).astype(complex))
+    return np.outer(t, t).astype(complex)
+
+
+def off_on_the_uniform_probe(d, offset):
+    """The identity, except that the uniform probe goes to
+    uniform_image(d, offset)."""
+    image = DensityOperator(matrix=uniform_image(d, offset))
     probe = uniform_probe(d).tobytes()
     return DensityMapOracle.from_evaluate(
         d, lambda a: image if a.matrix.tobytes() == probe else a)
@@ -707,10 +748,10 @@ def off_on_the_uniform_probe(d, offset):
 
 @pytest.mark.parametrize("d", [2, 3, 8, 64])
 def test_an_overlap_off_one_over_sqrt_d_fails_the_phase_probe(d):
-    """An image of the uniform probe that is a rank-one projection, but has
-    |<f_1, y>| 1e-6 away from 1/sqrt(d), ten times PHASE_FIX_TOL, is rejected
-    right after it, after the d basis probes and itself; 1e-9 away it
-    passes, and the map, the identity elsewhere, certifies as U = I."""
+    """An image of the uniform probe that is a rank-one projection tt*, but
+    has t_1 1e-6 away from 1/sqrt(d), more than 2 CERTIFY_TOL from ss*, is
+    rejected right after it, after the d basis probes and itself; 1e-9 away
+    it passes, and the map, the identity elsewhere, certifies as U = I."""
     report = reconstruct(off_on_the_uniform_probe(d, 1e-6))
     assert report.status == STATUS_FAILED_PHASE
     assert report.probes_used == d + 1
@@ -739,3 +780,60 @@ def test_the_probe_schedule(d):
     for x in seen:
         assert not x.flags.writeable
         assert np.array_equal(x, x.conj().T)
+
+
+def test_probe_stages_certify_nothing():
+    """The probes return a rejecting report, or the candidate with its probe
+    count and parity margin: only the verification that follows certifies."""
+    assert isinstance(_probe_stages(halving_oracle(3)), ReconstructionReport)
+    symmetry, probes, margin = _probe_stages(identity_oracle(3))
+    assert symmetry.u.tobytes() == np.eye(3, dtype=complex).tobytes()
+    assert (symmetry.parity, probes, margin) == (UNITARY, 5, 1.0)
+
+
+def rank_two_basis_image(d, a):
+    """The identity, except that e_1 e_1* goes to (1 - a) e_1 e_1* + a e_2 e_2*,
+    of rank two, and its expected image, e_1 e_1*."""
+    expected = np.zeros((d, d), dtype=complex)
+    expected[0, 0] = 1.0
+    image = (1.0 - a) * expected
+    image[1, 1] = a
+    return DensityMapOracle(d, lambda m: np.where(
+        np.all(m == expected, axis=(-2, -1))[:, None, None], image, m)), image, expected
+
+
+# (builder of the oracle whose image of one probe is moved by a parameter,
+# with that image and its expected image under U = I; the stage's status
+# and probe count) at d = 3
+BOUNDARY_CASES = {
+    "basis": (rank_two_basis_image, STATUS_FAILED_PROJECTION_PROBE, 1),
+    "phase": (lambda d, a: (off_on_the_uniform_probe(d, a), uniform_image(d, a),
+                            uniform_probe(d)), STATUS_FAILED_PHASE, 4),
+    "parity": (lambda d, a: (parity_probe_sent_to(d, 1.0, math.pi / 4 - a),
+                             parity_image(d, 1.0, math.pi / 4 - a),
+                             parity_image(d, 1.0, math.pi / 4)), STATUS_FAILED_PARITY, 5),
+}
+
+
+@pytest.mark.parametrize("case", BOUNDARY_CASES)
+def test_each_probe_passes_by_the_verification_rule(case):
+    """The identity, except on one probe, whose image is moved to a residual
+    ||P - S(vv*)||_F against the image S(vv*) that the identity gives it: just
+    below 2 CERTIFY_TOL, verification's bound CERTIFY_TOL (1 + ||vv*||_F),
+    the map certifies as U = I; just above, that probe's stage rejects it
+    with its fixed probe count."""
+    build, status, probes = BOUNDARY_CASES[case]
+    d, bound = 3, 2.0 * CERTIFY_TOL
+    _, image, expected = build(d, 1e-9)
+    slope = np.linalg.norm(image - expected) / 1e-9  # of the residual, nearly linear here
+    for side in (1.0 - 1e-4, 1.0 + 1e-4):
+        oracle, image, expected = build(d, side * bound / slope)
+        residual = np.linalg.norm(image - expected)
+        assert (residual <= bound) == (side < 1.0)
+        assert abs(residual / bound - 1.0) <= 1e-3
+        report = reconstruct(oracle)
+        if side < 1.0:
+            assert report.certified and report.probes_used == d + 2 + 64
+            assert report.symmetry.u.tobytes() == np.eye(d, dtype=complex).tobytes()
+        else:
+            assert (report.status, report.probes_used) == (status, probes)
