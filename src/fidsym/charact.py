@@ -7,7 +7,6 @@ probe of the total ordering of minorants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -74,24 +73,13 @@ def is_rank_one(a: DensityOperator) -> bool:
     return numerical_rank(a) == 1
 
 
-def projection_vector(a: DensityOperator) -> Optional[np.ndarray]:
-    """Unit vector v with A = vv* if A is a rank-one projection, else None.
-
-    The rule is the spectral one, read from one eig_hermitian: rank one
-    (``spectral_rank``, so a unit-trace image with a negative eigenvalue
-    beyond RANK_TOL times the largest, as diag(1.1, -0.1), is rejected) and
-    a trace within TRACE_TOL of 1, summed from the matrix's diagonal. A NaN
-    or infinite entry makes eig_hermitian raise ValueError, as is_rank_one
-    does.
-    """
-    spec = eig_hermitian(a.matrix)
-    unit_trace = abs(a.matrix.diagonal().real.sum() - 1.0) <= TRACE_TOL
-    return spec.eigenvectors[:, 0] if unit_trace and spectral_rank(spec.eigenvalues) == 1 else None
-
-
 def is_rank_one_projection(a: DensityOperator) -> bool:
-    """Rank one with trace 1; equivalently rank one with F(A,A) = 1."""
-    return projection_vector(a) is not None
+    """Rank one with trace 1; equivalently rank one with F(A,A) = 1. Rank one
+    is numerical_rank's (so a unit-trace diag(1.1, -0.1), whose negative
+    eigenvalue exceeds RANK_TOL times the largest, is not), the trace is
+    summed from the matrix's diagonal, and a NaN or infinite entry raises
+    ValueError, as in is_rank_one."""
+    return numerical_rank(a) == 1 and abs(a.matrix.diagonal().real.sum() - 1.0) <= TRACE_TOL
 
 
 def _sample_minorants(a: DensityOperator, samples: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

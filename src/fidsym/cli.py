@@ -256,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reconstruct", help="reconstruct the symmetry behind a map spec")
     p.add_argument("--map", required=True, help="map spec JSON file")
-    p.add_argument("--trials", type=int, default=64, help="verification trials")
+    p.add_argument("--trials", type=int, default=wigner.VERIFICATION_TRIALS,
+                   help="verification trials")
     p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--out", required=True, help="report JSON output path")
     p.set_defaults(func=cmd_reconstruct)

@@ -11,8 +11,9 @@ by more than CLASSIFY_TOL: a bijective fidelity-preserving map is a unitary
 or antiunitary symmetry, so a map that the probes cannot pin to one is none.
 As F(S A, S B) = F(A, B) exactly, one scan against S verifies it and bounds
 each pair's violation by how far its images lie from S's (violation_bound),
-with no eigendecomposition; only a pair that the bound does not settle, and
-every pair of a map with no candidate, is scored by fidelity_stack.
+with no eigendecomposition; only a pair that the bound leaves open (every
+pair of a map with no candidate) is scored by fidelity_stack. An image
+turned away has an infinite residual, whose bound settles its pair.
 """
 from __future__ import annotations
 
@@ -88,14 +89,15 @@ class MapSpec:
 class ClassificationReport:
     """The verdict of classify_map, ``preserving``, derived from the fields.
     ``reconstruction`` is the report of the probe stage that rejected the map,
-    or of its candidate verified on the scan's max(2 ``trials``,
-    VERIFICATION_TRIALS) inputs, 2 ``trials`` on a witness. A rejection with a
-    ``witness_pair`` was made by it, one without by the reconstruction, whose
-    ``status`` names the failing stage. ``trials`` counts the trials scored: up
-    to the end of the first block that holds a witness, else all asked for.
+    or of its candidate verified on the scan's 2 ``trials`` inputs. A
+    rejection with a ``witness_pair`` was made by it, one without by the
+    reconstruction, whose ``status`` names the failing stage. ``trials``
+    counts the trials scored: those asked for, at least VERIFICATION_TRIALS
+    / 2 with a candidate, up to the end of the first block with a witness.
     ``worst_violation`` is the largest violation over them: a pair's
-    violation_bound, an upper bound on |dF|, where at most CLASSIFY_TOL, else
-    its measured |F(phi A, phi B) - F(A, B)|."""
+    violation_bound, an upper bound on |dF|, where at most CLASSIFY_TOL or
+    infinite (an image turned away), else its measured |F(phi A, phi B) -
+    F(A, B)|."""
 
     worst_violation: float
     witness_pair: Optional[tuple[DensityOperator, DensityOperator]]
@@ -290,15 +292,17 @@ def classify_map(oracle: DensityMapOracle, trials: int = 200, seed: int = 0) -> 
     left, so the pairs of fewer trials are a prefix of those of more.
     ``wigner.scan`` reads its groups of blocks in draw order (A_1, B_1, A_2,
     ...) against S, if the probes produced one, and alone verifies S. As a
-    map that is S on pure states alone passes a few inputs, it draws on past
-    fewer than VERIFICATION_TRIALS / 2 trials, to pairs that only verify S.
+    map that is S on pure states alone passes a few inputs, a map with a
+    candidate is scanned on at least VERIFICATION_TRIALS / 2 trials, every
+    one scored, so its report below that many is the report at that many.
     A pair's violation is violation_bound of its residuals, valid for any
     S, unless that exceeds ``CLASSIFY_TOL`` (always, with no candidate):
     then it is the measured |F(phi A, phi B) - F(A, B)|, from one
-    ``fidelity_stack`` call per group, or infinite for an image that
-    ``image_stack`` turns away. The witness is the first pair with the
-    largest violation; a settled pair's exact violation is at most
-    CLASSIFY_TOL, so it is the witness of scoring every pair by fidelity.
+    ``fidelity_stack`` call per group, unless ``image_stack`` turned an
+    image of the pair away: its infinite residual is an infinite bound. The
+    witness is the first pair with the largest violation; a settled pair's
+    exact violation is at most CLASSIFY_TOL, so it is the witness of
+    scoring every pair by fidelity.
 
     One pair over ``CLASSIFY_TOL`` proves that the map does not preserve
     fidelity, so a rejection stops at the end of the first block that holds
@@ -328,26 +332,24 @@ def classify_map(oracle: DensityMapOracle, trials: int = 200, seed: int = 0) -> 
         pairs = inputs.reshape(-1, 2, d, d)
         ok = ok.reshape(-1, 2).all(axis=1)
         violation = violation_bound(d, res.reshape(-1, 2), _traces(inputs).reshape(-1, 2))
-        exact = ~ok | (violation > CLASSIFY_TOL)
+        exact = ok & (violation > CLASSIFY_TOL)
         if exact.any():
             both = np.concatenate([images.reshape(pairs.shape)[exact], pairs[exact]])
             f = fidelity_stack(both[:, 0], both[:, 1])
             violation[exact] = np.abs(f[:len(f) // 2] - f[len(f) // 2:])
-        violation[~ok] = np.inf
-        n, m = len(pairs), min(len(pairs), trials - scored)  # pairs read for S, trials among them
+        n = len(pairs)
         # the scan stops at the end of the first block that holds a witness
-        over = np.flatnonzero(violation[:m] > CLASSIFY_TOL)
+        over = np.flatnonzero(violation > CLASSIFY_TOL)
         if len(over):
-            n = m = min(m, (int(over[0]) // size + 1) * size)
-            k = int(np.argmax(violation[:m]))
+            n = min(n, (int(over[0]) // size + 1) * size)
+            k = int(np.argmax(violation[:n]))
             witness = (DensityOperator(matrix=pairs[k, 0]), DensityOperator(matrix=pairs[k, 1]))
-        worst = max(worst, float(violation[:m].max(initial=0.0)))
-        scored += m
+        worst = max(worst, float(violation[:n].max(initial=0.0)))
+        scored += n
         tally = _verified(tally, res[:2 * n], rule[:2 * n])
         if witness is not None:
             break
-    report = probed if symmetry is None else _verdict(
-        probed, tally, 2 * (count if witness is None else scored))
+    report = probed if symmetry is None else _verdict(probed, tally, 2 * scored)
     return ClassificationReport(worst, witness, scored, seed, report)
 
 

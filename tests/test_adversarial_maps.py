@@ -4,11 +4,17 @@ import functools
 
 import numpy as np
 import pytest
-from adversarial_maps import ADVERSARIAL_MAPS, PRESERVING, RECONSTRUCTION, WITNESS
+from adversarial_maps import (
+    ADVERSARIAL_MAPS,
+    PRESERVING,
+    RECONSTRUCTION,
+    WITNESS,
+    zoo_rows,
+)
 
-from fidsym.mapzoo import ClassificationReport, classify_map
+from fidsym.mapzoo import PRESERVING_KINDS, ClassificationReport, classify_map
 from fidsym.tolerances import CLASSIFY_TOL
-from fidsym.wigner import STATUS_CERTIFIED, SymmetryOperator, reconstruct, symmetry_distance
+from fidsym.wigner import VERIFICATION_TRIALS, SymmetryOperator, reconstruct, symmetry_distance
 
 
 @functools.cache
@@ -56,31 +62,55 @@ def test_no_row_is_preserving_unless_its_reconstruction_certifies():
     assert wrong == []
 
 
-# The certified mix rows classified: within 10 p of a symmetry, they move F
-# by 0.18 p on the one pair that classify_map scores at one trial (at seed
-# 0 a pure pair far from orthogonal), and by more than CLASSIFY_TOL, as
-# sqrt(p), from the second trial on. So at one trial they are called
-# preserving (ROADMAP item 7's band).
-ONE_TRIAL_PRESERVING = {name for name, row in ADVERSARIAL_MAPS.items()
-                        if name.startswith("mix-after-symmetry") and row.verdict is not None
-                        and row.status == STATUS_CERTIFIED}
-
-
-@pytest.mark.parametrize("trials", [1, 2, 5, 17])
+@pytest.mark.parametrize("trials", [1, 2, 3, 5, 17, 31, 32, 33])
 def test_few_trials_keep_every_rows_verdict(trials):
-    """classify_map verifies the probes' candidate on at least
-    VERIFICATION_TRIALS trial inputs, however few trials it scores, so a
-    row keeps its verdict: a map that acts as a symmetry on the pure trial
+    """classify_map scores at least VERIFICATION_TRIALS / 2 trials of a map
+    whose probes give a candidate, however few are asked for, so a row
+    keeps its verdict: a map that acts as a symmetry on the pure trial
     pairs alone, as the rank-one rows do, is still rejected at one trial,
-    and preserving only where reconstruct certifies it. The one exception
-    is ONE_TRIAL_PRESERVING at one trial."""
+    and preserving only where reconstruct certifies it."""
     verdicts = {name: classify_map(row.build(), trials=trials).preserving
                 for name, row in ADVERSARIAL_MAPS.items() if row.verdict is not None}
     assert [name for name, preserving in verdicts.items()
-            if preserving != (ADVERSARIAL_MAPS[name].verdict == PRESERVING
-                              or trials == 1 and name in ONE_TRIAL_PRESERVING)
+            if preserving != (ADVERSARIAL_MAPS[name].verdict == PRESERVING)
             or preserving and not outcome(name)[1].certified] == []
 
+
+# Every classified row, and the preserving zoo kinds at d = 2 besides those
+# the table holds at d = 3 and 8.
+CLASSIFIED = {name: row for name, row in {**zoo_rows(2), **ADVERSARIAL_MAPS}.items()
+              if row.verdict is not None}
+
+
+def report_fields(report):
+    """Every field of a classify report, the witness and U as bytes."""
+    rec = report.reconstruction
+    return (report.trials, report.worst_violation, report.seed,
+            None if report.witness_pair is None
+            else tuple(x.matrix.tobytes() for x in report.witness_pair),
+            rec.status, rec.probes_used, rec.verification_trials, rec.residual_max,
+            rec.parity_margin, None if rec.symmetry is None
+            else (rec.symmetry.parity, rec.symmetry.u.tobytes()))
+
+
+@functools.cache
+def floor_report(name, seed):
+    return classify_map(CLASSIFIED[name].build(), trials=VERIFICATION_TRIALS // 2, seed=seed)
+
+
+@pytest.mark.parametrize("trials", [1, 2, 7, 16, 31])
+def test_fewer_trials_are_the_floor_report(trials):
+    """Every pair that classify_map reads is a scored trial: on every
+    classified row whose probes give a candidate, a scan asked for fewer
+    than VERIFICATION_TRIALS / 2 trials reads, scores and reports exactly
+    what that many do, every field and byte alike."""
+    seed = 0
+    names = [name for name in CLASSIFIED
+             if floor_report(name, seed).reconstruction.symmetry is not None]
+    assert {f"{kind}-d{d}" for kind in PRESERVING_KINDS for d in (2, 3, 8)} <= set(names)
+    assert [name for name in names
+            if report_fields(classify_map(CLASSIFIED[name].build(), trials=trials, seed=seed))
+            != report_fields(floor_report(name, seed))] == []
 
 
 def test_preserving_is_derived_and_not_stored():

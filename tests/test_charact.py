@@ -14,7 +14,6 @@ from fidsym.charact import (
     is_rank_one_projection,
     numerical_rank,
     order_totality_probe,
-    projection_vector,
     rank_one_certificate,
     spectral_rank,
 )
@@ -447,13 +446,6 @@ def spectral_rule(a):
     return rank == 1 and abs(a.matrix.diagonal().real.sum() - 1.0) <= TRACE_TOL
 
 
-def top_vector_distance(x, a):
-    """min over phases of ||x - e^{i theta} v|| for v the top eigenvector of A."""
-    v = eig_hermitian(a.matrix).eigenvectors[:, 0]
-    t = np.vdot(v, x)
-    return float(np.linalg.norm(x - (t / abs(t)) * v))
-
-
 def near_projections(rng, d, eps):
     """Images with spectrum (1 - eps, eps, 0, ...), (1 - eps, eps U(0,1), ...)
     and its unit-trace version (1 - eps sum U, eps U(0,1), ...)."""
@@ -474,13 +466,10 @@ def test_projection_vector_decides_as_the_spectral_rule(d):
     accepted = []  # of the spectrum (1 - eps, eps, 0, ...), by eps
     for eps in EPS_SWEEP:
         for family, a in enumerate(near_projections(rng, d, eps)):
-            x = projection_vector(a)
-            assert (x is not None) == spectral_rule(a), (d, eps, family)
-            if x is not None:
-                assert abs(np.linalg.norm(x) - 1.0) <= 1e-14
-                assert top_vector_distance(x, a) <= 1e-13, (d, eps, family)
+            yes = is_rank_one_projection(a)
+            assert yes == spectral_rule(a), (d, eps, family)
             if family == 0:
-                accepted.append(x is not None)
+                accepted.append(yes)
     # the sweep crosses RANK_TOL: accepted at small eps, rejected at large eps
     assert accepted[0] and not accepted[-1]
 
@@ -509,7 +498,7 @@ def odd_images(d):
 @pytest.mark.parametrize("d", [2, 3, 8])
 def test_projection_vector_on_odd_images(d):
     for a in odd_images(d):
-        assert (projection_vector(a) is not None) == spectral_rule(a)
+        assert is_rank_one_projection(a) == spectral_rule(a)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 8, 64])
@@ -518,18 +507,18 @@ def test_projection_vector_reads_the_trace_from_the_matrix(d):
     projection; the unit projection itself, built directly, is."""
     rng = np.random.default_rng(60 + d)
     p = pure_state(rng.normal(size=d) + 1j * rng.normal(size=d)).projection().matrix
-    assert projection_vector(DensityOperator(matrix=1e-9 * p)) is None
-    assert projection_vector(DensityOperator(matrix=p)) is not None
+    assert not is_rank_one_projection(DensityOperator(matrix=1e-9 * p))
+    assert is_rank_one_projection(DensityOperator(matrix=p))
 
 
 def test_projection_vector_raises_on_nan_like_the_spectral_rule():
-    """A NaN entry, of a unit-trace projection or everywhere, reaches
-    eig_hermitian, which raises ValueError, so is_rank_one_projection raises
-    too, as is_rank_one does."""
+    """A NaN entry, of a unit-trace projection or everywhere, reaches the
+    eigensolver, which raises ValueError, so is_rank_one_projection raises
+    as the spectral rule and is_rank_one do."""
     m = pure_state([1.0, 1.0]).projection().matrix.copy()
     m[0, 1] = np.nan
     for a in (DensityOperator(matrix=m), DensityOperator(matrix=np.full((2, 2), np.nan + 0j))):
-        for test in (spectral_rule, projection_vector, is_rank_one_projection, is_rank_one):
+        for test in (spectral_rule, is_rank_one_projection, is_rank_one):
             with pytest.raises(ValueError, match="finite"):
                 test(a)
 

@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, exit codes, serialization round-trips, and
 byte-identical golden outputs."""
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,9 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fidsym import tolerances
+from fidsym import mapzoo, tolerances
 from fidsym.cli import (
     EXIT_INPUT_ERROR,
+    EXIT_REJECTED,
     MAX_DIGITS,
     MAX_TRIALS,
     build_parser,
@@ -23,7 +25,7 @@ from fidsym.cli import (
 )
 from fidsym.mapzoo import classify_map
 from fidsym.matcore import DensityOperator
-from fidsym.wigner import DensityMapOracle
+from fidsym.wigner import VERIFICATION_TRIALS, DensityMapOracle
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -417,6 +419,30 @@ def test_verify_stdout(capsys):
     assert code == 0
     summary = json.loads(out)
     assert {r["kind"]: r["preserving"] for r in summary["results"]}["dephase"] is False
+
+
+def test_reconstruct_trials_default_to_reconstructs_own():
+    args = build_parser().parse_args(["reconstruct", "--map", "m.json", "--out", "r.json"])
+    assert args.trials == VERIFICATION_TRIALS
+
+
+def test_verify_exits_2_with_the_failure_of_the_harness(capsys, tmp_path, monkeypatch):
+    """A rejection stripped of its witness fails the harness: verify writes
+    the failure as its summary and exits 2."""
+    classify = mapzoo.classify_map
+
+    def witnessless(oracle, trials, seed):
+        report = classify(oracle, trials=trials, seed=seed)
+        return report if report.preserving else dataclasses.replace(report, witness_pair=None)
+
+    monkeypatch.setattr(mapzoo, "classify_map", witnessless)
+    out_file = tmp_path / "v.json"
+    code, out, err = run_cli(["verify", "--dim", 2, "--trials", 20, "--seed", 3,
+                              "--out", out_file], capsys)
+    assert (code, out, err) == (EXIT_REJECTED, "", "")
+    assert json.loads(out_file.read_text())["summary"] == {
+        "dim": 2, "trials": 20, "seed": 3,
+        "failure": "kind 'depolarizing' (dim 2, seed 3) was rejected with no witness pair"}
 
 
 def test_matrix_round_trip_bit_identical():

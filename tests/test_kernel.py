@@ -158,6 +158,15 @@ def test_eigvalsh_stack_matches_eigh_stack(d):
         assert np.max(np.abs(w[k] - ref[k])) <= 1e-13 * np.linalg.norm(m[k])
 
 
+def test_eigh_stack_raises_solver_failure(monkeypatch):
+    def no_convergence(h):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    with pytest.raises(SolverFailure, match="did not converge"):
+        eigh_stack(psd_inputs(2))
+
+
 def test_eigvalsh_stack_raises_solver_failure(monkeypatch):
     def no_convergence(h):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -250,10 +259,14 @@ def reference_classify(oracle, trials, seed, score=fidelity, candidate=True):
     and a symmetry from reconstruct's probes, certified or not, a pair
     scores its violation_bound, from the residuals against apply_symmetry,
     unless that exceeds CLASSIFY_TOL; every other pair scores its measured
-    violation. The scan stops after the first block whose largest violation
-    exceeds CLASSIFY_TOL. Returns the worst violation, its witness and the
-    number of trials scored."""
+    violation. Whenever the probes give a symmetry, at least
+    VERIFICATION_TRIALS / 2 trials are scored, however few are asked for.
+    The scan stops after the first block whose largest violation exceeds
+    CLASSIFY_TOL. Returns the worst violation, its witness and the number
+    of trials scored."""
     rec = reconstruct(oracle, seed=seed)
+    if rec.symmetry is not None:
+        trials = max(trials, VERIFICATION_TRIALS // 2)
     rng = np.random.default_rng(seed)
     d = oracle.dim
     worst, witness, scored = 0.0, None, 0
@@ -424,8 +437,8 @@ def broken_on(target):
 @pytest.mark.parametrize("trials", [1, 17, 200])
 def test_a_certified_classify_reads_the_map_once(d, trials):
     """Every preserving kind: classify_map reads the oracle's d + 2 probe
-    rows and its 2 trials trial inputs, drawn on to VERIFICATION_TRIALS
-    inputs for fewer trials, and no verification input besides. Its
+    rows and the inputs of the trials it scores, at least
+    VERIFICATION_TRIALS / 2 of them, and no verification input besides. Its
     reconstruction holds reconstruct's candidate, parity and margin,
     verified on those inputs, and its worst violation and trials are
     reference_classify's."""
@@ -445,7 +458,7 @@ def test_a_certified_classify_reads_the_map_once(d, trials):
             alone.symmetry.u.tobytes(), alone.symmetry.parity, alone.parity_margin)
         worst, _, scored = reference_classify(inner, trials, seed)
         assert (report.worst_violation, report.trials) == (worst, scored), spec.kind
-        assert report.witness_pair is None
+        assert report.trials == read // 2 and report.witness_pair is None
 
 
 @pytest.mark.parametrize("d, block, k", [(8, 2, 5), (8, 5, 9), (16, 4, 2), (32, 5, 0)])

@@ -81,6 +81,16 @@ def test_bad_specs():
         make_map(MapSpec(kind="nope", dim=2))
     with pytest.raises(BadSpec):
         make_map(MapSpec(kind="unitary", dim=2, params={"re": [[1, 0], [0, 2]]}))
+    with pytest.raises(BadSpec, match="dim must be positive, got 0"):
+        make_map(MapSpec(kind="identity", dim=0))
+    with pytest.raises(BadSpec, match=r"mix p = -0.1 out of \[0, 1\]"):
+        make_map(MapSpec(kind="mix", dim=2, params={"p": -0.1}))
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_classify_needs_a_trial(trials):
+    with pytest.raises(BadSpec, match=f"trials must be >= 1, got {trials}"):
+        classify_map(make_map(MapSpec("identity", 2)), trials=trials)
 
 
 def test_depolarizing_witness_value():
@@ -177,6 +187,26 @@ def test_verify_theorem_needs_the_witness_of_a_rejection(monkeypatch):
         verify_theorem(2, trials=20)
 
 
+@pytest.mark.parametrize("kind, match", [
+    ("identity", "'identity'.*should certify but did not"),
+    ("depolarizing", "'depolarizing'.*should be rejected but was not"),
+])
+def test_verify_theorem_fails_on_a_kind_on_the_wrong_side(monkeypatch, kind, match):
+    """The harness handed the map of the other side of the dichotomy in
+    place of ``kind``'s fails on that kind."""
+    build = mapzoo.make_map
+    other = {"identity": "depolarizing", "depolarizing": "identity"}[kind]
+
+    def swapped(spec, seed):
+        if spec.kind == kind:
+            spec = {s.kind: s for s in zoo_specs(spec.dim)}[other]
+        return build(spec, seed=seed)
+
+    monkeypatch.setattr(mapzoo, "make_map", swapped)
+    with pytest.raises(AssertionFailure, match=match):
+        verify_theorem(2, trials=20)
+
+
 def nan_image_oracle(d, bad):
     """Identity, except that an input ``bad`` picks goes to an all-NaN image."""
     nan = np.full((d, d), np.nan, dtype=complex)
@@ -214,6 +244,36 @@ def test_classify_witness_is_the_pair_with_the_nan_image():
     assert not report.preserving and report.worst_violation == math.inf
     assert [x.matrix.tobytes() for x in report.witness_pair] == [
         m.tobytes() for m in pair]
+
+
+@pytest.mark.parametrize("kind", ["identity", "depolarizing"])
+def test_a_pair_with_a_turned_away_image_is_settled_by_its_bound(monkeypatch, kind):
+    """One trial input, A of the second pair, has a NaN image, which
+    image_stack turns away. Its pair's residual, and so its violation_bound,
+    is infinite, so that pair is the witness at an infinite violation and
+    never reaches fidelity_stack: for the identity, whose bound settles
+    every other pair, no pair does; for depolarizing, which has no
+    candidate, every other pair of the scan does."""
+    d = 3
+    pair = _trial_pairs(np.random.default_rng(0), d, stack_size(d))[1]
+    target = pair[0]
+    base = make_map(MapSpec(kind, d, {"p": 0.5} if kind == "depolarizing" else {}))
+
+    def evaluate_stack(m):
+        out = base.evaluate_stack(m).copy()
+        out[np.all(m == target, axis=(-2, -1))] = np.nan
+        return out
+
+    scored = []
+    stacked = mapzoo.fidelity_stack
+    monkeypatch.setattr(mapzoo, "fidelity_stack",
+                        lambda a, b: scored.append((a.copy(), b.copy())) or stacked(a, b))
+    report = classify_map(DensityMapOracle(d, evaluate_stack), trials=40)
+    assert not report.preserving and report.worst_violation == math.inf
+    assert [x.matrix.tobytes() for x in report.witness_pair] == [m.tobytes() for m in pair]
+    rows = [m.tobytes() for a, b in scored for m in (*a, *b)]
+    assert target.tobytes() not in rows
+    assert len(rows) == (0 if kind == "identity" else 4 * (report.trials - 1))
 
 
 def test_classify_images_of_mixed_shapes_are_an_infinite_violation():
@@ -408,13 +468,13 @@ def probe_calls(base):
 
 
 def test_classify_trials_are_a_prefix_of_more_trials():
-    """At d = 8 a block holds 16 pairs: the pairs of 20 trials, the first
-    block and 4 of the second, are the first 20 of 200 trials, so the worst
-    violation of 20 trials is no larger. The map preserves fidelity, so
-    both runs make reconstruct's d + 2 probes first, and then score and
-    verify on every trial, in the scoring groups of group_calls; 20 trials
-    verify on 32 pairs, the VERIFICATION_TRIALS inputs, so their calls are
-    16 and 16 pairs, and those of 200 are 16, 32, 64, 64 and 24."""
+    """At d = 8 a block holds 16 pairs. The map preserves fidelity, so both
+    runs make reconstruct's d + 2 probes first, and then score and verify
+    on every trial, in the scoring groups of group_calls. 20 trials are
+    scored as 32, the VERIFICATION_TRIALS inputs, whose pairs, two whole
+    blocks, are the first 32 of 200 trials, so their worst violation is no
+    larger; their calls are 16 and 16 pairs, and those of 200 are 16, 32,
+    64, 64 and 24."""
     d = 8
     base = make_map(MapSpec("unitary", d, {"seed": 4}))
     first = probe_calls(base)
@@ -429,7 +489,7 @@ def test_classify_trials_are_a_prefix_of_more_trials():
     short, few = run(20)
     long, many = run(200)
     assert few.preserving and many.preserving
-    assert (few.trials, many.trials) == (20, 200)
+    assert (few.trials, many.trials) == (VERIFICATION_TRIALS // 2, 200)
     assert [len(m) for m in short] == [2 * n for n in group_calls(VERIFICATION_TRIALS // 2, d)]
     assert [len(m) for m in long] == [2 * n for n in group_calls(200, d)]
     short, long = np.concatenate(short), np.concatenate(long)

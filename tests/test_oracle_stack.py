@@ -315,7 +315,8 @@ def test_stacks_stay_within_trial_stack_entries(d):
     call, a group of at most four draw blocks, and one matrix at d = 64;
     classify_map makes the probes' calls, then one per group of blocks of
     pairs, which holds that many per side, and no verification call; at
-    d = 64 its 3 trials are drawn on to VERIFICATION_TRIALS inputs."""
+    d = 64 its 3 trials are scored as VERIFICATION_TRIALS / 2, the least
+    that a map with a candidate is scored on."""
     calls = []
     inner = symmetry_oracle(SymmetryOperator(
         parity=UNITARY, u=haar_unitary(np.random.default_rng(d), d)))
@@ -337,8 +338,9 @@ def test_stacks_stay_within_trial_stack_entries(d):
 def test_an_oracle_without_evaluate_stack_is_read_in_draw_order():
     """classify_map reads the identity, given one operator at a time through
     from_evaluate, first as reconstruct's d + 2 probes do, then one trial
-    input at a time in draw order, and no verification input: the pairs
-    past the 20 trials are drawn on to VERIFICATION_TRIALS inputs."""
+    input at a time in draw order, and no verification input: the 20
+    trials asked for are scored as VERIFICATION_TRIALS / 2, so the oracle
+    reads VERIFICATION_TRIALS trial inputs."""
     seen = []
     oracle = DensityMapOracle.from_evaluate(3, lambda a: seen.append(a.matrix.tobytes()) or a)
     assert reconstruct(oracle).certified

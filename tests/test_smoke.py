@@ -52,7 +52,7 @@ RUNS = {
                              "report.reconstruction.probes_used": 410}),
     # one pair per block: most blocks hold no mixed pair, so the Wishart
     # sampler draws an empty stack, with no RuntimeWarning; the 20 trials
-    # verify on 32 pairs, d + 2 probes and 64 inputs
+    # are scored as 32 pairs: d + 2 probes and 64 inputs
     "classify-unitary-d32": (["classify", "--map", {"kind": "unitary", "dim": 32,
                                                     "params": {"seed": 7}}, "--trials", 20], 0,
                              {"report.reconstruction.status": "certified",

@@ -762,6 +762,18 @@ def test_an_overlap_off_one_over_sqrt_d_fails_the_phase_probe(d):
 
 
 @pytest.mark.parametrize("d", [2, 3, 8])
+def test_a_zero_image_of_the_uniform_probe_fails_the_phase_probe(d):
+    """The identity, except that the uniform probe goes to 0: its image has
+    no top vector, so phase fixing rejects the map after d + 1 probes."""
+    probe = uniform_probe(d).tobytes()
+    zero = DensityOperator(matrix=np.zeros((d, d), dtype=complex))
+    report = reconstruct(DensityMapOracle.from_evaluate(
+        d, lambda a: zero if a.matrix.tobytes() == probe else a))
+    assert (report.status, report.probes_used) == (STATUS_FAILED_PHASE, d + 1)
+    assert report.symmetry is None and report.residual_max == math.inf
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
 def test_the_probe_schedule(d):
     """A recording oracle sees e_1 e_1*, ..., e_d e_d*, then ss*, then the
     i-superposition (e_1 + i e_2)/sqrt(2), each one read-only and exactly
