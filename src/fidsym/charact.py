@@ -6,6 +6,7 @@ probe of the total ordering of minorants.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,11 +14,11 @@ import numpy as np
 from .fidelity import all_leq
 from .matcore import DensityOperator, eig_hermitian, eigvalsh_stack, from_psd_stack, row_sumsq, sqrtm_psd
 from .sampling import ginibre
-from .tolerances import CERT_TOL, RANK_TOL, TRACE_TOL
+from .tolerances import RANK_TOL, TRACE_TOL
 
 
 class ZeroOperator(ValueError):
-    """The operator is numerically zero where a nonzero one is required."""
+    """The operator is zero where a nonzero one is required."""
 
 
 @dataclass(frozen=True)
@@ -36,11 +37,11 @@ class CertificateFailure:
 
 
 def spectral_rank(w: np.ndarray) -> int:
-    """Numerical rank from non-increasing eigenvalues: how many exceed
-    RANK_TOL times the largest in modulus, so that a large negative
-    eigenvalue counts too, or 0 when the largest is at most CERT_TOL."""
+    """Numerical rank from non-increasing eigenvalues, the same for s w at
+    every s > 0: how many exceed RANK_TOL times the largest in modulus (a
+    large negative eigenvalue counts too), or 0 when the largest is <= 0."""
     top = float(w[0])
-    if top <= CERT_TOL:
+    if top <= 0.0:
         return 0
     return int(np.count_nonzero(np.abs(w) > RANK_TOL * top))
 
@@ -57,9 +58,9 @@ def rank_one_certificate(a: DensityOperator) -> OrthogonalCertificate | Certific
 
     For rank >= 2 no certificate can exist (mutually orthogonal ranges force
     rank sums <= d), so the numerical rank is returned as evidence. A trace
-    at most CERT_TOL raises ZeroOperator.
+    at most 0 raises ZeroOperator; s A is answered as A for every s > 0.
     """
-    if a.trace <= CERT_TOL:
+    if a.trace <= 0.0:
         raise ZeroOperator("certificate requires a nonzero operator")
     spec = eig_hermitian(a.matrix)
     rank = spectral_rank(spec.eigenvalues)
@@ -132,20 +133,19 @@ def order_totality_probe(a: DensityOperator, samples: int = 200, seed: int = 0) 
     rows is ordered, so the answer is that of one all_leq call over all
     samples - 1 pairs. No eigensolve decides a pair: each call is one
     Cholesky factorization of its stack of shifted differences. A trace at
-    most CERT_TOL raises ZeroOperator.
+    most 0 raises ZeroOperator.
 
-    The answer is rank == 1 at traces from 1e-6 to 1e6 (tested at d <= 8)
-    and at d up to 64. Below that range all_leq's absolute ORDER_TOL floor
-    decides: the minorants of a rank >= 2 operator of small enough trace all
-    compare within the band, and it may be reported as rank one (at d <= 8,
-    from a trace of 1e-7 down; ROADMAP item 12).
+    The minorants scored are those of 4^-k A, k = floor(e / 2) for the
+    binary exponent e of tr A (an exact power of four on s; k = 0 in
+    [1/2, 2)), so all_leq's band always meets a trace in [1/2, 2): the
+    answer is rank == 1 at traces 1e-300 .. 1e300 and at d up to 64.
     """
     if samples < 2:
         raise ValueError(f"probe needs samples >= 2, got {samples}")
-    if a.trace <= CERT_TOL:
+    if a.trace <= 0.0:
         raise ZeroOperator("probe requires a nonzero operator")
-    rng = np.random.default_rng(seed)
-    x, s = _sample_minorants(a, samples, rng)
+    x, s = _sample_minorants(a, samples, np.random.default_rng(seed))
+    s = np.ldexp(s, -2 * (math.frexp(a.trace)[1] // 2))
     order = np.argsort(s * row_sumsq(x), kind="stable")
     low = _minorants(x, s, order[:3])
     if not all_leq(low[:-1], low[1:]):

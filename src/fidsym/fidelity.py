@@ -112,8 +112,11 @@ def all_leq(a: np.ndarray, b: np.ndarray) -> bool:
     ValueError if an entry is not finite, DimensionMismatch if the stacks
     differ in shape. The 1 in the band is an absolute floor, not a scale:
     for operators of norm near ORDER_TOL or below the band admits
-    incomparable pairs, and is_leq(1e-9 e1e1*, 1e-9 e2e2*) is True (ROADMAP
-    item 12 plans a relative band)."""
+    incomparable pairs, and is_leq(1e-9 e1e1*, 1e-9 e2e2*) is True. The
+    floor stays because the minorants of a numerically rank-one operator,
+    spectrum (1, eps, ...) with eps below RANK_TOL, are ordered only within
+    a band set by that operator's own scale, which a pair does not carry:
+    order_totality_probe brings its operator to a trace in [1/2, 2) first."""
     if a.shape != b.shape:
         raise DimensionMismatch(f"dimension mismatch: stacks {a.shape} vs {b.shape}")
     h = hermitize_stack(b - a)

@@ -26,6 +26,7 @@ import numpy as np
 from .fidelity import fidelity_stack
 from .matcore import (
     DensityOperator,
+    MatcoreError,
     eigh_stack,
     freeze,
     hermitize_stack,
@@ -157,8 +158,7 @@ def make_map(spec: MapSpec, seed: int = 0) -> DensityMapOracle:
         if "re" in params or "im" in params:
             u = json_grid(params, d, "re", "im")
         else:
-            rng = np.random.default_rng(json_number(params, "seed", seed, integer=True))
-            u = haar_unitary(rng, d)
+            u = haar_unitary(_rng(params, seed), d)
         if np.linalg.norm(u.conj().T @ u - np.eye(d)) > UNITARY_TOL:
             raise BadSpec("matrix is not unitary")
         return symmetry_oracle(SymmetryOperator(parity=kind, u=u))
@@ -176,11 +176,13 @@ def make_map(spec: MapSpec, seed: int = 0) -> DensityMapOracle:
         if not 0.0 <= p <= 1.0:
             raise BadSpec(f"mix p = {p} out of [0, 1]")
         if "sigma_re" in params or "sigma_im" in params:
-            sigma = validate_density(json_grid(params, d, "sigma_re", "sigma_im"),
-                                     require_unit_trace=True)
+            try:
+                sigma = validate_density(json_grid(params, d, "sigma_re", "sigma_im"),
+                                         require_unit_trace=True)
+            except MatcoreError as exc:  # not PSD, or not of unit trace
+                raise BadSpec(str(exc)) from exc
         else:
-            rng = np.random.default_rng(json_number(params, "seed", seed, integer=True))
-            sigma = random_density(rng, d, trace=1.0)
+            sigma = random_density(_rng(params, seed), d, trace=1.0)
         return DensityMapOracle(d, lambda m: hermitize_stack(
             (1.0 - p) * m + p * _traces(m) * sigma.matrix))
     diagonal = (slice(None), *np.diag_indices(d))
@@ -199,6 +201,15 @@ def make_map(spec: MapSpec, seed: int = 0) -> DensityMapOracle:
         return hermitize_stack(out)
 
     return DensityMapOracle(d, scramble)
+
+
+def _rng(params: Mapping[str, Any], seed: int) -> np.random.Generator:
+    """The generator of params["seed"], or of ``seed`` if absent; BadSpec
+    for a negative one."""
+    value = json_number(params, "seed", seed, integer=True)
+    if value < 0:
+        raise BadSpec(f"seed must be >= 0, got {value}")
+    return np.random.default_rng(value)
 
 
 def _traces(m: np.ndarray) -> np.ndarray:

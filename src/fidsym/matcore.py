@@ -47,10 +47,10 @@ def freeze(a: np.ndarray) -> np.ndarray:
 
 
 def _stack(m) -> np.ndarray:
-    """An (n, d, d) stack of square matrices as a contiguous complex array."""
+    """An (n, d, d) stack of square matrices, d >= 1, as a contiguous complex array."""
     m = np.ascontiguousarray(m, dtype=complex)
-    if m.ndim != 3 or m.shape[1] != m.shape[2]:
-        raise ValueError(f"expected square matrices, got stacked shape {m.shape}")
+    if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[1] == 0:
+        raise ValueError(f"expected square matrices of dim >= 1, got stacked shape {m.shape}")
     return m
 
 

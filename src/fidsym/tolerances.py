@@ -17,8 +17,6 @@ PHASE_TOL = 1e-12
 EIG_FLOOR = 1e-14
 # eigenvalues above RANK_TOL times the largest count toward the numerical rank
 RANK_TOL = 1e-8
-# an operator whose trace or largest eigenvalue is at most CERT_TOL is numerically zero
-CERT_TOL = 1e-12
 # A <= B when B - A + ORDER_TOL * (1 + ||B - A||_F) I, B - A shifted by the band on its
 # diagonal, is positive definite: B - A may dip that far below zero
 ORDER_TOL = 1e-8

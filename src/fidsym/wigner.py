@@ -273,14 +273,14 @@ def residuals(oracle: DensityMapOracle, symmetry: Optional[SymmetryOperator],
     """The one reader of a map against its candidate S = ``symmetry``: the
     images and mask ``ok`` of one ``oracle.image_stack`` call on a read-only
     (n, d, d) stack, one group of ``scan``, and each row's residual
-    ||phi X - S X||_F, +inf for every row without a symmetry. Every value is
-    a function of its row alone, so a row scores the same bits in a group of
-    any size. A row turned away is scored as its zero image, ||S X||_F; the
-    caller reads ``ok``."""
+    ||phi X - S X||_F, +inf for every row without a symmetry and every row
+    turned away. Every value is a function of its row alone, so a row scores
+    the same bits in a group of any size."""
     images, ok = oracle.image_stack(inputs)
     if symmetry is None:
         return images, ok, np.full(len(inputs), np.inf)
-    return images, ok, np.sqrt(row_sumsq(images - apply_symmetry_stack(symmetry, inputs)))
+    res = np.sqrt(row_sumsq(images - apply_symmetry_stack(symmetry, inputs)))
+    return images, ok, np.where(ok, res, math.inf)
 
 
 def scan(oracle: DensityMapOracle, symmetry: Optional[SymmetryOperator],
@@ -288,15 +288,14 @@ def scan(oracle: DensityMapOracle, symmetry: Optional[SymmetryOperator],
          ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """The one scan of a map against its candidate S = ``symmetry``: per group
     of ``scoring_groups(count, size, d)``, the read-only (n, d, d) inputs
-    ``draw(group)``, their images and mask ``ok`` from one ``residuals`` call,
-    the residuals (+inf for a row turned away), and the mask of the rows that
+    ``draw(group)``, their images, mask ``ok`` and residuals (+inf for a row
+    turned away) from one ``residuals`` call, and the mask of the rows that
     pass the rule res <= CERTIFY_TOL (1 + ||X||_F), whose norms are read only
     for a group with a finite residual above CERTIFY_TOL, the least bound. No
     group after the one the caller stops in is drawn or mapped."""
     for group in scoring_groups(count, size, oracle.dim):
         inputs = draw(group)
         images, ok, res = residuals(oracle, symmetry, inputs)
-        res = np.where(ok, res, math.inf)
         bound = (CERTIFY_TOL * (1.0 + np.sqrt(row_sumsq(inputs)))
                  if ((res > CERTIFY_TOL) & (res < math.inf)).any() else CERTIFY_TOL)
         yield inputs, images, ok, res, res <= bound

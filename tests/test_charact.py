@@ -62,6 +62,9 @@ def test_certificate_rejects_zero():
 
 def test_is_rank_one_examples():
     assert is_rank_one(pure_state([1.0, 1j]).projection())
+    tiny = DensityOperator.from_psd(1e-13 * np.diag([1.0, 0.0]))
+    assert numerical_rank(tiny) == 1 and is_rank_one(tiny)
+    assert isinstance(rank_one_certificate(tiny), OrthogonalCertificate)
     assert not is_rank_one(validate_density(np.diag([1.0, 1e-6])))
     assert not is_rank_one(validate_density(np.zeros((2, 2))))
 
@@ -96,13 +99,17 @@ def test_projection_test_matches_fidelity_form():
 
 @pytest.mark.parametrize("d", [2, 4, 8])
 def test_characterization_agreement(d):
+    """At trace 1 and at every scale s = 10^k, k = -300 .. 300 in steps of
+    20: the spectral count is the rank, and the certificate agrees."""
     rng = np.random.default_rng(d)
     for rank in range(1, d + 1):
         for _ in range(10):
             a = random_density(rng, d, rank=rank)
-            cert = rank_one_certificate(a)
-            assert is_rank_one(a) == isinstance(cert, OrthogonalCertificate)
-            assert numerical_rank(a) == rank
+            for scaled in [a] + [DensityOperator.from_psd(a.matrix * 10.0 ** k)
+                                 for k in range(-300, 301, 20)]:
+                cert = rank_one_certificate(scaled)
+                assert is_rank_one(scaled) == isinstance(cert, OrthogonalCertificate)
+                assert numerical_rank(scaled) == rank
 
 
 def test_certificate_soundness_random():
@@ -127,6 +134,8 @@ def test_probe_full_rank_false():
     assert not order_totality_probe(
         validate_density(np.diag([0.5, 0.5])), samples=100, seed=0
     )
+    for t in (1e-8, 1e-9, 1e-300):
+        assert not order_totality_probe(DensityOperator.from_psd(t * np.diag([0.6, 0.4]))), t
 
 
 def test_probe_scaling_irrelevant():
@@ -256,13 +265,14 @@ def test_sample_minorants_lie_between_zero_and_u_a(d):
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 8])
-def test_probe_is_scale_free_from_1e_minus_6_to_1e6(d):
-    """rank == 1 at every trace of the decade grid 1e-6 .. 1e6, every rank
-    and seeds 0-2. Below this range ORDER_TOL's absolute floor decides."""
+def test_probe_is_scale_free_from_1e_minus_300_to_1e300(d):
+    """rank == 1 at every trace 10^k, k = -300 .. 300 in steps of 10, every
+    rank and seeds 0-2: the probe scores the minorants of A brought to a
+    trace in [1/2, 2), where ORDER_TOL's absolute floor is not reached."""
     rng = np.random.default_rng(110 + d)
     for rank in range(1, d + 1):
         shape = random_density(rng, d, rank=rank, trace=1.0).matrix
-        for k in range(-6, 7):
+        for k in range(-300, 301, 10):
             a = DensityOperator.from_psd(shape * 10.0 ** k)
             for seed in range(3):
                 assert order_totality_probe(a, seed=seed) == (rank == 1), (rank, k, seed)
@@ -487,7 +497,7 @@ def odd_images(d):
     yield DensityOperator(matrix=np.zeros((d, d), dtype=complex))
     yield DensityOperator.from_psd(p * (1.0 + 2e-9))
     yield DensityOperator.from_psd(p * (1.0 + 5e-10))
-    # matrix tiny: rank two at 1e-9, numerically zero at 1e-13
+    # matrix tiny: rank two at 1e-9, rank one at 1e-13 and 1e-9, as at scale 1
     yield DensityOperator(matrix=1e-9 * (p + 0.5 * q))
     yield DensityOperator(matrix=1e-13 * p)
     yield DensityOperator(matrix=1e-9 * p)

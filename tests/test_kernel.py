@@ -599,7 +599,7 @@ def test_is_leq_decides_diagonal_pairs_at_every_scale():
                       for v in ([s, 0.0], [0.0, s], [s, s]))
         for p, q in ((x, y), (y, x), (x, full)):
             assert is_leq(p, q) == reference_leq(p.matrix[None], q.matrix[None])[0], s
-        want = (s < 1e-6, s < 1e-6, True)  # the band's absolute floor admits small pairs
+        want = (s < 1e-6, s < 1e-6, True)  # the band's kept absolute floor admits small pairs
         if s == 5e-324 or s >= 1e-6:
             assert (is_leq(x, y), is_leq(y, x), is_leq(x, full)) == want, s
 

@@ -353,12 +353,22 @@ def test_matrix_params_of_the_right_shape():
     ("unitary", 2, {"re": [[1, 0], [0, float("nan")]]}),
     ("unitary", 2, {"re": [[1, 0], [0]]}),
     ("mix", 2, {"sigma_re": [[0.5, 0], [0, 0.5]], "sigma_im": [[0, 0], [0, float("inf")]]}),
+    ("mix", 2, {"sigma_re": [[1.2, 0], [0, -0.2]]}),
+    ("mix", 2, {"sigma_re": [[0.5, 0], [0, 0.4]]}),
+    ("unitary", 2, {"seed": -1}),
 ])
 def test_bad_param_values_and_keys(kind, dim, params):
     """Each spec is read as a different map or crashes at the parent; every
     one must be a BadSpec naming the problem."""
     with pytest.raises(BadSpec):
         make_map(MapSpec(kind=kind, dim=dim, params=params))
+
+
+def test_a_negative_default_seed_is_a_bad_spec():
+    """As a negative seed param is: both kinds that draw from a seed."""
+    for kind in ("unitary", "mix"):
+        with pytest.raises(BadSpec, match="seed must be >= 0"):
+            make_map(MapSpec(kind=kind, dim=2), seed=-1)
 
 
 @pytest.mark.parametrize("data, key, kwargs, expected", [

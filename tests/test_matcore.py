@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from fidsym.charact import rank_one_certificate
+from fidsym.charact import numerical_rank, rank_one_certificate
+from fidsym.fidelity import fidelity
 from fidsym.matcore import (
     DensityOperator,
     NotNormalized,
@@ -283,3 +284,14 @@ SINGLE_MATRIX = {
 def test_single_matrix_functions_reject_other_shapes(f, m):
     with pytest.raises(ValueError, match="square"):
         f(m)
+
+
+def test_a_zero_by_zero_matrix_is_an_input_error():
+    """d = 0 holds no operator: each path through the one shape check raises
+    its ValueError, not an IndexError or an empty spectrum."""
+    empty = np.zeros((0, 0))
+    op = DensityOperator(matrix=empty.astype(complex))
+    for call in (lambda: validate_density(empty), lambda: eig_hermitian(empty),
+                 lambda: numerical_rank(op), lambda: fidelity(op, op)):
+        with pytest.raises(ValueError, match="dim >= 1"):
+            call()

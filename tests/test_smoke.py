@@ -131,8 +131,8 @@ def test_is_leq_of_diagonal_pairs_at_1e_minus_300_and_1e300():
     each row scaled by a power of two: diag(s, 0) and diag(0, s) are
     incomparable both ways at s = 1e300, and diag(s, 0) <= s I at both
     scales. At s = 1e-300 the band's absolute floor orders the pair both
-    ways: this pins today's answer, which ROADMAP item 12's relative band
-    turns into the 1e300 one."""
+    ways. The floor is kept: a pair does not carry the scale that the
+    probe's near-rank-one minorants need, so only the probe rescales."""
     def op(*v):
         return DensityOperator(matrix=np.diag(v).astype(complex))
 
