@@ -13,7 +13,7 @@ from .matcore import (
     pure_state,
     validate_density,
 )
-from .fidelity import fidelity, fidelity_pure, is_leq, is_orthogonal, partial_fidelity
+from .fidelity import fidelity, is_leq, is_orthogonal, partial_fidelity
 from .charact import (
     OrthogonalCertificate,
     CertificateFailure,

@@ -37,13 +37,12 @@ class CertificateFailure:
 
 
 def spectral_rank(w: np.ndarray) -> int:
-    """Numerical rank from non-increasing eigenvalues, the same for s w at
-    every s > 0: how many exceed RANK_TOL times the largest in modulus (a
-    large negative eigenvalue counts too), or 0 when the largest is <= 0."""
-    top = float(w[0])
-    if top <= 0.0:
-        return 0
-    return int(np.count_nonzero(np.abs(w) > RANK_TOL * top))
+    """Numerical rank from eigenvalues in any order, the same for s w at
+    every s != 0: how many have a modulus above RANK_TOL times the largest
+    modulus (a large negative eigenvalue counts too, and -vv* has rank 1),
+    so 0 only when every eigenvalue is exactly 0."""
+    w = np.abs(w)
+    return int(np.count_nonzero(w > RANK_TOL * w.max()))
 
 
 def numerical_rank(a: DensityOperator) -> int:

@@ -24,7 +24,6 @@ import numpy as np
 from .matcore import (
     DensityOperator,
     DimensionMismatch,
-    PureState,
     check_same_dim,
     eigh_stack,
     eigvalsh_stack,
@@ -82,13 +81,6 @@ def partial_fidelity(a: DensityOperator, b: DensityOperator, m: int) -> float:
     (A^{1/2} B A^{1/2})^{1/2}; equals fidelity(A, B) at m = dim."""
     check_same_dim(a, b)
     return float(fidelity_stack(a.matrix[None], b.matrix[None], m)[0])
-
-
-def fidelity_pure(p: PureState, q: PureState) -> float:
-    """Fidelity of two pure states: |<x, y>|, the square root of the
-    transition probability tr PQ."""
-    check_same_dim(p, q)
-    return float(abs(np.vdot(p.amplitudes, q.amplitudes)))
 
 
 def all_leq(a: np.ndarray, b: np.ndarray) -> bool:

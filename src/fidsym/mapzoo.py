@@ -5,15 +5,15 @@ fidelity and must reconstruct to a certified symmetry; the other half
 (depolarizing, mixing, dephasing, spectral scrambling) must be rejected with
 a concrete witness pair. verify_theorem runs the whole dichotomy.
 
-classify_map probes first, and calls a map preserving only if the probes'
-candidate S certifies on the trial inputs and no trial pair breaks fidelity
-by more than CLASSIFY_TOL: a bijective fidelity-preserving map is a unitary
-or antiunitary symmetry, so a map that the probes cannot pin to one is none.
-As F(S A, S B) = F(A, B) exactly, one scan against S verifies it and bounds
-each pair's violation by how far its images lie from S's (violation_bound),
-with no eigendecomposition; only a pair that the bound leaves open (every
-pair of a map with no candidate) is scored by fidelity_stack. An image
-turned away has an infinite residual, whose bound settles its pair.
+classify_map probes first, and calls a map preserving exactly when the
+probes' candidate S certifies on the trial inputs: a bijective
+fidelity-preserving map is a unitary or antiunitary symmetry, so a map that
+the probes cannot pin to one is none. As F(S A, S B) = F(A, B) exactly, one
+scan against S verifies it and bounds each pair's violation by how far its
+images lie from S's (violation_bound, from which the rule that certifies is
+derived), with no eigendecomposition; only a pair that the bound leaves open
+(every pair of a map with no candidate) is scored by fidelity_stack. An
+image turned away has an infinite residual, whose bound settles its pair.
 """
 from __future__ import annotations
 
@@ -53,6 +53,7 @@ from .wigner import (
     _verified,
     scan,
     symmetry_oracle,
+    violation_bound,
 )
 from .tolerances import CLASSIFY_TOL, UNITARY_TOL
 
@@ -88,8 +89,8 @@ class MapSpec:
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    """The verdict of classify_map, ``preserving``, derived from the fields.
-    ``reconstruction`` is the report of the probe stage that rejected the map,
+    """The verdict of classify_map, ``preserving``, is derived: a certified
+    ``reconstruction``, the report of the probe stage that rejected the map,
     or of its candidate verified on the scan's 2 ``trials`` inputs. A
     rejection with a ``witness_pair`` was made by it, one without by the
     reconstruction, whose ``status`` names the failing stage. ``trials``
@@ -98,7 +99,7 @@ class ClassificationReport:
     ``worst_violation`` is the largest violation over them: a pair's
     violation_bound, an upper bound on |dF|, where at most CLASSIFY_TOL or
     infinite (an image turned away), else its measured |F(phi A, phi B) -
-    F(A, B)|."""
+    F(A, B)|; with a certified reconstruction, a bound within CLASSIFY_TOL."""
 
     worst_violation: float
     witness_pair: Optional[tuple[DensityOperator, DensityOperator]]
@@ -108,8 +109,7 @@ class ClassificationReport:
 
     @property
     def preserving(self) -> bool:
-        """A certified reconstruction, and no pair's violation above CLASSIFY_TOL."""
-        return self.reconstruction.certified and self.worst_violation <= CLASSIFY_TOL
+        return self.reconstruction.certified
 
 
 def json_number(data: Mapping[str, Any], key: str, default: Any = None,
@@ -259,43 +259,11 @@ def _trial_pairs(rng: np.random.Generator, dim: int, count: int, blocks: int = 1
     return freeze(hermitize_stack(pairs.reshape(-1, dim, dim))).reshape(pairs.shape)
 
 
-def violation_bound(dim: int, delta: np.ndarray, traces: np.ndarray) -> np.ndarray:
-    """An upper bound on |F(phi A, phi B) - F(A, B)| for each row of (n, 2)
-    arrays of residuals ``delta`` = (||phi A - S A||_F, ||phi B - S B||_F)
-    and input traces (tr A, tr B), S a symmetry and dim the dimension:
-
-        beta = (sqrt(d) d_A (tr B + sqrt(d) d_B))^(1/2) + (sqrt(d) d_B tr A)^(1/2).
-
-    Derivation, in exact arithmetic. F(S A, S B) = F(A, B), tr S A = tr A,
-    and F(P, Q) = ||P^(1/2) Q^(1/2)||_1. Write A' = phi A, B' = phi B and
-    A, B for S A, S B. The triangle inequality and Hoelder's
-    ||XY||_1 <= ||X||_2 ||Y||_2, with ||Q^(1/2)||_2 = (tr Q)^(1/2), give
-
-        |F(A', B') - F(A, B)| <= ||A'^(1/2) - A^(1/2)||_2 (tr B')^(1/2)
-                                 + (tr A)^(1/2) ||B'^(1/2) - B^(1/2)||_2,
-
-    and Powers-Stoermer (Commun. Math. Phys. 16 (1970) 1),
-    ||P^(1/2) - Q^(1/2)||_2^2 <= ||P - Q||_1, with ||X||_1 <= sqrt(d) ||X||_F
-    and tr B' <= tr B + ||B' - B||_1, gives beta. An image that is not PSD is
-    read through its projection onto the PSD cone, which is no farther from
-    S X, a point of that cone, so beta bounds the change of F on the
-    projected images as well. beta bounds the exact change; the rounding of
-    a computed F is not in it. A product that overflows gives an infinite
-    bound, which settles nothing, and so does an infinite residual, that of
-    an image turned away or against no candidate, since every trace is
-    positive; so the NaN of a zero residual times an infinite one reads as
-    an infinite bound."""
-    r = np.sqrt(dim) * delta
-    with np.errstate(over="ignore", invalid="ignore"):
-        beta = np.sqrt(r[:, 0] * (traces[:, 1] + r[:, 1])) + np.sqrt(r[:, 1] * traces[:, 0])
-    return np.where(np.isnan(beta), np.inf, beta)
-
-
 def classify_map(oracle: DensityMapOracle, trials: int = 200, seed: int = 0) -> ClassificationReport:
     """Probe the map for its candidate symmetry S, then scan random pairs
     against it: the map is preserving if every scanned input certifies S,
-    as the report's reconstruction states, and no pair's violation exceeds
-    ``CLASSIFY_TOL``.
+    as the report's reconstruction states, by a rule that keeps each pair's
+    violation within ``CLASSIFY_TOL`` (wigner.residual_bound).
 
     After reconstruct's probe stages, trials are drawn from
     ``default_rng(seed)`` in blocks of ``max(1, TRIAL_STACK_ENTRIES // d**2)``

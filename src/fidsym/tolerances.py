@@ -22,13 +22,10 @@ RANK_TOL = 1e-8
 ORDER_TOL = 1e-8
 # ||AB||_F at most ORTH_TOL * ||A||_F ||B||_F counts as AB = 0, a band relative at every scale
 ORTH_TOL = 1e-8
-# a residual ||phi(A) - S(A)||_F against the candidate symmetry S may reach
-# CERTIFY_TOL * (1 + ||A||_F): on verification inputs and, at ||vv*||_F = 1, on every probe vv*
-CERTIFY_TOL = 1e-7
 # ||U*U - 1||_F at most UNITARY_TOL makes a map spec's U unitary
 UNITARY_TOL = 1e-9
-# the largest |F(phi A, phi B) - F(A, B)| a fidelity-preserving map may show: measured by
-# fidelity_stack, or, for a map that certifies, bounded by mapzoo.violation_bound
+# the largest |F(phi A, phi B) - F(A, B)| a fidelity-preserving map may show, measured by
+# fidelity_stack or bounded by wigner.violation_bound; wigner.residual_bound derives the image rule
 CLASSIFY_TOL = 1e-6
 
 

@@ -7,7 +7,8 @@ superposition, which fixes every phase; (3) an i-superposition, which
 classifies the parity. (4) ``scan`` then certifies phi(A) = U A U* (or
 U conj(A) U*) on random density operators. One rule judges every image, of
 a probe or of a verification input: its residual against the candidate's
-image, within CERTIFY_TOL (1 + ||A||_F). Bijectivity of the map is never
+image, within residual_bound(d), derived from CLASSIFY_TOL through
+violation_bound. Bijectivity of the map is never
 assumed; a map that fails any stage, or has an image that
 ``DensityMapOracle.image_stack``, its one reader, turns away, gets a status
 flag, not an exception. An oracle that raises still propagates its
@@ -15,6 +16,7 @@ exception.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
@@ -31,7 +33,7 @@ from .matcore import (
     row_sumsq,
 )
 from .sampling import density_stack, traces_and_ranks
-from .tolerances import CERTIFY_TOL
+from .tolerances import CLASSIFY_TOL
 
 UNITARY = "unitary"
 ANTIUNITARY = "antiunitary"
@@ -141,7 +143,7 @@ class SymmetryOperator:
 class ReconstructionReport:
     """The outcome of reconstruct, or of classify_map's probes and scan (see
     ClassificationReport). ``status`` is ``certified`` or names the stage
-    whose image first missed the candidate's by more than the rule allows:
+    whose image first missed the candidate's by more than residual_bound(d):
     ``failed_projection_probe`` a basis image, against its own top vector's
     projection or U's column; ``failed_phase`` the uniform probe's;
     ``failed_parity`` the i-superposition's; ``failed_verification`` a
@@ -283,6 +285,51 @@ def residuals(oracle: DensityMapOracle, symmetry: Optional[SymmetryOperator],
     return images, ok, np.where(ok, res, math.inf)
 
 
+def violation_bound(dim: int, delta: np.ndarray, traces: np.ndarray) -> np.ndarray:
+    """An upper bound on |F(phi A, phi B) - F(A, B)| for each row of (n, 2)
+    arrays of residuals ``delta`` = (||phi A - S A||_F, ||phi B - S B||_F)
+    and input traces (tr A, tr B), S a symmetry and dim the dimension:
+
+        beta = (sqrt(d) d_A (tr B + sqrt(d) d_B))^(1/2) + (sqrt(d) d_B tr A)^(1/2).
+
+    Derivation, in exact arithmetic. F(S A, S B) = F(A, B), tr S A = tr A,
+    and F(P, Q) = ||P^(1/2) Q^(1/2)||_1. Write A' = phi A, B' = phi B and
+    A, B for S A, S B. The triangle inequality and Hoelder's
+    ||XY||_1 <= ||X||_2 ||Y||_2, with ||Q^(1/2)||_2 = (tr Q)^(1/2), give
+
+        |F(A', B') - F(A, B)| <= ||A'^(1/2) - A^(1/2)||_2 (tr B')^(1/2)
+                                 + (tr A)^(1/2) ||B'^(1/2) - B^(1/2)||_2,
+
+    and Powers-Stoermer (Commun. Math. Phys. 16 (1970) 1),
+    ||P^(1/2) - Q^(1/2)||_2^2 <= ||P - Q||_1, with ||X||_1 <= sqrt(d) ||X||_F
+    and tr B' <= tr B + ||B' - B||_1, gives beta. An image that is not PSD is
+    read through its projection onto the PSD cone, which is no farther from
+    S X, a point of that cone, so beta bounds the change of F on the
+    projected images as well. beta bounds the exact change; the rounding of
+    a computed F is not in it. An infinite residual (an image turned away, or
+    no candidate) or an overflow gives an infinite bound, which settles
+    nothing, and so does the NaN of a zero residual times an infinite one."""
+    r = np.sqrt(dim) * delta
+    with np.errstate(over="ignore", invalid="ignore"):
+        beta = np.sqrt(r[:, 0] * (traces[:, 1] + r[:, 1])) + np.sqrt(r[:, 1] * traces[:, 0])
+    return np.where(np.isnan(beta), np.inf, beta)
+
+
+@functools.cache
+def residual_bound(dim: int) -> float:
+    """The one rule for images at dimension ``dim``, found once by bisection:
+    the largest residual delta with violation_bound(dim, (delta, delta),
+    (2, 2)) <= CLASSIFY_TOL. 2 is the largest trace of a random input and the
+    bound grows with each residual and trace, so inputs within it keep each
+    pair's |dF| within CLASSIFY_TOL. As F moves by sqrt(delta) at
+    orthogonality, it is about CLASSIFY_TOL^2 / (8 sqrt(d))."""
+    lo, hi = 0.0, CLASSIFY_TOL
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        beta = violation_bound(dim, np.array([[mid, mid]]), np.array([[2.0, 2.0]]))[0]
+        lo, hi = (mid, hi) if beta <= CLASSIFY_TOL else (lo, mid)
+    return lo
+
+
 def scan(oracle: DensityMapOracle, symmetry: Optional[SymmetryOperator],
          draw: Callable[[range], np.ndarray], count: int, size: int
          ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
@@ -290,27 +337,24 @@ def scan(oracle: DensityMapOracle, symmetry: Optional[SymmetryOperator],
     of ``scoring_groups(count, size, d)``, the read-only (n, d, d) inputs
     ``draw(group)``, their images, mask ``ok`` and residuals (+inf for a row
     turned away) from one ``residuals`` call, and the mask of the rows that
-    pass the rule res <= CERTIFY_TOL (1 + ||X||_F), whose norms are read only
-    for a group with a finite residual above CERTIFY_TOL, the least bound. No
-    group after the one the caller stops in is drawn or mapped."""
+    pass the rule res <= residual_bound(d), one comparison. No group after
+    the one the caller stops in is drawn or mapped."""
     for group in scoring_groups(count, size, oracle.dim):
         inputs = draw(group)
         images, ok, res = residuals(oracle, symmetry, inputs)
-        bound = (CERTIFY_TOL * (1.0 + np.sqrt(row_sumsq(inputs)))
-                 if ((res > CERTIFY_TOL) & (res < math.inf)).any() else CERTIFY_TOL)
-        yield inputs, images, ok, res, res <= bound
+        yield inputs, images, ok, res, res <= residual_bound(oracle.dim)
 
 
 def _probe_stages(oracle: DensityMapOracle
                   ) -> ReconstructionReport | tuple[SymmetryOperator, int, float]:
     """Probe stages (1)-(3): the rejecting stage's report, or else the
     candidate S with the probes' count and parity margin, for the caller's
-    scan to verify. Each probe image P passes by scan's rule for its input
-    vv*, ||P - S'(vv*)||_F <= CERTIFY_TOL (1 + ||vv*||_F) = 2 CERTIFY_TOL,
-    against the best candidate S' known when P is read, and is read through
-    its top vector, in O(d^2) and with no eigendecomposition."""
+    scan to verify. Each probe image P passes by scan's rule,
+    ||P - S'(vv*)||_F <= residual_bound(d), against the best candidate S'
+    known when P is read, and is read through its top vector, in O(d^2) and
+    with no eigendecomposition."""
     d = oracle.dim
-    tol = 2.0 * CERTIFY_TOL
+    tol = residual_bound(d)
 
     # (1) Basis probes: each image P_j against x_j x_j* for its own top
     # vector x_j, then against u_j u_j* for the columns of U, the polar
@@ -401,14 +445,12 @@ def reconstruct(
     d + 2 probes pin that candidate up to a global phase (one at d = 1): the
     d basis projections, s = (e_1 + ... + e_d)/sqrt(d) for phase fixing and
     (e_1 + i e_2)/sqrt(2) for parity; verification then decides. Every
-    image passes by one rule, a residual against the image the candidate
-    gives its input A of at most CERTIFY_TOL (1 + ||A||_F): 2 CERTIFY_TOL
-    for a probe, which is judged against the best candidate known when it
-    is read (see _probe_stages). A map that passes the probes but is not
-    the candidate (a different parity or a transpose on one block) differs
-    from it on a set of positive measure, which the random verification
-    inputs hit; one that differs only on a null set escapes any finite
-    schedule of probes.
+    image passes by one rule, a residual of at most residual_bound(d)
+    against the candidate's image (see _probe_stages). A map that passes
+    the probes but is not the candidate (a different parity or a transpose
+    on one block) differs from it on a set of positive measure, which the
+    random verification inputs hit; one that differs only on a null set
+    escapes any finite schedule of probes.
 
     Each stage returns its report as soon as it rejects the map, with the
     probe count that ReconstructionReport states. Each probe vv* reaches

@@ -3,20 +3,19 @@ from which test_adversarial_maps checks the verdicts of classify_map and
 reconstruct. Each row gives a builder of the oracle, the verdict that
 classify_map must reach, and the status, probe count and parity that
 reconstruct must report; a row that names the implementing operator is
-compared with the reconstruction up to a global phase, within the row's
-``within``.
+compared with the reconstruction up to a global phase, within 1e-13.
 
 The rows:
 - every zoo kind at d = 3 and d = 8;
 - the null-set break at d = 3 and d = 8: the identity except at e_1 e_1*,
   which no trial pair hits and the basis probes do;
 - the near-orthogonal maps at d = 2: the identity except that e_2 e_2*
-  goes to vv*, v = (eps e_1 + e_2)/||.||. At eps = 3e-8 the polar factor of
-  the basis images is 2.1e-8 from I and every probe image within
-  2 CERTIFY_TOL of its image under it, so the map certifies, and it
-  preserves fidelity within CLASSIFY_TOL; at eps = 3e-6 the basis images
-  lie too far from any unitary's columns, and the map is rejected after
-  the second basis probe;
+  goes to vv*, v = (eps e_1 + e_2)/||.||. At eps = 1e-14 the polar factor of
+  the basis images is about eps / 2 from I and every probe image within
+  residual_bound(2) = 8.8e-14 of its image under it, so the map
+  certifies; at eps = 3e-8 and 3e-6 the basis images lie too far from any
+  unitary's columns, and the map is rejected after the second basis probe,
+  by its reconstruction alone, as no trial input is moved;
 - probe-evading maps at d = 3 and d = 8, for a Haar symmetry S of each
   parity with U drawn from default_rng(d + 40): S after a block conjugate
   or a block transpose, which pass every probe and fail verification, and
@@ -31,11 +30,19 @@ The rows:
   classification there;
 - the mix after a symmetry, A -> (1 - p) S(A) + p tr(A) sigma for the
   unitary S = haar_symmetry(d, unitary) and the zoo mix's sigma, at
-  d = 4 and 32: reconstruct certifies it within 10 p of S up to
-  p = 1e-7, and rejects it at the first probe from p = 3e-7, where the
-  first basis image lies more than 2 CERTIFY_TOL from the projection onto
-  its own top vector; classify_map, run at d = 4, rejects it with a witness at
-  every p, as the fidelity it breaks grows as sqrt(p);
+  d = 4 and 32, p = 1e-10 ... 1e-5: reconstruct rejects it at the first
+  probe, whose image lies about p from the projection onto its own top
+  vector, far more than residual_bound(d); classify_map, run at d = 4,
+  rejects it with a witness at every p, as the fidelity it breaks grows as
+  sqrt(p);
+- the depolarized symmetries phi_eps = (1 - eps) S + eps tr(A) I/d for
+  S = haar_symmetry(d, parity), both parities, d = 2, 4, 8 and 32, eps =
+  1e-14 ... 1e-5 by decades, except where the probe residual
+  eps sqrt(1 - 1/d) lies within the one-decade band from
+  residual_bound(d) / sqrt(10) to sqrt(10) residual_bound(d): below it
+  the map certifies and classify_map calls it preserving, above it the
+  first basis probe rejects it and so does classify_map, with a witness
+  wherever a trial pair moves F by more than CLASSIFY_TOL;
 - Bloch-ball rows at d = 2, A = (t/2)(I + r.sigma) -> (t/2)(I + R r.sigma)
   for seeded R in O(3), built from R and not from a unitary: a symmetry,
   antiunitary exactly when det R = -1 (seeds 4 and 5 of 0..5); the
@@ -63,6 +70,7 @@ from fidsym.wigner import (
     DensityMapOracle,
     SymmetryOperator,
     apply_symmetry_stack,
+    residual_bound,
 )
 
 # The verdicts of classify_map: preserving, rejected with a witness pair
@@ -85,7 +93,6 @@ class Row:
     probes: int
     parity: Optional[str] = None
     u: Optional[np.ndarray] = None
-    within: float = 1e-13  # the largest distance of the reconstruction to u
 
 
 def zoo_rows(d: int) -> dict[str, Row]:
@@ -237,14 +244,45 @@ def mix_after_symmetry(d: int, p: float) -> DensityMapOracle:
 
 
 def mix_row(d: int, p: float) -> Row:
-    """mix_after_symmetry(d, p): certified within 10 p of S up to p = 1e-7,
-    rejected by the first basis probe above; classified at d = 4 alone."""
-    verdict = WITNESS if d == 4 else None
-    if p > 1e-7:
-        return Row(functools.partial(mix_after_symmetry, d, p), verdict,
-                   STATUS_FAILED_PROJECTION_PROBE, 1)
-    return Row(functools.partial(mix_after_symmetry, d, p), verdict, STATUS_CERTIFIED,
-               d + 2 + VERIFICATION_TRIALS, UNITARY, haar_symmetry(d, UNITARY).u, 10.0 * p)
+    """mix_after_symmetry(d, p): rejected by the first basis probe;
+    classified at d = 4 alone."""
+    return Row(functools.partial(mix_after_symmetry, d, p), WITNESS if d == 4 else None,
+               STATUS_FAILED_PROJECTION_PROBE, 1)
+
+
+def depolarized_symmetry(d: int, parity: str, eps: float) -> DensityMapOracle:
+    """A -> (1 - eps) S(A) + eps tr(A) I/d for S = haar_symmetry(d, parity):
+    its residual on a probe vv* is eps ||I/d - S(vv*)||_F = eps sqrt(1 - 1/d),
+    and F of an orthogonal pure pair moves from 0 to about 2 sqrt(eps/d)."""
+    truth = haar_symmetry(d, parity)
+    eye = np.eye(d) / d
+    return DensityMapOracle(d, lambda m: (1.0 - eps) * apply_symmetry_stack(truth, m)
+                            + eps * np.trace(m, axis1=-2, axis2=-1).real[:, None, None] * eye)
+
+
+# (d, eps) of the rejected depolarized symmetries on which no trial pair
+# moves F by more than CLASSIFY_TOL: their reconstruction alone rejects them.
+UNWITNESSED = {(8, 1e-12), (32, 1e-13)}
+
+
+def depolarized_rows(d: int) -> dict[str, Row]:
+    """depolarized_symmetry(d, parity, eps) for both parities and eps = 1e-14
+    ... 1e-5 by decades, but none whose probe residual eps sqrt(1 - 1/d) is
+    within a factor sqrt(10) of residual_bound(d): certified and preserving
+    below that band, rejected by the first basis probe above it."""
+    rows = {}
+    for parity in PARITIES:
+        for eps in (10.0 ** -k for k in range(14, 4, -1)):
+            ratio = eps * math.sqrt(1.0 - 1.0 / d) / residual_bound(d)
+            if 10.0 ** -0.5 <= ratio <= 10.0 ** 0.5:
+                continue
+            build = functools.partial(depolarized_symmetry, d, parity, eps)
+            rows[f"depolarized-{parity}-eps{eps:.0e}-d{d}"] = (
+                Row(build, PRESERVING, STATUS_CERTIFIED, d + 2 + VERIFICATION_TRIALS, parity,
+                    haar_symmetry(d, parity).u) if ratio < 1.0 else
+                Row(build, RECONSTRUCTION if (d, eps) in UNWITNESSED else WITNESS,
+                    STATUS_FAILED_PROJECTION_PROBE, 1))
+    return rows
 
 
 def closure_row(d: int, p1: str, p2: str, verdict: Optional[str]) -> Row:
@@ -305,8 +343,11 @@ ADVERSARIAL_MAPS = {
     **{f"null-set-d{d}": Row(functools.partial(null_set_break, d), RECONSTRUCTION,
                              STATUS_FAILED_PROJECTION_PROBE, d)
        for d in (3, 8)},
-    "near-orthogonal-d2": Row(functools.partial(near_orthogonal_break, 3e-8), PRESERVING,
-                              STATUS_CERTIFIED, 2 + 2 + VERIFICATION_TRIALS, UNITARY),
+    "near-orthogonal-1e-14-d2": Row(functools.partial(near_orthogonal_break, 1e-14),
+                                    PRESERVING, STATUS_CERTIFIED,
+                                    2 + 2 + VERIFICATION_TRIALS, UNITARY),
+    "near-orthogonal-d2": Row(functools.partial(near_orthogonal_break, 3e-8), RECONSTRUCTION,
+                              STATUS_FAILED_PROJECTION_PROBE, 2),
     "near-orthogonal-3e-6-d2": Row(functools.partial(near_orthogonal_break, 3e-6),
                                    RECONSTRUCTION, STATUS_FAILED_PROJECTION_PROBE, 2),
     **{f"{family}-{parity}-d{d}": Row(
@@ -324,6 +365,7 @@ ADVERSARIAL_MAPS = {
        for d in (2, 8, 64) for p1 in PARITIES for p2 in PARITIES},
     **{f"mix-after-symmetry-p{p:.0e}-d{d}": mix_row(d, p)
        for d in (4, 32) for p in (1e-10, 1e-8, 1e-7, 3e-7, 1e-5)},
+    **{name: row for d in (2, 4, 8, 32) for name, row in depolarized_rows(d).items()},
     **{f"bloch-{seed}": bloch_row(seeded_o3(seed)) for seed in range(6)},
     "bloch-shrink": Row(functools.partial(bloch_map, 0.9 * seeded_o3(0)), WITNESS,
                         STATUS_FAILED_PROJECTION_PROBE, 1),

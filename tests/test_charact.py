@@ -21,6 +21,7 @@ from fidsym.fidelity import all_leq, fidelity, is_orthogonal
 from fidsym.matcore import (
     DensityOperator,
     eig_hermitian,
+    hermitize_stack,
     pure_state,
     sqrtm_psd,
     validate_density,
@@ -67,6 +68,7 @@ def test_is_rank_one_examples():
     assert isinstance(rank_one_certificate(tiny), OrthogonalCertificate)
     assert not is_rank_one(validate_density(np.diag([1.0, 1e-6])))
     assert not is_rank_one(validate_density(np.zeros((2, 2))))
+    assert numerical_rank(validate_density(np.zeros((2, 2)))) == 0
 
 
 def test_is_rank_one_projection_examples():
@@ -79,13 +81,22 @@ def test_is_rank_one_projection_examples():
 def test_a_large_negative_eigenvalue_counts_toward_the_rank():
     """diag(1.1, -0.1), built directly as a non-PSD oracle image might be,
     has unit trace and one positive eigenvalue, but rank two: it is no
-    rank-one projection."""
+    rank-one projection. -vv*, hermitized and built directly, has a largest
+    eigenvalue of rounding, of either sign, but rank one against its
+    largest modulus, 1 (not 0 or d): with trace -1, no projection either."""
     w = np.array([1.1, -0.1])
     assert spectral_rank(w) == 2
     a = DensityOperator(matrix=np.diag(w).astype(complex))
     assert numerical_rank(a) == 2
     assert not is_rank_one(a)
     assert not is_rank_one_projection(a)
+    for d in (2, 3, 8):
+        rng = np.random.default_rng(0)
+        m = -pure_state(rng.normal(size=d) + 1j * rng.normal(size=d)).projection().matrix
+        a = DensityOperator(matrix=hermitize_stack(m[None])[0])
+        assert numerical_rank(a) == 1, d
+        assert spectral_rank(eig_hermitian(a.matrix).eigenvalues) == 1, d
+        assert is_rank_one(a) and not is_rank_one_projection(a)
 
 
 def test_projection_test_matches_fidelity_form():

@@ -153,14 +153,14 @@ def test_report_writes_tolerance_table(args, capsys, tmp_path):
     run_cli(args + ["--out", out_file], capsys)
     written = json.loads(out_file.read_text())["tolerances"]
     assert written == tolerances.table()
-    assert written["certify_tol"] == tolerances.CERTIFY_TOL == 1e-7
+    assert written["classify_tol"] == tolerances.CLASSIFY_TOL == 1e-6
 
 
 def test_report_tolerance_table_overrides_the_payload(tmp_path):
     """A payload that carries its own "tolerances" cannot replace the table
     the code reads."""
     out_file = tmp_path / "out.json"
-    write_report(str(out_file), {"tolerances": {"certify_tol": 1e-3}})
+    write_report(str(out_file), {"tolerances": {"classify_tol": 1e-3}})
     assert json.loads(out_file.read_text())["tolerances"] == tolerances.table()
 
 
@@ -556,8 +556,8 @@ def test_usage_error_is_an_input_error(args, capsys):
 
 
 def test_reconstruct_has_no_tol_option(capsys, tmp_path):
-    """Reconstruct certifies against CERTIFY_TOL alone: --tol is an unknown
-    option, a usage error, and no report is written."""
+    """Reconstruct certifies by the one rule derived from CLASSIFY_TOL: --tol
+    is an unknown option, a usage error, and no report is written."""
     out_file = tmp_path / "r.json"
     code, err = usage_exit(["reconstruct", "--map", FIXTURES / "transpose_d2.json",
                             "--tol", "1e-3", "--out", out_file], capsys)

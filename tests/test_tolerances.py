@@ -16,7 +16,7 @@ def other_modules():
 
 def test_table_holds_every_tolerance_once():
     table = tolerances.table()
-    assert len(table) == 10
+    assert len(table) == 9
     for name, value in table.items():
         assert getattr(tolerances, name.upper()) == value
         assert 0.0 < value < 1e-5

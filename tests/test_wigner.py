@@ -21,7 +21,7 @@ from fidsym.matcore import (
     validate_density,
 )
 from fidsym.sampling import haar_unitary, random_density, random_pure_state
-from fidsym.tolerances import CERTIFY_TOL, CLASSIFY_TOL
+from fidsym.tolerances import CLASSIFY_TOL
 from fidsym.wigner import (
     ANTIUNITARY,
     UNITARY,
@@ -38,9 +38,11 @@ from fidsym.wigner import (
     apply_symmetry_stack,
     extend_normalized,
     reconstruct,
+    residual_bound,
     residuals,
     symmetry_distance,
     symmetry_oracle,
+    violation_bound,
 )
 
 
@@ -431,7 +433,7 @@ def parity_image(d, sign, t):
 def parity_probe_sent_to(d, sign, t=math.pi / 8):
     """The identity, except that the parity probe (e_1 + i e_2)/sqrt(2) goes
     to parity_image(d, sign, t): at t = pi/8, about 0.54 from the image of
-    either hypothesis, far above 2 CERTIFY_TOL."""
+    either hypothesis, far above residual_bound(d)."""
     probe = np.zeros((d, d), dtype=complex)
     probe[:2, :2] = [[0.5, -0.5j], [0.5j, 0.5]]
     image = parity_image(d, sign, t)
@@ -688,10 +690,13 @@ def test_a_schur_phase_fails_the_phase_probe(d, parity):
     assert report.residual_max == math.inf
 
 
-@pytest.mark.parametrize("eps", [0.0, 1e-12])
+@pytest.mark.parametrize("eps", [0.0, 1e-14])
 @pytest.mark.parametrize("parity", [UNITARY, ANTIUNITARY])
 @pytest.mark.parametrize("d", [3, 4, 8])
 def test_symmetries_and_near_symmetries_still_certify(d, parity, eps):
+    """An exact symmetry, and one depolarized by eps = 1e-14, whose
+    residuals of at most 2 eps, with rounding, stay below residual_bound(8)
+    = 4.4e-14, certify."""
     truth = SymmetryOperator(parity=parity, u=haar_unitary(np.random.default_rng(d + 40), d))
     report = reconstruct(depolarized_oracle(truth, eps))
     assert report.certified
@@ -749,14 +754,15 @@ def off_on_the_uniform_probe(d, offset):
 @pytest.mark.parametrize("d", [2, 3, 8, 64])
 def test_an_overlap_off_one_over_sqrt_d_fails_the_phase_probe(d):
     """An image of the uniform probe that is a rank-one projection tt*, but
-    has t_1 1e-6 away from 1/sqrt(d), more than 2 CERTIFY_TOL from ss*, is
-    rejected right after it, after the d basis probes and itself; 1e-9 away
+    has t_1 1e-6 away from 1/sqrt(d), far more than residual_bound(d) from
+    ss*, is rejected right after it, after the d basis probes and itself;
+    residual_bound(d) / 4 away, a residual of about residual_bound(d) / 3,
     it passes, and the map, the identity elsewhere, certifies as U = I."""
     report = reconstruct(off_on_the_uniform_probe(d, 1e-6))
     assert report.status == STATUS_FAILED_PHASE
     assert report.probes_used == d + 1
     assert report.symmetry is None and report.residual_max == math.inf
-    report = reconstruct(off_on_the_uniform_probe(d, 1e-9))
+    report = reconstruct(off_on_the_uniform_probe(d, residual_bound(d) / 4))
     assert report.certified and report.probes_used == d + 2 + 64
     assert report.symmetry.u.tobytes() == np.eye(d, dtype=complex).tobytes()
 
@@ -831,21 +837,36 @@ BOUNDARY_CASES = {
 def test_each_probe_passes_by_the_verification_rule(case):
     """The identity, except on one probe, whose image is moved to a residual
     ||P - S(vv*)||_F against the image S(vv*) that the identity gives it: just
-    below 2 CERTIFY_TOL, verification's bound CERTIFY_TOL (1 + ||vv*||_F),
-    the map certifies as U = I; just above, that probe's stage rejects it
-    with its fixed probe count."""
+    below residual_bound(d), verification's rule, the map certifies as
+    U = I; just above, that probe's stage rejects it with its fixed probe
+    count. Just is 3% here: the rounding of a residual near 7e-14 moves it
+    by up to 0.5% of the bound."""
     build, status, probes = BOUNDARY_CASES[case]
-    d, bound = 3, 2.0 * CERTIFY_TOL
+    d = 3
+    bound = residual_bound(d)
     _, image, expected = build(d, 1e-9)
     slope = np.linalg.norm(image - expected) / 1e-9  # of the residual, nearly linear here
-    for side in (1.0 - 1e-4, 1.0 + 1e-4):
+    for side in (0.97, 1.03):
         oracle, image, expected = build(d, side * bound / slope)
         residual = np.linalg.norm(image - expected)
         assert (residual <= bound) == (side < 1.0)
-        assert abs(residual / bound - 1.0) <= 1e-3
+        assert abs(residual / bound - 1.0) <= 0.04
         report = reconstruct(oracle)
         if side < 1.0:
             assert report.certified and report.probes_used == d + 2 + 64
             assert report.symmetry.u.tobytes() == np.eye(d, dtype=complex).tobytes()
         else:
             assert (report.status, report.probes_used) == (status, probes)
+
+
+def test_the_rule_is_the_largest_residual_that_classify_tol_bounds():
+    """At every d in 1..64, residual_bound(d) is the largest residual whose
+    violation_bound at traces (2, 2), the largest trace a random input
+    has, is within CLASSIFY_TOL; about CLASSIFY_TOL^2 / (8 sqrt(d))."""
+    traces = np.array([[2.0, 2.0]])
+    for d in range(1, 65):
+        delta = residual_bound(d)
+        assert violation_bound(d, np.array([[delta, delta]]), traces)[0] <= CLASSIFY_TOL
+        above = np.nextafter(delta, 1.0)
+        assert violation_bound(d, np.array([[above, above]]), traces)[0] > CLASSIFY_TOL
+        assert delta == pytest.approx(CLASSIFY_TOL ** 2 / (8.0 * math.sqrt(d)), rel=1e-6)
