@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fidelity import all_leq
-from .matcore import DensityOperator, eig_hermitian, eigvalsh_stack, from_psd_stack, row_sumsq, sqrtm_psd
+from .matcore import (DensityOperator, NotPositive, eig_hermitian, eigvalsh_stack,
+                      from_psd_stack, row_sumsq, sqrtm_psd)
 from .sampling import ginibre
 from .tolerances import RANK_TOL, TRACE_TOL
 
@@ -53,19 +54,21 @@ def numerical_rank(a: DensityOperator) -> int:
 def rank_one_certificate(a: DensityOperator) -> OrthogonalCertificate | CertificateFailure:
     """Certificate that A has rank one: projections onto an orthonormal basis
     of the orthogonal complement of range(A), wrapped from one stack vv*
-    over the eigenvectors past the first.
+    over the eigenvectors but the one of largest |eigenvalue|.
 
     For rank >= 2 no certificate can exist (mutually orthogonal ranges force
-    rank sums <= d), so the numerical rank is returned as evidence. A trace
-    at most 0 raises ZeroOperator; s A is answered as A for every s > 0.
+    rank sums <= d), so the numerical rank is returned as evidence. The zero
+    rule is spectral_rank's, on the same spectrum: ZeroOperator only if it
+    is 0, so s A is answered as A for every s != 0, -vv* as vv*.
     """
-    if a.trace <= 0.0:
-        raise ZeroOperator("certificate requires a nonzero operator")
     spec = eig_hermitian(a.matrix)
     rank = spectral_rank(spec.eigenvalues)
+    if rank == 0:
+        raise ZeroOperator("certificate requires a nonzero operator")
     if rank != 1:
         return CertificateFailure(rank=rank)
-    v = spec.eigenvectors[:, 1:].T
+    w, v = spec.eigenvalues, spec.eigenvectors  # the top |w| is first or last
+    v = (v[:, 1:] if w[0] >= -w[-1] else v[:, :-1]).T
     return OrthogonalCertificate(witnesses=from_psd_stack(v[:, :, None] * v[:, None, :].conj()))
 
 
@@ -131,8 +134,8 @@ def order_totality_probe(a: DensityOperator, samples: int = 200, seed: int = 0) 
     3 and [2, samples - 3] above. Each call asks whether every one of its
     rows is ordered, so the answer is that of one all_leq call over all
     samples - 1 pairs. No eigensolve decides a pair: each call is one
-    Cholesky factorization of its stack of shifted differences. A trace at
-    most 0 raises ZeroOperator.
+    Cholesky factorization of its stack of shifted differences. The zero
+    matrix raises ZeroOperator, any other of trace at most 0 NotPositive.
 
     The minorants scored are those of 4^-k A, k = floor(e / 2) for the
     binary exponent e of tr A (an exact power of four on s; k = 0 in
@@ -142,7 +145,9 @@ def order_totality_probe(a: DensityOperator, samples: int = 200, seed: int = 0) 
     if samples < 2:
         raise ValueError(f"probe needs samples >= 2, got {samples}")
     if a.trace <= 0.0:
-        raise ZeroOperator("probe requires a nonzero operator")
+        if not a.matrix.any():
+            raise ZeroOperator("probe requires a nonzero operator")
+        raise NotPositive(f"probe requires a positive trace, got {a.trace:.3e}")
     x, s = _sample_minorants(a, samples, np.random.default_rng(seed))
     s = np.ldexp(s, -2 * (math.frexp(a.trace)[1] // 2))
     order = np.argsort(s * row_sumsq(x), kind="stable")

@@ -136,9 +136,11 @@ def is_orthogonal(a: DensityOperator, b: DensityOperator) -> bool:
     """Mutual orthogonality AB = 0; for positive operators this is equivalent
     to F(A,B) = 0. Decided on A and B each divided by its largest |entry|,
     so the band is relative at every scale; a zero operator is orthogonal
-    to everything."""
+    to everything, and a non-finite entry raises ValueError."""
     check_same_dim(a, b)
     sa, sb = np.abs(a.matrix).max(), np.abs(b.matrix).max()
+    if not np.isfinite(sa + sb):
+        raise ValueError("matrix entries must be finite")
     if sa == 0.0 or sb == 0.0:
         return True
     x, y = real_divide(a.matrix, sa), real_divide(b.matrix, sb)

@@ -42,7 +42,6 @@ from .sampling import (
 )
 from .wigner import (
     ANTIUNITARY,
-    TRIAL_STACK_ENTRIES,
     UNITARY,
     VERIFICATION_TRIALS,
     DensityMapOracle,
@@ -50,7 +49,7 @@ from .wigner import (
     SymmetryOperator,
     _probe_stages,
     _verdict,
-    _verified,
+    block_size,
     scan,
     symmetry_oracle,
     violation_bound,
@@ -266,11 +265,11 @@ def classify_map(oracle: DensityMapOracle, trials: int = 200, seed: int = 0) -> 
     violation within ``CLASSIFY_TOL`` (wigner.residual_bound).
 
     After reconstruct's probe stages, trials are drawn from
-    ``default_rng(seed)`` in blocks of ``max(1, TRIAL_STACK_ENTRIES // d**2)``
-    pairs, each drawn whole by _trial_pairs and the last cut to the trials
-    left, so the pairs of fewer trials are a prefix of those of more.
-    ``wigner.scan`` reads its groups of blocks in draw order (A_1, B_1, A_2,
-    ...) against S, if the probes produced one, and alone verifies S. As a
+    ``default_rng(seed)`` in blocks of ``wigner.block_size(d)`` pairs, each
+    drawn whole by _trial_pairs and the last cut to the trials left, so the
+    pairs of fewer trials are a prefix of those of more. ``wigner.scan``
+    reads its groups of blocks in draw order (A_1, B_1, A_2, ...) against
+    S, if the probes produced one, and its tally alone verifies S. As a
     map that is S on pure states alone passes a few inputs, a map with a
     candidate is scanned on at least VERIFICATION_TRIALS / 2 trials, every
     one scored, so its report below that many is the report at that many.
@@ -285,7 +284,9 @@ def classify_map(oracle: DensityMapOracle, trials: int = 200, seed: int = 0) -> 
 
     One pair over ``CLASSIFY_TOL`` proves that the map does not preserve
     fidelity, so a rejection stops at the end of the first block that holds
-    a witness, and ``trials`` counts the trials scored. Each score is a
+    a witness, and ``trials`` counts the trials scored. As violation_bound
+    grows with each residual and trace, and traces are below 2, a witness
+    breaks the rule: the tally never reads past its block. Each score is a
     function of its pair alone, so the report is that of a block-by-block
     scan (the oracle may see the rest of the last group) and, by the prefix
     property, that of ``classify_map`` asked for exactly that many trials,
@@ -296,7 +297,7 @@ def classify_map(oracle: DensityMapOracle, trials: int = 200, seed: int = 0) -> 
     if oracle.dim < 2:
         raise BadSpec("classification needs dim >= 2 (no orthogonal pure pair exists at dim 1)")
     d = oracle.dim
-    size = max(1, TRIAL_STACK_ENTRIES // (d * d))
+    size = block_size(d)
     probed = _probe_stages(oracle)
     symmetry = None if isinstance(probed, ReconstructionReport) else probed[0]
     count = trials if symmetry is None else max(trials, VERIFICATION_TRIALS // 2)
@@ -305,9 +306,9 @@ def classify_map(oracle: DensityMapOracle, trials: int = 200, seed: int = 0) -> 
     def draw(group: range) -> np.ndarray:
         return _trial_pairs(rng, d, size, blocks=len(group))[:count - group[0]].reshape(-1, d, d)
 
-    worst, scored, tally = 0.0, 0, (0.0, 0, False)
+    worst, scored = 0.0, 0
     witness: Optional[tuple[DensityOperator, DensityOperator]] = None
-    for inputs, images, ok, res, rule in scan(oracle, symmetry, draw, count, size):
+    for inputs, images, ok, res, tally in scan(oracle, symmetry, draw, count):
         pairs = inputs.reshape(-1, 2, d, d)
         ok = ok.reshape(-1, 2).all(axis=1)
         violation = violation_bound(d, res.reshape(-1, 2), _traces(inputs).reshape(-1, 2))
@@ -325,7 +326,6 @@ def classify_map(oracle: DensityMapOracle, trials: int = 200, seed: int = 0) -> 
             witness = (DensityOperator(matrix=pairs[k, 0]), DensityOperator(matrix=pairs[k, 1]))
         worst = max(worst, float(violation[:n].max(initial=0.0)))
         scored += n
-        tally = _verified(tally, res[:2 * n], rule[:2 * n])
         if witness is not None:
             break
     report = probed if symmetry is None else _verdict(probed, tally, 2 * scored)

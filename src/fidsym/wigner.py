@@ -4,11 +4,12 @@ map on density operators.
 The map is probed on d + 2 rank-one projections: (1) the basis states,
 whose images give the columns of a unitary U up to phases; (2) their uniform
 superposition, which fixes every phase; (3) an i-superposition, which
-classifies the parity. (4) ``scan`` then certifies phi(A) = U A U* (or
-U conj(A) U*) on random density operators. One rule judges every image, of
-a probe or of a verification input: its residual against the candidate's
-image, within residual_bound(d), derived from CLASSIFY_TOL through
-violation_bound. Bijectivity of the map is never
+classifies the parity. (4) ``scan``, the one owner of verification for
+reconstruct and classify_map, then certifies phi(A) = U A U* (or U conj(A)
+U*) on random density operators. One rule judges every image, of a probe
+or of a verification input: its residual against the candidate's image,
+within residual_bound(d), derived from CLASSIFY_TOL through violation_bound.
+Bijectivity of the map is never
 assumed; a map that fails any stage, or has an image that
 ``DensityMapOracle.image_stack``, its one reader, turns away, gets a status
 flag, not an exception. An oracle that raises still propagates its
@@ -47,9 +48,9 @@ STATUS_FAILED_VERIFICATION = "failed_verification"
 
 # Draw blocks and scoring groups are different things. scan's callers draw in
 # blocks of at most TRIAL_STACK_ENTRIES matrix entries (n * d^2) per side (16
-# matrices at d = 8, one at d >= 32), which fix the RNG stream; scan reads
-# them in groups of up to GROUP_STACK_ENTRIES entries per side (at least one
-# block), so memory stays that of a few d x d matrices; see scoring_groups.
+# matrices at d = 8, one at d >= 32; see block_size), which fix the RNG
+# stream; scan reads them in groups of up to GROUP_STACK_ENTRIES entries per
+# side (at least one block), so memory stays that of a few d x d matrices.
 TRIAL_STACK_ENTRIES = 1024
 GROUP_STACK_ENTRIES = 4 * TRIAL_STACK_ENTRIES
 
@@ -255,34 +256,25 @@ def _rejected(status: str, probes: int, margin: float = 0.0) -> ReconstructionRe
     return ReconstructionReport(None, math.inf, probes, 0, margin, status)
 
 
-def scoring_groups(count: int, size: int, dim: int) -> Iterator[range]:
+def block_size(dim: int) -> int:
+    """The inputs (or pairs) of one draw block at dimension ``dim``: at most
+    TRIAL_STACK_ENTRIES matrix entries per side, but at least one."""
+    return max(1, TRIAL_STACK_ENTRIES // (dim * dim))
+
+
+def scoring_groups(count: int, dim: int) -> Iterator[range]:
     """The one group schedule of ``scan``: the starts 0, size, 2 size, ...
-    below ``count`` of the draw blocks of ``size`` inputs (or pairs) at
-    dimension ``dim``, in consecutive groups of 1, 2, 4, ... blocks, each of
-    at most max(1, GROUP_STACK_ENTRIES // (size dim^2)) blocks; the last
-    group holds the blocks left. So a rejection in the first block reads
-    that block alone, and a scan of many small blocks reads them in a few
-    calls."""
+    below ``count`` of the draw blocks of size = block_size(dim) inputs (or
+    pairs), in consecutive groups of 1, 2, 4, ... blocks, each of at most
+    max(1, GROUP_STACK_ENTRIES // (size dim^2)) blocks; the last group holds
+    the blocks left. So a rejection in the first block reads that block
+    alone, and a scan of many small blocks reads them in a few calls."""
+    size = block_size(dim)
     cap = max(1, GROUP_STACK_ENTRIES // (size * dim * dim))
     starts, blocks = range(0, count, size), 1
     while starts:
         yield starts[:blocks]
         starts, blocks = starts[blocks:], min(2 * blocks, cap)
-
-
-def residuals(oracle: DensityMapOracle, symmetry: Optional[SymmetryOperator],
-              inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The one reader of a map against its candidate S = ``symmetry``: the
-    images and mask ``ok`` of one ``oracle.image_stack`` call on a read-only
-    (n, d, d) stack, one group of ``scan``, and each row's residual
-    ||phi X - S X||_F, +inf for every row without a symmetry and every row
-    turned away. Every value is a function of its row alone, so a row scores
-    the same bits in a group of any size."""
-    images, ok = oracle.image_stack(inputs)
-    if symmetry is None:
-        return images, ok, np.full(len(inputs), np.inf)
-    res = np.sqrt(row_sumsq(images - apply_symmetry_stack(symmetry, inputs)))
-    return images, ok, np.where(ok, res, math.inf)
 
 
 def violation_bound(dim: int, delta: np.ndarray, traces: np.ndarray) -> np.ndarray:
@@ -331,18 +323,30 @@ def residual_bound(dim: int) -> float:
 
 
 def scan(oracle: DensityMapOracle, symmetry: Optional[SymmetryOperator],
-         draw: Callable[[range], np.ndarray], count: int, size: int
-         ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """The one scan of a map against its candidate S = ``symmetry``: per group
-    of ``scoring_groups(count, size, d)``, the read-only (n, d, d) inputs
-    ``draw(group)``, their images, mask ``ok`` and residuals (+inf for a row
-    turned away) from one ``residuals`` call, and the mask of the rows that
-    pass the rule res <= residual_bound(d), one comparison. No group after
-    the one the caller stops in is drawn or mapped."""
-    for group in scoring_groups(count, size, oracle.dim):
+         draw: Callable[[range], np.ndarray], count: int
+         ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                             tuple[float, int, bool]]]:
+    """The one scan of a map against its candidate S = ``symmetry``, and the
+    one fold of its verdict. Per group of ``scoring_groups(count, d)``: the
+    read-only (n, d, d) inputs ``draw(group)``, their images and mask ``ok``
+    from one ``oracle.image_stack`` call, each row's residual
+    ||phi X - S X||_F (+inf if turned away, or with no S), and the tally
+    (largest residual, inputs read, whether one failed) of the inputs so
+    far, in draw order, up to and including the first with res >
+    residual_bound(d). No group after the one the caller stops in is drawn
+    or mapped."""
+    top, read, failed = 0.0, 0, False
+    for group in scoring_groups(count, oracle.dim):
         inputs = draw(group)
-        images, ok, res = residuals(oracle, symmetry, inputs)
-        yield inputs, images, ok, res, res <= residual_bound(oracle.dim)
+        images, ok = oracle.image_stack(inputs)
+        res = np.full(len(inputs), math.inf)
+        if symmetry is not None:
+            res[ok] = np.sqrt(row_sumsq(images - apply_symmetry_stack(symmetry, inputs)))[ok]
+        if not failed:
+            bad = np.flatnonzero(~(res <= residual_bound(oracle.dim)))
+            n = int(bad[0]) + 1 if len(bad) else len(res)
+            top, read, failed = max(top, float(res[:n].max())), read + n, len(bad) > 0
+        yield inputs, images, ok, res, (top, read, failed)
 
 
 def _probe_stages(oracle: DensityMapOracle
@@ -409,20 +413,6 @@ def _probe_stages(oracle: DensityMapOracle
     return SymmetryOperator(parity=parity, u=u), d + 2 if d >= 2 else 1, margin
 
 
-def _verified(tally: tuple[float, int, bool], res: np.ndarray,
-              rule: np.ndarray) -> tuple[float, int, bool]:
-    """The fold of a scan: ``tally``, the largest residual, the inputs read
-    and whether one failed, with the next inputs' ``scan`` residuals ``res``
-    and rule masks ``rule`` taken in, in draw order, up to and including the
-    first that fails, unless one failed before."""
-    top, read, failed = tally
-    if failed:
-        return tally
-    bad = np.flatnonzero(~rule)
-    n = int(bad[0]) + 1 if len(bad) else len(rule)
-    return max(top, float(res[:n].max())), read + n, len(bad) > 0
-
-
 def _verdict(candidate: tuple[SymmetryOperator, int, float], tally: tuple[float, int, bool],
              trials: int) -> ReconstructionReport:
     """The report of the probes' candidate (S, probes, margin) verified on
@@ -459,12 +449,12 @@ def reconstruct(
     or purely imaginary. ``seed`` only selects the verification draws, from
     ``default_rng(seed + 1)``: all traces, then all ranks, in one
     ``sampling.traces_and_ranks`` call, then one ``sampling.density_stack``
-    draw per block of at most TRIAL_STACK_ENTRIES entries. So, unlike
-    ``classify_map``'s pairs, the inputs of fewer trials are no prefix of
-    those of more. ``scan`` reads them in its groups (at d = 32 in 18 calls,
-    not 64), yet the report is that of a block-by-block scan, which stops at
-    the first failing trial. An image turned away rejects the map with its
-    probe's status, or fails verification with an infinite residual.
+    draw per block of block_size(d) inputs. So, unlike ``classify_map``'s
+    pairs, the inputs of fewer trials are no prefix of those of more.
+    ``scan`` reads them in its groups (at d = 32 in 18 calls, not 64), and
+    its tally is that of a block-by-block scan, which stops at the first
+    failing trial. An image turned away rejects the map with its probe's
+    status, or fails verification with an infinite residual.
     """
     if verification_trials < 1:
         raise ValueError(f"verification_trials must be >= 1, got {verification_trials}")
@@ -476,16 +466,14 @@ def reconstruct(
     d = oracle.dim
     rng = np.random.default_rng(seed + 1)
     traces, ranks = traces_and_ranks(rng, verification_trials, d)
-    size = max(1, TRIAL_STACK_ENTRIES // (d * d))
+    size = block_size(d)
 
     def draw(group: range) -> np.ndarray:
         return freeze(hermitize_stack(np.concatenate([
             density_stack(rng, traces[start:start + size], ranks[start:start + size], d)
             for start in group])))
 
-    tally = (0.0, 0, False)
-    for *_, res, rule in scan(oracle, candidate[0], draw, verification_trials, size):
-        tally = _verified(tally, res, rule)
+    for *_, tally in scan(oracle, candidate[0], draw, verification_trials):
         if tally[2]:  # an input failed
             break
     return _verdict(candidate, tally, verification_trials)

@@ -21,6 +21,7 @@ from fidsym.wigner import (
     SymmetryOperator,
     apply_symmetry,
     reconstruct,
+    residual_bound,
     symmetry_distance,
     violation_bound,
 )
@@ -75,6 +76,12 @@ def test_both_tools_agree_on_every_row():
     assert wrong == []
 
 
+def residual(oracle, symmetry, x):
+    """||phi X - S X||_F for one operator X, its image read alone."""
+    return np.sqrt(row_sumsq((oracle.evaluate(x).matrix
+                              - apply_symmetry(symmetry, x).matrix)[None])[0])
+
+
 def assert_one_error_model(oracle, report):
     """A classify report is preserving exactly when its reconstruction is
     certified, and then it has no witness and every pair it scanned has a
@@ -82,19 +89,23 @@ def assert_one_error_model(oracle, report):
     bounds are recomputed pair by pair, from the reference draws and the
     residuals against the candidate of each image read alone (a map that
     reads its stack whole, as the Bloch rows do, may round a row otherwise
-    in the scan's groups)."""
+    in the scan's groups). A witness against a candidate holds a row whose
+    residual exceeds residual_bound(d), so the scan's tally, which stops at
+    the first such row, never reads past the witness's block."""
     rec = report.reconstruction
     assert report.preserving == rec.certified
+    d = oracle.dim
+    if report.witness_pair is not None and rec.symmetry is not None:
+        assert max(residual(oracle, rec.symmetry, x) for x in report.witness_pair) \
+            > residual_bound(d)
     if not rec.certified:
         return
     assert report.witness_pair is None
-    d, rng, pairs = oracle.dim, np.random.default_rng(report.seed), []
+    rng, pairs = np.random.default_rng(report.seed), []
     while len(pairs) < report.trials:
         pairs += reference_trial_pairs(rng, d, stack_size(d))
     pairs = pairs[:report.trials]
-    delta = [[np.sqrt(row_sumsq((oracle.evaluate(x).matrix
-                                 - apply_symmetry(rec.symmetry, x).matrix)[None])[0])
-              for x in pair] for pair in pairs]
+    delta = [[residual(oracle, rec.symmetry, x) for x in pair] for pair in pairs]
     beta = violation_bound(d, np.array(delta), np.array([[x.trace for x in p] for p in pairs]))
     assert beta.max() <= CLASSIFY_TOL and report.worst_violation <= CLASSIFY_TOL
 

@@ -20,6 +20,7 @@ from fidsym.charact import (
 from fidsym.fidelity import all_leq, fidelity, is_orthogonal
 from fidsym.matcore import (
     DensityOperator,
+    NotPositive,
     eig_hermitian,
     hermitize_stack,
     pure_state,
@@ -83,7 +84,10 @@ def test_a_large_negative_eigenvalue_counts_toward_the_rank():
     has unit trace and one positive eigenvalue, but rank two: it is no
     rank-one projection. -vv*, hermitized and built directly, has a largest
     eigenvalue of rounding, of either sign, but rank one against its
-    largest modulus, 1 (not 0 or d): with trace -1, no projection either."""
+    largest modulus, 1 (not 0 or d): with trace -1, no projection either.
+    The certificate reads the same spectrum and certifies it with witnesses
+    orthogonal to it; the probe, as -vv* has no minorant but 0, raises
+    NotPositive."""
     w = np.array([1.1, -0.1])
     assert spectral_rank(w) == 2
     a = DensityOperator(matrix=np.diag(w).astype(complex))
@@ -97,6 +101,11 @@ def test_a_large_negative_eigenvalue_counts_toward_the_rank():
         assert numerical_rank(a) == 1, d
         assert spectral_rank(eig_hermitian(a.matrix).eigenvalues) == 1, d
         assert is_rank_one(a) and not is_rank_one_projection(a)
+        cert = rank_one_certificate(a)
+        assert isinstance(cert, OrthogonalCertificate) and len(cert.witnesses) == d - 1, d
+        assert max(np.linalg.norm(w.matrix @ a.matrix) for w in cert.witnesses) <= 1e-15, d
+        with pytest.raises(NotPositive, match="trace"):
+            order_totality_probe(a)
 
 
 def test_projection_test_matches_fidelity_form():
@@ -546,13 +555,14 @@ def test_projection_vector_raises_on_nan_like_the_spectral_rule():
 
 
 def test_directly_built_zero_matrix_is_zero():
-    """The zero checks of the probe and the certificate read the trace of
-    the matrix, also for an operator built without from_psd."""
-    zero = DensityOperator(matrix=np.zeros((2, 2), dtype=complex))
-    with pytest.raises(ZeroOperator):
-        order_totality_probe(zero)
-    with pytest.raises(ZeroOperator):
-        rank_one_certificate(zero)
+    """The zero checks of the probe and the certificate read the matrix,
+    also for an operator built without from_psd."""
+    for d in (2, 3, 8):
+        zero = DensityOperator(matrix=np.zeros((d, d), dtype=complex))
+        with pytest.raises(ZeroOperator):
+            order_totality_probe(zero)
+        with pytest.raises(ZeroOperator):
+            rank_one_certificate(zero)
 
 
 def test_directly_built_projection_is_not_zero():

@@ -141,7 +141,8 @@ def test_fidelity_is_scale_free(scale):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_is_leq_rejects_non_finite_input(bad):
-    """A non-finite operator raises as fidelity does, on either side."""
+    """A non-finite operator raises as fidelity does, on either side, and
+    so does the orthogonality test."""
     x = DensityOperator(matrix=np.full((2, 2), bad + 0j))
     eye = dens([1.0, 1.0])
     for a, b in ((x, eye), (eye, x)):
@@ -149,6 +150,8 @@ def test_is_leq_rejects_non_finite_input(bad):
             is_leq(a, b)
         with pytest.raises(ValueError, match="finite"):
             fidelity(a, b)
+        with pytest.raises(ValueError, match="finite"):
+            is_orthogonal(a, b)
 
 
 def test_is_leq_runs_no_eigensolver(monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 from adversarial_maps import depolarized_off_the_probes
 from trial_reference import group_calls, reference_trial_pairs, stack_size
 
-from fidsym import mapzoo
+from fidsym import mapzoo, wigner
 from fidsym.charact import numerical_rank, spectral_rank
 from fidsym.fidelity import (
     BadM,
@@ -311,7 +311,7 @@ def test_classify_map_matches_reference_loop(d, seed):
 def test_classify_map_first_maximum_across_stacks(monkeypatch):
     """Rounded scores tie often; the witness must still be the first pair
     at the maximum of the blocks scored (7 pairs per stack here)."""
-    monkeypatch.setattr(mapzoo, "TRIAL_STACK_ENTRIES", 7 * 8 * 8)
+    monkeypatch.setattr(wigner, "TRIAL_STACK_ENTRIES", 7 * 8 * 8)
     stacked = mapzoo.fidelity_stack
     monkeypatch.setattr(mapzoo, "fidelity_stack", lambda a, b: np.round(stacked(a, b), 1))
 

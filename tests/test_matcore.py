@@ -166,9 +166,14 @@ def test_pure_state_leading_component_real_positive():
 def test_every_runtime_warning_is_an_error():
     """pyproject.toml turns every RuntimeWarning into an error for the whole
     suite, so the overflow and underflow tests here and in test_kernel.py
-    need no marker of their own; this fails if that filter is lost."""
+    need no marker of their own, and every DeprecationWarning and
+    FutureWarning too, so a deprecated numpy call fails before it breaks;
+    this fails if one of those filters is lost."""
     with pytest.raises(RuntimeWarning, match="overflow"):
         np.float64(1e308) * 10
+    for category in (DeprecationWarning, FutureWarning):
+        with pytest.raises(category, match="deprecated"):
+            warnings.warn("deprecated", category)
 
 
 def test_pure_state_normalizes_a_vector_whose_norm_overflows():

@@ -37,7 +37,7 @@ def test_groups_follow_the_stated_schedule(d, count):
     4 TRIAL_STACK_ENTRIES entries per side (five blocks of two at d = 20,
     two blocks of one at d = 40, one at d = 64)."""
     size = stack_size(d)
-    groups = list(scoring_groups(count, size, d))
+    groups = list(scoring_groups(count, d))
     assert [s for g in groups for s in g] == list(range(0, count, size))
     assert [min(len(g) * size, count - g[0]) for g in groups] == group_calls(count, d)
 
@@ -53,7 +53,7 @@ def reports(oracle, seed=3):
 def one_block_per_group(monkeypatch):
     """Cap every group at one draw block: a block-by-block scan."""
     monkeypatch.setattr(wigner, "GROUP_STACK_ENTRIES", 0)
-    assert [len(g) for g in scoring_groups(200, 16, 8)] == [1] * 13
+    assert [len(g) for g in scoring_groups(200, 8)] == [1] * 13
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

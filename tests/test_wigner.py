@@ -39,7 +39,7 @@ from fidsym.wigner import (
     extend_normalized,
     reconstruct,
     residual_bound,
-    residuals,
+    scan,
     symmetry_distance,
     symmetry_oracle,
     violation_bound,
@@ -448,11 +448,12 @@ def test_failed_parity_keeps_the_signed_margin(sign):
     assert report.parity_margin == pytest.approx(sign * math.sin(math.pi / 4), abs=1e-12)
 
 
-def test_residuals_read_the_map_against_its_candidate():
+def test_scan_reads_the_map_against_its_candidate():
     """For S after a NaN on row 1: one image_stack call; with no candidate
     every residual is inf; with S the residuals have the bits of
     ||phi X - S X||_F, 0 on the rows image_stack keeps, and the row that it
-    turns away is inf."""
+    turns away is inf. The tally stops at the first row whose residual
+    exceeds residual_bound(d): row 0 with no candidate, row 1 with S."""
     rng = np.random.default_rng(11)
     d = 3
     inputs = np.stack([random_density(rng, d, rank=k % d + 1).matrix for k in range(5)])
@@ -467,17 +468,19 @@ def test_residuals_read_the_map_against_its_candidate():
 
     calls = []
     oracle = DensityMapOracle(d, lambda m: calls.append(len(m)) or act(m))
-    images, ok, res = residuals(oracle, None, inputs)
+    [(_, images, ok, res, tally)] = scan(oracle, None, lambda group: inputs, 5)
     assert calls == [5]
     assert ok.tolist() == [True, False, True, True, True]
     assert np.isposinf(res).all() and res.shape == (5,)
+    assert tally == (math.inf, 1, True)
 
-    images, ok, res = residuals(oracle, s, inputs)
+    [(_, images, ok, res, tally)] = scan(oracle, s, lambda group: inputs, 5)
     expected = apply_symmetry_stack(s, inputs)
     assert res[ok].tobytes() == np.sqrt(row_sumsq(images - expected))[ok].tobytes()
     assert not images[1].any()
     assert res[1] == np.inf
     assert not res[ok].any()
+    assert tally == (math.inf, 2, True)
 
 
 def embedding_oracle(d):

@@ -6,15 +6,15 @@ calls in which both scans hand their inputs to the oracle, computed from
 the stated schedule alone."""
 import numpy as np
 
-from fidsym import mapzoo
+from fidsym import wigner
 from fidsym.matcore import DensityOperator
 
 
 def stack_size(d):
     """Trial pairs per classify_map block, and matrices per side of one
     stack, at dimension d; read at call time, so a monkeypatched
-    mapzoo.TRIAL_STACK_ENTRIES applies."""
-    return max(1, mapzoo.TRIAL_STACK_ENTRIES // (d * d))
+    wigner.TRIAL_STACK_ENTRIES applies."""
+    return max(1, wigner.TRIAL_STACK_ENTRIES // (d * d))
 
 
 def group_calls(count, d, through=None):
@@ -25,7 +25,7 @@ def group_calls(count, d, through=None):
     cut to what is left. With ``through``, only the groups up to the one
     that holds input ``through`` (from 1)."""
     size = stack_size(d)
-    cap = max(1, 4 * mapzoo.TRIAL_STACK_ENTRIES // (size * d * d))
+    cap = max(1, 4 * wigner.TRIAL_STACK_ENTRIES // (size * d * d))
     calls, blocks = [], 1
     while sum(calls) < min(count, through or count):
         calls.append(min(blocks * size, count - sum(calls)))
