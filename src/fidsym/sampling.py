@@ -14,8 +14,14 @@ from .matcore import DensityOperator, PureState, pure_state
 
 def ginibre(rng: np.random.Generator, shape: int | tuple[int, ...]) -> np.ndarray:
     """Complex Gaussian array of the given shape, the one draw rule of this
-    module: all real parts are drawn first, then all imaginary parts."""
-    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    module: all real parts are drawn first, then all imaginary parts, each
+    written straight into one complex array (the bits of
+    rng.normal(size=shape) + 1j * rng.normal(size=shape), without its
+    temporaries)."""
+    z = np.empty(shape, dtype=complex)
+    z.real = rng.normal(size=shape)
+    z.imag = rng.normal(size=shape)
+    return z
 
 
 def haar_stack(z: np.ndarray) -> np.ndarray:

@@ -207,9 +207,22 @@ def loop_minorants(a, samples, rng):
     return out
 
 
+def staged_factors(a, samples, rng):
+    """The probe's factors and row scales in draw order: min(samples, 3)
+    from one _sample_minorants call, then the other samples - 3 from a
+    second call on the same stream."""
+    root = sqrtm_psd(a.matrix)
+    first = min(samples, 3)
+    x, s = _sample_minorants(root, first, rng)
+    if samples == first:
+        return x, s
+    rest, rest_s = _sample_minorants(root, samples - first, rng)
+    return np.concatenate((x, rest)), np.concatenate((s, rest_s))
+
+
 def formed_minorants(a, samples, rng):
-    """Every minorant of _sample_minorants' factors, formed in draw order."""
-    x, s = _sample_minorants(a, samples, rng)
+    """Every minorant of the probe's two draws, formed in draw order."""
+    x, s = staged_factors(a, samples, rng)
     return _minorants(x, s, np.arange(samples))
 
 
@@ -224,7 +237,7 @@ def test_sample_minorants_matches_reference_loop(d):
             for seed in range(5):
                 got_rng = np.random.default_rng(seed)
                 ref_rng = np.random.default_rng(seed)
-                x, scale = _sample_minorants(a, samples, got_rng)
+                x, scale = _sample_minorants(sqrtm_psd(a.matrix), samples, got_rng)
                 got = _minorants(x, scale, np.arange(samples))
                 ref = loop_minorants(a, samples, ref_rng)
                 assert x.shape == got.shape == (samples, d, d) and scale.shape == (samples,)
@@ -249,16 +262,22 @@ def count_solves(monkeypatch):
 
 @pytest.mark.parametrize("d", [2, 3, 8])
 def test_sample_minorants_runs_no_eigensolve(monkeypatch, d):
-    """The sampler's one eigendecomposition is sqrtm_psd's, of A itself."""
+    """The sampler is given A^{1/2} and runs no eigensolve; the probe's one
+    eigendecomposition is sqrtm_psd's, of A itself, shared by its two draws,
+    and each of its two all_leq calls is one Cholesky factorization."""
     a = random_density(np.random.default_rng(d), d, rank=2)
+    root = sqrtm_psd(a.matrix)
     calls = count_solves(monkeypatch)
-    _sample_minorants(a, 200, np.random.default_rng(0))
-    assert calls == {"eigh": 1, "eigvalsh": 0, "cholesky": 0}
+    _sample_minorants(root, 200, np.random.default_rng(0))
+    assert calls == {"eigh": 0, "eigvalsh": 0, "cholesky": 0}
+    assert order_totality_probe(pure_state(np.eye(d)[0]).projection())
+    assert calls == {"eigh": 1, "eigvalsh": 0, "cholesky": 2}
 
 
 def test_probe_runs_one_cholesky_and_no_eigenvalue_solve_on_an_incomparable_first_pair(monkeypatch):
     """On the rank-two operator of test_probe_rows_read: sqrtm_psd's eigh,
-    then the two lowest pairs' two-row all_leq, one Cholesky factorization."""
+    then the first three minorants' two-row all_leq, one Cholesky
+    factorization."""
     rank_two = validate_density(np.diag([0.5, 0.5, 0.0]))
     calls = count_solves(monkeypatch)
     assert not order_totality_probe(rank_two, seed=2)
@@ -275,9 +294,12 @@ def test_sample_minorants_lie_between_zero_and_u_a(d):
         a = random_density(rng, d, rank=rank, trace=float(rng.uniform(0.5, 2.0)))
         mins = formed_minorants(a, samples, np.random.default_rng(rank))
         ref_rng = np.random.default_rng(rank)
-        ref_rng.normal(size=(samples, d, d))
-        ref_rng.normal(size=(samples, d, d))
-        u = ref_rng.uniform(0.0, 1.0, size=samples)
+        u = []
+        for n in (3, samples - 3):
+            ref_rng.normal(size=(n, d, d))
+            ref_rng.normal(size=(n, d, d))
+            u.append(ref_rng.uniform(0.0, 1.0, size=n))
+        u = np.concatenate(u)
         band = 1e-13 * a.trace
         assert np.linalg.eigvalsh(mins)[:, 0].min() >= -band, rank
         gap = np.linalg.eigvalsh(u[:, None, None] * a.matrix - mins)
@@ -300,12 +322,26 @@ def test_probe_is_scale_free_from_1e_minus_300_to_1e300(d):
 
 @pytest.mark.parametrize("d", [16, 32, 64])
 def test_probe_is_rank_one_at_large_d(d):
-    """rank == 1 for random operators of ranks 1, 2 and d, seeds 0-1."""
+    """rank == 1 for random operators of ranks 1, 2, 3 and d, seeds 0-2:
+    at d = 32 and 64 more than half of rank-two operators pass the first
+    three minorants and are decided by the chain of all 200."""
     rng = np.random.default_rng(d)
-    for rank in (1, 2, d):
+    for rank in (1, 2, 3, d):
         a = random_density(rng, d, rank=rank)
-        for seed in range(2):
+        for seed in range(3):
             assert order_totality_probe(a, seed=seed) == (rank == 1), (rank, seed)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_probe_is_rank_one_at_every_rank(d):
+    """rank == 1 for six random operators of every rank, traces drawn in
+    [0.5, 2), each probed at seeds 0-9."""
+    rng = np.random.default_rng(230 + d)
+    for rank in range(1, d + 1):
+        for _ in range(6):
+            a = random_density(rng, d, rank=rank, trace=float(rng.uniform(0.5, 2.0)))
+            for seed in range(10):
+                assert order_totality_probe(a, seed=seed) == (rank == 1), (rank, a.trace, seed)
 
 
 def test_probe_runs_no_svd(monkeypatch):
@@ -348,8 +384,9 @@ def test_probe_matches_all_pairs_scan():
 
 @pytest.mark.parametrize("eps", [1e-14, 1e-12, 1e-11, 1e-10, 1e-8, 1e-6, 1e-4])
 def test_probe_matches_all_pairs_scan_near_rank_one(eps):
-    """Spectrum (1, eps, ...): the neighbour chain and the all-pairs scan
-    must flip from totally ordered to not at the same eps."""
+    """Spectrum (1, eps, ...): the probe, the neighbour chains and the
+    all-pairs scan must flip from totally ordered to not at the same eps,
+    which lies between 1e-12 and 1e-11."""
     rng = np.random.default_rng(int(-np.log10(eps)))
     for d in (2, 3, 4):
         u = haar_unitary(rng, d)
@@ -357,26 +394,34 @@ def test_probe_matches_all_pairs_scan_near_rank_one(eps):
         got = order_totality_probe(a, seed=d)
         assert got == all_pairs_probe(a, seed=d)
         assert got == neighbour_scan_probe(a, seed=d)
+        assert got == (eps <= 1e-12), d
 
 
-def sorted_minorants(a, samples, seed):
-    """The probe's minorants in its stable trace order."""
-    s = formed_minorants(a, samples, np.random.default_rng(seed))
-    return s[np.argsort(np.trace(s, axis1=1, axis2=2).real, kind="stable")]
+def chain_ordered(mins):
+    """Reference: every neighbour pair of the stack in its stable trace
+    order scored in one all_leq call."""
+    s = mins[np.argsort(np.trace(mins, axis1=1, axis2=2).real, kind="stable")]
+    return all_leq(s[:-1], s[1:])
+
+
+def first_chain_ordered(a, samples, seed):
+    """Reference: whether the probe's first draw, min(samples, 3)
+    minorants, is totally ordered; if not, the probe stops there."""
+    return chain_ordered(formed_minorants(a, min(samples, 3), np.random.default_rng(seed)))
 
 
 def neighbour_scan_probe(a, samples=200, seed=0):
-    """Reference: every neighbour pair of sorted_minorants scored in one
-    all_leq call."""
-    s = sorted_minorants(a, samples, seed)
-    return all_leq(s[:-1], s[1:])
+    """Reference: the probe's two stages, the chain of the first three
+    minorants drawn and then the chain of all of them."""
+    mins = formed_minorants(a, samples, np.random.default_rng(seed))
+    return chain_ordered(mins[:3]) and chain_ordered(mins)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 8])
 @pytest.mark.parametrize("samples", [2, 3, 200])
 def test_probe_matches_single_neighbour_scan(d, samples):
-    """Scoring the lowest pair first, then the rest, decides as one scan of
-    all samples - 1 neighbour pairs, at every rank."""
+    """Scoring the first three drawn, then the chain of all, decides as the
+    two reference scans, at every rank."""
     rng = np.random.default_rng(70 + d)
     for rank in range(1, d + 1):
         a = random_density(rng, d, rank=rank)
@@ -387,14 +432,13 @@ def test_probe_matches_single_neighbour_scan(d, samples):
 
 @pytest.mark.parametrize("samples", [2, 3, 4, 200])
 def test_probe_rows_read(monkeypatch, samples):
-    """The two lowest pairs are scored first, in one call: a rank-two
+    """The first draw's pairs are scored first, in one call: a rank-two
     operator with an incomparable pair among them reads [1] at samples = 2
-    and [2] above, a rank-one operator those rows and then the other
-    samples - 3 in one more call."""
+    and [2] above, a rank-one operator those rows and then the chain of all
+    samples - 1 pairs in one more call."""
     rank_two = validate_density(np.diag([0.5, 0.5, 0.0]))
-    s = sorted_minorants(rank_two, samples, seed=2)
+    assert not first_chain_ordered(rank_two, samples, seed=2)
     pairs = min(samples - 1, 2)
-    assert not all_leq(s[:pairs], s[1:pairs + 1])
     rows = []
     real_all_leq = charact.all_leq
 
@@ -407,7 +451,33 @@ def test_probe_rows_read(monkeypatch, samples):
     assert rows == [pairs]
     rows.clear()
     assert order_totality_probe(pure_state([1.0, 1j, 0.5]).projection(), samples=samples, seed=0)
-    assert rows == {2: [1], 3: [2]}.get(samples, [2, samples - 3])
+    assert rows == {2: [1], 3: [2]}.get(samples, [2, samples - 1])
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_first_three_minorants_do_not_depend_on_samples(monkeypatch, d):
+    """The first draw is the same whatever the sample count: the three
+    minorants the probe forms first have the same bytes at samples = 3, 4
+    and 200."""
+    firsts = []
+    real = charact._minorants
+
+    def recorded(x, s, rows):
+        m = real(x, s, rows)
+        firsts.append(m.tobytes())
+        return m
+
+    monkeypatch.setattr(charact, "_minorants", recorded)
+    rng = np.random.default_rng(200 + d)
+    for rank in range(1, d + 1):
+        a = random_density(rng, d, rank=rank)
+        for seed in range(3):
+            got = []
+            for samples in (3, 4, 200):
+                firsts.clear()
+                order_totality_probe(a, samples=samples, seed=seed)
+                got.append(firsts[0])
+            assert len(got[0]) == 3 * d * d * 16 and got == [got[0]] * 3, (rank, seed)
 
 
 def recording_minorants(monkeypatch):
@@ -427,21 +497,33 @@ def recording_minorants(monkeypatch):
 @pytest.mark.parametrize("d", [2, 3, 4, 8])
 @pytest.mark.parametrize("samples", [2, 3, 4, 200])
 def test_probe_forms_only_the_minorants_it_scores(monkeypatch, d, samples):
-    """3 minorants when an incomparable pair is among the two lowest, all
-    samples otherwise; from samples = 4 up the early exit is met."""
+    """One Ginibre block of min(samples, 3) factors, whose minorants are
+    formed and scored; when the first draw is not all and its minorants are
+    ordered, a second block of the other samples - 3, and then all samples
+    minorants formed. From samples = 4 up the early exit is met, and skips
+    the second draw."""
     calls = recording_minorants(monkeypatch)
+    shapes = []
+    real = charact.ginibre
+
+    def logged(rng, shape):
+        shapes.append(shape)
+        return real(rng, shape)
+
+    monkeypatch.setattr(charact, "ginibre", logged)
     rng = np.random.default_rng(150 + d)
-    pairs = min(samples - 1, 2)
+    first = min(samples, 3)
     early = 0
     for rank in range(1, d + 1):
         a = random_density(rng, d, rank=rank)
         for seed in range(3):
-            s = sorted_minorants(a, samples, seed)
-            decided = not all_leq(s[:pairs], s[1:pairs + 1])
+            decided = not first_chain_ordered(a, samples, seed)
             calls.clear()
+            shapes.clear()
             order_totality_probe(a, samples=samples, seed=seed)
-            formed = sum(len(rows) for rows in calls)
-            assert formed == (min(samples, 3) if decided else samples), (rank, seed)
+            stop = decided or samples <= 3
+            assert shapes == [(first, d, d)] + ([] if stop else [(samples - 3, d, d)]), (rank, seed)
+            assert [len(rows) for rows in calls] == [first] + ([] if stop else [samples]), (rank, seed)
             early += decided and samples > 3
     assert early > 0 or samples <= 3
 
@@ -450,9 +532,10 @@ def test_probe_forms_only_the_minorants_it_scores(monkeypatch, d, samples):
 @pytest.mark.parametrize("samples", [3, 200])
 def test_factor_trace_order_is_the_trace_order_of_the_formed_minorants(monkeypatch, d, samples):
     """With every pair scored as ordered the probe forms all its minorants,
-    and the rows it forms, in order, are a stable argsort of np.trace of
-    the formed minorants, at every rank; formed in the probe's calls they
-    have the bits they have when all are formed at once."""
+    and the rows of each call, in order, are a stable argsort of np.trace of
+    the formed minorants of its draw (the first three, then all), at every
+    rank; formed in the probe's calls they have the bits they have when all
+    are formed at once."""
     calls = recording_minorants(monkeypatch)
     monkeypatch.setattr(charact, "all_leq", lambda a, b: True)
     rng = np.random.default_rng(170 + d)
@@ -461,12 +544,14 @@ def test_factor_trace_order_is_the_trace_order_of_the_formed_minorants(monkeypat
         for seed in range(3):
             calls.clear()
             assert order_totality_probe(a, samples=samples, seed=seed)
-            x, scale = _sample_minorants(a, samples, np.random.default_rng(seed))
+            x, scale = staged_factors(a, samples, np.random.default_rng(seed))
             mins = _minorants(x, scale, np.arange(samples))
-            want = np.argsort(np.trace(mins, axis1=1, axis2=2).real, kind="stable")
-            np.testing.assert_array_equal(np.concatenate(calls), want, err_msg=f"{rank} {seed}")
-            parts = np.concatenate([_minorants(x, scale, rows) for rows in calls])
-            assert parts.tobytes() == mins[want].tobytes(), (rank, seed)
+            traces = np.trace(mins, axis1=1, axis2=2).real
+            want = [np.argsort(traces[:n], kind="stable") for n in sorted({3, samples})]
+            assert len(calls) == len(want), (rank, seed)
+            for rows, order in zip(calls, want):
+                np.testing.assert_array_equal(rows, order, err_msg=f"{rank} {seed}")
+                assert _minorants(x, scale, rows).tobytes() == mins[order].tobytes(), (rank, seed)
 
 
 def spectral_rule(a):

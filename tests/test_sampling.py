@@ -27,6 +27,20 @@ def reference_density(rng, d, rank=None, trace=None):
     return a if trace is None else a * (trace / np.trace(a).real)
 
 
+@pytest.mark.parametrize("shape", [5, (0, 3, 3), (1, 32, 16), (7, 2, 3), (200, 4, 4)])
+@pytest.mark.parametrize("seed", range(4))
+def test_ginibre_is_real_block_plus_i_times_imaginary_block(shape, seed):
+    """The same bytes, dtype and shape as the sum of the two normal blocks,
+    and the generator left in the same state."""
+    rng = np.random.default_rng(seed)
+    ref_rng = np.random.default_rng(seed)
+    got = ginibre(rng, shape)
+    want = ref_rng.normal(size=shape) + 1j * ref_rng.normal(size=shape)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 8, 32, 64])
 def test_random_density_is_psd_by_construction(d):
     for rank in range(1, d + 1):

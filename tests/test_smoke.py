@@ -110,8 +110,8 @@ def test_verify_d4_certifies_identity_and_transpose_within_half_classify_tol(tmp
 
 
 def test_order_probe_beyond_the_rank_one_workload():
-    """At d = 8, its default seed, 2 samples (the lowest pair only) and 200
-    (that pair, then the other 198 in one call): False for a rank-two
+    """At d = 8, its default seed, 2 samples (one pair only) and 200 (the
+    first three drawn, then the chain of all 200): False for a rank-two
     operator, True for a rank-one one. The minorants come from their Wishart
     factor with no eigensolve of their own: at d = 64 for random operators
     of rank one and two, and at d = 8 at traces 1e-6 and 1e6 too."""
