@@ -4,11 +4,9 @@ symmetries."""
 from .matcore import (
     DensityOperator,
     DimensionMismatch,
-    NotNormalized,
     NotPositive,
     PureState,
     SolverFailure,
-    Spectrum,
     eig_hermitian,
     pure_state,
     validate_density,

@@ -61,14 +61,13 @@ def rank_one_certificate(a: DensityOperator) -> OrthogonalCertificate | Certific
     rule is spectral_rank's, on the same spectrum: ZeroOperator only if it
     is 0, so s A is answered as A for every s != 0, -vv* as vv*.
     """
-    spec = eig_hermitian(a.matrix)
-    rank = spectral_rank(spec.eigenvalues)
+    w, v = eig_hermitian(a.matrix)
+    rank = spectral_rank(w)
     if rank == 0:
         raise ZeroOperator("certificate requires a nonzero operator")
     if rank != 1:
         return CertificateFailure(rank=rank)
-    w, v = spec.eigenvalues, spec.eigenvectors  # the top |w| is first or last
-    v = (v[:, 1:] if w[0] >= -w[-1] else v[:, :-1]).T
+    v = (v[:, 1:] if w[0] >= -w[-1] else v[:, :-1]).T  # the top |w| is first or last
     return OrthogonalCertificate(witnesses=from_psd_stack(v[:, :, None] * v[:, None, :].conj()))
 
 

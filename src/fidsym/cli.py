@@ -101,14 +101,6 @@ def checked_trials(trials: int) -> int:
     return trials
 
 
-def load_matrix(path: str) -> np.ndarray:
-    data = read_json(path, ("dim", "re", "im"))
-    try:
-        return json_grid(data, checked_dim(json_number(data, "dim", integer=True)), "re", "im")
-    except (KeyError, BadSpec) as exc:
-        raise InputError(f"{path}: {exc}") from exc
-
-
 def matrix_to_dict(m: np.ndarray) -> dict[str, Any]:
     return {
         "dim": m.shape[0],
@@ -118,9 +110,11 @@ def matrix_to_dict(m: np.ndarray) -> dict[str, Any]:
 
 
 def load_density(path: str) -> DensityOperator:
+    data = read_json(path, ("dim", "re", "im"))
     try:
-        return validate_density(load_matrix(path))
-    except MatcoreError as exc:
+        return validate_density(json_grid(data, checked_dim(json_number(data, "dim", integer=True)),
+                                          "re", "im"))
+    except (KeyError, BadSpec, MatcoreError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
@@ -264,14 +258,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="test a map spec for fidelity preservation")
     p.add_argument("--map", required=True, help="map spec JSON file")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=int, default=mapzoo.CLASSIFY_TRIALS)
     p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--out", required=True, help="report JSON output path")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("verify", help="run the preserving/non-preserving dichotomy over the map zoo")
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=int, default=mapzoo.CLASSIFY_TRIALS)
     p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--out", default=None, help="summary JSON output path (default: stdout)")
     p.set_defaults(func=cmd_verify)

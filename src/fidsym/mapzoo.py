@@ -54,7 +54,7 @@ from .wigner import (
     symmetry_oracle,
     violation_bound,
 )
-from .tolerances import CLASSIFY_TOL, UNITARY_TOL
+from .tolerances import CLASSIFY_TOL, TRACE_TOL, UNITARY_TOL
 
 # The params each kind reads; make_map rejects any other key, such as a typo "P".
 KIND_PARAMS = {
@@ -69,6 +69,8 @@ KIND_PARAMS = {
 }
 ALL_KINDS = tuple(KIND_PARAMS)
 PRESERVING_KINDS = ("identity", "unitary", "antiunitary", "transpose")
+
+CLASSIFY_TRIALS = 200  # by default, classify_map's trials and verify_theorem's per kind
 
 
 class BadSpec(ValueError):
@@ -115,13 +117,16 @@ def json_number(data: Mapping[str, Any], key: str, default: Any = None,
                 integer: bool = False) -> Any:
     """data[key] (``default`` if absent, KeyError if there is none) as a float,
     or as an int with ``integer``; BadSpec for null, a bool, a string or a list,
-    and with ``integer`` for a number that is not integral."""
+    an integer beyond the float range, and with ``integer`` a non-integral."""
     value = data[key] if default is None else data.get(key, default)
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise BadSpec(f"{key} must be a number, got {value!r}")
     if integer and not (isinstance(value, numbers.Integral) or float(value).is_integer()):
         raise BadSpec(f"{key} must be an integer, got {value!r}")
-    return int(value) if integer else float(value)
+    try:
+        return int(value) if integer else float(value)
+    except OverflowError:
+        raise BadSpec(f"{key} is beyond the float range") from None
 
 
 def json_grid(data: Mapping[str, Any], dim: int, re_key: str, im_key: str) -> np.ndarray:
@@ -176,10 +181,11 @@ def make_map(spec: MapSpec, seed: int = 0) -> DensityMapOracle:
             raise BadSpec(f"mix p = {p} out of [0, 1]")
         if "sigma_re" in params or "sigma_im" in params:
             try:
-                sigma = validate_density(json_grid(params, d, "sigma_re", "sigma_im"),
-                                         require_unit_trace=True)
-            except MatcoreError as exc:  # not PSD, or not of unit trace
+                sigma = validate_density(json_grid(params, d, "sigma_re", "sigma_im"))
+            except MatcoreError as exc:  # not Hermitian, or not PSD
                 raise BadSpec(str(exc)) from exc
+            if abs(sigma.trace - 1.0) > TRACE_TOL:
+                raise BadSpec(f"trace {sigma.trace} is not 1 within {TRACE_TOL}")
         else:
             sigma = random_density(_rng(params, seed), d, trace=1.0)
         return DensityMapOracle(d, lambda m: hermitize_stack(
@@ -258,7 +264,7 @@ def _trial_pairs(rng: np.random.Generator, dim: int, count: int, blocks: int = 1
     return freeze(hermitize_stack(pairs.reshape(-1, dim, dim))).reshape(pairs.shape)
 
 
-def classify_map(oracle: DensityMapOracle, trials: int = 200, seed: int = 0) -> ClassificationReport:
+def classify_map(oracle: DensityMapOracle, trials: int = CLASSIFY_TRIALS, seed: int = 0) -> ClassificationReport:
     """Probe the map for its candidate symmetry S, then scan random pairs
     against it: the map is preserving if every scanned input certifies S,
     as the report's reconstruction states, by a rule that keeps each pair's
@@ -285,12 +291,12 @@ def classify_map(oracle: DensityMapOracle, trials: int = 200, seed: int = 0) -> 
     One pair over ``CLASSIFY_TOL`` proves that the map does not preserve
     fidelity, so a rejection stops at the end of the first block that holds
     a witness, and ``trials`` counts the trials scored. As violation_bound
-    grows with each residual and trace, and traces are below 2, a witness
-    breaks the rule: the tally never reads past its block. Each score is a
-    function of its pair alone, so the report is that of a block-by-block
-    scan (the oracle may see the rest of the last group) and, by the prefix
-    property, that of ``classify_map`` asked for exactly that many trials,
-    reconstruction included.
+    grows with each residual and trace, and traces are below
+    ``sampling.MAX_TRACE``, a witness breaks the rule: the tally never reads
+    past its block. Each score is a function of its pair alone, so the report
+    is that of a block-by-block scan (the oracle may see the rest of the last
+    group) and, by the prefix property, that of ``classify_map`` asked for
+    exactly that many trials, reconstruction included.
     """
     if trials < 1:
         raise BadSpec(f"trials must be >= 1, got {trials}")
@@ -338,7 +344,7 @@ def zoo_specs(dim: int) -> list[MapSpec]:
             for kind in ALL_KINDS]
 
 
-def verify_theorem(dim: int, trials: int = 200, seed: int = 0) -> dict[str, Any]:
+def verify_theorem(dim: int, trials: int = CLASSIFY_TRIALS, seed: int = 0) -> dict[str, Any]:
     """Run the dichotomy over the whole zoo: every preserving kind must
     certify to a symmetry, every non-preserving kind must be rejected with a
     witness pair."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tolerances import EIG_FLOOR, PHASE_TOL, PSD_TOL, TRACE_TOL
+from .tolerances import EIG_FLOOR, PHASE_TOL, PSD_TOL
 
 
 class MatcoreError(ValueError):
@@ -29,11 +29,7 @@ class SolverFailure(MatcoreError):
 
 
 class NotPositive(MatcoreError):
-    """A matrix has an eigenvalue below the PSD tolerance band."""
-
-
-class NotNormalized(MatcoreError):
-    """Unit-trace was required but the trace check failed."""
+    """A matrix is not Hermitian, or has an eigenvalue below the PSD band."""
 
 
 class DimensionMismatch(MatcoreError):
@@ -91,26 +87,17 @@ def row_sumsq(m: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", parts, parts)
 
 
-def real_scale(m: np.ndarray, c: float) -> np.ndarray:
-    """m * c for complex matrices m and a real c, as a fresh array made by
-    one multiply of the float view.
-
-    numpy's complex division ``m / s`` forms (re + im*0) * (1/s) and
-    (im - re*0) * (1/s), so ``real_scale(m, 1.0 / s)`` has its values without
-    the cross terms; only the sign of an exactly-zero part can differ."""
-    return (np.ascontiguousarray(m, dtype=complex).view(float) * c).view(complex)
-
-
 def real_divide(m: np.ndarray, s: float) -> np.ndarray:
-    """m / s for complex matrices m and a real s > 0: ``real_scale(m, 1.0 / s)``,
-    bit for bit, for every s in the normal range. Below it 1/s overflows
-    (for s under about 5.6e-309), so a subnormal s is first brought to
-    [0.5, 1) and m with it, both multiplied by the same exact power of two."""
+    """m / s for complex matrices m and a real s > 0 by one multiply of the
+    float view by 1/s: the values of numpy's ``m / s`` without its cross terms
+    (re + im*0) * (1/s), so only the sign of an exactly-zero part can differ.
+    A subnormal s, whose 1/s overflows (below about 5.6e-309), is first brought
+    to [0.5, 1) and m with it, both multiplied by the same exact power of two."""
+    x = np.ascontiguousarray(m, dtype=complex).view(float)
     if s < np.finfo(float).tiny:
         e = -math.frexp(s)[1]
-        m = np.ldexp(np.ascontiguousarray(m, dtype=complex).view(float), e).view(complex)
-        s = math.ldexp(s, e)
-    return real_scale(m, 1.0 / s)
+        x, s = np.ldexp(x, e), math.ldexp(s, e)
+    return (x * (1.0 / s)).view(complex)
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
@@ -129,18 +116,6 @@ def check_same_dim(a, b) -> int:
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimension mismatch: {a.dim} vs {b.dim}")
     return a.dim
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues in non-increasing order with matching orthonormal columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
 
 
 @dataclass(frozen=True)
@@ -257,40 +232,37 @@ def _rebuild(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (v * w[:, None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def eig_hermitian(m: np.ndarray) -> Spectrum:
-    """Spectral decomposition of a Hermitian matrix.
-
-    Eigenvalues are returned in non-increasing order (ties kept in solver
-    order); eigenvectors are the matching orthonormal columns.
-    """
+def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The n = 1 case of eigh_stack: the read-only pair (w, V), as np.linalg.eigh
+    returns it, of the eigenvalues in non-increasing order (ties kept in solver
+    order) and the matching orthonormal eigenvectors as columns."""
     w, v = eigh_stack(np.asarray(m)[None])
-    return Spectrum(eigenvalues=freeze(w)[0], eigenvectors=freeze(v)[0])
+    return freeze(w)[0], freeze(v)[0]
 
 
 def validate_stack(m: np.ndarray) -> list[DensityOperator]:
     """Validate every matrix of an (n, d, d) stack as a density operator.
 
-    Eigenvalues in [-PSD_TOL * ||M||, 0) are clipped to zero and the matrix
-    is reassembled; anything more negative raises NotPositive. ||M|| is the
-    Frobenius norm of (M + M*)/2, so the band scales with the matrix and
-    s * M is accepted exactly when M is, for every s > 0.
+    ||M|| is the Frobenius norm of (M + M*)/2. ||M - M*||_F above 2 PSD_TOL
+    ||M|| raises NotPositive, and so does an eigenvalue below -PSD_TOL ||M||;
+    those in [-PSD_TOL ||M||, 0) are clipped to zero and the matrix is
+    reassembled. Both bands scale with M: s M passes exactly when M does.
     """
+    m = _stack(m)
     w, v = eigh_stack(m)
-    low = w[:, -1]
-    negative = low < -PSD_TOL * np.hypot.reduce(w, axis=-1)  # ||(M + M*)/2||_F, no overflow
-    if np.any(negative):
-        raise NotPositive(f"eigenvalue {low[negative][0]:.3e} below tolerance band")
-    w = np.clip(w, 0.0, None)
-    return [DensityOperator(matrix=x) for x in freeze(hermitize_stack(_rebuild(w, v)))]
+    band = PSD_TOL * np.hypot.reduce(w, axis=-1)  # hypot: ||(M + M*)/2||_F with no overflow
+    skew = np.hypot.reduce(np.abs(m - m.conj().swapaxes(-1, -2)), axis=(1, 2))
+    if (skew > 2.0 * band).any():
+        raise NotPositive(f"matrix is not Hermitian: ||M - M*||_F = {skew.max():.3e}")
+    negative = w[:, -1] < -band
+    if negative.any():
+        raise NotPositive(f"eigenvalue {w[negative, -1][0]:.3e} below tolerance band")
+    return from_psd_stack(_rebuild(np.clip(w, 0.0, None), v))
 
 
-def validate_density(m: np.ndarray, require_unit_trace: bool = False) -> DensityOperator:
-    """Validate a matrix as a density operator; see validate_stack. With
-    ``require_unit_trace`` the (post-clip) trace must be 1 within TRACE_TOL."""
-    a = validate_stack(np.asarray(m)[None])[0]
-    if require_unit_trace and abs(a.trace - 1.0) > TRACE_TOL:
-        raise NotNormalized(f"trace {a.trace} is not 1 within {TRACE_TOL}")
-    return a
+def validate_density(m: np.ndarray) -> DensityOperator:
+    """Validate a matrix as a density operator; see validate_stack."""
+    return validate_stack(np.asarray(m)[None])[0]
 
 
 def sqrt_eigs(w: np.ndarray) -> np.ndarray:

@@ -11,6 +11,8 @@ import numpy as np
 
 from .matcore import DensityOperator, PureState, pure_state
 
+MAX_TRACE = 2.0  # random traces lie below it, and wigner.residual_bound holds up to it
+
 
 def ginibre(rng: np.random.Generator, shape: int | tuple[int, ...]) -> np.ndarray:
     """Complex Gaussian array of the given shape, the one draw rule of this
@@ -48,9 +50,9 @@ def random_pure_state(rng: np.random.Generator, dim: int) -> PureState:
 
 def traces_and_ranks(rng: np.random.Generator, n: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """The one trace and rank rule of random density operators: all n
-    traces, uniform in [0, 2) with 0 read as 1, then all n ranks, uniform
-    in 1..dim."""
-    traces = rng.uniform(0.0, 2.0, size=n)
+    traces, uniform in [0, MAX_TRACE) with 0 read as 1, then all n ranks,
+    uniform in 1..dim."""
+    traces = rng.uniform(0.0, MAX_TRACE, size=n)
     traces[traces == 0.0] = 1.0
     return traces, rng.integers(1, dim + 1, size=n)
 

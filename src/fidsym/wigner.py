@@ -33,7 +33,7 @@ from .matcore import (
     real_divide,
     row_sumsq,
 )
-from .sampling import density_stack, traces_and_ranks
+from .sampling import MAX_TRACE, density_stack, traces_and_ranks
 from .tolerances import CLASSIFY_TOL
 
 UNITARY = "unitary"
@@ -102,7 +102,8 @@ class DensityMapOracle:
         return cls(dim, evaluate_stack)
 
     def evaluate(self, a: DensityOperator) -> DensityOperator:
-        """The image of one operator: the n = 1 case of ``evaluate_stack``."""
+        """The image of one operator, the n = 1 case of ``evaluate_stack``."""
+        check_same_dim(self, a)
         return DensityOperator(matrix=freeze(self.evaluate_stack(a.matrix[None]))[0])
 
     def image_stack(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -311,13 +312,13 @@ def violation_bound(dim: int, delta: np.ndarray, traces: np.ndarray) -> np.ndarr
 def residual_bound(dim: int) -> float:
     """The one rule for images at dimension ``dim``, found once by bisection:
     the largest residual delta with violation_bound(dim, (delta, delta),
-    (2, 2)) <= CLASSIFY_TOL. 2 is the largest trace of a random input and the
-    bound grows with each residual and trace, so inputs within it keep each
-    pair's |dF| within CLASSIFY_TOL. As F moves by sqrt(delta) at
-    orthogonality, it is about CLASSIFY_TOL^2 / (8 sqrt(d))."""
+    (t, t)) <= CLASSIFY_TOL at t = sampling.MAX_TRACE, the ceiling of a random
+    input's trace. The bound grows with each residual and trace, so inputs
+    within it keep each pair's |dF| within CLASSIFY_TOL. As F moves by
+    sqrt(delta) at orthogonality, it is about CLASSIFY_TOL^2 / (8 sqrt(d))."""
     lo, hi = 0.0, CLASSIFY_TOL
     while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        beta = violation_bound(dim, np.array([[mid, mid]]), np.array([[2.0, 2.0]]))[0]
+        beta = violation_bound(dim, np.array([[mid, mid]]), np.full((1, 2), MAX_TRACE))[0]
         lo, hi = (mid, hi) if beta <= CLASSIFY_TOL else (lo, mid)
     return lo
 

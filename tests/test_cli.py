@@ -18,12 +18,11 @@ from fidsym.cli import (
     MAX_TRIALS,
     build_parser,
     classification_to_dict,
-    load_matrix,
     main,
     matrix_to_dict,
     write_report,
 )
-from fidsym.mapzoo import classify_map
+from fidsym.mapzoo import classify_map, json_grid
 from fidsym.matcore import DensityOperator
 from fidsym.wigner import VERIFICATION_TRIALS, DensityMapOracle
 
@@ -263,6 +262,29 @@ def test_fidelity_tiny_non_psd_matrix_file_is_an_input_error(capsys, tmp_path):
     assert err.startswith(f"error: {path}:") and err.rstrip().endswith("below tolerance band")
 
 
+def test_fidelity_non_hermitian_matrix_file_is_an_input_error(capsys, tmp_path):
+    """So is a matrix that is not Hermitian: re [[0.5, 0.3], [-0.3, 0.5]] has
+    the Hermitian part I/2 exactly, and is not read as I/2 with F = 1."""
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"dim": 2, "re": [[0.5, 0.3], [-0.3, 0.5]]}))
+    code, out, err = run_cli(["fidelity", "--a", path, "--b", FIXTURES / "diag_05_05.json"],
+                             capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {path}: matrix is not Hermitian") and "Traceback" not in err
+
+
+def test_classify_p_beyond_the_float_range_is_an_input_error(capsys, tmp_path):
+    """A p written as a 401-digit integer is a bad spec that names p and does
+    not echo the digits."""
+    spec = tmp_path / "dep.json"
+    spec.write_text(json.dumps({"kind": "depolarizing", "dim": 2, "params": {"p": 10**400}}))
+    out_file = tmp_path / "c.json"
+    code, out, err = run_cli(["classify", "--map", spec, "--out", out_file], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: p is beyond the float range\n"
+    assert not out_file.exists()
+
+
 def test_classify_mix_sigma_not_psd_is_an_input_error(capsys, tmp_path):
     """So is a mix spec's sigma grid: unit trace, but an eigenvalue of -0.2."""
     spec = tmp_path / "mix_d2.json"
@@ -447,10 +469,10 @@ def test_verify_exits_2_with_the_failure_of_the_harness(capsys, tmp_path, monkey
 
 def test_matrix_round_trip_bit_identical():
     for name in ("diag_05_05.json", "diag_09_01.json", "offdiag_d2.json"):
-        path = FIXTURES / name
-        m = load_matrix(str(path))
+        data = json.loads((FIXTURES / name).read_text())
+        m = json_grid(data, data["dim"], "re", "im")
         again = matrix_to_dict(m)
-        assert again == json.loads(path.read_text())
+        assert again == data
 
 
 def test_report_determinism(capsys, tmp_path):

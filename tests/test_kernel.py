@@ -40,7 +40,6 @@ from fidsym.matcore import (
     hermitize,
     hermitize_stack,
     real_divide,
-    real_scale,
     row_sumsq,
     sqrtm_psd,
     sqrtm_stack,
@@ -100,9 +99,9 @@ def test_hermitize_and_eigensystem_stack_equal_n1(d):
     assert raw[0].tobytes() == w.tobytes() and raw[1].tobytes() == v.tobytes()
     for k in range(len(m)):
         assert h[k].tobytes() == hermitize(m[k]).tobytes()
-        spec = eig_hermitian(m[k])
-        assert w[k].tobytes() == spec.eigenvalues.tobytes()
-        assert v[k].tobytes() == spec.eigenvectors.tobytes()
+        w1, v1 = eig_hermitian(m[k])
+        assert w[k].tobytes() == w1.tobytes()
+        assert v[k].tobytes() == v1.tobytes()
     assert hermitize_stack(h).tobytes() == h.tobytes()
 
 
@@ -224,7 +223,7 @@ def test_fidelity_stack_matches_trace_norm_reference(d):
 @pytest.mark.parametrize("d", DIMS)
 def test_numerical_rank_decides_as_the_eigensystem(d):
     for x in psd_inputs(d):
-        expected = spectral_rank(eig_hermitian(x).eigenvalues)
+        expected = spectral_rank(eig_hermitian(x)[0])
         assert numerical_rank(DensityOperator(matrix=x)) == expected
 
 
@@ -662,23 +661,24 @@ def test_hermitize_stack_accepts_any_layout_and_returns_a_fresh_array():
 
 
 @pytest.mark.parametrize("d", (1, 2, 3, 8, 32, 64))
-def test_real_scale_equals_complex_division(d):
-    """real_scale(m, 1/s) is m / s in value, and bit for bit where the
+def test_real_divide_equals_complex_division(d):
+    """real_divide(m, s) is m / s in value, and bit for bit where the
     division's part is nonzero."""
     for m in contract_inputs(d):
         for s in (1.0, 3.0, 0.7, 1e-3, 1e3, np.abs(m).max() or 1.0):
-            assert_same_value_and_nonzero_bits(real_scale(m, 1.0 / s), m / s)
+            assert_same_value_and_nonzero_bits(real_divide(m, s), m / s)
 
 
 @pytest.mark.parametrize("d", (1, 2, 3, 8, 32, 64))
-def test_real_divide_is_real_scale_by_the_reciprocal(d):
+def test_real_divide_is_the_float_view_times_the_reciprocal(d):
     """For every s in the normal range, the smallest included, real_divide
-    has the bits of real_scale(m, 1/s)."""
+    has the bits of one multiply of m's float view by 1/s."""
     tiny = np.finfo(float).tiny
     for m in contract_inputs(d):
         for s in (1.0, 3.0, 0.7, 1e-3, 1e3, 1e-300, tiny, 1.5 * tiny):
             x = m * s
-            assert real_divide(x, s).tobytes() == real_scale(x, 1.0 / s).tobytes()
+            want = (x.view(float) * (1.0 / s)).view(complex)
+            assert real_divide(x, s).tobytes() == want.tobytes()
 
 
 def test_real_divide_by_a_subnormal_does_not_overflow():

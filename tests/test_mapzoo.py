@@ -29,6 +29,7 @@ from fidsym.mapzoo import (
 )
 from fidsym.matcore import DensityOperator, pure_state, validate_density
 from fidsym.sampling import random_density
+from fidsym.tolerances import TRACE_TOL
 from fidsym.wigner import VERIFICATION_TRIALS, DensityMapOracle, reconstruct
 
 
@@ -364,6 +365,24 @@ def test_bad_param_values_and_keys(kind, dim, params):
         make_map(MapSpec(kind=kind, dim=dim, params=params))
 
 
+def test_mix_sigma_must_have_unit_trace():
+    """make_map checks a given sigma's trace after validation's clip: 1 within
+    TRACE_TOL, else a BadSpec that states the trace and the tolerance."""
+    with pytest.raises(BadSpec, match=f"^trace 0.9[0-9]* is not 1 within {TRACE_TOL}$"):
+        make_map(MapSpec(kind="mix", dim=2, params={"sigma_re": [[0.5, 0], [0, 0.4]]}))
+    for sigma in ([[0.5, 0], [0, 0.5]], [[1.0 + 1e-15, 0], [0, -1e-15]]):
+        oracle = make_map(MapSpec(kind="mix", dim=2, params={"p": 1.0, "sigma_re": sigma}))
+        image = oracle.evaluate(validate_density(np.eye(2) / 2))
+        assert abs(image.trace - 1.0) <= TRACE_TOL
+
+
+def test_mix_sigma_must_be_hermitian():
+    """A sigma grid with Hermitian part I/2 but ||sigma - sigma*||_F = 0.85 is
+    a BadSpec, not I/2."""
+    with pytest.raises(BadSpec, match="not Hermitian"):
+        make_map(MapSpec(kind="mix", dim=2, params={"sigma_re": [[0.5, 0.3], [-0.3, 0.5]]}))
+
+
 def test_a_negative_default_seed_is_a_bad_spec():
     """As a negative seed param is: both kinds that draw from a seed."""
     for kind in ("unitary", "mix"):
@@ -389,6 +408,17 @@ def test_json_number_reads(data, key, kwargs, expected):
 def test_json_number_rejects(data):
     with pytest.raises(BadSpec):
         json_number(data, "dim", integer=True)
+
+
+def test_json_number_rejects_an_integer_beyond_the_float_range():
+    """float(10**400) raises OverflowError; json_number raises a BadSpec that
+    names the key and does not echo the 401 digits. As an int it is read."""
+    for value in (10**400, -(10**400)):
+        with pytest.raises(BadSpec, match="^p is beyond the float range$"):
+            json_number({"p": value}, "p")
+    with pytest.raises(BadSpec, match="^p is beyond the float range$"):
+        make_map(MapSpec(kind="depolarizing", dim=2, params={"p": 10**400}))
+    assert json_number({"seed": 10**400}, "seed", integer=True) == 10**400
 
 
 def test_json_grid_reads_bits():

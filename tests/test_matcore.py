@@ -8,9 +8,9 @@ import pytest
 
 from fidsym.charact import numerical_rank, rank_one_certificate
 from fidsym.fidelity import fidelity
+from fidsym.tolerances import TRACE_TOL
 from fidsym.matcore import (
     DensityOperator,
-    NotNormalized,
     NotPositive,
     eig_hermitian,
     from_psd_stack,
@@ -27,24 +27,24 @@ EIG_TOL = 1e-9
 
 
 def test_eig_diagonal_sorted_descending():
-    spec = eig_hermitian(np.diag([1.0, 3.0]))
-    assert np.allclose(spec.eigenvalues, [3.0, 1.0])
+    w, v = eig_hermitian(np.diag([1.0, 3.0]))
+    assert np.allclose(w, [3.0, 1.0])
     # eigenvectors paired with the sorted eigenvalues: e2 first, then e1
-    assert np.allclose(np.abs(spec.eigenvectors[:, 0]), [0.0, 1.0])
-    assert np.allclose(np.abs(spec.eigenvectors[:, 1]), [1.0, 0.0])
+    assert np.allclose(np.abs(v[:, 0]), [0.0, 1.0])
+    assert np.allclose(np.abs(v[:, 1]), [1.0, 0.0])
 
 
 def test_eig_pauli_x():
     m = np.array([[0.0, 1.0], [1.0, 0.0]])
-    spec = eig_hermitian(m)
-    assert np.allclose(spec.eigenvalues, [1.0, -1.0])
-    rebuilt = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.conj().T
+    w, v = eig_hermitian(m)
+    assert np.allclose(w, [1.0, -1.0])
+    rebuilt = (v * w) @ v.conj().T
     assert np.linalg.norm(rebuilt - m) <= EIG_TOL * (1 + np.linalg.norm(m))
 
 
 def test_eig_identity():
-    spec = eig_hermitian(np.eye(5))
-    assert np.allclose(spec.eigenvalues, 1.0)
+    w, _ = eig_hermitian(np.eye(5))
+    assert np.allclose(w, 1.0)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
@@ -52,12 +52,11 @@ def test_eig_identity():
 def test_eig_reconstruction_residual(d, trial):
     rng = np.random.default_rng(100 * d + trial)
     m = hermitize(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-    spec = eig_hermitian(m)
-    rebuilt = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.conj().T
+    w, v = eig_hermitian(m)
+    rebuilt = (v * w) @ v.conj().T
     assert np.linalg.norm(rebuilt - m) <= EIG_TOL * (1 + np.linalg.norm(m))
-    v = spec.eigenvectors
     assert np.linalg.norm(v.conj().T @ v - np.eye(d)) <= EIG_TOL
-    assert np.all(np.diff(spec.eigenvalues) <= 0)
+    assert np.all(np.diff(w) <= 0)
 
 
 def test_sqrt_diagonal():
@@ -88,7 +87,8 @@ def test_sqrt_monotone_on_commuting_diagonals():
 
 
 def test_validate_accepts_unit_trace():
-    d = validate_density(np.diag([0.5, 0.5]), require_unit_trace=True)
+    d = validate_density(np.diag([0.5, 0.5]))
+    assert abs(d.trace - 1.0) <= TRACE_TOL
     assert d.trace == pytest.approx(1.0)
 
 
@@ -114,7 +114,8 @@ def test_validate_accepts_a_huge_psd_matrix_without_warning(scale):
 
 
 def test_validate_clips_tolerance_band():
-    d = validate_density(np.diag([1.0 + 1e-15, -1e-15]), require_unit_trace=True)
+    d = validate_density(np.diag([1.0 + 1e-15, -1e-15]))
+    assert abs(d.trace - 1.0) <= TRACE_TOL
     w = np.linalg.eigvalsh(d.matrix)
     assert w[0] >= 0.0
 
@@ -135,9 +136,21 @@ def test_validate_band_is_relative_at_every_scale(scale):
     assert np.linalg.eigvalsh(a.matrix)[0] >= 0.0
 
 
-def test_validate_unit_trace_check():
-    with pytest.raises(NotNormalized):
-        validate_density(np.diag([0.5, 0.4]), require_unit_trace=True)
+@pytest.mark.parametrize("scale", SCALES)
+def test_validate_rejects_a_non_hermitian_matrix_at_every_scale(scale):
+    """||M - M*||_F above 2 PSD_TOL ||(M + M*)/2||_F raises NotPositive, the
+    PSD rule's relative band: [[0.5, 0.3], [-0.3, 0.5]], whose Hermitian part
+    is exactly I/2, is not read as I/2. An asymmetry of rounding size inside
+    the band is accepted, and both hold at every scale without a warning."""
+    skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    with pytest.raises(NotPositive, match="not Hermitian"):
+        validate_density(scale * (np.eye(2) / 2 + 0.3 * skew))
+    with pytest.raises(NotPositive, match="not Hermitian"):
+        validate_stack(scale * np.stack([np.eye(2) / 2, np.eye(2) / 2 + 1e-9j * np.eye(2)]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a = validate_density(scale * (np.eye(2) / 2 + 1e-12 * skew))
+    assert np.allclose(a.matrix, scale * np.eye(2) / 2, rtol=1e-9, atol=0.0)
 
 
 def test_hermitize_zeroes_diagonal_imag():
@@ -258,8 +271,8 @@ READ_ONLY = {
     "validate_stack": lambda: validate_stack(np.stack([M3, M3.T]))[1].matrix,
     "projection": lambda: pure_state(V3).projection().matrix,
     "witness": lambda: rank_one_certificate(pure_state(V3).projection()).witnesses[1].matrix,
-    "eigenvalues": lambda: eig_hermitian(M3).eigenvalues,
-    "eigenvectors": lambda: eig_hermitian(M3).eigenvectors,
+    "eigenvalues": lambda: eig_hermitian(M3)[0],
+    "eigenvectors": lambda: eig_hermitian(M3)[1],
 }
 
 

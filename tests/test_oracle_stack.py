@@ -15,7 +15,7 @@ from trial_reference import group_calls, reference_verification_inputs, stack_si
 from fidsym.charact import numerical_rank
 from fidsym.cli import classification_to_dict, reconstruction_to_dict
 from fidsym.mapzoo import ALL_KINDS, _trial_pairs, classify_map, make_map, zoo_specs
-from fidsym.matcore import DensityOperator, eig_hermitian
+from fidsym.matcore import DensityOperator, DimensionMismatch, eig_hermitian
 from fidsym.sampling import haar_unitary, random_density
 from fidsym.wigner import (
     ANTIUNITARY,
@@ -64,7 +64,7 @@ def reference_map(kind, d):
     if kind == "dephase":
         return per_matrix(lambda a: np.diag(np.diag(a.matrix)))
     return per_matrix(lambda a: np.diag(
-        np.clip(eig_hermitian(a.matrix).eigenvalues, 0.0, None).astype(complex)))
+        np.clip(eig_hermitian(a.matrix)[0], 0.0, None).astype(complex)))
 
 
 KINDS = [*ALL_KINDS, "symmetry-unitary", "symmetry-antiunitary"]
@@ -122,6 +122,17 @@ def test_image_stack_reads_one_row_as_it_reads_it_in_its_stack(name):
         out, one = oracle.image_stack(x[None])
         assert out.shape == (1, 3, 3) and one.tolist() == [row_ok]
         assert out[0].tobytes() == image.tobytes()
+
+
+@pytest.mark.parametrize("name", IMAGE_ORACLES)
+def test_evaluate_rejects_an_operator_of_another_dim(name):
+    """evaluate checks the operator's dim against the oracle's, as
+    apply_symmetry does: DimensionMismatch before the oracle is called, not an
+    image of another dim from the identity or numpy's error from the rest."""
+    oracle = IMAGE_ORACLES[name]()
+    for d in (2, 4):
+        with pytest.raises(DimensionMismatch, match=f"dimension mismatch: 3 vs {d}"):
+            oracle.evaluate(random_density(np.random.default_rng(d), d))
 
 
 @pytest.mark.parametrize("d", [2, 3])
