@@ -27,19 +27,20 @@ from . import __version__, mapzoo, tolerances, wigner
 from .fidelity import fidelity as fidelity_value, partial_fidelity
 from .matcore import DensityOperator, MatcoreError, validate_density
 from .mapzoo import AssertionFailure, BadSpec, ClassificationReport, MapSpec, json_grid, json_number
-from .wigner import ReconstructionReport
+from .wigner import DensityMapOracle, ReconstructionReport
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_REJECTED = 2
 
-# The largest dim read from outside: the numerics and the tolerance table are
-# sized for d <= 64, and a larger dim could ask for gigabytes per matrix.
+# The largest dim read from outside: the headroom of the tolerance table is
+# measured up to d = 64 (see fidsym.tolerances), and a larger dim could ask
+# for gigabytes per matrix.
 MAX_DIM = 64
-# The most trials read from outside: reconstruct's verification draws a
-# trace and a rank, 16 bytes, for every trial up front, so a larger count
-# could ask for gigabytes before any work, and would keep classify and
-# verify on a preserving map busy for hours.
+# The most trials read from outside. The scan draws its inputs block by
+# block, so memory does not grow with the count, but the run time does: a
+# larger count would keep reconstruct, classify and verify on a preserving
+# map busy for hours.
 MAX_TRIALS = 10**6
 # The most decimals fidelity prints: every double is an integer multiple of
 # 2**-1074, so every decimal past the 1074th is zero, and a larger --digits
@@ -118,14 +119,17 @@ def load_density(path: str) -> DensityOperator:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def load_map_spec(path: str) -> MapSpec:
+def load_map_spec(path: str, seed: int) -> tuple[MapSpec, DensityMapOracle]:
+    """The map spec in ``path`` and its oracle from mapzoo.make_map;
+    InputError naming the file for a spec that either turns away."""
     data = read_json(path, ("kind", "dim", "params"))
     try:
-        return MapSpec(
+        spec = MapSpec(
             kind=str(data["kind"]),
             dim=checked_dim(json_number(data, "dim", integer=True)),
             params=data.get("params", {}),
         )
+        return spec, mapzoo.make_map(spec, seed=seed)
     except (KeyError, BadSpec) as exc:
         raise InputError(f"{path}: bad map spec: {exc}") from exc
 
@@ -200,8 +204,7 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
     trials = checked_trials(args.trials)
-    spec = load_map_spec(args.map)
-    oracle = mapzoo.make_map(spec, seed=args.seed)
+    spec, oracle = load_map_spec(args.map, args.seed)
     report = wigner.reconstruct(oracle, verification_trials=trials, seed=args.seed)
     write_report(args.out, {"seed": args.seed, "map": {"kind": spec.kind, "dim": spec.dim},
                             "report": reconstruction_to_dict(report)})
@@ -210,8 +213,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     trials = checked_trials(args.trials)
-    spec = load_map_spec(args.map)
-    oracle = mapzoo.make_map(spec, seed=args.seed)
+    spec, oracle = load_map_spec(args.map, args.seed)
     report = mapzoo.classify_map(oracle, trials=trials, seed=args.seed)
     write_report(args.out, {"seed": args.seed, "map": {"kind": spec.kind, "dim": spec.dim},
                             "report": classification_to_dict(report)})

@@ -127,7 +127,8 @@ def all_leq(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def is_leq(a: DensityOperator, b: DensityOperator) -> bool:
-    """Operator order A <= B; the n = 1 case of all_leq."""
+    """Operator order A <= B; the n = 1 case of all_leq, whose band keeps an
+    absolute floor, so is_leq(1e-9 e1e1*, 1e-9 e2e2*) is True."""
     check_same_dim(a, b)
     return all_leq(a.matrix[None], b.matrix[None])
 

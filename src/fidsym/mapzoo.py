@@ -28,18 +28,10 @@ from .matcore import (
     DensityOperator,
     MatcoreError,
     eigh_stack,
-    freeze,
     hermitize_stack,
     validate_density,
 )
-from .sampling import (
-    density_stack,
-    ginibre,
-    haar_stack,
-    haar_unitary,
-    random_density,
-    traces_and_ranks,
-)
+from .sampling import haar_unitary, random_density
 from .wigner import (
     ANTIUNITARY,
     UNITARY,
@@ -163,7 +155,8 @@ def make_map(spec: MapSpec, seed: int = 0) -> DensityMapOracle:
             u = json_grid(params, d, "re", "im")
         else:
             u = haar_unitary(_rng(params, seed), d)
-        if np.linalg.norm(u.conj().T @ u - np.eye(d)) > UNITARY_TOL:
+        if (np.abs(u.view(float)).max() > 2.0
+                or np.linalg.norm(u.conj().T @ u - np.eye(d)) > UNITARY_TOL):
             raise BadSpec("matrix is not unitary")
         return symmetry_oracle(SymmetryOperator(parity=kind, u=u))
     if kind == "transpose":
@@ -223,59 +216,19 @@ def _traces(m: np.ndarray) -> np.ndarray:
     return np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
 
 
-def _trial_pairs(rng: np.random.Generator, dim: int, count: int, blocks: int = 1) -> np.ndarray:
-    """``blocks`` blocks of ``count`` trial pairs as one hermitized, read-only
-    (blocks * count, 2, dim, dim) stack, bit for bit the concatenation of
-    ``blocks`` calls with ``blocks=1``: 40% random mixed pairs, 40% random
-    pure pairs, 20% orthogonal pure pairs, the sharpest discriminators
-    (F = 0 must map to F = 0).
-
-    Each block is drawn with one call per kind, in this order: the kinds, one
-    uniform per pair (mixed below 0.4, pure below 0.8, else orthogonal);
-    for the n mixed pairs, A_1, B_1, A_2, ... in order, their 2n traces and
-    ranks from sampling.traces_and_ranks, then one sampling.density_stack
-    call, whose Ginibre block has as many columns as the largest of the 2n
-    ranks; for the pure pairs one (n, 2, dim) Ginibre block of vectors; for
-    the orthogonal pairs one (n, dim, dim) Ginibre block, of which only the
-    first two columns are kept (the rest are drawn to keep the RNG stream).
-    The whole stack is then built at once: the pure vectors are normalised
-    by norm alone, haar_stack orthonormalises the kept columns, one indexed
-    assignment writes the projections vv*, and the stack is hermitized once;
-    each step acts on one row at a time, so a block's bits do not depend on
-    ``blocks``. Pair k depends on ``count``, so classify_map always draws
-    whole blocks."""
-    pairs = np.empty((blocks * count, 2, dim, dim), dtype=complex)
-    pure_rows, orthogonal_rows, pure, orthogonal = [], [], [], []
-    for start in range(0, blocks * count, count):
-        kinds = rng.uniform(size=count)
-        mixed = start + np.flatnonzero(kinds < 0.4)
-        pure_rows.append(start + np.flatnonzero((kinds >= 0.4) & (kinds < 0.8)))
-        orthogonal_rows.append(start + np.flatnonzero(kinds >= 0.8))
-        traces, ranks = traces_and_ranks(rng, 2 * len(mixed), dim)
-        pairs[mixed] = density_stack(rng, traces, ranks, dim).reshape(-1, 2, dim, dim)
-        pure.append(ginibre(rng, (len(pure_rows[-1]), 2, dim)))
-        orthogonal.append(ginibre(rng, (len(orthogonal_rows[-1]), dim, dim))[..., :2])
-
-    v = np.concatenate(pure)
-    v /= np.linalg.norm(v, axis=-1, keepdims=True)
-    u = haar_stack(np.concatenate(orthogonal)).swapaxes(-1, -2)
-    v = np.concatenate([v, u])
-    pairs[np.concatenate(pure_rows + orthogonal_rows)] = v[..., :, None] * v[..., None, :].conj()
-    return freeze(hermitize_stack(pairs.reshape(-1, dim, dim))).reshape(pairs.shape)
-
-
 def classify_map(oracle: DensityMapOracle, trials: int = CLASSIFY_TRIALS, seed: int = 0) -> ClassificationReport:
     """Probe the map for its candidate symmetry S, then scan random pairs
     against it: the map is preserving if every scanned input certifies S,
     as the report's reconstruction states, by a rule that keeps each pair's
     violation within ``CLASSIFY_TOL`` (wigner.residual_bound).
 
-    After reconstruct's probe stages, trials are drawn from
-    ``default_rng(seed)`` in blocks of ``wigner.block_size(d)`` pairs, each
-    drawn whole by _trial_pairs and the last cut to the trials left, so the
-    pairs of fewer trials are a prefix of those of more. ``wigner.scan``
-    reads its groups of blocks in draw order (A_1, B_1, A_2, ...) against
-    S, if the probes produced one, and its tally alone verifies S. As a
+    After reconstruct's probe stages, ``wigner.scan`` draws the trial pairs
+    from ``default_rng(seed)`` in blocks of ``wigner.block_size(d)`` pairs,
+    each drawn whole and the last cut to the trials left, so the pairs of
+    fewer trials are a prefix of those of more. It reads its groups of
+    blocks in draw order (A_1, B_1, A_2, ...) against S, if the probes
+    produced one, and its tally alone verifies S: the reconstruction is
+    ``reconstruct(oracle, 2 trials, seed)`` for the report's ``trials``. As a
     map that is S on pure states alone passes a few inputs, a map with a
     candidate is scanned on at least VERIFICATION_TRIALS / 2 trials, every
     one scored, so its report below that many is the report at that many.
@@ -307,14 +260,9 @@ def classify_map(oracle: DensityMapOracle, trials: int = CLASSIFY_TRIALS, seed: 
     probed = _probe_stages(oracle)
     symmetry = None if isinstance(probed, ReconstructionReport) else probed[0]
     count = trials if symmetry is None else max(trials, VERIFICATION_TRIALS // 2)
-    rng = np.random.default_rng(seed)
-
-    def draw(group: range) -> np.ndarray:
-        return _trial_pairs(rng, d, size, blocks=len(group))[:count - group[0]].reshape(-1, d, d)
-
     worst, scored = 0.0, 0
     witness: Optional[tuple[DensityOperator, DensityOperator]] = None
-    for inputs, images, ok, res, tally in scan(oracle, symmetry, draw, count):
+    for inputs, images, ok, res, tally in scan(oracle, symmetry, 2 * count, seed):
         pairs = inputs.reshape(-1, 2, d, d)
         ok = ok.reshape(-1, 2).all(axis=1)
         violation = violation_bound(d, res.reshape(-1, 2), _traces(inputs).reshape(-1, 2))

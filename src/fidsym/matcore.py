@@ -247,8 +247,14 @@ def validate_stack(m: np.ndarray) -> list[DensityOperator]:
     ||M|| raises NotPositive, and so does an eigenvalue below -PSD_TOL ||M||;
     those in [-PSD_TOL ||M||, 0) are clipped to zero and the matrix is
     reassembled. Both bands scale with M: s M passes exactly when M does.
+    A part of an entry above float max / 4d (2.2e307 at d = 2), or not
+    finite, raises MatcoreError first: then no sum formed here or by
+    fidelity (M + M*, M - M*, the spectrum, the rebuild) overflows.
     """
     m = _stack(m)
+    top = sys.float_info.max / (4 * m.shape[1])
+    if not np.abs(m.view(float)).max(initial=0.0) <= top:
+        raise MatcoreError(f"matrix entries must be finite and at most {top:.3g} in modulus")
     w, v = eigh_stack(m)
     band = PSD_TOL * np.hypot.reduce(w, axis=-1)  # hypot: ||(M + M*)/2||_F with no overflow
     skew = np.hypot.reduce(np.abs(m - m.conj().swapaxes(-1, -2)), axis=(1, 2))

@@ -2,8 +2,10 @@
 
 The library modules import their tolerances from here, and every CLI report
 writes this table under lower-case names, so a report states the tolerances
-that produced it. Double precision with d <= 64 leaves at least five digits
-of headroom under each of them.
+that produced it. The rule that decides a verdict has less than one digit of
+headroom at d = 64: on 12 certified Haar symmetries (U from seeds 100-105,
+both parities, 200 trials) residual_max is at most 0.26 of
+wigner.residual_bound(64), and worst_violation at most 0.31 of CLASSIFY_TOL.
 """
 from __future__ import annotations
 

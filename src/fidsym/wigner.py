@@ -6,10 +6,10 @@ whose images give the columns of a unitary U up to phases; (2) their uniform
 superposition, which fixes every phase; (3) an i-superposition, which
 classifies the parity. (4) ``scan``, the one owner of verification for
 reconstruct and classify_map, then certifies phi(A) = U A U* (or U conj(A)
-U*) on random density operators. One rule judges every image, of a probe
-or of a verification input: its residual against the candidate's image,
-within residual_bound(d), derived from CLASSIFY_TOL through violation_bound.
-Bijectivity of the map is never
+U*) on the inputs of classify_map's random trial pairs. One rule judges
+every image, of a probe or of a verification input: its residual against
+the candidate's image, within residual_bound(d), derived from CLASSIFY_TOL
+through violation_bound. Bijectivity of the map is never
 assumed; a map that fails any stage, or has an image that
 ``DensityMapOracle.image_stack``, its one reader, turns away, gets a status
 flag, not an exception. An oracle that raises still propagates its
@@ -33,7 +33,7 @@ from .matcore import (
     real_divide,
     row_sumsq,
 )
-from .sampling import MAX_TRACE, density_stack, traces_and_ranks
+from .sampling import MAX_TRACE, density_stack, ginibre, haar_stack, traces_and_ranks
 from .tolerances import CLASSIFY_TOL
 
 UNITARY = "unitary"
@@ -46,15 +46,15 @@ STATUS_FAILED_PARITY = "failed_parity"
 STATUS_FAILED_VERIFICATION = "failed_verification"
 
 
-# Draw blocks and scoring groups are different things. scan's callers draw in
-# blocks of at most TRIAL_STACK_ENTRIES matrix entries (n * d^2) per side (16
-# matrices at d = 8, one at d >= 32; see block_size), which fix the RNG
-# stream; scan reads them in groups of up to GROUP_STACK_ENTRIES entries per
+# Draw blocks and scoring groups are different things. scan draws trial pairs
+# in blocks of at most TRIAL_STACK_ENTRIES matrix entries (n * d^2) per side
+# (16 pairs at d = 8, one at d >= 32; see block_size), which fix the RNG
+# stream; it reads them in groups of up to GROUP_STACK_ENTRIES entries per
 # side (at least one block), so memory stays that of a few d x d matrices.
 TRIAL_STACK_ENTRIES = 1024
 GROUP_STACK_ENTRIES = 4 * TRIAL_STACK_ENTRIES
 
-# reconstruct's random inputs by default, and the least that classify_map reads
+# reconstruct's random inputs by default, and the least that classify_map reads (as pairs)
 VERIFICATION_TRIALS = 64
 
 
@@ -149,15 +149,16 @@ class ReconstructionReport:
     ``failed_projection_probe`` a basis image, against its own top vector's
     projection or U's column; ``failed_phase`` the uniform probe's;
     ``failed_parity`` the i-superposition's; ``failed_verification`` a
-    random input's. ``symmetry`` is the candidate S that the probes
+    trial input's. ``symmetry`` is the candidate S that the probes
     assembled, None if a probe stage rejected the map, and
-    ``verification_trials`` the number of trials it was verified on, else 0.
+    ``verification_trials`` the number of inputs A_1, B_1, A_2, ... of
+    scan's trial pairs it was verified on, else 0.
     ``probes_used`` counts the oracle's reads: on a probe-stage rejection
     the stage's fixed count, j + 1 for basis probe j (from 0), d for the
     basis images against U's columns, d + 1 for phase fixing and d + 2 for
-    parity; else the d + 2 probes (1 at d = 1) and the trials up to and
+    parity; else the d + 2 probes (1 at d = 1) and the inputs up to and
     including the first that fails. ``residual_max`` is the largest
-    residual ||phi A - S A||_F over those trials, infinite for a probe-stage
+    residual ||phi A - S A||_F over those inputs, infinite for a probe-stage
     rejection or an image turned away. With ov_u and ov_a the overlaps of
     the parity probe image's top vector with the unitary and antiunitary
     hypotheses, ``parity_margin`` is |ov_u - ov_a| once parity is decided,
@@ -258,15 +259,15 @@ def _rejected(status: str, probes: int, margin: float = 0.0) -> ReconstructionRe
 
 
 def block_size(dim: int) -> int:
-    """The inputs (or pairs) of one draw block at dimension ``dim``: at most
+    """The trial pairs of one draw block at dimension ``dim``: at most
     TRIAL_STACK_ENTRIES matrix entries per side, but at least one."""
     return max(1, TRIAL_STACK_ENTRIES // (dim * dim))
 
 
 def scoring_groups(count: int, dim: int) -> Iterator[range]:
     """The one group schedule of ``scan``: the starts 0, size, 2 size, ...
-    below ``count`` of the draw blocks of size = block_size(dim) inputs (or
-    pairs), in consecutive groups of 1, 2, 4, ... blocks, each of at most
+    below ``count`` pairs of the draw blocks of size = block_size(dim)
+    pairs, in consecutive groups of 1, 2, 4, ... blocks, each of at most
     max(1, GROUP_STACK_ENTRIES // (size dim^2)) blocks; the last group holds
     the blocks left. So a rejection in the first block reads that block
     alone, and a scan of many small blocks reads them in a few calls."""
@@ -323,28 +324,74 @@ def residual_bound(dim: int) -> float:
     return lo
 
 
-def scan(oracle: DensityMapOracle, symmetry: Optional[SymmetryOperator],
-         draw: Callable[[range], np.ndarray], count: int
+def _trial_pairs(rng: np.random.Generator, dim: int, count: int, blocks: int = 1) -> np.ndarray:
+    """``blocks`` blocks of ``count`` trial pairs as one hermitized, read-only
+    (blocks * count, 2, dim, dim) stack, bit for bit the concatenation of
+    ``blocks`` calls with ``blocks=1``: 40% random mixed pairs, 40% random
+    pure pairs, 20% orthogonal pure pairs, the sharpest discriminators
+    (F = 0 must map to F = 0). At dim 1, with no orthogonal pair and one
+    pure state, every pair is mixed and no kind is drawn.
+
+    A block draws, in this order: one uniform per pair (mixed below 0.4,
+    pure below 0.8, else orthogonal); for its n mixed pairs, A_1, B_1, ...,
+    2n traces and ranks (sampling.traces_and_ranks) and one
+    sampling.density_stack call; for its pure pairs one (n, 2, dim) Ginibre
+    block; for its orthogonal pairs one (n, dim, dim) Ginibre block, of
+    which only the first two columns are kept. A kind the block lacks makes
+    no call, as a size-0 draw takes no generator state. The stack is then
+    built at once, each step (norm, haar_stack, vv*, hermitize) one row at a
+    time, so a block's bits do not depend on ``blocks``; pair k depends on
+    ``count``, so scan draws whole blocks."""
+    pairs = np.empty((blocks * count, 2, dim, dim), dtype=complex)
+    pure_rows, orthogonal_rows, pure, orthogonal = [], [], [np.empty((0, 2, dim), complex)], []
+    for start in range(0, blocks * count, count):
+        kinds = rng.uniform(size=count) if dim > 1 else np.zeros(count)
+        mixed = start + np.flatnonzero(kinds < 0.4)
+        pure_rows.append(start + np.flatnonzero((kinds >= 0.4) & (kinds < 0.8)))
+        orthogonal_rows.append(start + np.flatnonzero(kinds >= 0.8))
+        if len(mixed):
+            traces, ranks = traces_and_ranks(rng, 2 * len(mixed), dim)
+            pairs[mixed] = density_stack(rng, traces, ranks, dim).reshape(-1, 2, dim, dim)
+        if len(pure_rows[-1]):
+            pure.append(ginibre(rng, (len(pure_rows[-1]), 2, dim)))
+        if len(orthogonal_rows[-1]):
+            orthogonal.append(ginibre(rng, (len(orthogonal_rows[-1]), dim, dim))[..., :2])
+
+    v = np.concatenate(pure)
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    if orthogonal:
+        v = np.concatenate([v, haar_stack(np.concatenate(orthogonal)).swapaxes(-1, -2)])
+    pairs[np.concatenate(pure_rows + orthogonal_rows)] = v[..., :, None] * v[..., None, :].conj()
+    return freeze(hermitize_stack(pairs.reshape(-1, dim, dim))).reshape(pairs.shape)
+
+
+def scan(oracle: DensityMapOracle, symmetry: Optional[SymmetryOperator], count: int, seed: int
          ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
                              tuple[float, int, bool]]]:
-    """The one scan of a map against its candidate S = ``symmetry``, and the
-    one fold of its verdict. Per group of ``scoring_groups(count, d)``: the
-    read-only (n, d, d) inputs ``draw(group)``, their images and mask ``ok``
-    from one ``oracle.image_stack`` call, each row's residual
-    ||phi X - S X||_F (+inf if turned away, or with no S), and the tally
+    """The one scan of a map against its candidate S = ``symmetry``, the one
+    fold of its verdict, and the one stream that verifies S for reconstruct
+    and classify_map alike: the first ``count`` inputs A_1, B_1, A_2, ... of
+    the trial pairs of ``default_rng(seed)``. Per group of
+    ``scoring_groups(ceil(count / 2), d)``: its blocks of block_size(d)
+    pairs, drawn whole by one _trial_pairs call and the last cut to the
+    inputs left, as a read-only (n, d, d) stack; their images and mask
+    ``ok`` from one ``oracle.image_stack`` call; each row's residual
+    ||phi X - S X||_F (+inf if turned away, or with no S); and the tally
     (largest residual, inputs read, whether one failed) of the inputs so
     far, in draw order, up to and including the first with res >
     residual_bound(d). No group after the one the caller stops in is drawn
     or mapped."""
+    d, size = oracle.dim, block_size(oracle.dim)
+    rng = np.random.default_rng(seed)
     top, read, failed = 0.0, 0, False
-    for group in scoring_groups(count, oracle.dim):
-        inputs = draw(group)
+    for group in scoring_groups((count + 1) // 2, d):
+        inputs = _trial_pairs(rng, d, size, len(group)).reshape(-1, d, d)[:count - 2 * group[0]]
         images, ok = oracle.image_stack(inputs)
         res = np.full(len(inputs), math.inf)
         if symmetry is not None:
             res[ok] = np.sqrt(row_sumsq(images - apply_symmetry_stack(symmetry, inputs)))[ok]
         if not failed:
-            bad = np.flatnonzero(~(res <= residual_bound(oracle.dim)))
+            bad = np.flatnonzero(~(res <= residual_bound(d)))
             n = int(bad[0]) + 1 if len(bad) else len(res)
             top, read, failed = max(top, float(res[:n].max())), read + n, len(bad) > 0
         yield inputs, images, ok, res, (top, read, failed)
@@ -447,34 +494,22 @@ def reconstruct(
     probe count that ReconstructionReport states. Each probe vv* reaches
     ``oracle.image_stack`` as a read-only stack of one raw outer product,
     exactly Hermitian as computed since each component of v is purely real
-    or purely imaginary. ``seed`` only selects the verification draws, from
-    ``default_rng(seed + 1)``: all traces, then all ranks, in one
-    ``sampling.traces_and_ranks`` call, then one ``sampling.density_stack``
-    draw per block of block_size(d) inputs. So, unlike ``classify_map``'s
-    pairs, the inputs of fewer trials are no prefix of those of more.
-    ``scan`` reads them in its groups (at d = 32 in 18 calls, not 64), and
-    its tally is that of a block-by-block scan, which stops at the first
-    failing trial. An image turned away rejects the map with its probe's
-    status, or fails verification with an infinite residual.
+    or purely imaginary. Verification reads, through ``scan``, the first
+    ``verification_trials`` inputs A_1, B_1, A_2, ... of classify_map's trial
+    pairs from ``default_rng(seed)``: those of fewer trials are a prefix of
+    those of more, and classify_map's reconstruction is this report at
+    twice the trials it scored. As the first inputs may all be pure, a map
+    that is S on pure states alone can pass a very few trials. The tally
+    stops at the first failing input. An image turned away rejects the map
+    with its probe's status, or fails verification with an infinite
+    residual.
     """
     if verification_trials < 1:
         raise ValueError(f"verification_trials must be >= 1, got {verification_trials}")
     candidate = _probe_stages(oracle)
     if isinstance(candidate, ReconstructionReport):
         return candidate
-
-    # (4) Verification on random density operators of mixed rank and trace.
-    d = oracle.dim
-    rng = np.random.default_rng(seed + 1)
-    traces, ranks = traces_and_ranks(rng, verification_trials, d)
-    size = block_size(d)
-
-    def draw(group: range) -> np.ndarray:
-        return freeze(hermitize_stack(np.concatenate([
-            density_stack(rng, traces[start:start + size], ranks[start:start + size], d)
-            for start in group])))
-
-    for *_, tally in scan(oracle, candidate[0], draw, verification_trials):
+    for *_, tally in scan(oracle, candidate[0], verification_trials, seed):
         if tally[2]:  # an input failed
             break
     return _verdict(candidate, tally, verification_trials)

@@ -193,10 +193,9 @@ def depolarized_off_the_probes(d: int) -> DensityMapOracle:
     """The identity at d, except that an input with |tr A - 1| <= 1e-9, more
     than two nonzero diagonal entries and not all entries equal goes to
     0.5 A + 0.5 tr(A) I/d. reconstruct's probes have at most two nonzero
-    diagonal entries, or all entries equal (the uniform probe), and its
-    verification inputs random traces, so it certifies the identity; the
-    pure trial pairs of classify_map break it, and fail the identity's
-    verification there."""
+    diagonal entries, or all entries equal (the uniform probe), so they
+    give the identity as its candidate; the pure trial inputs, on which
+    both tools verify it, break it and fail that candidate's verification."""
     def evaluate_stack(m: np.ndarray) -> np.ndarray:
         t = np.trace(m, axis1=-2, axis2=-1).real
         diag = np.diagonal(m, axis1=-2, axis2=-1)
@@ -355,11 +354,12 @@ ADVERSARIAL_MAPS = {
         *((STATUS_FAILED_PHASE, d + 1) if family == "schur_phase" else
           (STATUS_FAILED_VERIFICATION, d + 3)))
        for d in (3, 8) for parity in PARITIES for family in EVADERS},
+    # the first trial pair of seed 0 is pure, so verification fails at A_2
     **{f"rank-one-identity-d{d}": Row(functools.partial(rank_one_identity, d), WITNESS,
-                                      STATUS_FAILED_VERIFICATION, d + 3)
+                                      STATUS_FAILED_VERIFICATION, d + 2 + 3)
        for d in (3, 8)},
     **{f"rank-one-symmetry-{parity}-d{d}": Row(functools.partial(rank_one_symmetry, d, parity),
-                                                WITNESS, STATUS_FAILED_VERIFICATION, d + 3)
+                                                WITNESS, STATUS_FAILED_VERIFICATION, d + 2 + 3)
        for d in (3, 8) for parity in PARITIES},
     **{f"closure-{p2}-{p1}-d{d}": closure_row(d, p1, p2, PRESERVING if d < 64 else None)
        for d in (2, 8, 64) for p1 in PARITIES for p2 in PARITIES},
@@ -369,5 +369,5 @@ ADVERSARIAL_MAPS = {
     **{f"bloch-{seed}": bloch_row(seeded_o3(seed)) for seed in range(6)},
     "bloch-shrink": Row(functools.partial(bloch_map, 0.9 * seeded_o3(0)), WITNESS,
                         STATUS_FAILED_PROJECTION_PROBE, 1),
-    "bloch-radial-warp": Row(radial_warp, WITNESS, STATUS_FAILED_VERIFICATION, 6),
+    "bloch-radial-warp": Row(radial_warp, WITNESS, STATUS_FAILED_VERIFICATION, 2 + 2 + 3),
 }

@@ -68,9 +68,10 @@ def test_every_row_gets_its_verdict_status_and_parity(name):
 
 def test_both_tools_agree_on_every_row():
     """classify_map calls a row preserving exactly when reconstruct, on its
-    own inputs, certifies it: the depolarized symmetries too, whose table
-    leaves out the one-decade band around residual_bound(d) where the two
-    scans' inputs may disagree."""
+    default 64 inputs, the first of classify_map's 400, certifies it: the
+    depolarized symmetries too, whose table leaves out the one-decade band
+    around residual_bound(d) where a scan of more inputs may fail a map
+    that fewer pass."""
     wrong = [name for name, row in ADVERSARIAL_MAPS.items() if row.verdict is not None
              and outcome(name)[0].preserving != outcome(name)[1].certified]
     assert wrong == []
@@ -138,10 +139,10 @@ def test_few_trials_keep_every_rows_verdict(trials):
             or preserving and not outcome(name)[1].certified] == []
 
 
-# Every classified row, and the preserving zoo kinds at d = 2 besides those
-# the table holds at d = 3 and 8.
-CLASSIFIED = {name: row for name, row in {**zoo_rows(2), **ADVERSARIAL_MAPS}.items()
-              if row.verdict is not None}
+# Every row, and the zoo kinds at d = 2 besides those the table holds at
+# d = 3 and 8; CLASSIFIED, those that classify_map runs.
+ROWS = {**zoo_rows(2), **ADVERSARIAL_MAPS}
+CLASSIFIED = {name: row for name, row in ROWS.items() if row.verdict is not None}
 
 
 def report_fields(report):
@@ -183,3 +184,27 @@ def test_preserving_is_derived_and_not_stored():
         if row.verdict is not None:
             report = outcome(name)[0]
             assert report.preserving == report.reconstruction.certified, name
+
+
+def reconstruction_fields(rec):
+    """Every field of a reconstruction report, U as bytes."""
+    return (rec.status, rec.residual_max, rec.probes_used, rec.verification_trials,
+            rec.parity_margin, None if rec.symmetry is None
+            else (rec.symmetry.parity, rec.symmetry.u.tobytes()))
+
+
+@pytest.mark.parametrize("trials", [7, 200])
+@pytest.mark.parametrize("name", ROWS)
+def test_classify_reconstruction_is_reconstruct_on_the_inputs_it_scanned(name, trials):
+    """One stream verifies a candidate: on every zoo kind at d = 2, 3 and 8
+    and every row of the table, those run through reconstruct alone too,
+    classify_map's reconstruction is, field by field and U by bytes,
+    reconstruct's on the 2 trials inputs A_1, B_1, A_2, ... of the pairs it
+    scored, with the same seed; a certified map scores max(trials,
+    VERIFICATION_TRIALS / 2) of them."""
+    row = ROWS[name]
+    report = classify_map(row.build(), trials=trials, seed=1)
+    alone = reconstruct(row.build(), 2 * report.trials, seed=1)
+    assert reconstruction_fields(report.reconstruction) == reconstruction_fields(alone)
+    if report.preserving:
+        assert report.trials == max(trials, VERIFICATION_TRIALS // 2)

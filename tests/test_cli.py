@@ -36,6 +36,29 @@ def run_cli(args, capsys):
     return code, out, err
 
 
+def test_a_matrix_file_near_the_float_maximum_is_an_input_error_that_names_it(capsys,
+                                                                             tmp_path):
+    """diag(1.7e308, 1.7e308) has finite entries, but (M + M*)/2 would
+    overflow: the file is refused before any arithmetic, by name, with exit
+    1 and no RuntimeWarning (which this suite turns into an error)."""
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"dim": 2, "re": [[1.7e308, 0.0], [0.0, 1.7e308]]}))
+    code, out, err = run_cli(["fidelity", "--a", big, "--b", FIXTURES / "diag_05_05.json"],
+                             capsys)
+    assert (code, out) == (1, "")
+    assert err == (f"error: {big}: matrix entries must be finite and at most 2.25e+307"
+                   " in modulus\n")
+
+
+def test_a_matrix_file_at_1e300_keeps_its_answer(capsys, tmp_path):
+    """A file far below the near-maximum bound is read and scored as ever:
+    F(1e300 I, I/2) = sqrt(2) 1e150, to the bit."""
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"dim": 2, "re": [[1e300, 0.0], [0.0, 1e300]]}))
+    code, out, _ = run_cli(["fidelity", "--a", big, "--b", FIXTURES / "diag_05_05.json"], capsys)
+    assert code == 0 and float(out) == 1.4142135623730948e+150
+
+
 def test_fidelity_command(capsys):
     code, out, _ = run_cli(
         ["fidelity", "--a", FIXTURES / "diag_05_05.json", "--b", FIXTURES / "diag_09_01.json"],
@@ -281,7 +304,20 @@ def test_classify_p_beyond_the_float_range_is_an_input_error(capsys, tmp_path):
     out_file = tmp_path / "c.json"
     code, out, err = run_cli(["classify", "--map", spec, "--out", out_file], capsys)
     assert (code, out) == (1, "")
-    assert err == "error: p is beyond the float range\n"
+    assert err == f"error: {spec}: bad map spec: p is beyond the float range\n"
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("command", ["classify", "reconstruct"])
+def test_a_param_that_make_map_turns_away_names_the_spec_file(command, capsys, tmp_path):
+    """An out-of-range param, which make_map finds, is reported with the
+    prefix of every other error in the spec: its file and "bad map spec"."""
+    spec = tmp_path / "mix.json"
+    spec.write_text(json.dumps({"kind": "mix", "dim": 2, "params": {"p": 2}}))
+    out_file = tmp_path / "c.json"
+    code, out, err = run_cli([command, "--map", spec, "--out", out_file], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: {spec}: bad map spec: mix p = 2.0 out of [0, 1]\n"
     assert not out_file.exists()
 
 
@@ -357,9 +393,8 @@ def nothing_past_trials(monkeypatch):
 @pytest.mark.parametrize("command", ["classify", "reconstruct", "verify"])
 def test_trials_outside_the_cap_are_an_input_error(command, trials, capsys, tmp_path,
                                                    nothing_past_trials):
-    """--trials is bounded like dim: 10**11 trials would have reconstruct
-    draw 16 bytes per trial up front, and classify and verify of a
-    preserving map would run for hours."""
+    """--trials is bounded like dim: 10**11 trials would keep reconstruct,
+    classify and verify of a preserving map running for hours."""
     out_file = tmp_path / "out.json"
     if command == "verify":
         args = ["verify", "--dim", 2]

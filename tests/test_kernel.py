@@ -53,7 +53,9 @@ from fidsym.wigner import (
     UNITARY,
     VERIFICATION_TRIALS,
     DensityMapOracle,
+    ReconstructionReport,
     SymmetryOperator,
+    _probe_stages,
     apply_symmetry,
     apply_symmetry_stack,
     extend_normalized,
@@ -332,7 +334,7 @@ def trial_blocks(seed, d, trials):
     (trials, 2, d, d) array."""
     rng = np.random.default_rng(seed)
     size = stack_size(d)
-    return np.concatenate([mapzoo._trial_pairs(rng, d, size)
+    return np.concatenate([wigner._trial_pairs(rng, d, size)
                            for _ in range(-(-trials // size))])[:trials]
 
 
@@ -392,15 +394,16 @@ def test_violation_bound_formula():
                                               (8, 0.75, 16)])
 def test_a_certified_map_that_breaks_the_trials_is_rejected_as_the_scan_rejects_it(d, worst,
                                                                                     trials):
-    """A candidate that reconstruct certifies does not shield a map that
+    """A candidate that passes every probe does not shield a map that
     departs from it on the trials: the bound exceeds CLASSIFY_TOL there,
     fidelity_stack scores the pair, and the report is the one a scan that
     scores every pair by fidelity gives, witness bytes included; the witness
     replays. The same scan fails the candidate's verification at the first
     trial input that the map moves, A -> 0.5 A + 0.5 I/d for a pure A, with
-    the residual 0.5 ||A - I/d||_F."""
+    the residual 0.5 ||A - I/d||_F, and so does reconstruct, which reads
+    the same inputs."""
     oracle = depolarized_off_the_probes(d)
-    assert reconstruct(oracle).certified
+    assert not isinstance(_probe_stages(oracle), ReconstructionReport)
     report = classify_map(oracle, trials=200, seed=0)
     scan, witness, scored = reference_classify(oracle, 200, 0, candidate=False)
     inputs = trial_blocks(0, d, scored).reshape(-1, d, d)
@@ -415,6 +418,9 @@ def test_a_certified_map_that_breaks_the_trials_is_rejected_as_the_scan_rejects_
     a, b = report.witness_pair
     replay = abs(fidelity(oracle.evaluate(a), oracle.evaluate(b)) - fidelity(a, b))
     assert replay == pytest.approx(report.worst_violation, abs=1e-12)
+    alone = reconstruct(oracle, 2 * scored, seed=0)
+    assert (alone.status, alone.probes_used, alone.residual_max) == (
+        rec.status, rec.probes_used, rec.residual_max)
 
 
 def broken_on(target):

@@ -19,7 +19,6 @@ from fidsym.mapzoo import (
     AssertionFailure,
     BadSpec,
     MapSpec,
-    _trial_pairs,
     classify_map,
     json_grid,
     json_number,
@@ -30,7 +29,7 @@ from fidsym.mapzoo import (
 from fidsym.matcore import DensityOperator, pure_state, validate_density
 from fidsym.sampling import random_density
 from fidsym.tolerances import TRACE_TOL
-from fidsym.wigner import VERIFICATION_TRIALS, DensityMapOracle, reconstruct
+from fidsym.wigner import VERIFICATION_TRIALS, DensityMapOracle, _trial_pairs, reconstruct
 
 
 def test_identity_map():
@@ -381,6 +380,21 @@ def test_mix_sigma_must_be_hermitian():
     a BadSpec, not I/2."""
     with pytest.raises(BadSpec, match="not Hermitian"):
         make_map(MapSpec(kind="mix", dim=2, params={"sigma_re": [[0.5, 0.3], [-0.3, 0.5]]}))
+
+
+@pytest.mark.parametrize("kind", ["unitary", "antiunitary"])
+@pytest.mark.parametrize("re", [[[1.7e308, 0.0], [0.0, 1.0]], [[1e300, 1e300], [0.0, 1.0]]])
+def test_a_grid_near_the_float_maximum_is_no_unitary(kind, re):
+    """A grid whose U*U would overflow, to inf or to NaN, is no unitary: a
+    BadSpec with no RuntimeWarning (an error in this suite), as U*U is never
+    formed from a part above 2 in modulus."""
+    with pytest.raises(BadSpec, match="^matrix is not unitary$"):
+        make_map(MapSpec(kind=kind, dim=2, params={"re": re}))
+
+
+def test_a_sigma_grid_near_the_float_maximum_is_a_bad_spec():
+    with pytest.raises(BadSpec, match="finite and at most"):
+        make_map(MapSpec(kind="mix", dim=2, params={"sigma_re": [[1.7e308, 0.0], [0.0, 1.0]]}))
 
 
 def test_a_negative_default_seed_is_a_bad_spec():

@@ -10,11 +10,11 @@ import math
 import numpy as np
 import pytest
 from bad_images import BAD_IMAGES, BAD_STACKS
-from trial_reference import group_calls, reference_verification_inputs, stack_size
+from trial_reference import group_calls, input_calls, reference_inputs, stack_size
 
 from fidsym.charact import numerical_rank
 from fidsym.cli import classification_to_dict, reconstruction_to_dict
-from fidsym.mapzoo import ALL_KINDS, _trial_pairs, classify_map, make_map, zoo_specs
+from fidsym.mapzoo import ALL_KINDS, classify_map, make_map, zoo_specs
 from fidsym.matcore import DensityOperator, DimensionMismatch, eig_hermitian
 from fidsym.sampling import haar_unitary, random_density
 from fidsym.wigner import (
@@ -27,6 +27,7 @@ from fidsym.wigner import (
     VERIFICATION_TRIALS,
     DensityMapOracle,
     SymmetryOperator,
+    _trial_pairs,
     apply_symmetry_stack,
     reconstruct,
     symmetry_oracle,
@@ -192,13 +193,13 @@ def test_classify_witness_is_the_pair_with_a_bad_row(bad):
 
 @pytest.mark.parametrize("bad", ROW_BAD)
 def test_reconstruct_fails_verification_on_a_bad_row(bad):
-    """Every probe passes; the first verification input of rank >= 2 has a
-    bad image in its row."""
+    """Every probe passes; the first verification input of rank >= 2, A_2,
+    as the first trial pair of seed 0 is pure, has a bad image in its row."""
     oracle = identity_with_bad_rows(
         bad, lambda x: numerical_rank(DensityOperator(matrix=x)) > 1)
     report = reconstruct(oracle)
     assert report.status == STATUS_FAILED_VERIFICATION
-    assert report.probes_used == 6
+    assert report.probes_used == 3 + 2 + 3
     assert report.residual_max == math.inf
 
 
@@ -239,7 +240,7 @@ def transposing_trial(trial, d, stacked, calls):
     input (seed 0) goes to its transpose; ``calls`` records the number of
     matrices in each call to the oracle. Past the 64th trial it is the
     identity."""
-    inputs = reference_verification_inputs(0, d, 64)
+    inputs = reference_inputs(0, d, 64)
     target = inputs[trial - 1].tobytes() if trial <= len(inputs) else None
 
     def one(x):
@@ -253,33 +254,34 @@ def transposing_trial(trial, d, stacked, calls):
 
 
 @pytest.mark.parametrize("stacked", [True, False], ids=["stacked", "per_matrix"])
-@pytest.mark.parametrize("trial", [1, 16, 17, 20, 64])
+@pytest.mark.parametrize("trial", [1, 32, 33, 40, 64])
 def test_probes_used_counts_trials_up_to_the_first_failure(trial, stacked):
-    """At d = 8 a draw block holds 16 verification inputs, and the oracle
-    reads them in groups of 16, 32 and 16. A map that fails at trial 20, in
-    the second group, uses d + 2 + 20 = 30 probes, as a per-matrix loop
-    does, and the oracle sees the rest of that group and no group after it."""
+    """At d = 8 a draw block holds 16 trial pairs, 32 verification inputs,
+    and the oracle reads the 64 in two groups of 32. A map that fails at
+    input 40, in the second group, uses d + 2 + 40 = 50 probes, as a
+    per-matrix loop does, and the oracle sees the rest of that group and no
+    group after it."""
     d = 8
     calls = []
     report = reconstruct(transposing_trial(trial, d, stacked, calls))
     assert report.status == STATUS_FAILED_VERIFICATION
     assert report.probes_used == d + 2 + trial
     assert 1e-3 < report.residual_max < math.inf
-    groups = group_calls(64, d, through=trial)
+    groups = input_calls(64, d, through=trial)
     assert calls == [1] * (d + 2) + (groups if stacked else [1] * sum(groups))
     calls.clear()
     other = reconstruct(transposing_trial(trial, d, not stacked, calls))
     assert (other.probes_used, other.residual_max) == (report.probes_used, report.residual_max)
 
 
-@pytest.mark.parametrize("trial", [1, 17, 20, 64])
+@pytest.mark.parametrize("trial", [1, 33, 40, 64])
 def test_residual_max_is_the_largest_row_norm_up_to_the_failure(trial):
     """A map that transposes every verification input from the ``trial``-th
     on fails there; residual_max, scored as a row sum of squares, equals the
     largest np.linalg.norm of a residual up to and including that trial, not
     beyond it in the same stack."""
     d = 8
-    inputs = reference_verification_inputs(0, d, 64)
+    inputs = reference_inputs(0, d, 64)
     late = {x.tobytes() for x in inputs[trial - 1:]}
     report = reconstruct(DensityMapOracle(
         d, lambda m: np.stack([x.T if x.tobytes() in late else x for x in m])))
@@ -295,39 +297,57 @@ def test_residual_max_is_the_largest_row_norm_up_to_the_failure(trial):
 @pytest.mark.parametrize("trials", [1, 17, 64, 300])
 @pytest.mark.parametrize("d", [1, 2, 3, 8, 32])
 def test_verification_inputs_match_reference_bit_for_bit(d, trials):
-    """A recording identity oracle sees the reference verification inputs,
-    drawn in blocks of stack_size(d) and read in the scoring groups of
-    group_calls, after the probes' stacks of one."""
+    """A recording identity oracle sees the inputs of the reference trial
+    pairs, drawn in blocks of stack_size(d) pairs and read in the scoring
+    groups of input_calls, after the probes' stacks of one: odd counts
+    included, the last pair cut to its first input."""
     seen = []
     oracle = DensityMapOracle(d, lambda m: seen.append(m.copy()) or m.copy())
     report = reconstruct(oracle, verification_trials=trials)
     probes = 1 if d == 1 else d + 2
     assert report.certified and report.probes_used == probes + trials
     assert [len(m) for m in seen[:probes]] == [1] * probes
-    assert [len(m) for m in seen[probes:]] == group_calls(trials, d)
+    assert [len(m) for m in seen[probes:]] == input_calls(trials, d)
     drawn = np.concatenate(seen[probes:])
-    assert drawn.tobytes() == reference_verification_inputs(0, d, trials).tobytes()
+    assert drawn.tobytes() == reference_inputs(0, d, trials).tobytes()
 
 
-def test_a_certified_map_uses_d_plus_2_plus_64_probes_in_four_stacks():
-    """The 64 inputs are drawn in four stacks of 16 and read in three calls,
-    of 16, 32 and 16."""
+@pytest.mark.parametrize("d", [2, 3, 8, 32])
+def test_fewer_trials_read_a_prefix_of_the_inputs_of_more(d):
+    """reconstruct's verification inputs for n trials, odd n included, are
+    the first n of those for more: every block is drawn whole, and a count
+    that ends inside a pair reads its A alone."""
+    def inputs(trials):
+        seen = []
+        oracle = DensityMapOracle(d, lambda m: seen.append(m.copy()) or m.copy())
+        assert reconstruct(oracle, verification_trials=trials, seed=SEED).certified
+        return np.concatenate(seen[d + 2:])
+
+    counts = (1, 2, 3, 17, 64, 65, 300, 2 * stack_size(d) + 1)
+    most = inputs(max(counts) + 2)
+    for trials in counts:
+        assert inputs(trials).tobytes() == most[:trials].tobytes(), trials
+
+
+def test_a_certified_map_uses_d_plus_2_plus_64_probes_in_two_blocks():
+    """At d = 8 the 64 inputs are 32 trial pairs, drawn in two blocks of 16
+    and read in two calls of 32 inputs."""
     calls = []
     # only 64 inputs are drawn, so this is the identity
     report = reconstruct(transposing_trial(65, 8, True, calls))
     assert report.status == STATUS_CERTIFIED
     assert report.probes_used == 8 + 2 + 64
-    assert calls == [1] * 10 + group_calls(64, 8) == [1] * 10 + [16, 32, 16]
+    assert calls == [1] * 10 + input_calls(64, 8) == [1] * 10 + [32, 32]
 
 
 @pytest.mark.parametrize("d", [8, 64])
 def test_stacks_stay_within_trial_stack_entries(d):
-    """reconstruct hands the oracle at most 4 TRIAL_STACK_ENTRIES entries per
-    call, a group of at most four draw blocks, and one matrix at d = 64;
-    classify_map makes the probes' calls, then one per group of blocks of
-    pairs, which holds that many per side, and no verification call; at
-    d = 64 its 3 trials are scored as VERIFICATION_TRIALS / 2, the least
-    that a map with a candidate is scored on."""
+    """reconstruct and classify_map make the probes' calls, then one per
+    group of at most four draw blocks of pairs, which holds at most
+    4 TRIAL_STACK_ENTRIES entries per side, and one pair at d = 64;
+    classify_map makes no verification call of its own; at d = 64 its 3
+    trials are scored as VERIFICATION_TRIALS / 2, the least that a map with
+    a candidate is scored on."""
     calls = []
     inner = symmetry_oracle(SymmetryOperator(
         parity=UNITARY, u=haar_unitary(np.random.default_rng(d), d)))
@@ -335,7 +355,7 @@ def test_stacks_stay_within_trial_stack_entries(d):
         d, lambda m: calls.append(len(m)) or inner.evaluate_stack(m))
     assert reconstruct(oracle).certified
     size = stack_size(d)
-    first = [1] * (d + 2) + group_calls(64, d)
+    first = [1] * (d + 2) + input_calls(64, d)
     assert calls == first
     calls.clear()
     trials = 2 * size + 1
@@ -349,9 +369,10 @@ def test_stacks_stay_within_trial_stack_entries(d):
 def test_an_oracle_without_evaluate_stack_is_read_in_draw_order():
     """classify_map reads the identity, given one operator at a time through
     from_evaluate, first as reconstruct's d + 2 probes do, then one trial
-    input at a time in draw order, and no verification input: the 20
-    trials asked for are scored as VERIFICATION_TRIALS / 2, so the oracle
-    reads VERIFICATION_TRIALS trial inputs."""
+    input at a time in draw order, and no verification input of its own:
+    the 20 trials asked for are scored as VERIFICATION_TRIALS / 2, so the
+    oracle reads VERIFICATION_TRIALS trial inputs, the very inputs that
+    reconstruct reads by default."""
     seen = []
     oracle = DensityMapOracle.from_evaluate(3, lambda a: seen.append(a.matrix.tobytes()) or a)
     assert reconstruct(oracle).certified
@@ -361,7 +382,7 @@ def test_an_oracle_without_evaluate_stack_is_read_in_draw_order():
     classify_map(oracle, trials=20)
     drawn = _trial_pairs(np.random.default_rng(0), 3, stack_size(3))[:VERIFICATION_TRIALS // 2]
     drawn = drawn.reshape(-1, 3, 3)
-    assert seen == first[:3 + 2] + [x.tobytes() for x in drawn]
+    assert seen == first[:3 + 2] + [x.tobytes() for x in drawn] == first
 
 
 def test_evaluate_alone_is_read_once_per_row_in_stack_order():

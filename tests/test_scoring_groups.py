@@ -11,8 +11,8 @@ from trial_reference import group_calls, stack_size
 
 from fidsym import wigner
 from fidsym.cli import classification_to_dict, reconstruction_to_dict
-from fidsym.mapzoo import ALL_KINDS, _trial_pairs, classify_map, make_map, zoo_specs
-from fidsym.wigner import reconstruct, scoring_groups
+from fidsym.mapzoo import ALL_KINDS, classify_map, make_map, zoo_specs
+from fidsym.wigner import _trial_pairs, reconstruct, scoring_groups
 
 
 @pytest.mark.parametrize("blocks", [1, 2, 3, 4])

@@ -34,10 +34,10 @@ RUNS = {
     # image times the phase 1, so no residual is left
     "reconstruct-identity-d64": (["reconstruct", "--map", {"kind": "identity", "dim": 64}], 0,
                                  {"report.residual_max": 0.0}),
-    # the 64 verification inputs are drawn in four stacks of 16 and scored in
-    # groups of 16, 32 and 16
+    # the 64 verification inputs are 32 trial pairs, drawn in two blocks of
+    # 16 and scored in two groups
     "reconstruct-unitary-d8": (["reconstruct", "--map", U8], 0, {"report.probes_used": 74}),
-    # a stack holds 256 verification inputs, so 300 take two stacks
+    # a block holds 256 trial pairs, so the 300 inputs take one
     "reconstruct-transpose-d2-300": (["reconstruct", "--map", TRANSPOSE_D2, "--trials", 300], 0,
                                      {"report.probes_used": 304}),
     # one pair per block, each scored against the candidate, whose

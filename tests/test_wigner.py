@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from adversarial_maps import probe_evading, rank_one_identity
 from bad_images import BAD_IMAGES
-from trial_reference import reference_verification_inputs
+from trial_reference import reference_inputs
 
 from fidsym.charact import numerical_rank
 from fidsym.fidelity import fidelity
@@ -285,7 +285,8 @@ def parity_breaking_oracle(d):
 # 3 basis + 1 phase-fixing + 1 parity + 64 verification. spectral_scramble
 # sends every basis probe to e_3 e_3*, so the basis images lie far from the
 # columns of their polar factor U, and the map fails after the three basis
-# probes.
+# probes. The first trial pair of seed 0 is pure, so rank_one_identity fails
+# verification at A_2, the third input.
 STATUS_CASES = {
     "certified": (identity_oracle, STATUS_CERTIFIED, 69, 1.0),
     "depolarizing": (
@@ -300,7 +301,7 @@ STATUS_CASES = {
         lambda d: make_map(MapSpec(kind="dephase", dim=d)), STATUS_FAILED_PHASE, 4, 0.0,
     ),
     "parity": (parity_breaking_oracle, STATUS_FAILED_PARITY, 5, 0.0),
-    "verification": (rank_one_identity, STATUS_FAILED_VERIFICATION, 6, 1.0),
+    "verification": (rank_one_identity, STATUS_FAILED_VERIFICATION, 3 + 2 + 3, 1.0),
 }
 
 
@@ -449,17 +450,15 @@ def test_failed_parity_keeps_the_signed_margin(sign):
 
 
 def test_scan_reads_the_map_against_its_candidate():
-    """For S after a NaN on row 1: one image_stack call; with no candidate
-    every residual is inf; with S the residuals have the bits of
-    ||phi X - S X||_F, 0 on the rows image_stack keeps, and the row that it
-    turns away is inf. The tally stops at the first row whose residual
-    exceeds residual_bound(d): row 0 with no candidate, row 1 with S."""
-    rng = np.random.default_rng(11)
+    """For S after a NaN on row 1: one image_stack call of the first 5
+    inputs of seed 11's trial pairs, read-only, the last pair cut to its
+    first input; with no candidate every residual is inf; with S the
+    residuals have the bits of ||phi X - S X||_F, 0 on the rows image_stack
+    keeps, and the row that it turns away is inf. The tally stops at the
+    first row whose residual exceeds residual_bound(d): row 0 with no
+    candidate, row 1 with S."""
     d = 3
-    inputs = np.stack([random_density(rng, d, rank=k % d + 1).matrix for k in range(5)])
-    inputs = hermitize_stack(inputs)
-    inputs.flags.writeable = False
-    s = SymmetryOperator(parity=ANTIUNITARY, u=haar_unitary(rng, d))
+    s = SymmetryOperator(parity=ANTIUNITARY, u=haar_unitary(np.random.default_rng(11), d))
 
     def act(m):
         out = apply_symmetry_stack(s, m)
@@ -468,13 +467,15 @@ def test_scan_reads_the_map_against_its_candidate():
 
     calls = []
     oracle = DensityMapOracle(d, lambda m: calls.append(len(m)) or act(m))
-    [(_, images, ok, res, tally)] = scan(oracle, None, lambda group: inputs, 5)
+    [(inputs, images, ok, res, tally)] = scan(oracle, None, 5, 11)
+    assert inputs.tobytes() == reference_inputs(11, d, 5).tobytes()
+    assert not inputs.flags.writeable
     assert calls == [5]
     assert ok.tolist() == [True, False, True, True, True]
     assert np.isposinf(res).all() and res.shape == (5,)
     assert tally == (math.inf, 1, True)
 
-    [(_, images, ok, res, tally)] = scan(oracle, s, lambda group: inputs, 5)
+    [(_, images, ok, res, tally)] = scan(oracle, s, 5, 11)
     expected = apply_symmetry_stack(s, inputs)
     assert res[ok].tobytes() == np.sqrt(row_sumsq(images - expected))[ok].tobytes()
     assert not images[1].any()
@@ -623,11 +624,11 @@ def test_reconstruct_rejects_a_nan_parity_image(d, probes):
 
 
 def test_nan_verification_residual_fails_verification():
-    """Every probe passes; the first verification input of rank >= 2 has an
-    all-NaN image, whose NaN residual must not certify."""
+    """Every probe passes; the first verification input of rank >= 2, the
+    third, has an all-NaN image, whose NaN residual must not certify."""
     report = reconstruct(nan_oracle(3, lambda a: numerical_rank(a) > 1))
     assert report.status == STATUS_FAILED_VERIFICATION
-    assert report.probes_used == 6
+    assert report.probes_used == 3 + 2 + 3
     assert report.symmetry.parity == UNITARY
     assert report.residual_max == math.inf
 
@@ -641,15 +642,15 @@ def ones_image(shape):
     *BAD_IMAGES.values(),
 ], ids=["1x1", "3x1", "2x2", "4x4", *BAD_IMAGES])
 def test_verification_image_of_the_wrong_shape_fails_verification(bad):
-    """Every probe passes at d = 3; the first verification input of rank >= 2
-    goes to a bad image, which is neither broadcast against the expected
-    matrix nor allowed to raise or to leave a finite residual."""
+    """Every probe passes at d = 3; the first verification input of rank >= 2,
+    the third, goes to a bad image, which is neither broadcast against the
+    expected matrix nor allowed to raise or to leave a finite residual."""
     oracle = DensityMapOracle.from_evaluate(
         3, lambda a: a if numerical_rank(a) == 1 else bad(a)
     )
     report = reconstruct(oracle)
     assert report.status == STATUS_FAILED_VERIFICATION
-    assert report.probes_used == 6
+    assert report.probes_used == 3 + 2 + 3
     assert report.symmetry.parity == UNITARY
     assert report.residual_max == math.inf
 
@@ -797,7 +798,7 @@ def test_the_probe_schedule(d):
     assert len(seen) == d + 2 + 64
     for x, want in zip(seen, probes):
         assert x.tobytes() == want.tobytes()
-    assert np.array(seen[d + 2:]).tobytes() == reference_verification_inputs(0, d, 64).tobytes()
+    assert np.array(seen[d + 2:]).tobytes() == reference_inputs(0, d, 64).tobytes()
     for x in seen:
         assert not x.flags.writeable
         assert np.array_equal(x, x.conj().T)

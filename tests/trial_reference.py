@@ -1,9 +1,9 @@
-"""References for mapzoo._trial_pairs and for wigner.reconstruct's
-verification inputs: make the draws in their RNG order, then build and wrap
-one matrix or pair at a time with single-matrix code, so that the stacked
-construction and its indexing are checked bit for bit; and the sizes of the
-calls in which both scans hand their inputs to the oracle, computed from
-the stated schedule alone."""
+"""References for wigner._trial_pairs, whose pairs verify a candidate in
+reconstruct and classify_map alike: make the draws in their RNG order, then
+build and wrap one pair at a time with single-matrix code, so that the
+stacked construction and its indexing are checked bit for bit; and the
+sizes of the calls in which the scan hands its inputs to the oracle,
+computed from the stated schedule alone."""
 import numpy as np
 
 from fidsym import wigner
@@ -18,12 +18,12 @@ def stack_size(d):
 
 
 def group_calls(count, d, through=None):
-    """The inputs (for classify_map, the pairs) that each scoring group of
-    ``count`` hands the oracle at dimension d: draw blocks of stack_size(d),
+    """The pairs that each scoring group of ``count`` pairs hands the oracle
+    at dimension d: draw blocks of stack_size(d),
     scored in groups of 1, 2, 4, ... blocks, each group at most
     4 * TRIAL_STACK_ENTRIES entries per side but at least one block, the last
     cut to what is left. With ``through``, only the groups up to the one
-    that holds input ``through`` (from 1)."""
+    that holds pair ``through`` (from 1)."""
     size = stack_size(d)
     cap = max(1, 4 * wigner.TRIAL_STACK_ENTRIES // (size * d * d))
     calls, blocks = [], 1
@@ -34,8 +34,9 @@ def group_calls(count, d, through=None):
 
 
 def reference_trial_pairs(rng, d, count):
-    """``count`` trial pairs as a list of (DensityOperator, DensityOperator)."""
-    kinds = rng.uniform(size=count)
+    """``count`` trial pairs as a list of (DensityOperator, DensityOperator);
+    at d = 1 every pair is mixed, and no kinds are drawn."""
+    kinds = rng.uniform(size=count) if d > 1 else np.zeros(count)
     n_mixed = int(np.sum(kinds < 0.4))
     n_pure = int(np.sum((kinds >= 0.4) & (kinds < 0.8)))
     traces = rng.uniform(0.0, 2.0, size=(n_mixed, 2))
@@ -77,25 +78,23 @@ def reference_trial_pairs(rng, d, count):
     return pairs
 
 
-def reference_verification_inputs(seed, d, trials):
-    """The ``trials`` verification inputs of ``reconstruct(oracle,
-    trials, seed)`` at dimension d, as a (trials, d, d) array: every trace,
-    then every rank, then per stack of stack_size(d) one Ginibre block of
-    (d, r_max) columns, r_max the stack's largest rank; each row is then
-    built alone from its zero-padded slice."""
-    rng = np.random.default_rng(seed + 1)
-    traces = rng.uniform(0.0, 2.0, size=trials)
-    ranks = rng.integers(1, d + 1, size=trials)
-    size = stack_size(d)
-    inputs = []
-    for start in range(0, trials, size):
-        stack_ranks = ranks[start:start + size]
-        re = rng.normal(size=(len(stack_ranks), d, stack_ranks.max()))
-        block = re + 1j * rng.normal(size=re.shape)
-        for x, rank, trace in zip(block, stack_ranks, traces[start:start + size]):
-            x = x.copy()
-            x[:, rank:] = 0.0
-            a = x @ x.conj().T
-            inputs.append(DensityOperator.from_psd(
-                a * ((float(trace) or 1.0) / np.trace(a).real)).matrix)
-    return np.array(inputs)
+def input_calls(count, d, through=None):
+    """The inputs that each scoring group hands the oracle when a scan reads
+    the first ``count`` inputs A_1, B_1, A_2, ... at dimension d: two per
+    pair of group_calls(ceil(count / 2), d), the last group cut to the
+    inputs left. With ``through``, only the groups up to the one that holds
+    input ``through`` (from 1)."""
+    calls = [2 * n for n in group_calls(-(-count // 2), d, through and -(-through // 2))]
+    calls[-1] -= max(0, sum(calls) - count)
+    return calls
+
+
+def reference_inputs(seed, d, count):
+    """The first ``count`` inputs A_1, B_1, A_2, ... of the trial pairs of
+    ``default_rng(seed)`` at dimension d, drawn in whole blocks of
+    stack_size(d) pairs, as a (count, d, d) array: the inputs on which
+    ``reconstruct(oracle, count, seed)`` verifies its candidate."""
+    rng, pairs = np.random.default_rng(seed), []
+    while 2 * len(pairs) < count:
+        pairs += reference_trial_pairs(rng, d, stack_size(d))
+    return np.array([x.matrix for pair in pairs for x in pair][:count])
