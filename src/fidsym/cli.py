@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__, mapzoo, tolerances, wigner
 from .fidelity import fidelity as fidelity_value, partial_fidelity
-from .matcore import DensityOperator, MatcoreError, validate_density
+from .matcore import DensityOperator, DimensionMismatch, MatcoreError, validate_density
 from .mapzoo import AssertionFailure, BadSpec, ClassificationReport, MapSpec, json_grid, json_number
 from .wigner import DensityMapOracle, ReconstructionReport
 
@@ -194,10 +194,10 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
         raise InputError(f"digits must be in 0..{MAX_DIGITS}")
     a = load_density(args.a)
     b = load_density(args.b)
-    if args.m is not None:
-        value = partial_fidelity(a, b, args.m)
-    else:
-        value = fidelity_value(a, b)
+    try:
+        value = fidelity_value(a, b) if args.m is None else partial_fidelity(a, b, args.m)
+    except DimensionMismatch as exc:
+        raise InputError(f"{args.a}, {args.b}: {exc}") from exc
     print(f"{value:.{args.digits}f}")
     return EXIT_OK
 

@@ -18,7 +18,7 @@ image turned away has an infinite residual, whose bound settles its pair.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Optional
 
 import numpy as np
@@ -40,7 +40,6 @@ from .wigner import (
     ReconstructionReport,
     SymmetryOperator,
     _probe_stages,
-    _verdict,
     block_size,
     scan,
     symmetry_oracle,
@@ -138,7 +137,8 @@ def json_grid(data: Mapping[str, Any], dim: int, re_key: str, im_key: str) -> np
 
 def make_map(spec: MapSpec, seed: int = 0) -> DensityMapOracle:
     """Build a deterministic oracle from a map specification; BadSpec for a
-    bad dim, kind or param, or a params key the kind does not read."""
+    bad dim, kind or param, or a params key the kind does not read, such as
+    a seed beside the grid it would have drawn."""
     d = json_number({"dim": spec.dim}, "dim", integer=True)
     if d < 1:
         raise BadSpec(f"dim must be positive, got {d}")
@@ -147,6 +147,9 @@ def make_map(spec: MapSpec, seed: int = 0) -> DensityMapOracle:
         raise BadSpec(f"unknown map kind {kind!r}")
     if not isinstance(params, dict) or not set(params) <= set(KIND_PARAMS[kind]):
         raise BadSpec(f"{kind} params must be an object with keys among {KIND_PARAMS[kind]}")
+    grid = [key for key in params if key in ("re", "im", "sigma_re", "sigma_im")]
+    if grid and "seed" in params:
+        raise BadSpec(f"{kind} params give {grid[0]} and seed: a grid leaves the seed unread")
 
     if kind == "identity":
         return DensityMapOracle(d, lambda m: m)
@@ -226,12 +229,13 @@ def classify_map(oracle: DensityMapOracle, trials: int = CLASSIFY_TRIALS, seed: 
     from ``default_rng(seed)`` in blocks of ``wigner.block_size(d)`` pairs,
     each drawn whole and the last cut to the trials left, so the pairs of
     fewer trials are a prefix of those of more. It reads its groups of
-    blocks in draw order (A_1, B_1, A_2, ...) against S, if the probes
-    produced one, and its tally alone verifies S: the reconstruction is
-    ``reconstruct(oracle, 2 trials, seed)`` for the report's ``trials``. As a
-    map that is S on pure states alone passes a few inputs, a map with a
-    candidate is scanned on at least VERIFICATION_TRIALS / 2 trials, every
-    one scored, so its report below that many is the report at that many.
+    blocks in draw order (A_1, B_1, A_2, ...) against the probes' S, if
+    any, and its report alone verifies S: the reconstruction is that report
+    at the 2 ``trials`` inputs scored, ``reconstruct(oracle, 2 trials,
+    seed)``. As a map that is S on pure states alone passes a few inputs, a
+    map with a candidate is scanned on at least VERIFICATION_TRIALS / 2
+    trials, every one scored, so its report below that many is the report at
+    that many.
     A pair's violation is violation_bound of its residuals, valid for any
     S, unless that exceeds ``CLASSIFY_TOL`` (always, with no candidate):
     then it is the measured |F(phi A, phi B) - F(A, B)|, from one
@@ -245,7 +249,7 @@ def classify_map(oracle: DensityMapOracle, trials: int = CLASSIFY_TRIALS, seed: 
     fidelity, so a rejection stops at the end of the first block that holds
     a witness, and ``trials`` counts the trials scored. As violation_bound
     grows with each residual and trace, and traces are below
-    ``sampling.MAX_TRACE``, a witness breaks the rule: the tally never reads
+    ``sampling.MAX_TRACE``, a witness breaks the rule: its report never reads
     past its block. Each score is a function of its pair alone, so the report
     is that of a block-by-block scan (the oracle may see the rest of the last
     group) and, by the prefix property, that of ``classify_map`` asked for
@@ -258,11 +262,10 @@ def classify_map(oracle: DensityMapOracle, trials: int = CLASSIFY_TRIALS, seed: 
     d = oracle.dim
     size = block_size(d)
     probed = _probe_stages(oracle)
-    symmetry = None if isinstance(probed, ReconstructionReport) else probed[0]
-    count = trials if symmetry is None else max(trials, VERIFICATION_TRIALS // 2)
+    count = trials if probed.symmetry is None else max(trials, VERIFICATION_TRIALS // 2)
     worst, scored = 0.0, 0
     witness: Optional[tuple[DensityOperator, DensityOperator]] = None
-    for inputs, images, ok, res, tally in scan(oracle, symmetry, 2 * count, seed):
+    for inputs, images, ok, res, report in scan(oracle, probed, 2 * count, seed):
         pairs = inputs.reshape(-1, 2, d, d)
         ok = ok.reshape(-1, 2).all(axis=1)
         violation = violation_bound(d, res.reshape(-1, 2), _traces(inputs).reshape(-1, 2))
@@ -282,7 +285,8 @@ def classify_map(oracle: DensityMapOracle, trials: int = CLASSIFY_TRIALS, seed: 
         scored += n
         if witness is not None:
             break
-    report = probed if symmetry is None else _verdict(probed, tally, 2 * scored)
+    if report.symmetry is not None:
+        report = replace(report, verification_trials=2 * scored)
     return ClassificationReport(worst, witness, scored, seed, report)
 
 

@@ -4,12 +4,12 @@ map on density operators.
 The map is probed on d + 2 rank-one projections: (1) the basis states,
 whose images give the columns of a unitary U up to phases; (2) their uniform
 superposition, which fixes every phase; (3) an i-superposition, which
-classifies the parity. (4) ``scan``, the one owner of verification for
-reconstruct and classify_map, then certifies phi(A) = U A U* (or U conj(A)
-U*) on the inputs of classify_map's random trial pairs. One rule judges
-every image, of a probe or of a verification input: its residual against
-the candidate's image, within residual_bound(d), derived from CLASSIFY_TOL
-through violation_bound. Bijectivity of the map is never
+classifies the parity. Their ReconstructionReport goes to (4) ``scan``, the
+one place that certifies, for reconstruct and classify_map alike:
+phi(A) = U A U* (or U conj(A) U*) on classify_map's trial inputs. One rule
+judges every image, of a probe or of a verification input: its residual
+against the candidate's image, within residual_bound(d), derived from
+CLASSIFY_TOL through violation_bound. Bijectivity of the map is never
 assumed; a map that fails any stage, or has an image that
 ``DensityMapOracle.image_stack``, its one reader, turns away, gets a status
 flag, not an exception. An oracle that raises still propagates its
@@ -143,16 +143,17 @@ class SymmetryOperator:
 
 @dataclass(frozen=True)
 class ReconstructionReport:
-    """The outcome of reconstruct, or of classify_map's probes and scan (see
-    ClassificationReport). ``status`` is ``certified`` or names the stage
-    whose image first missed the candidate's by more than residual_bound(d):
-    ``failed_projection_probe`` a basis image, against its own top vector's
-    projection or U's column; ``failed_phase`` the uniform probe's;
-    ``failed_parity`` the i-superposition's; ``failed_verification`` a
-    trial input's. ``symmetry`` is the candidate S that the probes
-    assembled, None if a probe stage rejected the map, and
-    ``verification_trials`` the number of inputs A_1, B_1, A_2, ... of
-    scan's trial pairs it was verified on, else 0.
+    """The one value from probe to verdict: of _probe_stages, scan,
+    reconstruct and classify_map (see ClassificationReport). ``status`` is ``certified`` or
+    names the stage whose image first missed the candidate's by more than
+    residual_bound(d): ``failed_projection_probe`` a basis image, against its
+    own top vector's projection or U's column; ``failed_phase`` the uniform
+    probe's; ``failed_parity`` the i-superposition's; ``failed_verification`` a
+    trial input's. ``symmetry`` is the candidate S that the probes assembled,
+    None if a probe stage rejected the map, and ``verification_trials`` the
+    number of inputs A_1, B_1, A_2, ... of scan's trial pairs it was verified
+    on, else 0: the probes' report of a candidate, before scan reads an input,
+    is ``failed_verification``.
     ``probes_used`` counts the oracle's reads: on a probe-stage rejection
     the stage's fixed count, j + 1 for basis probe j (from 0), d for the
     basis images against U's columns, d + 1 for phase fixing and d + 2 for
@@ -365,43 +366,44 @@ def _trial_pairs(rng: np.random.Generator, dim: int, count: int, blocks: int = 1
     return freeze(hermitize_stack(pairs.reshape(-1, dim, dim))).reshape(pairs.shape)
 
 
-def scan(oracle: DensityMapOracle, symmetry: Optional[SymmetryOperator], count: int, seed: int
+def scan(oracle: DensityMapOracle, probed: ReconstructionReport, count: int, seed: int
          ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
-                             tuple[float, int, bool]]]:
-    """The one scan of a map against its candidate S = ``symmetry``, the one
-    fold of its verdict, and the one stream that verifies S for reconstruct
-    and classify_map alike: the first ``count`` inputs A_1, B_1, A_2, ... of
-    the trial pairs of ``default_rng(seed)``. Per group of
-    ``scoring_groups(ceil(count / 2), d)``: its blocks of block_size(d)
-    pairs, drawn whole by one _trial_pairs call and the last cut to the
-    inputs left, as a read-only (n, d, d) stack; their images and mask
-    ``ok`` from one ``oracle.image_stack`` call; each row's residual
-    ||phi X - S X||_F (+inf if turned away, or with no S); and the tally
-    (largest residual, inputs read, whether one failed) of the inputs so
-    far, in draw order, up to and including the first with res >
-    residual_bound(d). No group after the one the caller stops in is drawn
-    or mapped."""
-    d, size = oracle.dim, block_size(oracle.dim)
+                             ReconstructionReport]]:
+    """The one scan of a map against the candidate S of ``probed``, the
+    probes' report, the one place that certifies, and the one stream that
+    verifies S for reconstruct and classify_map alike: the first ``count``
+    inputs A_1, B_1, A_2, ... of the trial pairs of ``default_rng(seed)``.
+    Per group of ``scoring_groups(ceil(count / 2), d)``: its blocks of
+    block_size(d) pairs, drawn whole by one _trial_pairs call and the last
+    cut to the inputs left, as a read-only (n, d, d) stack; their images and
+    mask ``ok`` from one ``oracle.image_stack`` call; each row's residual
+    ||phi X - S X||_F (+inf if turned away, or with no S); and ``probed``
+    verified on the inputs so far, in draw order, up to and including the
+    first with res > residual_bound(d) (``probed`` itself with no S). No
+    group after the one the caller stops in is drawn or mapped."""
+    d, size, symmetry = oracle.dim, block_size(oracle.dim), probed.symmetry
     rng = np.random.default_rng(seed)
-    top, read, failed = 0.0, 0, False
+    top, read, failed, report = 0.0, 0, False, probed
     for group in scoring_groups((count + 1) // 2, d):
         inputs = _trial_pairs(rng, d, size, len(group)).reshape(-1, d, d)[:count - 2 * group[0]]
         images, ok = oracle.image_stack(inputs)
         res = np.full(len(inputs), math.inf)
         if symmetry is not None:
             res[ok] = np.sqrt(row_sumsq(images - apply_symmetry_stack(symmetry, inputs)))[ok]
-        if not failed:
-            bad = np.flatnonzero(~(res <= residual_bound(d)))
-            n = int(bad[0]) + 1 if len(bad) else len(res)
-            top, read, failed = max(top, float(res[:n].max())), read + n, len(bad) > 0
-        yield inputs, images, ok, res, (top, read, failed)
+            if not failed:
+                bad = np.flatnonzero(~(res <= residual_bound(d)))
+                n = int(bad[0]) + 1 if len(bad) else len(res)
+                top, read, failed = max(top, float(res[:n].max())), read + n, len(bad) > 0
+                report = ReconstructionReport(
+                    symmetry, top, probed.probes_used + read, count, probed.parity_margin,
+                    STATUS_FAILED_VERIFICATION if failed else STATUS_CERTIFIED)
+        yield inputs, images, ok, res, report
 
 
-def _probe_stages(oracle: DensityMapOracle
-                  ) -> ReconstructionReport | tuple[SymmetryOperator, int, float]:
+def _probe_stages(oracle: DensityMapOracle) -> ReconstructionReport:
     """Probe stages (1)-(3): the rejecting stage's report, or else the
-    candidate S with the probes' count and parity margin, for the caller's
-    scan to verify. Each probe image P passes by scan's rule,
+    candidate's before verification, which only the caller's scan
+    certifies. Each probe image P passes by scan's rule,
     ||P - S'(vv*)||_F <= residual_bound(d), against the best candidate S'
     known when P is read, and is read through its top vector, in O(d^2) and
     with no eigendecomposition."""
@@ -456,19 +458,10 @@ def _probe_stages(oracle: DensityMapOracle
         ov_a = abs(np.vdot(h_a, top)) ** 2
         parity = UNITARY if ov_u >= ov_a else ANTIUNITARY
         if off(h_u if parity == UNITARY else h_a) > tol:
-            return _rejected(STATUS_FAILED_PARITY, d + 2, margin=ov_u - ov_a)
-        margin = abs(ov_u - ov_a)
-    return SymmetryOperator(parity=parity, u=u), d + 2 if d >= 2 else 1, margin
-
-
-def _verdict(candidate: tuple[SymmetryOperator, int, float], tally: tuple[float, int, bool],
-             trials: int) -> ReconstructionReport:
-    """The report of the probes' candidate (S, probes, margin) verified on
-    ``trials`` inputs with the scan's ``tally``: the one place that certifies."""
-    symmetry, probes, margin = candidate
-    top, read, failed = tally
-    return ReconstructionReport(symmetry, top, probes + read, trials, margin,
-                                STATUS_FAILED_VERIFICATION if failed else STATUS_CERTIFIED)
+            return _rejected(STATUS_FAILED_PARITY, d + 2, margin=float(ov_u - ov_a))
+        margin = float(abs(ov_u - ov_a))
+    return ReconstructionReport(SymmetryOperator(parity=parity, u=u), 0.0, d + 2 if d >= 2 else 1,
+                                0, margin, STATUS_FAILED_VERIFICATION)
 
 
 def reconstruct(
@@ -499,17 +492,16 @@ def reconstruct(
     pairs from ``default_rng(seed)``: those of fewer trials are a prefix of
     those of more, and classify_map's reconstruction is this report at
     twice the trials it scored. As the first inputs may all be pure, a map
-    that is S on pure states alone can pass a very few trials. The tally
-    stops at the first failing input. An image turned away rejects the map
+    that is S on pure states alone can pass a very few trials. The report is
+    scan's, up to the first that fails. An image turned away rejects the map
     with its probe's status, or fails verification with an infinite
     residual.
     """
     if verification_trials < 1:
         raise ValueError(f"verification_trials must be >= 1, got {verification_trials}")
-    candidate = _probe_stages(oracle)
-    if isinstance(candidate, ReconstructionReport):
-        return candidate
-    for *_, tally in scan(oracle, candidate[0], verification_trials, seed):
-        if tally[2]:  # an input failed
-            break
-    return _verdict(candidate, tally, verification_trials)
+    report = _probe_stages(oracle)
+    if report.symmetry is not None:
+        for *_, report in scan(oracle, report, verification_trials, seed):
+            if not report.certified:
+                break
+    return report

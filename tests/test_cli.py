@@ -98,6 +98,17 @@ def test_fidelity_dimension_mismatch(capsys, tmp_path):
     assert "mismatch" in err
 
 
+def test_a_dimension_mismatch_names_both_files(capsys, tmp_path):
+    """d = 2 against d = 3 is an input error that names both matrix files,
+    as every other input error names its file; exit 1."""
+    a, b = FIXTURES / "diag_05_05.json", tmp_path / "d3.json"
+    b.write_text(json.dumps({"dim": 3, "re": np.eye(3).tolist()}))
+    for extra in ([], ["--m", 1]):
+        code, out, err = run_cli(["fidelity", "--a", a, "--b", b, *extra], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {a}, {b}: dimension mismatch: 2 vs 3\n"
+
+
 def test_reconstruct_transpose(capsys, tmp_path):
     out_file = tmp_path / "r.json"
     code, _, _ = run_cli(
@@ -306,6 +317,25 @@ def test_classify_p_beyond_the_float_range_is_an_input_error(capsys, tmp_path):
     assert (code, out) == (1, "")
     assert err == f"error: {spec}: bad map spec: p is beyond the float range\n"
     assert not out_file.exists()
+
+
+@pytest.mark.parametrize("command", ["classify", "reconstruct"])
+def test_a_seed_beside_a_grid_names_the_spec_file(command, capsys, tmp_path):
+    """A unitary spec that gives both a grid and a seed is a bad spec, named
+    by its file, exit 1; the same grid with --seed alone runs."""
+    spec = tmp_path / "u.json"
+    params = {"re": [[0, 1], [1, 0]], "seed": 5}
+    spec.write_text(json.dumps({"kind": "unitary", "dim": 2, "params": params}))
+    out_file = tmp_path / "c.json"
+    code, out, err = run_cli([command, "--map", spec, "--out", out_file], capsys)
+    assert (code, out) == (1, "")
+    assert err == (f"error: {spec}: bad map spec: unitary params give re and seed: "
+                   "a grid leaves the seed unread\n")
+    assert not out_file.exists()
+    del params["seed"]
+    spec.write_text(json.dumps({"kind": "unitary", "dim": 2, "params": params}))
+    code, _, _ = run_cli([command, "--map", spec, "--seed", 5, "--out", out_file], capsys)
+    assert code == 0 and out_file.exists()
 
 
 @pytest.mark.parametrize("command", ["classify", "reconstruct"])

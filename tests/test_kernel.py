@@ -53,7 +53,6 @@ from fidsym.wigner import (
     UNITARY,
     VERIFICATION_TRIALS,
     DensityMapOracle,
-    ReconstructionReport,
     SymmetryOperator,
     _probe_stages,
     apply_symmetry,
@@ -403,7 +402,7 @@ def test_a_certified_map_that_breaks_the_trials_is_rejected_as_the_scan_rejects_
     the residual 0.5 ||A - I/d||_F, and so does reconstruct, which reads
     the same inputs."""
     oracle = depolarized_off_the_probes(d)
-    assert not isinstance(_probe_stages(oracle), ReconstructionReport)
+    assert _probe_stages(oracle).symmetry is not None
     report = classify_map(oracle, trials=200, seed=0)
     scan, witness, scored = reference_classify(oracle, 200, 0, candidate=False)
     inputs = trial_blocks(0, d, scored).reshape(-1, d, d)

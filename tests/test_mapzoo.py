@@ -397,6 +397,37 @@ def test_a_sigma_grid_near_the_float_maximum_is_a_bad_spec():
         make_map(MapSpec(kind="mix", dim=2, params={"sigma_re": [[1.7e308, 0.0], [0.0, 1.0]]}))
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("unitary", {"re": [[1, 0], [0, 1]], "seed": 3}),
+    ("antiunitary", {"seed": 3, "im": [[0, 0], [0, 0]], "re": [[0, 1], [1, 0]]}),
+    ("mix", {"p": 0.5, "sigma_re": [[0.5, 0], [0, 0.5]], "seed": 3}),
+    ("mix", {"sigma_im": [[0, 0], [0, 0]], "seed": 3, "sigma_re": [[1, 0], [0, 0]]}),
+])
+def test_a_grid_beside_a_seed_is_a_bad_spec(kind, params):
+    """A seed that a grid would leave unread is refused, naming both keys;
+    the default seed of make_map is not a param and stays allowed."""
+    grid = next(key for key in params if key != "seed" and key != "p")
+    with pytest.raises(BadSpec, match=f"^{kind} params give {grid} and seed: "):
+        make_map(MapSpec(kind=kind, dim=2, params=params))
+    del params["seed"]
+    make_map(MapSpec(kind=kind, dim=2, params=params), seed=3)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_every_report_number_is_a_float(d):
+    """residual_max, parity_margin and worst_violation are Python floats, not
+    numpy scalars, for every zoo kind; d = 1 has no classification."""
+    for spec in zoo_specs(d):
+        oracle = make_map(spec)
+        recs = [reconstruct(oracle)]
+        if d >= 2:
+            report = classify_map(oracle, trials=40)
+            assert type(report.worst_violation) is float, spec.kind
+            recs.append(report.reconstruction)
+        for rec in recs:
+            assert (type(rec.residual_max), type(rec.parity_margin)) == (float, float), spec.kind
+
+
 def test_a_negative_default_seed_is_a_bad_spec():
     """As a negative seed param is: both kinds that draw from a seed."""
     for kind in ("unitary", "mix"):

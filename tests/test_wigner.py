@@ -1,17 +1,18 @@
 """Reconstruction round-trips, parity classification, symmetry distance, and
 the normalized-map extension."""
+import functools
 import math
 import tempfile
 
 import numpy as np
 import pytest
-from adversarial_maps import probe_evading, rank_one_identity
+from adversarial_maps import ADVERSARIAL_MAPS, probe_evading, rank_one_identity
 from bad_images import BAD_IMAGES
 from trial_reference import reference_inputs
 
 from fidsym.charact import numerical_rank
 from fidsym.fidelity import fidelity
-from fidsym.mapzoo import MapSpec, classify_map, make_map
+from fidsym.mapzoo import MapSpec, classify_map, make_map, zoo_specs
 from fidsym.matcore import (
     DensityOperator,
     DimensionMismatch,
@@ -454,11 +455,13 @@ def test_scan_reads_the_map_against_its_candidate():
     inputs of seed 11's trial pairs, read-only, the last pair cut to its
     first input; with no candidate every residual is inf; with S the
     residuals have the bits of ||phi X - S X||_F, 0 on the rows image_stack
-    keeps, and the row that it turns away is inf. The tally stops at the
-    first row whose residual exceeds residual_bound(d): row 0 with no
-    candidate, row 1 with S."""
+    keeps, and the row that it turns away is inf. With no candidate the
+    report is the probes' own; with S it is verified up to the first row
+    whose residual exceeds residual_bound(d), row 1."""
     d = 3
     s = SymmetryOperator(parity=ANTIUNITARY, u=haar_unitary(np.random.default_rng(11), d))
+    rejected = ReconstructionReport(None, math.inf, 1, 0, 0.0, STATUS_FAILED_PROJECTION_PROBE)
+    candidate = ReconstructionReport(s, 0.0, d + 2, 0, 0.5, STATUS_FAILED_VERIFICATION)
 
     def act(m):
         out = apply_symmetry_stack(s, m)
@@ -467,21 +470,22 @@ def test_scan_reads_the_map_against_its_candidate():
 
     calls = []
     oracle = DensityMapOracle(d, lambda m: calls.append(len(m)) or act(m))
-    [(inputs, images, ok, res, tally)] = scan(oracle, None, 5, 11)
+    [(inputs, images, ok, res, report)] = scan(oracle, rejected, 5, 11)
     assert inputs.tobytes() == reference_inputs(11, d, 5).tobytes()
     assert not inputs.flags.writeable
     assert calls == [5]
     assert ok.tolist() == [True, False, True, True, True]
     assert np.isposinf(res).all() and res.shape == (5,)
-    assert tally == (math.inf, 1, True)
+    assert report is rejected
 
-    [(_, images, ok, res, tally)] = scan(oracle, s, 5, 11)
+    [(_, images, ok, res, report)] = scan(oracle, candidate, 5, 11)
     expected = apply_symmetry_stack(s, inputs)
     assert res[ok].tobytes() == np.sqrt(row_sumsq(images - expected))[ok].tobytes()
     assert not images[1].any()
     assert res[1] == np.inf
     assert not res[ok].any()
-    assert tally == (math.inf, 2, True)
+    assert report == ReconstructionReport(s, math.inf, d + 2 + 2, 5, 0.5,
+                                          STATUS_FAILED_VERIFICATION)
 
 
 def embedding_oracle(d):
@@ -805,12 +809,45 @@ def test_the_probe_schedule(d):
 
 
 def test_probe_stages_certify_nothing():
-    """The probes return a rejecting report, or the candidate with its probe
-    count and parity margin: only the verification that follows certifies."""
-    assert isinstance(_probe_stages(halving_oracle(3)), ReconstructionReport)
-    symmetry, probes, margin = _probe_stages(identity_oracle(3))
-    assert symmetry.u.tobytes() == np.eye(3, dtype=complex).tobytes()
-    assert (symmetry.parity, probes, margin) == (UNITARY, 5, 1.0)
+    """The probes return a rejecting report, or the candidate's report
+    before verification, with its probe count and parity margin: only the
+    verification that follows certifies."""
+    assert _probe_stages(halving_oracle(3)).symmetry is None
+    report = _probe_stages(identity_oracle(3))
+    assert report.symmetry.u.tobytes() == np.eye(3, dtype=complex).tobytes()
+    assert (report.symmetry.parity, report.probes_used, report.parity_margin) == (UNITARY, 5, 1.0)
+    assert (report.residual_max, report.verification_trials, report.status) == (
+        0.0, 0, STATUS_FAILED_VERIFICATION)
+
+
+# every zoo kind at d = 1, 2, 3 and 8 and every adversarial row, by name
+ONLY_THE_SCAN_CERTIFIES = {
+    **{f"zoo-{spec.kind}-d{d}": (functools.partial(make_map, spec), True)
+       for d in (1, 2, 3, 8) for spec in zoo_specs(d)},
+    **{f"adversarial-{name}": (row.build, row.verdict is not None)
+       for name, row in ADVERSARIAL_MAPS.items()},
+}
+
+
+@pytest.mark.parametrize("name", ONLY_THE_SCAN_CERTIFIES)
+def test_only_the_scan_certifies(name):
+    """No map is certified by its probes alone. A certified reconstruction
+    counts the inputs it was verified on, after its d + 2 probes (1 at
+    d = 1), and a certified classification's reconstruction the 2 trials
+    inputs it scored. The rows of reconstruct alone are not classified, nor
+    is d = 1, where classification is undefined."""
+    build, classified = ONLY_THE_SCAN_CERTIFIES[name]
+    oracle = build()
+    d = oracle.dim
+    assert not _probe_stages(oracle).certified
+    for n, seed in ((1, 0), (7, 3), (64, 1)):
+        rec = reconstruct(oracle, n, seed)
+        if rec.certified:
+            assert (rec.verification_trials, rec.probes_used) == (n, (d + 2 if d >= 2 else 1) + n)
+    if classified and d >= 2:
+        report = classify_map(oracle, trials=40, seed=2)
+        if report.preserving:
+            assert report.reconstruction.verification_trials == 2 * report.trials
 
 
 def rank_two_basis_image(d, a):
