@@ -88,18 +88,12 @@ def read_json(path: str, keys: tuple[str, ...]) -> dict[str, Any]:
     return data
 
 
-def checked_dim(dim: int) -> int:
-    """``dim`` if it is in 1..MAX_DIM, else BadSpec."""
-    if not 1 <= dim <= MAX_DIM:
-        raise BadSpec(f"dim must be in 1..{MAX_DIM}")
-    return dim
-
-
-def checked_trials(trials: int) -> int:
-    """``trials`` if it is in 1..MAX_TRIALS, else BadSpec."""
-    if not 1 <= trials <= MAX_TRIALS:
-        raise BadSpec(f"trials must be in 1..{MAX_TRIALS}")
-    return trials
+def checked(name: str, value: int, lo: int, hi: int) -> int:
+    """``value`` if it is in lo..hi, else BadSpec naming ``name``: the one
+    range rule of dim, --trials and --digits."""
+    if not lo <= value <= hi:
+        raise BadSpec(f"{name} must be in {lo}..{hi}")
+    return value
 
 
 def matrix_to_dict(m: np.ndarray) -> dict[str, Any]:
@@ -113,8 +107,8 @@ def matrix_to_dict(m: np.ndarray) -> dict[str, Any]:
 def load_density(path: str) -> DensityOperator:
     data = read_json(path, ("dim", "re", "im"))
     try:
-        return validate_density(json_grid(data, checked_dim(json_number(data, "dim", integer=True)),
-                                          "re", "im"))
+        return validate_density(json_grid(
+            data, checked("dim", json_number(data, "dim", integer=True), 1, MAX_DIM), "re", "im"))
     except (KeyError, BadSpec, MatcoreError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -126,7 +120,7 @@ def load_map_spec(path: str, seed: int) -> tuple[MapSpec, DensityMapOracle]:
     try:
         spec = MapSpec(
             kind=str(data["kind"]),
-            dim=checked_dim(json_number(data, "dim", integer=True)),
+            dim=checked("dim", json_number(data, "dim", integer=True), 1, MAX_DIM),
             params=data.get("params", {}),
         )
         return spec, mapzoo.make_map(spec, seed=seed)
@@ -190,20 +184,19 @@ def write_report(path: str, payload: dict[str, Any]) -> None:
 
 
 def cmd_fidelity(args: argparse.Namespace) -> int:
-    if args.digits > MAX_DIGITS:
-        raise InputError(f"digits must be in 0..{MAX_DIGITS}")
+    digits = checked("digits", args.digits, 0, MAX_DIGITS)
     a = load_density(args.a)
     b = load_density(args.b)
     try:
         value = fidelity_value(a, b) if args.m is None else partial_fidelity(a, b, args.m)
     except DimensionMismatch as exc:
         raise InputError(f"{args.a}, {args.b}: {exc}") from exc
-    print(f"{value:.{args.digits}f}")
+    print(f"{value:.{digits}f}")
     return EXIT_OK
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
-    trials = checked_trials(args.trials)
+    trials = checked("trials", args.trials, 1, MAX_TRIALS)
     spec, oracle = load_map_spec(args.map, args.seed)
     report = wigner.reconstruct(oracle, verification_trials=trials, seed=args.seed)
     write_report(args.out, {"seed": args.seed, "map": {"kind": spec.kind, "dim": spec.dim},
@@ -212,7 +205,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    trials = checked_trials(args.trials)
+    trials = checked("trials", args.trials, 1, MAX_TRIALS)
     spec, oracle = load_map_spec(args.map, args.seed)
     report = mapzoo.classify_map(oracle, trials=trials, seed=args.seed)
     write_report(args.out, {"seed": args.seed, "map": {"kind": spec.kind, "dim": spec.dim},
@@ -221,9 +214,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    trials = checked_trials(args.trials)
+    trials = checked("trials", args.trials, 1, MAX_TRIALS)
     try:
-        summary = mapzoo.verify_theorem(checked_dim(args.dim), trials=trials, seed=args.seed)
+        summary = mapzoo.verify_theorem(checked("dim", args.dim, 1, MAX_DIM), trials=trials,
+                                        seed=args.seed)
         code = EXIT_OK
     except AssertionFailure as exc:
         summary = {"dim": args.dim, "trials": args.trials, "seed": args.seed,

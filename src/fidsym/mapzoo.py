@@ -138,7 +138,9 @@ def json_grid(data: Mapping[str, Any], dim: int, re_key: str, im_key: str) -> np
 def make_map(spec: MapSpec, seed: int = 0) -> DensityMapOracle:
     """Build a deterministic oracle from a map specification; BadSpec for a
     bad dim, kind or param, or a params key the kind does not read, such as
-    a seed beside the grid it would have drawn."""
+    a seed beside the grid it would have drawn. Depolarizing is the mix
+    toward I/d, and a unitary or antiunitary grid, within UNITARY_TOL of
+    unitary, is read as its polar factor, the unitary nearest it."""
     d = json_number({"dim": spec.dim}, "dim", integer=True)
     if d < 1:
         raise BadSpec(f"dim must be positive, got {d}")
@@ -154,38 +156,34 @@ def make_map(spec: MapSpec, seed: int = 0) -> DensityMapOracle:
     if kind == "identity":
         return DensityMapOracle(d, lambda m: m)
     if kind in (UNITARY, ANTIUNITARY):
-        if "re" in params or "im" in params:
-            u = json_grid(params, d, "re", "im")
-        else:
-            u = haar_unitary(_rng(params, seed), d)
+        u = json_grid(params, d, "re", "im") if grid else haar_unitary(_rng(params, seed), d)
         if (np.abs(u.view(float)).max() > 2.0
                 or np.linalg.norm(u.conj().T @ u - np.eye(d)) > UNITARY_TOL):
             raise BadSpec("matrix is not unitary")
+        if grid:
+            w, _, vh = np.linalg.svd(u)
+            u = w @ vh
         return symmetry_oracle(SymmetryOperator(parity=kind, u=u))
     if kind == "transpose":
         return DensityMapOracle(d, lambda m: hermitize_stack(m.swapaxes(-1, -2)))
-    if kind == "depolarizing":
-        p = json_number(params, "p", 0.0)
+    if kind in ("depolarizing", "mix"):
+        p = json_number(params, "p", 0.5 if kind == "mix" else 0.0)
         if not 0.0 <= p <= 1.0:
-            raise BadSpec(f"depolarizing p = {p} out of [0, 1]")
-        eye = np.eye(d)
-        return DensityMapOracle(d, lambda m: hermitize_stack(
-            (1.0 - p) * m + p * _traces(m) * eye / d))
-    if kind == "mix":
-        p = json_number(params, "p", 0.5)
-        if not 0.0 <= p <= 1.0:
-            raise BadSpec(f"mix p = {p} out of [0, 1]")
-        if "sigma_re" in params or "sigma_im" in params:
+            raise BadSpec(f"{kind} p = {p} out of [0, 1]")
+        # depolarizing mixes toward I/d, scaled after the product to keep its bits
+        sigma, scale = np.eye(d), d
+        if grid:
             try:
-                sigma = validate_density(json_grid(params, d, "sigma_re", "sigma_im"))
+                given = validate_density(json_grid(params, d, "sigma_re", "sigma_im"))
             except MatcoreError as exc:  # not Hermitian, or not PSD
                 raise BadSpec(str(exc)) from exc
-            if abs(sigma.trace - 1.0) > TRACE_TOL:
-                raise BadSpec(f"trace {sigma.trace} is not 1 within {TRACE_TOL}")
-        else:
-            sigma = random_density(_rng(params, seed), d, trace=1.0)
+            if abs(given.trace - 1.0) > TRACE_TOL:
+                raise BadSpec(f"trace {given.trace} is not 1 within {TRACE_TOL}")
+            sigma, scale = given.matrix, 1
+        elif kind == "mix":
+            sigma, scale = random_density(_rng(params, seed), d, trace=1.0).matrix, 1
         return DensityMapOracle(d, lambda m: hermitize_stack(
-            (1.0 - p) * m + p * _traces(m) * sigma.matrix))
+            (1.0 - p) * m + p * _traces(m) * sigma / scale))
     diagonal = (slice(None), *np.diag_indices(d))
     if kind == "dephase":
         def dephase(m: np.ndarray) -> np.ndarray:

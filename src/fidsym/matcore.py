@@ -153,10 +153,6 @@ class PureState:
 
     amplitudes: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[0]
-
     def projection(self) -> DensityOperator:
         v = self.amplitudes
         return DensityOperator.from_psd(np.outer(v, v.conj()))

@@ -24,6 +24,7 @@ from fidsym.cli import (
 )
 from fidsym.mapzoo import classify_map, json_grid
 from fidsym.matcore import DensityOperator
+from fidsym.sampling import haar_unitary
 from fidsym.wigner import VERIFICATION_TRIALS, DensityMapOracle
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -336,6 +337,22 @@ def test_a_seed_beside_a_grid_names_the_spec_file(command, capsys, tmp_path):
     spec.write_text(json.dumps({"kind": "unitary", "dim": 2, "params": params}))
     code, _, _ = run_cli([command, "--map", spec, "--seed", 5, "--out", out_file], capsys)
     assert code == 0 and out_file.exists()
+
+
+@pytest.mark.parametrize("kind", ["unitary", "antiunitary"])
+@pytest.mark.parametrize("command", ["classify", "reconstruct"])
+def test_a_rounded_unitary_grid_certifies(command, kind, capsys, tmp_path):
+    """A Haar unitary at d = 3 written to 12 decimals is read as its polar
+    factor: the map certifies, exit 0, with the parity of its kind."""
+    g = haar_unitary(np.random.default_rng(3), 3).round(12)
+    spec = tmp_path / "u.json"
+    spec.write_text(json.dumps({"kind": kind, "dim": 3,
+                                "params": {"re": g.real.tolist(), "im": g.imag.tolist()}}))
+    out_file = tmp_path / "r.json"
+    code, _, err = run_cli([command, "--map", spec, "--out", out_file], capsys)
+    assert (code, err) == (0, "")
+    report = json.loads(out_file.read_text())["report"]
+    assert report.get("reconstruction", report)["parity"] == kind
 
 
 @pytest.mark.parametrize("command", ["classify", "reconstruct"])

@@ -27,9 +27,17 @@ from fidsym.mapzoo import (
     zoo_specs,
 )
 from fidsym.matcore import DensityOperator, pure_state, validate_density
-from fidsym.sampling import random_density
+from fidsym.sampling import haar_unitary, random_density
 from fidsym.tolerances import TRACE_TOL
-from fidsym.wigner import VERIFICATION_TRIALS, DensityMapOracle, _trial_pairs, reconstruct
+from fidsym.wigner import (
+    VERIFICATION_TRIALS,
+    DensityMapOracle,
+    SymmetryOperator,
+    _trial_pairs,
+    reconstruct,
+    symmetry_distance,
+    symmetry_oracle,
+)
 
 
 def test_identity_map():
@@ -395,6 +403,37 @@ def test_a_grid_near_the_float_maximum_is_no_unitary(kind, re):
 def test_a_sigma_grid_near_the_float_maximum_is_a_bad_spec():
     with pytest.raises(BadSpec, match="finite and at most"):
         make_map(MapSpec(kind="mix", dim=2, params={"sigma_re": [[1.7e308, 0.0], [0.0, 1.0]]}))
+
+
+@pytest.mark.parametrize("kind", ["unitary", "antiunitary"])
+@pytest.mark.parametrize("d, digits", [(2, 12), (3, 12), (8, 12), (3, 10)])
+def test_a_rounded_unitary_grid_is_read_as_its_polar_factor(kind, d, digits):
+    """A Haar unitary rounded to 12 decimals has ||G*G - I||_F near 1e-12,
+    within UNITARY_TOL but far above what the residual rule lets a certified
+    map stray. It is the map of its polar factor W V* (G = W S V*): it
+    reconstructs and classifies as a certified symmetry of its kind, at the
+    factor, where the map of G itself failed its probes."""
+    g = haar_unitary(np.random.default_rng(d), d).round(digits)
+    oracle = make_map(MapSpec(kind, d, {"re": g.real.tolist(), "im": g.imag.tolist()}))
+    w, _, vh = np.linalg.svd(g)
+    polar = SymmetryOperator(parity=kind, u=w @ vh)
+    report = reconstruct(oracle, VERIFICATION_TRIALS, 0)
+    assert report.certified and report.symmetry.parity == kind
+    assert symmetry_distance(report.symmetry, polar) <= 1e-12
+    classified = classify_map(oracle, trials=50, seed=1)
+    assert classified.preserving and classified.reconstruction.symmetry.parity == kind
+
+
+@pytest.mark.parametrize("kind", ["unitary", "antiunitary"])
+@pytest.mark.parametrize("g", [np.eye(2), np.array([[0, 1], [1, 0]]),
+                               np.array([[0, 1j], [1j, 0]])], ids=["I", "X", "iX"])
+def test_an_exactly_unitary_grid_keeps_the_bits_of_its_map(kind, g):
+    """The polar factor of I, X and iX is the grid to the bit, so its
+    images are those of the symmetry of the grid itself."""
+    oracle = make_map(MapSpec(kind, 2, {"re": g.real.tolist(), "im": g.imag.tolist()}))
+    inputs = np.stack([random_density(np.random.default_rng(k), 2).matrix for k in range(4)])
+    want = symmetry_oracle(SymmetryOperator(parity=kind, u=g.astype(complex)))
+    assert np.array_equal(oracle.evaluate_stack(inputs), want.evaluate_stack(inputs))
 
 
 @pytest.mark.parametrize("kind, params", [

@@ -168,6 +168,17 @@ def test_phase_canonicalization_idempotent():
         assert np.array_equal(once, twice)
 
 
+@pytest.mark.parametrize("v", [np.zeros(3, dtype=complex),
+                               np.array([1e-13, -1e-13j, 0.0])])
+def test_a_vector_with_no_component_above_the_phase_tolerance_comes_back_as_it_is(v):
+    """With no component above PHASE_TOL there is no phase to fix: the
+    values come back as a new array, and the input is left alone."""
+    before = v.copy()
+    out = normalize_phase(v)
+    assert out is not v and not np.shares_memory(out, v)
+    assert np.array_equal(out, before) and np.array_equal(v, before)
+
+
 def test_pure_state_leading_component_real_positive():
     s = pure_state([1j, 1.0])
     lead = s.amplitudes[0]
