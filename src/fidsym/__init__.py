@@ -11,7 +11,7 @@ from .matcore import (
     pure_state,
     validate_density,
 )
-from .fidelity import fidelity, is_leq, is_orthogonal, partial_fidelity
+from .fidelity import fidelity, is_leq, is_orthogonal
 from .charact import (
     OrthogonalCertificate,
     CertificateFailure,

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fidelity import all_leq
-from .matcore import (DensityOperator, NotPositive, eig_hermitian, eigvalsh_stack,
-                      from_psd_stack, row_sumsq, sqrtm_psd)
+from .matcore import (DensityOperator, NotPositive, checked_int, eig_hermitian,
+                      eigvalsh_stack, from_psd_stack, row_sumsq, sqrtm_psd)
 from .sampling import ginibre
 from .tolerances import RANK_TOL, TRACE_TOL
 
@@ -142,15 +142,15 @@ def order_totality_probe(a: DensityOperator, samples: int = 200, seed: int = 0) 
     rows per call are [1] at samples = 2, [2] at 3 and [2, samples - 1]
     above, and at most samples minorants are ever drawn. No eigensolve
     decides a pair: each call is one Cholesky factorization of its stack of
-    shifted differences. The zero matrix raises ZeroOperator, any other of
-    trace at most 0 NotPositive.
+    shifted differences. Samples that are no integer, or below 2, raise
+    ValueError, the zero matrix ZeroOperator, any other of trace <= 0 NotPositive.
 
     The minorants scored are those of 4^-k A, k = floor(e / 2) for the
     binary exponent e of tr A (an exact power of four on s; k = 0 in
     [1/2, 2)), so all_leq's band always meets a trace in [1/2, 2): the
     answer is rank == 1 at traces 1e-300 .. 1e300 and at d up to 64.
     """
-    if samples < 2:
+    if checked_int("samples", samples) < 2:
         raise ValueError(f"probe needs samples >= 2, got {samples}")
     if a.trace <= 0.0:
         if not a.matrix.any():

@@ -24,7 +24,7 @@ from typing import Any, NoReturn
 import numpy as np
 
 from . import __version__, mapzoo, tolerances, wigner
-from .fidelity import fidelity as fidelity_value, partial_fidelity
+from .fidelity import fidelity as fidelity_value
 from .matcore import DensityOperator, DimensionMismatch, MatcoreError, validate_density
 from .mapzoo import AssertionFailure, BadSpec, ClassificationReport, MapSpec, json_grid, json_number
 from .wigner import DensityMapOracle, ReconstructionReport
@@ -188,7 +188,7 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
     a = load_density(args.a)
     b = load_density(args.b)
     try:
-        value = fidelity_value(a, b) if args.m is None else partial_fidelity(a, b, args.m)
+        value = fidelity_value(a, b, args.m)
     except DimensionMismatch as exc:
         raise InputError(f"{args.a}, {args.b}: {exc}") from exc
     print(f"{value:.{digits}f}")

@@ -25,6 +25,7 @@ from .matcore import (
     DensityOperator,
     DimensionMismatch,
     check_same_dim,
+    checked_int,
     eigh_stack,
     eigvalsh_stack,
     hermitize_stack,
@@ -47,7 +48,7 @@ def fidelity_stack(a: np.ndarray, b: np.ndarray, m: int | None = None) -> np.nda
     read from the core X*BX of the factor X = V diag(w)^{1/2} of A; see the
     module docstring.
     """
-    if m is not None and not 1 <= m <= a.shape[-1]:
+    if m is not None and not 1 <= checked_int("m", m, BadM) <= a.shape[-1]:
         raise BadM(f"m = {m} out of range 1..{a.shape[-1]}")
     if a.shape != b.shape:
         raise DimensionMismatch(f"dimension mismatch: stacks {a.shape} vs {b.shape}")
@@ -69,16 +70,9 @@ def fidelity_stack(a: np.ndarray, b: np.ndarray, m: int | None = None) -> np.nda
     return np.ldexp(sqrt_eigs(eigvalsh_stack(core))[:, :m].sum(axis=-1), i + j)
 
 
-def fidelity(a: DensityOperator, b: DensityOperator) -> float:
-    """Fidelity F(A,B); symmetric in its arguments and zero iff A, B are
-    mutually orthogonal."""
-    check_same_dim(a, b)
-    return float(fidelity_stack(a.matrix[None], b.matrix[None])[0])
-
-
-def partial_fidelity(a: DensityOperator, b: DensityOperator, m: int) -> float:
-    """Sum of the m largest eigenvalues (with multiplicity) of
-    (A^{1/2} B A^{1/2})^{1/2}; equals fidelity(A, B) at m = dim."""
+def fidelity(a: DensityOperator, b: DensityOperator, m: int | None = None) -> float:
+    """Fidelity F(A,B), symmetric in its arguments and zero iff A, B are mutually
+    orthogonal, or with ``m`` the partial fidelity: fidelity_stack's n = 1 case."""
     check_same_dim(a, b)
     return float(fidelity_stack(a.matrix[None], b.matrix[None], m)[0])
 

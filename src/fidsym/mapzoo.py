@@ -27,8 +27,8 @@ from .fidelity import fidelity_stack
 from .matcore import (
     DensityOperator,
     MatcoreError,
+    checked_int,
     eigh_stack,
-    hermitize_stack,
     validate_density,
 )
 from .sampling import haar_unitary, random_density
@@ -165,7 +165,7 @@ def make_map(spec: MapSpec, seed: int = 0) -> DensityMapOracle:
             u = w @ vh
         return symmetry_oracle(SymmetryOperator(parity=kind, u=u))
     if kind == "transpose":
-        return DensityMapOracle(d, lambda m: hermitize_stack(m.swapaxes(-1, -2)))
+        return DensityMapOracle(d, lambda m: m.swapaxes(-1, -2).copy())
     if kind in ("depolarizing", "mix"):
         p = json_number(params, "p", 0.5 if kind == "mix" else 0.0)
         if not 0.0 <= p <= 1.0:
@@ -182,22 +182,15 @@ def make_map(spec: MapSpec, seed: int = 0) -> DensityMapOracle:
             sigma, scale = given.matrix, 1
         elif kind == "mix":
             sigma, scale = random_density(_rng(params, seed), d, trace=1.0).matrix, 1
-        return DensityMapOracle(d, lambda m: hermitize_stack(
-            (1.0 - p) * m + p * _traces(m) * sigma / scale))
-    diagonal = (slice(None), *np.diag_indices(d))
+        return DensityMapOracle(d, lambda m: (1.0 - p) * m + p * _traces(m) * sigma / scale)
     if kind == "dephase":
-        def dephase(m: np.ndarray) -> np.ndarray:
-            out = np.zeros_like(m)
-            out[diagonal] = m[diagonal]
-            return hermitize_stack(out)
-
-        return DensityMapOracle(d, dephase)
+        return DensityMapOracle(d, lambda m: np.where(np.eye(d, dtype=bool), m, 0.0))
 
     # spectral_scramble, the last kind in KIND_PARAMS
     def scramble(m: np.ndarray) -> np.ndarray:
         out = np.zeros(m.shape, dtype=complex)
-        out[diagonal] = np.clip(eigh_stack(m)[0], 0.0, None)
-        return hermitize_stack(out)
+        out[(slice(None), *np.diag_indices(d))] = np.clip(eigh_stack(m)[0], 0.0, None)
+        return out
 
     return DensityMapOracle(d, scramble)
 
@@ -247,13 +240,14 @@ def classify_map(oracle: DensityMapOracle, trials: int = CLASSIFY_TRIALS, seed: 
     fidelity, so a rejection stops at the end of the first block that holds
     a witness, and ``trials`` counts the trials scored. As violation_bound
     grows with each residual and trace, and traces are below
-    ``sampling.MAX_TRACE``, a witness breaks the rule: its report never reads
+    ``wigner.MAX_TRACE``, a witness breaks the rule: its report never reads
     past its block. Each score is a function of its pair alone, so the report
     is that of a block-by-block scan (the oracle may see the rest of the last
     group) and, by the prefix property, that of ``classify_map`` asked for
-    exactly that many trials, reconstruction included.
+    exactly that many trials, reconstruction included. Trials that are no
+    integer, or below 1, raise BadSpec before any oracle read.
     """
-    if trials < 1:
+    if checked_int("trials", trials, BadSpec) < 1:
         raise BadSpec(f"trials must be >= 1, got {trials}")
     if oracle.dim < 2:
         raise BadSpec("classification needs dim >= 2 (no orthogonal pure pair exists at dim 1)")

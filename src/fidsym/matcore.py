@@ -112,10 +112,17 @@ def from_psd_stack(m: np.ndarray) -> list[DensityOperator]:
     return [DensityOperator(matrix=x) for x in freeze(hermitize_stack(m))]
 
 
-def check_same_dim(a, b) -> int:
+def checked_int(name: str, value, error: type[ValueError] = ValueError) -> int:
+    """A count (of trials, samples, a rank) as an int: ``error`` naming
+    ``name`` unless ``value`` is an int or a numpy integer, but no bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def check_same_dim(a, b) -> None:
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return a.dim
 
 
 @dataclass(frozen=True)

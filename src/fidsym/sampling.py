@@ -2,16 +2,14 @@
 Gaussian pure states.
 
 The operators drawn here are PSD by construction, so they are wrapped with
-DensityOperator.from_psd and never eigendecomposed; the validators of
-matcore are for matrices from outside (files, map specs).
+DensityOperator.from_psd and never eigendecomposed. Only generic samplers
+live here; the trial distribution is wigner._trial_pairs'.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .matcore import DensityOperator, PureState, pure_state
-
-MAX_TRACE = 2.0  # random traces lie below it, and wigner.residual_bound holds up to it
+from .matcore import DensityOperator, PureState, checked_int, pure_state
 
 
 def ginibre(rng: np.random.Generator, shape: int | tuple[int, ...]) -> np.ndarray:
@@ -48,15 +46,6 @@ def random_pure_state(rng: np.random.Generator, dim: int) -> PureState:
     return pure_state(ginibre(rng, dim))
 
 
-def traces_and_ranks(rng: np.random.Generator, n: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The one trace and rank rule of random density operators: all n
-    traces, uniform in [0, MAX_TRACE) with 0 read as 1, then all n ranks,
-    uniform in 1..dim."""
-    traces = rng.uniform(0.0, MAX_TRACE, size=n)
-    traces[traces == 0.0] = 1.0
-    return traces, rng.integers(1, dim + 1, size=n)
-
-
 def density_stack(
     rng: np.random.Generator,
     traces: np.ndarray | None,
@@ -66,12 +55,10 @@ def density_stack(
     """An (n, dim, dim) stack of unvalidated Wishart matrices GG*, row k of
     rank ``ranks[k]`` and rescaled to ``traces[k]`` (left as drawn if
     ``traces`` is None), from one (n, dim, r) Ginibre block with
-    r = ``ranks.max()`` (1 if n = 0). The columns past each row's rank are
-    zeroed, a step skipped when every rank is r."""
+    r = ``ranks.max()`` (1 if n = 0), whose columns past each row's rank are
+    zeroed."""
     r = int(ranks.max(initial=1))
-    g = ginibre(rng, (len(ranks), dim, r))
-    if ranks.min(initial=r) < r:
-        g = np.where(np.arange(r) < ranks[:, None, None], g, 0.0)
+    g = np.where(np.arange(r) < ranks[:, None, None], ginibre(rng, (len(ranks), dim, r)), 0.0)
     a = g @ g.conj().swapaxes(-1, -2)
     if traces is None:
         return a
@@ -91,9 +78,10 @@ def random_density(
     The hermitized GG* is exactly Hermitian, and its most negative
     eigenvalue is rounding of order eps ||GG*||, far inside the PSD_TOL band
     that validation would clip, so it is wrapped without an
-    eigendecomposition. A rank outside 1..dim or a trace that is not >= 0
-    raises ValueError before any draw."""
-    if (rank is not None and not 1 <= rank <= dim) or (trace is not None and not trace >= 0.0):
+    eigendecomposition. A rank that is no integer or outside 1..dim, or a
+    trace that is not >= 0, raises ValueError before any draw."""
+    if ((rank is not None and not 1 <= checked_int("rank", rank) <= dim)
+            or (trace is not None and not trace >= 0.0)):
         raise ValueError(f"need rank in 1..{dim} and trace >= 0, got rank {rank}, trace {trace}")
     if rank is None:
         rank = int(rng.integers(1, dim + 1))

@@ -11,9 +11,9 @@ judges every image, of a probe or of a verification input: its residual
 against the candidate's image, within residual_bound(d), derived from
 CLASSIFY_TOL through violation_bound. Bijectivity of the map is never
 assumed; a map that fails any stage, or has an image that
-``DensityMapOracle.image_stack``, its one reader, turns away, gets a status
-flag, not an exception. An oracle that raises still propagates its
-exception.
+``DensityMapOracle.image_stack``, through which the tools read every image,
+turns away, gets a status flag, not an exception. An oracle that raises
+still propagates its exception.
 """
 from __future__ import annotations
 
@@ -27,13 +27,14 @@ import numpy as np
 from .matcore import (
     DensityOperator,
     check_same_dim,
+    checked_int,
     freeze,
     hermitize_stack,
     pure_state,
     real_divide,
     row_sumsq,
 )
-from .sampling import MAX_TRACE, density_stack, ginibre, haar_stack, traces_and_ranks
+from .sampling import density_stack, ginibre, haar_stack
 from .tolerances import CLASSIFY_TOL
 
 UNITARY = "unitary"
@@ -72,8 +73,9 @@ class DensityMapOracle:
 
     ``evaluate_stack`` maps an (n, dim, dim) array of input matrices to the
     (n, dim, dim) array of their images in one call, and returns a fresh
-    array or its input. ``image_stack`` is its only reader, ``evaluate`` its
-    n = 1 case; ``from_evaluate`` adapts a map given one operator at a time."""
+    array or its input. The tools read it through ``image_stack``;
+    ``evaluate``, its n = 1 case, calls it directly, so it returns even an
+    image that image_stack turns away, such as ``from_evaluate``'s NaN row."""
 
     dim: int
     evaluate_stack: Callable[[np.ndarray], np.ndarray]
@@ -154,17 +156,17 @@ class ReconstructionReport:
     number of inputs A_1, B_1, A_2, ... of scan's trial pairs it was verified
     on, else 0: the probes' report of a candidate, before scan reads an input,
     is ``failed_verification``.
-    ``probes_used`` counts the oracle's reads: on a probe-stage rejection
-    the stage's fixed count, j + 1 for basis probe j (from 0), d for the
-    basis images against U's columns, d + 1 for phase fixing and d + 2 for
-    parity; else the d + 2 probes (1 at d = 1) and the inputs up to and
-    including the first that fails. ``residual_max`` is the largest
-    residual ||phi A - S A||_F over those inputs, infinite for a probe-stage
-    rejection or an image turned away. With ov_u and ov_a the overlaps of
-    the parity probe image's top vector with the unitary and antiunitary
-    hypotheses, ``parity_margin`` is |ov_u - ov_a| once parity is decided,
-    the signed ov_u - ov_a on ``failed_parity``, and 0 for an earlier
-    rejection or at d = 1."""
+    ``probes_used`` counts the inputs read, as a one-at-a-time loop would
+    (scan hands the oracle whole groups): on a probe-stage rejection the
+    stage's fixed count, j + 1 for basis probe j (from 0), d for the basis
+    images against U's columns, d + 1 for phase fixing and d + 2 for parity;
+    else the d + 2 probes (1 at d = 1) and the inputs through the first that
+    fails. ``residual_max`` is the largest residual ||phi A - S A||_F over
+    those inputs, infinite for a probe-stage rejection or an image turned
+    away. With ov_u and ov_a the overlaps of the parity probe image's top
+    vector with the unitary and antiunitary hypotheses, ``parity_margin`` is
+    |ov_u - ov_a| once parity is decided, the signed ov_u - ov_a on
+    ``failed_parity``, and 0 for an earlier rejection or at d = 1."""
 
     symmetry: Optional[SymmetryOperator]
     residual_max: float
@@ -310,14 +312,17 @@ def violation_bound(dim: int, delta: np.ndarray, traces: np.ndarray) -> np.ndarr
     return np.where(np.isnan(beta), np.inf, beta)
 
 
+MAX_TRACE = 2.0  # _trial_pairs' mixed traces lie below it, and residual_bound holds up to it
+
+
 @functools.cache
 def residual_bound(dim: int) -> float:
     """The one rule for images at dimension ``dim``, found once by bisection:
     the largest residual delta with violation_bound(dim, (delta, delta),
-    (t, t)) <= CLASSIFY_TOL at t = sampling.MAX_TRACE, the ceiling of a random
-    input's trace. The bound grows with each residual and trace, so inputs
-    within it keep each pair's |dF| within CLASSIFY_TOL. As F moves by
-    sqrt(delta) at orthogonality, it is about CLASSIFY_TOL^2 / (8 sqrt(d))."""
+    (t, t)) <= CLASSIFY_TOL at t = MAX_TRACE, the ceiling of a trial input's
+    trace. The bound grows with each residual and trace, so inputs within it
+    keep each pair's |dF| within CLASSIFY_TOL. As F moves by sqrt(delta) at
+    orthogonality, it is about CLASSIFY_TOL^2 / (8 sqrt(d))."""
     lo, hi = 0.0, CLASSIFY_TOL
     while (mid := 0.5 * (lo + hi)) not in (lo, hi):
         beta = violation_bound(dim, np.array([[mid, mid]]), np.full((1, 2), MAX_TRACE))[0]
@@ -335,14 +340,15 @@ def _trial_pairs(rng: np.random.Generator, dim: int, count: int, blocks: int = 1
 
     A block draws, in this order: one uniform per pair (mixed below 0.4,
     pure below 0.8, else orthogonal); for its n mixed pairs, A_1, B_1, ...,
-    2n traces and ranks (sampling.traces_and_ranks) and one
-    sampling.density_stack call; for its pure pairs one (n, 2, dim) Ginibre
-    block; for its orthogonal pairs one (n, dim, dim) Ginibre block, of
-    which only the first two columns are kept. A kind the block lacks makes
-    no call, as a size-0 draw takes no generator state. The stack is then
-    built at once, each step (norm, haar_stack, vv*, hermitize) one row at a
-    time, so a block's bits do not depend on ``blocks``; pair k depends on
-    ``count``, so scan draws whole blocks."""
+    all 2n traces, uniform in [0, MAX_TRACE) with 0 read as 1, then all 2n
+    ranks, uniform in 1..dim, and one sampling.density_stack call; for its
+    pure pairs one (n, 2, dim) Ginibre block; for its orthogonal pairs one
+    (n, dim, dim) Ginibre block, of which only the first two columns are
+    kept. A kind the block lacks makes no call, as a size-0 draw takes no
+    generator state. The stack is then built at once, each step (norm,
+    haar_stack, vv*, hermitize) one row at a time, so a block's bits do not
+    depend on ``blocks``; pair k depends on ``count``, so scan draws whole
+    blocks."""
     pairs = np.empty((blocks * count, 2, dim, dim), dtype=complex)
     pure_rows, orthogonal_rows, pure, orthogonal = [], [], [np.empty((0, 2, dim), complex)], []
     for start in range(0, blocks * count, count):
@@ -351,7 +357,9 @@ def _trial_pairs(rng: np.random.Generator, dim: int, count: int, blocks: int = 1
         pure_rows.append(start + np.flatnonzero((kinds >= 0.4) & (kinds < 0.8)))
         orthogonal_rows.append(start + np.flatnonzero(kinds >= 0.8))
         if len(mixed):
-            traces, ranks = traces_and_ranks(rng, 2 * len(mixed), dim)
+            traces = rng.uniform(0.0, MAX_TRACE, size=2 * len(mixed))
+            traces[traces == 0.0] = 1.0
+            ranks = rng.integers(1, dim + 1, size=2 * len(mixed))
             pairs[mixed] = density_stack(rng, traces, ranks, dim).reshape(-1, 2, dim, dim)
         if len(pure_rows[-1]):
             pure.append(ginibre(rng, (len(pure_rows[-1]), 2, dim)))
@@ -495,9 +503,9 @@ def reconstruct(
     that is S on pure states alone can pass a very few trials. The report is
     scan's, up to the first that fails. An image turned away rejects the map
     with its probe's status, or fails verification with an infinite
-    residual.
+    residual. Trials that are no integer, or below 1, raise ValueError first.
     """
-    if verification_trials < 1:
+    if (verification_trials := checked_int("verification_trials", verification_trials)) < 1:
         raise ValueError(f"verification_trials must be >= 1, got {verification_trials}")
     report = _probe_stages(oracle)
     if report.symmetry is not None:

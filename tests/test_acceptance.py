@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fidsym.charact import is_rank_one, order_totality_probe, rank_one_certificate, OrthogonalCertificate
-from fidsym.fidelity import fidelity, partial_fidelity
+from fidsym.fidelity import fidelity
 from fidsym.mapzoo import MapSpec, classify_map, make_map
 from fidsym.matcore import validate_density
 from fidsym.sampling import haar_unitary, random_density, random_pure_state
@@ -61,7 +61,7 @@ def test_criterion_2_monotonicity_suite():
         wa = np.linalg.eigvalsh(a.matrix)[::-1]
         wb = np.linalg.eigvalsh(b.matrix)[::-1]
         ok &= bool(np.all(wa <= wb + 1e-9))
-        chain = [partial_fidelity(a, c, m) for m in range(1, d + 1)]
+        chain = [fidelity(a, c, m) for m in range(1, d + 1)]
         ok &= all(hi - lo >= -1e-12 for lo, hi in zip(chain, chain[1:]))
         ok &= abs(chain[-1] - fidelity(a, c)) <= 1e-12
         if not ok:

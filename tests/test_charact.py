@@ -188,6 +188,22 @@ def test_probe_needs_two_samples(samples):
         order_totality_probe(validate_density(np.diag([0.5, 0.5])), samples=samples)
 
 
+@pytest.mark.parametrize("samples", [2.5, 200.0, True])
+def test_probe_needs_an_integer_sample_count(samples):
+    """A float, even an integral one, or a bool is no sample count: a
+    ValueError for a rank-one operator and a rank-two one alike, not a
+    TypeError from the draw or an answer from the first three samples."""
+    for diag in ([1.0, 0.0], [0.5, 0.5]):
+        with pytest.raises(ValueError, match="samples must be an integer, got"):
+            order_totality_probe(validate_density(np.diag(diag)), samples=samples)
+
+
+def test_probe_reads_a_numpy_integer_sample_count_as_its_int():
+    for rank in (1, 2, 3):
+        a = random_density(np.random.default_rng(rank), 3, rank=rank)
+        assert order_totality_probe(a, samples=np.int64(50)) is order_totality_probe(a, 50)
+
+
 def loop_minorants(a, samples, rng):
     """Reference: the draws in the sampler's order (every real part of the
     Ginibre block, every imaginary part, then every u), each minorant built

@@ -10,7 +10,6 @@ from fidsym.fidelity import (
     fidelity,
     is_leq,
     is_orthogonal,
-    partial_fidelity,
 )
 from fidsym.matcore import (
     DensityOperator,
@@ -56,28 +55,38 @@ def test_dimension_mismatch():
 
 def test_partial_fidelity_m1_example():
     a = dens([0.5, 0.5])
-    assert partial_fidelity(a, a, 1) == pytest.approx(0.5, abs=1e-12)
+    assert fidelity(a, a, 1) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_partial_fidelity_full_equals_fidelity():
     rng = np.random.default_rng(11)
     a = random_density(rng, 4)
     b = random_density(rng, 4)
-    assert partial_fidelity(a, b, 4) == pytest.approx(fidelity(a, b), abs=1e-12)
+    assert fidelity(a, b, 4) == pytest.approx(fidelity(a, b), abs=1e-12)
 
 
 def test_partial_fidelity_zero_on_orthogonal():
     p = pure_state(np.eye(2)[0]).projection()
     q = pure_state(np.eye(2)[1]).projection()
-    assert partial_fidelity(p, q, 1) == pytest.approx(0.0, abs=1e-12)
+    assert fidelity(p, q, 1) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_partial_fidelity_bad_m():
     a = dens([0.5, 0.5])
     with pytest.raises(BadM):
-        partial_fidelity(a, a, 0)
+        fidelity(a, a, 0)
     with pytest.raises(BadM):
-        partial_fidelity(a, a, 3)
+        fidelity(a, a, 3)
+
+
+@pytest.mark.parametrize("m", [1.5, 1.0, True])
+def test_partial_fidelity_needs_an_integer_m(m):
+    """A float, even an integral one, or a bool is no index m: BadM, not a
+    TypeError from slicing or the partial fidelity at m = 1."""
+    a = dens([0.5, 0.5])
+    with pytest.raises(BadM, match="m must be an integer, got"):
+        fidelity(a, a, m)
+    assert fidelity(a, a, np.int64(1)) == fidelity(a, a, 1) == 0.5
 
 
 def test_pure_fidelity_overlap():
@@ -131,12 +140,12 @@ def test_fidelity_is_scale_free(scale):
     a = np.array([[0.7, 0.2], [0.2, 0.3]])
     b = np.array([[0.5, 0.1j], [-0.1j, 0.5]])
     f = fidelity(validate_density(a), validate_density(b))
-    p = partial_fidelity(validate_density(a), validate_density(b), 1)
+    p = fidelity(validate_density(a), validate_density(b), 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sa, sb = validate_density(scale * a), validate_density(scale * b)
         assert fidelity(sa, sb) / scale == pytest.approx(f, rel=1e-12, abs=0.0)
-        assert partial_fidelity(sa, sb, 1) / scale == pytest.approx(p, rel=1e-12, abs=0.0)
+        assert fidelity(sa, sb, 1) / scale == pytest.approx(p, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -252,7 +261,7 @@ def test_partial_chain(d):
     rng = np.random.default_rng(50 + d)
     a = random_density(rng, d)
     b = random_density(rng, d)
-    values = [partial_fidelity(a, b, m) for m in range(1, d + 1)]
+    values = [fidelity(a, b, m) for m in range(1, d + 1)]
     assert all(hi - lo >= -1e-12 for lo, hi in zip(values, values[1:]))
     assert values[-1] == pytest.approx(fidelity(a, b), abs=1e-12)
 

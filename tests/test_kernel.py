@@ -18,7 +18,6 @@ from fidsym.fidelity import (
     fidelity_stack,
     is_leq,
     is_orthogonal,
-    partial_fidelity,
 )
 from fidsym.mapzoo import (
     PRESERVING_KINDS,
@@ -143,7 +142,7 @@ def test_fidelity_stack_equals_n1(d):
     for m in range(1, d + 1):
         part = fidelity_stack(a, b, m)
         for k, (x, y) in enumerate(pairs):
-            assert part[k] == partial_fidelity(x, y, m)
+            assert part[k] == fidelity(x, y, m)
 
 
 @pytest.mark.parametrize("d", DIMS)
@@ -216,7 +215,7 @@ def test_fidelity_stack_matches_trace_norm_reference(d):
         assert got[None][k] == fidelity(x, y)
         for order in range(1, d + 1):
             tol = 1e-12 * (1.0 + ab) + holder[:order].sum()
-            assert got[order][k] == partial_fidelity(x, y, order)
+            assert got[order][k] == fidelity(x, y, order)
             assert abs(got[order][k] - s[:order].sum()) <= tol, (i[k], j[k], order)
         assert got[None][k] == got[d][k]
 

@@ -101,6 +101,33 @@ def test_classify_needs_a_trial(trials):
         classify_map(make_map(MapSpec("identity", 2)), trials=trials)
 
 
+@pytest.mark.parametrize("trials", [2.5, 64.0, True, "3", None])
+@pytest.mark.parametrize("kind", ["unitary", "depolarizing"])
+def test_classify_rejects_a_trial_count_that_is_no_integer_before_probing(kind, trials):
+    """A float, even an integral one, or a bool is no trial count: BadSpec
+    before the oracle is read, for a preserving map (which would otherwise
+    be scanned on its least count) and a rejected one (which would reach
+    range) alike."""
+    calls = []
+    inner = make_map(MapSpec(kind, 3))
+    oracle = DensityMapOracle(3, lambda m: calls.append(m) or inner.evaluate_stack(m))
+    with pytest.raises(BadSpec, match="trials must be an integer, got"):
+        classify_map(oracle, trials=trials)
+    assert calls == []
+
+
+def test_verify_theorem_rejects_a_trial_count_that_is_no_integer():
+    with pytest.raises(BadSpec, match="trials must be an integer, got 2.5"):
+        verify_theorem(2, trials=2.5)
+
+
+@pytest.mark.parametrize("kind", ["unitary", "depolarizing"])
+def test_classify_reads_a_numpy_integer_trial_count_as_its_int(kind):
+    oracle = make_map(MapSpec(kind, 2))
+    got = classification_to_dict(classify_map(oracle, trials=np.int64(40)))
+    assert json.dumps(got) == json.dumps(classification_to_dict(classify_map(oracle, trials=40)))
+
+
 def test_depolarizing_witness_value():
     # the canonical discriminating pair: orthogonal basis projections
     oracle = make_map(MapSpec(kind="depolarizing", dim=2, params={"p": 0.5}))

@@ -15,7 +15,7 @@ from trial_reference import group_calls, input_calls, reference_inputs, stack_si
 from fidsym.charact import numerical_rank
 from fidsym.cli import classification_to_dict, reconstruction_to_dict
 from fidsym.mapzoo import ALL_KINDS, classify_map, make_map, zoo_specs
-from fidsym.matcore import DensityOperator, DimensionMismatch, eig_hermitian
+from fidsym.matcore import DensityOperator, DimensionMismatch, eig_hermitian, hermitize_stack
 from fidsym.sampling import haar_unitary, random_density
 from fidsym.wigner import (
     ANTIUNITARY,
@@ -27,6 +27,7 @@ from fidsym.wigner import (
     VERIFICATION_TRIALS,
     DensityMapOracle,
     SymmetryOperator,
+    _probe_stages,
     _trial_pairs,
     apply_symmetry_stack,
     reconstruct,
@@ -97,6 +98,29 @@ def test_evaluate_stack_has_the_bits_of_evaluate_and_the_per_matrix_map(kind, d,
         assert y.tobytes() == oracle.evaluate(a).matrix.tobytes() == reference(a).tobytes()
     images, ok = oracle.image_stack(stack)
     assert ok.all() and images.tobytes() == out.tobytes()
+
+
+def probe_inputs(d):
+    """The raw projections that the probe stages hand an oracle at dim d, as
+    read off an identity map, which passes every stage: d + 2 (one at d = 1)."""
+    seen = []
+    _probe_stages(DensityMapOracle(d, lambda m: seen.append(m) or m))
+    return np.concatenate(seen)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 32])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_every_zoo_image_of_a_tool_input_is_exactly_hermitian(kind, d):
+    """The zoo's stack actions are their formulas, with no hermitize of their
+    own: on the raw probe projections and on a trial block, the inputs the
+    tools hand a map, each image has the bits of its hermitized self."""
+    probes = probe_inputs(d)
+    assert len(probes) == (d + 2 if d >= 2 else 1)
+    trials = _trial_pairs(np.random.default_rng(d), d, stack_size(d)).reshape(-1, d, d)
+    oracle = oracle_of(kind, d)
+    for stack in (probes, trials):
+        out = oracle.evaluate_stack(stack)
+        assert out.tobytes() == hermitize_stack(out).tobytes()
 
 
 # Oracles at d = 3 keyed by test id: every zoo kind, every bad image as an

@@ -12,7 +12,6 @@ from fidsym.sampling import (
     haar_stack,
     haar_unitary,
     random_density,
-    traces_and_ranks,
 )
 from fidsym.tolerances import PSD_TOL, TRACE_TOL
 
@@ -119,12 +118,13 @@ def reference_stack(rng, traces, ranks, d):
 @pytest.mark.parametrize("traced", [False, True])
 def test_density_stack_matches_rows_built_alone(d, n, full, traced):
     """Row by row the bits of single-matrix code on the same Ginibre block,
-    with mixed ranks (zeroed columns) or every rank d (the mask skipped),
+    with mixed ranks (zeroed columns) or every rank d (every column kept),
     rescaled to the drawn traces or left as drawn; n = 0 draws nothing and
     gives an empty stack."""
     seed = 100 * d + 10 * n + 2 * full + traced
     rng = np.random.default_rng(seed)
-    traces, ranks = traces_and_ranks(rng, n, d)
+    traces = rng.uniform(0.0, 2.0, size=n)
+    ranks = rng.integers(1, d + 1, size=n)
     if full:
         ranks[:] = d
     if not traced:
@@ -143,17 +143,6 @@ def test_density_stack_matches_rows_built_alone(d, n, full, traced):
         assert np.allclose(np.trace(got, axis1=-2, axis2=-1).real, traces, rtol=1e-12, atol=0.0)
 
 
-def test_traces_and_ranks_draw_order():
-    """All traces, uniform in [0, 2), then all ranks, uniform in 1..d."""
-    rng = np.random.default_rng(11)
-    traces, ranks = traces_and_ranks(rng, 500, 4)
-    again = np.random.default_rng(11)
-    assert np.array_equal(traces, again.uniform(0.0, 2.0, size=500))
-    assert np.array_equal(ranks, again.integers(1, 5, size=500))
-    assert rng.bit_generator.state == again.bit_generator.state
-    assert set(ranks) == {1, 2, 3, 4}
-
-
 @pytest.mark.parametrize("d", [1, 2, 3, 8, 32, 64])
 def test_random_density_is_the_one_row_case_of_density_stack(d):
     """random_density's matrix is the hermitized row of a one-row
@@ -169,6 +158,21 @@ def test_random_density_is_the_one_row_case_of_density_stack(d):
         raw = density_stack(one, traces, np.array([rank]), d)
         assert rng.bit_generator.state == one.bit_generator.state, (d, k)
         assert a.matrix.tobytes() == hermitize(raw[0]).tobytes(), (d, k)
+
+
+@pytest.mark.parametrize("rank", [2.5, 2.0, True])
+def test_random_density_rejects_a_rank_that_is_no_integer_before_any_draw(rank):
+    """A float, even an integral one, or a bool is no rank: a ValueError that
+    leaves the generator untouched, not a draw of another rank."""
+    rng, fresh = np.random.default_rng(4), np.random.default_rng(4)
+    with pytest.raises(ValueError, match="rank must be an integer, got"):
+        random_density(rng, 4, rank)
+    assert rng.bit_generator.state == fresh.bit_generator.state
+
+
+def test_random_density_reads_a_numpy_integer_rank_as_its_int():
+    got = random_density(np.random.default_rng(5), 4, np.int64(2), 1.0)
+    assert got.matrix.tobytes() == random_density(np.random.default_rng(5), 4, 2, 1.0).matrix.tobytes()
 
 
 @pytest.mark.parametrize("rank, trace", [(5, None), (0, 1.0), (2, -1.0)])

@@ -1,6 +1,7 @@
 """Reconstruction round-trips, parity classification, symmetry distance, and
 the normalized-map extension."""
 import functools
+import json
 import math
 import tempfile
 
@@ -11,6 +12,7 @@ from bad_images import BAD_IMAGES
 from trial_reference import reference_inputs
 
 from fidsym.charact import numerical_rank
+from fidsym.cli import reconstruction_to_dict
 from fidsym.fidelity import fidelity
 from fidsym.mapzoo import MapSpec, classify_map, make_map, zoo_specs
 from fidsym.matcore import (
@@ -585,6 +587,27 @@ def test_reconstruct_rejects_bad_trials_before_probing(trials):
     with pytest.raises(ValueError, match="verification_trials"):
         reconstruct(oracle, verification_trials=trials)
     assert calls == []
+
+
+@pytest.mark.parametrize("trials", [64.0, 2.5, True, "64", None])
+def test_reconstruct_rejects_a_trial_count_that_is_no_integer_before_probing(trials):
+    """A float, even an integral one, or a bool is no trial count: a
+    ValueError before the oracle is read, not a TypeError from range, nor a
+    report certified on verification_trials=True."""
+    calls = []
+    oracle = DensityMapOracle(3, lambda m: calls.append(m) or m)
+    with pytest.raises(ValueError, match="verification_trials must be an integer, got"):
+        reconstruct(oracle, verification_trials=trials)
+    assert calls == []
+
+
+def test_reconstruct_reads_a_numpy_integer_trial_count_as_its_int():
+    """The report of np.int64(7) trials is that of 7, down to its JSON."""
+    oracle = symmetry_oracle(SymmetryOperator(UNITARY, haar_unitary(np.random.default_rng(2), 3)))
+    report = reconstruct(oracle, verification_trials=np.int64(7))
+    assert type(report.verification_trials) is int
+    assert (json.dumps(reconstruction_to_dict(report))
+            == json.dumps(reconstruction_to_dict(reconstruct(oracle, verification_trials=7))))
 
 
 @pytest.mark.parametrize("dim", [0, -1, 2.5, 2.0, True, "2", None])
