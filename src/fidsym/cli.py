@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__, mapzoo, tolerances, wigner
 from .fidelity import fidelity as fidelity_value
-from .matcore import DensityOperator, DimensionMismatch, MatcoreError, validate_density
+from .matcore import DensityOperator, DimensionMismatch, MatcoreError, checked_int, validate_density
 from .mapzoo import AssertionFailure, BadSpec, ClassificationReport, MapSpec, json_grid, json_number
 from .wigner import DensityMapOracle, ReconstructionReport
 
@@ -88,14 +88,6 @@ def read_json(path: str, keys: tuple[str, ...]) -> dict[str, Any]:
     return data
 
 
-def checked(name: str, value: int, lo: int, hi: int) -> int:
-    """``value`` if it is in lo..hi, else BadSpec naming ``name``: the one
-    range rule of dim, --trials and --digits."""
-    if not lo <= value <= hi:
-        raise BadSpec(f"{name} must be in {lo}..{hi}")
-    return value
-
-
 def matrix_to_dict(m: np.ndarray) -> dict[str, Any]:
     return {
         "dim": m.shape[0],
@@ -107,8 +99,8 @@ def matrix_to_dict(m: np.ndarray) -> dict[str, Any]:
 def load_density(path: str) -> DensityOperator:
     data = read_json(path, ("dim", "re", "im"))
     try:
-        return validate_density(json_grid(
-            data, checked("dim", json_number(data, "dim", integer=True), 1, MAX_DIM), "re", "im"))
+        dim = checked_int("dim", json_number(data, "dim", integer=True), 1, MAX_DIM, BadSpec)
+        return validate_density(json_grid(data, dim, "re", "im"))
     except (KeyError, BadSpec, MatcoreError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -120,7 +112,7 @@ def load_map_spec(path: str, seed: int) -> tuple[MapSpec, DensityMapOracle]:
     try:
         spec = MapSpec(
             kind=str(data["kind"]),
-            dim=checked("dim", json_number(data, "dim", integer=True), 1, MAX_DIM),
+            dim=checked_int("dim", json_number(data, "dim", integer=True), 1, MAX_DIM, BadSpec),
             params=data.get("params", {}),
         )
         return spec, mapzoo.make_map(spec, seed=seed)
@@ -184,7 +176,7 @@ def write_report(path: str, payload: dict[str, Any]) -> None:
 
 
 def cmd_fidelity(args: argparse.Namespace) -> int:
-    digits = checked("digits", args.digits, 0, MAX_DIGITS)
+    digits = checked_int("digits", args.digits, 0, MAX_DIGITS, BadSpec)
     a = load_density(args.a)
     b = load_density(args.b)
     try:
@@ -196,7 +188,7 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
-    trials = checked("trials", args.trials, 1, MAX_TRIALS)
+    trials = checked_int("trials", args.trials, 1, MAX_TRIALS, BadSpec)
     spec, oracle = load_map_spec(args.map, args.seed)
     report = wigner.reconstruct(oracle, verification_trials=trials, seed=args.seed)
     write_report(args.out, {"seed": args.seed, "map": {"kind": spec.kind, "dim": spec.dim},
@@ -205,7 +197,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    trials = checked("trials", args.trials, 1, MAX_TRIALS)
+    trials = checked_int("trials", args.trials, 1, MAX_TRIALS, BadSpec)
     spec, oracle = load_map_spec(args.map, args.seed)
     report = mapzoo.classify_map(oracle, trials=trials, seed=args.seed)
     write_report(args.out, {"seed": args.seed, "map": {"kind": spec.kind, "dim": spec.dim},
@@ -214,10 +206,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    trials = checked("trials", args.trials, 1, MAX_TRIALS)
+    trials = checked_int("trials", args.trials, 1, MAX_TRIALS, BadSpec)
+    dim = checked_int("dim", args.dim, 1, MAX_DIM, BadSpec)
     try:
-        summary = mapzoo.verify_theorem(checked("dim", args.dim, 1, MAX_DIM), trials=trials,
-                                        seed=args.seed)
+        summary = mapzoo.verify_theorem(dim, trials=trials, seed=args.seed)
         code = EXIT_OK
     except AssertionFailure as exc:
         summary = {"dim": args.dim, "trials": args.trials, "seed": args.seed,

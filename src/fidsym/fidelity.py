@@ -37,7 +37,7 @@ from .tolerances import ORDER_TOL, ORTH_TOL
 
 
 class BadM(ValueError):
-    """Partial-fidelity index m out of range."""
+    """Partial-fidelity index m that is no integer, or outside 1..d."""
 
 
 def fidelity_stack(a: np.ndarray, b: np.ndarray, m: int | None = None) -> np.ndarray:
@@ -46,10 +46,9 @@ def fidelity_stack(a: np.ndarray, b: np.ndarray, m: int | None = None) -> np.nda
     With ``m``, the partial fidelity instead: the sum of the m largest
     eigenvalues (with multiplicity) of (A^{1/2} B A^{1/2})^{1/2}. Both are
     read from the core X*BX of the factor X = V diag(w)^{1/2} of A; see the
-    module docstring.
+    module docstring. ``m`` goes through checked_int: BadM unless it is in 1..d.
     """
-    if m is not None and not 1 <= checked_int("m", m, BadM) <= a.shape[-1]:
-        raise BadM(f"m = {m} out of range 1..{a.shape[-1]}")
+    m = None if m is None else checked_int("m", m, 1, a.shape[-1], BadM)
     if a.shape != b.shape:
         raise DimensionMismatch(f"dimension mismatch: stacks {a.shape} vs {b.shape}")
     w, v = eigh_stack(a)

@@ -136,14 +136,12 @@ def json_grid(data: Mapping[str, Any], dim: int, re_key: str, im_key: str) -> np
 
 
 def make_map(spec: MapSpec, seed: int = 0) -> DensityMapOracle:
-    """Build a deterministic oracle from a map specification; BadSpec for a
-    bad dim, kind or param, or a params key the kind does not read, such as
-    a seed beside the grid it would have drawn. Depolarizing is the mix
-    toward I/d, and a unitary or antiunitary grid, within UNITARY_TOL of
-    unitary, is read as its polar factor, the unitary nearest it."""
-    d = json_number({"dim": spec.dim}, "dim", integer=True)
-    if d < 1:
-        raise BadSpec(f"dim must be positive, got {d}")
+    """A deterministic oracle from a map specification; BadSpec for a dim
+    (>= 1) or seed (>= 0) that json_number and checked_int refuse, a bad
+    kind or param, or a params key the kind does not read, such as a seed
+    beside the grid it would have drawn. Depolarizing mixes toward I/d; a
+    (anti)unitary grid within UNITARY_TOL of unitary is its polar factor."""
+    d = checked_int("dim", json_number({"dim": spec.dim}, "dim", integer=True), 1, error=BadSpec)
     kind, params = spec.kind, spec.params
     if kind not in KIND_PARAMS:
         raise BadSpec(f"unknown map kind {kind!r}")
@@ -196,12 +194,10 @@ def make_map(spec: MapSpec, seed: int = 0) -> DensityMapOracle:
 
 
 def _rng(params: Mapping[str, Any], seed: int) -> np.random.Generator:
-    """The generator of params["seed"], or of ``seed`` if absent; BadSpec
-    for a negative one."""
+    """The generator of params["seed"], or of ``seed`` if absent, read by
+    json_number and then checked_int: BadSpec unless an integer >= 0."""
     value = json_number(params, "seed", seed, integer=True)
-    if value < 0:
-        raise BadSpec(f"seed must be >= 0, got {value}")
-    return np.random.default_rng(value)
+    return np.random.default_rng(checked_int("seed", value, 0, error=BadSpec))
 
 
 def _traces(m: np.ndarray) -> np.ndarray:
@@ -244,11 +240,11 @@ def classify_map(oracle: DensityMapOracle, trials: int = CLASSIFY_TRIALS, seed: 
     past its block. Each score is a function of its pair alone, so the report
     is that of a block-by-block scan (the oracle may see the rest of the last
     group) and, by the prefix property, that of ``classify_map`` asked for
-    exactly that many trials, reconstruction included. Trials that are no
-    integer, or below 1, raise BadSpec before any oracle read.
+    exactly that many trials, reconstruction included. Trials below 1 and a
+    seed below 0, or either no integer, raise BadSpec before any oracle read.
     """
-    if checked_int("trials", trials, BadSpec) < 1:
-        raise BadSpec(f"trials must be >= 1, got {trials}")
+    trials = checked_int("trials", trials, 1, error=BadSpec)
+    seed = checked_int("seed", seed, 0, error=BadSpec)
     if oracle.dim < 2:
         raise BadSpec("classification needs dim >= 2 (no orthogonal pure pair exists at dim 1)")
     d = oracle.dim
@@ -291,7 +287,9 @@ def zoo_specs(dim: int) -> list[MapSpec]:
 def verify_theorem(dim: int, trials: int = CLASSIFY_TRIALS, seed: int = 0) -> dict[str, Any]:
     """Run the dichotomy over the whole zoo: every preserving kind must
     certify to a symmetry, every non-preserving kind must be rejected with a
-    witness pair."""
+    witness pair. dim, trials (>= 1) and seed (>= 0) go through checked_int."""
+    dim, trials, seed = (checked_int(name, value, lo, error=BadSpec) for name, value, lo
+                         in (("dim", dim, 1), ("trials", trials, 1), ("seed", seed, 0)))
     results = []
     for spec in zoo_specs(dim):
         oracle = make_map(spec, seed=seed)

@@ -112,11 +112,15 @@ def from_psd_stack(m: np.ndarray) -> list[DensityOperator]:
     return [DensityOperator(matrix=x) for x in freeze(hermitize_stack(m))]
 
 
-def checked_int(name: str, value, error: type[ValueError] = ValueError) -> int:
-    """A count (of trials, samples, a rank) as an int: ``error`` naming
-    ``name`` unless ``value`` is an int or a numpy integer, but no bool."""
+def checked_int(name: str, value, lo: int, hi: int | None = None,
+                error: type[ValueError] = ValueError) -> int:
+    """The one rule for an integer argument (dim, count, seed, rank, m): ``value``
+    as a Python int if it is an int or numpy integer, no bool, and in lo..hi
+    (lo and up if ``hi`` is None); else ``error`` naming ``name`` and ``value``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise error(f"{name} must be an integer, got {value!r}")
+    if not lo <= int(value) <= (math.inf if hi is None else hi):
+        raise error(f"{name} must be {f'>= {lo}' if hi is None else f'in {lo}..{hi}'}, got {value}")
     return int(value)
 
 

@@ -78,13 +78,11 @@ def random_density(
     The hermitized GG* is exactly Hermitian, and its most negative
     eigenvalue is rounding of order eps ||GG*||, far inside the PSD_TOL band
     that validation would clip, so it is wrapped without an
-    eigendecomposition. A rank that is no integer or outside 1..dim, or a
-    trace that is not >= 0, raises ValueError before any draw."""
-    if ((rank is not None and not 1 <= checked_int("rank", rank) <= dim)
-            or (trace is not None and not trace >= 0.0)):
-        raise ValueError(f"need rank in 1..{dim} and trace >= 0, got rank {rank}, trace {trace}")
-    if rank is None:
-        rank = int(rng.integers(1, dim + 1))
+    eigendecomposition. A rank outside 1..dim or no integer (checked_int), or
+    a trace that is not >= 0, raises ValueError before any draw."""
+    if trace is not None and not trace >= 0.0:
+        raise ValueError(f"trace must be >= 0, got {trace}")
+    rank = int(rng.integers(1, dim + 1)) if rank is None else checked_int("rank", rank, 1, dim)
     traces = None if trace is None else np.array([trace], dtype=float)
     return DensityOperator.from_psd(density_stack(rng, traces, np.array([rank]), dim)[0])
 

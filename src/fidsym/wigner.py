@@ -72,18 +72,16 @@ class DensityMapOracle:
     on density operators of a fixed dimension, given by one action on stacks.
 
     ``evaluate_stack`` maps an (n, dim, dim) array of input matrices to the
-    (n, dim, dim) array of their images in one call, and returns a fresh
-    array or its input. The tools read it through ``image_stack``;
-    ``evaluate``, its n = 1 case, calls it directly, so it returns even an
-    image that image_stack turns away, such as ``from_evaluate``'s NaN row."""
+    (n, dim, dim) array of their images in one call (a fresh array or its
+    input), and ``dim`` is the int >= 1 that checked_int reads. The tools read
+    it through ``image_stack``; ``evaluate``, its n = 1 case, calls it directly,
+    so it even returns an image that image_stack turns away (from_evaluate's NaN row)."""
 
     dim: int
     evaluate_stack: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self) -> None:
-        dim = self.dim
-        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
-            raise ValueError(f"oracle dim must be >= 1 and an integer, got {self.dim!r}")
+        object.__setattr__(self, "dim", checked_int("dim", self.dim, 1))
 
     @classmethod
     def from_evaluate(cls, dim: int, evaluate: Callable[[DensityOperator], DensityOperator]
@@ -133,10 +131,17 @@ class DensityMapOracle:
 @dataclass(frozen=True)
 class SymmetryOperator:
     """A unitary matrix plus a parity flag; acts as A -> U A U* (unitary) or
-    A -> U conj(A) U* (antiunitary, conjugation in the canonical basis)."""
+    A -> U conj(A) U* (antiunitary, conjugation in the canonical basis); any
+    other parity, or a ``u`` that is no square 2-D array, raises ValueError."""
 
     parity: str
     u: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.parity not in (UNITARY, ANTIUNITARY):
+            raise ValueError(f"parity must be {UNITARY!r} or {ANTIUNITARY!r}, got {self.parity!r}")
+        if np.ndim(self.u) != 2 or np.shape(self.u)[0] != np.shape(self.u)[1]:
+            raise ValueError(f"u must be a square 2-D array, got shape {np.shape(self.u)}")
 
     @property
     def dim(self) -> int:
@@ -502,11 +507,11 @@ def reconstruct(
     twice the trials it scored. As the first inputs may all be pure, a map
     that is S on pure states alone can pass a very few trials. The report is
     scan's, up to the first that fails. An image turned away rejects the map
-    with its probe's status, or fails verification with an infinite
-    residual. Trials that are no integer, or below 1, raise ValueError first.
+    with its probe's status, or fails verification with an infinite residual.
+    Trials below 1 or a seed below 0, or either no integer, raise ValueError first.
     """
-    if (verification_trials := checked_int("verification_trials", verification_trials)) < 1:
-        raise ValueError(f"verification_trials must be >= 1, got {verification_trials}")
+    verification_trials = checked_int("verification_trials", verification_trials, 1)
+    seed = checked_int("seed", seed, 0)
     report = _probe_stages(oracle)
     if report.symmetry is not None:
         for *_, report in scan(oracle, report, verification_trials, seed):

@@ -184,7 +184,7 @@ def test_probe_consistency_with_rank():
 
 @pytest.mark.parametrize("samples", [0, 1])
 def test_probe_needs_two_samples(samples):
-    with pytest.raises(ValueError, match="samples >= 2"):
+    with pytest.raises(ValueError, match=f"^samples must be >= 2, got {samples}$"):
         order_totality_probe(validate_density(np.diag([0.5, 0.5])), samples=samples)
 
 
@@ -196,6 +196,16 @@ def test_probe_needs_an_integer_sample_count(samples):
     for diag in ([1.0, 0.0], [0.5, 0.5]):
         with pytest.raises(ValueError, match="samples must be an integer, got"):
             order_totality_probe(validate_density(np.diag(diag)), samples=samples)
+
+
+@pytest.mark.parametrize("seed, message", [
+    (1.5, "an integer, got 1.5"), (True, "an integer, got True"), (-1, ">= 0, got -1")])
+def test_probe_rejects_a_bad_seed(seed, message):
+    """A seed that is no integer or is negative is a ValueError naming it,
+    not numpy's TypeError or ValueError, nor a draw from seed 1 for True."""
+    for diag in ([1.0, 0.0], [0.5, 0.5]):
+        with pytest.raises(ValueError, match=f"^seed must be {message}$"):
+            order_totality_probe(validate_density(np.diag(diag)), seed=seed)
 
 
 def test_probe_reads_a_numpy_integer_sample_count_as_its_int():

@@ -1,6 +1,7 @@
 """Every name a fidsym module imports is used in it, and every private
 helper is called, so that folding a helper into its caller cannot leave a
-dead import or a dead helper behind."""
+dead import or a dead helper behind; and only the integer rule tells a bool
+from an int, so that no copy of it grows back."""
 import ast
 from pathlib import Path
 
@@ -85,3 +86,50 @@ def test_the_check_finds_a_dead_private_helper():
     caller = ast.parse("import helpers\n\nx = helpers._remote()\n")
     assert dead_private_helpers([helpers, caller]) == {"_dead", "_self"}
     assert dead_private_helpers([helpers]) == {"_dead", "_self", "_remote"}
+
+
+# The one integer rule, and the JSON reader that hands its ints on to it,
+# are the only code that tells a bool from an int.
+BOOL_CHECKERS = {"matcore.checked_int", "mapzoo.json_number"}
+
+
+def bool_checks(tree: ast.Module, module: str) -> list[str]:
+    """Where the module calls isinstance(x, bool), bool alone or in a tuple:
+    the dotted name of the innermost def or class around each call, prefixed
+    by ``module``, or ``module`` alone at module level, in source order."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            if (isinstance(child, ast.Call) and getattr(child.func, "id", None) == "isinstance"
+                    and len(child.args) == 2
+                    and any(getattr(n, "id", None) == "bool" for n in ast.walk(child.args[1]))):
+                found.append(where)
+            visit(child, where)
+
+    visit(tree, module)
+    return found
+
+
+def test_only_the_integer_rule_tells_a_bool_from_an_int():
+    found = {site for path in MODULES
+             for site in bool_checks(ast.parse(path.read_text(encoding="utf-8")), path.stem)}
+    assert not found - BOOL_CHECKERS, (
+        f"isinstance(..., bool) outside matcore.checked_int and mapzoo.json_number: "
+        f"{sorted(found - BOOL_CHECKERS)}")
+
+
+def test_the_check_finds_a_bool_test():
+    """A test for bool alone or in a tuple, in a function, a nested function,
+    a method or at module level; np.bool_ and a test for int are not one."""
+    tree = ast.parse(
+        "def checked_int(v):\n    return isinstance(v, bool)\n\n"
+        "def f(v):\n    return isinstance(v, (int, bool))\n\n"
+        "def g(v):\n    def inner(w):\n        return isinstance(w, bool)\n"
+        "    return isinstance(v, int)\n\n"
+        "class C:\n    def m(self, v):\n        return not isinstance(v, bool)\n\n"
+        "x = isinstance(1, bool)\ny = isinstance(True, np.bool_)\n")
+    assert bool_checks(tree, "mod") == ["mod.checked_int", "mod.f", "mod.g.inner", "mod.C.m", "mod"]

@@ -11,7 +11,7 @@ from bad_images import BAD_IMAGES
 from trial_reference import group_calls, reference_trial_pairs, stack_size
 
 from fidsym import mapzoo
-from fidsym.cli import classification_to_dict
+from fidsym.cli import classification_to_dict, reconstruction_to_dict
 from fidsym.fidelity import fidelity, fidelity_stack
 from fidsym.mapzoo import (
     ALL_KINDS,
@@ -89,7 +89,7 @@ def test_bad_specs():
         make_map(MapSpec(kind="nope", dim=2))
     with pytest.raises(BadSpec):
         make_map(MapSpec(kind="unitary", dim=2, params={"re": [[1, 0], [0, 2]]}))
-    with pytest.raises(BadSpec, match="dim must be positive, got 0"):
+    with pytest.raises(BadSpec, match="^dim must be >= 1, got 0$"):
         make_map(MapSpec(kind="identity", dim=0))
     with pytest.raises(BadSpec, match=r"mix p = -0.1 out of \[0, 1\]"):
         make_map(MapSpec(kind="mix", dim=2, params={"p": -0.1}))
@@ -119,6 +119,22 @@ def test_classify_rejects_a_trial_count_that_is_no_integer_before_probing(kind, 
 def test_verify_theorem_rejects_a_trial_count_that_is_no_integer():
     with pytest.raises(BadSpec, match="trials must be an integer, got 2.5"):
         verify_theorem(2, trials=2.5)
+
+
+@pytest.mark.parametrize("kind", ["unitary", "depolarizing"])
+def test_classify_rejects_a_bad_seed_before_probing(kind):
+    """A seed that is no integer or is negative is BadSpec naming it, before
+    any oracle read, as verify_theorem's is."""
+    calls = []
+    inner = make_map(MapSpec(kind, 3))
+    oracle = DensityMapOracle(3, lambda m: calls.append(m) or inner.evaluate_stack(m))
+    for seed, message in [(1.5, "an integer, got 1.5"), (True, "an integer, got True"),
+                          ("3", "an integer, got '3'"), (-1, ">= 0, got -1")]:
+        with pytest.raises(BadSpec, match=f"^seed must be {message}$"):
+            classify_map(oracle, 10, seed=seed)
+        with pytest.raises(BadSpec, match=f"^seed must be {message}$"):
+            verify_theorem(2, 10, seed=seed)
+    assert calls == []
 
 
 @pytest.mark.parametrize("kind", ["unitary", "depolarizing"])
@@ -482,16 +498,23 @@ def test_a_grid_beside_a_seed_is_a_bad_spec(kind, params):
 @pytest.mark.parametrize("d", [1, 2, 3, 8])
 def test_every_report_number_is_a_float(d):
     """residual_max, parity_margin and worst_violation are Python floats, not
-    numpy scalars, for every zoo kind; d = 1 has no classification."""
+    numpy scalars, for every zoo kind, and every report is JSON, also for a
+    numpy-integer dim, trial count and seed; d = 1 has no classification."""
     for spec in zoo_specs(d):
-        oracle = make_map(spec)
-        recs = [reconstruct(oracle)]
-        if d >= 2:
-            report = classify_map(oracle, trials=40)
-            assert type(report.worst_violation) is float, spec.kind
-            recs.append(report.reconstruction)
-        for rec in recs:
-            assert (type(rec.residual_max), type(rec.parity_margin)) == (float, float), spec.kind
+        made = make_map(spec)
+        for oracle, trials, seed in [(made, 40, 0), (DensityMapOracle(
+                np.int64(d), made.evaluate_stack), np.int64(40), np.int64(0))]:
+            recs = [reconstruct(oracle, seed=seed)]
+            if d >= 2:
+                report = classify_map(oracle, trials=trials, seed=seed)
+                assert type(report.worst_violation) is float, spec.kind
+                json.dumps(classification_to_dict(report))
+                recs.append(report.reconstruction)
+            for rec in recs:
+                assert (type(rec.residual_max), type(rec.parity_margin)) == (float, float), spec.kind
+                json.dumps(reconstruction_to_dict(rec))
+    if d >= 2:
+        json.dumps(verify_theorem(np.int64(d), np.int64(40), np.int64(0)))
 
 
 def test_a_negative_default_seed_is_a_bad_spec():

@@ -614,12 +614,40 @@ def test_reconstruct_reads_a_numpy_integer_trial_count_as_its_int():
 def test_oracle_needs_positive_dim(dim):
     """A dim below 1 or no integer, a bool or a float included, fails at
     construction, not later in reconstruct."""
-    with pytest.raises(ValueError, match="dim must be >= 1 and an integer"):
+    with pytest.raises(ValueError, match=rf"^dim must be (>= 1|an integer), got {dim!r}$"):
         DensityMapOracle.from_evaluate(dim, lambda a: a)
 
 
 def test_oracle_accepts_a_numpy_integer_dim():
     assert reconstruct(DensityMapOracle(np.int64(3), lambda m: m)).certified
+
+
+@pytest.mark.parametrize("seed, message", [
+    (1.5, "an integer, got 1.5"), (True, "an integer, got True"), ("3", "an integer, got '3'"),
+    (None, "an integer, got None"), (-1, ">= 0, got -1")])
+def test_reconstruct_rejects_a_bad_seed_before_probing(seed, message):
+    """A seed that is no integer or is negative is a ValueError naming it,
+    before any oracle read: not numpy's TypeError or ValueError after the
+    probes, nor a run on seed 1 for True."""
+    calls = []
+    oracle = DensityMapOracle(3, lambda m: calls.append(m) or m)
+    with pytest.raises(ValueError, match=f"^seed must be {message}$"):
+        reconstruct(oracle, seed=seed)
+    assert calls == []
+
+
+@pytest.mark.parametrize("parity", ["Antiunitary", "", None, "u"])
+def test_symmetry_operator_rejects_an_unknown_parity(parity):
+    """A parity that is neither UNITARY nor ANTIUNITARY is no symmetry, not
+    one read as unitary."""
+    with pytest.raises(ValueError, match=f"^parity must be 'unitary' or 'antiunitary', got {parity!r}$"):
+        SymmetryOperator(parity, np.eye(2, dtype=complex))
+
+
+@pytest.mark.parametrize("u", [np.eye(2, 3), np.eye(2)[0], np.ones((2, 2, 2)), 1.0])
+def test_symmetry_operator_rejects_a_u_that_is_no_square_matrix(u):
+    with pytest.raises(ValueError, match=r"^u must be a square 2-D array, got shape \("):
+        SymmetryOperator(UNITARY, u)
 
 
 def nan_oracle(d, where, fill=np.nan):
