@@ -142,6 +142,7 @@ def make_map(spec: MapSpec, seed: int = 0) -> DensityMapOracle:
     beside the grid it would have drawn. Depolarizing mixes toward I/d; a
     (anti)unitary grid within UNITARY_TOL of unitary is its polar factor."""
     d = checked_int("dim", json_number({"dim": spec.dim}, "dim", integer=True), 1, error=BadSpec)
+    seed = checked_int("seed", seed, 0, error=BadSpec)
     kind, params = spec.kind, spec.params
     if kind not in KIND_PARAMS:
         raise BadSpec(f"unknown map kind {kind!r}")

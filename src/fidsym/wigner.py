@@ -186,9 +186,8 @@ class ReconstructionReport:
 
 
 def apply_symmetry_stack(s: SymmetryOperator, m: np.ndarray) -> np.ndarray:
-    """U M U* or U conj(M) U* for every matrix of an (n, d, d) stack,
-    hermitized: the one action of a symmetry, on the oracle's side and on the
-    expected side of verification alike."""
+    """U M U* or U conj(M) U*, hermitized, for every matrix of an (n, d, d) stack: the
+    action of symmetry_oracle, and the image that scan expects of a mixed trial input."""
     if s.parity == ANTIUNITARY:
         m = m.conj()
     return hermitize_stack(s.u @ m @ s.u.conj().T)
@@ -335,9 +334,11 @@ def residual_bound(dim: int) -> float:
     return lo
 
 
-def _trial_pairs(rng: np.random.Generator, dim: int, count: int, blocks: int = 1) -> np.ndarray:
+def _trial_pairs(rng: np.random.Generator, dim: int, count: int, blocks: int = 1
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """``blocks`` blocks of ``count`` trial pairs as one hermitized, read-only
-    (blocks * count, 2, dim, dim) stack, bit for bit the concatenation of
+    (blocks * count, 2, dim, dim) stack and the (blocks * count, 2, dim) unit
+    vectors v of its pure inputs vv*, zero for a mixed one, bit for bit those of
     ``blocks`` calls with ``blocks=1``: 40% random mixed pairs, 40% random
     pure pairs, 20% orthogonal pure pairs, the sharpest discriminators
     (F = 0 must map to F = 0). At dim 1, with no orthogonal pair and one
@@ -375,8 +376,26 @@ def _trial_pairs(rng: np.random.Generator, dim: int, count: int, blocks: int = 1
     v /= np.linalg.norm(v, axis=-1, keepdims=True)
     if orthogonal:
         v = np.concatenate([v, haar_stack(np.concatenate(orthogonal)).swapaxes(-1, -2)])
-    pairs[np.concatenate(pure_rows + orthogonal_rows)] = v[..., :, None] * v[..., None, :].conj()
-    return freeze(hermitize_stack(pairs.reshape(-1, dim, dim))).reshape(pairs.shape)
+    rows, vectors = np.concatenate(pure_rows + orthogonal_rows), np.zeros(pairs.shape[:3], complex)
+    pairs[rows] = v[..., :, None] * v[..., None, :].conj()
+    vectors[rows] = v
+    return freeze(hermitize_stack(pairs.reshape(-1, dim, dim))).reshape(pairs.shape), freeze(vectors)
+
+
+def _expected_images(s: SymmetryOperator, inputs: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """S X for each trial input X: for X = vv*, v a nonzero row of ``vectors``, hermitize(yy*)
+    in O(d^2), with y = Uv (U conj(v) if antiunitary) its own product, so its bits do not
+    depend on its stack; for a mixed X, a zero row, apply_symmetry_stack's."""
+    pure = vectors.any(axis=-1)
+    if not pure.any():
+        return apply_symmetry_stack(s, inputs)
+    y = s.u @ (vectors[pure].conj() if s.parity == ANTIUNITARY else vectors[pure])[..., None]
+    images = hermitize_stack(y * y.conj().swapaxes(-1, -2))
+    if pure.all():
+        return images
+    out = np.empty_like(inputs)
+    out[pure], out[~pure] = images, apply_symmetry_stack(s, inputs[~pure])
+    return out
 
 
 def scan(oracle: DensityMapOracle, probed: ReconstructionReport, count: int, seed: int
@@ -390,7 +409,8 @@ def scan(oracle: DensityMapOracle, probed: ReconstructionReport, count: int, see
     block_size(d) pairs, drawn whole by one _trial_pairs call and the last
     cut to the inputs left, as a read-only (n, d, d) stack; their images and
     mask ``ok`` from one ``oracle.image_stack`` call; each row's residual
-    ||phi X - S X||_F (+inf if turned away, or with no S); and ``probed``
+    ||phi X - S X||_F (+inf if turned away, or with no S; S X as _expected_images
+    forms it from the drawn vector v of a pure X = vv*, in O(d^2)); and ``probed``
     verified on the inputs so far, in draw order, up to and including the
     first with res > residual_bound(d) (``probed`` itself with no S). No
     group after the one the caller stops in is drawn or mapped."""
@@ -398,11 +418,12 @@ def scan(oracle: DensityMapOracle, probed: ReconstructionReport, count: int, see
     rng = np.random.default_rng(seed)
     top, read, failed, report = 0.0, 0, False, probed
     for group in scoring_groups((count + 1) // 2, d):
-        inputs = _trial_pairs(rng, d, size, len(group)).reshape(-1, d, d)[:count - 2 * group[0]]
+        inputs, vectors = (a.reshape(-1, *a.shape[2:])[:count - 2 * group[0]]
+                           for a in _trial_pairs(rng, d, size, len(group)))
         images, ok = oracle.image_stack(inputs)
         res = np.full(len(inputs), math.inf)
         if symmetry is not None:
-            res[ok] = np.sqrt(row_sumsq(images - apply_symmetry_stack(symmetry, inputs)))[ok]
+            res[ok] = np.sqrt(row_sumsq(images - _expected_images(symmetry, inputs, vectors)))[ok]
             if not failed:
                 bad = np.flatnonzero(~(res <= residual_bound(d)))
                 n = int(bad[0]) + 1 if len(bad) else len(res)

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 from adversarial_maps import depolarized_off_the_probes
-from trial_reference import group_calls, reference_trial_pairs, stack_size
+from trial_reference import group_calls, reference_expected, reference_trial_pairs, stack_size
 
 from fidsym import mapzoo, wigner
 from fidsym.charact import numerical_rank, spectral_rank
@@ -54,7 +54,6 @@ from fidsym.wigner import (
     DensityMapOracle,
     SymmetryOperator,
     _probe_stages,
-    apply_symmetry,
     apply_symmetry_stack,
     extend_normalized,
     reconstruct,
@@ -256,9 +255,9 @@ def reference_classify(oracle, trials, seed, score=fidelity, candidate=True):
     trials left, and evaluate and score each pair one at a time; the first
     pair reaching the largest violation is the witness. With ``candidate``
     and a symmetry from reconstruct's probes, certified or not, a pair
-    scores its violation_bound, from the residuals against apply_symmetry,
-    unless that exceeds CLASSIFY_TOL; every other pair scores its measured
-    violation. Whenever the probes give a symmetry, at least
+    scores its violation_bound, from the residuals against the images
+    that reference_expected computes, unless that exceeds CLASSIFY_TOL;
+    every other pair scores its measured violation. Whenever the probes give a symmetry, at least
     VERIFICATION_TRIALS / 2 trials are scored, however few are asked for.
     The scan stops after the first block whose largest violation exceeds
     CLASSIFY_TOL. Returns the worst violation, its witness and the number
@@ -270,14 +269,15 @@ def reference_classify(oracle, trials, seed, score=fidelity, candidate=True):
     d = oracle.dim
     worst, witness, scored = 0.0, None, 0
     while scored < trials and worst <= CLASSIFY_TOL:
-        block = reference_trial_pairs(rng, d, stack_size(d))[:trials - scored]
-        for a, b in block:
+        block, units = reference_trial_pairs(rng, d, stack_size(d), vectors=True)
+        block = block[:trials - scored]
+        for (a, b), vectors in zip(block, units):
             images = oracle.evaluate(a), oracle.evaluate(b)
             violation = math.inf
             if candidate and rec.symmetry is not None:
                 delta = [np.sqrt(row_sumsq(
-                    (y.matrix - apply_symmetry(rec.symmetry, x).matrix)[None]))
-                    for x, y in zip((a, b), images)]
+                    (y.matrix - reference_expected(rec.symmetry, x, v))[None]))
+                    for x, y, v in zip((a, b), images, vectors)]
                 violation = float(mapzoo.violation_bound(
                     d, np.array([np.concatenate(delta)]), np.array([[a.trace, b.trace]]))[0])
             if violation > CLASSIFY_TOL:
@@ -332,7 +332,7 @@ def trial_blocks(seed, d, trials):
     (trials, 2, d, d) array."""
     rng = np.random.default_rng(seed)
     size = stack_size(d)
-    return np.concatenate([wigner._trial_pairs(rng, d, size)
+    return np.concatenate([wigner._trial_pairs(rng, d, size)[0]
                            for _ in range(-(-trials // size))])[:trials]
 
 

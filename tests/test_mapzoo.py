@@ -277,7 +277,7 @@ def test_classify_all_nan_images_is_an_infinite_violation(d, bad):
     assert not report.preserving and report.worst_violation == math.inf
     assert (report.reconstruction.status, report.reconstruction.probes_used) == (
         "failed_projection_probe", 1)
-    first = _trial_pairs(np.random.default_rng(0), d, stack_size(d))[0]
+    first = _trial_pairs(np.random.default_rng(0), d, stack_size(d))[0][0]
     assert [x.matrix.tobytes() for x in report.witness_pair] == [
         m.tobytes() for m in first]
 
@@ -288,7 +288,7 @@ def test_classify_witness_is_the_pair_with_the_nan_image():
     d = 8
     rng = np.random.default_rng(0)
     _trial_pairs(rng, d, 16)
-    pair = _trial_pairs(rng, d, 16)[5]
+    pair = _trial_pairs(rng, d, 16)[0][5]
     target = pair[1].tobytes()
     report = classify_map(nan_image_oracle(d, lambda a: a.matrix.tobytes() == target),
                           trials=40)
@@ -306,7 +306,7 @@ def test_a_pair_with_a_turned_away_image_is_settled_by_its_bound(monkeypatch, ki
     every other pair, no pair does; for depolarizing, which has no
     candidate, every other pair of the scan does."""
     d = 3
-    pair = _trial_pairs(np.random.default_rng(0), d, stack_size(d))[1]
+    pair = _trial_pairs(np.random.default_rng(0), d, stack_size(d))[0][1]
     target = pair[0]
     base = make_map(MapSpec(kind, d, {"p": 0.5} if kind == "depolarizing" else {}))
 
@@ -341,7 +341,7 @@ def test_classify_images_of_mixed_shapes_are_an_infinite_violation():
         DensityOperator.from_psd(v @ a.matrix @ v.T) if rank_one(a.matrix) else a))
     report = classify_map(oracle, trials=20, seed=8)
     assert not report.preserving and report.worst_violation == math.inf
-    pairs = _trial_pairs(np.random.default_rng(8), d, stack_size(d))[:20]
+    pairs = _trial_pairs(np.random.default_rng(8), d, stack_size(d))[0][:20]
     first = next(p for p in pairs if rank_one(p[0]) or rank_one(p[1]))
     assert not (rank_one(pairs[0][0]) or rank_one(pairs[0][1]))
     assert [x.matrix.tobytes() for x in report.witness_pair] == [
@@ -524,6 +524,17 @@ def test_a_negative_default_seed_is_a_bad_spec():
             make_map(MapSpec(kind=kind, dim=2), seed=-1)
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("seed, message", [
+    (-1, ">= 0, got -1"), (1.5, "an integer, got 1.5"), (2.0, "an integer, got 2.0"),
+    (True, "an integer, got True"), ("x", "an integer, got 'x'"), (None, "an integer, got None")])
+def test_every_kind_refuses_a_bad_seed(kind, seed, message):
+    """The seed is checked once, before the kind is read: a kind that draws
+    nothing, such as identity or transpose, refuses it as unitary does."""
+    with pytest.raises(BadSpec, match=f"^seed must be {message}$"):
+        make_map(MapSpec(kind=kind, dim=2), seed=seed)
+
+
 @pytest.mark.parametrize("data, key, kwargs, expected", [
     ({"p": 0.25}, "p", {}, 0.25),
     ({"p": 1}, "p", {}, 1.0),
@@ -568,15 +579,16 @@ def test_json_grid_reads_bits():
 def test_trial_pairs_match_reference_pair_by_pair(d, count):
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        pairs = _trial_pairs(rng, d, count)
+        pairs, vectors = _trial_pairs(rng, d, count)
         one = np.random.default_rng(seed)
-        expected = reference_trial_pairs(one, d, count)
+        expected, units = reference_trial_pairs(one, d, count, vectors=True)
         assert rng.bit_generator.state == one.bit_generator.state, seed
         assert pairs.shape == (count, 2, d, d)
-        for pair, want in zip(pairs, expected):
-            for row, b in zip(pair, want):
+        for pair, want, vector_pair, unit_pair in zip(pairs, expected, vectors, units):
+            for row, b, v, unit in zip(pair, want, vector_pair, unit_pair):
                 assert row.tobytes() == b.matrix.tobytes(), seed
                 assert float(np.trace(row).real) == b.trace, seed
+                assert v.tobytes() == (np.zeros(d, complex) if unit is None else unit).tobytes()
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 8])
@@ -585,7 +597,7 @@ def test_trial_pairs_rows_of_each_kind(d):
     their drawn trace and rank, every rank 1..d present; pure rows are
     unit-trace rank-one projections; orthogonal pairs have F <= 1e-7."""
     count = 256
-    pairs = _trial_pairs(np.random.default_rng(d), d, count)
+    pairs = _trial_pairs(np.random.default_rng(d), d, count)[0]
     assert not pairs.flags.writeable
     assert np.array_equal(pairs, pairs.conj().swapaxes(-1, -2))
     # the block's first draws: the kinds, then the mixed pairs' traces and ranks
@@ -614,7 +626,7 @@ def test_trial_pairs_kind_shares():
     """Over 4,000 pairs, told apart by their rows alone, the shares of mixed,
     pure and orthogonal pairs are within 3 sigma of 0.4, 0.4 and 0.2."""
     n = 4000
-    pairs = _trial_pairs(np.random.default_rng(17), 2, n)
+    pairs = _trial_pairs(np.random.default_rng(17), 2, n)[0]
     w = np.linalg.eigvalsh(pairs)
     unit_rank_one = (np.abs(w[..., 0]) <= 1e-12) & (np.abs(w[..., 1] - 1.0) <= 1e-12)
     both = unit_rank_one.all(axis=1)

@@ -87,7 +87,7 @@ def test_evaluate_stack_has_the_bits_of_evaluate_and_the_per_matrix_map(kind, d,
     row of evaluate_stack equals evaluate and the old per-matrix map bit for
     bit, and image_stack passes every row unchanged."""
     oracle = oracle_of(kind, d)
-    stack = _trial_pairs(np.random.default_rng(d), d, stack_size(d)).reshape(-1, d, d)
+    stack = _trial_pairs(np.random.default_rng(d), d, stack_size(d))[0].reshape(-1, d, d)
     if n == "one":
         stack = stack[:1]
     out = oracle.evaluate_stack(stack)
@@ -116,7 +116,7 @@ def test_every_zoo_image_of_a_tool_input_is_exactly_hermitian(kind, d):
     tools hand a map, each image has the bits of its hermitized self."""
     probes = probe_inputs(d)
     assert len(probes) == (d + 2 if d >= 2 else 1)
-    trials = _trial_pairs(np.random.default_rng(d), d, stack_size(d)).reshape(-1, d, d)
+    trials = _trial_pairs(np.random.default_rng(d), d, stack_size(d))[0].reshape(-1, d, d)
     oracle = oracle_of(kind, d)
     for stack in (probes, trials):
         out = oracle.evaluate_stack(stack)
@@ -141,7 +141,7 @@ def test_image_stack_reads_one_row_as_it_reads_it_in_its_stack(name):
     row is judged row by row, and a bad evaluate_stack return is turned away
     whole at n = 1 as at any n."""
     oracle = IMAGE_ORACLES[name]()
-    stack = _trial_pairs(np.random.default_rng(0), 3, 4).reshape(-1, 3, 3)
+    stack = _trial_pairs(np.random.default_rng(0), 3, 4)[0].reshape(-1, 3, 3)
     images, ok = oracle.image_stack(stack)
     for x, image, row_ok in zip(stack, images, ok):
         out, one = oracle.image_stack(x[None])
@@ -193,7 +193,7 @@ def identity_with_bad_rows(bad, where):
 
 @pytest.mark.parametrize("bad", ROW_BAD)
 def test_a_bad_row_turns_away_that_row_alone(bad):
-    stack = _trial_pairs(np.random.default_rng(0), 3, 5).reshape(-1, 3, 3)
+    stack = _trial_pairs(np.random.default_rng(0), 3, 5)[0].reshape(-1, 3, 3)
     oracle = identity_with_bad_rows(bad, lambda x: x.tobytes() == stack[4].tobytes())
     images, ok = oracle.image_stack(stack)
     assert ok.tolist() == [k != 4 for k in range(10)]
@@ -208,7 +208,7 @@ def test_classify_witness_is_the_pair_with_a_bad_row(bad):
     that pair scores inf and is the witness."""
     rng = np.random.default_rng(0)
     _trial_pairs(rng, 3, stack_size(3))
-    pair = _trial_pairs(rng, 3, stack_size(3))[5]
+    pair = _trial_pairs(rng, 3, stack_size(3))[0][5]
     oracle = identity_with_bad_rows(bad, lambda x: x.tobytes() == pair[1].tobytes())
     report = classify_map(oracle, trials=200)
     assert not report.preserving and report.worst_violation == math.inf
@@ -234,13 +234,13 @@ def test_a_bad_stack_return_turns_the_whole_stack_away(bad):
     full block, is its witness and reconstruct rejects its first probe, which
     is read through the same stack action."""
     oracle = DensityMapOracle(3, BAD_STACKS[bad])
-    stack = _trial_pairs(np.random.default_rng(0), 3, 4).reshape(-1, 3, 3)
+    stack = _trial_pairs(np.random.default_rng(0), 3, 4)[0].reshape(-1, 3, 3)
     images, ok = oracle.image_stack(stack)
     assert images.shape == stack.shape and not images.any() and not ok.any()
     report = classify_map(oracle, trials=10)
     assert not report.preserving and report.worst_violation == math.inf
     assert [x.matrix.tobytes() for x in report.witness_pair] == [
-        m.tobytes() for m in _trial_pairs(np.random.default_rng(0), 3, stack_size(3))[0]]
+        m.tobytes() for m in _trial_pairs(np.random.default_rng(0), 3, stack_size(3))[0][0]]
     rec = reconstruct(oracle)
     assert rec.status == STATUS_FAILED_PROJECTION_PROBE
     assert rec.probes_used == 1 and rec.residual_max == math.inf
@@ -404,7 +404,7 @@ def test_an_oracle_without_evaluate_stack_is_read_in_draw_order():
     assert len(first) == 3 + 2 + 64
     seen.clear()
     classify_map(oracle, trials=20)
-    drawn = _trial_pairs(np.random.default_rng(0), 3, stack_size(3))[:VERIFICATION_TRIALS // 2]
+    drawn = _trial_pairs(np.random.default_rng(0), 3, stack_size(3))[0][:VERIFICATION_TRIALS // 2]
     drawn = drawn.reshape(-1, 3, 3)
     assert seen == first[:3 + 2] + [x.tobytes() for x in drawn] == first
 

@@ -18,16 +18,18 @@ from fidsym.wigner import _trial_pairs, reconstruct, scoring_groups
 @pytest.mark.parametrize("blocks", [1, 2, 3, 4])
 @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
 def test_trial_pairs_of_k_blocks_are_k_single_block_calls(d, blocks):
-    """One call for k blocks gives the bits of k single-block calls, leaves
-    the RNG where they leave it, and is read-only."""
+    """One call for k blocks gives the bits of k single-block calls, inputs
+    and vectors alike, leaves the RNG where they leave it, and is read-only."""
     size = stack_size(d)
     rng, single = np.random.default_rng(d), np.random.default_rng(d)
-    grouped = _trial_pairs(rng, d, size, blocks=blocks)
-    singles = np.concatenate([_trial_pairs(single, d, size) for _ in range(blocks)])
+    grouped, vectors = _trial_pairs(rng, d, size, blocks=blocks)
+    singles = [_trial_pairs(single, d, size) for _ in range(blocks)]
     assert grouped.shape == (blocks * size, 2, d, d)
-    assert grouped.tobytes() == singles.tobytes()
+    assert vectors.shape == (blocks * size, 2, d)
+    assert grouped.tobytes() == np.concatenate([pairs for pairs, _ in singles]).tobytes()
+    assert vectors.tobytes() == np.concatenate([v for _, v in singles]).tobytes()
     assert rng.uniform() == single.uniform()
-    assert not grouped.flags.writeable
+    assert not grouped.flags.writeable and not vectors.flags.writeable
 
 
 @pytest.mark.parametrize("count", [1, 16, 17, 64, 200, 300])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from adversarial_maps import ADVERSARIAL_MAPS, probe_evading, rank_one_identity
 from bad_images import BAD_IMAGES
-from trial_reference import reference_inputs
+from trial_reference import reference_expected, reference_inputs
 
 from fidsym.charact import numerical_rank
 from fidsym.cli import reconstruction_to_dict
@@ -36,9 +36,12 @@ from fidsym.wigner import (
     STATUS_FAILED_VERIFICATION,
     ReconstructionReport,
     SymmetryOperator,
+    _expected_images,
     _probe_stages,
+    _trial_pairs,
     apply_symmetry,
     apply_symmetry_stack,
+    block_size,
     extend_normalized,
     reconstruct,
     residual_bound,
@@ -456,8 +459,10 @@ def test_scan_reads_the_map_against_its_candidate():
     """For S after a NaN on row 1: one image_stack call of the first 5
     inputs of seed 11's trial pairs, read-only, the last pair cut to its
     first input; with no candidate every residual is inf; with S the
-    residuals have the bits of ||phi X - S X||_F, 0 on the rows image_stack
-    keeps, and the row that it turns away is inf. With no candidate the
+    residuals have the bits of ||phi X - S X||_F, S X computed as
+    reference_expected does, and the row that image_stack turns away is
+    inf. As phi is apply_symmetry_stack, a mixed row's residual is 0 and a
+    pure row's, against (Uv)(Uv)*, is rounding. With no candidate the
     report is the probes' own; with S it is verified up to the first row
     whose residual exceeds residual_bound(d), row 1."""
     d = 3
@@ -481,13 +486,45 @@ def test_scan_reads_the_map_against_its_candidate():
     assert report is rejected
 
     [(_, images, ok, res, report)] = scan(oracle, candidate, 5, 11)
-    expected = apply_symmetry_stack(s, inputs)
+    _, vectors = reference_inputs(11, d, 5, vectors=True)
+    expected = np.array([reference_expected(s, DensityOperator(matrix=x), v)
+                         for x, v in zip(inputs, vectors)])
     assert res[ok].tobytes() == np.sqrt(row_sumsq(images - expected))[ok].tobytes()
     assert not images[1].any()
     assert res[1] == np.inf
-    assert not res[ok].any()
+    mixed = np.array([v is None for v in vectors])
+    assert not res[ok & mixed].any() and (res[ok] < 1e-15).all()
     assert report == ReconstructionReport(s, math.inf, d + 2 + 2, 5, 0.5,
                                           STATUS_FAILED_VERIFICATION)
+
+
+@pytest.mark.parametrize("parity", [UNITARY, ANTIUNITARY])
+@pytest.mark.parametrize("d", [2, 3, 8, 32, 64])
+def test_pure_inputs_are_verified_from_their_vectors(d, parity):
+    """_trial_pairs' vectors are those of its pure and orthogonal inputs:
+    each such input is hermitize(vv*) bit for bit, and every mixed input has
+    a zero row. For a Haar U, the expected image of every pure row is
+    exactly Hermitian, has the bits of that row computed alone, and lies
+    within 1e-14 of apply_symmetry_stack's image of the same input; a mixed
+    row has apply_symmetry_stack's bits."""
+    s = SymmetryOperator(parity=parity, u=haar_unitary(np.random.default_rng(d), d))
+    size = block_size(d)
+    pairs, vectors = _trial_pairs(np.random.default_rng(7), d, size, 16 // size + 1)
+    inputs, vectors = pairs.reshape(-1, d, d), vectors.reshape(-1, d)
+    assert not vectors.flags.writeable
+    pure = vectors.any(axis=-1)
+    assert 0 < pure.sum() < len(inputs)
+    for x, v in zip(inputs[pure], vectors[pure]):
+        assert hermitize_stack(np.outer(v, v.conj())[None])[0].tobytes() == x.tobytes()
+
+    expected = _expected_images(s, inputs, vectors)
+    full = apply_symmetry_stack(s, inputs)
+    assert expected[~pure].tobytes() == full[~pure].tobytes()
+    for k in np.flatnonzero(pure):
+        e = expected[k]
+        assert (e == e.conj().T).all()
+        assert _expected_images(s, inputs[k:k + 1], vectors[k:k + 1])[0].tobytes() == e.tobytes()
+        assert np.linalg.norm(e - full[k]) <= 1e-14
 
 
 def embedding_oracle(d):

@@ -3,7 +3,8 @@ reconstruct and classify_map alike: make the draws in their RNG order, then
 build and wrap one pair at a time with single-matrix code, so that the
 stacked construction and its indexing are checked bit for bit; and the
 sizes of the calls in which the scan hands its inputs to the oracle,
-computed from the stated schedule alone."""
+computed from the stated schedule alone; and the image that verification
+expects of each input."""
 import numpy as np
 
 from fidsym import wigner
@@ -33,9 +34,11 @@ def group_calls(count, d, through=None):
     return calls
 
 
-def reference_trial_pairs(rng, d, count):
+def reference_trial_pairs(rng, d, count, vectors=False):
     """``count`` trial pairs as a list of (DensityOperator, DensityOperator);
-    at d = 1 every pair is mixed, and no kinds are drawn."""
+    at d = 1 every pair is mixed, and no kinds are drawn. With ``vectors``,
+    also the list of their (v_A, v_B): the unit vector v of a pure input
+    vv*, None for a mixed one."""
     kinds = rng.uniform(size=count) if d > 1 else np.zeros(count)
     n_mixed = int(np.sum(kinds < 0.4))
     n_pure = int(np.sum((kinds >= 0.4) & (kinds < 0.8)))
@@ -63,19 +66,34 @@ def reference_trial_pairs(rng, d, count):
         diag = np.diagonal(r)
         return q * (diag / np.abs(diag))
 
-    pairs, m, p, o = [], 0, 0, 0
+    pairs, units, m, p, o = [], [], 0, 0, 0
     for r in kinds:
         if r < 0.4:
             pairs.append(tuple(density(mixed[m, j], ranks[m, j], traces[m, j]) for j in range(2)))
+            units.append((None, None))
             m += 1
         elif r < 0.8:
-            pairs.append(tuple(projection(v / np.linalg.norm(v, axis=-1)) for v in pure[p]))
+            units.append(tuple(v / np.linalg.norm(v, axis=-1) for v in pure[p]))
+            pairs.append(tuple(projection(v) for v in units[-1]))
             p += 1
         else:
             u = haar(square[o])
-            pairs.append((projection(u[:, 0]), projection(u[:, 1])))
+            units.append((u[:, 0], u[:, 1]))
+            pairs.append(tuple(projection(v) for v in units[-1]))
             o += 1
-    return pairs
+    return (pairs, units) if vectors else pairs
+
+
+def reference_expected(s, x, v):
+    """The image that verification expects of trial input ``x`` under the
+    symmetry ``s``, one matrix at a time: for a pure input with unit vector
+    ``v``, (P + P*)/2 for P = yy* and y = Uv (U conj(v) if antiunitary); for
+    a mixed one (``v`` None), apply_symmetry's."""
+    if v is None:
+        return wigner.apply_symmetry(s, x).matrix
+    y = s.u @ (v.conj() if s.parity == wigner.ANTIUNITARY else v)
+    p = np.outer(y, y.conj())
+    return (p + p.conj().T) / 2
 
 
 def input_calls(count, d, through=None):
@@ -89,12 +107,15 @@ def input_calls(count, d, through=None):
     return calls
 
 
-def reference_inputs(seed, d, count):
+def reference_inputs(seed, d, count, vectors=False):
     """The first ``count`` inputs A_1, B_1, A_2, ... of the trial pairs of
     ``default_rng(seed)`` at dimension d, drawn in whole blocks of
     stack_size(d) pairs, as a (count, d, d) array: the inputs on which
-    ``reconstruct(oracle, count, seed)`` verifies its candidate."""
-    rng, pairs = np.random.default_rng(seed), []
+    ``reconstruct(oracle, count, seed)`` verifies its candidate. With
+    ``vectors``, also the list of their unit vectors, None for a mixed input."""
+    rng, pairs, units = np.random.default_rng(seed), [], []
     while 2 * len(pairs) < count:
-        pairs += reference_trial_pairs(rng, d, stack_size(d))
-    return np.array([x.matrix for pair in pairs for x in pair][:count])
+        block, block_units = reference_trial_pairs(rng, d, stack_size(d), vectors=True)
+        pairs, units = pairs + block, units + block_units
+    inputs = np.array([x.matrix for pair in pairs for x in pair][:count])
+    return (inputs, [v for pair in units for v in pair][:count]) if vectors else inputs
